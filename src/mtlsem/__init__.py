@@ -53,7 +53,6 @@ from .intervals import (
     IntervalSet,
     back_shift,
     interval,
-    maximal_parts,
     parse_interval,
     punctual,
     rat_str,

@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 verdict true / success, 1 verdict false, 2 unknown verdict,
-3 input error, 4 internal invariant failure.  Machine output is JSON on
-stdout; --pretty switches to an indented human layout.
+3 input error (malformed JSON shapes name the offending field), 4 internal
+failure (a broken invariant or any unexpected exception, reported in one
+line).  Machine output is JSON on stdout; --pretty switches to an indented
+human layout.
 """
 
 from __future__ import annotations
@@ -423,9 +425,13 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return INVARIANT
-    except (MtlsemError, IndexError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (MtlsemError, IndexError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except Exception as exc:  # a crash is never a verdict: keep it off exit 1
+        first = str(exc).splitlines()[0] if str(exc) else ""
+        print(f"internal error: {type(exc).__name__}: {first}", file=sys.stderr)
+        return INVARIANT
 
 
 def entry():

@@ -277,12 +277,6 @@ def to_text(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<punct>[!&|()\[\],])|(?P<num>\d+(?:\.\d+)?(?:/\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<inf>))"
-)
-
-
 class _Parser:
     def __init__(self, text: str, sigma: Alphabet, allow_beta: bool):
         self.text = text
@@ -398,7 +392,6 @@ class _Parser:
             return Not(self.unary())
         self.skip_ws()
         if self.peek() == "(":
-            save = self.pos
             self.take("(")
             inner = self.implies()
             self.expect(")")

@@ -10,6 +10,13 @@ epsilon 0, an open lower end +1, an open upper end -1.  A key pair
 (lo_key, hi_key) denotes a non-empty interval exactly when lo_key <= hi_key,
 which makes membership, intersection and adjacency checks plain tuple
 comparisons.
+
+Set operations assume normalized operands and return normalized results:
+`intersect` and `difference` are single linear sweeps over the two sorted part
+lists (the representation of Maler & Nickovic, FORMATS 2004) and never
+re-sort.  `from_intervals` normalizes arbitrary input; constructing
+`IntervalSet(parts)` directly is only valid with parts that are already
+normalized.
 """
 
 from __future__ import annotations
@@ -159,7 +166,10 @@ def _mergeable(a: Interval, b: Interval) -> bool:
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Normalized finite union of disjoint intervals, sorted, adjacency merged."""
+    """Normalized finite union of disjoint intervals, sorted, adjacency merged.
+
+    `parts` must already be normalized; use `from_intervals` otherwise.
+    """
 
     parts: tuple
 
@@ -195,34 +205,51 @@ class IntervalSet:
         return IntervalSet.from_intervals(self.parts + other.parts)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
+        """Two-pointer merge of the sorted part lists; the result is already normal."""
+        a, b = self.parts, other.parts
         out = []
-        for a in self.parts:
-            for b in other.parts:
-                got = a.intersect(b)
-                if got is not None:
-                    out.append(got)
-        return IntervalSet.from_intervals(out)
+        i = j = 0
+        while i < len(a) and j < len(b):
+            x, y = a[i], b[j]
+            x_lo, x_hi = _lo_key(x.lo), _hi_key(x.hi)
+            y_lo, y_hi = _lo_key(y.lo), _hi_key(y.hi)
+            lo, hi = max(x_lo, y_lo), min(x_hi, y_hi)
+            if _nonempty(lo, hi):
+                if lo == x_lo and hi == x_hi:
+                    out.append(x)
+                elif lo == y_lo and hi == y_hi:
+                    out.append(y)
+                else:
+                    out.append(_from_keys(lo, hi))
+            if x_hi <= y_hi:
+                i += 1
+            else:
+                j += 1
+        return IntervalSet(tuple(out))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
+        """One sweep: each part of self loses the parts of other that overlap it."""
+        b = other.parts
         out = []
-        for a in self.parts:
-            pieces = [(_lo_key(a.lo), _hi_key(a.hi))]
-            for b in other.parts:
-                nxt = []
-                for lo, hi in pieces:
-                    blo, bhi = _lo_key(b.lo), _hi_key(b.hi)
-                    if bhi < lo or blo > hi:
-                        nxt.append((lo, hi))
-                        continue
-                    left_hi = (blo[0], blo[1] - 1)  # flip lower bound into an upper one
-                    if _nonempty(lo, left_hi):
-                        nxt.append((lo, left_hi))
-                    right_lo = (bhi[0], bhi[1] + 1)  # flip upper bound into a lower one
-                    if _nonempty(right_lo, hi):
-                        nxt.append((right_lo, hi))
-                pieces = nxt
-            out.extend(_from_keys(lo, hi) for lo, hi in pieces)
-        return IntervalSet.from_intervals(out)
+        j = 0
+        for x in self.parts:
+            x_lo, x_hi = _lo_key(x.lo), _hi_key(x.hi)
+            while j < len(b) and _hi_key(b[j].hi) < x_lo:
+                j += 1
+            lo = x_lo
+            k = j
+            while k < len(b) and _lo_key(b[k].lo) <= x_hi:
+                b_lo, b_hi = _lo_key(b[k].lo), _hi_key(b[k].hi)
+                left_hi = (b_lo[0], b_lo[1] - 1)  # flip lower bound into an upper one
+                if _nonempty(lo, left_hi):
+                    out.append(_from_keys(lo, left_hi))
+                lo = (b_hi[0], b_hi[1] + 1)  # flip upper bound into a lower one
+                k += 1
+            if k == j:  # nothing of other overlaps x
+                out.append(x)
+            elif _nonempty(lo, x_hi):
+                out.append(_from_keys(lo, x_hi))
+        return IntervalSet(tuple(out))
 
     def complement(self, domain: Interval) -> "IntervalSet":
         dom = IntervalSet.of(domain)
@@ -243,11 +270,6 @@ class IntervalSet:
 
 
 _EMPTY = IntervalSet(())
-
-
-def maximal_parts(s: IntervalSet):
-    """The maximal convex components of a normalized set, as stored."""
-    return list(s.parts)
 
 
 def back_shift(q: Interval, i: Interval) -> Interval | None:

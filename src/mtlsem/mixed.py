@@ -13,6 +13,23 @@ operand's set, and a witness inside a gap additionally needs the gap's
 f-prefix up to the witness.  For gap bases the same walk is done symbolically,
 producing base intervals through back_shift.  The position-zero atom holds at
 every gap time and at offset 0 of every block.
+
+What a walk asks of a block or a gap does not depend on its base, so each
+Until node works it out once (`_UntilFacts`): which blocks and gaps hold a
+witness reachable through f (for a gap, the g-candidates in its anchored
+f-prefix) and which break f.  A walk then jumps from witness to witness and
+ends at the first failure; the positions in between cost nothing.  Gap slices
+of a set come from one sweep over its parts.
+
+Walks also stop as soon as nothing later can matter.  A grid walk from time t
+stops at the first witness lying after a gap's left end times[m] with
+times[m] - t >= sup w.  A gap-base walk in gap m0 stops at the first witness
+at or after times[m0 + 1] + sup w, and as soon as one collected back-shift
+covers its whole base zone.  Both exits are exact in OPTIMISTIC mode too: when
+either fires, the bases whose window reaches past the cut are already decided
+(none of them for the window exit, all of them for the cover exit).  A base
+thus costs the witnesses its window holds, and under an unbounded F or G the
+witnesses before the first one that serves it.
 """
 
 from __future__ import annotations
@@ -87,14 +104,82 @@ class _Word:
         self.sizes = tuple(len(acts) for acts, _ in cw.blocks)
         self.n = len(cw.blocks)
         self.cut = self.times[-1]
-        self.grid = frozenset((k, j) for k in range(self.n) for j in range(self.sizes[k]))
+        self.order = tuple((k, j) for k in range(self.n) for j in range(self.sizes[k]))
+        self.grid = frozenset(self.order)
+        self.first = [0]  # index in `order` of each block's offset 0, then len(order)
+        for size in self.sizes:
+            self.first.append(self.first[-1] + size)
         self.gaps = tuple(
             interval(self.times[k], self.times[k + 1], False, False)
             for k in range(self.n - 1))
         self.all_gaps = IntervalSet.from_intervals(self.gaps)
 
     def gap_slices(self, s: IntervalSet):
-        return tuple(s.intersect(IntervalSet.of(g)) for g in self.gaps)
+        """s intersected with each gap, in one sweep over parts and gaps together."""
+        times, gaps = self.times, self.gaps
+        slices = [[] for _ in gaps]
+        m = 0
+        for p in s.parts:
+            while m < len(gaps) and times[m + 1] <= p.lo.value:
+                m += 1
+            k = m
+            while k < len(gaps) and times[k] < p.hi.value:
+                piece = p.intersect(gaps[k])
+                if piece is not None:
+                    slices[k].append(piece)
+                k += 1
+        return tuple(IntervalSet(tuple(sl)) for sl in slices)
+
+
+class _UntilFacts:
+    """What every walk of one Until node asks of the blocks and gaps, computed once.
+
+    A walk visits the lex line in order: block k at index 2k, gap k at 2k + 1,
+    up to `size` = 2n - 1.  A block is a witness when some position holds g
+    with f at every earlier position of the block, and a failure when f fails
+    at one of its positions.  A gap is a witness when g meets its anchored
+    f-prefix (`cands[m]`, the parts of g reachable from the gap's left end with
+    f in between), and a failure when f does not cover it.  At one index the
+    witness comes first.  `next_witness[i]` and `next_fail[i]` are the first
+    witness and failure at or after i, `size` when there is none.  Inside the
+    blocks, `g_at[p]` and `not_f_at[p]` are the first grid position at or after
+    p (an index into `wd.order`) where g holds and where f fails.
+    """
+
+    def __init__(self, wd: _Word, f: MixedSet, g: MixedSet, f_gap, g_gap):
+        self.g_at = _next_true([p in g.points for p in wd.order])
+        self.not_f_at = _next_true([p not in f.points for p in wd.order])
+        self.cands = []
+        witness, fail = [], []
+        for k in range(wd.n):
+            start, end = wd.first[k], wd.first[k + 1]
+            witness.append(self.g_at[start] < end and self.g_at[start] <= self.not_f_at[start])
+            fail.append(self.not_f_at[start] < end)
+            if k < wd.n - 1:
+                window = _anchored_prefix(f_gap[k], wd.times[k])
+                self.cands.append(() if window is None else
+                                  g_gap[k].intersect(IntervalSet.of(window)).parts)
+                witness.append(bool(self.cands[k]))
+                fail.append(not f_gap[k].covers(wd.gaps[k]))
+        self.size = len(witness)
+        self.next_witness = _next_true(witness)
+        self.next_fail = _next_true(fail)
+
+    def witnesses(self, start: int):
+        """Witness indices from start on, up to and including the first failure."""
+        stop = self.next_fail[start]
+        i = self.next_witness[start]
+        while i < self.size and i <= stop:
+            yield i
+            i = self.next_witness[i + 1]
+
+
+def _next_true(flags) -> list:
+    """out[i] is the first index >= i whose flag is set, len(flags) if there is none."""
+    out = [len(flags)] * (len(flags) + 1)
+    for i in range(len(flags) - 1, -1, -1):
+        out[i] = i if flags[i] else out[i + 1]
+    return out
 
 
 def _shifted_window(t: Fraction, w: Interval) -> Interval:
@@ -104,58 +189,44 @@ def _shifted_window(t: Fraction, w: Interval) -> Interval:
 
 def _anchored_prefix(parts: IntervalSet, start: Fraction) -> Interval | None:
     """The part starting at the gap's left end, as a witness window (start, sup]."""
-    for p in parts.parts:
-        if p.lo.value == start:
-            return Interval(Bound(start, False), Bound(p.hi.value, True))
+    if parts.parts and parts.parts[0].lo.value == start:
+        return Interval(Bound(start, False), Bound(parts.parts[0].hi.value, True))
     return None
 
 
 def _anchored_suffix(parts: IntervalSet, end: Fraction) -> Fraction | None:
     """Greatest-lower value l such that (l, end) lies inside one part, or None."""
-    for p in parts.parts:
-        if p.hi.value == end:
-            return p.lo.value
+    if parts.parts and parts.parts[-1].hi.value == end:
+        return parts.parts[-1].lo.value
     return None
 
 
-def _until_grid_base(wd: _Word, k: int, j: int, f, g, f_gap, g_gap, w, mode) -> bool:
-    """Decide f U_w g at grid point (k, j) by walking the lex line."""
+def _until_grid_base(wd: _Word, k: int, j: int, facts, w, mode) -> bool:
+    """Decide f U_w g at grid point (k, j), visiting only witnesses up to t + sup w."""
     t = wd.times[k]
-    ok = True
-    zero_ok = w.contains(Fraction(0))
-    for j2 in range(j + 1, wd.sizes[k]):
-        if ok and zero_ok and (k, j2) in g.points:
+    p, end = wd.first[k] + j + 1, wd.first[k + 1]  # the rest of the block
+    g_p, not_f_p = facts.g_at[p], facts.not_f_at[p]
+    if g_p < end and g_p <= not_f_p and w.contains(Fraction(0)):
+        return True
+    if not_f_p < end:
+        return False
+    shifted = None
+    for i in facts.witnesses(2 * k + 1):
+        if wd.times[(i - 1) // 2] - t >= w.hi.value:
+            return False  # past the left end of the gap at or before i: out of the window
+        m, in_gap = divmod(i, 2)
+        if in_gap:
+            shifted = shifted or _shifted_window(t, w)
+            if any(c.intersect(shifted) is not None for c in facts.cands[m]):
+                return True
+        elif w.contains(wd.times[m] - t):
             return True
-        ok = ok and (k, j2) in f.points
-        if not ok:
-            return False
-    for m in range(k, wd.n - 1):
-        window = _anchored_prefix(f_gap[m], wd.times[m])
-        if ok and window is not None:
-            cands = g_gap[m].intersect(IntervalSet.of(window))
-            if not cands.intersect(IntervalSet.of(_shifted_window(t, w))).is_empty:
-                return True
-        ok = ok and f_gap[m].covers(wd.gaps[m])
-        if not ok:
-            return False
-        d = wd.times[m + 1] - t
-        in_window = w.contains(d)
-        inner = True
-        for j2 in range(wd.sizes[m + 1]):
-            if inner and in_window and (m + 1, j2) in g.points:
-                return True
-            inner = inner and (m + 1, j2) in f.points
-            if not inner:
-                break
-        ok = ok and inner
-        if not ok:
-            return False
-    if mode == OPTIMISTIC:
+    if mode == OPTIMISTIC and facts.next_fail[2 * k + 1] == facts.size:
         return w.hi.value == INF or t + w.hi.value > wd.cut
     return False
 
 
-def _until_gap_bases(wd: _Word, m0: int, f, g, f_gap, g_gap, w, mode) -> list:
+def _until_gap_bases(wd: _Word, m0: int, f_gap, g_gap, facts, w, mode) -> list:
     """Base intervals inside gap m0 satisfying f U_w g, walking forward symbolically."""
     out = []
     beta_ = wd.times[m0 + 1]
@@ -181,52 +252,43 @@ def _until_gap_bases(wd: _Word, m0: int, f, g, f_gap, g_gap, w, mode) -> list:
     zone = Interval(Bound(suffix_lo, True), Bound(beta_, False)).intersect(wd.gaps[m0])
     if zone is None:
         return out
-    base_zone = IntervalSet.of(zone)
 
-    def collect(region_or_point):
+    def collect(region_or_point) -> bool:
+        """Add the bases this witness serves; True once they are the whole zone."""
         base = back_shift(region_or_point, w)
-        if base is None:
-            return
-        for piece in base_zone.intersect(IntervalSet.of(base)).parts:
+        piece = None if base is None else base.intersect(zone)
+        if piece is not None:
             out.append(piece)
+        return piece == zone
 
-    ok = True
-    for m in range(m0 + 1, wd.n):
-        inner = True
-        for j2 in range(wd.sizes[m]):
-            if inner and (m, j2) in g.points:
-                collect(punctual(wd.times[m]))
-            inner = inner and (m, j2) in f.points
-            if not inner:
-                break
-        ok = ok and inner
-        if not ok:
+    end = INF if w.hi.value == INF else beta_ + w.hi.value
+    for i in facts.witnesses(2 * m0 + 2):
+        m, in_gap = divmod(i, 2)
+        if wd.times[m] >= end:
+            return out  # every later witness lies past the window of every base
+        regions = facts.cands[m] if in_gap else (punctual(wd.times[m]),)
+        if any(collect(q) for q in regions):
             return out
-        if m < wd.n - 1:
-            window = _anchored_prefix(f_gap[m], wd.times[m])
-            if window is not None:
-                for region in g_gap[m].intersect(IntervalSet.of(window)).parts:
-                    collect(region)
-            ok = ok and f_gap[m].covers(wd.gaps[m])
-            if not ok:
-                return out
-    if mode == OPTIMISTIC:
+    if mode == OPTIMISTIC and facts.next_fail[2 * m0 + 2] == facts.size:
         # bases whose window reaches strictly past the cut
         reach = back_shift(Interval(Bound(wd.cut, False), Bound(INF, False)), w)
         if reach is not None:
-            out.extend(base_zone.intersect(IntervalSet.of(reach)).parts)
+            piece = reach.intersect(zone)
+            if piece is not None:
+                out.append(piece)
     return out
 
 
 def _until_mixed(wd: _Word, f: MixedSet, g: MixedSet, w: Interval, mode) -> MixedSet:
     f_gap = wd.gap_slices(f.gap)
     g_gap = wd.gap_slices(g.gap)
+    facts = _UntilFacts(wd, f, g, f_gap, g_gap)
     points = frozenset(
         (k, j) for (k, j) in wd.grid
-        if _until_grid_base(wd, k, j, f, g, f_gap, g_gap, w, mode))
+        if _until_grid_base(wd, k, j, facts, w, mode))
     pieces = []
     for m0 in range(wd.n - 1):
-        pieces.extend(_until_gap_bases(wd, m0, f, g, f_gap, g_gap, w, mode))
+        pieces.extend(_until_gap_bases(wd, m0, f_gap, g_gap, facts, w, mode))
     return MixedSet(points, IntervalSet.from_intervals(pieces))
 
 

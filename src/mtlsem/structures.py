@@ -313,13 +313,52 @@ def lasso_to_json(l: Lasso) -> dict:
     return out
 
 
+def _field(obj: dict, key: str, where: str, kind, expected: str):
+    """obj[key] if present and of the expected JSON type; errors name the field path."""
+    if not isinstance(obj, dict):
+        raise MtlsemError(f"malformed input: {where or 'the input'} must be a JSON object")
+    path = f"{where}.{key}" if where else key
+    if key not in obj:
+        raise MtlsemError(f"malformed input: missing field {path}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise MtlsemError(f"malformed input: {path} must be {expected}")
+    return value
+
+
+def _rational_field(value, path: str) -> Fraction:
+    if not isinstance(value, (str, int)) or isinstance(value, bool):
+        raise MtlsemError(f"malformed input: {path} must be a rational string or integer")
+    try:
+        return rational(value)
+    except MtlsemError as exc:
+        raise MtlsemError(f"malformed input: {path}: {exc}") from None
+
+
+def _strings(values: list, path: str) -> list:
+    for i, v in enumerate(values):
+        if not isinstance(v, str):
+            raise MtlsemError(f"malformed input: {path}[{i}] must be a string")
+    return values
+
+
 def word_or_lasso_from_json(obj, allow_nonzero_start: bool = False):
-    events = [(a, rational(t)) for a, t in obj["events"]]
+    events = []
+    for i, e in enumerate(_field(obj, "events", "", list, "a list of [action, time] pairs")):
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)):
+            raise MtlsemError(f"malformed input: events[{i}] must be an [action, time] pair")
+        events.append((e[0], _rational_field(e[1], f"events[{i}][1]")))
     w = validate_word(events, allow_nonzero_start=allow_nonzero_start)
     if "period" not in obj:
         return w
-    p = obj["period"]
-    return lasso(w, p["actions"], p["offsets"], p["duration"])
+    p = _field(obj, "period", "", dict, "an object")
+    actions = _strings(_field(p, "actions", "period", list, "a list of actions"),
+                       "period.actions")
+    offsets = [_rational_field(o, f"period.offsets[{i}]") for i, o in
+               enumerate(_field(p, "offsets", "period", list, "a list of rationals"))]
+    duration_ = _rational_field(_field(p, "duration", "period", (str, int), "a rational"),
+                                "period.duration")
+    return lasso(w, actions, offsets, duration_)
 
 
 def tss_to_json(kappa: TimedStateSequence) -> dict:
@@ -327,13 +366,20 @@ def tss_to_json(kappa: TimedStateSequence) -> dict:
 
 
 def tss_from_json(obj, allow_nonzero_start: bool = False) -> TimedStateSequence:
-    return validate_tss(obj["steps"], allow_nonzero_start=allow_nonzero_start)
+    steps = _field(obj, "steps", "", list, "a list of [propositions, interval] pairs")
+    for i, st in enumerate(steps):
+        if not (isinstance(st, list) and len(st) == 2
+                and isinstance(st[0], list) and isinstance(st[1], str)):
+            raise MtlsemError(
+                f"malformed input: steps[{i}] must be a [propositions, interval] pair")
+        _strings(st[0], f"steps[{i}][0]")
+    return validate_tss(steps, allow_nonzero_start=allow_nonzero_start)
 
 
 def load_input(path: str, allow_nonzero_start: bool = False):
     """Load a word, lasso or state sequence from a JSON file, by shape."""
     with open(path) as fh:
         obj = json.load(fh)
-    if "steps" in obj:
+    if isinstance(obj, dict) and "steps" in obj:
         return tss_from_json(obj, allow_nonzero_start=allow_nonzero_start)
     return word_or_lasso_from_json(obj, allow_nonzero_start=allow_nonzero_start)

@@ -147,3 +147,38 @@ class TestOtherCommands:
         code, out = run(capsys, "paper", "--name", "mixed-recovers-order")
         assert code == 0
         assert "1/1 checks passed" in out
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("payload, field", [
+        ([1, 2], "JSON object"),
+        ({"evnts": []}, "events"),
+        ({"events": [["a"]]}, "events[0]"),
+        ({"events": [["a", 0.5]]}, "events[0][1]"),
+        ({"events": [["a", "0"]], "period": {"actions": ["c"], "offsets": ["1"]}},
+         "period.duration"),
+        ({"events": [["a", "0"]], "period": {"actions": ["c"], "offsets": "1",
+                                             "duration": "1"}}, "period.offsets"),
+        ({"steps": [["a", "[0,0]"]]}, "steps[0]"),
+    ])
+    def test_malformed_shape_is_input_error_naming_the_field(
+            self, tmp_path, capsys, payload, field):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(payload))
+        code = main(["eval", "--semantics", "pw", "--alphabet", "a,b,c",
+                     "--formula", "a", "--word", str(p)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert field in err
+
+    def test_unexpected_exception_is_exit_four_in_one_line(self, rho1, capsys, monkeypatch):
+        import mtlsem.cli as cli
+
+        def boom(*_):
+            raise ZeroDivisionError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "eval_pw", boom)
+        code = main(["eval", "--semantics", "pw", "--formula", "a", "--word", rho1])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.strip() == "internal error: ZeroDivisionError: boom"

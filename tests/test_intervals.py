@@ -11,7 +11,6 @@ from mtlsem.intervals import (
     IntervalSet,
     back_shift,
     interval,
-    maximal_parts,
     parse_interval,
     punctual,
     rat_str,
@@ -97,12 +96,6 @@ class TestSetOps:
         assert not iset("[0,1)").member(Fraction(1))
         assert iset("(1,2]").member(Fraction(2))
         assert not IntervalSet.empty().member(Fraction(0))
-
-    def test_maximal_parts_passthrough(self):
-        s = iset("[0,1)", "(1,2]")
-        assert maximal_parts(s) == [iv("[0,1)"), iv("(1,2]")]
-        assert maximal_parts(iset("[0,2]")) == [iv("[0,2]")]
-        assert maximal_parts(IntervalSet.empty()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +230,83 @@ def test_back_shift_against_quantifier_enumeration():
             assert got_set.member(t) == _witness_exists(t, q, i), (
                 f"back_shift({q}, {i}) wrong at t={t}"
             )
+
+
+# ---------------------------------------------------------------------------
+# the linear sweeps against membership, endpoint by endpoint
+
+def _rand_normal_set(rng):
+    return IntervalSet.from_intervals(_rand_interval(rng) for _ in range(rng.randint(0, 8)))
+
+
+def _probes(*sets_and_intervals):
+    """Every finite endpoint, every midpoint between neighbours, and a point past them all.
+
+    Membership in any of the given sets is constant between neighbouring
+    endpoints, so these probes decide set equality and containment exactly.
+    """
+    vals = {Fraction(0)}
+    for x in sets_and_intervals:
+        for p in (x.parts if isinstance(x, IntervalSet) else (x,)):
+            vals.add(p.lo.value)
+            if p.hi.value != INF:
+                vals.add(p.hi.value)
+    vals = sorted(vals)
+    return vals + [(a + b) / 2 for a, b in zip(vals, vals[1:])] + [vals[-1] + 1]
+
+
+def _assert_normal(s):
+    for p in s.parts:
+        assert p.lo.value != INF
+    assert IntervalSet.from_intervals(s.parts) == s
+
+
+def test_flag_combinations_and_unbounded_parts_are_drawn():
+    rng = random.Random(21)
+    kinds = set()
+    for _ in range(300):
+        for p in _rand_normal_set(rng).parts:
+            kinds.add((p.lo.closed, p.hi.closed, p.is_punctual, p.hi.value == INF))
+    for lo_c in (True, False):
+        for hi_c in (True, False):
+            assert (lo_c, hi_c, False, False) in kinds
+    assert (True, True, True, False) in kinds
+    assert any(k[3] for k in kinds)
+
+
+def test_intersect_and_difference_by_membership():
+    rng = random.Random(22)
+    for _ in range(600):
+        a, b = _rand_normal_set(rng), _rand_normal_set(rng)
+        both, only_a = a.intersect(b), a.difference(b)
+        _assert_normal(both)
+        _assert_normal(only_a)
+        for t in _probes(a, b):
+            assert both.member(t) == (a.member(t) and b.member(t)), (str(a), str(b), t)
+            assert only_a.member(t) == (a.member(t) and not b.member(t)), (str(a), str(b), t)
+
+
+def test_covers_by_membership():
+    rng = random.Random(23)
+    for _ in range(600):
+        s, probe = _rand_normal_set(rng), _rand_interval(rng)
+        expect = all(s.member(t) for t in _probes(s, probe) if probe.contains(t))
+        assert s.covers(probe) == expect, (str(s), str(probe))
+
+
+def test_gap_slices_by_membership():
+    from mtlsem.encodings import compact
+    from mtlsem.mixed import _Word
+    from mtlsem.structures import word
+
+    rng = random.Random(24)
+    for _ in range(300):
+        stamps = sorted(rng.sample(_VALS, rng.randint(1, 7)) + [Fraction(0)])
+        wd = _Word(compact(word([("a", t) for t in stamps])))
+        s = _rand_normal_set(rng)
+        slices = wd.gap_slices(s)
+        assert len(slices) == len(wd.gaps)
+        for piece, gap in zip(slices, wd.gaps):
+            _assert_normal(piece)
+            for t in _probes(s, gap):
+                assert piece.member(t) == (s.member(t) and gap.contains(t)), (str(s), str(gap), t)

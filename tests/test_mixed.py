@@ -1,14 +1,17 @@
 """Mixed satisfaction over compact timed words: grid points plus gap intervals."""
 
+from fractions import Fraction
+
 import pytest
 
 from mtlsem.encodings import block_index_at, compact
 from mtlsem.errors import OutOfDomainError
 from mtlsem.formulas import BETA, alphabet, parse
-from mtlsem.interval_based import Verdict3, eval_itw, sat_set_itw
+from mtlsem.interval_based import OPTIMISTIC, Verdict3, eval_itw, sat_set_itw
+from mtlsem.intervals import INF
 from mtlsem.mixed import NO_ACTION, compact_at, eval_mx, eval_mx_lasso, sat_set_mx
 from mtlsem.oracle import critical_points, gen_formula, gen_word, oracle_eval_mx
-from mtlsem.structures import lasso, word
+from mtlsem.structures import lasso, unroll, word
 
 ABC = alphabet("a,b,c")
 B_THEN_A = parse("F(b & X[0,0] a)", ABC)
@@ -183,3 +186,84 @@ class TestLassoVerdicts:
             if v3 is Verdict3.TRUE and vc is Verdict3.TRUE:
                 both += 1
         assert both == 0
+
+
+# ---------------------------------------------------------------------------
+# where the walks stop: window ends on block times, point windows, unbounded
+# windows with a positive start, and optimistic windows across the cut
+
+EXIT_WORDS = [
+    word([("a", 0), ("b", 0), ("a", 1), ("a", 2), ("b", 2), ("c", 3), ("a", 5), ("b", 5),
+          ("b", 6)]),
+    word([("a", 0), ("a", 1), ("a", 2), ("a", 3), ("b", 3), ("b", 4)]),
+    word([("c", 0), ("a", "1/2"), ("b", "3/2"), ("a", 2), ("c", "5/2"), ("b", 4), ("a", 4)]),
+    word([("a", 0), ("a", 1), ("a", "3/2"), ("a", 3), ("a", 3), ("a", 5)]),
+    word([("a", 0), ("c", 1), ("b", 1), ("a", 2), ("b", 3), ("c", 3), ("a", 4), ("b", 4)]),
+]
+
+
+def _grid_and_gap_points(cw, f):
+    """Every grid point, every gap midpoint, and every critical point inside a gap."""
+    pts = [(t, j) for acts, t in cw.blocks for j in range(len(acts))]
+    pts += [((a + b) / 2, 0) for a, b in zip(cw.times, cw.times[1:])]
+    stamps = set(cw.times)
+    pts += [(t, 0) for t in critical_points(cw, f) if t not in stamps]
+    return pts
+
+
+def _engine_at(cw, got, t, j):
+    k = block_index_at(cw, t)
+    return ((k, j) in got.points) if k is not None else got.gap.member(t)
+
+
+@pytest.mark.parametrize("text", [
+    # point windows [0,0]: only later positions of the same block can witness
+    "F[0,0] b", "a U[0,0] b", "(a | noact) U[0,0] b", "G[0,0] a",
+    # window ends landing exactly on block times, closed and open
+    "(a | noact) U[1,2] b", "(a | noact) U[1,2) b", "!c U(0,2] b", "!c U(0,2) b",
+    "F[2,2] b", "F(1,3] c", "F[1,3) c", "G[0,2] (a | noact)", "G(0,1) noact",
+    # unbounded windows that start after 0
+    "F[1,inf) c", "F(2,inf) b", "(a | noact) U[2,inf) b", "!c U(1,inf) b", "G[1,inf) !c",
+    # nested windows
+    "F[0,1] (b & F[1,2] a)", "G(a -> F[1,3] b)",
+    # walks that meet no witness before the end of the word
+    "G (a | noact)", "(a | noact) U c", "(a | noact) U[1,2] c",
+])
+def test_walk_exits_agree_with_oracle(text):
+    f = parse(text, ABC)
+    for rho in EXIT_WORDS:
+        cw = compact(rho)
+        got = sat_set_mx(cw, f)
+        for t, j in _grid_and_gap_points(cw, f):
+            assert _engine_at(cw, got, t, j) == oracle_eval_mx(cw, t, j, f), (text, rho, t, j)
+
+
+@pytest.mark.parametrize("f_text, w_text, g_text", [
+    ("a | noact", "[1,3]", "b"),
+    ("a | noact", "[1,3)", "b"),
+    ("!c", "(0,2]", "b"),
+    ("true", "[2,inf)", "c"),
+    ("a | noact", "[0,0]", "b"),
+    ("!c", "[1,inf)", "c"),
+    ("!c", "[1,3]", "c"),
+    ("!b", "[1,3]", "c"),
+])
+def test_optimistic_window_across_the_cut(f_text, w_text, g_text):
+    # OPTIMISTIC f U_w g: a witness inside the unrolled word, or f up to the cut
+    # and a window reaching strictly past it
+    l = lasso(word([("a", 0), ("a", 1), ("b", 1), ("a", 2)]), ["a", "a", "b"],
+              ["0", "1/2", "3/2"], "2")
+    cut = Fraction(13, 2)
+    cw = compact(unroll(l, cut))
+    f = parse(f"({f_text}) U{w_text} ({g_text})", ABC)
+    rest_f = parse(f"F[0,inf) !({f_text})", ABC)
+    w = f.window
+    got = sat_set_mx(cw, f, OPTIMISTIC)
+    crossing = 0
+    for t, j in _grid_and_gap_points(cw, f):
+        reach = w.hi.value == INF or t + w.hi.value > cw.times[-1]
+        crossing += reach
+        expect = oracle_eval_mx(cw, t, j, f) or (
+            reach and not oracle_eval_mx(cw, t, j, rest_f))
+        assert _engine_at(cw, got, t, j) == expect, (f_text, w_text, g_text, t, j)
+    assert crossing or w.hi.value == 0
