@@ -23,7 +23,6 @@ from .formulas import (
     horizon,
     is_bounded,
     parse,
-    subformulas,
     temporal_depth,
     to_text,
     uses_beta,
@@ -33,13 +32,13 @@ from .interval_based import (
     eval_its,
     eval_itw,
     eval_itw_lasso,
-    sat_set_its,
-    sat_set_itw,
+    sat_sets_its,
+    sat_sets_itw,
 )
 from .intervals import INF, rat_str, rational
-from .mixed import eval_mx, eval_mx_lasso, sat_set_mx
+from .mixed import eval_mx, eval_mx_lasso, sat_sets_mx
 from .oracle import (
-    critical_points,
+    differential,
     gen_formula,
     gen_word,
     oracle_eval_its,
@@ -47,7 +46,7 @@ from .oracle import (
     oracle_eval_mx,
     oracle_eval_pw,
 )
-from .pointwise import eval_pw, eval_pw_lasso, sat_positions
+from .pointwise import eval_pw, eval_pw_lasso
 from .structures import (
     Lasso,
     TimedStateSequence,
@@ -73,8 +72,6 @@ def _load(path: str, allow_raw: bool):
 
 
 def _the_alphabet(args, loaded=None):
-    if args.alphabet:
-        return alphabet(args.alphabet)
     symbols = set()
     if isinstance(loaded, TimedWord):
         symbols = set(loaded.actions)
@@ -83,6 +80,12 @@ def _the_alphabet(args, loaded=None):
     elif isinstance(loaded, TimedStateSequence):
         for props, _ in loaded.steps:
             symbols |= props
+    if args.alphabet:
+        sigma = alphabet(args.alphabet)
+        outside = sorted(symbols.difference(sigma.symbols))
+        if outside:
+            raise MtlsemError(f"action {outside[0]!r} is not in the alphabet {args.alphabet}")
+        return sigma
     if not symbols:
         raise MtlsemError("no --alphabet given and none inferable from the input")
     return alphabet(sorted(symbols))
@@ -178,34 +181,28 @@ def cmd_satset(args) -> int:
     sigma = _the_alphabet(args, loaded)
     sem = args.semantics
     f = _formula(args, sigma, allow_beta=sem == "mx")
-    out = {"semantics": sem, "sets": []}
     if sem == "itw":
         if not isinstance(loaded, TimedWord):
             raise MtlsemError("itw needs a timed word")
-        for sub in subformulas(f):
-            got = sat_set_itw(loaded, sub)
-            out["sets"].append({"formula": to_text(sub),
-                                "parts": [str(p) for p in got.parts]})
+        table = sat_sets_itw(loaded, f)
     elif sem == "its":
         kappa = loaded if isinstance(loaded, TimedStateSequence) else word_to_tss(loaded)
-        for sub in subformulas(f):
-            got = sat_set_its(kappa, sub)
-            out["sets"].append({"formula": to_text(sub),
-                                "parts": [str(p) for p in got.parts]})
+        table = sat_sets_its(kappa, f)
     elif sem == "mx":
         if not isinstance(loaded, TimedWord):
             raise MtlsemError("mx needs a timed word")
-        cw = compact(loaded)
-        for sub in subformulas(f):
-            got = sat_set_mx(cw, sub)
-            out["sets"].append({
-                "formula": to_text(sub),
-                "points": sorted([k, j] for k, j in got.points),
-                "gaps": [str(p) for p in got.gap.parts],
-            })
+        table = sat_sets_mx(compact(loaded), f)
     else:
         raise MtlsemError("satisfaction sets exist for itw, its and mx only")
-    _emit(out, args.pretty)
+    sets = []
+    for (sub, _), got in table.items():
+        if sem == "mx":
+            sets.append({"formula": to_text(sub),
+                         "points": sorted([k, j] for k, j in got.points),
+                         "gaps": [str(p) for p in got.gap.parts]})
+        else:
+            sets.append({"formula": to_text(sub), "parts": [str(p) for p in got.parts]})
+    _emit({"semantics": sem, "sets": sets}, args.pretty)
     return OK
 
 
@@ -273,43 +270,11 @@ def _fuzz_one(engine: str, seed: int):
     rho = gen_word(seed)
     f = gen_formula(seed * 2654435761 % (2**31), sigma,
                     allow_beta=engine == "mx")
-    if engine == "pw":
-        got = sat_positions(rho, f)
-        for i in range(len(rho)):
-            expect = oracle_eval_pw(rho, i, f)
-            if (i in got) != expect:
-                return {"at": i, "engine": i in got, "oracle": expect,
-                        "word": word_to_json(rho), "formula": to_text(f)}
-    elif engine == "itw":
-        got = sat_set_itw(rho, f)
-        for t in critical_points(rho, f):
-            expect = oracle_eval_itw(rho, t, f)
-            if got.member(t) != expect:
-                return {"at": rat_str(t), "engine": got.member(t), "oracle": expect,
-                        "word": word_to_json(rho), "formula": to_text(f)}
-    elif engine == "its":
-        kappa = word_to_tss(rho)
-        got = sat_set_its(kappa, f)
-        for t in critical_points(kappa, f):
-            expect = oracle_eval_its(kappa, t, f)
-            if got.member(t) != expect:
-                return {"at": rat_str(t), "engine": got.member(t), "oracle": expect,
-                        "word": word_to_json(rho), "formula": to_text(f)}
-    elif engine == "mx":
-        cw = compact(rho)
-        got = sat_set_mx(cw, f)
-        stamps = set(cw.times)
-        samples = [(t, j) for k, (acts, t) in enumerate(cw.blocks)
-                   for j in range(len(acts))]
-        samples += [(t, 0) for t in critical_points(cw, f) if t not in stamps]
-        for t, j in samples:
-            k = next((kk for kk, (_, ts) in enumerate(cw.blocks) if ts == t), None)
-            engine_v = ((k, j) in got.points) if k is not None else got.gap.member(t)
-            expect = oracle_eval_mx(cw, t, j, f)
-            if engine_v != expect:
-                return {"at": [rat_str(t), j], "engine": engine_v, "oracle": expect,
-                        "word": word_to_json(rho), "formula": to_text(f)}
-    return None
+    structure = word_to_tss(rho) if engine == "its" else compact(rho) if engine == "mx" else rho
+    diverged = differential(engine, structure, f)
+    if diverged:
+        diverged.update({"word": word_to_json(rho), "formula": to_text(f)})
+    return diverged
 
 
 def cmd_fuzz(args) -> int:

@@ -1,7 +1,7 @@
 """Syntax-driven compilers embedding the pointwise and interval-based
 semantics into the mixed one.
 
-Both are plain structural recursions over the core grammar with no
+Both are folds over the core grammar (`formulas.fold`) with no
 simplification pass, so outputs are deterministic and auditable clause by
 clause.  `compile_pw` relativizes every subformula to action times: negation
 and conjunction pick up a "some action happens now" conjunct, and Until lets
@@ -25,6 +25,7 @@ from .formulas import (
     f_implies,
     f_or,
     f_sigma,
+    fold,
     require_beta_free,
 )
 from .intervals import interval
@@ -36,22 +37,19 @@ def compile_pw(f: Formula, sigma) -> Formula:
     require_beta_free(f, "pointwise")
     some_action = f_sigma(sigma)
 
-    def go(node) -> Formula:
+    def step(node, _mode, l=None, r=None) -> Formula:
         match node:
             case Atom():
                 return node
-            case Not(arg):
-                return And(some_action, Not(go(arg)))
-            case And(l, r):
-                return And(some_action, And(go(l), go(r)))
-            case Until(l, w, r):
-                return And(
-                    some_action,
-                    Until(f_or(go(l), Not(some_action)), w,
-                          And(go(r), some_action)))
-        raise TypeError(f"not a formula: {node!r}")
+            case Not():
+                return And(some_action, Not(l))
+            case And():
+                return And(some_action, And(l, r))
+            case Until(_, w, _):
+                return And(some_action,
+                           Until(f_or(l, Not(some_action)), w, And(r, some_action)))
 
-    return go(f)
+    return fold(f, step)[f, None]
 
 
 def compile_itw(f: Formula, sigma) -> Formula:
@@ -60,16 +58,15 @@ def compile_itw(f: Formula, sigma) -> Formula:
     require_beta_free(f, "interval-based")
     here = interval(0, 0)
 
-    def go(node) -> Formula:
+    def step(node, _mode, l=None, r=None) -> Formula:
         match node:
             case Atom():
                 return f_or(node, f_eventually(here, node, sigma))
-            case Not(arg):
-                return Not(go(arg))
-            case And(l, r):
-                return And(go(l), go(r))
-            case Until(l, w, r):
-                return Until(f_implies(BETA, go(l)), w, And(BETA, go(r)))
-        raise TypeError(f"not a formula: {node!r}")
+            case Not():
+                return Not(l)
+            case And():
+                return And(l, r)
+            case Until(_, w, _):
+                return Until(f_implies(BETA, l), w, And(BETA, r))
 
-    return go(f)
+    return fold(f, step)[f, None]

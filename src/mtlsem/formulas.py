@@ -1,4 +1,4 @@
-"""MTL abstract syntax, concrete grammar, and structural metrics.
+"""MTL abstract syntax, the shared fold, concrete grammar, and metrics.
 
 The core grammar has five node kinds: atoms, the position-zero test `beta`,
 negation, conjunction, and the strict timed Until.  Everything else is
@@ -13,11 +13,17 @@ definitional sugar expanded at construction time against a declared alphabet:
 Concrete syntax: `!  &  |  ->  U  F  G  X`, interval suffix attached to the
 operator (e.g. "U(1,2]", "F[0,3.5]"), default interval [0,inf).  Precedence
 ! > & > | > ->, with U binding like & and associating to the right.
+
+Nodes are hash-consed: structurally equal formulas are one object.  `fold` is
+the one structural traversal.  It visits each distinct subformula once, children
+first, with an explicit stack.  The four engines, the compilers, the metrics
+and the printer each supply only the per-node step.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,35 +62,98 @@ def alphabet(spec) -> Alphabet:
 
 
 class Formula:
-    __slots__ = ()
+    """An interned core-grammar node.
+
+    Every constructor call goes through one weak intern table, so structurally
+    equal formulas are the same object: `==` and `hash` are identity-based,
+    O(1) and never walk a subtree.  Nodes are immutable; `children` holds the
+    formula operands in syntactic order.
+    """
+
+    __slots__ = ("children", "__weakref__")
+    __match_args__ = ()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _INTERNED.get(key)
+        if node is None:
+            if len(fields) != len(cls.__match_args__):
+                raise TypeError(f"{cls.__name__} takes fields {cls.__match_args__}")
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "children",
+                               tuple(v for v in fields if isinstance(v, Formula)))
+            _INTERNED[key] = node
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        return fold(self, _repr_node)[self, None]
 
 
-@dataclass(frozen=True)
+_INTERNED = weakref.WeakValueDictionary()
+
+
 class Atom(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Beta(Formula):
     """Holds exactly at intra-timestamp position 0 under the mixed semantics."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Not(Formula):
-    arg: Formula
+    __slots__ = __match_args__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Until(Formula):
-    left: Formula
-    window: Interval
-    right: Formula
+    __slots__ = __match_args__ = ("left", "window", "right")
+
+
+def _repr_node(node, _mode, *kids) -> str:
+    kids = iter(kids)
+    fields = []
+    for name in node.__match_args__:
+        value = getattr(node, name)
+        fields.append(f"{name}={next(kids) if isinstance(value, Formula) else repr(value)}")
+    return f"{type(node).__name__}({', '.join(fields)})"
+
+
+def fold(f: Formula, visit, mode=None, flip=None) -> dict:
+    """Evaluate every distinct (subformula, mode) pair of f once, children first.
+
+    `visit(node, mode, *operand_values)` receives the values already computed
+    for the node's operands.  The operand of a Not is evaluated in
+    `flip(mode)` when a flip is given, in the same mode otherwise.  The walk
+    uses an explicit stack, so nesting depth is unbounded.  The returned table
+    maps each (node, mode) pair to its value in completion order, which for a
+    single mode is the order of `subformulas`.
+    """
+    table = {}
+    stack = [(f, mode, False)]
+    while stack:
+        node, m, ready = stack.pop()
+        if (node, m) in table:
+            continue
+        km = flip(m) if flip is not None and type(node) is Not else m
+        if ready:
+            table[node, m] = visit(node, m, *[table[c, km] for c in node.children])
+        else:
+            stack.append((node, m, True))
+            stack.extend((c, km, False) for c in reversed(node.children))
+    return table
 
 
 BETA = Beta()
@@ -131,36 +200,26 @@ def f_next(window: Interval, f: Formula, sigma: Alphabet) -> Formula:
 # ---------------------------------------------------------------------------
 # structural metrics
 
+def subformulas(f: Formula):
+    """Distinct subformulas in bottom-up order (children before parents)."""
+    return [node for node, _ in fold(f, lambda *_: None)]
+
+
 def uses_beta(f: Formula) -> bool:
-    match f:
-        case Beta():
-            return True
-        case Atom():
-            return False
-        case Not(arg):
-            return uses_beta(arg)
-        case And(l, r):
-            return uses_beta(l) or uses_beta(r)
-        case Until(l, _, r):
-            return uses_beta(l) or uses_beta(r)
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, lambda node, _m, *kids: type(node) is Beta or any(kids))[f, None]
+
+
+def _horizon(node, _m, *kids):
+    inner = max(kids, default=Fraction(0))
+    if type(node) is not Until:
+        return inner
+    hi = node.window.hi.value
+    return INF if hi == INF or inner == INF else hi + inner
 
 
 def horizon(f: Formula):
     """Bounded-future lookahead: atoms 0, boolean ops max, Until adds sup I."""
-    match f:
-        case Atom() | Beta():
-            return Fraction(0)
-        case Not(arg):
-            return horizon(arg)
-        case And(l, r):
-            return max(horizon(l), horizon(r))
-        case Until(l, w, r):
-            if w.hi.value == INF:
-                return INF
-            inner = max(horizon(l), horizon(r))
-            return INF if inner == INF else w.hi.value + inner
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, _horizon)[f, None]
 
 
 def is_bounded(f: Formula) -> bool:
@@ -168,76 +227,29 @@ def is_bounded(f: Formula) -> bool:
 
 
 def temporal_depth(f: Formula) -> int:
-    match f:
-        case Atom() | Beta():
-            return 0
-        case Not(arg):
-            return temporal_depth(arg)
-        case And(l, r):
-            return max(temporal_depth(l), temporal_depth(r))
-        case Until(l, _, r):
-            return 1 + max(temporal_depth(l), temporal_depth(r))
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, lambda node, _m, *kids: (type(node) is Until) + max(kids, default=0))[f, None]
 
 
 def windows(f: Formula):
     """All Until windows, in syntactic order."""
-    match f:
-        case Atom() | Beta():
-            return []
-        case Not(arg):
-            return windows(arg)
-        case And(l, r):
-            return windows(l) + windows(r)
-        case Until(l, w, r):
-            return [w] + windows(l) + windows(r)
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, lambda node, _m, *kids: (
+        [node.window] if type(node) is Until else []) + sum(kids, []))[f, None]
 
 
 def finite_window_bounds(f: Formula):
     """The finite endpoint values appearing in Until windows."""
     out = set()
-    for w in windows(f):
-        out.add(w.lo.value)
-        if w.hi.value != INF:
-            out.add(w.hi.value)
+    for node in subformulas(f):
+        if type(node) is Until:
+            out.add(node.window.lo.value)
+            if node.window.hi.value != INF:
+                out.add(node.window.hi.value)
     return sorted(out)
 
 
-def subformulas(f: Formula):
-    """Distinct subformulas in bottom-up order (children before parents)."""
-    seen = []
-
-    def walk(node):
-        match node:
-            case Not(arg):
-                walk(arg)
-            case And(l, r):
-                walk(l)
-                walk(r)
-            case Until(l, _, r):
-                walk(l)
-                walk(r)
-        if node not in seen:
-            seen.append(node)
-
-    walk(f)
-    return seen
-
-
 def atoms(f: Formula):
-    match f:
-        case Atom(name):
-            return {name}
-        case Beta():
-            return set()
-        case Not(arg):
-            return atoms(arg)
-        case And(l, r):
-            return atoms(l) | atoms(r)
-        case Until(l, _, r):
-            return atoms(l) | atoms(r)
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, lambda node, _m, *kids: (
+        {node.name} if type(node) is Atom else set().union(*kids)))[f, None]
 
 
 def require_beta_free(f: Formula, semantics: str):
@@ -255,23 +267,25 @@ def _window_str(w: Interval) -> str:
     return f"{l}{rat_str(w.lo.value)},{rat_str(w.hi.value)}{r}"
 
 
-def to_text(f: Formula) -> str:
-    """Canonical core-syntax rendering; parse(to_text(f)) is structurally f."""
-    match f:
+def _text(node, _m, l=None, r=None) -> str:
+    match node:
         case Atom(name):
             return name
         case Beta():
             return "beta"
         case Not(arg):
-            inner = to_text(arg)
-            if isinstance(arg, (Atom, Beta)):
-                return f"!{inner}"
-            return f"!{inner}" if inner.startswith("(") else f"!({inner})"
-        case And(l, r):
-            return f"({to_text(l)} & {to_text(r)})"
-        case Until(l, w, r):
-            return f"({to_text(l)} U{_window_str(w)} {to_text(r)})"
-    raise TypeError(f"not a formula: {f!r}")
+            if isinstance(arg, (Atom, Beta)) or l.startswith("("):
+                return f"!{l}"
+            return f"!({l})"
+        case And():
+            return f"({l} & {r})"
+        case Until(_, w, _):
+            return f"({l} U{_window_str(w)} {r})"
+
+
+def to_text(f: Formula) -> str:
+    """Canonical core-syntax rendering; parse(to_text(f)) is structurally f."""
+    return fold(f, _text)[f, None]
 
 
 # ---------------------------------------------------------------------------

@@ -75,12 +75,6 @@ class CheckResult:
     detail: str
 
 
-def _verdict(b) -> str:
-    if isinstance(b, Verdict3):
-        return b.value
-    return "true" if b else "false"
-
-
 def _checks():
     swap_image = validate_tss([
         [["a"], "[0,0]"], [[], "(0,1)"], [["a", "b"], "[1,1]"],

@@ -1,9 +1,11 @@
 """Interval-based satisfaction over timed words and timed state sequences.
 
 Each subformula gets an exact satisfaction set: a normalized union of
-rational-endpoint intervals over the covered time domain.  Negation is
-complement in the domain, conjunction is intersection, and the strict dense
-Until decomposes by the maximal convex parts of the left operand's set:
+rational-endpoint intervals over the covered time domain.  The engine supplies
+this algebra to `formulas.fold`: atoms are the event points (or the
+state-sequence steps), negation is complement in the domain, conjunction is
+intersection, and the strict dense Until decomposes by the maximal convex
+parts of the left operand's set:
 
     a base point t satisfies (f U_I g) exactly when some maximal part <l,u>
     of Sat(f) has l <= t and a witness t' in Sat(g) with t < t' <= u and
@@ -15,7 +17,8 @@ flags; back_shift turns each witness interval into the exact base region.
 
 Lassos get three-valued verdicts: evaluation runs twice on a truncated unroll,
 once pessimistically (no witnesses beyond the cut) and once optimistically
-(anything beyond the cut granted), and disagreement reports Unknown.  Bounded
+(anything beyond the cut granted), and disagreement reports Unknown.  Negation
+swaps the two modes (the flip given to `fold`).  Bounded
 formulas are decided exactly on a horizon-deep unroll instead.
 """
 
@@ -32,6 +35,7 @@ from .formulas import (
     Not,
     Until,
     finite_window_bounds,
+    fold,
     horizon,
     is_bounded,
     require_beta_free,
@@ -71,32 +75,41 @@ EXACT, OPTIMISTIC, PESSIMISTIC = "exact", "opt", "pess"
 _FLIP = {EXACT: EXACT, OPTIMISTIC: PESSIMISTIC, PESSIMISTIC: OPTIMISTIC}
 
 
-def _until_set(f_set: IntervalSet, g_set: IntervalSet, w: Interval,
-               domain: Interval, mode: str) -> IntervalSet:
+def _until_bases(f_set: IntervalSet, g_set: IntervalSet, w: Interval,
+                 domain: Interval) -> list:
+    """The dense Until decomposition: per maximal part <l,u> of f, the bases in
+    domain and at or after l of the witnesses g holds in (l, u]."""
     out = []
-    cut = domain.hi.value
     for part in f_set.parts:
         l, u = part.lo.value, part.hi.value
-        if l != u:
-            witness_zone = Interval(Bound(l, False), Bound(u, True))
-            for region in g_set.intersect(IntervalSet.of(witness_zone)).parts:
-                base = back_shift(region, w)
-                if base is None:
-                    continue
+        if l == u:
+            continue
+        witness_zone = Interval(Bound(l, False), Bound(u, True))
+        for region in g_set.intersect(IntervalSet.of(witness_zone)).parts:
+            base = back_shift(region, w)
+            if base is not None:
                 base = base.intersect(interval(l, INF, True, False))
-                if base is None:
-                    continue
+            if base is not None:
                 base = base.intersect(domain)
-                if base is not None:
-                    out.append(base)
-        if mode == OPTIMISTIC and u == cut and part.hi.closed:
+            if base is not None:
+                out.append(base)
+    return out
+
+
+def _until_set(f_set: IntervalSet, g_set: IntervalSet, w: Interval,
+               domain: Interval, mode: str) -> IntervalSet:
+    out = _until_bases(f_set, g_set, w, domain)
+    if mode == OPTIMISTIC:
+        cut = domain.hi.value
+        last = f_set.parts[-1] if f_set.parts else None
+        if last is not None and last.hi.value == cut and last.hi.closed:
             # the left operand holds through the cut: grant a witness beyond it
-            ext = _beyond_cut_bases(l, cut, w)
+            ext = _beyond_cut_bases(last.lo.value, cut, w)
             if ext is not None:
                 out.append(ext)
-    if mode == OPTIMISTIC and not (w.lo.value == 0 and w.hi.value == 0):
-        # at the cut itself nothing needs to hold in between
-        out.append(punctual(cut))
+        if not (w.lo.value == 0 and w.hi.value == 0):
+            # at the cut itself nothing needs to hold in between
+            out.append(punctual(cut))
     return IntervalSet.from_intervals(out)
 
 
@@ -110,48 +123,37 @@ def _beyond_cut_bases(l: Fraction, cut: Fraction, w: Interval) -> Interval | Non
     return Interval(lo, Bound(cut, True))
 
 
-def _sat_dense(atom_set, domain: Interval, f: Formula, mode: str) -> IntervalSet:
-    memo: dict = {}
+def _sat_dense(atom_parts, domain: Interval, f: Formula, mode: str) -> dict:
+    """The dense algebra: atom_parts(name) are the atom's intervals, negation is
+    complement in the domain, conjunction intersection, Until `_until_set`."""
     full = IntervalSet.of(domain)
 
-    def sat(node, m) -> IntervalSet:
-        key = (node, m)
-        got = memo.get(key)
-        if got is not None:
-            return got
+    def visit(node, m, l=None, r=None) -> IntervalSet:
         match node:
             case Atom(name):
-                out = atom_set(name)
-            case Not(arg):
-                out = full.difference(sat(arg, _FLIP[m]))
-            case And(l, r):
-                out = sat(l, m).intersect(sat(r, m))
-            case Until(l, w, r):
-                out = _until_set(sat(l, m), sat(r, m), w, domain, m)
-            case _:
-                raise TypeError(f"not a formula: {node!r}")
-        memo[key] = out
-        return out
-
-    return sat(f, mode)
+                return IntervalSet.from_intervals(atom_parts(name))
+            case Not():
+                return full.difference(l)
+            case And():
+                return l.intersect(r)
+            case Until(_, w, _):
+                return _until_set(l, r, w, domain, m)
+    return fold(f, visit, mode, _FLIP.__getitem__)
 
 
 # ---------------------------------------------------------------------------
 # timed words
 
-def _word_atom_sets(rho: TimedWord):
-    def atom_set(name: str) -> IntervalSet:
-        return IntervalSet.from_intervals(
-            punctual(t) for a, t in rho.events if a == name)
-
-    return atom_set
+def sat_sets_itw(rho: TimedWord, f: Formula, mode: str = EXACT) -> dict:
+    """The fold table: Sat(g) per (subformula g, mode), in `subformulas` order."""
+    require_beta_free(f, "interval-based")
+    return _sat_dense(lambda name: (punctual(t) for a, t in rho.events if a == name),
+                      interval(0, duration(rho)), f, mode)
 
 
 def sat_set_itw(rho: TimedWord, f: Formula, mode: str = EXACT) -> IntervalSet:
     """Exactly the times t in [0, duration] where rho, t satisfies f."""
-    require_beta_free(f, "interval-based")
-    domain = interval(0, duration(rho))
-    return _sat_dense(_word_atom_sets(rho), domain, f, mode)
+    return sat_sets_itw(rho, f, mode)[f, mode]
 
 
 def eval_itw(rho: TimedWord, t, f: Formula) -> bool:
@@ -164,18 +166,16 @@ def eval_itw(rho: TimedWord, t, f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # timed state sequences
 
-def _tss_atom_sets(kappa: TimedStateSequence):
-    def atom_set(name: str) -> IntervalSet:
-        return IntervalSet.from_intervals(
-            iv for props, iv in kappa.steps if name in props)
-
-    return atom_set
+def sat_sets_its(kappa: TimedStateSequence, f: Formula, mode: str = EXACT) -> dict:
+    """The fold table: Sat(g) per (subformula g, mode), in `subformulas` order."""
+    require_beta_free(f, "interval-based")
+    domain = interval(tss_start(kappa), tss_duration(kappa))
+    return _sat_dense(lambda name: (iv for props, iv in kappa.steps if name in props),
+                      domain, f, mode)
 
 
 def sat_set_its(kappa: TimedStateSequence, f: Formula, mode: str = EXACT) -> IntervalSet:
-    require_beta_free(f, "interval-based")
-    domain = interval(tss_start(kappa), tss_duration(kappa))
-    return _sat_dense(_tss_atom_sets(kappa), domain, f, mode)
+    return sat_sets_its(kappa, f, mode)[f, mode]
 
 
 def eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:

@@ -11,8 +11,11 @@ later positions of the same block are adjacent (nothing lies strictly in
 between), whole gaps and whole blocks must then be crossed inside the left
 operand's set, and a witness inside a gap additionally needs the gap's
 f-prefix up to the witness.  For gap bases the same walk is done symbolically,
-producing base intervals through back_shift.  The position-zero atom holds at
-every gap time and at offset 0 of every block.
+producing base intervals through back_shift; witnesses inside the base's own
+gap use the dense decomposition of `interval_based`.  The position-zero atom
+holds at every gap time and at offset 0 of every block.  This is the algebra
+the engine supplies to `formulas.fold`: atoms, the position-zero atom,
+complement in the grid and the gaps, intersection, and the Until walk.
 
 What a walk asks of a block or a gap does not depend on its base, so each
 Until node works it out once (`_UntilFacts`): which blocks and gaps hold a
@@ -44,6 +47,7 @@ from .formulas import (
     Formula,
     Not,
     Until,
+    fold,
     is_bounded,
 )
 from .intervals import (
@@ -57,8 +61,16 @@ from .intervals import (
     rational,
 )
 from .structures import CompactTimedWord, Lasso, compact_duration, unroll
-from .encodings import compact
-from .interval_based import EXACT, OPTIMISTIC, PESSIMISTIC, _FLIP, Verdict3, lasso_cut
+from .encodings import block_index_at, compact
+from .interval_based import (
+    EXACT,
+    OPTIMISTIC,
+    PESSIMISTIC,
+    _FLIP,
+    Verdict3,
+    _until_bases,
+    lasso_cut,
+)
 
 NO_ACTION = "⊢"  # the internal no-action sentinel filling gap times
 
@@ -228,23 +240,9 @@ def _until_grid_base(wd: _Word, k: int, j: int, facts, w, mode) -> bool:
 
 def _until_gap_bases(wd: _Word, m0: int, f_gap, g_gap, facts, w, mode) -> list:
     """Base intervals inside gap m0 satisfying f U_w g, walking forward symbolically."""
-    out = []
     beta_ = wd.times[m0 + 1]
     # witnesses inside the same gap: the plain dense decomposition
-    for part in f_gap[m0].parts:
-        l, u = part.lo.value, part.hi.value
-        if l == u:
-            continue
-        zone = Interval(Bound(l, False), Bound(u, True))
-        for region in g_gap[m0].intersect(IntervalSet.of(zone)).parts:
-            base = back_shift(region, w)
-            if base is None:
-                continue
-            base = base.intersect(interval(l, INF, True, False))
-            if base is not None:
-                base = base.intersect(wd.gaps[m0])
-            if base is not None:
-                out.append(base)
+    out = _until_bases(f_gap[m0], g_gap[m0], w, wd.gaps[m0])
     # witnesses past the gap need its f-suffix
     suffix_lo = _anchored_suffix(f_gap[m0], beta_)
     if suffix_lo is None:
@@ -292,41 +290,31 @@ def _until_mixed(wd: _Word, f: MixedSet, g: MixedSet, w: Interval, mode) -> Mixe
     return MixedSet(points, IntervalSet.from_intervals(pieces))
 
 
-def sat_set_mx(cw: CompactTimedWord, f: Formula, mode: str = EXACT) -> MixedSet:
-    """Exactly the in-domain pairs (t, j) where the compact word satisfies f."""
+def sat_sets_mx(cw: CompactTimedWord, f: Formula, mode: str = EXACT) -> dict:
+    """The fold table: Sat(g) per (subformula g, mode), in `subformulas` order."""
     wd = _Word(cw)
-    memo: dict = {}
-    full_points = wd.grid
     beta_points = frozenset((k, 0) for k in range(wd.n))
 
-    def sat(node, m) -> MixedSet:
-        key = (node, m)
-        got = memo.get(key)
-        if got is not None:
-            return got
+    def visit(node, m, l=None, r=None) -> MixedSet:
         match node:
             case Atom(name):
-                out = MixedSet(
-                    frozenset((k, j) for (k, j) in wd.grid
-                              if cw.blocks[k][0][j] == name),
+                return MixedSet(
+                    frozenset((k, j) for (k, j) in wd.grid if cw.blocks[k][0][j] == name),
                     IntervalSet.empty())
             case Beta():
-                out = MixedSet(beta_points, wd.all_gaps)
-            case Not(arg):
-                child = sat(arg, _FLIP[m])
-                out = MixedSet(full_points - child.points,
-                               wd.all_gaps.difference(child.gap))
-            case And(l, r):
-                lv, rv = sat(l, m), sat(r, m)
-                out = MixedSet(lv.points & rv.points, lv.gap.intersect(rv.gap))
-            case Until(l, w, r):
-                out = _until_mixed(wd, sat(l, m), sat(r, m), w, m)
-            case _:
-                raise TypeError(f"not a formula: {node!r}")
-        memo[key] = out
-        return out
+                return MixedSet(beta_points, wd.all_gaps)
+            case Not():
+                return MixedSet(wd.grid - l.points, wd.all_gaps.difference(l.gap))
+            case And():
+                return MixedSet(l.points & r.points, l.gap.intersect(r.gap))
+            case Until(_, w, _):
+                return _until_mixed(wd, l, r, w, m)
+    return fold(f, visit, mode, _FLIP.__getitem__)
 
-    return sat(f, mode)
+
+def sat_set_mx(cw: CompactTimedWord, f: Formula, mode: str = EXACT) -> MixedSet:
+    """Exactly the in-domain pairs (t, j) where the compact word satisfies f."""
+    return sat_sets_mx(cw, f, mode)[f, mode]
 
 
 def eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
@@ -335,10 +323,8 @@ def eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
     if not (0 <= j < len(seq)):
         raise IndexError(f"position {j} out of range at time {t}")
     got = sat_set_mx(cw, f)
-    for k, (_, ts) in enumerate(cw.blocks):
-        if ts == t:
-            return (k, j) in got.points
-    return got.gap.member(t)
+    k = block_index_at(cw, t)
+    return (k, j) in got.points if k is not None else got.gap.member(t)
 
 
 def eval_mx_lasso(l: Lasso, f: Formula, cut=None) -> Verdict3:

@@ -12,10 +12,15 @@ inside a piece are still found.
 
 Piecewise constancy itself is checked empirically by double sampling in the
 test suite, not assumed silently.
+
+The oracle traversals keep their own memoized recursion and do not use the
+engines' `formulas.fold`, so a fault there cannot hide in both.  Only
+`differential`, which compares an engine with its oracle, calls the engines.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -32,7 +37,10 @@ from .formulas import (
     finite_window_bounds,
     temporal_depth,
 )
-from .intervals import INF, Interval, interval, punctual
+from .interval_based import sat_set_its, sat_set_itw
+from .intervals import INF, Interval, interval, punctual, rat_str
+from .mixed import sat_set_mx
+from .pointwise import sat_positions
 from .structures import (
     CompactTimedWord,
     Lasso,
@@ -179,12 +187,14 @@ def _piece_truth(pieces, atom_truth, f: Formula):
 # ---------------------------------------------------------------------------
 # dense oracles
 
-def oracle_eval_itw(rho: TimedWord, t, f: Formula) -> bool:
-    t = t if isinstance(t, Fraction) else Fraction(t)
-    if t < 0 or t > duration(rho):
-        raise OutOfDomainError(f"time {t} outside [0, {duration(rho)}]")
-    values = critical_values(rho, f)
-    pieces = _pieces(values)
+def _dense_oracle(structure, f: Formula, atom_truth):
+    """Truth of f at any critical-grid time, from one piece table."""
+    pieces = _pieces(critical_values(structure, f))
+    truth = _piece_truth(pieces, atom_truth, f)
+    return lambda t: truth[_piece_index(pieces, t)]
+
+
+def _itw_oracle(rho: TimedWord, f: Formula):
     stamp_acts = {}
     for a, ts in rho.events:
         stamp_acts.setdefault(ts, set()).add(a)
@@ -192,25 +202,31 @@ def oracle_eval_itw(rho: TimedWord, t, f: Formula) -> bool:
     def atom_truth(name, p):
         return p.is_point and name in stamp_acts.get(p.lo, ())
 
-    truth = _piece_truth(pieces, atom_truth, f)
-    return truth[_piece_index(pieces, t)]
+    return _dense_oracle(rho, f, atom_truth)
 
 
-def oracle_eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
-    t = t if isinstance(t, Fraction) else Fraction(t)
-    if t < tss_start(kappa) or t > tss_duration(kappa):
-        raise OutOfDomainError("time outside the covered span")
-    values = critical_values(kappa, f)
-    pieces = _pieces(values)
-
+def _its_oracle(kappa: TimedStateSequence, f: Formula):
     def atom_truth(name, p):
         for props, iv in kappa.steps:
             if iv.contains(p.rep):
                 return name in props
         return False
 
-    truth = _piece_truth(pieces, atom_truth, f)
-    return truth[_piece_index(pieces, t)]
+    return _dense_oracle(kappa, f, atom_truth)
+
+
+def oracle_eval_itw(rho: TimedWord, t, f: Formula) -> bool:
+    t = t if isinstance(t, Fraction) else Fraction(t)
+    if t < 0 or t > duration(rho):
+        raise OutOfDomainError(f"time {t} outside [0, {duration(rho)}]")
+    return _itw_oracle(rho, f)(t)
+
+
+def oracle_eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
+    t = t if isinstance(t, Fraction) else Fraction(t)
+    if t < tss_start(kappa) or t > tss_duration(kappa):
+        raise OutOfDomainError("time outside the covered span")
+    return _its_oracle(kappa, f)(t)
 
 
 def _piece_index(pieces, t) -> int:
@@ -222,10 +238,8 @@ def _piece_index(pieces, t) -> int:
     raise OutOfDomainError(f"time {t} is not on the piece grid")
 
 
-def oracle_eval_pw(rho: TimedWord, i: int, f: Formula) -> bool:
-    """Literal recursive quantifier evaluation over positions."""
-    if not (0 <= i < len(rho)):
-        raise IndexError(f"position {i} out of range")
+def _pw_oracle(rho: TimedWord, f: Formula):
+    """Literal recursive quantifier evaluation over positions, memoized per word."""
     times, acts = rho.times, rho.actions
     memo: dict = {}
 
@@ -251,7 +265,13 @@ def oracle_eval_pw(rho: TimedWord, i: int, f: Formula) -> bool:
         memo[key] = out
         return out
 
-    return ev(f, i)
+    return lambda i: ev(f, i)
+
+
+def oracle_eval_pw(rho: TimedWord, i: int, f: Formula) -> bool:
+    if not (0 <= i < len(rho)):
+        raise IndexError(f"position {i} out of range")
+    return _pw_oracle(rho, f)(i)
 
 
 # ---------------------------------------------------------------------------
@@ -345,18 +365,61 @@ def _lex_truth(cw: CompactTimedWord, pieces, f: Formula):
     return sat(f)
 
 
-def oracle_eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
-    t = t if isinstance(t, Fraction) else Fraction(t)
+def _mx_oracle(cw: CompactTimedWord, f: Formula):
     pieces = _lex_pieces(cw, f)
     truth = _lex_truth(cw, pieces, f)
-    for i, p in enumerate(pieces):
-        if p.kind == "block" and p.lo == t and p.j == j:
-            return truth[i]
-        if p.kind == "gappt" and p.lo == t and j == 0:
-            return truth[i]
-        if p.kind == "gapiv" and p.lo < t < p.hi and j == 0:
-            return truth[i]
-    raise OutOfDomainError(f"({t}, {j}) is not on the lex piece grid")
+
+    def at(t, j) -> bool:
+        for i, p in enumerate(pieces):
+            if p.kind == "block" and p.lo == t and p.j == j:
+                return truth[i]
+            if p.kind == "gappt" and p.lo == t and j == 0:
+                return truth[i]
+            if p.kind == "gapiv" and p.lo < t < p.hi and j == 0:
+                return truth[i]
+        raise OutOfDomainError(f"({t}, {j}) is not on the lex piece grid")
+
+    return at
+
+
+def oracle_eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
+    t = t if isinstance(t, Fraction) else Fraction(t)
+    return _mx_oracle(cw, f)(t, j)
+
+
+# ---------------------------------------------------------------------------
+# differential check
+
+def differential(engine: str, structure, f: Formula):
+    """The first sample where an engine disagrees with its oracle, or None.
+
+    `engine` is pw, itw, its or mx; `structure` is the timed word, state
+    sequence or compact word it reads.  The samples are every position (pw),
+    every critical point (itw, its), or every grid position and every critical
+    point off the block times (mx).  Each oracle table is built once.  A
+    divergence is {"at": sample, "engine": verdict, "oracle": verdict}.
+    """
+    if engine == "pw":
+        got, truth = sat_positions(structure, f), _pw_oracle(structure, f)
+        checks = ((i, i in got, truth(i)) for i in range(len(structure)))
+    elif engine in ("itw", "its"):
+        sat_set, oracle = ((sat_set_itw, _itw_oracle) if engine == "itw"
+                           else (sat_set_its, _its_oracle))
+        got, truth = sat_set(structure, f), oracle(structure, f)
+        checks = ((rat_str(t), got.member(t), truth(t))
+                  for t in critical_points(structure, f))
+    else:
+        got, truth = sat_set_mx(structure, f), _mx_oracle(structure, f)
+        stamps = set(structure.times)
+        grid = (([rat_str(t), j], (k, j) in got.points, truth(t, j))
+                for k, (acts, t) in enumerate(structure.blocks) for j in range(len(acts)))
+        gaps = (([rat_str(t), 0], got.gap.member(t), truth(t, 0))
+                for t in critical_points(structure, f) if t not in stamps)
+        checks = itertools.chain(grid, gaps)
+    for at, mine, want in checks:
+        if mine != want:
+            return {"at": at, "engine": mine, "oracle": want}
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Pointwise satisfaction: formulas evaluated at event positions only.
 
+The engine supplies an algebra to `formulas.fold`: a subformula's value is one
+truth value per position, atoms compare actions, and negation and conjunction
+work position by position.  Only the Until step differs between finite words
+and lassos.
+
 Finite words get a bottom-up dynamic program over positions.  Lassos are
 evaluated exactly: beyond the prefix the suffix languages at positions p and
 p + |period| coincide up to a uniform time shift, so verdicts are computed on
@@ -13,54 +18,56 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvariantError
-from .formulas import And, Atom, Formula, Not, Until, require_beta_free, windows
+from .formulas import (
+    And,
+    Atom,
+    Formula,
+    Not,
+    Until,
+    finite_window_bounds,
+    fold,
+    require_beta_free,
+)
 from .intervals import INF
 from .structures import Lasso, TimedWord, duration
+
+
+def _sat_lists(f: Formula, acts, until) -> dict:
+    """The pointwise algebra over a run of positions; `until` decides U_I."""
+    def visit(node, _mode, l=None, r=None) -> list:
+        match node:
+            case Atom(name):
+                return [a == name for a in acts]
+            case Not():
+                return [not v for v in l]
+            case And():
+                return [a and b for a, b in zip(l, r)]
+            case Until(_, w, _):
+                return until(w, l, r)
+    return fold(f, visit)
 
 
 def sat_positions(rho: TimedWord, f: Formula) -> frozenset:
     """All positions i with rho, i satisfying f."""
     require_beta_free(f, "pointwise")
     n = len(rho)
-    times, acts = rho.times, rho.actions
-    memo: dict[Formula, tuple] = {}
+    times = rho.times
 
-    def sat(node) -> tuple:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        match node:
-            case Atom(name):
-                out = tuple(acts[i] == name for i in range(n))
-            case Not(arg):
-                child = sat(arg)
-                out = tuple(not v for v in child)
-            case And(l, r):
-                lv, rv = sat(l), sat(r)
-                out = tuple(a and b for a, b in zip(lv, rv))
-            case Until(l, w, r):
-                lv, rv = sat(l), sat(r)
-                res = []
-                for i in range(n):
-                    ok = True
-                    hit = False
-                    for j in range(i + 1, n):
-                        if w.hi.value != INF and times[j] - times[i] > w.hi.value:
-                            break
-                        if rv[j] and ok and w.contains(times[j] - times[i]):
-                            hit = True
-                            break
-                        ok = ok and lv[j]
-                        if not ok:
-                            break
-                    res.append(hit)
-                out = tuple(res)
-            case _:
-                raise TypeError(f"not a formula: {node!r}")
-        memo[node] = out
-        return out
+    def until(w, lv, rv) -> list:
+        res = [False] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if w.hi.value != INF and times[j] - times[i] > w.hi.value:
+                    break
+                if rv[j] and w.contains(times[j] - times[i]):
+                    res[i] = True
+                    break
+                if not lv[j]:
+                    break
+        return res
 
-    return frozenset(i for i, v in enumerate(sat(f)) if v)
+    sat = _sat_lists(f, rho.actions, until)[f, None]
+    return frozenset(i for i, v in enumerate(sat) if v)
 
 
 def eval_pw(rho: TimedWord, i: int, f: Formula) -> bool:
@@ -93,9 +100,7 @@ def eval_pw_lasso(l: Lasso, f: Formula, max_copies: int | None = None) -> bool:
     per = len(l.period_actions)
     dur = l.period_duration
     quot = p0 + 2 * per  # two period copies; they must agree, see below
-    ws = windows(f)
-    bounds = [w.lo.value for w in ws] + [w.hi.value for w in ws if w.hi.value != INF]
-    max_bound = max(bounds, default=Fraction(0))
+    max_bound = max(finite_window_bounds(f), default=Fraction(0))
     # enough events that any scan of at most max_bound + 2 durations completes
     extra_copies = int((max_bound + 2 * dur) / dur) + 2
     if max_copies is not None:
@@ -103,73 +108,43 @@ def eval_pw_lasso(l: Lasso, f: Formula, max_copies: int | None = None) -> bool:
     count = quot + extra_copies * per
     acts, times = _materialize(l, count)
 
-    def fold(j: int) -> int:
+    def wrap(j: int) -> int:
         if j < quot:
             return j
         return p0 + per + ((j - p0 - per) % per)
 
-    memo: dict[Formula, list] = {}
-
-    def sat(node) -> list:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        match node:
-            case Atom(name):
-                out = [acts[i] == name for i in range(quot)]
-            case Not(arg):
-                out = [not v for v in sat(arg)]
-            case And(lf, rf):
-                lv, rv = sat(lf), sat(rf)
-                out = [a and b for a, b in zip(lv, rv)]
-            case Until(lf, w, rf):
-                lv, rv = sat(lf), sat(rf)
-                if w.hi.value != INF:
-                    out = [_scan_bounded(i, w, lv, rv) for i in range(quot)]
-                else:
-                    tail = _untimed_tail(lv, rv)
-                    out = [_scan_unbounded(i, w, lv, rv, tail) for i in range(quot)]
-            case _:
-                raise TypeError(f"not a formula: {node!r}")
-        for r in range(per):
-            if out[p0 + r] != out[p0 + per + r]:
-                raise InvariantError(
-                    "periodic positions disagree; the quotient identification is wrong")
-        memo[node] = out
+    def until(w, lv, rv) -> list:
+        if w.hi.value != INF:
+            out = [_scan_bounded(i, w, lv, rv) for i in range(quot)]
+        else:
+            tail = _untimed_tail(lv, rv)
+            out = [_scan_unbounded(i, w, lv, rv, tail) for i in range(quot)]
+        if out[p0:p0 + per] != out[p0 + per:quot]:
+            raise InvariantError(
+                "periodic positions disagree; the quotient identification is wrong")
         return out
 
     def _scan_bounded(i, w, lv, rv):
-        ok = True
-        j = i + 1
-        while j < count:
+        for j in range(i + 1, count):
             d = times[j] - times[i]
             if d > w.hi.value:
                 return False
-            if rv[fold(j)] and ok and w.contains(d):
+            if rv[wrap(j)] and w.contains(d):
                 return True
-            ok = ok and lv[fold(j)]
-            if not ok:
+            if not lv[wrap(j)]:
                 return False
-            j += 1
         raise InvariantError("bounded scan ran out of materialized events")
 
     def _scan_unbounded(i, w, lv, rv, tail):
-        lo = w.lo.value
-        ok = True
-        j = i + 1
-        while True:
-            if j >= count:
-                raise InvariantError("lower-bound scan ran out of materialized events")
+        for j in range(i + 1, count):
             d = times[j] - times[i]
-            if d > lo:
-                break  # every later event satisfies the window
-            if rv[fold(j)] and ok and w.contains(d):
+            if d > w.lo.value:
+                return tail[wrap(j)]  # every later event satisfies the window
+            if rv[wrap(j)] and w.contains(d):
                 return True
-            ok = ok and lv[fold(j)]
-            if not ok:
+            if not lv[wrap(j)]:
                 return False
-            j += 1
-        return ok and tail[fold(j)]
+        raise InvariantError("lower-bound scan ran out of materialized events")
 
     def _untimed_tail(lv, rv):
         """Least fixpoint of T(m) = r(m) or (l(m) and T(m+1)) over the quotient."""
@@ -178,10 +153,10 @@ def eval_pw_lasso(l: Lasso, f: Formula, max_copies: int | None = None) -> bool:
         while changed:
             changed = False
             for m in reversed(range(quot)):
-                new = rv[m] or (lv[m] and tail[fold(m + 1)])
+                new = rv[m] or (lv[m] and tail[wrap(m + 1)])
                 if new != tail[m]:
                     tail[m] = new
                     changed = True
         return tail
 
-    return sat(f)[0]
+    return _sat_lists(f, acts[:quot], until)[f, None][0]

@@ -32,15 +32,13 @@ from mtlsem.interval_based import Verdict3, sat_set_its, sat_set_itw
 from mtlsem.mixed import eval_mx_lasso, sat_set_mx
 from mtlsem.oracle import (
     critical_points,
+    differential,
     gen_formula,
     gen_ka,
     gen_word,
-    oracle_eval_its,
     oracle_eval_itw,
-    oracle_eval_mx,
-    oracle_eval_pw,
 )
-from mtlsem.pointwise import eval_pw, eval_pw_lasso, sat_positions
+from mtlsem.pointwise import eval_pw, eval_pw_lasso
 from mtlsem.structures import (
     is_strictly_monotone,
     lasso,
@@ -228,42 +226,16 @@ def test_criterion_7_infinite_word_fixtures():
 
 def test_criterion_8_differential_fuzzing_and_roundtrips():
     """Engines against the brute-force oracle, and the encoding identities."""
-    bad = {"pw": 0, "itw": 0, "its": 0, "mx": 0}
-    for case in range(2000):
-        rho = gen_word(case + 60_000)
-        f = gen_formula(case * 61 + 37, ABC)
-        got = sat_positions(rho, f)
-        if any((i in got) != oracle_eval_pw(rho, i, f) for i in range(len(rho))):
-            bad["pw"] += 1
-    for case in range(2000):
-        rho = gen_word(case + 70_000)
-        f = gen_formula(case * 67 + 41, ABC)
-        got = sat_set_itw(rho, f)
-        if any(got.member(t) != oracle_eval_itw(rho, t, f)
-               for t in critical_points(rho, f)):
-            bad["itw"] += 1
-    for case in range(2000):
-        kappa = gen_ka(case) if case % 2 else word_to_tss(gen_word(case + 80_000))
-        f = gen_formula(case * 71 + 43, ABC)
-        got = sat_set_its(kappa, f)
-        if any(got.member(t) != oracle_eval_its(kappa, t, f)
-               for t in critical_points(kappa, f)):
-            bad["its"] += 1
-    for case in range(2000):
-        cw = compact(gen_word(case + 90_000))
-        f = gen_formula(case * 73 + 47, ABC, allow_beta=True)
-        got = sat_set_mx(cw, f)
-        stamps = set(cw.times)
-        wrong = False
-        for k, (acts, t) in enumerate(cw.blocks):
-            for j in range(len(acts)):
-                if ((k, j) in got.points) != oracle_eval_mx(cw, t, j, f):
-                    wrong = True
-        for t in critical_points(cw, f):
-            if t not in stamps and got.gap.member(t) != oracle_eval_mx(cw, t, 0, f):
-                wrong = True
-        if wrong:
-            bad["mx"] += 1
+    cases = {
+        "pw": lambda case: (gen_word(case + 60_000), gen_formula(case * 61 + 37, ABC)),
+        "itw": lambda case: (gen_word(case + 70_000), gen_formula(case * 67 + 41, ABC)),
+        "its": lambda case: (gen_ka(case) if case % 2 else word_to_tss(gen_word(case + 80_000)),
+                             gen_formula(case * 71 + 43, ABC)),
+        "mx": lambda case: (compact(gen_word(case + 90_000)),
+                            gen_formula(case * 73 + 47, ABC, allow_beta=True)),
+    }
+    bad = {engine: sum(differential(engine, *make(case)) is not None for case in range(2000))
+           for engine, make in cases.items()}
 
     bad_round = 0
     for case in range(1000):

@@ -171,6 +171,23 @@ class TestExitCodes:
         assert code == 3
         assert field in err
 
+    @pytest.mark.parametrize("payload, semantics", [
+        ({"events": [["a", "0"], ["z", "1"]]}, "itw"),
+        ({"events": [["a", "0"]], "period": {"actions": ["z"], "offsets": ["1"],
+                                             "duration": "1"}}, "itw"),
+        ({"steps": [[["a"], "[0,0]"], [["z"], "(0,1]"]]}, "its"),
+    ])
+    def test_action_outside_the_alphabet_is_input_error(
+            self, tmp_path, capsys, payload, semantics):
+        p = tmp_path / "outside.json"
+        p.write_text(json.dumps(payload))
+        code = main(["eval", "--semantics", semantics, "--alphabet", "a,b", "--time", "1",
+                     "--formula", "F (a | b)", "--word", str(p)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "'z'" in captured.err
+
     def test_unexpected_exception_is_exit_four_in_one_line(self, rho1, capsys, monkeypatch):
         import mtlsem.cli as cli
 

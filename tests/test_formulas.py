@@ -11,6 +11,7 @@ from mtlsem.formulas import (
     FULL,
     And,
     Atom,
+    Beta,
     Not,
     Until,
     alphabet,
@@ -18,6 +19,8 @@ from mtlsem.formulas import (
     f_next,
     f_or,
     f_sigma,
+    f_true,
+    fold,
     horizon,
     is_bounded,
     parse,
@@ -28,6 +31,58 @@ from mtlsem.formulas import (
 from mtlsem.intervals import INF, interval
 
 ABC = alphabet("a,b,c")
+
+
+class TestInterning:
+    def test_parse_returns_one_object(self):
+        for text in ("F[0,2] a", "G(a -> F[1,3] b)", "(a | b) U(1,3] !c", "X[0,1/2] !sigma"):
+            assert parse(text, ABC) is parse(text, ABC)
+
+    def test_sugar_and_spelled_out_forms_are_one_object(self):
+        assert parse("a | b", ABC) is parse("!(!a & !b)", ABC)
+        assert parse("a -> b", ABC) is Not(And(Atom("a"), Not(Atom("b"))))
+        assert parse("F[0,2] a", ABC) is Until(f_true(ABC), interval(0, 2), Atom("a"))
+        assert parse("G b", ABC) is parse("!(true U !b)", ABC)
+        assert parse("noact", ABC) is Not(f_sigma(ABC))
+
+    def test_beta_is_one_object(self):
+        assert Beta() is BETA
+        assert parse("beta", ABC, allow_beta=True) is BETA
+
+    def test_equal_windows_give_one_node(self):
+        a, b = Atom("a"), Atom("b")
+        assert Until(a, interval(0, "1/2"), b) is Until(a, interval(0, Fraction(1, 2)), b)
+        assert Until(a, interval(0, 1), b) is not Until(a, interval(0, 1, True, False), b)
+
+    def test_nodes_are_immutable(self):
+        with pytest.raises(AttributeError):
+            Atom("a").name = "b"
+
+    def test_repr_is_the_field_listing(self):
+        assert repr(Not(Atom("a"))) == "Not(arg=Atom(name='a'))"
+        assert repr(BETA) == "Beta()"
+
+
+class TestFold:
+    def test_each_distinct_node_once_children_first(self):
+        f = parse("(a & b) U (a & b)", ABC)
+        seen = []
+        table = fold(f, lambda node, _m, *kids: seen.append(node) or len(seen))
+        assert [to_text(n) for n in seen] == ["a", "b", "(a & b)", "((a & b) U[0,inf) (a & b))"]
+        assert list(table.values()) == [1, 2, 3, 4]
+
+    def test_negation_flips_the_mode(self):
+        f = parse("!(a & !b)", ABC)
+        table = fold(f, lambda node, m, *kids: m, mode=0, flip=lambda m: 1 - m)
+        assert [(to_text(n), m) for n, m in table] == [
+            ("a", 1), ("b", 0), ("!b", 1), ("(a & !b)", 1), ("!(a & !b)", 0)]
+
+    def test_deep_nesting_needs_no_recursion(self):
+        f = Atom("a")
+        for _ in range(5000):
+            f = Not(f)
+        assert temporal_depth(f) == 0
+        assert to_text(f).count("!") == 5000
 
 
 class TestParse:
