@@ -15,7 +15,7 @@ import sys
 
 from . import gallery
 from .compilers import compile_itw, compile_pw
-from .encodings import compact, compact_lasso, word_to_tss
+from .encodings import compact, compact_lasso, lasso_to_tss_steps, word_to_tss
 from .errors import InvariantError, MtlsemError
 from .formulas import (
     alphabet,
@@ -51,6 +51,9 @@ from .structures import (
     Lasso,
     TimedStateSequence,
     TimedWord,
+    is_action_based,
+    is_strictly_monotone,
+    is_stutter_free,
     lasso_to_json,
     load_input,
     tss_to_json,
@@ -65,10 +68,6 @@ def _emit(obj, pretty: bool):
         print(json.dumps(obj, indent=2, sort_keys=True))
     else:
         print(json.dumps(obj, sort_keys=True))
-
-
-def _load(path: str, allow_raw: bool):
-    return load_input(path, allow_nonzero_start=allow_raw)
 
 
 def _the_alphabet(args, loaded=None):
@@ -130,7 +129,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args, via_oracle: bool = False) -> int:
-    loaded = _load(args.word, args.allow_nonzero_start)
+    loaded = load_input(args.word, args.allow_nonzero_start)
     sigma = _the_alphabet(args, loaded)
     f = _formula(args, sigma, allow_beta=args.semantics == "mx")
     sem = args.semantics
@@ -140,7 +139,7 @@ def cmd_eval(args, via_oracle: bool = False) -> int:
         if via_oracle:
             raise MtlsemError("the oracle evaluates finite inputs only")
         if sem == "pw":
-            verdict = eval_pw_lasso(loaded, f, max_copies=args.max_unroll)
+            verdict = eval_pw_lasso(loaded, f)
         elif sem == "itw":
             verdict = eval_itw_lasso(loaded, f, cut=cut)
         elif sem == "mx":
@@ -175,7 +174,7 @@ def cmd_eval(args, via_oracle: bool = False) -> int:
 
 
 def cmd_satset(args) -> int:
-    loaded = _load(args.word, args.allow_nonzero_start)
+    loaded = load_input(args.word, args.allow_nonzero_start)
     if isinstance(loaded, Lasso):
         raise MtlsemError("satisfaction sets are computed over finite inputs")
     sigma = _the_alphabet(args, loaded)
@@ -216,7 +215,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    loaded = _load(args.word, args.allow_nonzero_start)
+    loaded = load_input(args.word, args.allow_nonzero_start)
     if isinstance(loaded, Lasso):
         if args.to == "word":
             _emit(lasso_to_json(loaded), args.pretty)
@@ -228,8 +227,6 @@ def cmd_encode(args) -> int:
                    "period": {"blocks": [[list(a), rat_str(o)] for a, o in cl.period_blocks],
                               "duration": rat_str(cl.period_duration)}}, args.pretty)
             return OK
-        from .encodings import lasso_to_tss_steps
-
         _emit(tss_to_json(lasso_to_tss_steps(loaded, copies=2)), args.pretty)
         return OK
     if isinstance(loaded, TimedStateSequence):
@@ -245,9 +242,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .structures import is_action_based, is_strictly_monotone, is_stutter_free
-
-    loaded = _load(args.word, args.allow_nonzero_start)
+    loaded = load_input(args.word, args.allow_nonzero_start)
     if isinstance(loaded, Lasso):
         out = {"kind": "lasso", "valid": True,
                "prefix_length": len(loaded.prefix),
@@ -341,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--time", help="evaluation time (itw/its/mx)")
         p.add_argument("--pos", type=int, help="intra-timestamp position (mx)")
         p.add_argument("--horizon", help="override the lasso unroll horizon")
-        p.add_argument("--max-unroll", type=int,
-                       help="extra period copies for pointwise lasso evaluation")
         p.set_defaults(fn=lambda a, flag=oracle_flag: cmd_eval(a, via_oracle=flag))
 
     p = sub.add_parser("satset", help="dump per-subformula satisfaction sets")

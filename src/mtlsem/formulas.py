@@ -368,57 +368,69 @@ class _Parser:
             self.error(str(exc))
 
     def parse(self) -> Formula:
-        f = self.implies()
+        f = self.expr()
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("trailing input")
         return f
 
-    def implies(self) -> Formula:
-        left = self.disjunct()
+    def expr(self) -> Formula:
+        """Unary operands joined by binary operators, reduced on a stack: & and
+        U_w bind tightest, then |, then ->; each is right-associative."""
+        out, ops = [self.unary()], []
+        while (op := self.operator()) is not None:
+            while ops and ops[-1][0] > op[0]:
+                self.reduce(out, ops.pop())
+            ops.append(op)
+            out.append(self.unary())
+        while ops:
+            self.reduce(out, ops.pop())
+        return out[0]
+
+    @staticmethod
+    def reduce(out, op):
+        right = out.pop()
+        out.append(op[1](out.pop(), right))
+
+    def operator(self):
+        """The next binary operator as (precedence, constructor), or None."""
         if self.take("->"):
-            return f_implies(left, self.implies())
-        return left
-
-    def disjunct(self) -> Formula:
-        left = self.conjunct()
-        if self.peek() == "|":
-            self.take("|")
-            return f_or(left, self.disjunct())
-        return left
-
-    def conjunct(self) -> Formula:
-        left = self.unary()
-        self.skip_ws()
-        if self.peek() == "&":
-            self.take("&")
-            return And(left, self.conjunct())
+            return 0, f_implies
+        if self.take("|"):
+            return 1, f_or
+        if self.take("&"):
+            return 2, And
         save = self.pos
-        nm = self.name()
-        if nm == "U":
+        if self.name() == "U":
             w = self.window() or FULL
-            return Until(left, w, self.conjunct())
+            return 2, lambda l, r: Until(l, w, r)
         self.pos = save
-        return left
+        return None
 
     def unary(self) -> Formula:
-        if self.take("!"):
-            return Not(self.unary())
-        self.skip_ws()
-        if self.peek() == "(":
-            self.take("(")
-            inner = self.implies()
-            self.expect(")")
-            return inner
-        nm = self.name()
+        """Leading !, F, G and X, collected in a loop, around a primary."""
+        wraps = []
+        while True:
+            if self.take("!"):
+                wraps.append(Not)
+                continue
+            if self.take("("):
+                f = self.expr()
+                self.expect(")")
+                break
+            nm = self.name()
+            if nm not in _PREFIX:
+                f = self.primary(nm)
+                break
+            w = self.window() or FULL
+            wraps.append(lambda g, op=_PREFIX[nm], w=w: op(w, g, self.sigma))
+        while wraps:
+            f = wraps.pop()(f)
+        return f
+
+    def primary(self, nm) -> Formula:
         if nm is None:
             self.error("expected a formula")
-        if nm == "F":
-            return f_eventually(self.window() or FULL, self.unary(), self.sigma)
-        if nm == "G":
-            return f_globally(self.window() or FULL, self.unary(), self.sigma)
-        if nm == "X":
-            return f_next(self.window() or FULL, self.unary(), self.sigma)
         if nm == "true":
             return f_true(self.sigma)
         if nm == "false":
@@ -436,6 +448,9 @@ class _Parser:
         if nm not in self.sigma:
             raise UnknownAtomError(f"atom {nm!r} not in the alphabet")
         return Atom(nm)
+
+
+_PREFIX = {"F": f_eventually, "G": f_globally, "X": f_next}
 
 
 def parse(text: str, sigma, allow_beta: bool = False) -> Formula:

@@ -15,10 +15,10 @@ parts of the left operand's set:
 The witness window per part is (l, u] regardless of the part's own endpoint
 flags; back_shift turns each witness interval into the exact base region.
 
-Lassos get three-valued verdicts: evaluation runs twice on a truncated unroll,
-once pessimistically (no witnesses beyond the cut) and once optimistically
-(anything beyond the cut granted), and disagreement reports Unknown.  Negation
-swaps the two modes (the flip given to `fold`).  Bounded
+Lassos get three-valued verdicts from a truncated unroll: evaluation runs
+pessimistically (no witnesses beyond the cut), and when that fails
+optimistically (anything beyond the cut granted); disagreement reports
+Unknown.  Negation swaps the two modes (the flip given to `fold`).  Bounded
 formulas are decided exactly on a horizon-deep unroll instead.
 """
 
@@ -197,16 +197,17 @@ def lasso_cut(l: Lasso, f: Formula) -> Fraction:
     return duration(l.prefix) + 2 * l.period_duration + reach
 
 
+def _lasso_verdict(f: Formula, holds) -> Verdict3:
+    """The three-valued verdict from `holds(mode)`, f's truth at the origin."""
+    if is_bounded(f):
+        return Verdict3.of(holds(EXACT))
+    if holds(PESSIMISTIC):
+        return Verdict3.TRUE
+    return Verdict3.UNKNOWN if holds(OPTIMISTIC) else Verdict3.FALSE
+
+
 def eval_itw_lasso(l: Lasso, f: Formula, cut=None) -> Verdict3:
     """Three-valued verdict at time 0; exact whenever f is bounded."""
     require_beta_free(f, "interval-based")
     w = unroll(l, cut if cut is not None else lasso_cut(l, f))
-    if is_bounded(f):
-        return Verdict3.of(sat_set_itw(w, f).member(Fraction(0)))
-    opt = sat_set_itw(w, f, OPTIMISTIC).member(Fraction(0))
-    pess = sat_set_itw(w, f, PESSIMISTIC).member(Fraction(0))
-    if pess:
-        return Verdict3.TRUE
-    if not opt:
-        return Verdict3.FALSE
-    return Verdict3.UNKNOWN
+    return _lasso_verdict(f, lambda mode: sat_set_itw(w, f, mode).member(Fraction(0)))

@@ -48,7 +48,6 @@ from .formulas import (
     Not,
     Until,
     fold,
-    is_bounded,
 )
 from .intervals import (
     INF,
@@ -65,9 +64,9 @@ from .encodings import block_index_at, compact
 from .interval_based import (
     EXACT,
     OPTIMISTIC,
-    PESSIMISTIC,
     _FLIP,
     Verdict3,
+    _lasso_verdict,
     _until_bases,
     lasso_cut,
 )
@@ -330,10 +329,4 @@ def eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
 def eval_mx_lasso(l: Lasso, f: Formula, cut=None) -> Verdict3:
     """Three-valued verdict at (0, 0); exact whenever f is bounded."""
     cw = compact(unroll(l, cut if cut is not None else lasso_cut(l, f)))
-    if is_bounded(f):
-        return Verdict3.of((0, 0) in sat_set_mx(cw, f).points)
-    if (0, 0) in sat_set_mx(cw, f, PESSIMISTIC).points:
-        return Verdict3.TRUE
-    if (0, 0) not in sat_set_mx(cw, f, OPTIMISTIC).points:
-        return Verdict3.FALSE
-    return Verdict3.UNKNOWN
+    return _lasso_verdict(f, lambda mode: (0, 0) in sat_set_mx(cw, f, mode).points)

@@ -10,10 +10,16 @@ only arithmetic is intersecting a candidate piece with the base's shifted
 window; witnesses are never sampled, so window endpoints that fall strictly
 inside a piece are still found.
 
+The mixed oracle reads the same pieces from the first block on, with one
+point per block position (its offset j) in place of each block's timestamp.
+One piece scan then decides every dense and mixed Until; a later position of
+the base's own block lies at distance 0 from it.
+
 Piecewise constancy itself is checked empirically by double sampling in the
 test suite, not assumed silently.
 
-The oracle traversals keep their own memoized recursion and do not use the
+The oracles keep two traversals of their own, a memoized recursion over
+positions (pw) and one over pieces (itw, its, mx), and do not use the
 engines' `formulas.fold`, so a fault there cannot hide in both.  Only
 `differential`, which compares an engine with its oracle, calls the engines.
 """
@@ -104,26 +110,26 @@ def critical_points(structure, f: Formula):
 # pieces: points and open intervals between consecutive critical values
 
 class _Piece:
-    __slots__ = ("lo", "hi", "is_point", "rep")
+    __slots__ = ("lo", "hi", "is_point", "j", "rep")
 
-    def __init__(self, lo, hi, is_point):
+    def __init__(self, lo, hi, is_point, j=0):
         self.lo = lo
         self.hi = hi
         self.is_point = is_point
+        self.j = j  # the position within a block (mixed pieces only)
         self.rep = lo if is_point else (lo + hi) / 2
 
     def window_hits(self, base: Fraction, w: Interval) -> bool:
-        """Does this piece contain a time t' with t' - base in w (and t' > base)?"""
+        """Does this piece, met after the base, hold a time t' with t' - base in w?
+
+        A point met after the base lies at or after it: at it exactly for a
+        later position of the base's own block, which is a hit when w holds 0.
+        An open piece is intersected with the window and with (base, inf).
+        """
+        if self.is_point:
+            return w.contains(self.lo - base)
         w_lo = base + w.lo.value
         w_hi = INF if w.hi.value == INF else base + w.hi.value
-        if self.is_point:
-            t = self.lo
-            if t <= base:
-                return False
-            ok_lo = t > w_lo or (t == w_lo and w.lo.closed)
-            ok_hi = t < w_hi or (t == w_hi and w.hi.closed)
-            return ok_lo and ok_hi
-        # open piece intersected with the window and with (base, inf)
         lo_k = max((self.lo, 1), (base, 1), (w_lo, 0 if w.lo.closed else 1))
         hi_k = min((self.hi, -1), (w_hi, 0 if w.hi.closed else -1))
         return lo_k <= hi_k
@@ -138,8 +144,18 @@ def _pieces(values) -> list:
     return out
 
 
-def _piece_truth(pieces, atom_truth, f: Formula):
-    """Bottom-up truth arrays over pieces; Until scans pieces with exact windows."""
+def _piece_index(pieces, t, j=0) -> int:
+    for i, p in enumerate(pieces):
+        if p.j == j and (p.lo == t if p.is_point else p.lo < t < p.hi):
+            return i
+    raise OutOfDomainError(f"({t}, {j}) is not on the piece grid")
+
+
+def _piece_truth(pieces, atom_truth, f: Formula, beta: bool = False):
+    """Bottom-up truth arrays over pieces; Until scans pieces with exact windows.
+
+    `beta` admits the position-zero atom, which holds at every piece with j = 0.
+    """
     memo: dict = {}
     n = len(pieces)
 
@@ -150,6 +166,8 @@ def _piece_truth(pieces, atom_truth, f: Formula):
         match node:
             case Atom(name):
                 out = [atom_truth(name, p) for p in pieces]
+            case Beta() if beta:
+                out = [p.j == 0 for p in pieces]
             case Not(arg):
                 out = [not v for v in sat(arg)]
             case And(l, r):
@@ -185,7 +203,7 @@ def _piece_truth(pieces, atom_truth, f: Formula):
 
 
 # ---------------------------------------------------------------------------
-# dense oracles
+# oracles
 
 def _dense_oracle(structure, f: Formula, atom_truth):
     """Truth of f at any critical-grid time, from one piece table."""
@@ -229,15 +247,6 @@ def oracle_eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
     return _its_oracle(kappa, f)(t)
 
 
-def _piece_index(pieces, t) -> int:
-    for i, p in enumerate(pieces):
-        if p.is_point and p.lo == t:
-            return i
-        if not p.is_point and p.lo < t < p.hi:
-            return i
-    raise OutOfDomainError(f"time {t} is not on the piece grid")
-
-
 def _pw_oracle(rho: TimedWord, f: Formula):
     """Literal recursive quantifier evaluation over positions, memoized per word."""
     times, acts = rho.times, rho.actions
@@ -274,112 +283,21 @@ def oracle_eval_pw(rho: TimedWord, i: int, f: Formula) -> bool:
     return _pw_oracle(rho, f)(i)
 
 
-# ---------------------------------------------------------------------------
-# mixed oracle: lex pieces over a compact word
-
-class _LexPiece:
-    __slots__ = ("kind", "k", "j", "lo", "hi", "rep")
-
-    def __init__(self, kind, k, j, lo, hi):
-        self.kind = kind  # "block" | "gappt" | "gapiv"
-        self.k = k
-        self.j = j
-        self.lo = lo
-        self.hi = hi
-        self.rep = lo if kind != "gapiv" else (lo + hi) / 2
-
-    def window_hits(self, base: Fraction, w: Interval) -> bool:
-        dense = _Piece(self.lo, self.hi, self.kind != "gapiv")
-        return dense.window_hits(base, w)
-
-    def same_time_after(self, other) -> bool:
-        return self.kind == "block" and other.kind == "block" and self.k == other.k
-
-
-def _lex_pieces(cw: CompactTimedWord, f: Formula):
-    crit = critical_values(cw, f)
-    times = cw.times
-    out = []
-    for k, (acts, t) in enumerate(cw.blocks):
-        for j in range(len(acts)):
-            out.append(_LexPiece("block", k, j, t, t))
-        if k + 1 < len(cw.blocks):
-            inside = [c for c in crit if t < c < times[k + 1]]
-            edges = [t] + inside + [times[k + 1]]
-            for a, b in zip(edges, edges[1:]):
-                out.append(_LexPiece("gapiv", k, 0, a, b))
-                if b != times[k + 1]:
-                    out.append(_LexPiece("gappt", k, 0, b, b))
-    return out
-
-
-def _lex_truth(cw: CompactTimedWord, pieces, f: Formula):
-    memo: dict = {}
-    n = len(pieces)
-
-    def sat(node):
-        got = memo.get(node)
-        if got is not None:
-            return got
-        match node:
-            case Atom(name):
-                out = [p.kind == "block" and cw.blocks[p.k][0][p.j] == name
-                       for p in pieces]
-            case Beta():
-                out = [p.kind != "block" or p.j == 0 for p in pieces]
-            case Not(arg):
-                out = [not v for v in sat(arg)]
-            case And(l, r):
-                lv, rv = sat(l), sat(r)
-                out = [a and b for a, b in zip(lv, rv)]
-            case Until(l, w, r):
-                lv, rv = sat(l), sat(r)
-                out = [_until_at(i, w, lv, rv) for i in range(n)]
-            case _:
-                raise TypeError(f"not a formula: {node!r}")
-        memo[node] = out
-        return out
-
-    def _until_at(i, w, lv, rv):
-        base = pieces[i].rep
-        ok = True
-        if pieces[i].kind == "gapiv":
-            if lv[i] and rv[i] and pieces[i].window_hits(base, w):
-                return True
-            ok = lv[i]
-        for ip in range(i + 1, n):
-            pc = pieces[ip]
-            if not ok:
-                return False
-            if pc.kind == "block" and pc.same_time_after(pieces[i]):
-                hit = w.contains(Fraction(0))
-            else:
-                hit = pc.window_hits(base, w)
-            if rv[ip] and (pc.kind != "gapiv" or lv[ip]) and hit:
-                return True
-            ok = ok and lv[ip]
-            if w.hi.value != INF and pc.lo > base + w.hi.value:
-                return False
-        return False
-
-    return sat(f)
-
-
 def _mx_oracle(cw: CompactTimedWord, f: Formula):
-    pieces = _lex_pieces(cw, f)
-    truth = _lex_truth(cw, pieces, f)
+    """The dense pieces from the first block on, one point per block position."""
+    blocks = {t: acts for acts, t in cw.blocks}
+    pieces = []
+    for p in _pieces(critical_values(cw, f)):
+        if p.is_point and p.lo in blocks:
+            pieces.extend(_Piece(p.lo, p.lo, True, j) for j in range(len(blocks[p.lo])))
+        elif p.lo >= cw.times[0]:
+            pieces.append(p)
 
-    def at(t, j) -> bool:
-        for i, p in enumerate(pieces):
-            if p.kind == "block" and p.lo == t and p.j == j:
-                return truth[i]
-            if p.kind == "gappt" and p.lo == t and j == 0:
-                return truth[i]
-            if p.kind == "gapiv" and p.lo < t < p.hi and j == 0:
-                return truth[i]
-        raise OutOfDomainError(f"({t}, {j}) is not on the lex piece grid")
+    def atom_truth(name, p):
+        return p.is_point and p.lo in blocks and blocks[p.lo][p.j] == name
 
-    return at
+    truth = _piece_truth(pieces, atom_truth, f, beta=True)
+    return lambda t, j: truth[_piece_index(pieces, t, j)]
 
 
 def oracle_eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:

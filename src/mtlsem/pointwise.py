@@ -2,15 +2,17 @@
 
 The engine supplies an algebra to `formulas.fold`: a subformula's value is one
 truth value per position, atoms compare actions, and negation and conjunction
-work position by position.  Only the Until step differs between finite words
-and lassos.
+work position by position.
 
-Finite words get a bottom-up dynamic program over positions.  Lassos are
-evaluated exactly: beyond the prefix the suffix languages at positions p and
-p + |period| coincide up to a uniform time shift, so verdicts are computed on
-a finite quotient holding two copies of the period (the copies must agree,
-which is asserted) with Until solved by a bounded scan for the timed part and
-a least fixpoint for the untimed tail.
+Until is one scan for finite words and lassos.  It walks the events after each
+base and reads an event's operand values through an index map: the identity
+for a finite word.  A lasso is evaluated exactly: beyond the prefix the suffix
+languages at positions p and p + |period| coincide up to a uniform time shift,
+so verdicts are computed on a finite quotient holding two copies of the period
+(the copies must agree, which is asserted), and the map folds each unrolled
+event back onto it.  A bounded window ends the scan past its upper bound; an
+unbounded one ends it at the first event past its lower bound, where the
+untimed tail, a least fixpoint over the bases, decides.
 """
 
 from __future__ import annotations
@@ -47,24 +49,56 @@ def _sat_lists(f: Formula, acts, until) -> dict:
     return fold(f, visit)
 
 
+def _until(w, lv, rv, times, at) -> list:
+    """f U_w g at every base, from the operand values lv, rv of the bases.
+
+    Event j of the scanned run occurs at times[j] and reads base at[j]; the
+    bases are the first len(lv) events.  A base whose scan runs out of events
+    gets None.
+    """
+    bounded = w.hi.value != INF
+    tail = None if bounded else _untimed_tail(lv, rv, at)
+    stop = w.hi.value if bounded else w.lo.value
+    out = []
+    for i in range(len(lv)):
+        for j in range(i + 1, len(times)):
+            d, m = times[j] - times[i], at[j]
+            if d > stop:  # past sup w, or every later event lies inside w
+                out.append(tail is not None and tail[m])
+            elif rv[m] and w.contains(d):
+                out.append(True)
+            elif not lv[m]:
+                out.append(False)
+            else:
+                continue
+            break
+        else:
+            out.append(None)
+    return out
+
+
+def _untimed_tail(lv, rv, at) -> list:
+    """Least fixpoint of T(m) = r(m) or (l(m) and T(next m)) over the bases."""
+    n = len(lv)
+    tail = [False] * n
+    changed = True
+    while changed:
+        changed = False
+        for m in reversed(range(n)):
+            new = rv[m] or (lv[m] and m + 1 < len(at) and tail[at[m + 1]])
+            if new != tail[m]:
+                tail[m] = new
+                changed = True
+    return tail
+
+
 def sat_positions(rho: TimedWord, f: Formula) -> frozenset:
     """All positions i with rho, i satisfying f."""
     require_beta_free(f, "pointwise")
-    n = len(rho)
-    times = rho.times
+    times, at = rho.times, range(len(rho))
 
     def until(w, lv, rv) -> list:
-        res = [False] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if w.hi.value != INF and times[j] - times[i] > w.hi.value:
-                    break
-                if rv[j] and w.contains(times[j] - times[i]):
-                    res[i] = True
-                    break
-                if not lv[j]:
-                    break
-        return res
+        return [v is True for v in _until(w, lv, rv, times, at)]
 
     sat = _sat_lists(f, rho.actions, until)[f, None]
     return frozenset(i for i, v in enumerate(sat) if v)
@@ -93,7 +127,7 @@ def _materialize(l: Lasso, count: int):
     return acts, times
 
 
-def eval_pw_lasso(l: Lasso, f: Formula, max_copies: int | None = None) -> bool:
+def eval_pw_lasso(l: Lasso, f: Formula) -> bool:
     """Exact verdict of the unrolled infinite word at position 0."""
     require_beta_free(f, "pointwise")
     p0 = len(l.prefix)
@@ -103,60 +137,16 @@ def eval_pw_lasso(l: Lasso, f: Formula, max_copies: int | None = None) -> bool:
     max_bound = max(finite_window_bounds(f), default=Fraction(0))
     # enough events that any scan of at most max_bound + 2 durations completes
     extra_copies = int((max_bound + 2 * dur) / dur) + 2
-    if max_copies is not None:
-        extra_copies = max(extra_copies, max_copies)
-    count = quot + extra_copies * per
-    acts, times = _materialize(l, count)
-
-    def wrap(j: int) -> int:
-        if j < quot:
-            return j
-        return p0 + per + ((j - p0 - per) % per)
+    acts, times = _materialize(l, quot + extra_copies * per)
+    at = [j if j < quot else p0 + per + (j - p0 - per) % per for j in range(len(times))]
 
     def until(w, lv, rv) -> list:
-        if w.hi.value != INF:
-            out = [_scan_bounded(i, w, lv, rv) for i in range(quot)]
-        else:
-            tail = _untimed_tail(lv, rv)
-            out = [_scan_unbounded(i, w, lv, rv, tail) for i in range(quot)]
-        if out[p0:p0 + per] != out[p0 + per:quot]:
+        out = _until(w, lv, rv, times, at)
+        if None in out:
+            raise InvariantError("the Until scan ran out of materialized events")
+        if out[p0:p0 + per] != out[p0 + per:]:
             raise InvariantError(
                 "periodic positions disagree; the quotient identification is wrong")
         return out
-
-    def _scan_bounded(i, w, lv, rv):
-        for j in range(i + 1, count):
-            d = times[j] - times[i]
-            if d > w.hi.value:
-                return False
-            if rv[wrap(j)] and w.contains(d):
-                return True
-            if not lv[wrap(j)]:
-                return False
-        raise InvariantError("bounded scan ran out of materialized events")
-
-    def _scan_unbounded(i, w, lv, rv, tail):
-        for j in range(i + 1, count):
-            d = times[j] - times[i]
-            if d > w.lo.value:
-                return tail[wrap(j)]  # every later event satisfies the window
-            if rv[wrap(j)] and w.contains(d):
-                return True
-            if not lv[wrap(j)]:
-                return False
-        raise InvariantError("lower-bound scan ran out of materialized events")
-
-    def _untimed_tail(lv, rv):
-        """Least fixpoint of T(m) = r(m) or (l(m) and T(m+1)) over the quotient."""
-        tail = [False] * quot
-        changed = True
-        while changed:
-            changed = False
-            for m in reversed(range(quot)):
-                new = rv[m] or (lv[m] and tail[wrap(m + 1)])
-                if new != tail[m]:
-                    tail[m] = new
-                    changed = True
-        return tail
 
     return _sat_lists(f, acts[:quot], until)[f, None][0]

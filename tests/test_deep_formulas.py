@@ -1,8 +1,10 @@
-"""Wide alphabets and deep nesting evaluate in every engine and in the CLI.
+"""Wide alphabets and deep nesting parse, and evaluate in every engine and in the CLI.
 
 `F sigma` over 200 symbols desugars into an or-chain about 600 nodes deep, and
 600 nested negations are as deep.  Each must give the same result as a
-shallow formula with the same meaning on the word at hand.
+shallow formula with the same meaning on the word at hand.  Long operator
+chains and long runs of prefix operators must parse into the formula built
+directly.
 """
 
 import json
@@ -11,7 +13,8 @@ import pytest
 
 from mtlsem.cli import main
 from mtlsem.encodings import compact, word_to_tss
-from mtlsem.formulas import alphabet, parse
+from mtlsem.formulas import FULL, And, Atom, Not, alphabet, f_globally, f_or, parse, to_text
+from mtlsem.gallery import no_simultaneous
 from mtlsem.interval_based import sat_set_its, sat_set_itw
 from mtlsem.mixed import sat_set_mx
 from mtlsem.pointwise import sat_positions
@@ -63,3 +66,47 @@ def test_cli_matches_the_shallow_formula(tmp_path, capsys, rho, deep, shallow):
             code, out = _cli(capsys, "eval", "--semantics", sem, "--formula", text, *where, *common)
             verdicts.append((code, json.loads(out)["verdict"]))
         assert verdicts[0] == verdicts[1], sem
+
+
+def _right_fold(join, operands):
+    f = operands[-1]
+    for g in reversed(operands[:-1]):
+        f = join(g, f)
+    return f
+
+
+def _negations(n, f):
+    for _ in range(n):
+        f = Not(f)
+    return f
+
+
+def _no_simultaneous_built(sigma):
+    syms = sigma.symbols
+    pairs = [And(Atom(x), Atom(y)) for i, x in enumerate(syms) for y in syms[i + 1:]]
+    clause = Not(_right_fold(f_or, pairs))
+    return And(clause, f_globally(FULL, clause, sigma))
+
+
+FIFTY = alphabet([f"s{i}" for i in range(50)])
+CONJUNCTS = [f"s{i % 200}" for i in range(2000)]
+CHAINS = {
+    "no-simultaneous-50": (lambda: no_simultaneous(FIFTY), lambda: _no_simultaneous_built(FIFTY)),
+    "and-2000": (lambda: parse(" & ".join(CONJUNCTS), WIDE),
+                 lambda: _right_fold(And, [Atom(a) for a in CONJUNCTS])),
+    "not-1000": (lambda: parse("!" * 1000 + "s0", WIDE),
+                 lambda: _negations(1000, Atom("s0"))),
+}
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_long_chains_parse_into_the_built_formula(name):
+    parsed, built = CHAINS[name]
+    assert parsed() is built()
+
+
+def test_cli_parses_long_chains(capsys):
+    assert main(["parse", "--alphabet", ",".join(WIDE.symbols),
+                 "--formula", " & ".join(CONJUNCTS)]) == 0
+    assert json.loads(capsys.readouterr().out)["canonical"] == to_text(CHAINS["and-2000"][1]())
+    assert main(["parse", "--alphabet", ",".join(WIDE.symbols), "--formula", "!" * 1000 + "s0"]) == 0

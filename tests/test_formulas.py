@@ -16,6 +16,7 @@ from mtlsem.formulas import (
     Until,
     alphabet,
     f_eventually,
+    f_implies,
     f_next,
     f_or,
     f_sigma,
@@ -121,6 +122,9 @@ class TestParse:
     def test_implies_lowest(self):
         got = parse("a -> b | c", ABC)
         assert got == Not(And(Atom("a"), Not(f_or(Atom("b"), Atom("c")))))
+        a, b, c = Atom("a"), Atom("b"), Atom("c")
+        assert parse("a & b | c -> a | b U c -> c", ABC) is f_implies(
+            f_or(And(a, b), c), f_implies(f_or(a, Until(b, FULL, c)), c))
 
     def test_unknown_atom(self):
         with pytest.raises(UnknownAtomError):

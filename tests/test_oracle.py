@@ -1,7 +1,13 @@
 """The brute-force grid: critical points, piecewise constancy, generators."""
 
+import ast
+import inspect
 from fractions import Fraction
 
+import pytest
+
+from mtlsem import oracle
+from mtlsem.encodings import word_to_tss
 from mtlsem.formulas import alphabet, is_bounded, parse
 from mtlsem.oracle import (
     critical_points,
@@ -10,6 +16,7 @@ from mtlsem.oracle import (
     gen_ka,
     gen_lasso,
     gen_word,
+    oracle_eval_its,
     oracle_eval_itw,
     oracle_eval_pw,
 )
@@ -115,3 +122,26 @@ class TestPwOracleShape:
         f = parse("a U b", ABC)
         assert oracle_eval_pw(w, 0, f)
         assert not oracle_eval_pw(w, 1, f)
+
+
+class TestIndependence:
+    ENGINE_NAMES = {"fold", "IntervalSet", "back_shift", "sat_positions"}
+
+    def test_no_oracle_function_names_engine_code(self):
+        # only `differential`, which compares an engine with its oracle, may
+        tree = ast.parse(inspect.getsource(oracle))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "differential":
+                continue
+            for node in ast.walk(fn):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                assert name not in self.ENGINE_NAMES, (fn.name, name)
+                assert not (name or "").startswith("sat_set"), (fn.name, name)
+
+    def test_dense_oracles_reject_beta(self):
+        f = parse("F beta", ABC, allow_beta=True)
+        with pytest.raises(TypeError):
+            oracle_eval_itw(RHO1, 0, f)
+        with pytest.raises(TypeError):
+            oracle_eval_its(word_to_tss(RHO1), 0, f)
