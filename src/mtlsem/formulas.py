@@ -376,16 +376,37 @@ class _Parser:
 
     def expr(self) -> Formula:
         """Unary operands joined by binary operators, reduced on a stack: & and
-        U_w bind tightest, then |, then ->; each is right-associative."""
-        out, ops = [self.unary()], []
-        while (op := self.operator()) is not None:
-            while ops and ops[-1][0] > op[0]:
-                self.reduce(out, ops.pop())
-            ops.append(op)
-            out.append(self.unary())
-        while ops:
-            self.reduce(out, ops.pop())
-        return out[0]
+        U_w bind tightest, then |, then ->; each is right-associative.
+
+        An opening parenthesis saves the enclosing expression's operands,
+        operators and pending prefixes on `frames`, and its closing one
+        resumes them, so nesting depth costs no recursion.
+        """
+        frames = []
+        out, ops = [], []
+        while True:
+            wraps, f = self.operand()
+            if f is None:
+                frames.append((out, ops, wraps))
+                out, ops = [], []
+                continue
+            while True:  # f is a complete operand
+                while wraps:
+                    f = wraps.pop()(f)
+                out.append(f)
+                op = self.operator()
+                if op is not None:
+                    while ops and ops[-1][0] > op[0]:
+                        self.reduce(out, ops.pop())
+                    ops.append(op)
+                    break
+                while ops:
+                    self.reduce(out, ops.pop())
+                f = out.pop()
+                if not frames:
+                    return f
+                self.expect(")")
+                out, ops, wraps = frames.pop()
 
     @staticmethod
     def reduce(out, op):
@@ -407,26 +428,24 @@ class _Parser:
         self.pos = save
         return None
 
-    def unary(self) -> Formula:
-        """Leading !, F, G and X, collected in a loop, around a primary."""
+    def operand(self):
+        """Leading !, F, G and X, collected in a loop, then a primary.
+
+        Returns the prefixes as constructors and the primary, or None in its
+        place when an opening parenthesis follows them.
+        """
         wraps = []
         while True:
             if self.take("!"):
                 wraps.append(Not)
                 continue
             if self.take("("):
-                f = self.expr()
-                self.expect(")")
-                break
+                return wraps, None
             nm = self.name()
             if nm not in _PREFIX:
-                f = self.primary(nm)
-                break
+                return wraps, self.primary(nm)
             w = self.window() or FULL
             wraps.append(lambda g, op=_PREFIX[nm], w=w: op(w, g, self.sigma))
-        while wraps:
-            f = wraps.pop()(f)
-        return f
 
     def primary(self, nm) -> Formula:
         if nm is None:

@@ -14,6 +14,15 @@ parts of the left operand's set:
 
 The witness window per part is (l, u] regardless of the part's own endpoint
 flags; back_shift turns each witness interval into the exact base region.
+The windows of consecutive parts are disjoint and in order, so one
+two-pointer pass over the parts of f and of g finds every witness (the until
+construction of Maler & Nickovic, FORMATS 2004).
+
+Sets are key lists on an integer time base (see `intervals`).  Each entry
+point takes D once, from the timestamps or the state-sequence endpoints and
+`finite_window_bounds(f)`; the fold runs on ints only.  `sat_set_*` converts
+the root's keys back to an `IntervalSet`, `sat_sets_*` every set of the
+table, and the lasso verdicts read membership of 0 off the keys.
 
 Lassos get three-valued verdicts from a truncated unroll: evaluation runs
 pessimistically (no witnesses beyond the cut), and when that fails
@@ -42,12 +51,15 @@ from .formulas import (
 )
 from .intervals import (
     INF,
-    Bound,
-    Interval,
     IntervalSet,
-    back_shift,
-    interval,
-    punctual,
+    back_shift_keys,
+    difference_keys,
+    from_keys,
+    intersect_keys,
+    interval_keys,
+    normalize_keys,
+    scaled,
+    time_base,
 )
 from .structures import (
     Lasso,
@@ -75,85 +87,106 @@ EXACT, OPTIMISTIC, PESSIMISTIC = "exact", "opt", "pess"
 _FLIP = {EXACT: EXACT, OPTIMISTIC: PESSIMISTIC, PESSIMISTIC: OPTIMISTIC}
 
 
-def _until_bases(f_set: IntervalSet, g_set: IntervalSet, w: Interval,
-                 domain: Interval) -> list:
-    """The dense Until decomposition: per maximal part <l,u> of f, the bases in
-    domain and at or after l of the witnesses g holds in (l, u]."""
+def _until_bases(f: list, g: list, w: tuple, domain: tuple) -> list:
+    """The dense Until decomposition on keys: per maximal part <l,u> of f, the
+    bases in domain and at or after l of the witnesses g holds in (l, u]."""
+    w_lo, w_hi = w
+    d_lo, d_hi = domain
     out = []
-    for part in f_set.parts:
-        l, u = part.lo.value, part.hi.value
+    j, ng = 0, len(g)
+    for f_lo, f_hi in f:
+        l, u = (f_lo + 1) // 3, (f_hi + 1) // 3
         if l == u:
             continue
-        witness_zone = Interval(Bound(l, False), Bound(u, True))
-        for region in g_set.intersect(IntervalSet.of(witness_zone)).parts:
-            base = back_shift(region, w)
+        z_lo, z_hi = 3 * l + 1, 3 * u  # the witness window (l, u]
+        floor = max(3 * l, d_lo)
+        while j < ng and g[j][1] < z_lo:
+            j += 1
+        k = j  # g[k] may reach into the next window too: the next part starts at j
+        while k < ng and g[k][0] <= z_hi:
+            g_lo, g_hi = g[k]
+            base = back_shift_keys(max(g_lo, z_lo), min(g_hi, z_hi), w_lo, w_hi)
             if base is not None:
-                base = base.intersect(interval(l, INF, True, False))
-            if base is not None:
-                base = base.intersect(domain)
-            if base is not None:
-                out.append(base)
+                lo, hi = max(base[0], floor), min(base[1], d_hi)
+                if lo <= hi:
+                    out.append((lo, hi))
+            k += 1
     return out
 
 
-def _until_set(f_set: IntervalSet, g_set: IntervalSet, w: Interval,
-               domain: Interval, mode: str) -> IntervalSet:
-    out = _until_bases(f_set, g_set, w, domain)
+def _until_set(f: list, g: list, w: tuple, domain: tuple, mode: str) -> list:
+    out = _until_bases(f, g, w, domain)
     if mode == OPTIMISTIC:
-        cut = domain.hi.value
-        last = f_set.parts[-1] if f_set.parts else None
-        if last is not None and last.hi.value == cut and last.hi.closed:
+        cut = domain[1]  # the closed upper end
+        if f and f[-1][1] == cut:
             # the left operand holds through the cut: grant a witness beyond it
-            ext = _beyond_cut_bases(last.lo.value, cut, w)
+            ext = _beyond_cut_bases((f[-1][0] + 1) // 3, cut // 3, w[1])
             if ext is not None:
                 out.append(ext)
-        if not (w.lo.value == 0 and w.hi.value == 0):
+        if w != (0, 0):
             # at the cut itself nothing needs to hold in between
-            out.append(punctual(cut))
-    return IntervalSet.from_intervals(out)
+            out.append((cut, cut))
+    return normalize_keys(out)
 
 
-def _beyond_cut_bases(l: Fraction, cut: Fraction, w: Interval) -> Interval | None:
-    """Bases t in [l, cut] whose window t + w reaches strictly past the cut."""
-    if w.hi.value != INF and cut - w.hi.value >= cut:  # window never leaves the cut
+def _beyond_cut_bases(l: int, cut: int, w_hi) -> tuple | None:
+    """Keys of the bases t in [l, cut] whose window t + w reaches strictly past the cut."""
+    if w_hi == INF:
+        return 3 * l, 3 * cut
+    sup = (w_hi + 1) // 3
+    if sup == 0:  # the window never leaves the cut
         return None
-    lo = Bound(l, True)
-    if w.hi.value != INF and cut - w.hi.value >= l:
-        lo = Bound(cut - w.hi.value, False)
-    return Interval(lo, Bound(cut, True))
+    return max(3 * l, 3 * (cut - sup) + 1), 3 * cut
 
 
-def _sat_dense(atom_parts, domain: Interval, f: Formula, mode: str) -> dict:
-    """The dense algebra: atom_parts(name) are the atom's intervals, negation is
-    complement in the domain, conjunction intersection, Until `_until_set`."""
-    full = IntervalSet.of(domain)
+def _sat_dense(atom_parts, domain: tuple, D: int, f: Formula, mode: str) -> dict:
+    """The dense algebra on keys: atom_parts(name) are the atom's key pairs,
+    negation is complement in the domain, conjunction intersection, Until
+    `_until_set`."""
+    full = [domain]
 
-    def visit(node, m, l=None, r=None) -> IntervalSet:
+    def visit(node, m, l=None, r=None) -> list:
         match node:
             case Atom(name):
-                return IntervalSet.from_intervals(atom_parts(name))
+                return normalize_keys(atom_parts(name))
             case Not():
-                return full.difference(l)
+                return difference_keys(full, l)
             case And():
-                return l.intersect(r)
+                return intersect_keys(l, r)
             case Until(_, w, _):
-                return _until_set(l, r, w, domain, m)
+                return _until_set(l, r, interval_keys(w, D), domain, m)
     return fold(f, visit, mode, _FLIP.__getitem__)
+
+
+def _converted(table: dict, D: int) -> dict:
+    return {key: from_keys(keys, D) for key, keys in table.items()}
 
 
 # ---------------------------------------------------------------------------
 # timed words
 
+def _itw_table(rho: TimedWord, f: Formula, mode: str):
+    """The key table of f over rho, and its time base."""
+    require_beta_free(f, "interval-based")
+    times = rho.times
+    D = time_base([*times, *finite_window_bounds(f)])
+    times = scaled(times, D)
+    points = {}
+    for a, t in zip(rho.actions, times):
+        points.setdefault(a, []).append((3 * t, 3 * t))
+    domain = (0, 3 * times[-1])
+    return _sat_dense(lambda name: points.get(name, ()), domain, D, f, mode), D
+
+
 def sat_sets_itw(rho: TimedWord, f: Formula, mode: str = EXACT) -> dict:
     """The fold table: Sat(g) per (subformula g, mode), in `subformulas` order."""
-    require_beta_free(f, "interval-based")
-    return _sat_dense(lambda name: (punctual(t) for a, t in rho.events if a == name),
-                      interval(0, duration(rho)), f, mode)
+    return _converted(*_itw_table(rho, f, mode))
 
 
 def sat_set_itw(rho: TimedWord, f: Formula, mode: str = EXACT) -> IntervalSet:
     """Exactly the times t in [0, duration] where rho, t satisfies f."""
-    return sat_sets_itw(rho, f, mode)[f, mode]
+    table, D = _itw_table(rho, f, mode)
+    return from_keys(table[f, mode], D)
 
 
 def eval_itw(rho: TimedWord, t, f: Formula) -> bool:
@@ -166,16 +199,27 @@ def eval_itw(rho: TimedWord, t, f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # timed state sequences
 
+def _its_table(kappa: TimedStateSequence, f: Formula, mode: str):
+    require_beta_free(f, "interval-based")
+    steps = [iv for _, iv in kappa.steps]
+    D = time_base([v for iv in steps for v in (iv.lo.value, iv.hi.value)]
+                  + finite_window_bounds(f))
+    keys = [interval_keys(iv, D) for iv in steps]
+    start, end = scaled([tss_start(kappa), tss_duration(kappa)], D)
+    domain = (3 * start, 3 * end)
+    return _sat_dense(lambda name: [k for (props, _), k in zip(kappa.steps, keys)
+                                    if name in props],
+                      domain, D, f, mode), D
+
+
 def sat_sets_its(kappa: TimedStateSequence, f: Formula, mode: str = EXACT) -> dict:
     """The fold table: Sat(g) per (subformula g, mode), in `subformulas` order."""
-    require_beta_free(f, "interval-based")
-    domain = interval(tss_start(kappa), tss_duration(kappa))
-    return _sat_dense(lambda name: (iv for props, iv in kappa.steps if name in props),
-                      domain, f, mode)
+    return _converted(*_its_table(kappa, f, mode))
 
 
 def sat_set_its(kappa: TimedStateSequence, f: Formula, mode: str = EXACT) -> IntervalSet:
-    return sat_sets_its(kappa, f, mode)[f, mode]
+    table, D = _its_table(kappa, f, mode)
+    return from_keys(table[f, mode], D)
 
 
 def eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
@@ -210,4 +254,8 @@ def eval_itw_lasso(l: Lasso, f: Formula, cut=None) -> Verdict3:
     """Three-valued verdict at time 0; exact whenever f is bounded."""
     require_beta_free(f, "interval-based")
     w = unroll(l, cut if cut is not None else lasso_cut(l, f))
-    return _lasso_verdict(f, lambda mode: sat_set_itw(w, f, mode).member(Fraction(0)))
+    return _lasso_verdict(f, lambda mode: _holds_at_zero(_itw_table(w, f, mode)[0][f, mode]))
+
+
+def _holds_at_zero(keys: list) -> bool:
+    return bool(keys) and keys[0][0] == 0

@@ -5,16 +5,25 @@ normalized finite unions (disjoint, sorted, adjacency merged).  All endpoint
 arithmetic is exact: finite values are `fractions.Fraction`, the missing upper
 bound is `math.inf` (never closed).
 
-Endpoints are compared through (value, epsilon) keys: a closed end has
-epsilon 0, an open lower end +1, an open upper end -1.  A key pair
-(lo_key, hi_key) denotes a non-empty interval exactly when lo_key <= hi_key,
-which makes membership, intersection and adjacency checks plain tuple
-comparisons.
+The set operations run on an integer time base.  D, the least common multiple
+of the denominators involved (`time_base`), turns every finite value v into
+the integer vD, and an endpoint into one int key: 3vD for a closed end, +1 for
+an open lower end, -1 for an open upper end.  Keys order endpoints exactly as
+(value, epsilon) pairs do, so a key pair (lo, hi) denotes a non-empty interval
+exactly when lo <= hi, t is in it exactly when lo <= 3tD <= hi, and flipping
+an upper end into the lower end of what follows it is hi + 1 (lower into upper,
+lo - 1).  The missing upper bound keeps the key `INF`.  A key list is a sorted
+list of such pairs.
 
-Set operations assume normalized operands and return normalized results:
-`intersect` and `difference` are single linear sweeps over the two sorted part
-lists (the representation of Maler & Nickovic, FORMATS 2004) and never
-re-sort.  `from_intervals` normalizes arbitrary input; constructing
+The engines scale their inputs once per evaluation, run every set operation
+on key lists (`normalize_keys`, `intersect_keys`, `difference_keys` and
+`back_shift_keys`) and convert only their results back (`from_keys`).  Every
+endpoint they produce is an input time plus or minus window bounds, so
+nothing leaves the base.  `IntervalSet`'s own operations bring their operands
+onto a common base per call and run the same sweeps.  `intersect_keys` and
+`difference_keys` are single linear sweeps over the two sorted lists (the
+representation of Maler & Nickovic, FORMATS 2004) and never re-sort.
+`IntervalSet.from_intervals` normalizes arbitrary input; constructing
 `IntervalSet(parts)` directly is only valid with parts that are already
 normalized.
 """
@@ -64,7 +73,8 @@ class Bound:
     closed: bool
 
     def __post_init__(self):
-        if self.value == INF and self.closed:
+        # the isinstance test spares finite values a slow Fraction == float comparison
+        if self.closed and isinstance(self.value, float) and self.value == INF:
             raise MtlsemError("an infinite bound cannot be closed")
 
 
@@ -78,10 +88,18 @@ class Interval:
     def __post_init__(self):
         if self.lo.value < 0:
             raise MtlsemError("intervals live over nonnegative values")
-        if self.lo.value == INF:
+        if isinstance(self.lo.value, float) and self.lo.value == INF:
             raise MtlsemError("lower bound must be finite")
-        if not _nonempty(_lo_key(self.lo), _hi_key(self.hi)):
+        if not _lo_key(self.lo) <= _hi_key(self.hi):
             raise MtlsemError(f"empty interval: {_fmt(self.lo, self.hi)}")
+
+    def __hash__(self) -> int:
+        # computed once: formulas are interned by a key holding their window
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.lo, self.hi))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def is_punctual(self) -> bool:
@@ -93,9 +111,9 @@ class Interval:
     def intersect(self, other: "Interval") -> "Interval | None":
         lo = max(_lo_key(self.lo), _lo_key(other.lo))
         hi = min(_hi_key(self.hi), _hi_key(other.hi))
-        if not _nonempty(lo, hi):
+        if not lo <= hi:
             return None
-        return _from_keys(lo, hi)
+        return Interval(Bound(lo[0], lo[1] == 0), Bound(hi[0], hi[1] == 0))
 
     def __str__(self) -> str:
         return _fmt(self.lo, self.hi)
@@ -127,23 +145,13 @@ def parse_interval(text: str) -> Interval:
     return interval(rational(lo_s), hi, lbr == "[", rbr == "]")
 
 
-# ---------------------------------------------------------------------------
-# endpoint keys
-
 def _lo_key(b: Bound):
+    """A single interval's lower end as a (value, epsilon) pair, for point tests."""
     return (b.value, 0 if b.closed else 1)
 
 
 def _hi_key(b: Bound):
     return (b.value, 0 if b.closed else -1)
-
-
-def _nonempty(lo_key, hi_key) -> bool:
-    return lo_key <= hi_key
-
-
-def _from_keys(lo_key, hi_key) -> Interval:
-    return Interval(Bound(lo_key[0], lo_key[1] == 0), Bound(hi_key[0], hi_key[1] == 0))
 
 
 def _fmt(lo: Bound, hi: Bound) -> str:
@@ -152,17 +160,129 @@ def _fmt(lo: Bound, hi: Bound) -> str:
     return f"{l}{rat_str(lo.value)},{rat_str(hi.value)}{r}"
 
 
-def _mergeable(a: Interval, b: Interval) -> bool:
-    """True when a ∪ b is a single interval, given a.lo <= b.lo in key order."""
-    if b.lo.value < a.hi.value:
-        return True
-    if b.lo.value == a.hi.value:
-        return a.hi.closed or b.lo.closed
-    return False
+# ---------------------------------------------------------------------------
+# the integer time base
+
+def time_base(values) -> int:
+    """D: the least common multiple of the denominators of the finite values."""
+    return math.lcm(*{getattr(v, "denominator", 1) for v in values})  # inf has none
+
+
+def scaled(values, D: int) -> list:
+    """Each finite value times D, as an int."""
+    return [v.numerator * (D // v.denominator) for v in values]
+
+
+def interval_keys(iv: Interval, D: int) -> tuple:
+    """The (lo, hi) key pair of iv on the time base D."""
+    lo, hi = iv.lo, iv.hi
+    lo_key = 3 * (lo.value.numerator * (D // lo.value.denominator)) + (not lo.closed)
+    if isinstance(hi.value, float):  # inf, the one float a bound holds
+        return lo_key, INF
+    return lo_key, 3 * (hi.value.numerator * (D // hi.value.denominator)) - (not hi.closed)
+
+
+def _bound(key, D: int) -> Bound:
+    v = (key + 1) // 3
+    return Bound(Fraction(v, D), key == 3 * v)
+
+
+def from_keys(keys, D: int) -> "IntervalSet":
+    """The IntervalSet of a normalized key list on the time base D."""
+    parts = []
+    for lo, hi in keys:
+        # the keys are valid by construction: skip Interval's re-validation
+        iv = object.__new__(Interval)
+        object.__setattr__(iv, "lo", _bound(lo, D))
+        object.__setattr__(iv, "hi", Bound(INF, False) if hi == INF else _bound(hi, D))
+        parts.append(iv)
+    return IntervalSet(tuple(parts))
+
+
+# ---------------------------------------------------------------------------
+# sweeps over key lists
+
+def normalize_keys(keys) -> list:
+    """Sort key pairs and merge the ones that overlap or touch."""
+    out = []
+    for lo, hi in sorted(keys):
+        if out and lo <= out[-1][1] + 1:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def intersect_keys(a, b) -> list:
+    """Two-pointer merge of two normalized key lists; the result is normalized."""
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        a_lo, a_hi = a[i]
+        b_lo, b_hi = b[j]
+        lo = a_lo if a_lo > b_lo else b_lo
+        if a_hi <= b_hi:
+            if lo <= a_hi:
+                out.append((lo, a_hi))
+            i += 1
+        else:
+            if lo <= b_hi:
+                out.append((lo, b_hi))
+            j += 1
+    return out
+
+
+def difference_keys(a, b) -> list:
+    """One sweep: each part of a loses the parts of b that overlap it."""
+    out = []
+    j, nb = 0, len(b)
+    for lo, hi in a:
+        while j < nb and b[j][1] < lo:
+            j += 1
+        k = j
+        while k < nb and b[k][0] <= hi:
+            b_lo, b_hi = b[k]
+            if lo < b_lo:
+                out.append((lo, b_lo - 1))
+            if b_hi >= hi:
+                break  # b covers the rest of this part
+            lo = b_hi + 1
+            k += 1
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def back_shift_keys(lo, hi, w_lo, w_hi):
+    """back_shift on keys: the bases of the witnesses (lo, hi) through window (w_lo, w_hi)."""
+    if w_lo == 0:  # a witness lies strictly in the future: drop 0 from the window
+        if w_hi < 1:
+            return None
+        w_lo = 1
+    if w_hi == INF:
+        b_lo = 0
+    else:
+        b_lo = lo - w_hi  # the offsets of two ends add; two open ends make one open end
+        if b_lo % 3 == 2:
+            b_lo -= 1
+        if b_lo < 0:
+            b_lo = 0
+    b_hi = hi - w_lo
+    if b_hi != INF and b_hi % 3 == 1:
+        b_hi += 1
+    return (b_lo, b_hi) if b_lo <= b_hi else None
 
 
 # ---------------------------------------------------------------------------
 # normalized unions
+
+def _on_base(*sets):
+    """A common time base for the sets, and each set's key list on it."""
+    D = time_base(v for s in sets for p in s for v in (p.lo.value, p.hi.value))
+    return D, [[interval_keys(p, D) for p in s] for s in sets]
+
 
 @dataclass(frozen=True)
 class IntervalSet:
@@ -183,16 +303,8 @@ class IntervalSet:
 
     @staticmethod
     def from_intervals(ivs) -> "IntervalSet":
-        items = sorted(ivs, key=lambda iv: (_lo_key(iv.lo), _hi_key(iv.hi)))
-        merged: list[Interval] = []
-        for iv in items:
-            if merged and _mergeable(merged[-1], iv):
-                last = merged[-1]
-                hi = max(_hi_key(last.hi), _hi_key(iv.hi))
-                merged[-1] = _from_keys(_lo_key(last.lo), hi)
-            else:
-                merged.append(iv)
-        return IntervalSet(tuple(merged))
+        D, (keys,) = _on_base(tuple(ivs))
+        return from_keys(normalize_keys(keys), D)
 
     @property
     def is_empty(self) -> bool:
@@ -205,51 +317,12 @@ class IntervalSet:
         return IntervalSet.from_intervals(self.parts + other.parts)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        """Two-pointer merge of the sorted part lists; the result is already normal."""
-        a, b = self.parts, other.parts
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            x, y = a[i], b[j]
-            x_lo, x_hi = _lo_key(x.lo), _hi_key(x.hi)
-            y_lo, y_hi = _lo_key(y.lo), _hi_key(y.hi)
-            lo, hi = max(x_lo, y_lo), min(x_hi, y_hi)
-            if _nonempty(lo, hi):
-                if lo == x_lo and hi == x_hi:
-                    out.append(x)
-                elif lo == y_lo and hi == y_hi:
-                    out.append(y)
-                else:
-                    out.append(_from_keys(lo, hi))
-            if x_hi <= y_hi:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet(tuple(out))
+        D, (a, b) = _on_base(self.parts, other.parts)
+        return from_keys(intersect_keys(a, b), D)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        """One sweep: each part of self loses the parts of other that overlap it."""
-        b = other.parts
-        out = []
-        j = 0
-        for x in self.parts:
-            x_lo, x_hi = _lo_key(x.lo), _hi_key(x.hi)
-            while j < len(b) and _hi_key(b[j].hi) < x_lo:
-                j += 1
-            lo = x_lo
-            k = j
-            while k < len(b) and _lo_key(b[k].lo) <= x_hi:
-                b_lo, b_hi = _lo_key(b[k].lo), _hi_key(b[k].hi)
-                left_hi = (b_lo[0], b_lo[1] - 1)  # flip lower bound into an upper one
-                if _nonempty(lo, left_hi):
-                    out.append(_from_keys(lo, left_hi))
-                lo = (b_hi[0], b_hi[1] + 1)  # flip upper bound into a lower one
-                k += 1
-            if k == j:  # nothing of other overlaps x
-                out.append(x)
-            elif _nonempty(lo, x_hi):
-                out.append(_from_keys(lo, x_hi))
-        return IntervalSet(tuple(out))
+        D, (a, b) = _on_base(self.parts, other.parts)
+        return from_keys(difference_keys(a, b), D)
 
     def complement(self, domain: Interval) -> "IntervalSet":
         dom = IntervalSet.of(domain)
@@ -279,21 +352,6 @@ def back_shift(q: Interval, i: Interval) -> Interval | None:
     back through the constraint interval i, dropping 0 from i first because a
     witness must lie strictly in the future.  Always convex; None when empty.
     """
-    i_lo, i_hi = i.lo, i.hi
-    if i_lo.value == 0 and i_lo.closed:
-        i_lo = Bound(Fraction(0), False)
-        if not _nonempty(_lo_key(i_lo), _hi_key(i_hi)):
-            return None  # constraint was the single point 0: no strict-future witness
-    lo_val = q.lo.value - i_hi.value if i_hi.value != INF else -INF
-    lo_closed = q.lo.closed and i_hi.closed
-    hi_val = q.hi.value - i_lo.value
-    hi_closed = q.hi.closed and i_lo.closed
-    if lo_val < 0:
-        lo_val, lo_closed = Fraction(0), True
-    if hi_val < 0:
-        return None
-    lo_key = (lo_val, 0 if lo_closed else 1)
-    hi_key = (hi_val, 0 if hi_closed else -1)
-    if not _nonempty(lo_key, hi_key):
-        return None
-    return _from_keys(lo_key, hi_key)
+    D, ([q_keys], [i_keys]) = _on_base((q,), (i,))
+    keys = back_shift_keys(*q_keys, *i_keys)
+    return None if keys is None else from_keys([keys], D).parts[0]

@@ -33,6 +33,13 @@ either fires, the bases whose window reaches past the cut are already decided
 (none of them for the window exit, all of them for the cover exit).  A base
 thus costs the witnesses its window holds, and under an unbounded F or G the
 witnesses before the first one that serves it.
+
+The walks run on an integer time base (see `intervals`).  `sat_sets_mx` and
+`sat_set_mx` take D once, from `cw.times` and `finite_window_bounds(f)`; block
+times, windows, the cut and the gap sets are then ints and key lists.  The
+gap keys are converted back to an `IntervalSet` only in the returned
+`MixedSet`s: the root's for `sat_set_mx`, the whole table's for
+`sat_sets_mx`.  Lasso verdicts read the root's grid points directly.
 """
 
 from __future__ import annotations
@@ -47,17 +54,21 @@ from .formulas import (
     Formula,
     Not,
     Until,
+    finite_window_bounds,
     fold,
 )
 from .intervals import (
     INF,
-    Bound,
-    Interval,
     IntervalSet,
-    back_shift,
-    interval,
-    punctual,
+    back_shift_keys,
+    difference_keys,
+    from_keys,
+    intersect_keys,
+    interval_keys,
+    normalize_keys,
     rational,
+    scaled,
+    time_base,
 )
 from .structures import CompactTimedWord, Lasso, compact_duration, unroll
 from .encodings import block_index_at, compact
@@ -107,11 +118,11 @@ class MixedSet:
 
 
 class _Word:
-    """Per-word geometry shared by all subformula evaluations."""
+    """Per-word geometry shared by all subformula evaluations, on the time base D."""
 
-    def __init__(self, cw: CompactTimedWord):
+    def __init__(self, cw: CompactTimedWord, D: int):
         self.cw = cw
-        self.times = cw.times
+        self.times = scaled(cw.times, D)
         self.sizes = tuple(len(acts) for acts, _ in cw.blocks)
         self.n = len(cw.blocks)
         self.cut = self.times[-1]
@@ -120,26 +131,22 @@ class _Word:
         self.first = [0]  # index in `order` of each block's offset 0, then len(order)
         for size in self.sizes:
             self.first.append(self.first[-1] + size)
-        self.gaps = tuple(
-            interval(self.times[k], self.times[k + 1], False, False)
-            for k in range(self.n - 1))
-        self.all_gaps = IntervalSet.from_intervals(self.gaps)
+        self.gaps = [(3 * self.times[k] + 1, 3 * self.times[k + 1] - 1)
+                     for k in range(self.n - 1)]
 
-    def gap_slices(self, s: IntervalSet):
-        """s intersected with each gap, in one sweep over parts and gaps together."""
-        times, gaps = self.times, self.gaps
+    def gap_slices(self, s: list) -> list:
+        """The key list s intersected with each gap, in one sweep over parts and gaps."""
+        gaps = self.gaps
         slices = [[] for _ in gaps]
         m = 0
-        for p in s.parts:
-            while m < len(gaps) and times[m + 1] <= p.lo.value:
+        for lo, hi in s:
+            while m < len(gaps) and gaps[m][1] < lo:
                 m += 1
             k = m
-            while k < len(gaps) and times[k] < p.hi.value:
-                piece = p.intersect(gaps[k])
-                if piece is not None:
-                    slices[k].append(piece)
+            while k < len(gaps) and gaps[k][0] <= hi:
+                slices[k].append((max(lo, gaps[k][0]), min(hi, gaps[k][1])))
                 k += 1
-        return tuple(IntervalSet(tuple(sl)) for sl in slices)
+        return slices
 
 
 class _UntilFacts:
@@ -157,9 +164,9 @@ class _UntilFacts:
     p (an index into `wd.order`) where g holds and where f fails.
     """
 
-    def __init__(self, wd: _Word, f: MixedSet, g: MixedSet, f_gap, g_gap):
-        self.g_at = _next_true([p in g.points for p in wd.order])
-        self.not_f_at = _next_true([p not in f.points for p in wd.order])
+    def __init__(self, wd: _Word, f_points, g_points, f_gap, g_gap):
+        self.g_at = _next_true([p in g_points for p in wd.order])
+        self.not_f_at = _next_true([p not in f_points for p in wd.order])
         self.cands = []
         witness, fail = [], []
         for k in range(wd.n):
@@ -167,11 +174,15 @@ class _UntilFacts:
             witness.append(self.g_at[start] < end and self.g_at[start] <= self.not_f_at[start])
             fail.append(self.not_f_at[start] < end)
             if k < wd.n - 1:
-                window = _anchored_prefix(f_gap[k], wd.times[k])
-                self.cands.append(() if window is None else
-                                  g_gap[k].intersect(IntervalSet.of(window)).parts)
+                gap, f_k = wd.gaps[k], f_gap[k]
+                if f_k and f_k[0][0] == gap[0]:
+                    # the anchored prefix, as a witness window (start, sup]
+                    window = (gap[0], 3 * ((f_k[0][1] + 1) // 3))
+                    self.cands.append(intersect_keys(g_gap[k], [window]))
+                else:
+                    self.cands.append([])
                 witness.append(bool(self.cands[k]))
-                fail.append(not f_gap[k].covers(wd.gaps[k]))
+                fail.append(f_k != [gap])
         self.size = len(witness)
         self.next_witness = _next_true(witness)
         self.next_fail = _next_true(fail)
@@ -193,127 +204,118 @@ def _next_true(flags) -> list:
     return out
 
 
-def _shifted_window(t: Fraction, w: Interval) -> Interval:
-    hi = INF if w.hi.value == INF else t + w.hi.value
-    return Interval(Bound(t + w.lo.value, w.lo.closed), Bound(hi, w.hi.closed))
-
-
-def _anchored_prefix(parts: IntervalSet, start: Fraction) -> Interval | None:
-    """The part starting at the gap's left end, as a witness window (start, sup]."""
-    if parts.parts and parts.parts[0].lo.value == start:
-        return Interval(Bound(start, False), Bound(parts.parts[0].hi.value, True))
-    return None
-
-
-def _anchored_suffix(parts: IntervalSet, end: Fraction) -> Fraction | None:
-    """Greatest-lower value l such that (l, end) lies inside one part, or None."""
-    if parts.parts and parts.parts[-1].hi.value == end:
-        return parts.parts[-1].lo.value
-    return None
-
-
-def _until_grid_base(wd: _Word, k: int, j: int, facts, w, mode) -> bool:
+def _until_grid_base(wd: _Word, k: int, j: int, facts, w, sup, mode) -> bool:
     """Decide f U_w g at grid point (k, j), visiting only witnesses up to t + sup w."""
+    w_lo, w_hi = w
     t = wd.times[k]
     p, end = wd.first[k] + j + 1, wd.first[k + 1]  # the rest of the block
     g_p, not_f_p = facts.g_at[p], facts.not_f_at[p]
-    if g_p < end and g_p <= not_f_p and w.contains(Fraction(0)):
+    if g_p < end and g_p <= not_f_p and w_lo == 0:  # w holds 0
         return True
     if not_f_p < end:
         return False
-    shifted = None
     for i in facts.witnesses(2 * k + 1):
-        if wd.times[(i - 1) // 2] - t >= w.hi.value:
+        if wd.times[(i - 1) // 2] - t >= sup:
             return False  # past the left end of the gap at or before i: out of the window
         m, in_gap = divmod(i, 2)
         if in_gap:
-            shifted = shifted or _shifted_window(t, w)
-            if any(c.intersect(shifted) is not None for c in facts.cands[m]):
+            s_lo, s_hi = w_lo + 3 * t, w_hi + 3 * t  # the window shifted to t
+            if any(max(c_lo, s_lo) <= min(c_hi, s_hi) for c_lo, c_hi in facts.cands[m]):
                 return True
-        elif w.contains(wd.times[m] - t):
+        elif w_lo <= 3 * (wd.times[m] - t) <= w_hi:
             return True
     if mode == OPTIMISTIC and facts.next_fail[2 * k + 1] == facts.size:
-        return w.hi.value == INF or t + w.hi.value > wd.cut
+        return t + sup > wd.cut
     return False
 
 
-def _until_gap_bases(wd: _Word, m0: int, f_gap, g_gap, facts, w, mode) -> list:
-    """Base intervals inside gap m0 satisfying f U_w g, walking forward symbolically."""
+def _until_gap_bases(wd: _Word, m0: int, f_gap, g_gap, facts, w, sup, mode) -> list:
+    """Base keys inside gap m0 satisfying f U_w g, walking forward symbolically."""
     beta_ = wd.times[m0 + 1]
+    gap, f_m0 = wd.gaps[m0], f_gap[m0]
     # witnesses inside the same gap: the plain dense decomposition
-    out = _until_bases(f_gap[m0], g_gap[m0], w, wd.gaps[m0])
-    # witnesses past the gap need its f-suffix
-    suffix_lo = _anchored_suffix(f_gap[m0], beta_)
-    if suffix_lo is None:
+    out = _until_bases(f_m0, g_gap[m0], w, gap)
+    # witnesses past the gap need its f-suffix, the part reaching the gap's end
+    if not f_m0 or f_m0[-1][1] != gap[1]:
         return out
-    zone = Interval(Bound(suffix_lo, True), Bound(beta_, False)).intersect(wd.gaps[m0])
-    if zone is None:
-        return out
+    zone = (max(3 * ((f_m0[-1][0] + 1) // 3), gap[0]), gap[1])
 
-    def collect(region_or_point) -> bool:
+    def collect(lo, hi) -> bool:
         """Add the bases this witness serves; True once they are the whole zone."""
-        base = back_shift(region_or_point, w)
-        piece = None if base is None else base.intersect(zone)
-        if piece is not None:
-            out.append(piece)
+        base = back_shift_keys(lo, hi, *w)
+        if base is None:
+            return False
+        piece = (max(base[0], zone[0]), min(base[1], zone[1]))
+        if piece[0] > piece[1]:
+            return False
+        out.append(piece)
         return piece == zone
 
-    end = INF if w.hi.value == INF else beta_ + w.hi.value
+    end = beta_ + sup
     for i in facts.witnesses(2 * m0 + 2):
         m, in_gap = divmod(i, 2)
         if wd.times[m] >= end:
             return out  # every later witness lies past the window of every base
-        regions = facts.cands[m] if in_gap else (punctual(wd.times[m]),)
-        if any(collect(q) for q in regions):
+        regions = facts.cands[m] if in_gap else ((3 * wd.times[m], 3 * wd.times[m]),)
+        if any(collect(*q) for q in regions):
             return out
     if mode == OPTIMISTIC and facts.next_fail[2 * m0 + 2] == facts.size:
         # bases whose window reaches strictly past the cut
-        reach = back_shift(Interval(Bound(wd.cut, False), Bound(INF, False)), w)
+        reach = back_shift_keys(3 * wd.cut + 1, INF, *w)
         if reach is not None:
-            piece = reach.intersect(zone)
-            if piece is not None:
+            piece = (max(reach[0], zone[0]), min(reach[1], zone[1]))
+            if piece[0] <= piece[1]:
                 out.append(piece)
     return out
 
 
-def _until_mixed(wd: _Word, f: MixedSet, g: MixedSet, w: Interval, mode) -> MixedSet:
-    f_gap = wd.gap_slices(f.gap)
-    g_gap = wd.gap_slices(g.gap)
-    facts = _UntilFacts(wd, f, g, f_gap, g_gap)
+def _until_mixed(wd: _Word, f: tuple, g: tuple, w: tuple, mode) -> tuple:
+    f_gap = wd.gap_slices(f[1])
+    g_gap = wd.gap_slices(g[1])
+    facts = _UntilFacts(wd, f[0], g[0], f_gap, g_gap)
+    sup = INF if w[1] == INF else (w[1] + 1) // 3
     points = frozenset(
         (k, j) for (k, j) in wd.grid
-        if _until_grid_base(wd, k, j, facts, w, mode))
+        if _until_grid_base(wd, k, j, facts, w, sup, mode))
     pieces = []
     for m0 in range(wd.n - 1):
-        pieces.extend(_until_gap_bases(wd, m0, f_gap, g_gap, facts, w, mode))
-    return MixedSet(points, IntervalSet.from_intervals(pieces))
+        pieces.extend(_until_gap_bases(wd, m0, f_gap, g_gap, facts, w, sup, mode))
+    return points, normalize_keys(pieces)
+
+
+def _mx_table(cw: CompactTimedWord, f: Formula, mode: str):
+    """The table of (grid points, gap keys) per subformula, and its time base."""
+    D = time_base([*cw.times, *finite_window_bounds(f)])
+    wd = _Word(cw, D)
+    beta_points = frozenset((k, 0) for k in range(wd.n))
+
+    def visit(node, m, l=None, r=None) -> tuple:
+        match node:
+            case Atom(name):
+                return (frozenset((k, j) for (k, j) in wd.grid if cw.blocks[k][0][j] == name),
+                        [])
+            case Beta():
+                return beta_points, wd.gaps
+            case Not():
+                return wd.grid - l[0], difference_keys(wd.gaps, l[1])
+            case And():
+                return l[0] & r[0], intersect_keys(l[1], r[1])
+            case Until(_, w, _):
+                return _until_mixed(wd, l, r, interval_keys(w, D), m)
+    return fold(f, visit, mode, _FLIP.__getitem__), D
 
 
 def sat_sets_mx(cw: CompactTimedWord, f: Formula, mode: str = EXACT) -> dict:
     """The fold table: Sat(g) per (subformula g, mode), in `subformulas` order."""
-    wd = _Word(cw)
-    beta_points = frozenset((k, 0) for k in range(wd.n))
-
-    def visit(node, m, l=None, r=None) -> MixedSet:
-        match node:
-            case Atom(name):
-                return MixedSet(
-                    frozenset((k, j) for (k, j) in wd.grid if cw.blocks[k][0][j] == name),
-                    IntervalSet.empty())
-            case Beta():
-                return MixedSet(beta_points, wd.all_gaps)
-            case Not():
-                return MixedSet(wd.grid - l.points, wd.all_gaps.difference(l.gap))
-            case And():
-                return MixedSet(l.points & r.points, l.gap.intersect(r.gap))
-            case Until(_, w, _):
-                return _until_mixed(wd, l, r, w, m)
-    return fold(f, visit, mode, _FLIP.__getitem__)
+    table, D = _mx_table(cw, f, mode)
+    return {key: MixedSet(points, from_keys(gap, D)) for key, (points, gap) in table.items()}
 
 
 def sat_set_mx(cw: CompactTimedWord, f: Formula, mode: str = EXACT) -> MixedSet:
     """Exactly the in-domain pairs (t, j) where the compact word satisfies f."""
-    return sat_sets_mx(cw, f, mode)[f, mode]
+    table, D = _mx_table(cw, f, mode)
+    points, gap = table[f, mode]
+    return MixedSet(points, from_keys(gap, D))
 
 
 def eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
@@ -329,4 +331,4 @@ def eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
 def eval_mx_lasso(l: Lasso, f: Formula, cut=None) -> Verdict3:
     """Three-valued verdict at (0, 0); exact whenever f is bounded."""
     cw = compact(unroll(l, cut if cut is not None else lasso_cut(l, f)))
-    return _lasso_verdict(f, lambda mode: (0, 0) in sat_set_mx(cw, f, mode).points)
+    return _lasso_verdict(f, lambda mode: (0, 0) in _mx_table(cw, f, mode)[0][f, mode][0])

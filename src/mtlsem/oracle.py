@@ -18,10 +18,12 @@ the base's own block lies at distance 0 from it.
 Piecewise constancy itself is checked empirically by double sampling in the
 test suite, not assumed silently.
 
-The oracles keep two traversals of their own, a memoized recursion over
-positions (pw) and one over pieces (itw, its, mx), and do not use the
-engines' `formulas.fold`, so a fault there cannot hide in both.  Only
-`differential`, which compares an engine with its oracle, calls the engines.
+The oracles keep two traversals of their own, one over positions (pw),
+evaluated on demand, and one over pieces (itw, its, mx).  Both run on the
+oracle's own explicit stack (`_demand`), not on the engines' `formulas.fold`,
+so a fault there cannot hide in both, and they compute on `Fraction`s, not on
+the engines' integer time base.  Only `differential`, which compares an engine
+with its oracle, calls the engines.
 """
 
 from __future__ import annotations
@@ -99,7 +101,10 @@ def critical_values(structure, f: Formula):
 
 def critical_points(structure, f: Formula):
     """Critical values plus the midpoint of every neighbouring pair, sorted."""
-    vals = critical_values(structure, f)
+    return _with_midpoints(critical_values(structure, f))
+
+
+def _with_midpoints(vals) -> list:
     out = list(vals)
     for a, b in zip(vals, vals[1:]):
         out.append((a + b) / 2)
@@ -151,35 +156,57 @@ def _piece_index(pieces, t, j=0) -> int:
     raise OutOfDomainError(f"({t}, {j}) is not on the piece grid")
 
 
+def _demand(clauses, root, memo: dict):
+    """The value of query `root`, evaluated on an explicit stack.
+
+    `clauses(query)` is a generator: it yields each sub-query whose value it
+    needs, receives that value, and returns its own.  Sub-queries are asked
+    only when needed, every value is kept in `memo`, and nesting depth costs
+    no Python recursion.
+    """
+    if root in memo:
+        return memo[root]
+    stack = [(root, clauses(root))]
+    value = None
+    while stack:
+        query, steps = stack[-1]
+        try:
+            sub = steps.send(value)
+        except StopIteration as done:
+            memo[query] = value = done.value
+            stack.pop()
+            continue
+        if sub in memo:
+            value = memo[sub]
+        else:
+            stack.append((sub, clauses(sub)))
+            value = None
+    return memo[root]
+
+
 def _piece_truth(pieces, atom_truth, f: Formula, beta: bool = False):
     """Bottom-up truth arrays over pieces; Until scans pieces with exact windows.
 
     `beta` admits the position-zero atom, which holds at every piece with j = 0.
     """
-    memo: dict = {}
     n = len(pieces)
 
     def sat(node):
-        got = memo.get(node)
-        if got is not None:
-            return got
         match node:
             case Atom(name):
-                out = [atom_truth(name, p) for p in pieces]
+                return [atom_truth(name, p) for p in pieces]
             case Beta() if beta:
-                out = [p.j == 0 for p in pieces]
+                return [p.j == 0 for p in pieces]
             case Not(arg):
-                out = [not v for v in sat(arg)]
+                return [not v for v in (yield arg)]
             case And(l, r):
-                lv, rv = sat(l), sat(r)
-                out = [a and b for a, b in zip(lv, rv)]
+                lv, rv = (yield l), (yield r)
+                return [a and b for a, b in zip(lv, rv)]
             case Until(l, w, r):
-                lv, rv = sat(l), sat(r)
-                out = [_until_at(i, w, lv, rv) for i in range(n)]
+                lv, rv = (yield l), (yield r)
+                return [_until_at(i, w, lv, rv) for i in range(n)]
             case _:
                 raise TypeError(f"not a formula: {node!r}")
-        memo[node] = out
-        return out
 
     def _until_at(i, w, lv, rv):
         base = pieces[i].rep
@@ -199,20 +226,20 @@ def _piece_truth(pieces, atom_truth, f: Formula, beta: bool = False):
                 return False
         return False
 
-    return sat(f)
+    return _demand(sat, f, {})
 
 
 # ---------------------------------------------------------------------------
 # oracles
 
-def _dense_oracle(structure, f: Formula, atom_truth):
-    """Truth of f at any critical-grid time, from one piece table."""
-    pieces = _pieces(critical_values(structure, f))
+def _dense_oracle(values, f: Formula, atom_truth):
+    """Truth of f at any time on the grid of the critical `values`, from one piece table."""
+    pieces = _pieces(values)
     truth = _piece_truth(pieces, atom_truth, f)
     return lambda t: truth[_piece_index(pieces, t)]
 
 
-def _itw_oracle(rho: TimedWord, f: Formula):
+def _itw_oracle(rho: TimedWord, f: Formula, values):
     stamp_acts = {}
     for a, ts in rho.events:
         stamp_acts.setdefault(ts, set()).add(a)
@@ -220,61 +247,61 @@ def _itw_oracle(rho: TimedWord, f: Formula):
     def atom_truth(name, p):
         return p.is_point and name in stamp_acts.get(p.lo, ())
 
-    return _dense_oracle(rho, f, atom_truth)
+    return _dense_oracle(values, f, atom_truth)
 
 
-def _its_oracle(kappa: TimedStateSequence, f: Formula):
+def _its_oracle(kappa: TimedStateSequence, f: Formula, values):
     def atom_truth(name, p):
         for props, iv in kappa.steps:
             if iv.contains(p.rep):
                 return name in props
         return False
 
-    return _dense_oracle(kappa, f, atom_truth)
+    return _dense_oracle(values, f, atom_truth)
 
 
 def oracle_eval_itw(rho: TimedWord, t, f: Formula) -> bool:
     t = t if isinstance(t, Fraction) else Fraction(t)
     if t < 0 or t > duration(rho):
         raise OutOfDomainError(f"time {t} outside [0, {duration(rho)}]")
-    return _itw_oracle(rho, f)(t)
+    return _itw_oracle(rho, f, critical_values(rho, f))(t)
 
 
 def oracle_eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
     t = t if isinstance(t, Fraction) else Fraction(t)
     if t < tss_start(kappa) or t > tss_duration(kappa):
         raise OutOfDomainError("time outside the covered span")
-    return _its_oracle(kappa, f)(t)
+    return _its_oracle(kappa, f, critical_values(kappa, f))(t)
 
 
 def _pw_oracle(rho: TimedWord, f: Formula):
-    """Literal recursive quantifier evaluation over positions, memoized per word."""
+    """Literal quantifier evaluation over positions, on demand and memoized per word."""
     times, acts = rho.times, rho.actions
-    memo: dict = {}
 
-    def ev(node, k) -> bool:
-        key = (id(node), k)
-        if key in memo:
-            return memo[key]
+    def ev(query):
+        node, k = query
         match node:
             case Atom(name):
-                out = acts[k] == name
+                return acts[k] == name
             case Not(arg):
-                out = not ev(arg, k)
+                return not (yield arg, k)
             case And(l, r):
-                out = ev(l, k) and ev(r, k)
+                return (yield l, k) and (yield r, k)
             case Until(l, w, r):
-                out = any(
-                    w.contains(times[j] - times[k])
-                    and ev(r, j)
-                    and all(ev(l, m) for m in range(k + 1, j))
-                    for j in range(k + 1, len(times)))
+                for j in range(k + 1, len(times)):
+                    if not (w.contains(times[j] - times[k]) and (yield r, j)):
+                        continue
+                    for m in range(k + 1, j):
+                        if not (yield l, m):
+                            break
+                    else:
+                        return True
+                return False
             case _:
                 raise TypeError(f"not a formula: {node!r}")
-        memo[key] = out
-        return out
 
-    return lambda i: ev(f, i)
+    memo: dict = {}
+    return lambda i: _demand(ev, (f, i), memo)
 
 
 def oracle_eval_pw(rho: TimedWord, i: int, f: Formula) -> bool:
@@ -283,11 +310,11 @@ def oracle_eval_pw(rho: TimedWord, i: int, f: Formula) -> bool:
     return _pw_oracle(rho, f)(i)
 
 
-def _mx_oracle(cw: CompactTimedWord, f: Formula):
+def _mx_oracle(cw: CompactTimedWord, f: Formula, values):
     """The dense pieces from the first block on, one point per block position."""
     blocks = {t: acts for acts, t in cw.blocks}
     pieces = []
-    for p in _pieces(critical_values(cw, f)):
+    for p in _pieces(values):
         if p.is_point and p.lo in blocks:
             pieces.extend(_Piece(p.lo, p.lo, True, j) for j in range(len(blocks[p.lo])))
         elif p.lo >= cw.times[0]:
@@ -302,7 +329,7 @@ def _mx_oracle(cw: CompactTimedWord, f: Formula):
 
 def oracle_eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
     t = t if isinstance(t, Fraction) else Fraction(t)
-    return _mx_oracle(cw, f)(t, j)
+    return _mx_oracle(cw, f, critical_values(cw, f))(t, j)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +341,9 @@ def differential(engine: str, structure, f: Formula):
     `engine` is pw, itw, its or mx; `structure` is the timed word, state
     sequence or compact word it reads.  The samples are every position (pw),
     every critical point (itw, its), or every grid position and every critical
-    point off the block times (mx).  Each oracle table is built once.  A
-    divergence is {"at": sample, "engine": verdict, "oracle": verdict}.
+    point off the block times (mx).  The critical values are computed once,
+    for the oracle table and the samples, and each oracle table is built once.
+    A divergence is {"at": sample, "engine": verdict, "oracle": verdict}.
     """
     if engine == "pw":
         got, truth = sat_positions(structure, f), _pw_oracle(structure, f)
@@ -323,16 +351,17 @@ def differential(engine: str, structure, f: Formula):
     elif engine in ("itw", "its"):
         sat_set, oracle = ((sat_set_itw, _itw_oracle) if engine == "itw"
                            else (sat_set_its, _its_oracle))
-        got, truth = sat_set(structure, f), oracle(structure, f)
-        checks = ((rat_str(t), got.member(t), truth(t))
-                  for t in critical_points(structure, f))
+        vals = critical_values(structure, f)
+        got, truth = sat_set(structure, f), oracle(structure, f, vals)
+        checks = ((rat_str(t), got.member(t), truth(t)) for t in _with_midpoints(vals))
     else:
-        got, truth = sat_set_mx(structure, f), _mx_oracle(structure, f)
+        vals = critical_values(structure, f)
+        got, truth = sat_set_mx(structure, f), _mx_oracle(structure, f, vals)
         stamps = set(structure.times)
         grid = (([rat_str(t), j], (k, j) in got.points, truth(t, j))
                 for k, (acts, t) in enumerate(structure.blocks) for j in range(len(acts)))
         gaps = (([rat_str(t), 0], got.gap.member(t), truth(t, 0))
-                for t in critical_points(structure, f) if t not in stamps)
+                for t in _with_midpoints(vals) if t not in stamps)
         checks = itertools.chain(grid, gaps)
     for at, mine, want in checks:
         if mine != want:

@@ -46,6 +46,20 @@ def _cli(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+@pytest.mark.parametrize("sem, where", [("pw", ["--position", "1"]),
+                                        ("itw", ["--time", "1/4"]),
+                                        ("mx", ["--time", "0"])])
+def test_cli_oracle_evaluates_deep_negations(tmp_path, capsys, sem, where):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(word_to_json(S0_S1)))
+    common = ["--word", str(path), "--alphabet", ",".join(WIDE.symbols), *where]
+    verdicts = []
+    for text in ("!" * 1000 + "s0", "s0"):
+        code, out = _cli(capsys, "oracle", "--semantics", sem, "--formula", text, *common)
+        verdicts.append((code, json.loads(out)["verdict"]))
+    assert verdicts[0] == verdicts[1], sem
+
+
 @pytest.mark.parametrize("rho, deep, shallow", CASES, ids=["F-sigma", "negations"])
 def test_cli_matches_the_shallow_formula(tmp_path, capsys, rho, deep, shallow):
     path = tmp_path / "w.json"
@@ -97,6 +111,15 @@ CHAINS = {
     "not-1000": (lambda: parse("!" * 1000 + "s0", WIDE),
                  lambda: _negations(1000, Atom("s0"))),
 }
+
+
+def test_nested_parentheses_parse():
+    assert parse("(" * 2000 + "s0" + ")" * 2000, WIDE) is Atom("s0")
+
+
+def test_canonical_text_of_a_deep_chain_parses_back():
+    f = CHAINS["not-1000"][1]()
+    assert parse(to_text(f), WIDE) is f
 
 
 @pytest.mark.parametrize("name", CHAINS)

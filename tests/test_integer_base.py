@@ -1,0 +1,133 @@
+"""The engines on their integer time base: denominators the word and the windows
+do not share, lassos with offsets in thirds, and a base above 2**64.
+
+Each engine scales its inputs by D, the lcm of their denominators, and converts
+only its results back.  Every case is checked against the oracle with
+`oracle.differential`, and every endpoint an engine returns must be a
+`Fraction` again, never a bare int.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from mtlsem.encodings import compact, word_to_tss
+from mtlsem.formulas import alphabet, finite_window_bounds, horizon, parse
+from mtlsem.interval_based import (
+    Verdict3,
+    eval_itw_lasso,
+    lasso_cut,
+    sat_sets_its,
+    sat_sets_itw,
+)
+from mtlsem.intervals import INF, time_base
+from mtlsem.mixed import eval_mx_lasso, sat_sets_mx
+from mtlsem.oracle import differential, oracle_eval_itw, oracle_eval_mx, oracle_eval_pw
+from mtlsem.pointwise import eval_pw_lasso
+from mtlsem.structures import duration, lasso, unroll, validate_tss, word
+
+ABC = alphabet("a,b,c")
+
+# timestamp denominators 3, 7 and 11
+COPRIME = word([("a", "0"), ("b", "2/7"), ("a", "1/3"), ("c", "1/3"), ("b", "5/11"),
+                ("a", "1"), ("c", "10/7"), ("b", "17/11"), ("a", "2")])
+# denominators near 2**61, 2**31 and 2**19: D is far above 2**64
+P61, P31, P19 = 2**61 - 1, 2**31 - 1, 2**19 - 1
+HUGE = word([("a", 0), ("b", Fraction(1, P61)), ("a", Fraction(1, P31)),
+             ("c", Fraction(1, 3)), ("b", Fraction(1, 3) + Fraction(1, P19))])
+KAPPA = validate_tss([
+    [["a"], "[0,2/7]"], [["b"], "(2/7,1/3)"], [["a", "c"], "[1/3,5/11)"],
+    [[], "[5/11,1]"], [["b"], "(1,17/11]"]])
+
+# windows in sixths and tenths, which no timestamp above uses
+FORMULAS = [
+    "F[1/6,5/4] b",
+    "a U(0,7/10) c",
+    "G(a -> F[1/6,5/4] (b | c))",
+    "(a | b) U(2/7,inf) c",
+    "F(0,7/10) (b & F[1/6,5/4] a)",
+    "!(b U[1/3,1/3] a) & G[0,5/4) F(0,7/10] sigma",
+]
+HUGE_FORMULAS = [
+    f"F[0,1/{P19}] b",
+    f"a U({Fraction(1, P61)},1/3] c",
+    f"G(a -> F[1/{P31},1/2] b)",
+]
+MIXED_ONLY = ["F[1/6,5/4] (beta & b)", "!beta U(0,7/10) (a & !beta)"]
+
+CASES = ([(COPRIME, text) for text in FORMULAS]
+         + [(HUGE, text) for text in HUGE_FORMULAS])
+
+
+def _fractions_only(table):
+    for s in table.values():
+        parts = getattr(s, "gap", s).parts
+        for p in parts:
+            for v in (p.lo.value, p.hi.value):
+                assert type(v) is Fraction, (str(s), v)
+
+
+def test_the_huge_case_needs_a_base_above_2_to_the_64():
+    f = parse(HUGE_FORMULAS[1], ABC)
+    assert time_base([*HUGE.times, *finite_window_bounds(f)]) > 2**64
+
+
+@pytest.mark.parametrize("rho, text", CASES)
+def test_word_engines_agree_with_the_oracle(rho, text):
+    f = parse(text, ABC)
+    for engine, structure in (("pw", rho), ("itw", rho), ("its", word_to_tss(rho)),
+                              ("mx", compact(rho))):
+        assert differential(engine, structure, f) is None, (engine, text)
+    _fractions_only(sat_sets_itw(rho, f))
+    _fractions_only(sat_sets_its(word_to_tss(rho), f))
+    _fractions_only(sat_sets_mx(compact(rho), f))
+
+
+@pytest.mark.parametrize("text", FORMULAS)
+def test_state_sequence_agrees_with_the_oracle(text):
+    f = parse(text, ABC)
+    assert differential("its", KAPPA, f) is None
+    _fractions_only(sat_sets_its(KAPPA, f))
+
+
+@pytest.mark.parametrize("text", MIXED_ONLY)
+def test_mixed_position_zero_atom_agrees_with_the_oracle(text):
+    f = parse(text, ABC, allow_beta=True)
+    for rho in (COPRIME, HUGE):
+        assert differential("mx", compact(rho), f) is None, text
+        _fractions_only(sat_sets_mx(compact(rho), f))
+
+
+# a period of 4/3 with offsets in thirds, behind a prefix in sevenths
+THIRDS = lasso(word([("a", "0"), ("b", "2/7"), ("c", "5/7")]),
+               ["c", "a", "b"], ["1/3", "2/3", "4/3"], "4/3")
+BOUNDED = [text for text in FORMULAS if horizon(parse(text, ABC)) != INF]
+
+
+@pytest.mark.parametrize("text", FORMULAS)
+def test_lasso_unroll_agrees_with_the_oracle(text):
+    f = parse(text, ABC)
+    w = unroll(THIRDS, lasso_cut(THIRDS, f))
+    for engine, structure in (("pw", w), ("itw", w), ("mx", compact(w))):
+        assert differential(engine, structure, f) is None, (engine, text)
+
+
+@pytest.mark.parametrize("text", BOUNDED)
+def test_bounded_lasso_verdicts_match_the_oracle(text):
+    f = parse(text, ABC)
+    deep = unroll(THIRDS, duration(THIRDS.prefix) + horizon(f) + 2 * THIRDS.period_duration)
+    assert eval_pw_lasso(THIRDS, f) == oracle_eval_pw(deep, 0, f)
+    assert eval_itw_lasso(THIRDS, f) is Verdict3.of(oracle_eval_itw(deep, 0, f))
+    assert eval_mx_lasso(THIRDS, f) is Verdict3.of(oracle_eval_mx(compact(deep), 0, 0, f))
+
+
+def test_period_offsets_enter_the_base():
+    # the window ends 1/210 before the first period event, at 5/7 + 1/3 = 22/21;
+    # on a base without the offset's 3 that event would round into the window
+    l = lasso(word([("a", "0"), ("b", "5/7")]), ["c"], ["1/3"], "2")
+    f = parse("F[0,73/70] c", ABC)
+    deep = unroll(l, 5)
+    assert oracle_eval_pw(deep, 0, f) is False
+    assert eval_pw_lasso(l, f) is False
+    assert eval_itw_lasso(l, f) is Verdict3.FALSE
+    assert eval_mx_lasso(l, f) is Verdict3.FALSE

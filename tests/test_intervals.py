@@ -10,11 +10,14 @@ from mtlsem.intervals import (
     INF,
     IntervalSet,
     back_shift,
+    from_keys,
     interval,
+    interval_keys,
     parse_interval,
     punctual,
     rat_str,
     rational,
+    time_base,
 )
 
 
@@ -104,9 +107,9 @@ class TestSetOps:
 _VALS = [Fraction(n, d) for n in range(0, 9) for d in (1, 2, 3)]
 
 
-def _rand_interval(rng):
-    lo = rng.choice(_VALS)
-    hi = rng.choice([v for v in _VALS if v >= lo] or [lo])
+def _rand_interval(rng, vals=_VALS):
+    lo = rng.choice(vals)
+    hi = rng.choice([v for v in vals if v >= lo] or [lo])
     lo_c = rng.random() < 0.5
     hi_c = rng.random() < 0.5
     if lo == hi:
@@ -302,11 +305,67 @@ def test_gap_slices_by_membership():
     rng = random.Random(24)
     for _ in range(300):
         stamps = sorted(rng.sample(_VALS, rng.randint(1, 7)) + [Fraction(0)])
-        wd = _Word(compact(word([("a", t) for t in stamps])))
         s = _rand_normal_set(rng)
-        slices = wd.gap_slices(s)
+        D = time_base(stamps + [v for p in s.parts for v in (p.lo.value, p.hi.value)])
+        wd = _Word(compact(word([("a", t) for t in stamps])), D)
+        slices = wd.gap_slices([interval_keys(p, D) for p in s.parts])
         assert len(slices) == len(wd.gaps)
         for piece, gap in zip(slices, wd.gaps):
+            piece, gap = from_keys(piece, D), from_keys([gap], D).parts[0]
             _assert_normal(piece)
             for t in _probes(s, gap):
                 assert piece.member(t) == (s.member(t) and gap.contains(t)), (str(s), str(gap), t)
+
+
+# ---------------------------------------------------------------------------
+# the integer time base: coprime denominators, and a base above 2**64
+
+_ODD_VALS = ([Fraction(n, d) for n in range(0, 9) for d in (3, 7, 11)]
+             + [Fraction(1, 6), Fraction(5, 4), Fraction(7, 10),
+                Fraction(1, 2**61 - 1), Fraction(2**64 + 1, 2**31 - 1)])
+
+
+def _assert_fraction_endpoints(s):
+    for p in s.parts:
+        assert type(p.lo.value) is Fraction, str(s)
+        assert type(p.hi.value) is Fraction or p.hi.value == INF, str(s)
+
+
+def test_time_base_is_the_lcm_of_the_denominators():
+    assert time_base([Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), INF]) == 231
+    assert time_base([Fraction(4), Fraction(0)]) == 1
+    assert time_base(_ODD_VALS) > 2**64
+
+
+def test_keys_round_trip_through_the_base():
+    D = time_base(_ODD_VALS)
+    rng = random.Random(26)
+    for _ in range(300):
+        x = _rand_interval(rng, _ODD_VALS)
+        lo, hi = interval_keys(x, D)
+        assert (lo % 3 == 0) == x.lo.closed and (hi == INF or (hi % 3 == 0) == x.hi.closed)
+        back = from_keys([(lo, hi)], D)
+        assert back.parts == (x,)
+        _assert_fraction_endpoints(back)
+
+
+def test_sweeps_and_back_shift_on_coprime_and_huge_denominators():
+    rng = random.Random(25)
+    for _ in range(400):
+        a, b = (IntervalSet.from_intervals(_rand_interval(rng, _ODD_VALS)
+                                           for _ in range(rng.randint(0, 6)))
+                for _ in range(2))
+        union, both, only_a = a.union(b), a.intersect(b), a.difference(b)
+        for s in (a, union, both, only_a):
+            _assert_normal(s)
+            _assert_fraction_endpoints(s)
+        for t in _probes(a, b):
+            assert union.member(t) == (a.member(t) or b.member(t)), (str(a), str(b), t)
+            assert both.member(t) == (a.member(t) and b.member(t)), (str(a), str(b), t)
+            assert only_a.member(t) == (a.member(t) and not b.member(t)), (str(a), str(b), t)
+        q, i = _rand_interval(rng, _ODD_VALS), _rand_interval(rng, _ODD_VALS)
+        got = back_shift(q, i)
+        got_set = IntervalSet.empty() if got is None else IntervalSet.of(got)
+        _assert_fraction_endpoints(got_set)
+        for t in _sample_points(q, i):
+            assert got_set.member(t) == _witness_exists(t, q, i), (str(q), str(i), t)
