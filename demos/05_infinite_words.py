@@ -1,10 +1,13 @@
-"""Infinite words as lassos: exact pointwise verdicts, three-valued dense ones.
+"""Infinite words as lassos: exact verdicts in every relation.
 
-A lasso is a finite prefix plus a repeating timed period.  Pointwise verdicts
-are exact even for unbounded formulas (suffix languages repeat one period
-apart, so Until solves as a fixpoint on a finite quotient).  The dense and
-mixed readings refute unbounded formulas only up to a cut, reporting Unknown
-when an optimistic and a pessimistic completion disagree.
+A lasso is a finite prefix plus a repeating timed period.  Past the prefix
+the word repeats one period apart, so a witness of an unbounded Until can
+always be found within one period past its window's start and the prefix:
+every unbounded window closes at a finite bound, and the lasso unrolls to a
+finite word deep enough for the bounded formula.  Pointwise, dense and mixed
+verdicts are then all exact, even for unbounded formulas.  The paper promises
+only sound three-valued (true/false/unknown) dense and mixed verdicts; exact
+ones go beyond it.
 
 Run with: python3 demos/05_infinite_words.py
 """
@@ -32,25 +35,32 @@ print("the two lassos extend the swap pair by a c every time unit:")
 print("  ", unroll(inf_ba, 6))
 print("  ", unroll(inf_ab, 6))
 
-print("\npointwise verdicts are exact, even for this unbounded formula:")
+print("\npointwise, the unbounded b-then-a tells the two lassos apart:")
 print("  b-then-a on the ba-lasso:", eval_pw_lasso(inf_ba, b_then_a))
 print("  b-then-a on the ab-lasso:", eval_pw_lasso(inf_ab, b_then_a))
 
-print("\nthe dense reading cannot refute an unbounded formula from a finite cut:")
+print("\nthe dense reading refutes it on both: X[0,0] needs a later time at distance 0")
+print("  itw verdict on the ba-lasso:", eval_itw_lasso(inf_ba, b_then_a).value)
 print("  itw verdict on the ab-lasso:", eval_itw_lasso(inf_ab, b_then_a).value)
+
+print("\nunbounded safety and response properties are decided too:")
+ab_period = lasso(word([("a", "0")]), ["a", "b"], ["0", "1/2"], "1")
+for text in ("G !c", "G F b", "G(a -> F[0,1] b)"):
+    f = parse(text, ABC)
+    print(f"  {text:18s} pw {eval_pw_lasso(ab_period, f)}, itw {eval_itw_lasso(ab_period, f).value},"
+          f" mx {eval_mx_lasso(ab_period, f).value}")
 
 gamma2 = parse("F[0,1](F[0,1) b & F[1,1] c)", ABC)
 gamma3 = parse("F(0,1](F[0,1) b & F[1,1] c)", ABC)
 probe = lasso(word([("a", 0), ("c", 0), ("b", 0), ("c", 1), ("c", 3)]),
               ["c"], ["1"], "1")
-print("\nbounded formulas get definite lasso verdicts; here the closed-start")
-print("variant counts positions inside the block at time 0, the open-start")
-print("variant does not:")
+print("\nthe closed-start variant counts positions inside the block at time 0,")
+print("the open-start variant does not:")
 print("  closed start:", eval_mx_lasso(probe, gamma2).value)
 print("  open start:  ", eval_mx_lasso(probe, gamma3).value)
 
 mix_only = parse(
     "F(0,1](F[0,1) b & F[1,1] c) | (F(b & X[0,0] a) & G(0,2] noact)", ABC)
 witness = lasso(word([("c", 0), ("b", 0), ("a", 0), ("c", 5)]), ["c"], ["1"], "1")
-print("\na disjunction whose unbounded part has its witness in the prefix is")
-print("still definite:", eval_mx_lasso(witness, mix_only).value)
+print("\na disjunction whose unbounded part has its witness in the prefix:",
+      eval_mx_lasso(witness, mix_only).value)

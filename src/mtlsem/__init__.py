@@ -14,6 +14,7 @@ from .encodings import (
     block_position,
     compact,
     compact_lasso,
+    lasso_instance,
     stutter_free_preimages,
     to_tss,
     uncompact,

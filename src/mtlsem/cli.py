@@ -3,8 +3,9 @@
 Exit codes: 0 verdict true / success, 1 verdict false, 2 unknown verdict,
 3 input error (malformed JSON shapes name the offending field), 4 internal
 failure (a broken invariant or any unexpected exception, reported in one
-line).  Machine output is JSON on stdout; --pretty switches to an indented
-human layout.
+line).  Exit code 2 stays reserved for an unknown verdict, but lasso
+verdicts are exact in every relation, so no command returns it.  Machine
+output is JSON on stdout; --pretty switches to an indented human layout.
 """
 
 from __future__ import annotations
@@ -133,7 +134,6 @@ def cmd_eval(args, via_oracle: bool = False) -> int:
     sigma = _the_alphabet(args, loaded)
     f = _formula(args, sigma, allow_beta=args.semantics == "mx")
     sem = args.semantics
-    cut = rational(args.horizon) if args.horizon else None
 
     if isinstance(loaded, Lasso):
         if via_oracle:
@@ -141,9 +141,9 @@ def cmd_eval(args, via_oracle: bool = False) -> int:
         if sem == "pw":
             verdict = eval_pw_lasso(loaded, f)
         elif sem == "itw":
-            verdict = eval_itw_lasso(loaded, f, cut=cut)
+            verdict = eval_itw_lasso(loaded, f)
         elif sem == "mx":
-            verdict = eval_mx_lasso(loaded, f, cut=cut)
+            verdict = eval_mx_lasso(loaded, f)
         else:
             raise MtlsemError("state-sequence semantics takes no lasso input")
     elif isinstance(loaded, TimedStateSequence):
@@ -194,7 +194,7 @@ def cmd_satset(args) -> int:
     else:
         raise MtlsemError("satisfaction sets exist for itw, its and mx only")
     sets = []
-    for (sub, _), got in table.items():
+    for sub, got in table.items():
         if sem == "mx":
             sets.append({"formula": to_text(sub),
                          "points": sorted([k, j] for k, j in got.points),
@@ -335,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--position", type=int, help="event position (pw)")
         p.add_argument("--time", help="evaluation time (itw/its/mx)")
         p.add_argument("--pos", type=int, help="intra-timestamp position (mx)")
-        p.add_argument("--horizon", help="override the lasso unroll horizon")
         p.set_defaults(fn=lambda a, flag=oracle_flag: cmd_eval(a, via_oracle=flag))
 
     p = sub.add_parser("satset", help="dump per-subformula satisfaction sets")

@@ -37,7 +37,7 @@ def compile_pw(f: Formula, sigma) -> Formula:
     require_beta_free(f, "pointwise")
     some_action = f_sigma(sigma)
 
-    def step(node, _mode, l=None, r=None) -> Formula:
+    def step(node, l=None, r=None) -> Formula:
         match node:
             case Atom():
                 return node
@@ -49,7 +49,7 @@ def compile_pw(f: Formula, sigma) -> Formula:
                 return And(some_action,
                            Until(f_or(l, Not(some_action)), w, And(r, some_action)))
 
-    return fold(f, step)[f, None]
+    return fold(f, step)[f]
 
 
 def compile_itw(f: Formula, sigma) -> Formula:
@@ -58,7 +58,7 @@ def compile_itw(f: Formula, sigma) -> Formula:
     require_beta_free(f, "interval-based")
     here = interval(0, 0)
 
-    def step(node, _mode, l=None, r=None) -> Formula:
+    def step(node, l=None, r=None) -> Formula:
         match node:
             case Atom():
                 return f_or(node, f_eventually(here, node, sigma))
@@ -69,4 +69,4 @@ def compile_itw(f: Formula, sigma) -> Formula:
             case Until(_, w, _):
                 return Until(f_implies(BETA, l), w, And(BETA, r))
 
-    return fold(f, step)[f, None]
+    return fold(f, step)[f]

@@ -4,7 +4,9 @@
 block; `to_tss` fills the holes between block timestamps with non-punctual
 empty steps, yielding an action-based timed state sequence.  The index helpers
 relate block coordinates (k, j) to word positions and timestamps to block
-indices.
+indices.  `lasso_instance` turns a lasso and a formula into a finite word and
+a bounded formula with the same verdict at the origin, which the finite-word
+engines then decide exactly.
 """
 
 from __future__ import annotations
@@ -14,14 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MtlsemError, OutOfDomainError, SeamStutterError
-from .intervals import interval, punctual, rational
+from .formulas import Formula, Until, fold, horizon
+from .intervals import INF, interval, punctual, rational
 from .structures import (
     CompactTimedWord,
     Lasso,
     TimedStateSequence,
     TimedWord,
     compact_duration,
+    duration,
     mfs_decompose,
+    unroll,
 )
 
 
@@ -103,7 +108,41 @@ def block_index_at(cw: CompactTimedWord, t) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# lassos, blockwise
+# lassos
+
+def lasso_instance(l: Lasso, f: Formula) -> tuple:
+    """A finite word and a bounded formula whose truth at the origin is f's on l.
+
+    Let p be the prefix duration and P the period duration.  Strictly past p
+    the unrolled word read from s and from s + P is the same up to the shift
+    (at p itself the prefix's last event may share its time with a period
+    event of offset 0), so every subformula has the same truth at s and at
+    s + P.  Each unbounded window <l, inf) is therefore closed to
+    <l, max(l, p) + P], bottom-up: a witness t' > max(t + l, p) + P of a base
+    t moves back to t' - P, which is still inside the window, still strictly
+    past p, and has the left operand holding on (t, t' - P).  So some witness
+    lies within max(t + l, p) + P <= t + max(l, p) + P, for every base t >= 0.
+    This holds for every relation: positions, times and lexicographic points
+    alike shift by one period.
+
+    The rewritten formula g is bounded.  Every stretch (x, x + P] with x >= p
+    holds one copy of each period event, so unrolling to max(p, horizon(g)) + P
+    keeps every event up to horizon(g) and one beyond it: the finite word
+    agrees with the lasso wherever g can look from the origin.
+    """
+    p, P = duration(l.prefix), l.period_duration
+
+    def close(node, *kids):
+        if type(node) is not Until:
+            return type(node)(*kids) if kids else node
+        w = node.window
+        if w.hi.value == INF:
+            w = interval(w.lo.value, max(w.lo.value, p) + P, w.lo.closed, True)
+        return Until(kids[0], w, kids[1])
+
+    g = fold(f, close)[f]
+    return unroll(l, max(p, horizon(g)) + P), g
+
 
 @dataclass(frozen=True)
 class CompactLasso:

@@ -94,7 +94,7 @@ class Formula:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __repr__(self) -> str:
-        return fold(self, _repr_node)[self, None]
+        return fold(self, _repr_node)[self]
 
 
 _INTERNED = weakref.WeakValueDictionary()
@@ -122,7 +122,7 @@ class Until(Formula):
     __slots__ = __match_args__ = ("left", "window", "right")
 
 
-def _repr_node(node, _mode, *kids) -> str:
+def _repr_node(node, *kids) -> str:
     kids = iter(kids)
     fields = []
     for name in node.__match_args__:
@@ -131,28 +131,25 @@ def _repr_node(node, _mode, *kids) -> str:
     return f"{type(node).__name__}({', '.join(fields)})"
 
 
-def fold(f: Formula, visit, mode=None, flip=None) -> dict:
-    """Evaluate every distinct (subformula, mode) pair of f once, children first.
+def fold(f: Formula, visit) -> dict:
+    """Evaluate every distinct subformula of f once, children first.
 
-    `visit(node, mode, *operand_values)` receives the values already computed
-    for the node's operands.  The operand of a Not is evaluated in
-    `flip(mode)` when a flip is given, in the same mode otherwise.  The walk
-    uses an explicit stack, so nesting depth is unbounded.  The returned table
-    maps each (node, mode) pair to its value in completion order, which for a
-    single mode is the order of `subformulas`.
+    `visit(node, *operand_values)` receives the values already computed for
+    the node's operands.  The walk uses an explicit stack, so nesting depth is
+    unbounded.  The returned table maps each node to its value in completion
+    order, which is the order of `subformulas`.
     """
     table = {}
-    stack = [(f, mode, False)]
+    stack = [(f, False)]
     while stack:
-        node, m, ready = stack.pop()
-        if (node, m) in table:
+        node, ready = stack.pop()
+        if node in table:
             continue
-        km = flip(m) if flip is not None and type(node) is Not else m
         if ready:
-            table[node, m] = visit(node, m, *[table[c, km] for c in node.children])
+            table[node] = visit(node, *[table[c] for c in node.children])
         else:
-            stack.append((node, m, True))
-            stack.extend((c, km, False) for c in reversed(node.children))
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(node.children))
     return table
 
 
@@ -202,14 +199,14 @@ def f_next(window: Interval, f: Formula, sigma: Alphabet) -> Formula:
 
 def subformulas(f: Formula):
     """Distinct subformulas in bottom-up order (children before parents)."""
-    return [node for node, _ in fold(f, lambda *_: None)]
+    return list(fold(f, lambda *_: None))
 
 
 def uses_beta(f: Formula) -> bool:
-    return fold(f, lambda node, _m, *kids: type(node) is Beta or any(kids))[f, None]
+    return fold(f, lambda node, *kids: type(node) is Beta or any(kids))[f]
 
 
-def _horizon(node, _m, *kids):
+def _horizon(node, *kids):
     inner = max(kids, default=Fraction(0))
     if type(node) is not Until:
         return inner
@@ -219,7 +216,7 @@ def _horizon(node, _m, *kids):
 
 def horizon(f: Formula):
     """Bounded-future lookahead: atoms 0, boolean ops max, Until adds sup I."""
-    return fold(f, _horizon)[f, None]
+    return fold(f, _horizon)[f]
 
 
 def is_bounded(f: Formula) -> bool:
@@ -227,13 +224,13 @@ def is_bounded(f: Formula) -> bool:
 
 
 def temporal_depth(f: Formula) -> int:
-    return fold(f, lambda node, _m, *kids: (type(node) is Until) + max(kids, default=0))[f, None]
+    return fold(f, lambda node, *kids: (type(node) is Until) + max(kids, default=0))[f]
 
 
 def windows(f: Formula):
     """All Until windows, in syntactic order."""
-    return fold(f, lambda node, _m, *kids: (
-        [node.window] if type(node) is Until else []) + sum(kids, []))[f, None]
+    return fold(f, lambda node, *kids: (
+        [node.window] if type(node) is Until else []) + sum(kids, []))[f]
 
 
 def finite_window_bounds(f: Formula):
@@ -248,8 +245,8 @@ def finite_window_bounds(f: Formula):
 
 
 def atoms(f: Formula):
-    return fold(f, lambda node, _m, *kids: (
-        {node.name} if type(node) is Atom else set().union(*kids)))[f, None]
+    return fold(f, lambda node, *kids: (
+        {node.name} if type(node) is Atom else set().union(*kids)))[f]
 
 
 def require_beta_free(f: Formula, semantics: str):
@@ -267,7 +264,7 @@ def _window_str(w: Interval) -> str:
     return f"{l}{rat_str(w.lo.value)},{rat_str(w.hi.value)}{r}"
 
 
-def _text(node, _m, l=None, r=None) -> str:
+def _text(node, l=None, r=None) -> str:
     match node:
         case Atom(name):
             return name
@@ -285,7 +282,7 @@ def _text(node, _m, l=None, r=None) -> str:
 
 def to_text(f: Formula) -> str:
     """Canonical core-syntax rendering; parse(to_text(f)) is structurally f."""
-    return fold(f, _text)[f, None]
+    return fold(f, _text)[f]
 
 
 # ---------------------------------------------------------------------------

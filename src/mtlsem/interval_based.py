@@ -22,13 +22,13 @@ Sets are key lists on an integer time base (see `intervals`).  Each entry
 point takes D once, from the timestamps or the state-sequence endpoints and
 `finite_window_bounds(f)`; the fold runs on ints only.  `sat_set_*` converts
 the root's keys back to an `IntervalSet`, `sat_sets_*` every set of the
-table, and the lasso verdicts read membership of 0 off the keys.
+table.
 
-Lassos get three-valued verdicts from a truncated unroll: evaluation runs
-pessimistically (no witnesses beyond the cut), and when that fails
-optimistically (anything beyond the cut granted); disagreement reports
-Unknown.  Negation swaps the two modes (the flip given to `fold`).  Bounded
-formulas are decided exactly on a horizon-deep unroll instead.
+Lasso verdicts are exact: `encodings.lasso_instance` closes every unbounded
+window at the lasso's period and unrolls the lasso far enough, and the
+verdict is whether 0 lies in the finite word's set.  This goes beyond the
+paper, which promises only sound three-valued verdicts on lassos.
+`Verdict3` keeps its UNKNOWN value, but no lasso verdict takes it.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
+from .encodings import lasso_instance
 from .errors import OutOfDomainError
 from .formulas import (
     And,
@@ -45,12 +46,9 @@ from .formulas import (
     Until,
     finite_window_bounds,
     fold,
-    horizon,
-    is_bounded,
     require_beta_free,
 )
 from .intervals import (
-    INF,
     IntervalSet,
     back_shift_keys,
     difference_keys,
@@ -68,7 +66,6 @@ from .structures import (
     duration,
     tss_duration,
     tss_start,
-    unroll,
 )
 
 
@@ -80,11 +77,6 @@ class Verdict3(enum.Enum):
     @staticmethod
     def of(b: bool) -> "Verdict3":
         return Verdict3.TRUE if b else Verdict3.FALSE
-
-
-EXACT, OPTIMISTIC, PESSIMISTIC = "exact", "opt", "pess"
-
-_FLIP = {EXACT: EXACT, OPTIMISTIC: PESSIMISTIC, PESSIMISTIC: OPTIMISTIC}
 
 
 def _until_bases(f: list, g: list, w: tuple, domain: tuple) -> list:
@@ -114,38 +106,13 @@ def _until_bases(f: list, g: list, w: tuple, domain: tuple) -> list:
     return out
 
 
-def _until_set(f: list, g: list, w: tuple, domain: tuple, mode: str) -> list:
-    out = _until_bases(f, g, w, domain)
-    if mode == OPTIMISTIC:
-        cut = domain[1]  # the closed upper end
-        if f and f[-1][1] == cut:
-            # the left operand holds through the cut: grant a witness beyond it
-            ext = _beyond_cut_bases((f[-1][0] + 1) // 3, cut // 3, w[1])
-            if ext is not None:
-                out.append(ext)
-        if w != (0, 0):
-            # at the cut itself nothing needs to hold in between
-            out.append((cut, cut))
-    return normalize_keys(out)
-
-
-def _beyond_cut_bases(l: int, cut: int, w_hi) -> tuple | None:
-    """Keys of the bases t in [l, cut] whose window t + w reaches strictly past the cut."""
-    if w_hi == INF:
-        return 3 * l, 3 * cut
-    sup = (w_hi + 1) // 3
-    if sup == 0:  # the window never leaves the cut
-        return None
-    return max(3 * l, 3 * (cut - sup) + 1), 3 * cut
-
-
-def _sat_dense(atom_parts, domain: tuple, D: int, f: Formula, mode: str) -> dict:
+def _sat_dense(atom_parts, domain: tuple, D: int, f: Formula) -> dict:
     """The dense algebra on keys: atom_parts(name) are the atom's key pairs,
     negation is complement in the domain, conjunction intersection, Until
-    `_until_set`."""
+    `_until_bases`."""
     full = [domain]
 
-    def visit(node, m, l=None, r=None) -> list:
+    def visit(node, l=None, r=None) -> list:
         match node:
             case Atom(name):
                 return normalize_keys(atom_parts(name))
@@ -154,8 +121,8 @@ def _sat_dense(atom_parts, domain: tuple, D: int, f: Formula, mode: str) -> dict
             case And():
                 return intersect_keys(l, r)
             case Until(_, w, _):
-                return _until_set(l, r, interval_keys(w, D), domain, m)
-    return fold(f, visit, mode, _FLIP.__getitem__)
+                return normalize_keys(_until_bases(l, r, interval_keys(w, D), domain))
+    return fold(f, visit)
 
 
 def _converted(table: dict, D: int) -> dict:
@@ -165,7 +132,7 @@ def _converted(table: dict, D: int) -> dict:
 # ---------------------------------------------------------------------------
 # timed words
 
-def _itw_table(rho: TimedWord, f: Formula, mode: str):
+def _itw_table(rho: TimedWord, f: Formula):
     """The key table of f over rho, and its time base."""
     require_beta_free(f, "interval-based")
     times = rho.times
@@ -175,18 +142,18 @@ def _itw_table(rho: TimedWord, f: Formula, mode: str):
     for a, t in zip(rho.actions, times):
         points.setdefault(a, []).append((3 * t, 3 * t))
     domain = (0, 3 * times[-1])
-    return _sat_dense(lambda name: points.get(name, ()), domain, D, f, mode), D
+    return _sat_dense(lambda name: points.get(name, ()), domain, D, f), D
 
 
-def sat_sets_itw(rho: TimedWord, f: Formula, mode: str = EXACT) -> dict:
-    """The fold table: Sat(g) per (subformula g, mode), in `subformulas` order."""
-    return _converted(*_itw_table(rho, f, mode))
+def sat_sets_itw(rho: TimedWord, f: Formula) -> dict:
+    """The fold table: Sat(g) per subformula g, in `subformulas` order."""
+    return _converted(*_itw_table(rho, f))
 
 
-def sat_set_itw(rho: TimedWord, f: Formula, mode: str = EXACT) -> IntervalSet:
+def sat_set_itw(rho: TimedWord, f: Formula) -> IntervalSet:
     """Exactly the times t in [0, duration] where rho, t satisfies f."""
-    table, D = _itw_table(rho, f, mode)
-    return from_keys(table[f, mode], D)
+    table, D = _itw_table(rho, f)
+    return from_keys(table[f], D)
 
 
 def eval_itw(rho: TimedWord, t, f: Formula) -> bool:
@@ -199,7 +166,7 @@ def eval_itw(rho: TimedWord, t, f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # timed state sequences
 
-def _its_table(kappa: TimedStateSequence, f: Formula, mode: str):
+def _its_table(kappa: TimedStateSequence, f: Formula):
     require_beta_free(f, "interval-based")
     steps = [iv for _, iv in kappa.steps]
     D = time_base([v for iv in steps for v in (iv.lo.value, iv.hi.value)]
@@ -209,17 +176,17 @@ def _its_table(kappa: TimedStateSequence, f: Formula, mode: str):
     domain = (3 * start, 3 * end)
     return _sat_dense(lambda name: [k for (props, _), k in zip(kappa.steps, keys)
                                     if name in props],
-                      domain, D, f, mode), D
+                      domain, D, f), D
 
 
-def sat_sets_its(kappa: TimedStateSequence, f: Formula, mode: str = EXACT) -> dict:
-    """The fold table: Sat(g) per (subformula g, mode), in `subformulas` order."""
-    return _converted(*_its_table(kappa, f, mode))
+def sat_sets_its(kappa: TimedStateSequence, f: Formula) -> dict:
+    """The fold table: Sat(g) per subformula g, in `subformulas` order."""
+    return _converted(*_its_table(kappa, f))
 
 
-def sat_set_its(kappa: TimedStateSequence, f: Formula, mode: str = EXACT) -> IntervalSet:
-    table, D = _its_table(kappa, f, mode)
-    return from_keys(table[f, mode], D)
+def sat_set_its(kappa: TimedStateSequence, f: Formula) -> IntervalSet:
+    table, D = _its_table(kappa, f)
+    return from_keys(table[f], D)
 
 
 def eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
@@ -232,30 +199,7 @@ def eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # lassos
 
-def lasso_cut(l: Lasso, f: Formula) -> Fraction:
-    """Unroll horizon: past every finite window bound, with period slack."""
-    bounds = finite_window_bounds(f)
-    reach = max(bounds, default=Fraction(0)) + Fraction(1)
-    if is_bounded(f):
-        reach = max(reach, horizon(f))
-    return duration(l.prefix) + 2 * l.period_duration + reach
-
-
-def _lasso_verdict(f: Formula, holds) -> Verdict3:
-    """The three-valued verdict from `holds(mode)`, f's truth at the origin."""
-    if is_bounded(f):
-        return Verdict3.of(holds(EXACT))
-    if holds(PESSIMISTIC):
-        return Verdict3.TRUE
-    return Verdict3.UNKNOWN if holds(OPTIMISTIC) else Verdict3.FALSE
-
-
-def eval_itw_lasso(l: Lasso, f: Formula, cut=None) -> Verdict3:
-    """Three-valued verdict at time 0; exact whenever f is bounded."""
-    require_beta_free(f, "interval-based")
-    w = unroll(l, cut if cut is not None else lasso_cut(l, f))
-    return _lasso_verdict(f, lambda mode: _holds_at_zero(_itw_table(w, f, mode)[0][f, mode]))
-
-
-def _holds_at_zero(keys: list) -> bool:
-    return bool(keys) and keys[0][0] == 0
+def eval_itw_lasso(l: Lasso, f: Formula) -> Verdict3:
+    """Exact verdict at time 0 of the unrolled infinite word."""
+    rho, g = lasso_instance(l, f)
+    return Verdict3.of(sat_set_itw(rho, g).member(0))

@@ -28,18 +28,19 @@ Walks also stop as soon as nothing later can matter.  A grid walk from time t
 stops at the first witness lying after a gap's left end times[m] with
 times[m] - t >= sup w.  A gap-base walk in gap m0 stops at the first witness
 at or after times[m0 + 1] + sup w, and as soon as one collected back-shift
-covers its whole base zone.  Both exits are exact in OPTIMISTIC mode too: when
-either fires, the bases whose window reaches past the cut are already decided
-(none of them for the window exit, all of them for the cover exit).  A base
-thus costs the witnesses its window holds, and under an unbounded F or G the
-witnesses before the first one that serves it.
+covers its whole base zone.  A base thus costs the witnesses its window
+holds, and under an unbounded F or G the witnesses before the first one that
+serves it.
 
 The walks run on an integer time base (see `intervals`).  `sat_sets_mx` and
 `sat_set_mx` take D once, from `cw.times` and `finite_window_bounds(f)`; block
-times, windows, the cut and the gap sets are then ints and key lists.  The
-gap keys are converted back to an `IntervalSet` only in the returned
-`MixedSet`s: the root's for `sat_set_mx`, the whole table's for
-`sat_sets_mx`.  Lasso verdicts read the root's grid points directly.
+times, windows and the gap sets are then ints and key lists.  The gap keys
+are converted back to an `IntervalSet` only in the returned `MixedSet`s: the
+root's for `sat_set_mx`, the whole table's for `sat_sets_mx`.
+
+A lasso verdict is exact: `encodings.lasso_instance` bounds the formula and
+unrolls the lasso, and the verdict is whether (0, 0) lies in the root's
+grid points.  The paper promises only sound three-valued verdicts here.
 """
 
 from __future__ import annotations
@@ -70,17 +71,10 @@ from .intervals import (
     scaled,
     time_base,
 )
-from .structures import CompactTimedWord, Lasso, compact_duration, unroll
-from .encodings import block_index_at, compact
-from .interval_based import (
-    EXACT,
-    OPTIMISTIC,
-    _FLIP,
-    Verdict3,
-    _lasso_verdict,
-    _until_bases,
-    lasso_cut,
-)
+from .structures import CompactTimedWord, Lasso, compact_duration
+from .encodings import block_index_at, compact, lasso_instance
+from .interval_based import Verdict3, _until_bases
+from .pointwise import _next_true
 
 NO_ACTION = "⊢"  # the internal no-action sentinel filling gap times
 
@@ -125,7 +119,6 @@ class _Word:
         self.times = scaled(cw.times, D)
         self.sizes = tuple(len(acts) for acts, _ in cw.blocks)
         self.n = len(cw.blocks)
-        self.cut = self.times[-1]
         self.order = tuple((k, j) for k in range(self.n) for j in range(self.sizes[k]))
         self.grid = frozenset(self.order)
         self.first = [0]  # index in `order` of each block's offset 0, then len(order)
@@ -196,15 +189,7 @@ class _UntilFacts:
             i = self.next_witness[i + 1]
 
 
-def _next_true(flags) -> list:
-    """out[i] is the first index >= i whose flag is set, len(flags) if there is none."""
-    out = [len(flags)] * (len(flags) + 1)
-    for i in range(len(flags) - 1, -1, -1):
-        out[i] = i if flags[i] else out[i + 1]
-    return out
-
-
-def _until_grid_base(wd: _Word, k: int, j: int, facts, w, sup, mode) -> bool:
+def _until_grid_base(wd: _Word, k: int, j: int, facts, w, sup) -> bool:
     """Decide f U_w g at grid point (k, j), visiting only witnesses up to t + sup w."""
     w_lo, w_hi = w
     t = wd.times[k]
@@ -224,12 +209,10 @@ def _until_grid_base(wd: _Word, k: int, j: int, facts, w, sup, mode) -> bool:
                 return True
         elif w_lo <= 3 * (wd.times[m] - t) <= w_hi:
             return True
-    if mode == OPTIMISTIC and facts.next_fail[2 * k + 1] == facts.size:
-        return t + sup > wd.cut
     return False
 
 
-def _until_gap_bases(wd: _Word, m0: int, f_gap, g_gap, facts, w, sup, mode) -> list:
+def _until_gap_bases(wd: _Word, m0: int, f_gap, g_gap, facts, w, sup) -> list:
     """Base keys inside gap m0 satisfying f U_w g, walking forward symbolically."""
     beta_ = wd.times[m0 + 1]
     gap, f_m0 = wd.gaps[m0], f_gap[m0]
@@ -255,41 +238,34 @@ def _until_gap_bases(wd: _Word, m0: int, f_gap, g_gap, facts, w, sup, mode) -> l
     for i in facts.witnesses(2 * m0 + 2):
         m, in_gap = divmod(i, 2)
         if wd.times[m] >= end:
-            return out  # every later witness lies past the window of every base
+            break  # every later witness lies past the window of every base
         regions = facts.cands[m] if in_gap else ((3 * wd.times[m], 3 * wd.times[m]),)
         if any(collect(*q) for q in regions):
-            return out
-    if mode == OPTIMISTIC and facts.next_fail[2 * m0 + 2] == facts.size:
-        # bases whose window reaches strictly past the cut
-        reach = back_shift_keys(3 * wd.cut + 1, INF, *w)
-        if reach is not None:
-            piece = (max(reach[0], zone[0]), min(reach[1], zone[1]))
-            if piece[0] <= piece[1]:
-                out.append(piece)
+            break
     return out
 
 
-def _until_mixed(wd: _Word, f: tuple, g: tuple, w: tuple, mode) -> tuple:
+def _until_mixed(wd: _Word, f: tuple, g: tuple, w: tuple) -> tuple:
     f_gap = wd.gap_slices(f[1])
     g_gap = wd.gap_slices(g[1])
     facts = _UntilFacts(wd, f[0], g[0], f_gap, g_gap)
     sup = INF if w[1] == INF else (w[1] + 1) // 3
     points = frozenset(
         (k, j) for (k, j) in wd.grid
-        if _until_grid_base(wd, k, j, facts, w, sup, mode))
+        if _until_grid_base(wd, k, j, facts, w, sup))
     pieces = []
     for m0 in range(wd.n - 1):
-        pieces.extend(_until_gap_bases(wd, m0, f_gap, g_gap, facts, w, sup, mode))
+        pieces.extend(_until_gap_bases(wd, m0, f_gap, g_gap, facts, w, sup))
     return points, normalize_keys(pieces)
 
 
-def _mx_table(cw: CompactTimedWord, f: Formula, mode: str):
+def _mx_table(cw: CompactTimedWord, f: Formula):
     """The table of (grid points, gap keys) per subformula, and its time base."""
     D = time_base([*cw.times, *finite_window_bounds(f)])
     wd = _Word(cw, D)
     beta_points = frozenset((k, 0) for k in range(wd.n))
 
-    def visit(node, m, l=None, r=None) -> tuple:
+    def visit(node, l=None, r=None) -> tuple:
         match node:
             case Atom(name):
                 return (frozenset((k, j) for (k, j) in wd.grid if cw.blocks[k][0][j] == name),
@@ -301,20 +277,20 @@ def _mx_table(cw: CompactTimedWord, f: Formula, mode: str):
             case And():
                 return l[0] & r[0], intersect_keys(l[1], r[1])
             case Until(_, w, _):
-                return _until_mixed(wd, l, r, interval_keys(w, D), m)
-    return fold(f, visit, mode, _FLIP.__getitem__), D
+                return _until_mixed(wd, l, r, interval_keys(w, D))
+    return fold(f, visit), D
 
 
-def sat_sets_mx(cw: CompactTimedWord, f: Formula, mode: str = EXACT) -> dict:
-    """The fold table: Sat(g) per (subformula g, mode), in `subformulas` order."""
-    table, D = _mx_table(cw, f, mode)
+def sat_sets_mx(cw: CompactTimedWord, f: Formula) -> dict:
+    """The fold table: Sat(g) per subformula g, in `subformulas` order."""
+    table, D = _mx_table(cw, f)
     return {key: MixedSet(points, from_keys(gap, D)) for key, (points, gap) in table.items()}
 
 
-def sat_set_mx(cw: CompactTimedWord, f: Formula, mode: str = EXACT) -> MixedSet:
+def sat_set_mx(cw: CompactTimedWord, f: Formula) -> MixedSet:
     """Exactly the in-domain pairs (t, j) where the compact word satisfies f."""
-    table, D = _mx_table(cw, f, mode)
-    points, gap = table[f, mode]
+    table, D = _mx_table(cw, f)
+    points, gap = table[f]
     return MixedSet(points, from_keys(gap, D))
 
 
@@ -328,7 +304,7 @@ def eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
     return (k, j) in got.points if k is not None else got.gap.member(t)
 
 
-def eval_mx_lasso(l: Lasso, f: Formula, cut=None) -> Verdict3:
-    """Three-valued verdict at (0, 0); exact whenever f is bounded."""
-    cw = compact(unroll(l, cut if cut is not None else lasso_cut(l, f)))
-    return _lasso_verdict(f, lambda mode: (0, 0) in _mx_table(cw, f, mode)[0][f, mode][0])
+def eval_mx_lasso(l: Lasso, f: Formula) -> Verdict3:
+    """Exact verdict at (0, 0) of the unrolled infinite word."""
+    rho, g = lasso_instance(l, f)
+    return Verdict3.of((0, 0) in sat_set_mx(compact(rho), g).points)

@@ -53,10 +53,16 @@ class TestEval:
         assert code == 1
 
     def test_unknown_is_exit_two(self, swap_lasso, capsys):
+        # X[0,0] a never holds in the dense semantics, since the strict Until
+        # needs a witness t' > t at distance 0
         code, out = run(capsys, "eval", "--semantics", "itw",
                         "--formula", "F(b & X[0,0] a)", "--word", swap_lasso)
-        assert code == 2
-        assert json.loads(out)["verdict"] == "unknown"
+        assert code == 1
+        assert json.loads(out)["verdict"] == "false"
+        # pointwise, the one b is followed by c: false there too
+        code, out = run(capsys, "eval", "--semantics", "pw",
+                        "--formula", "F(b & X[0,0] a)", "--word", swap_lasso)
+        assert code == 1
 
     def test_mixed_with_time_and_pos(self, rho1, capsys):
         code, out = run(capsys, "eval", "--semantics", "mx", "--time", "1",

@@ -2,7 +2,9 @@
 
 `F sigma` over 200 symbols desugars into an or-chain about 600 nodes deep, and
 600 nested negations are as deep.  Each must give the same result as a
-shallow formula with the same meaning on the word at hand.  Long operator
+shallow formula with the same meaning on the word at hand.  On a lasso, 50
+alternating `G F` pairs add 100 nested unbounded windows, each of which the
+lasso verdict closes at a bound of its own.  Long operator
 chains and long runs of prefix operators must parse into the formula built
 directly.
 """
@@ -15,10 +17,10 @@ from mtlsem.cli import main
 from mtlsem.encodings import compact, word_to_tss
 from mtlsem.formulas import FULL, And, Atom, Not, alphabet, f_globally, f_or, parse, to_text
 from mtlsem.gallery import no_simultaneous
-from mtlsem.interval_based import sat_set_its, sat_set_itw
-from mtlsem.mixed import sat_set_mx
-from mtlsem.pointwise import sat_positions
-from mtlsem.structures import word, word_to_json
+from mtlsem.interval_based import Verdict3, eval_itw_lasso, sat_set_its, sat_set_itw
+from mtlsem.mixed import eval_mx_lasso, sat_set_mx
+from mtlsem.pointwise import eval_pw_lasso, sat_positions
+from mtlsem.structures import lasso, word, word_to_json
 
 WIDE = alphabet([f"s{i}" for i in range(200)])
 S1_S2 = word([("s1", "0"), ("s2", "1/2"), ("s1", "1/2"), ("s2", "2"), ("s1", "7/2")])
@@ -39,6 +41,26 @@ ENGINES = {
 def test_engines_match_the_shallow_formula(engine, rho, deep, shallow):
     sat = ENGINES[engine]
     assert sat(rho, parse(deep, WIDE)) == sat(rho, parse(shallow, WIDE))
+
+
+# s1 at 1/2 and an s2 at every integer from 1 on; never s3
+LASSO = lasso(word([("s0", "0"), ("s1", "1/2")]), ["s1", "s2"], ["1/2", "1"], "1")
+LASSO_CASES = [("G F " * 50 + "s2", "G F s2", True), ("G F " * 50 + "s3", "G F s3", False),
+               ("F sigma", "F (s1 | s2)", True)]
+LASSO_ENGINES = {
+    "pw": eval_pw_lasso,
+    "itw": lambda l, f: eval_itw_lasso(l, f) is Verdict3.TRUE,
+    "mx": lambda l, f: eval_mx_lasso(l, f) is Verdict3.TRUE,
+}
+
+
+@pytest.mark.parametrize("engine", LASSO_ENGINES)
+@pytest.mark.parametrize("deep, shallow, verdict", LASSO_CASES,
+                         ids=["G-F-50-true", "G-F-50-false", "F-sigma"])
+def test_lasso_verdicts_match_the_shallow_formula(engine, deep, shallow, verdict):
+    # G F is idempotent on infinite words, so 50 pairs mean what one pair means
+    holds = LASSO_ENGINES[engine]
+    assert holds(LASSO, parse(deep, WIDE)) is holds(LASSO, parse(shallow, WIDE)) is verdict
 
 
 def _cli(capsys, *argv):

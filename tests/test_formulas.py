@@ -68,15 +68,9 @@ class TestFold:
     def test_each_distinct_node_once_children_first(self):
         f = parse("(a & b) U (a & b)", ABC)
         seen = []
-        table = fold(f, lambda node, _m, *kids: seen.append(node) or len(seen))
+        table = fold(f, lambda node, *kids: seen.append(node) or len(seen))
         assert [to_text(n) for n in seen] == ["a", "b", "(a & b)", "((a & b) U[0,inf) (a & b))"]
         assert list(table.values()) == [1, 2, 3, 4]
-
-    def test_negation_flips_the_mode(self):
-        f = parse("!(a & !b)", ABC)
-        table = fold(f, lambda node, m, *kids: m, mode=0, flip=lambda m: 1 - m)
-        assert [(to_text(n), m) for n, m in table] == [
-            ("a", 1), ("b", 0), ("!b", 1), ("(a & !b)", 1), ("!(a & !b)", 0)]
 
     def test_deep_nesting_needs_no_recursion(self):
         f = Atom("a")

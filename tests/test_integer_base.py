@@ -13,13 +13,7 @@ import pytest
 
 from mtlsem.encodings import compact, word_to_tss
 from mtlsem.formulas import alphabet, finite_window_bounds, horizon, parse
-from mtlsem.interval_based import (
-    Verdict3,
-    eval_itw_lasso,
-    lasso_cut,
-    sat_sets_its,
-    sat_sets_itw,
-)
+from mtlsem.interval_based import Verdict3, eval_itw_lasso, sat_sets_its, sat_sets_itw
 from mtlsem.intervals import INF, time_base
 from mtlsem.mixed import eval_mx_lasso, sat_sets_mx
 from mtlsem.oracle import differential, oracle_eval_itw, oracle_eval_mx, oracle_eval_pw
@@ -107,7 +101,10 @@ BOUNDED = [text for text in FORMULAS if horizon(parse(text, ABC)) != INF]
 @pytest.mark.parametrize("text", FORMULAS)
 def test_lasso_unroll_agrees_with_the_oracle(text):
     f = parse(text, ABC)
-    w = unroll(THIRDS, lasso_cut(THIRDS, f))
+    reach = max(finite_window_bounds(f), default=Fraction(0)) + 1
+    if horizon(f) != INF:
+        reach = max(reach, horizon(f))
+    w = unroll(THIRDS, duration(THIRDS.prefix) + 2 * THIRDS.period_duration + reach)
     for engine, structure in (("pw", w), ("itw", w), ("mx", compact(w))):
         assert differential(engine, structure, f) is None, (engine, text)
 

@@ -23,6 +23,7 @@ from mtlsem.oracle import (
     gen_formula,
     gen_word,
 )
+from mtlsem.pointwise import eval_pw_lasso
 from mtlsem.structures import lasso, validate_tss, word
 
 ABC = alphabet("a,b,c")
@@ -148,8 +149,12 @@ class TestLassoVerdicts:
         assert eval_itw_lasso(l, gamma2) is Verdict3.FALSE
 
     def test_unbounded_refutation_is_unknown(self):
+        # X[0,0] a never holds in the dense semantics, since the strict Until
+        # needs a witness t' > t at distance 0, so F(b & X[0,0] a) is false on
+        # every word; pointwise, the one b is followed by c
         l = lasso(RHO2, ["c"], ["1"], "1")
-        assert eval_itw_lasso(l, B_THEN_A) is Verdict3.UNKNOWN
+        assert eval_itw_lasso(l, B_THEN_A) is Verdict3.FALSE
+        assert eval_pw_lasso(l, B_THEN_A) is False
 
     def test_unbounded_never_definitely_wrong(self):
         # the dense language of this formula is empty; the engine may answer

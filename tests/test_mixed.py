@@ -1,14 +1,11 @@
 """Mixed satisfaction over compact timed words: grid points plus gap intervals."""
 
-from fractions import Fraction
-
 import pytest
 
 from mtlsem.encodings import block_index_at, compact
 from mtlsem.errors import OutOfDomainError
 from mtlsem.formulas import BETA, alphabet, parse
-from mtlsem.interval_based import OPTIMISTIC, Verdict3, eval_itw, sat_set_itw
-from mtlsem.intervals import INF
+from mtlsem.interval_based import Verdict3, eval_itw, sat_set_itw
 from mtlsem.mixed import NO_ACTION, compact_at, eval_mx, eval_mx_lasso, sat_set_mx
 from mtlsem.oracle import (
     critical_points,
@@ -17,7 +14,8 @@ from mtlsem.oracle import (
     gen_word,
     oracle_eval_mx,
 )
-from mtlsem.structures import lasso, unroll, word
+from mtlsem.pointwise import eval_pw_lasso
+from mtlsem.structures import lasso, word
 
 ABC = alphabet("a,b,c")
 B_THEN_A = parse("F(b & X[0,0] a)", ABC)
@@ -156,11 +154,17 @@ class TestLassoVerdicts:
         assert eval_mx_lasso(l, GAMMA5) is Verdict3.TRUE
 
     def test_swapped_block_turns_unknown(self):
+        # the only b is the last position of the time-0 block and the period
+        # holds only c, so no b is followed at distance 0 by an a:
+        # F(b & X[0,0] a) is false, and with it both disjuncts of GAMMA5
         l = lasso(word([("c", 0), ("a", 0), ("b", 0), ("c", 5)]), ["c"], ["1"], "1")
         assert eval_mx_lasso(l, GAMMA3) is Verdict3.FALSE
         assert eval_mx_lasso(l, GAMMA4) is Verdict3.TRUE
-        assert eval_mx_lasso(l, B_THEN_A) is Verdict3.UNKNOWN
-        assert eval_mx_lasso(l, GAMMA5) is Verdict3.UNKNOWN
+        assert eval_mx_lasso(l, B_THEN_A) is Verdict3.FALSE
+        assert eval_mx_lasso(l, GAMMA5) is Verdict3.FALSE
+        # pointwise the same argument holds: the position after the b is a c
+        assert eval_pw_lasso(l, B_THEN_A) is False
+        assert eval_pw_lasso(l, GAMMA5) is False
 
     def test_never_wrong_definite_on_bounded(self):
         for seed in range(100):
@@ -183,16 +187,14 @@ class TestLassoVerdicts:
             l = gen_lasso(seed + 900)
             v3 = eval_mx_lasso(l, GAMMA3)
             vc = eval_mx_lasso(l, conjunct)
-            if Verdict3.UNKNOWN in (v3, vc):
-                continue
             if v3 is Verdict3.TRUE and vc is Verdict3.TRUE:
                 both += 1
         assert both == 0
 
 
 # ---------------------------------------------------------------------------
-# where the walks stop: window ends on block times, point windows, unbounded
-# windows with a positive start, and optimistic windows across the cut
+# where the walks stop: window ends on block times, point windows, and unbounded
+# windows with a positive start
 
 EXIT_WORDS = [
     word([("a", 0), ("b", 0), ("a", 1), ("a", 2), ("b", 2), ("c", 3), ("a", 5), ("b", 5),
@@ -238,34 +240,3 @@ def test_walk_exits_agree_with_oracle(text):
         got = sat_set_mx(cw, f)
         for t, j in _grid_and_gap_points(cw, f):
             assert _engine_at(cw, got, t, j) == oracle_eval_mx(cw, t, j, f), (text, rho, t, j)
-
-
-@pytest.mark.parametrize("f_text, w_text, g_text", [
-    ("a | noact", "[1,3]", "b"),
-    ("a | noact", "[1,3)", "b"),
-    ("!c", "(0,2]", "b"),
-    ("true", "[2,inf)", "c"),
-    ("a | noact", "[0,0]", "b"),
-    ("!c", "[1,inf)", "c"),
-    ("!c", "[1,3]", "c"),
-    ("!b", "[1,3]", "c"),
-])
-def test_optimistic_window_across_the_cut(f_text, w_text, g_text):
-    # OPTIMISTIC f U_w g: a witness inside the unrolled word, or f up to the cut
-    # and a window reaching strictly past it
-    l = lasso(word([("a", 0), ("a", 1), ("b", 1), ("a", 2)]), ["a", "a", "b"],
-              ["0", "1/2", "3/2"], "2")
-    cut = Fraction(13, 2)
-    cw = compact(unroll(l, cut))
-    f = parse(f"({f_text}) U{w_text} ({g_text})", ABC)
-    rest_f = parse(f"F[0,inf) !({f_text})", ABC)
-    w = f.window
-    got = sat_set_mx(cw, f, OPTIMISTIC)
-    crossing = 0
-    for t, j in _grid_and_gap_points(cw, f):
-        reach = w.hi.value == INF or t + w.hi.value > cw.times[-1]
-        crossing += reach
-        expect = oracle_eval_mx(cw, t, j, f) or (
-            reach and not oracle_eval_mx(cw, t, j, rest_f))
-        assert _engine_at(cw, got, t, j) == expect, (f_text, w_text, g_text, t, j)
-    assert crossing or w.hi.value == 0

@@ -125,7 +125,7 @@ class TestPwOracleShape:
 
 
 class TestIndependence:
-    ENGINE_NAMES = {"fold", "IntervalSet", "back_shift", "sat_positions"}
+    ENGINE_NAMES = {"fold", "IntervalSet", "back_shift", "sat_positions", "lasso_instance"}
 
     def test_no_oracle_function_names_engine_code(self):
         # only `differential`, which compares an engine with its oracle, may

@@ -86,7 +86,7 @@ class TestLasso:
 
     def test_fixpoint_agrees_with_compiled_mixed_verdicts(self):
         # an independent path to the same infinite-word verdict: compile to
-        # the mixed semantics and take its three-valued answer when definite
+        # the mixed semantics and take its answer
         from mtlsem.compilers import compile_pw
         from mtlsem.interval_based import Verdict3
         from mtlsem.mixed import eval_mx_lasso
@@ -97,5 +97,4 @@ class TestLasso:
             f = gen_formula(seed * 97 + 11, ABC)
             exact = eval_pw_lasso(l, f)
             via_mx = eval_mx_lasso(l, compile_pw(f, ABC))
-            if via_mx is not Verdict3.UNKNOWN:
-                assert via_mx is Verdict3.of(exact), (l, f)
+            assert via_mx is Verdict3.of(exact), (l, f)
