@@ -100,7 +100,7 @@ def block_index_at(cw: CompactTimedWord, t) -> int | None:
     """Block index whose timestamp is exactly t, None for hole times."""
     t = t if isinstance(t, Fraction) else rational(t)
     if t < 0 or t > compact_duration(cw):
-        raise OutOfDomainError("time outside the word duration")
+        raise OutOfDomainError(f"time {t} outside [0, {compact_duration(cw)}]")
     for k, (_, ts) in enumerate(cw.blocks):
         if ts == t:
             return k

@@ -16,7 +16,11 @@ The witness window per part is (l, u] regardless of the part's own endpoint
 flags; back_shift turns each witness interval into the exact base region.
 The windows of consecutive parts are disjoint and in order, so one
 two-pointer pass over the parts of f and of g finds every witness (the until
-construction of Maler & Nickovic, FORMATS 2004).
+construction of Maler & Nickovic, FORMATS 2004).  `_until_bases` runs it for
+the mixed line too: there each time key owns J slots, one per block position
+(see `mixed`), a part's bases start at the point right before it and its
+window ends at the point right after it, and distances are read off the time
+keys.  With J = 1 this is the dense rule above.
 
 Sets are key lists on an integer time base (see `intervals`).  Each entry
 point takes D once, from the timestamps or the state-sequence endpoints and
@@ -79,27 +83,40 @@ class Verdict3(enum.Enum):
         return Verdict3.TRUE if b else Verdict3.FALSE
 
 
-def _until_bases(f: list, g: list, w: tuple, domain: tuple) -> list:
-    """The dense Until decomposition on keys: per maximal part <l,u> of f, the
-    bases in domain and at or after l of the witnesses g holds in (l, u]."""
+def _until_bases(f: list, g: list, w: tuple, domain: tuple, J: int = 1, last=None) -> list:
+    """The dense Until decomposition on keys: per maximal part of f, the bases
+    in domain, from the point right before the part on (its floor), of the
+    witnesses g holds in the part or at the point right after it.
+
+    Each time key owns J slots (J = 1 on the dense line; see `mixed` for the
+    lex line), and `last[T]` is the slot offset where time key T's last point
+    starts.  Distances are read off the time keys k // J, so only witnesses at
+    a strictly later time count."""
     w_lo, w_hi = w
-    d_lo, d_hi = domain
+    d_hi = domain[1]
+    J3 = 3 * J
     out = []
     j, ng = 0, len(g)
     for f_lo, f_hi in f:
-        l, u = (f_lo + 1) // 3, (f_hi + 1) // 3
-        if l == u:
+        r = f_lo % J3
+        if r == 0:  # no point right before a closed time
+            floor = f_lo
+        elif r == J:  # the part opens right after a time: that time's last point
+            floor = f_lo - J + (last.get(f_lo // J - 1, 0) if last else 0)
+        else:
+            floor = f_lo - 1
+        z_lo = floor - floor % J + J  # the window starts after the floor's time
+        z_hi = f_hi if (f_hi + 1) % J3 == J else f_hi + 1
+        if z_lo > z_hi:
             continue
-        z_lo, z_hi = 3 * l + 1, 3 * u  # the witness window (l, u]
-        floor = max(3 * l, d_lo)
         while j < ng and g[j][1] < z_lo:
             j += 1
         k = j  # g[k] may reach into the next window too: the next part starts at j
         while k < ng and g[k][0] <= z_hi:
             g_lo, g_hi = g[k]
-            base = back_shift_keys(max(g_lo, z_lo), min(g_hi, z_hi), w_lo, w_hi)
+            base = back_shift_keys(max(g_lo, z_lo) // J, min(g_hi, z_hi) // J, w_lo, w_hi)
             if base is not None:
-                lo, hi = max(base[0], floor), min(base[1], d_hi)
+                lo, hi = max(base[0] * J, floor), min(base[1] * J + J - 1, d_hi)
                 if lo <= hi:
                     out.append((lo, hi))
             k += 1

@@ -211,8 +211,8 @@ def test_criterion_6_strictness_and_dense_only_language():
 
 
 def test_criterion_7_infinite_word_fixtures():
-    """The recorded lasso verdicts under the pointwise fixpoint and the
-    three-valued mixed evaluation."""
+    """The recorded lasso verdicts, pointwise and mixed, each decided exactly on
+    the finite word and bounded formula of `lasso_instance`."""
     tail = (["c"], ["1"], "1")
     ok = eval_pw_lasso(lasso(WORD_SWAP_BA, *tail), B_THEN_A) is True
     ok &= eval_pw_lasso(lasso(WORD_SWAP_AB, *tail), B_THEN_A) is False

@@ -297,26 +297,6 @@ def test_covers_by_membership():
         assert s.covers(probe) == expect, (str(s), str(probe))
 
 
-def test_gap_slices_by_membership():
-    from mtlsem.encodings import compact
-    from mtlsem.mixed import _Word
-    from mtlsem.structures import word
-
-    rng = random.Random(24)
-    for _ in range(300):
-        stamps = sorted(rng.sample(_VALS, rng.randint(1, 7)) + [Fraction(0)])
-        s = _rand_normal_set(rng)
-        D = time_base(stamps + [v for p in s.parts for v in (p.lo.value, p.hi.value)])
-        wd = _Word(compact(word([("a", t) for t in stamps])), D)
-        slices = wd.gap_slices([interval_keys(p, D) for p in s.parts])
-        assert len(slices) == len(wd.gaps)
-        for piece, gap in zip(slices, wd.gaps):
-            piece, gap = from_keys(piece, D), from_keys([gap], D).parts[0]
-            _assert_normal(piece)
-            for t in _probes(s, gap):
-                assert piece.member(t) == (s.member(t) and gap.contains(t)), (str(s), str(gap), t)
-
-
 # ---------------------------------------------------------------------------
 # the integer time base: coprime denominators, and a base above 2**64
 

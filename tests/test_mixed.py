@@ -1,5 +1,8 @@
 """Mixed satisfaction over compact timed words: grid points plus gap intervals."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from mtlsem.encodings import block_index_at, compact
@@ -193,7 +196,7 @@ class TestLassoVerdicts:
 
 
 # ---------------------------------------------------------------------------
-# where the walks stop: window ends on block times, point windows, and unbounded
+# window edges: window ends on block times, point windows, and unbounded
 # windows with a positive start
 
 EXIT_WORDS = [
@@ -230,7 +233,7 @@ def _engine_at(cw, got, t, j):
     "F[1,inf) c", "F(2,inf) b", "(a | noact) U[2,inf) b", "!c U(1,inf) b", "G[1,inf) !c",
     # nested windows
     "F[0,1] (b & F[1,2] a)", "G(a -> F[1,3] b)",
-    # walks that meet no witness before the end of the word
+    # windows that meet no witness before the end of the word
     "G (a | noact)", "(a | noact) U c", "(a | noact) U[1,2] c",
 ])
 def test_walk_exits_agree_with_oracle(text):
@@ -240,3 +243,38 @@ def test_walk_exits_agree_with_oracle(text):
         got = sat_set_mx(cw, f)
         for t, j in _grid_and_gap_points(cw, f):
             assert _engine_at(cw, got, t, j) == oracle_eval_mx(cw, t, j, f), (text, rho, t, j)
+
+
+# ---------------------------------------------------------------------------
+# large blocks: a block's last position and every gap time own spare lex slots
+
+
+def _large_block_word(seed):
+    """Blocks of 5-10 simultaneous events mixed with single-event blocks."""
+    rng = random.Random(f"large-blocks/{seed}")
+    events, t = [], Fraction(0)
+    for b in range(rng.randint(2, 6)):
+        if b:
+            t += rng.choice([Fraction(1, 2), Fraction(1), Fraction(3, 2)])
+        size = rng.randint(5, 10) if rng.random() < 0.5 else 1
+        events += [(rng.choice("abc"), t) for _ in range(size)]
+    return word(events)
+
+
+LARGE_BLOCK_FIXED = ["false U[0,0] b", "a U[0,1] b", "!a U (b & beta)", "a U[0,0] (b & !beta)",
+                     "!beta U(0,1] (c & beta)", "(a | beta) U[0,inf) c", "G[0,1] (a | noact)"]
+
+
+@pytest.mark.parametrize("text", LARGE_BLOCK_FIXED)
+def test_large_blocks_fixed_formulas_agree_with_oracle(text):
+    f = parse(text, ABC, allow_beta=True)
+    for seed in range(40):
+        cw = compact(_large_block_word(seed))
+        assert differential("mx", cw, f) is None, (text, str(cw))
+
+
+def test_large_blocks_fuzzed_agree_with_oracle():
+    for seed in range(500):
+        cw = compact(_large_block_word(seed + 1000))
+        f = gen_formula(seed * 17 + 5, ABC, allow_beta=True)
+        assert differential("mx", cw, f) is None, (str(cw), f)

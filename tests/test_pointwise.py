@@ -1,4 +1,5 @@
-"""Pointwise evaluation: position sets, single verdicts, exact lasso fixpoint."""
+"""Pointwise evaluation: position sets, single verdicts, and exact lasso verdicts
+through `lasso_instance` (bounded windows on a finite unroll)."""
 
 import pytest
 
