@@ -4,20 +4,36 @@
 block; `to_tss` fills the holes between block timestamps with non-punctual
 empty steps, yielding an action-based timed state sequence.  The index helpers
 relate block coordinates (k, j) to word positions and timestamps to block
-indices.  `lasso_instance` turns a lasso and a formula into a finite word and
-a bounded formula with the same verdict at the origin, which the finite-word
-engines then decide exactly.
+indices, by bisection on the block times and ends.
+
+`to_tss` builds its steps without `validate_tss`'s or `Interval`'s checks,
+because strictly increasing block times make them valid by construction: the
+punctual step [t, t] is non-empty, each filler (t, t') is non-empty since
+t < t', and consecutive steps touch at one value that exactly one of them
+holds.  So the one check it keeps is t < t' per block, which a hand-built
+`CompactTimedWord` may break.
+
+`lasso_instance` turns a lasso and a formula into a finite word and a bounded
+formula with the same verdict at the origin, which the finite-word engines
+then decide exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MtlsemError, OutOfDomainError, SeamStutterError
+from .errors import (
+    EmptyWordError,
+    MtlsemError,
+    NonMonotoneError,
+    OutOfDomainError,
+    SeamStutterError,
+)
 from .formulas import Formula, Until, fold, horizon
-from .intervals import INF, interval, punctual, rational
+from .intervals import INF, Bound, _trusted_interval, interval, rational
 from .structures import (
     CompactTimedWord,
     Lasso,
@@ -32,11 +48,15 @@ from .structures import (
 
 def compact(rho: TimedWord) -> CompactTimedWord:
     """Collapse each maximal flat run into a block keeping the action order."""
-    acts, times = rho.actions, rho.times
+    if not rho.events:
+        raise EmptyWordError("empty timed word")
     blocks = []
-    for start, end in mfs_decompose(times).runs():
-        blocks.append((acts[start:end + 1], times[start]))
-    return CompactTimedWord(tuple(blocks))
+    for a, t in rho.events:
+        if blocks and blocks[-1][1] == t:
+            blocks[-1][0].append(a)
+        else:
+            blocks.append(([a], t))
+    return CompactTimedWord(tuple((tuple(acts), t) for acts, t in blocks))
 
 
 def uncompact(cw: CompactTimedWord) -> TimedWord:
@@ -47,13 +67,21 @@ def uncompact(cw: CompactTimedWord) -> TimedWord:
 
 
 def to_tss(cw: CompactTimedWord) -> TimedStateSequence:
-    """Alternate punctual action steps with non-punctual empty fillers."""
+    """Alternate punctual action steps with non-punctual empty fillers.
+
+    Raises NonMonotoneError at the first block whose time is not strictly
+    later than its predecessor's."""
+    empty = frozenset()
     steps = []
+    prev_open = None
     for k, (acts, t) in enumerate(cw.blocks):
-        if k > 0:
-            prev_t = cw.blocks[k - 1][1]
-            steps.append((frozenset(), interval(prev_t, t, False, False)))
-        steps.append((frozenset(acts), punctual(t)))
+        closed, open_ = Bound(t, True), Bound(t, False)
+        if k:
+            if not prev_open.value < t:
+                raise NonMonotoneError(k)
+            steps.append((empty, _trusted_interval(prev_open, open_)))
+        steps.append((frozenset(acts), _trusted_interval(closed, closed)))
+        prev_open = open_
     return TimedStateSequence(tuple(steps))
 
 
@@ -90,10 +118,8 @@ def block_position(cw: CompactTimedWord, i: int) -> tuple:
     ends = _block_ends(cw)
     if not (0 <= i <= ends[-1]):
         raise IndexError(f"word position {i} out of range")
-    if i <= ends[0]:
-        return (0, i)
-    k = max(kk for kk in range(1, len(ends)) if ends[kk - 1] < i)
-    return (k, i - ends[k - 1] - 1)
+    k = bisect_left(ends, i)  # the first block ending at or after i
+    return (k, i - ends[k - 1] - 1 if k else i)
 
 
 def block_index_at(cw: CompactTimedWord, t) -> int | None:
@@ -101,10 +127,9 @@ def block_index_at(cw: CompactTimedWord, t) -> int | None:
     t = t if isinstance(t, Fraction) else rational(t)
     if t < 0 or t > compact_duration(cw):
         raise OutOfDomainError(f"time {t} outside [0, {compact_duration(cw)}]")
-    for k, (_, ts) in enumerate(cw.blocks):
-        if ts == t:
-            return k
-    return None
+    times = cw.times
+    k = bisect_left(times, t)  # t <= the last time, so k is a block
+    return k if times[k] == t else None
 
 
 # ---------------------------------------------------------------------------

@@ -185,15 +185,17 @@ def eval_itw(rho: TimedWord, t, f: Formula) -> bool:
 
 def _its_table(kappa: TimedStateSequence, f: Formula):
     require_beta_free(f, "interval-based")
-    steps = [iv for _, iv in kappa.steps]
-    D = time_base([v for iv in steps for v in (iv.lo.value, iv.hi.value)]
+    D = time_base([v for _, iv in kappa.steps for v in (iv.lo.value, iv.hi.value)]
                   + finite_window_bounds(f))
-    keys = [interval_keys(iv, D) for iv in steps]
+    parts = {}
+    for props, iv in kappa.steps:
+        if props:
+            k = interval_keys(iv, D)
+            for name in props:
+                parts.setdefault(name, []).append(k)
     start, end = scaled([tss_start(kappa), tss_duration(kappa)], D)
     domain = (3 * start, 3 * end)
-    return _sat_dense(lambda name: [k for (props, _), k in zip(kappa.steps, keys)
-                                    if name in props],
-                      domain, D, f), D
+    return _sat_dense(lambda name: parts.get(name, ()), domain, D, f), D
 
 
 def sat_sets_its(kappa: TimedStateSequence, f: Formula) -> dict:

@@ -187,16 +187,21 @@ def _bound(key, D: int) -> Bound:
     return Bound(Fraction(v, D), key == 3 * v)
 
 
+def _trusted_interval(lo: Bound, hi: Bound) -> Interval:
+    """The Interval lo..hi of bounds that are valid by construction, without
+    `Interval.__post_init__`'s re-validation."""
+    iv = object.__new__(Interval)
+    fields = iv.__dict__  # written directly: Interval is frozen
+    fields["lo"] = lo
+    fields["hi"] = hi
+    return iv
+
+
 def from_keys(keys, D: int) -> "IntervalSet":
     """The IntervalSet of a normalized key list on the time base D."""
-    parts = []
-    for lo, hi in keys:
-        # the keys are valid by construction: skip Interval's re-validation
-        iv = object.__new__(Interval)
-        object.__setattr__(iv, "lo", _bound(lo, D))
-        object.__setattr__(iv, "hi", Bound(INF, False) if hi == INF else _bound(hi, D))
-        parts.append(iv)
-    return IntervalSet(tuple(parts))
+    return IntervalSet(tuple(
+        _trusted_interval(_bound(lo, D), Bound(INF, False) if hi == INF else _bound(hi, D))
+        for lo, hi in keys))
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,17 @@ increasing timestamps; timed state sequences alternate proposition sets over
 adjacent intervals.  Infinite words are represented by lassos (finite prefix
 plus a repeating timed period) and are non-Zeno by construction since the
 period duration must be positive.
+
+The columns of a word (`TimedWord.times`/`actions`, `CompactTimedWord.times`)
+are computed once per object, on first read, and shared by every later
+reader; equality and hashing still depend on the events or blocks alone.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
@@ -29,11 +34,11 @@ from .intervals import Interval, parse_interval, rat_str, rational
 class TimedWord:
     events: tuple  # of (action, Fraction)
 
-    @property
+    @cached_property
     def actions(self):
         return tuple(a for a, _ in self.events)
 
-    @property
+    @cached_property
     def times(self):
         return tuple(t for _, t in self.events)
 
@@ -118,7 +123,7 @@ def mfs_decompose(times) -> MfsIndex:
 class CompactTimedWord:
     blocks: tuple  # of (actions tuple, Fraction timestamp)
 
-    @property
+    @cached_property
     def times(self):
         return tuple(t for _, t in self.blocks)
 
@@ -167,14 +172,11 @@ class TimedStateSequence:
 
 
 def _adjacent(a: Interval, b: Interval) -> bool:
-    """Disjoint, union is one interval, and a lies entirely before b."""
-    if a.intersect(b) is not None:
-        return False
-    if a.hi.value > b.lo.value:
-        return False
-    if a.hi.value == b.lo.value:
-        return a.hi.closed != b.lo.closed
-    return False
+    """Disjoint, union is one interval, and a lies entirely before b.
+
+    Two convex sets that meet at one value, where exactly one of them holds
+    it, are disjoint, so the touching ends alone decide."""
+    return a.hi.value == b.lo.value and a.hi.closed != b.lo.closed
 
 
 def validate_tss(steps, allow_nonzero_start: bool = False) -> TimedStateSequence:

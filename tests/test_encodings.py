@@ -16,11 +16,15 @@ from mtlsem.encodings import (
     word_position,
     word_to_tss,
 )
-from mtlsem.errors import OutOfDomainError, SeamStutterError
+from mtlsem.errors import MtlsemError, OutOfDomainError, SeamStutterError
+from mtlsem.oracle import gen_word
 from mtlsem.structures import (
     CompactTimedWord,
     is_action_based,
     lasso,
+    mfs_decompose,
+    tss_from_json,
+    tss_to_json,
     validate_compact,
     validate_tss,
     word,
@@ -40,6 +44,24 @@ KAPPA1 = validate_tss([
 
 def cblocks(cw):
     return [(acts, t) for acts, t in cw.blocks]
+
+
+def corpus():
+    """gen_word seeds 0-499 and one 300-event word with runs and gaps."""
+    rng = random.Random(26)
+    t = Fraction(0)
+    events = []
+    for _ in range(300):
+        events.append((rng.choice("abc"), t))
+        t += rng.choice([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)])
+    return [gen_word(seed) for seed in range(500)] + [word(events)]
+
+
+def compact_by_runs(w):
+    """compact through the maximal flat runs of the time column."""
+    acts, times = w.actions, w.times
+    return CompactTimedWord(tuple(
+        (acts[start:end + 1], times[start]) for start, end in mfs_decompose(times).runs()))
 
 
 class TestCompact:
@@ -71,6 +93,13 @@ class TestCompact:
             cw = compact(w)
             assert uncompact(cw) == w
             assert compact(uncompact(cw)) == cw
+
+    def test_matches_the_flat_runs(self):
+        for w in corpus():
+            assert w.times is w.times and w.actions is w.actions
+            cw = compact(w)
+            assert cw == compact_by_runs(w)
+            assert cw.times is cw.times
 
 
 class TestToTss:
@@ -112,6 +141,19 @@ class TestToTss:
             shuffled = CompactTimedWord(
                 cw.blocks[:k] + ((tuple(acts), cw.blocks[k][1]),) + cw.blocks[k + 1:])
             assert word_to_tss(uncompact(shuffled)) == word_to_tss(w)
+
+    def test_trusted_steps_equal_validated_ones(self):
+        for w in corpus():
+            kappa = word_to_tss(w)
+            checked = tss_from_json(tss_to_json(kappa))
+            assert kappa == checked
+            assert [hash(iv) for _, iv in kappa.steps] == [hash(iv) for _, iv in checked.steps]
+
+    @pytest.mark.parametrize("times", [(0, 1, 1), (0, 2, 1)], ids=["equal", "decreasing"])
+    def test_non_increasing_blocks_rejected(self, times):
+        cw = CompactTimedWord(tuple(((a,), Fraction(t)) for a, t in zip("abc", times)))
+        with pytest.raises(MtlsemError):
+            to_tss(cw)
 
 
 class TestSurjectivityRecipe:
@@ -176,6 +218,12 @@ class TestIndexHelpers:
         assert block_index_at(cw, 0) == 0
         with pytest.raises(OutOfDomainError):
             block_index_at(cw, 4)
+        for w in corpus():
+            cw = compact(w)
+            for k, (_, t) in enumerate(cw.blocks):
+                assert block_index_at(cw, t) == k
+                if k:
+                    assert block_index_at(cw, (cw.blocks[k - 1][1] + t) / 2) is None
 
 
 class TestLassoEncodings:
