@@ -13,6 +13,11 @@ definitional sugar expanded at construction time against a declared alphabet:
 Concrete syntax: `!  &  |  ->  U  F  G  X`, interval suffix attached to the
 operator (e.g. "U(1,2]", "F[0,3.5]"), default interval [0,inf).  Precedence
 ! > & > | > ->, with U binding like & and associating to the right.
+`parse` matches one token pattern in place along the text and reduces the
+operators on an explicit stack.  A temporal operator and its interval suffix
+are one token; the suffix is `intervals.INTERVAL_TEXT`, read by
+`parse_interval`, so windows accept exactly the rationals and intervals of
+the JSON wire format and `--time`.
 
 Nodes are hash-consed: structurally equal formulas are one object.  `fold` is
 the one structural traversal.  It visits each distinct subformula once, children
@@ -28,9 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BetaNotAllowedError, FormulaSyntaxError, MtlsemError, UnknownAtomError
-from .intervals import INF, Interval, interval, rat_str, rational
+from .intervals import INF, INTERVAL_TEXT, Interval, interval, parse_interval
 
 _RESERVED = {"true", "false", "sigma", "beta", "noact", "U", "F", "G", "X"}
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 
 
 @dataclass(frozen=True)
@@ -43,7 +49,7 @@ class Alphabet:
         if len(set(self.symbols)) != len(self.symbols):
             raise MtlsemError("alphabet symbols must be distinct")
         for s in self.symbols:
-            if s in _RESERVED or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", s):
+            if s in _RESERVED or not re.fullmatch(_NAME, s):
                 raise MtlsemError(f"invalid alphabet symbol: {s!r}")
 
     def __iter__(self):
@@ -258,12 +264,6 @@ def require_beta_free(f: Formula, semantics: str):
 # ---------------------------------------------------------------------------
 # printing
 
-def _window_str(w: Interval) -> str:
-    l = "[" if w.lo.closed else "("
-    r = "]" if w.hi.closed else ")"
-    return f"{l}{rat_str(w.lo.value)},{rat_str(w.hi.value)}{r}"
-
-
 def _text(node, l=None, r=None) -> str:
     match node:
         case Atom(name):
@@ -277,7 +277,7 @@ def _text(node, l=None, r=None) -> str:
         case And():
             return f"({l} & {r})"
         case Until(_, w, _):
-            return f"({l} U{_window_str(w)} {r})"
+            return f"({l} U{w} {r})"
 
 
 def to_text(f: Formula) -> str:
@@ -288,187 +288,101 @@ def to_text(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-class _Parser:
-    def __init__(self, text: str, sigma: Alphabet, allow_beta: bool):
-        self.text = text
-        self.sigma = sigma
-        self.allow_beta = allow_beta
-        self.pos = 0
+# One token: a temporal operator with its optional interval suffix, a name, a
+# symbol, the end of the text, or (the empty `junk` match) a character that
+# starts no token.  Leading whitespace belongs to the token.
+_TOKEN = re.compile(
+    rf"\s*(?:(?P<temporal>[UFGX])(?![A-Za-z0-9_])(?:\s*(?P<window>{INTERVAL_TEXT}))?"
+    rf"|(?P<name>{_NAME})|(?P<symbol>->|[!&|()])|(?P<end>\Z)|(?P<junk>))")
+_PREFIX = {"F": f_eventually, "G": f_globally, "X": f_next}
+_INFIX = {"->": (0, f_implies), "|": (1, f_or), "&": (2, And)}
+_CONSTANTS = {"true": f_true, "false": f_false, "sigma": f_sigma,
+              "noact": lambda sigma: Not(f_sigma(sigma))}
 
-    def error(self, message: str):
-        raise FormulaSyntaxError(self.pos, message)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def _tokens(text: str):
+    """The matches of `_TOKEN` along text, each matched in place; the last is
+    the end of the text or a character that starts no token."""
+    m = _TOKEN.match(text)
+    while m.lastgroup not in ("end", "junk"):
+        yield m
+        m = _TOKEN.match(text, m.end())
+    yield m
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self, lit: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(lit, self.pos):
-            self.pos += len(lit)
-            return True
-        return False
+def _error(m, message: str) -> FormulaSyntaxError:
+    return FormulaSyntaxError(m.end() - len(m[0].lstrip()), message)
 
-    def expect(self, lit: str):
-        if not self.take(lit):
-            self.error(f"expected {lit!r}")
 
-    def name(self) -> str | None:
-        self.skip_ws()
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", self.text[self.pos:])
-        if not m:
-            return None
-        self.pos += m.end()
-        return m.group(0)
+def _window(m) -> Interval:
+    """A temporal token's interval suffix, [0,inf) when it has none."""
+    if m["window"] is None:
+        return FULL
+    try:
+        return parse_interval(m["window"])
+    except MtlsemError as exc:
+        raise FormulaSyntaxError(m.start("window"), str(exc)) from None
 
-    def number(self):
-        self.skip_ws()
-        m = re.match(r"\d+(?:\.\d+)?(?:\s*/\s*\d+)?|inf", self.text[self.pos:])
-        if not m:
-            self.error("expected a rational or inf")
-        self.pos += m.end()
-        tok = m.group(0)
-        return INF if tok == "inf" else rational(tok.replace(" ", ""))
 
-    def window(self) -> Interval | None:
-        """An interval suffix; only consumed if '[' or '(' is followed by a digit."""
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] not in "[(":
-            return None
-        probe = self.pos + 1
-        while probe < len(self.text) and self.text[probe].isspace():
-            probe += 1
-        if probe >= len(self.text) or not (self.text[probe].isdigit() or
-                                           self.text.startswith("inf", probe)):
-            return None
-        lo_closed = self.text[self.pos] == "["
-        self.pos += 1
-        lo = self.number()
-        self.expect(",")
-        hi = self.number()
-        self.skip_ws()
-        if self.take("]"):
-            hi_closed = True
-        elif self.take(")"):
-            hi_closed = False
+def _atom(m, sigma: Alphabet, allow_beta: bool) -> Formula:
+    nm = m["name"]
+    if nm is None:
+        raise _error(m, "U is a binary operator" if m["temporal"] else "expected a formula")
+    if nm in _CONSTANTS:
+        return _CONSTANTS[nm](sigma)
+    if nm == "beta":
+        if not allow_beta:
+            raise BetaNotAllowedError("beta used outside the extended syntax")
+        return BETA
+    if nm not in sigma:
+        raise UnknownAtomError(f"atom {nm!r} not in the alphabet")
+    return Atom(nm)
+
+
+def parse(text: str, sigma, allow_beta: bool = False) -> Formula:
+    """Parse concrete syntax into the desugared core grammar.
+
+    Operands (leading !, F, G and X, then an atom) alternate with binary
+    operators, which are reduced on a stack: & and U bind tightest, then |,
+    then ->; each is right-associative.  An opening parenthesis saves the
+    enclosing expression's operands, operators and pending prefixes on
+    `frames`, and its closing one resumes them, so nesting depth costs no
+    recursion.
+    """
+    sigma = alphabet(sigma)
+    tokens = _tokens(text)
+    frames, out, ops, wraps = [], [], [], []
+    while True:
+        m = next(tokens)
+        if m["symbol"] == "!":
+            wraps.append(Not)
+        elif m["symbol"] == "(":
+            frames.append((out, ops, wraps))
+            out, ops, wraps = [], [], []
+        elif m["temporal"] in _PREFIX:
+            wraps.append(lambda g, op=_PREFIX[m["temporal"]], w=_window(m): op(w, g, sigma))
         else:
-            self.error("expected ] or )")
-        if lo == INF:
-            self.error("lower bound must be finite")
-        try:
-            return interval(lo, hi, lo_closed, hi_closed)
-        except MtlsemError as exc:
-            self.error(str(exc))
-
-    def parse(self) -> Formula:
-        f = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("trailing input")
-        return f
-
-    def expr(self) -> Formula:
-        """Unary operands joined by binary operators, reduced on a stack: & and
-        U_w bind tightest, then |, then ->; each is right-associative.
-
-        An opening parenthesis saves the enclosing expression's operands,
-        operators and pending prefixes on `frames`, and its closing one
-        resumes them, so nesting depth costs no recursion.
-        """
-        frames = []
-        out, ops = [], []
-        while True:
-            wraps, f = self.operand()
-            if f is None:
-                frames.append((out, ops, wraps))
-                out, ops = [], []
-                continue
+            f = _atom(m, sigma, allow_beta)
             while True:  # f is a complete operand
                 while wraps:
                     f = wraps.pop()(f)
                 out.append(f)
-                op = self.operator()
-                if op is not None:
-                    while ops and ops[-1][0] > op[0]:
-                        self.reduce(out, ops.pop())
-                    ops.append(op)
+                m = next(tokens)
+                if m["temporal"] == "U":
+                    prec, build = 2, lambda l, r, w=_window(m): Until(l, w, r)
+                else:
+                    prec, build = _INFIX.get(m["symbol"], (-1, None))
+                while ops and ops[-1][0] > prec:
+                    right = out.pop()
+                    out.append(ops.pop()[1](out.pop(), right))
+                if build is not None:
+                    ops.append((prec, build))
                     break
-                while ops:
-                    self.reduce(out, ops.pop())
                 f = out.pop()
                 if not frames:
+                    if m.lastgroup != "end":
+                        raise _error(m, "trailing input")
                     return f
-                self.expect(")")
+                if m["symbol"] != ")":
+                    raise _error(m, "expected ')'")
                 out, ops, wraps = frames.pop()
-
-    @staticmethod
-    def reduce(out, op):
-        right = out.pop()
-        out.append(op[1](out.pop(), right))
-
-    def operator(self):
-        """The next binary operator as (precedence, constructor), or None."""
-        if self.take("->"):
-            return 0, f_implies
-        if self.take("|"):
-            return 1, f_or
-        if self.take("&"):
-            return 2, And
-        save = self.pos
-        if self.name() == "U":
-            w = self.window() or FULL
-            return 2, lambda l, r: Until(l, w, r)
-        self.pos = save
-        return None
-
-    def operand(self):
-        """Leading !, F, G and X, collected in a loop, then a primary.
-
-        Returns the prefixes as constructors and the primary, or None in its
-        place when an opening parenthesis follows them.
-        """
-        wraps = []
-        while True:
-            if self.take("!"):
-                wraps.append(Not)
-                continue
-            if self.take("("):
-                return wraps, None
-            nm = self.name()
-            if nm not in _PREFIX:
-                return wraps, self.primary(nm)
-            w = self.window() or FULL
-            wraps.append(lambda g, op=_PREFIX[nm], w=w: op(w, g, self.sigma))
-
-    def primary(self, nm) -> Formula:
-        if nm is None:
-            self.error("expected a formula")
-        if nm == "true":
-            return f_true(self.sigma)
-        if nm == "false":
-            return f_false(self.sigma)
-        if nm == "sigma":
-            return f_sigma(self.sigma)
-        if nm == "noact":
-            return Not(f_sigma(self.sigma))
-        if nm == "beta":
-            if not self.allow_beta:
-                raise BetaNotAllowedError("beta used outside the extended syntax")
-            return BETA
-        if nm == "U":
-            self.error("U is a binary operator")
-        if nm not in self.sigma:
-            raise UnknownAtomError(f"atom {nm!r} not in the alphabet")
-        return Atom(nm)
-
-
-_PREFIX = {"F": f_eventually, "G": f_globally, "X": f_next}
-
-
-def parse(text: str, sigma, allow_beta: bool = False) -> Formula:
-    """Parse concrete syntax into the desugared core grammar."""
-    return _Parser(text, alphabet(sigma), allow_beta).parse()

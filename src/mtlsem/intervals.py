@@ -26,6 +26,13 @@ representation of Maler & Nickovic, FORMATS 2004) and never re-sort.
 `IntervalSet.from_intervals` normalizes arbitrary input; constructing
 `IntervalSet(parts)` directly is only valid with parts that are already
 normalized.
+
+Rationals and intervals have one text grammar, `RATIONAL_TEXT` and
+`INTERVAL_TEXT`.  A rational is "p/q" (spaces allowed around the slash, q
+nonzero) or a terminating decimal; an interval is a bracket, a rational, a
+comma, a rational or "inf", and a bracket.  `rational`, `parse_interval` and
+the formula parser's window token all read this grammar, so `--time`, JSON
+timestamps, state-sequence intervals and formula windows accept the same text.
 """
 
 from __future__ import annotations
@@ -39,19 +46,33 @@ from .errors import MtlsemError
 
 INF = math.inf
 
-_RAT_RE = re.compile(r"^\s*(\d+)\s*/\s*(\d+)\s*$|^\s*(\d+(?:\.\d+)?)\s*$")
+RATIONAL_TEXT = r"\d+(?:\.\d+|\s*/\s*\d+)?"
+INTERVAL_TEXT = rf"([\[(])\s*({RATIONAL_TEXT})\s*,\s*({RATIONAL_TEXT}|inf)\s*([\])])"
+_RATIONAL = re.compile(rf"\s*({RATIONAL_TEXT})\s*")
+_INTERVAL = re.compile(rf"\s*{INTERVAL_TEXT}\s*")
+
+
+def _fraction(text: str) -> Fraction:
+    """The value of a `RATIONAL_TEXT` match."""
+    num, slash, den = text.partition("/")
+    if not slash:
+        return Fraction(num)
+    if int(den) == 0:
+        raise MtlsemError(f"zero denominator: {text!r}")
+    return Fraction(int(num), int(den))
 
 
 def rational(value) -> Fraction:
-    """Parse a nonnegative rational from "p/q", a terminating decimal, or a number."""
+    """Parse a nonnegative rational from `RATIONAL_TEXT`, an int or a Fraction."""
     if isinstance(value, Fraction):
         q = value
     elif isinstance(value, int):
         q = Fraction(value)
     elif isinstance(value, str):
-        if not _RAT_RE.match(value):
+        m = _RATIONAL.fullmatch(value)
+        if not m:
             raise MtlsemError(f"not a nonnegative rational: {value!r}")
-        q = Fraction(value.strip())
+        q = _fraction(m[1])
     else:
         raise MtlsemError(f"not a rational: {value!r}")
     if q < 0:
@@ -130,19 +151,15 @@ def punctual(t) -> Interval:
     return interval(t, t, True, True)
 
 
-_IV_RE = re.compile(r"^\s*([\[(])\s*([^,\s]+)\s*,\s*([^,\s\])]+)\s*([\])])\s*$")
-
-
 def parse_interval(text: str) -> Interval:
-    """Parse "[l,u]", "(l,u]", "[l,u)" or "(l,u)"; "inf" allowed as u in open-above forms."""
-    m = _IV_RE.match(text)
+    """Parse `INTERVAL_TEXT`: "[l,u]", "(l,u]", "[l,u)" or "(l,u)"; u may be "inf" if open."""
+    m = _INTERVAL.fullmatch(text)
     if not m:
         raise MtlsemError(f"not an interval: {text!r}")
-    lbr, lo_s, hi_s, rbr = m.groups()
-    hi = INF if hi_s == "inf" else rational(hi_s)
-    if hi == INF and rbr == "]":
+    lbr, lo, hi, rbr = m.groups()
+    if hi == "inf" and rbr == "]":
         raise MtlsemError(f"infinite upper bound must be open: {text!r}")
-    return interval(rational(lo_s), hi, lbr == "[", rbr == "]")
+    return interval(_fraction(lo), INF if hi == "inf" else _fraction(hi), lbr == "[", rbr == "]")
 
 
 def _lo_key(b: Bound):

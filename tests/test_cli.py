@@ -52,7 +52,7 @@ class TestEval:
                         "--formula", "F(b & X[0,0] a)", "--word", rho1)
         assert code == 1
 
-    def test_unknown_is_exit_two(self, swap_lasso, capsys):
+    def test_dense_refutation_on_a_lasso_is_exit_one(self, swap_lasso, capsys):
         # X[0,0] a never holds in the dense semantics, since the strict Until
         # needs a witness t' > t at distance 0
         code, out = run(capsys, "eval", "--semantics", "itw",
@@ -193,6 +193,33 @@ class TestExitCodes:
         assert code == 3
         assert captured.out == ""
         assert "'z'" in captured.err
+
+    @pytest.mark.parametrize("payload, semantics, time, formula", [
+        ({"events": [["a", "0"], ["b", "1/0"]]}, "itw", "0", "a"),
+        (RHO1, "itw", "1/0", "a"),
+        (RHO1, "itw", "0", "F[0, 1/0] a"),
+        ({"steps": [[["a"], "[0,0]"], [[], "(0,1/0)"]]}, "its", "0", "a"),
+    ], ids=["json-time", "time-option", "formula-window", "state-interval"])
+    def test_zero_denominator_is_input_error(
+            self, tmp_path, capsys, payload, semantics, time, formula):
+        p = tmp_path / "zero.json"
+        p.write_text(json.dumps(payload))
+        code = main(["eval", "--semantics", semantics, "--alphabet", "a,b,c", "--time", time,
+                     "--formula", formula, "--word", str(p)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:") and "zero denominator" in err
+
+    @pytest.mark.parametrize("payload, time", [
+        ({"events": [["a", "0"], ["b", "1 / 2"]]}, "0"),
+        (RHO1, "1 / 2"),
+    ], ids=["json-time", "time-option"])
+    def test_spaces_around_the_slash_are_accepted(self, tmp_path, capsys, payload, time):
+        p = tmp_path / "spaced.json"
+        p.write_text(json.dumps(payload))
+        code = main(["eval", "--semantics", "itw", "--alphabet", "a,b,c", "--time", time,
+                     "--formula", "F[0, 1 / 2] b", "--word", str(p)])
+        assert code == 0
 
     def test_unexpected_exception_is_exit_four_in_one_line(self, rho1, capsys, monkeypatch):
         import mtlsem.cli as cli

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mtlsem.errors import BetaNotAllowedError, FormulaSyntaxError, UnknownAtomError
+from mtlsem.errors import BetaNotAllowedError, FormulaSyntaxError, MtlsemError, UnknownAtomError
 from mtlsem.formulas import (
     BETA,
     FULL,
@@ -29,7 +29,8 @@ from mtlsem.formulas import (
     to_text,
     uses_beta,
 )
-from mtlsem.intervals import INF, interval
+from mtlsem.intervals import INF, interval, parse_interval, rat_str, rational
+from mtlsem.oracle import _gen_window
 
 ABC = alphabet("a,b,c")
 
@@ -150,6 +151,42 @@ class TestPrint:
         for _ in range(1000):
             f = _rand_formula(rng, 0)
             assert parse(to_text(f), ABC, allow_beta=True) == f
+
+
+class TestTextGrammar:
+    """Formula windows, `rational` and `parse_interval` read one rational and
+    interval grammar."""
+
+    def test_round_trip(self):
+        rng = random.Random(53)
+        for _ in range(2000):
+            q = Fraction(rng.randrange(10**6), rng.randrange(1, 10**3))
+            assert rational(rat_str(q)) == q
+            n, d = rng.randrange(100), rng.randrange(1000)
+            assert rational(f"{n}.{d:03}") == n + Fraction(d, 1000)
+            w = _gen_window(rng)
+            assert parse_interval(str(w)) == w
+            assert parse(f"a U{w} b", ABC).window == w
+
+    def test_spaces_around_the_slash(self):
+        half = parse_interval("[0, 1 / 2]")
+        assert half == interval(0, Fraction(1, 2))
+        assert parse("F[0, 1 / 2] a", ABC) is f_eventually(half, Atom("a"), ABC)
+        assert parse("F[0,1\t/2] a", ABC) is parse("F[0,1/2] a", ABC)
+        assert rational(" 1 / 2 ") == Fraction(1, 2)
+
+    def test_parenthesised_atom_named_like_inf(self):
+        sigma = alphabet("a,inf_x")
+        assert parse("F(inf_x)", sigma) is f_eventually(FULL, Atom("inf_x"), sigma)
+
+    @pytest.mark.parametrize("text", ["1/0", "1 / 0", "1.5/2", "1/", ".5", "-1", "inf"])
+    def test_malformed_rational_rejected_everywhere(self, text):
+        with pytest.raises(MtlsemError):
+            rational(text)
+        with pytest.raises(MtlsemError):
+            parse_interval(f"[0,{text}]")
+        with pytest.raises(FormulaSyntaxError):
+            parse(f"F[0,{text}] a", ABC)
 
 
 def _rand_formula(rng, depth):

@@ -148,7 +148,7 @@ class TestLassoVerdicts:
         l = lasso(word([("a", "0")]), ["c"], ["1"], "1")
         assert eval_itw_lasso(l, gamma2) is Verdict3.FALSE
 
-    def test_unbounded_refutation_is_unknown(self):
+    def test_unbounded_refutation_is_false(self):
         # X[0,0] a never holds in the dense semantics, since the strict Until
         # needs a witness t' > t at distance 0, so F(b & X[0,0] a) is false on
         # every word; pointwise, the one b is followed by c

@@ -156,7 +156,7 @@ class TestLassoVerdicts:
         l = lasso(word([("c", 0), ("b", 0), ("a", 0), ("c", 5)]), ["c"], ["1"], "1")
         assert eval_mx_lasso(l, GAMMA5) is Verdict3.TRUE
 
-    def test_swapped_block_turns_unknown(self):
+    def test_swapped_block_turns_false(self):
         # the only b is the last position of the time-0 block and the period
         # holds only c, so no b is followed at distance 0 by an a:
         # F(b & X[0,0] a) is false, and with it both disjuncts of GAMMA5
