@@ -6,6 +6,11 @@ failure (a broken invariant or any unexpected exception, reported in one
 line).  Exit code 2 stays reserved for an unknown verdict, but lasso
 verdicts are exact in every relation, so no command returns it.  Machine
 output is JSON on stdout; --pretty switches to an indented human layout.
+
+`main(argv)` is reentrant: the argument parser is built once, at import, and
+every call parses its argv against it, so a program that calls `main` in a
+loop pays for argparse construction once.  The library (`import mtlsem`) does
+not import this module.
 """
 
 from __future__ import annotations
@@ -129,7 +134,8 @@ def cmd_parse(args) -> int:
     return OK
 
 
-def cmd_eval(args, via_oracle: bool = False) -> int:
+def cmd_eval(args) -> int:
+    via_oracle = args.via_oracle
     loaded = load_input(args.word, args.allow_nonzero_start)
     sigma = _the_alphabet(args, loaded)
     f = _formula(args, sigma, allow_beta=args.semantics == "mx")
@@ -324,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="echo the canonical form and metrics")
     common(p, word_input=False)
     p.add_argument("--beta", action="store_true", help="allow the position-zero atom")
-    p.set_defaults(fn=cmd_parse)
+    p.set_defaults(handler="cmd_parse")
 
     for name, oracle_flag in (("eval", False), ("oracle", True)):
         p = sub.add_parser(
@@ -335,50 +341,56 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--position", type=int, help="event position (pw)")
         p.add_argument("--time", help="evaluation time (itw/its/mx)")
         p.add_argument("--pos", type=int, help="intra-timestamp position (mx)")
-        p.set_defaults(fn=lambda a, flag=oracle_flag: cmd_eval(a, via_oracle=flag))
+        p.set_defaults(handler="cmd_eval", via_oracle=oracle_flag)
 
     p = sub.add_parser("satset", help="dump per-subformula satisfaction sets")
     common(p)
     p.add_argument("--semantics", required=True, choices=["itw", "its", "mx"])
-    p.set_defaults(fn=cmd_satset)
+    p.set_defaults(handler="cmd_satset")
 
     p = sub.add_parser("compile", help="compile into the mixed semantics")
     common(p, word_input=False)
     p.add_argument("--target", required=True, choices=["pw2mx", "itw2mx"])
-    p.set_defaults(fn=cmd_compile)
+    p.set_defaults(handler="cmd_compile")
 
     p = sub.add_parser("encode", help="translate between the timed models")
     common(p)
     p.add_argument("--to", required=True, choices=["compact", "tss", "word"])
-    p.set_defaults(fn=cmd_encode)
+    p.set_defaults(handler="cmd_encode")
 
     p = sub.add_parser("check", help="validate an input and report its classes")
     common(p)
-    p.set_defaults(fn=cmd_check)
+    p.set_defaults(handler="cmd_check")
 
     p = sub.add_parser("fuzz", help="differential-test the engines against the oracle")
     p.add_argument("--cases", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--engine", default="all", choices=["pw", "itw", "its", "mx", "all"])
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(fn=cmd_fuzz)
+    p.set_defaults(handler="cmd_fuzz")
 
     p = sub.add_parser("paper", help="replay the bundled worked-example checks")
     p.add_argument("--all", action="store_true", help="run every check (default)")
     p.add_argument("--name", help="run only checks whose name contains this")
-    p.set_defaults(fn=cmd_paper)
+    p.set_defaults(handler="cmd_paper")
 
     return top
 
 
+# argparse keeps no state between parse_args calls (each returns a fresh
+# Namespace), so one parser serves every call of `main`.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return INPUT_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        # looked up by name per call: a cmd_* rebound after import (a test double,
+        # a tracing wrapper) is the one that runs
+        return globals()[args.handler](args)
     except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return INVARIANT

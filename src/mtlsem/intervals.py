@@ -56,7 +56,10 @@ def _fraction(text: str) -> Fraction:
     """The value of a `RATIONAL_TEXT` match."""
     num, slash, den = text.partition("/")
     if not slash:
-        return Fraction(num)
+        # ints, not Fraction(str): the grammar is already checked, and the
+        # fractions module's own string regex is most of the cost
+        whole, _, frac = num.partition(".")
+        return Fraction(int(whole + frac), 10 ** len(frac)) if frac else Fraction(int(whole))
     if int(den) == 0:
         raise MtlsemError(f"zero denominator: {text!r}")
     return Fraction(int(num), int(den))

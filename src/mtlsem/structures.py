@@ -368,13 +368,18 @@ def tss_to_json(kappa: TimedStateSequence) -> dict:
 
 
 def tss_from_json(obj, allow_nonzero_start: bool = False) -> TimedStateSequence:
-    steps = _field(obj, "steps", "", list, "a list of [propositions, interval] pairs")
-    for i, st in enumerate(steps):
+    steps = []
+    for i, st in enumerate(_field(obj, "steps", "", list,
+                                  "a list of [propositions, interval] pairs")):
         if not (isinstance(st, list) and len(st) == 2
                 and isinstance(st[0], list) and isinstance(st[1], str)):
             raise MtlsemError(
                 f"malformed input: steps[{i}] must be a [propositions, interval] pair")
-        _strings(st[0], f"steps[{i}][0]")
+        props = _strings(st[0], f"steps[{i}][0]")
+        try:
+            steps.append((props, parse_interval(st[1])))
+        except MtlsemError as exc:
+            raise MtlsemError(f"malformed input: steps[{i}][1]: {exc}") from None
     return validate_tss(steps, allow_nonzero_start=allow_nonzero_start)
 
 

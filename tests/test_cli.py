@@ -166,6 +166,9 @@ class TestExitCodes:
         ({"events": [["a", "0"]], "period": {"actions": ["c"], "offsets": "1",
                                              "duration": "1"}}, "period.offsets"),
         ({"steps": [["a", "[0,0]"]]}, "steps[0]"),
+        ({"steps": [[["a"], "[0,0]"], [[], "(0,1/0)"]]},
+         "steps[1][1]: zero denominator: '1/0'"),
+        ({"steps": [[["a"], "[0,0]"], [[], "(0,1"]]}, "steps[1][1]: not an interval: '(0,1'"),
     ])
     def test_malformed_shape_is_input_error_naming_the_field(
             self, tmp_path, capsys, payload, field):
@@ -232,3 +235,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 4
         assert err.strip() == "internal error: ZeroDivisionError: boom"
+
+
+class TestOneParser:
+    """`main` parses every argv against the one parser built at import."""
+
+    PLAIN = ("eval", "--semantics", "pw", "--formula", "X c")
+
+    def test_options_do_not_carry_over(self, rho1, capsys):
+        first = run(capsys, *self.PLAIN, "--word", rho1)
+        code, out = run(capsys, *self.PLAIN, "--word", rho1, "--pretty", "--position", "2")
+        # position 2 is the a right before c; position 0 is followed by b
+        assert code == 0 and json.loads(out)["verdict"] == "true"
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        assert first[0] == 1 and json.loads(first[1])["verdict"] == "false"
+        assert first[1] == json.dumps(json.loads(first[1]), sort_keys=True) + "\n"
+        assert run(capsys, *self.PLAIN, "--word", rho1) == first
+
+    @pytest.mark.parametrize("bad, code", [
+        (("eval", "--bogus"), 3),
+        (("eval", "--formula", "a"), 3),
+        (("eval", "--help"), 0),
+    ], ids=["unknown-option", "missing-semantics", "help"])
+    def test_a_parse_exit_leaves_the_next_call_alone(self, rho1, capsys, bad, code):
+        first = run(capsys, *self.PLAIN, "--word", rho1)
+        assert main(list(bad)) == code
+        capsys.readouterr()
+        assert run(capsys, *self.PLAIN, "--word", rho1) == first
+
+    def test_no_parser_is_built_per_call(self, rho1, capsys, monkeypatch):
+        import mtlsem.cli as cli
+
+        def boom():
+            raise AssertionError("build_parser called after import")
+
+        monkeypatch.setattr(cli, "build_parser", boom)
+        assert run(capsys, *self.PLAIN, "--word", rho1)[0] == 1
+        assert main(["eval", "--bogus"]) == 3

@@ -168,6 +168,12 @@ class TestTextGrammar:
             assert parse_interval(str(w)) == w
             assert parse(f"a U{w} b", ABC).window == w
 
+    @pytest.mark.parametrize("text", ["007", "0.050", "1.000", "0.0", "00.10",
+                                      "123456789012345678901234567890"])
+    def test_integers_and_decimals_read_as_fraction_does(self, text):
+        assert rational(text) == Fraction(text)
+        assert parse_interval(f"[{text},{text}]") == interval(Fraction(text), Fraction(text))
+
     def test_spaces_around_the_slash(self):
         half = parse_interval("[0, 1 / 2]")
         assert half == interval(0, Fraction(1, 2))
