@@ -39,14 +39,7 @@ from .formulas import (
     to_text,
     uses_beta,
 )
-from .interval_based import (
-    Verdict3,
-    eval_its,
-    eval_itw,
-    eval_itw_lasso,
-    sat_set_its,
-    sat_set_itw,
-)
+from .interval_based import eval_its, eval_itw, eval_itw_lasso, sat_set_its, sat_set_itw
 from .intervals import (
     INF,
     Bound,

@@ -1,11 +1,14 @@
 """Command-line surface.
 
-Exit codes: 0 verdict true / success, 1 verdict false, 2 unknown verdict,
-3 input error (malformed JSON shapes name the offending field), 4 internal
-failure (a broken invariant or any unexpected exception, reported in one
-line).  Exit code 2 stays reserved for an unknown verdict, but lasso
-verdicts are exact in every relation, so no command returns it.  Machine
-output is JSON on stdout; --pretty switches to an indented human layout.
+Exit codes: 0 verdict true / success, 1 verdict false, 3 input error
+(malformed JSON shapes name the offending field), 4 internal failure (any
+unexpected exception, reported in one line).  Every verdict, lasso verdicts
+included, is exact, so it is true or false.  Machine output is JSON on stdout;
+--pretty switches to an indented human layout.
+
+`eval`, `oracle`, `satset` and `fuzz` dispatch on the relation through one
+table, `_relations`: per relation, how it reads a timed word, its engine and
+oracle at one point, its lasso verdict and its satisfaction sets.
 
 `main(argv)` is reentrant: the argument parser is built once, at import, and
 every call parses its argv against it, so a program that calls `main` in a
@@ -19,10 +22,9 @@ import argparse
 import json
 import sys
 
-from . import gallery
 from .compilers import compile_itw, compile_pw
-from .encodings import compact, compact_lasso, lasso_to_tss_steps, word_to_tss
-from .errors import InvariantError, MtlsemError
+from .encodings import compact, compact_lasso, word_to_tss
+from .errors import MtlsemError
 from .formulas import (
     alphabet,
     atoms,
@@ -33,14 +35,7 @@ from .formulas import (
     to_text,
     uses_beta,
 )
-from .interval_based import (
-    Verdict3,
-    eval_its,
-    eval_itw,
-    eval_itw_lasso,
-    sat_sets_its,
-    sat_sets_itw,
-)
+from .interval_based import eval_its, eval_itw, eval_itw_lasso, sat_sets_its, sat_sets_itw
 from .intervals import INF, rat_str, rational
 from .mixed import eval_mx, eval_mx_lasso, sat_sets_mx
 from .oracle import (
@@ -57,16 +52,18 @@ from .structures import (
     Lasso,
     TimedStateSequence,
     TimedWord,
+    duration,
     is_action_based,
     is_strictly_monotone,
     is_stutter_free,
     lasso_to_json,
     load_input,
     tss_to_json,
+    unroll,
     word_to_json,
 )
 
-OK, FALSE, UNKNOWN, INPUT_ERROR, INVARIANT = 0, 1, 2, 3, 4
+OK, FALSE, INPUT_ERROR, INVARIANT = 0, 1, 3, 4
 
 
 def _emit(obj, pretty: bool):
@@ -106,14 +103,32 @@ def _formula(args, sigma, allow_beta: bool):
     return parse(text, sigma, allow_beta=allow_beta)
 
 
-def _verdict_exit(v) -> int:
-    if isinstance(v, Verdict3):
-        return {Verdict3.TRUE: OK, Verdict3.FALSE: FALSE, Verdict3.UNKNOWN: UNKNOWN}[v]
-    return OK if v else FALSE
+def _relations() -> dict:
+    """Per relation: how it reads a timed word, the point it is evaluated at
+    (from the options), its engine and oracle at that point, its lasso
+    verdict and its satisfaction sets.
+
+    Built per call, so a name rebound after import (a test double, a tracing
+    wrapper) is the one that runs."""
+    return {
+        "pw": (lambda rho: rho, lambda a: (a.position or 0,),
+               eval_pw, oracle_eval_pw, eval_pw_lasso, None),
+        "itw": (lambda rho: rho, lambda a: (rational(a.time or "0"),),
+                eval_itw, oracle_eval_itw, eval_itw_lasso, sat_sets_itw),
+        "its": (word_to_tss, lambda a: (rational(a.time or "0"),),
+                eval_its, oracle_eval_its, None, sat_sets_its),
+        "mx": (compact, lambda a: (rational(a.time or "0"), a.pos or 0),
+               eval_mx, oracle_eval_mx, eval_mx_lasso, sat_sets_mx),
+    }
 
 
-def _verdict_str(v) -> str:
-    return v.value if isinstance(v, Verdict3) else ("true" if v else "false")
+def _finite(loaded, sem: str, read):
+    """A finite input as relation `sem` reads it: only `its` reads a state sequence."""
+    if not isinstance(loaded, TimedStateSequence):
+        return read(loaded)
+    if sem != "its":
+        raise MtlsemError(f"a state sequence cannot be read under {sem}")
+    return loaded
 
 
 # ---------------------------------------------------------------------------
@@ -135,48 +150,23 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    via_oracle = args.via_oracle
     loaded = load_input(args.word, args.allow_nonzero_start)
     sigma = _the_alphabet(args, loaded)
-    f = _formula(args, sigma, allow_beta=args.semantics == "mx")
     sem = args.semantics
-
+    f = _formula(args, sigma, allow_beta=sem == "mx")
+    read, point, engine, oracle, on_lasso, _ = _relations()[sem]
     if isinstance(loaded, Lasso):
-        if via_oracle:
+        if args.via_oracle:
             raise MtlsemError("the oracle evaluates finite inputs only")
-        if sem == "pw":
-            verdict = eval_pw_lasso(loaded, f)
-        elif sem == "itw":
-            verdict = eval_itw_lasso(loaded, f)
-        elif sem == "mx":
-            verdict = eval_mx_lasso(loaded, f)
-        else:
+        if on_lasso is None:
             raise MtlsemError("state-sequence semantics takes no lasso input")
-    elif isinstance(loaded, TimedStateSequence):
-        if sem != "its":
-            raise MtlsemError(f"a state sequence cannot be read under {sem}")
-        t = rational(args.time or "0")
-        verdict = (oracle_eval_its if via_oracle else eval_its)(loaded, t, f)
+        verdict = on_lasso(loaded, f)
     else:
-        if sem == "pw":
-            i = args.position or 0
-            verdict = (oracle_eval_pw if via_oracle else eval_pw)(loaded, i, f)
-        elif sem == "itw":
-            t = rational(args.time or "0")
-            verdict = (oracle_eval_itw if via_oracle else eval_itw)(loaded, t, f)
-        elif sem == "its":
-            kappa = word_to_tss(loaded)
-            t = rational(args.time or "0")
-            verdict = (oracle_eval_its if via_oracle else eval_its)(kappa, t, f)
-        else:
-            cw = compact(loaded)
-            t = rational(args.time or "0")
-            j = args.pos or 0
-            verdict = (oracle_eval_mx if via_oracle else eval_mx)(cw, t, j, f)
-
-    _emit({"semantics": sem, "formula": to_text(f), "verdict": _verdict_str(verdict)},
+        structure = _finite(loaded, sem, read)
+        verdict = (oracle if args.via_oracle else engine)(structure, *point(args), f)
+    _emit({"semantics": sem, "formula": to_text(f), "verdict": "true" if verdict else "false"},
           args.pretty)
-    return _verdict_exit(verdict)
+    return OK if verdict else FALSE
 
 
 def cmd_satset(args) -> int:
@@ -186,19 +176,8 @@ def cmd_satset(args) -> int:
     sigma = _the_alphabet(args, loaded)
     sem = args.semantics
     f = _formula(args, sigma, allow_beta=sem == "mx")
-    if sem == "itw":
-        if not isinstance(loaded, TimedWord):
-            raise MtlsemError("itw needs a timed word")
-        table = sat_sets_itw(loaded, f)
-    elif sem == "its":
-        kappa = loaded if isinstance(loaded, TimedStateSequence) else word_to_tss(loaded)
-        table = sat_sets_its(kappa, f)
-    elif sem == "mx":
-        if not isinstance(loaded, TimedWord):
-            raise MtlsemError("mx needs a timed word")
-        table = sat_sets_mx(compact(loaded), f)
-    else:
-        raise MtlsemError("satisfaction sets exist for itw, its and mx only")
+    read, *_, sat_sets = _relations()[sem]
+    table = sat_sets(_finite(loaded, sem, read), f)
     sets = []
     for sub, got in table.items():
         if sem == "mx":
@@ -233,7 +212,8 @@ def cmd_encode(args) -> int:
                    "period": {"blocks": [[list(a), rat_str(o)] for a, o in cl.period_blocks],
                               "duration": rat_str(cl.period_duration)}}, args.pretty)
             return OK
-        _emit(tss_to_json(lasso_to_tss_steps(loaded, copies=2)), args.pretty)
+        _emit(tss_to_json(word_to_tss(unroll(
+            loaded, duration(loaded.prefix) + 2 * loaded.period_duration))), args.pretty)
         return OK
     if isinstance(loaded, TimedStateSequence):
         raise MtlsemError("state sequences are encoding targets, not sources")
@@ -271,8 +251,8 @@ def _fuzz_one(engine: str, seed: int):
     rho = gen_word(seed)
     f = gen_formula(seed * 2654435761 % (2**31), sigma,
                     allow_beta=engine == "mx")
-    structure = word_to_tss(rho) if engine == "its" else compact(rho) if engine == "mx" else rho
-    diverged = differential(engine, structure, f)
+    read, *_ = _relations()[engine]
+    diverged = differential(engine, read(rho), f)
     if diverged:
         diverged.update({"word": word_to_json(rho), "formula": to_text(f)})
     return diverged
@@ -295,6 +275,8 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_paper(args) -> int:
+    from . import gallery
+
     results = gallery.run_all()
     if args.name:
         results = [r for r in results if args.name in r.name]
@@ -391,9 +373,6 @@ def main(argv=None) -> int:
         # looked up by name per call: a cmd_* rebound after import (a test double,
         # a tracing wrapper) is the one that runs
         return globals()[args.handler](args)
-    except InvariantError as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return INVARIANT
     except (MtlsemError, IndexError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

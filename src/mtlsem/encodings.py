@@ -188,17 +188,6 @@ def compact_lasso(l: Lasso) -> CompactLasso:
     return CompactLasso(pref, tuple(blocks), l.period_duration)
 
 
-def lasso_to_tss_steps(l: Lasso, copies: int = 1) -> TimedStateSequence:
-    """State-sequence image of the prefix plus `copies` unrolled periods."""
-    cl = compact_lasso(l)
-    base = compact_duration(cl.prefix)
-    blocks = list(cl.prefix.blocks)
-    for c in range(copies):
-        for acts, off in cl.period_blocks:
-            blocks.append((acts, base + c * l.period_duration + off))
-    return to_tss(CompactTimedWord(tuple(blocks)))
-
-
 # ---------------------------------------------------------------------------
 # bounded preimage search (incomparability harness only)
 

@@ -51,7 +51,3 @@ class UnknownAtomError(MtlsemError):
 
 class BetaNotAllowedError(MtlsemError):
     """The position-zero atom is only meaningful under the mixed semantics."""
-
-
-class InvariantError(RuntimeError):
-    """An internal consistency assertion failed (engine bug, not user error)."""

@@ -16,7 +16,7 @@ from .compilers import compile_itw, compile_pw
 from .encodings import compact, word_to_tss
 from .errors import MtlsemError, NonMonotoneError
 from .formulas import Alphabet, Formula, alphabet, parse, to_text
-from .interval_based import Verdict3, eval_its, eval_itw
+from .interval_based import eval_its, eval_itw
 from .mixed import NO_ACTION, compact_at, eval_mx, eval_mx_lasso
 from .pointwise import eval_pw, eval_pw_lasso
 from .structures import (
@@ -218,11 +218,11 @@ def _checks():
            lambda: eval_pw_lasso(swap_ab_inf, B_THEN_A), False)
 
     yield ("closed-start-counts-head-block",
-           lambda: eval_mx_lasso(open_start_probe, OPEN_END_B_C), Verdict3.TRUE)
+           lambda: eval_mx_lasso(open_start_probe, OPEN_END_B_C), True)
     yield ("open-start-skips-head-block",
-           lambda: eval_mx_lasso(open_start_probe, OPEN_START_B_C), Verdict3.FALSE)
+           lambda: eval_mx_lasso(open_start_probe, OPEN_START_B_C), False)
     yield ("mixed-only-disjunction-witness",
-           lambda: eval_mx_lasso(mix_witness, MIX_ONLY), Verdict3.TRUE)
+           lambda: eval_mx_lasso(mix_witness, MIX_ONLY), True)
 
     yield ("strictness-test-formula-on-swap-word",
            lambda: eval_itw(WORD_SWAP_BA, 0, no_simultaneous(ABC)), False)
@@ -272,8 +272,6 @@ def run_all():
 
 
 def _fmt(v) -> str:
-    if isinstance(v, Verdict3):
-        return v.value
     if isinstance(v, frozenset):
         return "{" + ",".join(sorted(v)) + "}"
     if isinstance(v, tuple):

@@ -28,16 +28,14 @@ point takes D once, from the timestamps or the state-sequence endpoints and
 the root's keys back to an `IntervalSet`, `sat_sets_*` every set of the
 table.
 
-Lasso verdicts are exact: `encodings.lasso_instance` closes every unbounded
-window at the lasso's period and unrolls the lasso far enough, and the
-verdict is whether 0 lies in the finite word's set.  This goes beyond the
+Lasso verdicts are exact booleans: `encodings.lasso_instance` closes every
+unbounded window at the lasso's period and unrolls the lasso far enough, and
+the verdict is whether 0 lies in the finite word's set.  This goes beyond the
 paper, which promises only sound three-valued verdicts on lassos.
-`Verdict3` keeps its UNKNOWN value, but no lasso verdict takes it.
 """
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 
 from .encodings import lasso_instance
@@ -71,16 +69,6 @@ from .structures import (
     tss_duration,
     tss_start,
 )
-
-
-class Verdict3(enum.Enum):
-    TRUE = "true"
-    FALSE = "false"
-    UNKNOWN = "unknown"
-
-    @staticmethod
-    def of(b: bool) -> "Verdict3":
-        return Verdict3.TRUE if b else Verdict3.FALSE
 
 
 def _until_bases(f: list, g: list, w: tuple, domain: tuple, J: int = 1, last=None) -> list:
@@ -218,7 +206,7 @@ def eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # lassos
 
-def eval_itw_lasso(l: Lasso, f: Formula) -> Verdict3:
+def eval_itw_lasso(l: Lasso, f: Formula) -> bool:
     """Exact verdict at time 0 of the unrolled infinite word."""
     rho, g = lasso_instance(l, f)
-    return Verdict3.of(sat_set_itw(rho, g).member(0))
+    return sat_set_itw(rho, g).member(0)

@@ -34,9 +34,9 @@ The engine runs on an integer time base (see `intervals`): `sat_sets_mx` and
 over each grid point's first slot, its gap from the time keys k // J minus the
 block stamps.
 
-A lasso verdict is exact: `encodings.lasso_instance` bounds the formula and
-unrolls the lasso, and the verdict is whether (0, 0) lies in the root's
-grid points.  The paper promises only sound three-valued verdicts here.
+A lasso verdict is an exact boolean: `encodings.lasso_instance` bounds the
+formula and unrolls the lasso, and the verdict is whether (0, 0) lies in the
+root's grid points.  The paper promises only sound three-valued verdicts here.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .intervals import (
 )
 from .structures import CompactTimedWord, Lasso
 from .encodings import block_index_at, compact, lasso_instance
-from .interval_based import Verdict3, _until_bases
+from .interval_based import _until_bases
 
 NO_ACTION = "⊢"  # the internal no-action sentinel filling gap times
 
@@ -193,7 +193,7 @@ def eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
     return (k, j) in got.points if k is not None else got.gap.member(t)
 
 
-def eval_mx_lasso(l: Lasso, f: Formula) -> Verdict3:
+def eval_mx_lasso(l: Lasso, f: Formula) -> bool:
     """Exact verdict at (0, 0) of the unrolled infinite word."""
     rho, g = lasso_instance(l, f)
-    return Verdict3.of((0, 0) in sat_set_mx(compact(rho), g).points)
+    return (0, 0) in sat_set_mx(compact(rho), g).points

@@ -28,7 +28,7 @@ from mtlsem.gallery import (
     no_echo_after_a,
     no_simultaneous,
 )
-from mtlsem.interval_based import Verdict3, sat_set_its, sat_set_itw
+from mtlsem.interval_based import sat_set_its, sat_set_itw
 from mtlsem.mixed import eval_mx_lasso, sat_set_mx
 from mtlsem.oracle import (
     critical_points,
@@ -217,10 +217,10 @@ def test_criterion_7_infinite_word_fixtures():
     ok = eval_pw_lasso(lasso(WORD_SWAP_BA, *tail), B_THEN_A) is True
     ok &= eval_pw_lasso(lasso(WORD_SWAP_AB, *tail), B_THEN_A) is False
     probe = lasso(word([("a", 0), ("c", 0), ("b", 0), ("c", 1), ("c", 3)]), *tail)
-    ok &= eval_mx_lasso(probe, OPEN_END_B_C) is Verdict3.TRUE
-    ok &= eval_mx_lasso(probe, OPEN_START_B_C) is Verdict3.FALSE
+    ok &= eval_mx_lasso(probe, OPEN_END_B_C) is True
+    ok &= eval_mx_lasso(probe, OPEN_START_B_C) is False
     witness = lasso(word([("c", 0), ("b", 0), ("a", 0), ("c", 5)]), *tail)
-    ok &= eval_mx_lasso(witness, MIX_ONLY) is Verdict3.TRUE
+    ok &= eval_mx_lasso(witness, MIX_ONLY) is True
     report("7: infinite-word verdicts", ok)
 
 

@@ -1,9 +1,14 @@
 """End-to-end command-line checks, one per subcommand."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mtlsem.cli
 from mtlsem.cli import main
 
 RHO1 = {"events": [["a", "0"], ["b", "1"], ["a", "1"], ["c", "3.3"]]}
@@ -85,6 +90,57 @@ class TestEval:
         assert code == 3
 
 
+class TestLassoSurface:
+    """What the CLI does with a lasso input, pinned on the swap lasso."""
+
+    @pytest.mark.parametrize("semantics", ["pw", "itw", "mx"])
+    @pytest.mark.parametrize("formula", ["F(b & X[0,0] a)", "G F c", "a", "G !c"])
+    def test_eval_is_a_plain_verdict(self, swap_lasso, capsys, semantics, formula):
+        code, out = run(capsys, "eval", "--semantics", semantics,
+                        "--formula", formula, "--word", swap_lasso)
+        assert code in (0, 1)
+        assert json.loads(out)["verdict"] == ("true", "false")[code]
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--semantics", "its"),
+        ("oracle", "--semantics", "pw"),
+        ("oracle", "--semantics", "itw"),
+        ("oracle", "--semantics", "mx"),
+        ("satset", "--semantics", "itw"),
+        ("satset", "--semantics", "its"),
+        ("satset", "--semantics", "mx"),
+    ], ids=lambda argv: "-".join(argv[::2]))
+    def test_finite_only_commands_are_input_errors(self, swap_lasso, capsys, argv):
+        code = main([*argv, "--formula", "a", "--word", swap_lasso])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("to, want", [
+        ("word", '{"events": [["a", "0"], ["a", "1"], ["b", "1"], ["c", "33/10"]], '
+                 '"period": {"actions": ["c"], "duration": "1", "offsets": ["1"]}}'),
+        ("compact", '{"period": {"blocks": [[["c"], "1"]], "duration": "1"}, '
+                    '"prefix": {"blocks": [[["a"], "0"], [["a", "b"], "1"], '
+                    '[["c"], "33/10"]]}}'),
+        ("tss", '{"steps": [[["a"], "[0,0]"], [[], "(0,1)"], [["a", "b"], "[1,1]"], '
+                '[[], "(1,33/10)"], [["c"], "[33/10,33/10]"], [[], "(33/10,43/10)"], '
+                '[["c"], "[43/10,43/10]"], [[], "(43/10,53/10)"], '
+                '[["c"], "[53/10,53/10]"]]}'),
+    ])
+    def test_encode(self, swap_lasso, capsys, to, want):
+        assert run(capsys, "encode", "--to", to, "--word", swap_lasso) == (0, want + "\n")
+
+    def test_encode_rejects_a_seam_stutter(self, tmp_path, capsys):
+        p = tmp_path / "seam.json"
+        p.write_text(json.dumps({"events": [["a", "0"], ["b", "1"]], "period": {
+            "actions": ["c"], "offsets": ["0"], "duration": "1"}}))
+        for to in ("compact", "tss"):
+            assert main(["encode", "--to", to, "--word", str(p)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "coincides with the prefix end" in captured.err
+
+
 class TestOtherCommands:
     def test_parse_reports_metrics(self, capsys):
         code, out = run(capsys, "parse", "--alphabet", "a,b,c",
@@ -153,6 +209,13 @@ class TestOtherCommands:
         code, out = run(capsys, "paper", "--name", "mixed-recovers-order")
         assert code == 0
         assert "1/1 checks passed" in out
+
+    def test_only_paper_imports_the_gallery(self):
+        src = str(Path(mtlsem.cli.__file__).resolve().parents[1])
+        probe = "import sys, mtlsem.cli; print('mtlsem.gallery' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.stdout.strip() == "False", done.stderr[-2000:]
 
 
 class TestExitCodes:

@@ -20,7 +20,7 @@ from mtlsem.formulas import (
     to_text,
     uses_beta,
 )
-from mtlsem.interval_based import Verdict3, eval_itw, eval_itw_lasso, sat_set_itw
+from mtlsem.interval_based import eval_itw, eval_itw_lasso, sat_set_itw
 from mtlsem.intervals import interval
 from mtlsem.mixed import eval_mx, eval_mx_lasso, sat_set_mx
 from mtlsem.oracle import critical_points, gen_formula, gen_lasso, gen_word
@@ -140,9 +140,9 @@ class TestOpenStartLanguagesOnLassos:
         for seed in range(150):
             l = gen_lasso(seed + 600)
             lhs = eval_itw_lasso(l, self.GAMMA2)
-            assert lhs in (Verdict3.TRUE, Verdict3.FALSE)
-            if lhs is Verdict3.TRUE:
-                assert eval_mx_lasso(l, self.GAMMA3) is Verdict3.TRUE, (l,)
+            assert type(lhs) is bool
+            if lhs is True:
+                assert eval_mx_lasso(l, self.GAMMA3) is True, (l,)
 
     def test_inclusion_is_strict(self):
         # the inner eventually-within-[0,1) may pick a same-timestamp later
@@ -151,9 +151,9 @@ class TestOpenStartLanguagesOnLassos:
         # that witness, and the two languages genuinely differ here
         l = lasso(word([("a", "0"), ("b", "1"), ("b", "1"), ("c", "2")]),
                   ["c"], ["1"], "1")
-        assert eval_itw_lasso(l, self.GAMMA2) is Verdict3.FALSE
-        assert eval_mx_lasso(l, self.GAMMA3) is Verdict3.TRUE
+        assert eval_itw_lasso(l, self.GAMMA2) is False
+        assert eval_mx_lasso(l, self.GAMMA3) is True
         stutter_free = lasso(word([("a", "0"), ("c", "1"), ("b", "1"), ("c", "2")]),
                              ["c"], ["1"], "1")
-        assert eval_itw_lasso(stutter_free, self.GAMMA2) is Verdict3.FALSE
-        assert eval_mx_lasso(stutter_free, self.GAMMA3) is Verdict3.TRUE
+        assert eval_itw_lasso(stutter_free, self.GAMMA2) is False
+        assert eval_mx_lasso(stutter_free, self.GAMMA3) is True

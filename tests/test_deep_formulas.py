@@ -17,7 +17,7 @@ from mtlsem.cli import main
 from mtlsem.encodings import compact, word_to_tss
 from mtlsem.formulas import FULL, And, Atom, Not, alphabet, f_globally, f_or, parse, to_text
 from mtlsem.gallery import no_simultaneous
-from mtlsem.interval_based import Verdict3, eval_itw_lasso, sat_set_its, sat_set_itw
+from mtlsem.interval_based import eval_itw_lasso, sat_set_its, sat_set_itw
 from mtlsem.mixed import eval_mx_lasso, sat_set_mx
 from mtlsem.pointwise import eval_pw_lasso, sat_positions
 from mtlsem.structures import lasso, word, word_to_json
@@ -49,8 +49,8 @@ LASSO_CASES = [("G F " * 50 + "s2", "G F s2", True), ("G F " * 50 + "s3", "G F s
                ("F sigma", "F (s1 | s2)", True)]
 LASSO_ENGINES = {
     "pw": eval_pw_lasso,
-    "itw": lambda l, f: eval_itw_lasso(l, f) is Verdict3.TRUE,
-    "mx": lambda l, f: eval_mx_lasso(l, f) is Verdict3.TRUE,
+    "itw": eval_itw_lasso,
+    "mx": eval_mx_lasso,
 }
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from mtlsem.encodings import compact, word_to_tss
 from mtlsem.formulas import alphabet, finite_window_bounds, horizon, parse
-from mtlsem.interval_based import Verdict3, eval_itw_lasso, sat_sets_its, sat_sets_itw
+from mtlsem.interval_based import eval_itw_lasso, sat_sets_its, sat_sets_itw
 from mtlsem.intervals import INF, time_base
 from mtlsem.mixed import eval_mx_lasso, sat_sets_mx
 from mtlsem.oracle import differential, oracle_eval_itw, oracle_eval_mx, oracle_eval_pw
@@ -114,8 +114,8 @@ def test_bounded_lasso_verdicts_match_the_oracle(text):
     f = parse(text, ABC)
     deep = unroll(THIRDS, duration(THIRDS.prefix) + horizon(f) + 2 * THIRDS.period_duration)
     assert eval_pw_lasso(THIRDS, f) == oracle_eval_pw(deep, 0, f)
-    assert eval_itw_lasso(THIRDS, f) is Verdict3.of(oracle_eval_itw(deep, 0, f))
-    assert eval_mx_lasso(THIRDS, f) is Verdict3.of(oracle_eval_mx(compact(deep), 0, 0, f))
+    assert eval_itw_lasso(THIRDS, f) is oracle_eval_itw(deep, 0, f)
+    assert eval_mx_lasso(THIRDS, f) is oracle_eval_mx(compact(deep), 0, 0, f)
 
 
 def test_period_offsets_enter_the_base():
@@ -126,5 +126,5 @@ def test_period_offsets_enter_the_base():
     deep = unroll(l, 5)
     assert oracle_eval_pw(deep, 0, f) is False
     assert eval_pw_lasso(l, f) is False
-    assert eval_itw_lasso(l, f) is Verdict3.FALSE
-    assert eval_mx_lasso(l, f) is Verdict3.FALSE
+    assert eval_itw_lasso(l, f) is False
+    assert eval_mx_lasso(l, f) is False

@@ -9,7 +9,6 @@ from mtlsem.encodings import uncompact, word_to_tss
 from mtlsem.errors import BetaNotAllowedError, OutOfDomainError
 from mtlsem.formulas import alphabet, parse
 from mtlsem.interval_based import (
-    Verdict3,
     eval_its,
     eval_itw,
     eval_itw_lasso,
@@ -141,27 +140,27 @@ class TestLassoVerdicts:
     def test_bounded_witness_word(self):
         gamma2 = parse("F[0,1](F[0,1) b & F[1,1] c)", ABC)
         l = lasso(word([("a", "0"), ("b", "3/2"), ("c", "2")]), ["c"], ["1"], "1")
-        assert eval_itw_lasso(l, gamma2) is Verdict3.TRUE
+        assert eval_itw_lasso(l, gamma2) is True
 
     def test_bounded_vacuous(self):
         gamma2 = parse("F[0,1](F[0,1) b & F[1,1] c)", ABC)
         l = lasso(word([("a", "0")]), ["c"], ["1"], "1")
-        assert eval_itw_lasso(l, gamma2) is Verdict3.FALSE
+        assert eval_itw_lasso(l, gamma2) is False
 
     def test_unbounded_refutation_is_false(self):
         # X[0,0] a never holds in the dense semantics, since the strict Until
         # needs a witness t' > t at distance 0, so F(b & X[0,0] a) is false on
         # every word; pointwise, the one b is followed by c
         l = lasso(RHO2, ["c"], ["1"], "1")
-        assert eval_itw_lasso(l, B_THEN_A) is Verdict3.FALSE
+        assert eval_itw_lasso(l, B_THEN_A) is False
         assert eval_pw_lasso(l, B_THEN_A) is False
 
     def test_unbounded_never_definitely_wrong(self):
-        # the dense language of this formula is empty; the engine may answer
-        # Unknown on a lasso but must never answer True pessimistically
+        # the dense language of this formula is empty, so the engine must
+        # never answer True
         l = lasso(word([("b", 0), ("b", 1), ("c", 1)]), ["c"], ["1"], "1")
         f = parse("F(b & X[0,0] c)", ABC)
-        assert eval_itw_lasso(l, f) is not Verdict3.TRUE
+        assert eval_itw_lasso(l, f) is not True
 
     def test_first_order_characterization_cross_check(self):
         # language shape: some b in (0,2), some c in (1,2], c after b within (0,1)
@@ -178,4 +177,4 @@ class TestLassoVerdicts:
                 and w.actions[j] == "c" and Fraction(1) < w.times[j] <= 2
                 and Fraction(0) < w.times[j] - w.times[i] < 1
                 for i in range(len(w)) for j in range(len(w)))
-            assert got is Verdict3.of(expect), (l,)
+            assert got is expect, (l,)

@@ -10,7 +10,7 @@ import pytest
 
 from mtlsem.encodings import compact, lasso_instance
 from mtlsem.formulas import Until, alphabet, fold, horizon, is_bounded, parse, windows
-from mtlsem.interval_based import Verdict3, eval_itw_lasso
+from mtlsem.interval_based import eval_itw_lasso
 from mtlsem.intervals import INF, interval
 from mtlsem.mixed import eval_mx_lasso
 from mtlsem.oracle import gen_formula, gen_lasso, oracle_eval_itw, oracle_eval_mx, oracle_eval_pw
@@ -25,7 +25,7 @@ A_THEN_B = lasso(word([("a", "0")]), ["a", "b"], ["0", "1/2"], "1")
 
 
 def _verdicts(l, f):
-    return Verdict3.of(eval_pw_lasso(l, f)), eval_itw_lasso(l, f), eval_mx_lasso(l, f)
+    return eval_pw_lasso(l, f), eval_itw_lasso(l, f), eval_mx_lasso(l, f)
 
 
 @pytest.mark.parametrize("text", [
@@ -37,7 +37,7 @@ def _verdicts(l, f):
     "G(a -> F[0,1] b)",
 ])
 def test_unbounded_safety_and_response_are_true(text):
-    assert _verdicts(A_THEN_B, parse(text, ABC)) == (Verdict3.TRUE,) * 3
+    assert _verdicts(A_THEN_B, parse(text, ABC)) == (True,) * 3
 
 
 def test_the_rewrite_closes_every_unbounded_window():
@@ -82,4 +82,12 @@ def test_the_bound_is_large_enough():
         rho, g = _closed_twice(l, f)
         want = (oracle_eval_pw(rho, 0, g), oracle_eval_itw(rho, 0, g),
                 oracle_eval_mx(compact(rho), 0, 0, g))
-        assert _verdicts(l, f) == tuple(map(Verdict3.of, want)), (seed, l, f)
+        assert _verdicts(l, f) == want, (seed, l, f)
+
+
+@pytest.mark.parametrize("verdict", [eval_pw_lasso, eval_itw_lasso, eval_mx_lasso],
+                         ids=["pw", "itw", "mx"])
+def test_every_lasso_verdict_is_a_bool(verdict):
+    for seed in range(200):
+        got = verdict(gen_lasso(seed), gen_formula(seed, ABC))
+        assert type(got) is bool, (seed, got)

@@ -8,7 +8,7 @@ import pytest
 from mtlsem.encodings import block_index_at, compact
 from mtlsem.errors import OutOfDomainError
 from mtlsem.formulas import BETA, alphabet, parse
-from mtlsem.interval_based import Verdict3, eval_itw, sat_set_itw
+from mtlsem.interval_based import eval_itw, sat_set_itw
 from mtlsem.mixed import NO_ACTION, compact_at, eval_mx, eval_mx_lasso, sat_set_mx
 from mtlsem.oracle import (
     critical_points,
@@ -140,8 +140,8 @@ class TestOpenStartRemark:
         # simultaneous b-later-than-start witnesses count for [0,1] but not (0,1]
         l = lasso(word([("a", 0), ("c", 0), ("b", 0), ("c", 1), ("c", 3)]),
                   ["c"], ["1"], "1")
-        assert eval_mx_lasso(l, GAMMA2) is Verdict3.TRUE
-        assert eval_mx_lasso(l, GAMMA3) is Verdict3.FALSE
+        assert eval_mx_lasso(l, GAMMA2) is True
+        assert eval_mx_lasso(l, GAMMA3) is False
 
     def test_itw_cannot_tell_them_apart(self):
         for seed in range(100):
@@ -154,17 +154,17 @@ class TestOpenStartRemark:
 class TestLassoVerdicts:
     def test_disjunction_with_prefix_witness(self):
         l = lasso(word([("c", 0), ("b", 0), ("a", 0), ("c", 5)]), ["c"], ["1"], "1")
-        assert eval_mx_lasso(l, GAMMA5) is Verdict3.TRUE
+        assert eval_mx_lasso(l, GAMMA5) is True
 
     def test_swapped_block_turns_false(self):
         # the only b is the last position of the time-0 block and the period
         # holds only c, so no b is followed at distance 0 by an a:
         # F(b & X[0,0] a) is false, and with it both disjuncts of GAMMA5
         l = lasso(word([("c", 0), ("a", 0), ("b", 0), ("c", 5)]), ["c"], ["1"], "1")
-        assert eval_mx_lasso(l, GAMMA3) is Verdict3.FALSE
-        assert eval_mx_lasso(l, GAMMA4) is Verdict3.TRUE
-        assert eval_mx_lasso(l, B_THEN_A) is Verdict3.FALSE
-        assert eval_mx_lasso(l, GAMMA5) is Verdict3.FALSE
+        assert eval_mx_lasso(l, GAMMA3) is False
+        assert eval_mx_lasso(l, GAMMA4) is True
+        assert eval_mx_lasso(l, B_THEN_A) is False
+        assert eval_mx_lasso(l, GAMMA5) is False
         # pointwise the same argument holds: the position after the b is a c
         assert eval_pw_lasso(l, B_THEN_A) is False
         assert eval_pw_lasso(l, GAMMA5) is False
@@ -176,7 +176,7 @@ class TestLassoVerdicts:
             l = gen_lasso(seed + 50)
             f = gen_formula(seed * 19 + 7, ABC, bounded_only=True, allow_beta=True)
             got = eval_mx_lasso(l, f)
-            assert got in (Verdict3.TRUE, Verdict3.FALSE)
+            assert type(got) is bool
 
     def test_silent_window_excludes_open_start_language(self):
         # a lasso satisfying both the order-sensitive conjunct and the silent
@@ -190,7 +190,7 @@ class TestLassoVerdicts:
             l = gen_lasso(seed + 900)
             v3 = eval_mx_lasso(l, GAMMA3)
             vc = eval_mx_lasso(l, conjunct)
-            if v3 is Verdict3.TRUE and vc is Verdict3.TRUE:
+            if v3 is True and vc is True:
                 both += 1
         assert both == 0
 
