@@ -6,12 +6,12 @@ empty steps, yielding an action-based timed state sequence.  The index helpers
 relate block coordinates (k, j) to word positions and timestamps to block
 indices, by bisection on the block times and ends.
 
-`to_tss` builds its steps without `validate_tss`'s or `Interval`'s checks,
-because strictly increasing block times make them valid by construction: the
-punctual step [t, t] is non-empty, each filler (t, t') is non-empty since
-t < t', and consecutive steps touch at one value that exactly one of them
-holds.  So the one check it keeps is t < t' per block, which a hand-built
-`CompactTimedWord` may break.
+`to_tss` maps block ticks to step keys (see `structures`): the punctual step
+(3v, 3v) of each block tick v, and the open filler (3v + 1, 3v' - 1) between
+consecutive ticks v < v'.  Strictly increasing ticks make these steps valid
+by construction: each is non-empty, and neighbours touch at one value that
+exactly one of them holds.  So the one check it keeps is v < v' per block,
+which a hand-built `CompactTimedWord` may break.
 
 `lasso_instance` turns a lasso and a formula into a finite word and a bounded
 formula with the same verdict at the origin, which the finite-word engines
@@ -33,7 +33,7 @@ from .errors import (
     SeamStutterError,
 )
 from .formulas import Formula, Until, fold, horizon
-from .intervals import INF, Bound, _trusted_interval, interval, rational
+from .intervals import INF, interval, rational
 from .structures import (
     CompactTimedWord,
     Lasso,
@@ -47,16 +47,14 @@ from .structures import (
 
 
 def compact(rho: TimedWord) -> CompactTimedWord:
-    """Collapse each maximal flat run into a block keeping the action order."""
+    """Collapse each maximal flat run of ticks into a block keeping the action order."""
     if not rho.events:
         raise EmptyWordError("empty timed word")
-    blocks = []
-    for a, t in rho.events:
-        if blocks and blocks[-1][1] == t:
-            blocks[-1][0].append(a)
-        else:
-            blocks.append(([a], t))
-    return CompactTimedWord(tuple((tuple(acts), t) for acts, t in blocks))
+    D0, ticks = rho.ticks
+    acts, times, runs = rho.actions, rho.times, mfs_decompose(ticks).runs()
+    cw = CompactTimedWord(tuple([(acts[i:j + 1], times[i]) for i, j in runs]))
+    cw.__dict__["ticks"] = (D0, tuple([ticks[i] for i, _ in runs]))  # as `ticks` would compute it
+    return cw
 
 
 def uncompact(cw: CompactTimedWord) -> TimedWord:
@@ -72,17 +70,18 @@ def to_tss(cw: CompactTimedWord) -> TimedStateSequence:
     Raises NonMonotoneError at the first block whose time is not strictly
     later than its predecessor's."""
     empty = frozenset()
-    steps = []
-    prev_open = None
-    for k, (acts, t) in enumerate(cw.blocks):
-        closed, open_ = Bound(t, True), Bound(t, False)
+    D0, ticks = cw.ticks
+    keys, props = [], []
+    for k, ((acts, _), v) in enumerate(zip(cw.blocks, ticks)):
         if k:
-            if not prev_open.value < t:
+            if not prev < v:
                 raise NonMonotoneError(k)
-            steps.append((empty, _trusted_interval(prev_open, open_)))
-        steps.append((frozenset(acts), _trusted_interval(closed, closed)))
-        prev_open = open_
-    return TimedStateSequence(tuple(steps))
+            keys.append((3 * prev + 1, 3 * v - 1))
+            props.append(empty)
+        keys.append((3 * v, 3 * v))
+        props.append(frozenset(acts))
+        prev = v
+    return TimedStateSequence.from_columns(D0, tuple(keys), tuple(props))
 
 
 def word_to_tss(rho: TimedWord) -> TimedStateSequence:

@@ -23,7 +23,8 @@ window ends at the point right after it, and distances are read off the time
 keys.  With J = 1 this is the dense rule above.
 
 Sets are key lists on an integer time base (see `intervals`).  Each entry
-point takes D once, from the timestamps or the state-sequence endpoints and
+point reads the model's integer column, the word's ticks or the state
+sequence's step keys, and takes D once, from its base D0 and
 `finite_window_bounds(f)`; the fold runs on ints only.  `sat_set_*` converts
 the root's keys back to an `IntervalSet`, `sat_sets_*` every set of the
 table.
@@ -36,6 +37,7 @@ paper, which promises only sound three-valued verdicts on lassos.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .encodings import lasso_instance
@@ -58,7 +60,8 @@ from .intervals import (
     intersect_keys,
     interval_keys,
     normalize_keys,
-    scaled,
+    rational,
+    rebased,
     time_base,
 )
 from .structures import (
@@ -140,9 +143,7 @@ def _converted(table: dict, D: int) -> dict:
 def _itw_table(rho: TimedWord, f: Formula):
     """The key table of f over rho, and its time base."""
     require_beta_free(f, "interval-based")
-    times = rho.times
-    D = time_base([*times, *finite_window_bounds(f)])
-    times = scaled(times, D)
+    D, times = rebased(rho.ticks, finite_window_bounds(f))
     points = {}
     for a, t in zip(rho.actions, times):
         points.setdefault(a, []).append((3 * t, 3 * t))
@@ -162,7 +163,7 @@ def sat_set_itw(rho: TimedWord, f: Formula) -> IntervalSet:
 
 
 def eval_itw(rho: TimedWord, t, f: Formula) -> bool:
-    t = t if isinstance(t, Fraction) else Fraction(t)
+    t = t if isinstance(t, Fraction) else rational(t)
     if t < 0 or t > duration(rho):
         raise OutOfDomainError(f"time {t} outside [0, {duration(rho)}]")
     return sat_set_itw(rho, f).member(t)
@@ -173,16 +174,17 @@ def eval_itw(rho: TimedWord, t, f: Formula) -> bool:
 
 def _its_table(kappa: TimedStateSequence, f: Formula):
     require_beta_free(f, "interval-based")
-    D = time_base([v for _, iv in kappa.steps for v in (iv.lo.value, iv.hi.value)]
-                  + finite_window_bounds(f))
+    D0, keys, props = kappa.columns
+    D = math.lcm(D0, time_base(finite_window_bounds(f)))
+    if D > D0:  # each value times D // D0, each open-end offset kept
+        m = 3 * (D // D0 - 1)
+        keys = [(lo + m * ((lo + 1) // 3), hi + m * ((hi + 1) // 3)) for lo, hi in keys]
     parts = {}
-    for props, iv in kappa.steps:
-        if props:
-            k = interval_keys(iv, D)
-            for name in props:
-                parts.setdefault(name, []).append(k)
-    start, end = scaled([tss_start(kappa), tss_duration(kappa)], D)
-    domain = (3 * start, 3 * end)
+    for k, p in zip(keys, props):
+        for name in p:
+            parts.setdefault(name, []).append(k)
+    # the first and last step's end values, closed
+    domain = (3 * ((keys[0][0] + 1) // 3), 3 * ((keys[-1][1] + 1) // 3))
     return _sat_dense(lambda name: parts.get(name, ()), domain, D, f), D
 
 
@@ -197,7 +199,7 @@ def sat_set_its(kappa: TimedStateSequence, f: Formula) -> IntervalSet:
 
 
 def eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
-    t = t if isinstance(t, Fraction) else Fraction(t)
+    t = t if isinstance(t, Fraction) else rational(t)
     if t < tss_start(kappa) or t > tss_duration(kappa):
         raise OutOfDomainError(f"time {t} outside the covered span")
     return sat_set_its(kappa, f).member(t)

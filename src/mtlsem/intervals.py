@@ -15,10 +15,12 @@ an upper end into the lower end of what follows it is hi + 1 (lower into upper,
 lo - 1).  The missing upper bound keeps the key `INF`.  A key list is a sorted
 list of such pairs.
 
-The engines scale their inputs once per evaluation, run every set operation
-on key lists (`normalize_keys`, `intersect_keys`, `difference_keys` and
-`back_shift_keys`) and convert only their results back (`from_keys`).  Every
-endpoint they produce is an input time plus or minus window bounds, so
+Each model carries an integer column on the base D0 of its timestamps (see
+`structures`).  An engine moves it onto D, the lcm of D0 and its windows'
+denominators, with one int multiply per value (`rebased`), runs every set
+operation on key lists (`normalize_keys`, `intersect_keys`, `difference_keys`
+and `back_shift_keys`) and converts only its results back (`from_keys`).
+Every endpoint it produces is an input time plus or minus window bounds, so
 nothing leaves the base.  `IntervalSet`'s own operations bring their operands
 onto a common base per call and run the same sweeps.  `intersect_keys` and
 `difference_keys` are single linear sweeps over the two sorted lists (the
@@ -188,9 +190,17 @@ def time_base(values) -> int:
     return math.lcm(*{getattr(v, "denominator", 1) for v in values})  # inf has none
 
 
-def scaled(values, D: int) -> list:
-    """Each finite value times D, as an int."""
-    return [v.numerator * (D // v.denominator) for v in values]
+def tick_column(values) -> tuple:
+    """(D0, each value times D0 as an int), D0 the time base of the values."""
+    D0 = time_base(values)
+    return D0, tuple([v.numerator * (D0 // v.denominator) for v in values])
+
+
+def rebased(column: tuple, values) -> tuple:
+    """A tick column (D0, ticks) on the time base D of D0 and the values: (D, ticks * D // D0)."""
+    D0, ticks = column
+    D = math.lcm(D0, time_base(values))
+    return D, (ticks if D == D0 else [v * (D // D0) for v in ticks])
 
 
 def interval_keys(iv: Interval, D: int) -> tuple:

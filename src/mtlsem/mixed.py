@@ -29,10 +29,10 @@ block holds g with f at every position strictly between them: one backward
 scan per block (`_same_block_bases`).
 
 The engine runs on an integer time base (see `intervals`): `sat_sets_mx` and
-`sat_set_mx` take D once, from `cw.times` and `finite_window_bounds(f)`.  A
-`MixedSet` is built only for a returned set: its grid points from one sweep
-over each grid point's first slot, its gap from the time keys k // J minus the
-block stamps.
+`sat_set_mx` read the block ticks `cw.ticks` and take D once, from their base
+and `finite_window_bounds(f)`.  A `MixedSet` is built only for a returned
+set: its grid points from one sweep over each grid point's first slot, its
+gap from the time keys k // J minus the block stamps.
 
 A lasso verdict is an exact boolean: `encodings.lasso_instance` bounds the
 formula and unrolls the lasso, and the verdict is whether (0, 0) lies in the
@@ -61,8 +61,7 @@ from .intervals import (
     interval_keys,
     normalize_keys,
     rational,
-    scaled,
-    time_base,
+    rebased,
 )
 from .structures import CompactTimedWord, Lasso
 from .encodings import block_index_at, compact, lasso_instance
@@ -128,9 +127,7 @@ def _same_block_bases(f: list, g: list, starts: list, sizes: list) -> list:
 
 def _mx_table(cw: CompactTimedWord, f: Formula):
     """The lex-key table of f over cw, and the conversion of one entry to a MixedSet."""
-    times = cw.times
-    D = time_base([*times, *finite_window_bounds(f)])
-    times = scaled(times, D)
+    D, times = rebased(cw.ticks, finite_window_bounds(f))
     sizes = [len(acts) for acts, _ in cw.blocks]
     J = max(sizes)
     starts = [3 * J * v for v in times]  # the slot of each block's position 0

@@ -46,7 +46,7 @@ from .formulas import (
     temporal_depth,
 )
 from .interval_based import sat_set_its, sat_set_itw
-from .intervals import INF, Interval, interval, punctual, rat_str
+from .intervals import INF, Interval, interval, punctual, rat_str, rational
 from .mixed import sat_set_mx
 from .pointwise import sat_positions
 from .structures import (
@@ -56,8 +56,6 @@ from .structures import (
     TimedWord,
     duration,
     lasso,
-    tss_duration,
-    tss_start,
     validate_tss,
     word,
 )
@@ -77,7 +75,7 @@ def _base_values(structure):
             vals.add(iv.lo.value)
             if iv.hi.value != INF:
                 vals.add(iv.hi.value)
-        return sorted(vals), tss_start(structure), tss_duration(structure)
+        return sorted(vals), structure.steps[0][1].lo.value, structure.steps[-1][1].hi.value
     raise TypeError(f"no critical points for {structure!r}")
 
 
@@ -261,15 +259,15 @@ def _its_oracle(kappa: TimedStateSequence, f: Formula, values):
 
 
 def oracle_eval_itw(rho: TimedWord, t, f: Formula) -> bool:
-    t = t if isinstance(t, Fraction) else Fraction(t)
+    t = t if isinstance(t, Fraction) else rational(t)
     if t < 0 or t > duration(rho):
         raise OutOfDomainError(f"time {t} outside [0, {duration(rho)}]")
     return _itw_oracle(rho, f, critical_values(rho, f))(t)
 
 
 def oracle_eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
-    t = t if isinstance(t, Fraction) else Fraction(t)
-    if t < tss_start(kappa) or t > tss_duration(kappa):
+    t = t if isinstance(t, Fraction) else rational(t)
+    if t < kappa.steps[0][1].lo.value or t > kappa.steps[-1][1].hi.value:
         raise OutOfDomainError("time outside the covered span")
     return _its_oracle(kappa, f, critical_values(kappa, f))(t)
 
@@ -328,7 +326,7 @@ def _mx_oracle(cw: CompactTimedWord, f: Formula, values):
 
 
 def oracle_eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
-    t = t if isinstance(t, Fraction) else Fraction(t)
+    t = t if isinstance(t, Fraction) else rational(t)
     return _mx_oracle(cw, f, critical_values(cw, f))(t, j)
 
 

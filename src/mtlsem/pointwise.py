@@ -17,11 +17,11 @@ A lasso is decided exactly on a finite word: `encodings.lasso_instance`
 closes every unbounded window at the lasso's period and unrolls far enough,
 and the verdict is the truth at position 0.
 
-The scan compares ints.  `sat_positions` takes the time base D once (see
-`intervals`), from the word's times and `finite_window_bounds(f)`, and hands
-the scan 3tD for each event time t, so that a distance compares directly
-with a window's keys.  The result is a set of positions, so nothing is
-converted back.
+The scan compares ints.  `sat_positions` reads the word's ticks, takes the
+time base D once (see `intervals`), from their base and
+`finite_window_bounds(f)`, and hands the scan 3tD for each event time t, so
+that a distance compares directly with a window's keys.  The result is a set
+of positions, so nothing is converted back.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .formulas import (
     fold,
     require_beta_free,
 )
-from .intervals import INF, interval_keys, scaled, time_base
+from .intervals import INF, interval_keys, rebased
 from .structures import Lasso, TimedWord
 
 
@@ -77,9 +77,9 @@ def _until(w, lv, rv, times) -> list:
 def sat_positions(rho: TimedWord, f: Formula) -> frozenset:
     """All positions i with rho, i satisfying f."""
     require_beta_free(f, "pointwise")
-    acts, times = rho.actions, rho.times
-    D = time_base([*times, *finite_window_bounds(f)])
-    times = [3 * t for t in scaled(times, D)]
+    acts = rho.actions
+    D, ticks = rebased(rho.ticks, finite_window_bounds(f))
+    times = [3 * t for t in ticks]
 
     def visit(node, l=None, r=None) -> list:
         match node:

@@ -7,9 +7,11 @@ adjacent intervals.  Infinite words are represented by lassos (finite prefix
 plus a repeating timed period) and are non-Zeno by construction since the
 period duration must be positive.
 
-The columns of a word (`TimedWord.times`/`actions`, `CompactTimedWord.times`)
-are computed once per object, on first read, and shared by every later
-reader; equality and hashing still depend on the events or blocks alone.
+The columns of a model are computed once per object, on first read, and
+shared by every later reader; equality and hashing still depend on the
+events, blocks or steps alone.  Words and compact words have `times` and the
+integer column `ticks` that the engines read; a state sequence has its steps
+and its columns, each built from the other (see `TimedStateSequence`).
 """
 
 from __future__ import annotations
@@ -27,12 +29,23 @@ from .errors import (
     NonMonotoneError,
     OutOfDomainError,
 )
-from .intervals import Interval, parse_interval, rat_str, rational
+from .intervals import (
+    Bound,
+    Interval,
+    _on_base,
+    _trusted_interval,
+    parse_interval,
+    rat_str,
+    rational,
+    tick_column,
+)
 
 
 @dataclass(frozen=True)
 class TimedWord:
     events: tuple  # of (action, Fraction)
+
+    ticks = cached_property(lambda self: tick_column(self.times))
 
     @cached_property
     def actions(self):
@@ -109,11 +122,8 @@ def mfs_decompose(times) -> MfsIndex:
     times = tuple(times)
     if not times:
         raise EmptyWordError("empty time sequence")
-    bounds = []
-    for i in range(len(times)):
-        if i + 1 == len(times) or times[i + 1] != times[i]:
-            bounds.append(i)
-    return MfsIndex(tuple(bounds))
+    last = len(times) - 1
+    return MfsIndex(tuple([i for i in range(last) if times[i] != times[i + 1]] + [last]))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +132,8 @@ def mfs_decompose(times) -> MfsIndex:
 @dataclass(frozen=True)
 class CompactTimedWord:
     blocks: tuple  # of (actions tuple, Fraction timestamp)
+
+    ticks = cached_property(lambda self: tick_column(self.times))
 
     @cached_property
     def times(self):
@@ -158,9 +170,41 @@ def compact_duration(cw: CompactTimedWord) -> Fraction:
 # ---------------------------------------------------------------------------
 # timed state sequences
 
-@dataclass(frozen=True)
 class TimedStateSequence:
-    steps: tuple  # of (frozenset of symbols, Interval)
+    """Adjacent steps (frozenset of symbols, Interval), or columns (D0, keys,
+    props): each step's key pair on the time base D0 (see `intervals`) and its
+    propositions.  Either is built from the other on first read."""
+
+    def __init__(self, steps: tuple):
+        self.__dict__["steps"] = steps
+
+    @classmethod
+    def from_columns(cls, D0: int, keys: tuple, props: tuple) -> "TimedStateSequence":
+        kappa = object.__new__(cls)
+        kappa.__dict__["columns"] = (D0, keys, props)
+        return kappa
+
+    @cached_property
+    def steps(self) -> tuple:
+        D0, keys, props = self.columns
+        ends = {}  # per value its open and closed Bound, shared by the steps that meet there
+        for v in {(k + 1) // 3 for pair in keys for k in pair}:
+            q = Fraction(v, D0)
+            ends[v] = (Bound(q, False), Bound(q, True))
+        return tuple((p, _trusted_interval(ends[(lo + 1) // 3][lo % 3 == 0],
+                                           ends[(hi + 1) // 3][hi % 3 == 0]))
+                     for (lo, hi), p in zip(keys, props))
+
+    @cached_property
+    def columns(self) -> tuple:
+        D0, (keys,) = _on_base([iv for _, iv in self.steps])
+        return D0, tuple(keys), tuple(p for p, _ in self.steps)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.steps == other.steps
+
+    def __hash__(self):
+        return hash((self.steps,))
 
     def __len__(self):
         return len(self.steps)
@@ -199,11 +243,13 @@ def validate_tss(steps, allow_nonzero_start: bool = False) -> TimedStateSequence
 
 
 def tss_duration(kappa: TimedStateSequence) -> Fraction:
-    return kappa.steps[-1][1].hi.value
+    D0, keys, _ = kappa.columns
+    return Fraction((keys[-1][1] + 1) // 3, D0)
 
 
 def tss_start(kappa: TimedStateSequence) -> Fraction:
-    return kappa.steps[0][1].lo.value
+    D0, keys, _ = kappa.columns
+    return Fraction((keys[0][0] + 1) // 3, D0)
 
 
 def tss_at(kappa: TimedStateSequence, t) -> frozenset:

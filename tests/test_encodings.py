@@ -16,14 +16,18 @@ from mtlsem.encodings import (
     word_position,
     word_to_tss,
 )
-from mtlsem.errors import MtlsemError, OutOfDomainError, SeamStutterError
+from mtlsem.errors import NonMonotoneError, OutOfDomainError, SeamStutterError
+from mtlsem.intervals import interval, punctual
 from mtlsem.oracle import gen_word
 from mtlsem.structures import (
     CompactTimedWord,
+    TimedWord,
     is_action_based,
     lasso,
     mfs_decompose,
+    tss_duration,
     tss_from_json,
+    tss_start,
     tss_to_json,
     validate_compact,
     validate_tss,
@@ -100,6 +104,7 @@ class TestCompact:
             cw = compact(w)
             assert cw == compact_by_runs(w)
             assert cw.times is cw.times
+            assert cw.ticks == compact_by_runs(w).ticks  # held from compact, or computed
 
 
 class TestToTss:
@@ -149,11 +154,47 @@ class TestToTss:
             assert kappa == checked
             assert [hash(iv) for _, iv in kappa.steps] == [hash(iv) for _, iv in checked.steps]
 
-    @pytest.mark.parametrize("times", [(0, 1, 1), (0, 2, 1)], ids=["equal", "decreasing"])
-    def test_non_increasing_blocks_rejected(self, times):
+    @pytest.mark.parametrize("times, k", [((0, 1, 1), 2), ((0, 2, 1), 2), ((0, 0, 1), 1),
+                                          ((0, 1, "1/2"), 2)],
+                             ids=["equal", "decreasing", "equal-first", "decreasing-half"])
+    def test_non_increasing_blocks_rejected(self, times, k):
         cw = CompactTimedWord(tuple(((a,), Fraction(t)) for a, t in zip("abc", times)))
-        with pytest.raises(MtlsemError):
+        with pytest.raises(NonMonotoneError) as exc:
             to_tss(cw)
+        assert exc.value.position == k
+
+
+def tss_by_intervals(w):
+    """The state-sequence image of w from `Fraction` intervals, through `validate_tss`."""
+    blocks = compact_by_runs(w).blocks
+    steps = []
+    for k, (acts, t) in enumerate(blocks):
+        if k:
+            steps.append(([], interval(blocks[k - 1][1], t, False, False)))
+        steps.append((acts, punctual(t)))
+    return validate_tss(steps)
+
+
+class TestStateSequenceView:
+    def test_image_equals_the_validated_interval_steps(self):
+        for w in corpus() + [RHO1]:
+            got, want = word_to_tss(w), tss_by_intervals(w)
+            assert got == want and hash(got) == hash(want)
+            assert str(got) == str(want)
+            assert tss_to_json(got) == tss_to_json(want)
+            assert is_action_based(got) and is_action_based(want)
+            assert (tss_start(got), tss_duration(got)) == (tss_start(want), tss_duration(want))
+            assert isinstance(tss_start(got), Fraction) and isinstance(tss_duration(got), Fraction)
+
+    def test_reading_the_columns_keeps_equality_and_hash(self):
+        for w in corpus() + [RHO1]:
+            twin, hashed = TimedWord(w.events), hash(w)
+            assert w.ticks[0] >= 1 and len(w.ticks[1]) == len(w)
+            assert w == twin and hash(w) == hash(twin) == hashed
+            kappa, checked = word_to_tss(w), tss_by_intervals(w)
+            hashed = hash(checked)
+            assert kappa.columns == checked.columns  # built by to_tss, derived from steps
+            assert kappa == checked and hash(kappa) == hash(checked) == hashed
 
 
 class TestSurjectivityRecipe:

@@ -7,18 +7,34 @@ only its results back.  Every case is checked against the oracle with
 `Fraction` again, never a bare int.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from mtlsem.encodings import compact, word_to_tss
 from mtlsem.formulas import alphabet, finite_window_bounds, horizon, parse
-from mtlsem.interval_based import eval_itw_lasso, sat_sets_its, sat_sets_itw
-from mtlsem.intervals import INF, time_base
+from mtlsem.interval_based import (
+    eval_its,
+    eval_itw_lasso,
+    sat_set_its,
+    sat_set_itw,
+    sat_sets_its,
+    sat_sets_itw,
+)
+from mtlsem.intervals import INF, interval, time_base
 from mtlsem.mixed import eval_mx_lasso, sat_sets_mx
-from mtlsem.oracle import differential, oracle_eval_itw, oracle_eval_mx, oracle_eval_pw
+from mtlsem.oracle import (
+    differential,
+    gen_ka,
+    gen_word,
+    oracle_eval_its,
+    oracle_eval_itw,
+    oracle_eval_mx,
+    oracle_eval_pw,
+)
 from mtlsem.pointwise import eval_pw_lasso
-from mtlsem.structures import duration, lasso, unroll, validate_tss, word
+from mtlsem.structures import duration, is_action_based, lasso, unroll, validate_tss, word
 
 ABC = alphabet("a,b,c")
 
@@ -128,3 +144,43 @@ def test_period_offsets_enter_the_base():
     assert eval_pw_lasso(l, f) is False
     assert eval_itw_lasso(l, f) is False
     assert eval_mx_lasso(l, f) is False
+
+
+# windows that add a denominator the generated words (halves) and state
+# sequences lack, so every model's column is moved onto a larger base
+RESCALED = ["F[0,1/7] a", "a U(1/3,5/2] b", "G(a -> F[2/11,3] b)",
+            f"F(0,1/{P61 * P31}] b"]
+
+
+@pytest.mark.parametrize("text", RESCALED)
+def test_rescaled_columns_agree_with_the_other_engines_and_the_oracles(text):
+    f = parse(text, ABC)
+    for seed in range(300):
+        w = gen_word(seed)
+        assert sat_set_its(word_to_tss(w), f) == sat_set_itw(w, f), seed
+        assert differential("pw", w, f) is None, seed
+        assert differential("mx", compact(w), f) is None, seed
+
+
+def _thirds_with_open_props(seed):
+    """gen_ka's sequence with every endpoint divided by 3 and propositions on
+    some open steps: a validated sequence that is not action-based."""
+    rng = random.Random(seed)
+    steps = []
+    for props, iv in gen_ka(seed).steps:
+        if not props and rng.random() < 0.7:
+            props = frozenset(rng.sample("abc", rng.randint(1, 2)))
+        steps.append((props, interval(iv.lo.value / 3, iv.hi.value / 3,
+                                      iv.lo.closed, iv.hi.closed)))
+    return validate_tss(steps)
+
+
+@pytest.mark.parametrize("text", RESCALED)
+def test_rescaled_validated_sequences_agree_with_the_oracle(text):
+    f = parse(text, ABC)
+    kappas = [_thirds_with_open_props(seed) for seed in range(100)]
+    assert sum(not is_action_based(kappa) for kappa in kappas) > 50
+    for seed, kappa in enumerate(kappas):
+        assert differential("its", kappa, f) is None, seed
+        for t in (0, kappa.steps[-1][1].hi.value):  # the ends of the covered span
+            assert eval_its(kappa, t, f) is oracle_eval_its(kappa, t, f), seed

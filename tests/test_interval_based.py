@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from mtlsem.encodings import uncompact, word_to_tss
-from mtlsem.errors import BetaNotAllowedError, OutOfDomainError
+from mtlsem.encodings import compact, uncompact, word_to_tss
+from mtlsem.errors import BetaNotAllowedError, MtlsemError, OutOfDomainError
 from mtlsem.formulas import alphabet, parse
 from mtlsem.interval_based import (
     eval_its,
@@ -21,6 +21,9 @@ from mtlsem.oracle import (
     differential,
     gen_formula,
     gen_word,
+    oracle_eval_its,
+    oracle_eval_itw,
+    oracle_eval_mx,
 )
 from mtlsem.pointwise import eval_pw_lasso
 from mtlsem.structures import lasso, validate_tss, word
@@ -178,3 +181,26 @@ class TestLassoVerdicts:
                 and Fraction(0) < w.times[j] - w.times[i] < 1
                 for i in range(len(w)) for j in range(len(w)))
             assert got is expect, (l,)
+
+
+# every library entry point that takes a time reads it with the one rational grammar
+B_SOON = parse("F[0,1] b", ABC)
+TIME_ENTRY_POINTS = {
+    "eval_itw": lambda t: eval_itw(RHO1, t, B_SOON),
+    "eval_its": lambda t: eval_its(KAPPA1, t, B_SOON),
+    "oracle_eval_itw": lambda t: oracle_eval_itw(RHO1, t, B_SOON),
+    "oracle_eval_its": lambda t: oracle_eval_its(KAPPA1, t, B_SOON),
+    "oracle_eval_mx": lambda t: oracle_eval_mx(compact(RHO1), t, 0, B_SOON),
+}
+
+
+@pytest.mark.parametrize("entry", TIME_ENTRY_POINTS)
+@pytest.mark.parametrize("t", [0.1, "1/0"], ids=["float", "zero-denominator"])
+def test_time_outside_the_grammar_is_an_input_error(entry, t):
+    with pytest.raises(MtlsemError):
+        TIME_ENTRY_POINTS[entry](t)
+
+
+@pytest.mark.parametrize("entry", TIME_ENTRY_POINTS)
+def test_time_with_spaces_around_the_slash_is_accepted(entry):
+    assert TIME_ENTRY_POINTS[entry](" 1 / 2 ") is TIME_ENTRY_POINTS[entry](Fraction(1, 2)) is True
