@@ -104,22 +104,28 @@ def _formula(args, sigma, allow_beta: bool):
 
 
 def _relations() -> dict:
-    """Per relation: how it reads a timed word, the point it is evaluated at
-    (from the options), its engine and oracle at that point, its lasso
-    verdict and its satisfaction sets.
+    """Per relation: how it reads a timed word, the point options it is
+    evaluated at (each given or 0), its engine and oracle at that point, its
+    lasso verdict and its satisfaction sets.
 
     Built per call, so a name rebound after import (a test double, a tracing
     wrapper) is the one that runs."""
     return {
-        "pw": (lambda rho: rho, lambda a: (a.position or 0,),
-               eval_pw, oracle_eval_pw, eval_pw_lasso, None),
-        "itw": (lambda rho: rho, lambda a: (rational(a.time or "0"),),
-                eval_itw, oracle_eval_itw, eval_itw_lasso, sat_sets_itw),
-        "its": (word_to_tss, lambda a: (rational(a.time or "0"),),
-                eval_its, oracle_eval_its, None, sat_sets_its),
-        "mx": (compact, lambda a: (rational(a.time or "0"), a.pos or 0),
-               eval_mx, oracle_eval_mx, eval_mx_lasso, sat_sets_mx),
+        "pw": (lambda rho: rho, ("position",), eval_pw, oracle_eval_pw, eval_pw_lasso, None),
+        "itw": (lambda rho: rho, ("time",), eval_itw, oracle_eval_itw, eval_itw_lasso,
+                sat_sets_itw),
+        "its": (word_to_tss, ("time",), eval_its, oracle_eval_its, None, sat_sets_its),
+        "mx": (compact, ("time", "pos"), eval_mx, oracle_eval_mx, eval_mx_lasso, sat_sets_mx),
     }
+
+
+def _point(args, sem: str, options: tuple) -> list:
+    """The point from the options the relation reads; any other is an input error."""
+    for name in ("position", "time", "pos"):
+        if name not in options and getattr(args, name) is not None:
+            raise MtlsemError(f"--{name} does not apply to the {sem} semantics")
+    return [(rational(args.time or "0") if name == "time" else getattr(args, name) or 0)
+            for name in options]
 
 
 def _finite(loaded, sem: str, read):
@@ -154,7 +160,8 @@ def cmd_eval(args) -> int:
     sigma = _the_alphabet(args, loaded)
     sem = args.semantics
     f = _formula(args, sigma, allow_beta=sem == "mx")
-    read, point, engine, oracle, on_lasso, _ = _relations()[sem]
+    read, options, engine, oracle, on_lasso, _ = _relations()[sem]
+    point = _point(args, sem, options)
     if isinstance(loaded, Lasso):
         if args.via_oracle:
             raise MtlsemError("the oracle evaluates finite inputs only")
@@ -163,7 +170,7 @@ def cmd_eval(args) -> int:
         verdict = on_lasso(loaded, f)
     else:
         structure = _finite(loaded, sem, read)
-        verdict = (oracle if args.via_oracle else engine)(structure, *point(args), f)
+        verdict = (oracle if args.via_oracle else engine)(structure, *point, f)
     _emit({"semantics": sem, "formula": to_text(f), "verdict": "true" if verdict else "false"},
           args.pretty)
     return OK if verdict else FALSE

@@ -19,10 +19,10 @@ are one token; the suffix is `intervals.INTERVAL_TEXT`, read by
 `parse_interval`, so windows accept exactly the rationals and intervals of
 the JSON wire format and `--time`.
 
-Nodes are hash-consed: structurally equal formulas are one object.  `fold` is
-the one structural traversal.  It visits each distinct subformula once, children
-first, with an explicit stack.  The four engines, the compilers, the metrics
-and the printer each supply only the per-node step.
+Nodes are hash-consed: structurally equal formulas are one object.  A node
+caches its distinct subformulas, children first, walked once with an explicit
+stack (`subformulas`).  `fold` is a flat loop over that order: the engines, the
+compilers and the printer supply only the per-node step; the metrics read it.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class Formula:
     formula operands in syntactic order.
     """
 
-    __slots__ = ("children", "__weakref__")
+    __slots__ = ("children", "_below", "_bounds", "__weakref__")
     __match_args__ = ()
 
     def __new__(cls, *fields):
@@ -97,13 +97,24 @@ class Formula:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+        # flat rows, children first, so that nesting depth costs pickle no recursion
+        row = {node: i for i, node in enumerate(subformulas(self))}
+        return _rebuild, (tuple((type(node), *[row.get(v, v) for v in map(
+            node.__getattribute__, node.__match_args__)]) for node in row),)
 
     def __repr__(self) -> str:
         return fold(self, _repr_node)[self]
 
 
 _INTERNED = weakref.WeakValueDictionary()
+
+
+def _rebuild(rows):
+    """The formula of `Formula.__reduce__`'s rows; an int field is a child's row."""
+    nodes = []
+    for cls, *fields in rows:
+        nodes.append(cls(*[nodes[v] if type(v) is int else v for v in fields]))
+    return nodes[-1]
 
 
 class Atom(Formula):
@@ -138,24 +149,15 @@ def _repr_node(node, *kids) -> str:
 
 
 def fold(f: Formula, visit) -> dict:
-    """Evaluate every distinct subformula of f once, children first.
+    """Evaluate every distinct subformula of f once, in `subformulas` order.
 
     `visit(node, *operand_values)` receives the values already computed for
-    the node's operands.  The walk uses an explicit stack, so nesting depth is
-    unbounded.  The returned table maps each node to its value in completion
-    order, which is the order of `subformulas`.
+    the node's operands.  The returned table maps each node to its value, in
+    that order.
     """
     table = {}
-    stack = [(f, False)]
-    while stack:
-        node, ready = stack.pop()
-        if node in table:
-            continue
-        if ready:
-            table[node] = visit(node, *[table[c] for c in node.children])
-        else:
-            stack.append((node, True))
-            stack.extend((c, False) for c in reversed(node.children))
+    for node in subformulas(f):
+        table[node] = visit(node, *[table[c] for c in node.children])
     return table
 
 
@@ -203,13 +205,27 @@ def f_next(window: Interval, f: Formula, sigma: Alphabet) -> Formula:
 # ---------------------------------------------------------------------------
 # structural metrics
 
-def subformulas(f: Formula):
-    """Distinct subformulas in bottom-up order (children before parents)."""
-    return list(fold(f, lambda *_: None))
+def subformulas(f: Formula) -> list:
+    """Distinct subformulas in bottom-up order (children before parents).
+    Walked once, with an explicit stack, and cached on f without f itself."""
+    try:
+        below = f._below
+    except AttributeError:
+        seen, below, stack = {f}, [], [(c, False) for c in reversed(f.children)]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                below.append(node)
+            elif node not in seen:
+                seen.add(node)
+                stack.append((node, True))
+                stack.extend((c, False) for c in reversed(node.children))
+        object.__setattr__(f, "_below", below)
+    return [*below, f]
 
 
 def uses_beta(f: Formula) -> bool:
-    return fold(f, lambda node, *kids: type(node) is Beta or any(kids))[f]
+    return any(type(node) is Beta for node in subformulas(f))
 
 
 def _horizon(node, *kids):
@@ -234,25 +250,23 @@ def temporal_depth(f: Formula) -> int:
 
 
 def windows(f: Formula):
-    """All Until windows, in syntactic order."""
-    return fold(f, lambda node, *kids: (
-        [node.window] if type(node) is Until else []) + sum(kids, []))[f]
+    """The windows of the distinct Until subformulas, parents before children."""
+    return [node.window for node in reversed(subformulas(f)) if type(node) is Until]
 
 
-def finite_window_bounds(f: Formula):
-    """The finite endpoint values appearing in Until windows."""
-    out = set()
-    for node in subformulas(f):
-        if type(node) is Until:
-            out.add(node.window.lo.value)
-            if node.window.hi.value != INF:
-                out.add(node.window.hi.value)
-    return sorted(out)
+def finite_window_bounds(f: Formula) -> tuple:
+    """The finite endpoint values appearing in Until windows, sorted, cached on f."""
+    try:
+        return f._bounds
+    except AttributeError:
+        object.__setattr__(f, "_bounds", tuple(sorted({
+            v for node in subformulas(f) if type(node) is Until
+            for v in (node.window.lo.value, node.window.hi.value) if v != INF})))
+        return f._bounds
 
 
 def atoms(f: Formula):
-    return fold(f, lambda node, *kids: (
-        {node.name} if type(node) is Atom else set().union(*kids)))[f]
+    return {node.name for node in subformulas(f) if type(node) is Atom}
 
 
 def require_beta_free(f: Formula, semantics: str):

@@ -25,14 +25,17 @@ A part's bases start at the point right before it (the floor), its witness
 window ends at the point right after it, and distances are read off the time
 keys k // J.  This covers every witness at a strictly later time.  When the
 window holds 0, a base (v, j) also holds if some later position of its own
-block holds g with f at every position strictly between them: one backward
-scan per block (`_same_block_bases`).
+block holds g with f at every position strictly between them: one sweep over
+the parts of g and f inside blocks (`_same_block_bases`).
 
 The engine runs on an integer time base (see `intervals`): `sat_sets_mx` and
 `sat_set_mx` read the block ticks `cw.ticks` and take D once, from their base
-and `finite_window_bounds(f)`.  A `MixedSet` is built only for a returned
-set: its grid points from one sweep over each grid point's first slot, its
-gap from the time keys k // J minus the block stamps.
+and `finite_window_bounds(f)`.  `_mx_table` builds only what the fold reads:
+the slots of the atoms f names, `beta` when the fold reaches it, and the
+blocks of two or more positions.  A returned set becomes a `MixedSet` part by
+part, bisecting the block starts: its grid points, and its gap as its time
+keys k // J less the stamps inside, each stamp's open bound shared by the gap
+parts on both of its sides and built once, from the block's own timestamp.
 
 A lasso verdict is an exact boolean: `encodings.lasso_instance` bounds the
 formula and unrolls the lasso, and the verdict is whether (0, 0) lies in the
@@ -41,6 +44,7 @@ root's grid points.  The paper promises only sound three-valued verdicts here.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .formulas import (
@@ -50,13 +54,16 @@ from .formulas import (
     Formula,
     Not,
     Until,
+    atoms,
     finite_window_bounds,
     fold,
 )
 from .intervals import (
+    Bound,
     IntervalSet,
+    _bound,
+    _trusted_interval,
     difference_keys,
-    from_keys,
     intersect_keys,
     interval_keys,
     normalize_keys,
@@ -97,31 +104,19 @@ class MixedSet:
         return f"MixedSet(points={pts}, gap={self.gap})"
 
 
-def _members(keys: list, slots: list) -> list:
-    """Whether the key list covers each slot of an ascending list, in one sweep."""
-    out = []
-    i, n = 0, len(keys)
-    for s in slots:
-        while i < n and keys[i][1] < s:
-            i += 1
-        out.append(i < n and keys[i][0] <= s)
-    return out
-
-
-def _same_block_bases(f: list, g: list, starts: list, sizes: list) -> list:
-    """The slots (v, j) whose witness is a later position of their own block."""
-    blocks = [(s, n) for s, n in zip(starts, sizes) if n > 1]
-    slots = [s + j for s, n in blocks for j in range(n)]
-    in_f, in_g = _members(f, slots), _members(g, slots)
+def _same_block_bases(f: list, g: list, multi: list) -> list:
+    """The slots (v, j) witnessed later in their own block (`multi`: start slot,
+    size): g's parts past a block's first slot and f's run before each, less 1."""
+    inner = [(s + 1, s + n - 1) for s, n in multi]
+    runs = intersect_keys(f, inner)
     out = []
     i = 0
-    for s, n in blocks:
-        holds = False  # for the base right before position j
-        for j in range(n - 1, 0, -1):
-            holds = in_g[i + j] or (holds and in_f[i + j])
-            if holds:
-                out.append((s + j - 1, s + j - 1))
-        i += n
+    for lo, hi in intersect_keys(g, inner):
+        while i < len(runs) and runs[i][1] < lo - 1:
+            i += 1
+        if i < len(runs) and runs[i][0] < lo:
+            lo = runs[i][0]
+        out.append((lo - 1, hi - 1))
     return out
 
 
@@ -131,21 +126,21 @@ def _mx_table(cw: CompactTimedWord, f: Formula):
     sizes = [len(acts) for acts, _ in cw.blocks]
     J = max(sizes)
     starts = [3 * J * v for v in times]  # the slot of each block's position 0
-    last = {3 * v: n - 1 for v, n in zip(times, sizes)}
+    multi = [(s, n) for s, n in zip(starts, sizes) if n > 1]
+    last = {s // J: n - 1 for s, n in multi}
     domain = (starts[0], starts[-1] + J - 1)
-    atoms = {}
+    slots = {name: [] for name in atoms(f)}  # the slots of each atom the formula names
     for s, n, (acts, _) in zip(starts, sizes, cw.blocks):
         for j, a in enumerate(acts):
-            atoms.setdefault(a, []).append((s + j, s + J - 1 if j == n - 1 else s + j))
-    beta = difference_keys([domain], [(s + 1, s + J - 1) for s, n in zip(starts, sizes)
-                                      if n > 1])
+            if a in slots:
+                slots[a].append((s + j, s + J - 1 if j == n - 1 else s + j))
 
     def visit(node, l=None, r=None) -> list:
         match node:
             case Atom(name):
-                return normalize_keys(atoms.get(name, ()))
+                return normalize_keys(slots[name])
             case Beta():
-                return beta
+                return difference_keys([domain], [(s + 1, s + J - 1) for s, _ in multi])
             case Not():
                 return difference_keys([domain], l)
             case And():
@@ -154,17 +149,26 @@ def _mx_table(cw: CompactTimedWord, f: Formula):
                 w = interval_keys(w, D)
                 bases = _until_bases(l, r, w, domain, J, last)
                 if w[0] == 0:
-                    bases += _same_block_bases(l, r, starts, sizes)
+                    bases += _same_block_bases(l, r, multi)
                 return normalize_keys(bases)
 
-    grid = [(k, j) for k, n in enumerate(sizes) for j in range(n)]
-    grid_slots = [starts[k] + j for k, j in grid]
-    stamps = [(3 * v, 3 * v) for v in times]
-
     def mixed_set(keys: list) -> MixedSet:
-        points = frozenset(p for p, held in zip(grid, _members(keys, grid_slots)) if held)
-        gap = difference_keys(normalize_keys((lo // J, hi // J) for lo, hi in keys), stamps)
-        return MixedSet(points, from_keys(gap, D))
+        points = []
+        for lo, hi in keys:  # the blocks from the last start <= lo to the last start <= hi
+            points += [(k, j) for k in range(bisect_right(starts, lo) - 1,
+                                             bisect_right(starts, hi))
+                       for j in range(max(lo - starts[k], 0), min(hi - starts[k] + 1, sizes[k]))]
+        parts = []  # the time keys k // J, less the block stamps inside each part
+        for lo, hi in normalize_keys((lo // J, hi // J) for lo, hi in keys):
+            lo_bound = None  # until a stamp opens the part
+            for k in range(bisect_left(starts, lo * J), bisect_right(starts, hi * J)):
+                stamp, open_bound = starts[k] // J, Bound(cw.blocks[k][1], False)
+                if lo < stamp:
+                    parts.append(_trusted_interval(lo_bound or _bound(lo, D), open_bound))
+                lo, lo_bound = stamp + 1, open_bound
+            if lo <= hi:
+                parts.append(_trusted_interval(lo_bound or _bound(lo, D), _bound(hi, D)))
+        return MixedSet(frozenset(points), IntervalSet(tuple(parts)))
     return fold(f, visit), mixed_set
 
 

@@ -89,6 +89,27 @@ class TestEval:
                       "--formula", "a &", "--word", rho1)
         assert code == 3
 
+    # `a` holds at the origin of the README word, so an option that were
+    # dropped would answer true there and exit 0
+    @pytest.mark.parametrize("command", ["eval", "oracle"])
+    @pytest.mark.parametrize("semantics, option, value", [
+        ("pw", "--time", "1"),
+        ("pw", "--pos", "0"),
+        ("mx", "--position", "3"),
+        ("its", "--position", "2"),
+        ("its", "--pos", "1"),
+        ("itw", "--pos", "1"),
+        ("itw", "--position", "0"),
+    ])
+    def test_point_option_the_relation_does_not_read_is_input_error(
+            self, rho1, capsys, command, semantics, option, value):
+        code = main([command, "--semantics", semantics, option, value,
+                     "--formula", "a", "--word", rho1])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert option in captured.err and semantics in captured.err
+
 
 class TestLassoSurface:
     """What the CLI does with a lasso input, pinned on the swap lasso."""

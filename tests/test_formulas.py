@@ -1,5 +1,6 @@
 """Formula parsing, printing, and structural metrics."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from mtlsem.formulas import (
     f_or,
     f_sigma,
     f_true,
+    finite_window_bounds,
     fold,
     horizon,
     is_bounded,
@@ -29,8 +31,13 @@ from mtlsem.formulas import (
     to_text,
     uses_beta,
 )
+from mtlsem.encodings import compact, word_to_tss
+from mtlsem.interval_based import sat_sets_its, sat_sets_itw
 from mtlsem.intervals import INF, interval, parse_interval, rat_str, rational
-from mtlsem.oracle import _gen_window
+from mtlsem.mixed import sat_sets_mx
+from mtlsem.oracle import _gen_window, gen_formula, gen_word
+from mtlsem.pointwise import sat_positions
+from test_deep_formulas import CASES, CHAINS, LASSO_CASES, S1_S2, WIDE
 
 ABC = alphabet("a,b,c")
 
@@ -79,6 +86,71 @@ class TestFold:
             f = Not(f)
         assert temporal_depth(f) == 0
         assert to_text(f).count("!") == 5000
+
+
+def _explicit_order(f):
+    """Distinct subformulas, children first: a walk over child iterators."""
+    order, seen, stack = [], {f}, [(f, iter(f.children))]
+    while stack:
+        node, kids = stack[-1]
+        kid = next((c for c in kids if c not in seen), None)
+        if kid is None:
+            stack.pop()
+            order.append(node)
+        else:
+            seen.add(kid)
+            stack.append((kid, iter(kid.children)))
+    return order
+
+
+def _all_sets(rho, f):
+    """Every engine's table of f on rho, with its sets as text; the beta-free
+    engines only when f is beta-free."""
+    tables = {"mx": sat_sets_mx(compact(rho), f)}
+    if not uses_beta(f):
+        tables.update(itw=sat_sets_itw(rho, f), its=sat_sets_its(word_to_tss(rho), f),
+                      pw={f: sorted(sat_positions(rho, f))})
+    return {name: [(g, str(s)) for g, s in table.items()] for name, table in tables.items()}
+
+
+ORDER_CASES = (
+    [(gen_word(seed), gen_formula(seed, ABC, allow_beta=seed % 2 == 1)) for seed in range(500)]
+    + [(rho, parse(deep, WIDE)) for rho, deep, _ in CASES]
+    + [(S1_S2, parse(deep, WIDE)) for deep, _, _ in LASSO_CASES]
+    + [(S1_S2, build()) for _, build in CHAINS.values()])
+
+
+class TestCachedOrder:
+    """`fold` and the metrics read one order cached on the node."""
+
+    def test_fold_order_is_the_explicit_walk(self):
+        for _, f in ORDER_CASES:
+            want = _explicit_order(f)
+            assert list(fold(f, lambda *_: None)) == want
+            assert list(fold(f, lambda *_: None)) == want  # read from the cache
+
+    def test_finite_window_bounds_is_a_stable_tuple(self):
+        for _, f in ORDER_CASES:
+            got = finite_window_bounds(f)
+            assert isinstance(got, tuple)
+            assert finite_window_bounds(f) == got
+            want = {v for g in _explicit_order(f) if type(g) is Until
+                    for v in (g.window.lo.value, g.window.hi.value) if v != INF}
+            assert got == tuple(sorted(want))
+
+    def test_pickle_round_trip_is_the_same_formula(self):
+        for rho, f in ORDER_CASES:
+            want = _all_sets(rho, f)
+            back = pickle.loads(pickle.dumps(f))
+            assert back is f
+            assert _all_sets(rho, back) == want
+
+    def test_an_unpickled_formula_builds_its_own_order(self):
+        data = pickle.dumps(parse("G(a -> F[1/3,3] (b U c))", ABC))
+        f = pickle.loads(data)
+        assert f is parse("G(a -> F[1/3,3] (b U c))", ABC)
+        assert list(fold(f, lambda *_: None)) == _explicit_order(f)
+        assert finite_window_bounds(f) == (0, Fraction(1, 3), 3)
 
 
 class TestParse:

@@ -5,11 +5,22 @@ from fractions import Fraction
 
 import pytest
 
+from mtlsem.compilers import compile_itw, compile_pw
 from mtlsem.encodings import block_index_at, compact
 from mtlsem.errors import OutOfDomainError
-from mtlsem.formulas import BETA, alphabet, parse
+from mtlsem.formulas import BETA, alphabet, finite_window_bounds, parse
 from mtlsem.interval_based import eval_itw, sat_set_itw
-from mtlsem.mixed import NO_ACTION, compact_at, eval_mx, eval_mx_lasso, sat_set_mx
+from mtlsem.intervals import difference_keys, from_keys, normalize_keys, rebased
+from mtlsem.mixed import (
+    NO_ACTION,
+    MixedSet,
+    _mx_table,
+    compact_at,
+    eval_mx,
+    eval_mx_lasso,
+    sat_set_mx,
+    sat_sets_mx,
+)
 from mtlsem.oracle import (
     critical_points,
     differential,
@@ -18,7 +29,7 @@ from mtlsem.oracle import (
     oracle_eval_mx,
 )
 from mtlsem.pointwise import eval_pw_lasso
-from mtlsem.structures import lasso, word
+from mtlsem.structures import lasso, validate_compact, word
 
 ABC = alphabet("a,b,c")
 B_THEN_A = parse("F(b & X[0,0] a)", ABC)
@@ -278,3 +289,82 @@ def test_large_blocks_fuzzed_agree_with_oracle():
         cw = compact(_large_block_word(seed + 1000))
         f = gen_formula(seed * 17 + 5, ABC, allow_beta=True)
         assert differential("mx", cw, f) is None, (str(cw), f)
+
+
+# ---------------------------------------------------------------------------
+# the MixedSet conversion, against the one-sweep-over-the-whole-grid reference
+
+
+def _members(keys, slots):
+    """Whether the key list covers each slot of an ascending list, in one sweep."""
+    out = []
+    i, n = 0, len(keys)
+    for s in slots:
+        while i < n and keys[i][1] < s:
+            i += 1
+        out.append(i < n and keys[i][0] <= s)
+    return out
+
+
+def _reference_sets(cw, f):
+    """Each lex-key set of the table converted through the whole grid: the
+    points whose slot a part covers, and the gap as the time keys k // J less
+    every block stamp."""
+    table, _ = _mx_table(cw, f)
+    D, times = rebased(cw.ticks, finite_window_bounds(f))
+    sizes = [len(acts) for acts, _ in cw.blocks]
+    J = max(sizes)
+    grid = [(k, j) for k, n in enumerate(sizes) for j in range(n)]
+    grid_slots = [3 * J * times[k] + j for k, j in grid]
+    stamps = [(3 * v, 3 * v) for v in times]
+    out = {}
+    for node, keys in table.items():
+        points = frozenset(p for p, held in zip(grid, _members(keys, grid_slots)) if held)
+        gap = difference_keys(normalize_keys((lo // J, hi // J) for lo, hi in keys), stamps)
+        out[node] = MixedSet(points, from_keys(gap, D))
+    return out
+
+
+def _assert_converted_as_the_reference(cw, f):
+    got, want = sat_sets_mx(cw, f), _reference_sets(cw, f)
+    assert list(got) == list(want)
+    for node, w in want.items():
+        g = got[node]
+        assert g.points == w.points, (str(cw), node)
+        assert g.gap == w.gap and str(g.gap) == str(w.gap), (str(cw), node)
+        assert g == w and hash(g) == hash(w), (str(cw), node)
+
+
+def test_conversion_matches_the_reference_on_fuzzed_words():
+    for seed in range(1000):
+        rho = gen_word(seed)
+        f = gen_formula(seed * 2654435761 % (2**31), ABC)
+        for g in (f, compile_pw(f, ABC), compile_itw(f, ABC),
+                  gen_formula(seed * 5 + 3, ABC, allow_beta=True)):
+            _assert_converted_as_the_reference(compact(rho), g)
+
+
+def test_conversion_matches_the_reference_on_one_large_block():
+    rng = random.Random("one-block")
+    cw = compact(word([(rng.choice("abc"), 0) for _ in range(4000)]))
+    for text in ("a", "G(a -> F[0,1] b)", "a U c", "F[0,0] b", "!beta U (c & beta)",
+                 "(a | b) U[0,0] (c & !beta)"):
+        _assert_converted_as_the_reference(cw, parse(text, ABC, allow_beta=True))
+
+
+def test_conversion_matches_the_reference_on_nonzero_starts():
+    for seed in range(200):
+        shift = Fraction(seed % 7 + 1, seed % 3 + 1)
+        cw = validate_compact([(acts, t + shift) for acts, t in compact(gen_word(seed)).blocks],
+                              allow_nonzero_start=True)
+        f = gen_formula(seed * 3 + 1, ABC, allow_beta=True)
+        _assert_converted_as_the_reference(cw, f)
+
+
+@pytest.mark.parametrize("text", ["d", "!d", "d U[1,2] a", "F[0,1] (a & !d)", "beta",
+                                  "G(d -> F[1/3,3] b)", "(d | beta) U (c & beta)"])
+def test_conversion_matches_the_reference_on_absent_atoms_and_beta(text):
+    f = parse(text, alphabet("a,b,c,d"), allow_beta=True)
+    for seed in range(100):
+        _assert_converted_as_the_reference(compact(gen_word(seed + 7000)), f)
+        _assert_converted_as_the_reference(compact(_large_block_word(seed)), f)
