@@ -26,8 +26,10 @@ from .compilers import compile_itw, compile_pw
 from .encodings import compact, compact_lasso, word_to_tss
 from .errors import MtlsemError
 from .formulas import (
+    _text,
     alphabet,
     atoms,
+    fold,
     horizon,
     is_bounded,
     parse,
@@ -167,6 +169,9 @@ def cmd_eval(args) -> int:
             raise MtlsemError("the oracle evaluates finite inputs only")
         if on_lasso is None:
             raise MtlsemError("state-sequence semantics takes no lasso input")
+        for name, value in zip(options, point):
+            if value:
+                raise MtlsemError(f"--{name} is not 0: a lasso verdict is decided at the origin")
         verdict = on_lasso(loaded, f)
     else:
         structure = _finite(loaded, sem, read)
@@ -184,15 +189,13 @@ def cmd_satset(args) -> int:
     sem = args.semantics
     f = _formula(args, sigma, allow_beta=sem == "mx")
     read, *_, sat_sets = _relations()[sem]
-    table = sat_sets(_finite(loaded, sem, read), f)
+    texts = fold(f, _text)  # every text from one fold, not one fold per entry
     sets = []
-    for sub, got in table.items():
-        if sem == "mx":
-            sets.append({"formula": to_text(sub),
-                         "points": sorted([k, j] for k, j in got.points),
-                         "gaps": [str(p) for p in got.gap.parts]})
-        else:
-            sets.append({"formula": to_text(sub), "parts": [str(p) for p in got.parts]})
+    for sub, got in sat_sets(_finite(loaded, sem, read), f).items():
+        shown = ({"points": sorted([k, j] for k, j in got.points),
+                  "gaps": [str(p) for p in got.gap.parts]} if sem == "mx"
+                 else {"parts": [str(p) for p in got.parts]})
+        sets.append({"formula": texts[sub], **shown})
     _emit({"semantics": sem, "sets": sets}, args.pretty)
     return OK
 

@@ -1,99 +1,95 @@
 """Pointwise satisfaction: formulas evaluated at event positions only.
 
-The engine supplies an algebra to `formulas.fold`: a subformula's value is one
-truth value per position, atoms compare actions, and negation and conjunction
-work position by position.
+The engine supplies an algebra to `formulas.fold`.  A subformula's value is one
+int: position i of n is bit n-1-i, so `format(x, f"0{n}b")[i]` reads it and
+`int(s, 2)` packs a bit string back.  An atom packs the action column once,
+`!` is `full ^ x` with full = (1 << n) - 1, and `&` is `x & y`.
 
-Until is one forward scan (the sliding window of Donzé, Ferrère & Maler,
-"Efficient Robust Monitoring for STL", CAV 2013).  Event times never
-decrease, so the positions inside a base's window form one run, and its first
-and last position only move forward as the base does.  The first g-position
-at or after the run's start is the base's best witness: it holds exactly when
-that position lies inside the run and no f-failure comes before it.  Two
-arrays of next positions, where f fails and where g holds, answer this in
-constant time per base.  An unbounded window's run ends at the last event.
+f U_w g holds at i when a later position j in the window satisfies g and f
+holds strictly between i and j.  The window [0,inf) reads positions only, and
+carry propagation answers it everywhere at once (bit-parallelism, Baeza-Yates
+& Gonnet, CACM 1992): with F = f & ~g, the positions whose run of F reaches a
+g are N = g | (F & ~(F + ((g << 1) & F))), since the carry from below a g
+clears exactly the run above it, and the Until is `(N << 1) & full`.  That
+covers G, plain U and F, and the nested unbounded windows of a lasso unroll.
 
-A lasso is decided exactly on a finite word: `encodings.lasso_instance`
-closes every unbounded window at the lasso's period and unrolls far enough,
-and the verdict is the truth at position 0.
-
-The scan compares ints.  `sat_positions` reads the word's ticks, takes the
-time base D once (see `intervals`), from their base and
-`finite_window_bounds(f)`, and hands the scan 3tD for each event time t, so
-that a distance compares directly with a window's keys.  The result is a set
-of positions, so nothing is converted back.
+Every other window, (0,inf) included (simultaneous events make it depend on
+time), is one forward scan over the operands' bit strings (the sliding window
+of Donzé, Ferrère & Maler, "Efficient Robust Monitoring for STL", CAV 2013).
+Times never decrease, so a base's window is one run of positions whose ends
+only move forward.  The first g at or after the run's start is the best
+witness: it holds when it lies in the run and no f-failure comes first.
+`str.find` gives the next g and the next f-failure, again only once the scan
+has passed the last hit, so the scan stays linear.  The scan compares ints:
+`sat_positions` takes the time base D once (see `intervals`) from the word's
+ticks and `finite_window_bounds(f)`, and hands it 3tD per event time t.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .encodings import lasso_instance
-from .formulas import (
-    And,
-    Atom,
-    Formula,
-    Not,
-    Until,
-    finite_window_bounds,
-    fold,
-    require_beta_free,
-)
+from .formulas import And, Atom, Formula, Not, Until, finite_window_bounds, fold, require_beta_free
 from .intervals import INF, interval_keys, rebased
 from .structures import Lasso, TimedWord
 
 
-def _next_true(flags) -> list:
-    """out[i] is the first index >= i whose flag is set, len(flags) if there is none."""
-    out = [len(flags)] * (len(flags) + 1)
-    for i in range(len(flags) - 1, -1, -1):
-        out[i] = i if flags[i] else out[i + 1]
-    return out
-
-
-def _until(w, lv, rv, times) -> list:
-    """f U_w g at every position, from the operand values lv, rv.
+def _until(w, l: int, r: int, times) -> int:
+    """f U_w g at every position, from the operand values l, r.
 
     `w` is the window's key pair and event i occurs at times[i] / 3D.  Base
-    i's window holds the positions first <= j < last after i, and its first
-    g-position j at or after `first` is its best witness: the base holds when
-    j < last and f does not fail before j.  An unbounded window has last = n.
+    i's window holds the positions first <= j < last after i; it holds when
+    its first g-position j at or after `first` has j < last and the first
+    f-failure k after i is not before j.
     """
-    w_lo, w_hi = w
     n = len(times)
-    fail = _next_true([not v for v in lv])
-    good = _next_true(rv)
-    out = []
+    if w == (0, INF):
+        F = l & ~r
+        return ((r | (F & ~(F + ((r << 1) & F)))) << 1) & ((1 << n) - 1)
+    w_lo, w_hi = w
+    fs, gs = format(l, f"0{n}b") + "0", format(r, f"0{n}b") + "1"  # a missing j or k is n
+    out = bytearray(b"0" * n)
     first, last = 0, n if w_hi == INF else 0
+    j = k = -1
     for i, t in enumerate(times):
-        first = max(first, i + 1)
+        if first <= i:
+            first = i + 1
         while first < n and times[first] - t < w_lo:
             first += 1
         while last < n and times[last] - t <= w_hi:
             last += 1
-        j = good[first]
-        out.append(j < last and j <= fail[i + 1])
-    return out
+        if j < first:
+            j = gs.find("1", first)
+        if k <= i:
+            k = fs.find("0", i + 1)
+        if j < last and j <= k:
+            out[i] = 49  # ord("1")
+    return int(out, 2)
 
 
 def sat_positions(rho: TimedWord, f: Formula) -> frozenset:
     """All positions i with rho, i satisfying f."""
     require_beta_free(f, "pointwise")
     acts = rho.actions
+    n = len(acts)
+    full = (1 << n) - 1
     D, ticks = rebased(rho.ticks, finite_window_bounds(f))
     times = [3 * t for t in ticks]
 
-    def visit(node, l=None, r=None) -> list:
+    def visit(node, l=None, r=None) -> int:
         match node:
             case Atom(name):
-                return [a == name for a in acts]
+                return int("".join(["1" if a == name else "0" for a in acts]), 2)
             case Not():
-                return [not v for v in l]
+                return full ^ l
             case And():
-                return [a and b for a, b in zip(l, r)]
+                return l & r
             case Until(_, w, _):
                 return _until(interval_keys(w, D), l, r, times)
 
-    sat = fold(f, visit)[f]
-    return frozenset(i for i, v in enumerate(sat) if v)
+    bits = format(fold(f, visit)[f], f"0{n}b").encode()
+    return frozenset(compress(range(n), bits.translate(bytes.maketrans(b"01", b"\0\1"))))
 
 
 def eval_pw(rho: TimedWord, i: int, f: Formula) -> bool:
@@ -103,6 +99,7 @@ def eval_pw(rho: TimedWord, i: int, f: Formula) -> bool:
 
 
 def eval_pw_lasso(l: Lasso, f: Formula) -> bool:
-    """Exact verdict of the unrolled infinite word at position 0."""
+    """Exact verdict at position 0: `lasso_instance` closes every unbounded window
+    at the lasso's period and unrolls far enough for a finite word to decide it."""
     rho, g = lasso_instance(l, f)
     return 0 in sat_positions(rho, g)

@@ -122,6 +122,34 @@ class TestLassoSurface:
         assert code in (0, 1)
         assert json.loads(out)["verdict"] == ("true", "false")[code]
 
+    # the swap lasso is the README lasso: `a` at 0 and 1, `c` from 3.3 on, so
+    # an answer at the origin would be true and exit 0
+    @pytest.mark.parametrize("semantics, option, value", [
+        ("itw", "--time", "2"),
+        ("itw", "--time", "1/2"),
+        ("pw", "--position", "3"),
+        ("mx", "--time", "1"),
+        ("mx", "--pos", "1"),
+    ])
+    def test_a_point_other_than_the_origin_is_input_error(
+            self, swap_lasso, capsys, semantics, option, value):
+        code = main(["eval", "--semantics", semantics, option, value,
+                     "--formula", "a", "--word", swap_lasso])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "" and option in captured.err
+
+    @pytest.mark.parametrize("semantics, options", [
+        ("itw", ["--time", "0"]),
+        ("itw", ["--time", "0/7"]),
+        ("pw", ["--position", "0"]),
+        ("mx", ["--time", "0", "--pos", "0"]),
+    ])
+    def test_the_origin_still_answers(self, swap_lasso, capsys, semantics, options):
+        code, out = run(capsys, "eval", "--semantics", semantics, *options,
+                        "--formula", "a", "--word", swap_lasso)
+        assert (code, json.loads(out)["verdict"]) == (0, "true")
+
     @pytest.mark.parametrize("argv", [
         ("eval", "--semantics", "its"),
         ("oracle", "--semantics", "pw"),

@@ -17,7 +17,7 @@ from mtlsem.cli import main
 from mtlsem.encodings import compact, word_to_tss
 from mtlsem.formulas import FULL, And, Atom, Not, alphabet, f_globally, f_or, parse, to_text
 from mtlsem.gallery import no_simultaneous
-from mtlsem.interval_based import eval_itw_lasso, sat_set_its, sat_set_itw
+from mtlsem.interval_based import eval_itw_lasso, sat_set_its, sat_set_itw, sat_sets_itw
 from mtlsem.mixed import eval_mx_lasso, sat_set_mx
 from mtlsem.pointwise import eval_pw_lasso, sat_positions
 from mtlsem.structures import lasso, word, word_to_json
@@ -155,3 +155,19 @@ def test_cli_parses_long_chains(capsys):
                  "--formula", " & ".join(CONJUNCTS)]) == 0
     assert json.loads(capsys.readouterr().out)["canonical"] == to_text(CHAINS["and-2000"][1]())
     assert main(["parse", "--alphabet", ",".join(WIDE.symbols), "--formula", "!" * 1000 + "s0"]) == 0
+
+
+def test_cli_satset_prints_every_text_of_a_long_chain(tmp_path, capsys):
+    # one text per subformula: rendering each with a fold of its own was
+    # quadratic in the chain's length
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(word_to_json(S0_S1)))
+    f = CHAINS["and-2000"][1]()
+    assert main(["satset", "--semantics", "itw", "--word", str(path),
+                 "--alphabet", ",".join(WIDE.symbols), "--formula", " & ".join(CONJUNCTS)]) == 0
+    sets = json.loads(capsys.readouterr().out)["sets"]
+    table = sat_sets_itw(S0_S1, f)
+    assert len(sets) == len(table)
+    for i, (sub, got) in enumerate(table.items()):
+        if i % 97 == 0 or i >= len(table) - 3:
+            assert sets[i] == {"formula": to_text(sub), "parts": [str(p) for p in got.parts]}

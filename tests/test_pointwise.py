@@ -1,11 +1,29 @@
 """Pointwise evaluation: position sets, single verdicts, and exact lasso verdicts
-through `lasso_instance` (bounded windows on a finite unroll)."""
+through `lasso_instance` (bounded windows on a finite unroll).
+
+`TestBitsets` keeps the list-of-bools engine as the reference for the int
+bitsets: one truth value per position, and the Until as a forward scan over
+two arrays of next positions."""
+
+import random
 
 import pytest
 
+from mtlsem import pointwise
+from mtlsem.encodings import lasso_instance
 from mtlsem.errors import BetaNotAllowedError
-from mtlsem.formulas import alphabet, parse
-from mtlsem.oracle import differential, gen_formula, gen_word
+from mtlsem.formulas import (
+    And,
+    Atom,
+    Not,
+    Until,
+    alphabet,
+    finite_window_bounds,
+    fold,
+    parse,
+)
+from mtlsem.intervals import INF, interval, interval_keys, rebased
+from mtlsem.oracle import differential, gen_formula, gen_word, oracle_eval_pw
 from mtlsem.pointwise import eval_pw, eval_pw_lasso, sat_positions
 from mtlsem.structures import lasso, unroll, word
 
@@ -98,3 +116,132 @@ class TestLasso:
             exact = eval_pw_lasso(l, f)
             via_mx = eval_mx_lasso(l, compile_pw(f, ABC))
             assert via_mx is exact, (l, f)
+
+
+# ---------------------------------------------------------------------------
+# the list-of-bools engine, kept as the reference for the bitsets
+
+def _next_true(flags) -> list:
+    """out[i] is the first index >= i whose flag is set, len(flags) if there is none."""
+    out = [len(flags)] * (len(flags) + 1)
+    for i in range(len(flags) - 1, -1, -1):
+        out[i] = i if flags[i] else out[i + 1]
+    return out
+
+
+def _reference_until(w, lv, rv, times) -> list:
+    w_lo, w_hi = w
+    n = len(times)
+    fail = _next_true([not v for v in lv])
+    good = _next_true(rv)
+    out = []
+    first, last = 0, n if w_hi == INF else 0
+    for i, t in enumerate(times):
+        first = max(first, i + 1)
+        while first < n and times[first] - t < w_lo:
+            first += 1
+        while last < n and times[last] - t <= w_hi:
+            last += 1
+        j = good[first]
+        out.append(j < last and j <= fail[i + 1])
+    return out
+
+
+def _reference_positions(rho, f) -> frozenset:
+    acts = rho.actions
+    D, ticks = rebased(rho.ticks, finite_window_bounds(f))
+    times = [3 * t for t in ticks]
+
+    def visit(node, l=None, r=None) -> list:
+        match node:
+            case Atom(name):
+                return [a == name for a in acts]
+            case Not():
+                return [not v for v in l]
+            case And():
+                return [a and b for a, b in zip(l, r)]
+            case Until(_, w, _):
+                return _reference_until(interval_keys(w, D), l, r, times)
+
+    return frozenset(i for i, v in enumerate(fold(f, visit)[f]) if v)
+
+
+def _pack(values) -> int:
+    """Position i of n at bit n-1-i."""
+    return int("".join("1" if v else "0" for v in values), 2)
+
+
+def _unpack(x: int, n: int) -> list:
+    return [c == "1" for c in format(x, f"0{n}b")]
+
+
+WINDOWS = {
+    "[0,inf)": interval(0, INF, True, False),
+    "(0,inf)": interval(0, INF, False, False),
+    "[0,0]": interval(0, 0),
+    "[1,3]": interval(1, 3),
+    "(0,2)": interval(0, 2, False, False),
+    "[0,1000]": interval(0, 1000),
+}
+SIZES = [1, 2, 63, 64, 65, 4000, 8000]  # 8,000 digits is past the default str-to-int limit
+
+
+def _times(rng, n) -> list:
+    """3t for n non-decreasing integer times t, about a third of them simultaneous."""
+    t, out = 0, []
+    for _ in range(n):
+        t += rng.choice((0, 0, 1, 1, 2, 5))
+        out.append(3 * t)
+    return out
+
+
+def _operands(rng, n) -> dict:
+    alternating = [i % 2 == 0 for i in range(n)]
+    return {
+        "random": ([rng.random() < 0.7 for _ in range(n)], [rng.random() < 0.2 for _ in range(n)]),
+        "dense-g": ([rng.random() < 0.5 for _ in range(n)], [rng.random() < 0.8 for _ in range(n)]),
+        "all-f": ([True] * n, [rng.random() < 0.05 for _ in range(n)]),
+        "no-g": ([rng.random() < 0.9 for _ in range(n)], [False] * n),
+        "alternating": (alternating, [not v for v in alternating]),
+        "all-f-no-g": ([True] * n, [False] * n),
+    }
+
+
+class TestBitsets:
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_until_matches_the_list_scan(self, n, window):
+        rng = random.Random(f"{n}/{window}")
+        times = _times(rng, n)
+        keys = interval_keys(WINDOWS[window], 1)
+        for name, (lv, rv) in _operands(rng, n).items():
+            got = pointwise._until(keys, _pack(lv), _pack(rv), times)
+            assert 0 <= got < 1 << n, name
+            assert _unpack(got, n) == _reference_until(keys, lv, rv, times), name
+
+    def test_positions_match_the_oracle(self):
+        for seed in range(1000):
+            w = gen_word(seed)
+            f = gen_formula(seed * 31 + 7, ABC)
+            want = {i for i in range(len(w)) if oracle_eval_pw(w, i, f)}
+            assert sat_positions(w, f) == want, (seed, w, f)
+
+    def test_positions_match_the_list_engine(self):
+        for seed in range(1000):
+            w = gen_word(seed)
+            f = gen_formula(seed * 17 + 3, ABC)
+            assert sat_positions(w, f) == _reference_positions(w, f), (seed, w, f)
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_nested_unbounded_lasso_matches_the_list_engine(self, k):
+        # a 51-event prefix over [0,50] and a 20-event period of duration 1:
+        # the unroll at k = 8 has 15,391 events
+        prefix = word([("abc"[i % 3], i) for i in range(51)])
+        l = lasso(prefix, ["abca"[i % 4] for i in range(20)],
+                  [f"{i + 1}/20" for i in range(20)], "1")
+        for body, verdict in (("b", True), ("(c & !a)", True), ("(a & b)", False)):
+            f = parse("G F " * k + body, ABC)
+            rho, g = lasso_instance(l, f)
+            want = _reference_positions(rho, g)
+            assert sat_positions(rho, g) == want
+            assert eval_pw_lasso(l, f) is (0 in want) is verdict
