@@ -38,7 +38,7 @@ from .formulas import (
     uses_beta,
 )
 from .interval_based import eval_its, eval_itw, eval_itw_lasso, sat_sets_its, sat_sets_itw
-from .intervals import INF, rat_str, rational
+from .intervals import rat_str, rational
 from .mixed import eval_mx, eval_mx_lasso, sat_sets_mx
 from .oracle import (
     differential,
@@ -145,11 +145,10 @@ def _finite(loaded, sem: str, read):
 def cmd_parse(args) -> int:
     sigma = alphabet(args.alphabet) if args.alphabet else alphabet("a,b,c")
     f = _formula(args, sigma, allow_beta=args.beta)
-    h = horizon(f)
     _emit({
         "canonical": to_text(f),
         "atoms": sorted(atoms(f)),
-        "horizon": rat_str(h) if h != INF else "inf",
+        "horizon": rat_str(horizon(f)),
         "bounded": is_bounded(f),
         "uses_beta": uses_beta(f),
         "temporal_depth": temporal_depth(f),

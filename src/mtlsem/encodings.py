@@ -33,7 +33,7 @@ from .errors import (
     SeamStutterError,
 )
 from .formulas import Formula, Until, fold, horizon
-from .intervals import INF, interval, rational
+from .intervals import interval, rational
 from .structures import (
     CompactTimedWord,
     Lasso,
@@ -160,7 +160,7 @@ def lasso_instance(l: Lasso, f: Formula) -> tuple:
         if type(node) is not Until:
             return type(node)(*kids) if kids else node
         w = node.window
-        if w.hi.value == INF:
+        if isinstance(w.hi.value, float):  # inf, the one float a bound holds
             w = interval(w.lo.value, max(w.lo.value, p) + P, w.lo.closed, True)
         return Until(kids[0], w, kids[1])
 

@@ -228,12 +228,16 @@ def uses_beta(f: Formula) -> bool:
     return any(type(node) is Beta for node in subformulas(f))
 
 
+_ZERO = Fraction(0)
+
+
 def _horizon(node, *kids):
-    inner = max(kids, default=Fraction(0))
+    inner = max(kids, default=_ZERO)
     if type(node) is not Until:
         return inner
     hi = node.window.hi.value
-    return INF if hi == INF or inner == INF else hi + inner
+    # inf is the one float a bound holds: isinstance spares Fraction == float
+    return INF if isinstance(hi, float) or isinstance(inner, float) else hi + inner
 
 
 def horizon(f: Formula):
@@ -242,7 +246,7 @@ def horizon(f: Formula):
 
 
 def is_bounded(f: Formula) -> bool:
-    return horizon(f) != INF
+    return not isinstance(horizon(f), float)
 
 
 def temporal_depth(f: Formula) -> int:
@@ -261,7 +265,7 @@ def finite_window_bounds(f: Formula) -> tuple:
     except AttributeError:
         object.__setattr__(f, "_bounds", tuple(sorted({
             v for node in subformulas(f) if type(node) is Until
-            for v in (node.window.lo.value, node.window.hi.value) if v != INF})))
+            for v in (node.window.lo.value, node.window.hi.value) if not isinstance(v, float)})))
         return f._bounds
 
 

@@ -27,7 +27,7 @@ point reads the model's integer column, the word's ticks or the state
 sequence's step keys, and takes D once, from its base D0 and
 `finite_window_bounds(f)`; the fold runs on ints only.  `sat_set_*` converts
 the root's keys back to an `IntervalSet`, `sat_sets_*` every set of the
-table.
+table, through one `Bounds`, so the sets share one Bound per endpoint key.
 
 Lasso verdicts are exact booleans: `encodings.lasso_instance` closes every
 unbounded window at the lasso's period and unrolls the lasso far enough, and
@@ -53,7 +53,9 @@ from .formulas import (
     require_beta_free,
 )
 from .intervals import (
+    Bounds,
     IntervalSet,
+    _trusted_interval,
     back_shift_keys,
     difference_keys,
     from_keys,
@@ -134,7 +136,9 @@ def _sat_dense(atom_parts, domain: tuple, D: int, f: Formula) -> dict:
 
 
 def _converted(table: dict, D: int) -> dict:
-    return {key: from_keys(keys, D) for key, keys in table.items()}
+    bound = Bounds(D).bound  # one Bound per key, shared by every set of the table
+    return {key: IntervalSet(tuple([_trusted_interval(bound(lo), bound(hi)) for lo, hi in keys]))
+            for key, keys in table.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ Each model carries an integer column on the base D0 of its timestamps (see
 `structures`).  An engine moves it onto D, the lcm of D0 and its windows'
 denominators, with one int multiply per value (`rebased`), runs every set
 operation on key lists (`normalize_keys`, `intersect_keys`, `difference_keys`
-and `back_shift_keys`) and converts only its results back (`from_keys`).
+and `back_shift_keys`) and converts only its results back (`from_keys`; the
+sets of one table go through one `Bounds`, so they share one Bound per key).
 Every endpoint it produces is an input time plus or minus window bounds, so
 nothing leaves the base.  `IntervalSet`'s own operations bring their operands
 onto a common base per call and run the same sweeps.  `intersect_keys` and
@@ -54,41 +55,49 @@ _RATIONAL = re.compile(rf"\s*({RATIONAL_TEXT})\s*")
 _INTERVAL = re.compile(rf"\s*{INTERVAL_TEXT}\s*")
 
 
-def _fraction(text: str) -> Fraction:
-    """The value of a `RATIONAL_TEXT` match."""
+def _ratio(text: str) -> tuple:
+    """The (numerator, denominator) of a `RATIONAL_TEXT` match, as written:
+    "2/4" gives (2, 4) and "0.50" gives (50, 100)."""
     num, slash, den = text.partition("/")
     if not slash:
         # ints, not Fraction(str): the grammar is already checked, and the
         # fractions module's own string regex is most of the cost
         whole, _, frac = num.partition(".")
-        return Fraction(int(whole + frac), 10 ** len(frac)) if frac else Fraction(int(whole))
-    if int(den) == 0:
+        return (int(whole + frac), 10 ** len(frac)) if frac else (int(whole), 1)
+    den = int(den)
+    if den == 0:
         raise MtlsemError(f"zero denominator: {text!r}")
-    return Fraction(int(num), int(den))
+    return int(num), den
+
+
+def _text_ratio(value) -> tuple:
+    """The unreduced (numerator, denominator) pair of a nonnegative rational
+    given as `RATIONAL_TEXT` or an int."""
+    if isinstance(value, int):
+        if value < 0:
+            raise MtlsemError(f"negative value not allowed: {value!r}")
+        return value, 1
+    if isinstance(value, str):
+        m = _RATIONAL.fullmatch(value)
+        if not m:
+            raise MtlsemError(f"not a nonnegative rational: {value!r}")
+        return _ratio(m[1])
+    raise MtlsemError(f"not a rational: {value!r}")
 
 
 def rational(value) -> Fraction:
     """Parse a nonnegative rational from `RATIONAL_TEXT`, an int or a Fraction."""
-    if isinstance(value, Fraction):
-        q = value
-    elif isinstance(value, int):
-        q = Fraction(value)
-    elif isinstance(value, str):
-        m = _RATIONAL.fullmatch(value)
-        if not m:
-            raise MtlsemError(f"not a nonnegative rational: {value!r}")
-        q = _fraction(m[1])
-    else:
-        raise MtlsemError(f"not a rational: {value!r}")
-    if q < 0:
+    if not isinstance(value, Fraction):
+        return Fraction(*_text_ratio(value))
+    if value < 0:
         raise MtlsemError(f"negative value not allowed: {value!r}")
-    return q
+    return value
 
 
 def rat_str(q) -> str:
-    if q == INF:
-        return "inf"
-    return str(q)
+    # the isinstance test spares a slow Fraction == float comparison: inf is
+    # the one float a value holds
+    return "inf" if isinstance(q, float) else str(q)
 
 
 @dataclass(frozen=True)
@@ -164,7 +173,8 @@ def parse_interval(text: str) -> Interval:
     lbr, lo, hi, rbr = m.groups()
     if hi == "inf" and rbr == "]":
         raise MtlsemError(f"infinite upper bound must be open: {text!r}")
-    return interval(_fraction(lo), INF if hi == "inf" else _fraction(hi), lbr == "[", rbr == "]")
+    return interval(Fraction(*_ratio(lo)), INF if hi == "inf" else Fraction(*_ratio(hi)),
+                    lbr == "[", rbr == "]")
 
 
 def _lo_key(b: Bound):
@@ -225,6 +235,30 @@ def _trusted_interval(lo: Bound, hi: Bound) -> Interval:
     fields["lo"] = lo
     fields["hi"] = hi
     return iv
+
+
+class Bounds(dict):
+    """The Bound of each endpoint key on the time base D, built on first use,
+    so the sets of one table built through one `Bounds` share one Bound per
+    key (a lone set needs no such memo: `from_keys`).  The open ends just
+    before and just after a value v (keys 3v - 1 and 3v + 1) are one Bound,
+    kept under 3v + 1; a caller may store one it builds from a Fraction it
+    already holds."""
+
+    def __init__(self, D: int):
+        super().__init__({INF: _OPEN_INF})
+        self.D = D
+
+    def bound(self, key) -> Bound:
+        if key % 3 == 2:
+            key += 2
+        b = self.get(key)
+        if b is None:
+            b = self[key] = _bound(key, self.D)
+        return b
+
+
+_OPEN_INF = Bound(INF, False)
 
 
 def from_keys(keys, D: int) -> "IntervalSet":

@@ -12,11 +12,25 @@ shared by every later reader; equality and hashing still depend on the
 events, blocks or steps alone.  Words and compact words have `times` and the
 integer column `ticks` that the engines read; a state sequence has its steps
 and its columns, each built from the other (see `TimedStateSequence`).
+
+Words loaded from JSON and unrolled from lassos are built on the integer base
+and carry their ticks from construction.  `word_or_lasso_from_json` reads each
+timestamp text to its (numerator, denominator) pair, puts them all on one time
+base and checks monotonicity and the zero start on the ints; `unroll` lays
+the prefix, the offsets and the period on one base.  Either moves the ticks to
+the least base that holds them, the D0 of `tick_column`, seeds `ticks`,
+`times` and `actions`, and builds one Fraction per distinct stamp.
+`validate_word` runs the same checks on the ticks of in-memory events, one
+tick at a time, and keeps no column: a word held in memory pays for its
+column once an engine reads it, and the check leaves no short-lived column
+behind in the heap of a program that builds many words.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -33,11 +47,13 @@ from .intervals import (
     Bound,
     Interval,
     _on_base,
+    _text_ratio,
     _trusted_interval,
     parse_interval,
     rat_str,
     rational,
     tick_column,
+    time_base,
 )
 
 
@@ -63,19 +79,47 @@ class TimedWord:
 
 
 def validate_word(events, allow_nonzero_start: bool = False) -> TimedWord:
-    """Check monotonicity and the zero start, returning the word.
+    """Check monotonicity and the zero start on the ticks, returning the word.
 
     `allow_nonzero_start` admits raw words whose first timestamp is positive.
     """
     events = tuple((a, t if isinstance(t, Fraction) else rational(t)) for a, t in events)
-    if not events:
-        raise EmptyWordError("empty timed word")
-    for pos in range(1, len(events)):
-        if events[pos][1] < events[pos - 1][1]:
-            raise NonMonotoneError(pos)
-    if events[0][1] != 0 and not allow_nonzero_start:
-        raise FirstTimestampError(f"first timestamp is {rat_str(events[0][1])}, expected 0")
+    D0 = time_base(t for _, t in events)
+    # one tick at a time: a column kept here costs memory in every word held
+    # long, and one built and dropped here slowed later engine calls on the words
+    _check_ticks(D0, (t.numerator * (D0 // t.denominator) for _, t in events),
+                 allow_nonzero_start)
     return TimedWord(events)
+
+
+def _check_ticks(D0: int, ticks, allow_nonzero_start: bool):
+    """Raise unless the ticks, on the time base D0, are a word's: non-empty,
+    non-decreasing, and starting at 0 unless `allow_nonzero_start`."""
+    ticks = iter(ticks)
+    first = prev = next(ticks, None)
+    if first is None:
+        raise EmptyWordError("empty timed word")
+    for pos, v in enumerate(ticks, 1):
+        if v < prev:
+            raise NonMonotoneError(pos)
+        prev = v
+    if first and not allow_nonzero_start:
+        raise FirstTimestampError(
+            f"first timestamp is {rat_str(Fraction(first, D0))}, expected 0")
+
+
+def _word_on_ticks(actions: tuple, D: int, ticks: list, times: tuple = ()) -> TimedWord:
+    """The word of the actions at the ticks on the time base D, its columns
+    seeded as the cached properties would compute them: the ticks move to the
+    least base that holds them, the D0 of `tick_column`, and each distinct tick
+    past the `times` the caller already holds gets one Fraction."""
+    g = math.gcd(D, *ticks)
+    D0, ticks = D // g, tuple(ticks if g == 1 else [v // g for v in ticks])
+    of = {v: Fraction(v, D0) for v in set(ticks[len(times):])}
+    times += tuple([of[v] for v in ticks[len(times):]])
+    w = TimedWord(tuple(zip(actions, times)))
+    w.__dict__.update(actions=actions, times=times, ticks=(D0, ticks))
+    return w
 
 
 def word(text_pairs) -> TimedWord:
@@ -325,23 +369,26 @@ def lasso(prefix: TimedWord, actions, offsets, duration_) -> Lasso:
 
 
 def unroll(l: Lasso, horizon) -> TimedWord:
-    """Finite prefix of the unrolled word containing exactly the events <= horizon."""
+    """Finite prefix of the unrolled word containing exactly the events <= horizon.
+
+    It runs on ticks: the prefix, the offsets and the period on one time base
+    D, up to the last tick at or before the horizon."""
     horizon = horizon if isinstance(horizon, Fraction) else rational(horizon)
-    base = duration(l.prefix)
-    if horizon < base:
+    D0, ticks = l.prefix.ticks
+    D = math.lcm(D0, time_base((*l.period_offsets, l.period_duration)))
+    out = [v * (D // D0) for v in ticks]
+    last = horizon.numerator * D // horizon.denominator
+    if last < out[-1]:
         raise MtlsemError("horizon must cover the lasso prefix")
-    events = list(l.prefix.events)
-    copy = 0
-    while True:
-        start = base + copy * l.period_duration
-        if start + l.period_offsets[0] > horizon:
-            break
-        for a, o in zip(l.period_actions, l.period_offsets):
-            t = start + o
-            if t <= horizon:
-                events.append((a, t))
-        copy += 1
-    return TimedWord(tuple(events))
+    offsets = [o.numerator * (D // o.denominator) for o in l.period_offsets]
+    period = l.period_duration.numerator * (D // l.period_duration.denominator)
+    acts = list(l.prefix.actions)
+    start = out[-1]
+    while k := bisect_right(offsets, last - start):  # the offsets of this copy in range
+        acts += l.period_actions[:k]
+        out += [start + o for o in offsets[:k]]
+        start += period
+    return _word_on_ticks(tuple(acts), D, out, l.prefix.times)
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +421,16 @@ def _field(obj: dict, key: str, where: str, kind, expected: str):
     return value
 
 
-def _rational_field(value, path: str) -> Fraction:
+def _rational_field(value, path: str, i=None) -> tuple:
+    """The (numerator, denominator) pair of a rational field; errors name the
+    field path, `path.format(i)`."""
     if not isinstance(value, (str, int)) or isinstance(value, bool):
-        raise MtlsemError(f"malformed input: {path} must be a rational string or integer")
+        raise MtlsemError(
+            f"malformed input: {path.format(i)} must be a rational string or integer")
     try:
-        return rational(value)
+        return _text_ratio(value)
     except MtlsemError as exc:
-        raise MtlsemError(f"malformed input: {path}: {exc}") from None
+        raise MtlsemError(f"malformed input: {path.format(i)}: {exc}") from None
 
 
 def _strings(values: list, path: str) -> list:
@@ -391,21 +441,27 @@ def _strings(values: list, path: str) -> list:
 
 
 def word_or_lasso_from_json(obj, allow_nonzero_start: bool = False):
-    events = []
+    """A word or lasso from its JSON object.  Each timestamp text is read to
+    its (numerator, denominator) pair, all of them go on one time base, and the
+    checks run on the ticks; the events' Fractions are built from the ticks."""
+    actions, ratios = [], []
     for i, e in enumerate(_field(obj, "events", "", list, "a list of [action, time] pairs")):
         if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)):
             raise MtlsemError(f"malformed input: events[{i}] must be an [action, time] pair")
-        events.append((e[0], _rational_field(e[1], f"events[{i}][1]")))
-    w = validate_word(events, allow_nonzero_start=allow_nonzero_start)
+        actions.append(e[0])
+        ratios.append(_rational_field(e[1], "events[{}][1]", i))
+    D = math.lcm(*{d for _, d in ratios})
+    w = _word_on_ticks(tuple(actions), D, [n * (D // d) for n, d in ratios])
+    _check_ticks(*w.ticks, allow_nonzero_start)
     if "period" not in obj:
         return w
     p = _field(obj, "period", "", dict, "an object")
     actions = _strings(_field(p, "actions", "period", list, "a list of actions"),
                        "period.actions")
-    offsets = [_rational_field(o, f"period.offsets[{i}]") for i, o in
+    offsets = [Fraction(*_rational_field(o, "period.offsets[{}]", i)) for i, o in
                enumerate(_field(p, "offsets", "period", list, "a list of rationals"))]
-    duration_ = _rational_field(_field(p, "duration", "period", (str, int), "a rational"),
-                                "period.duration")
+    duration_ = Fraction(*_rational_field(
+        _field(p, "duration", "period", (str, int), "a rational"), "period.duration"))
     return lasso(w, actions, offsets, duration_)
 
 

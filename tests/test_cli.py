@@ -384,3 +384,38 @@ class TestOneParser:
         monkeypatch.setattr(cli, "build_parser", boom)
         assert run(capsys, *self.PLAIN, "--word", rho1)[0] == 1
         assert main(["eval", "--bogus"]) == 3
+
+
+class TestSatsetOutputIsUnchanged:
+    """`satset` prints the same bytes as before its tables shared their bounds:
+    the digests are of the three formulas' outputs in order, as the earlier
+    per-set conversion printed them."""
+
+    FORMULAS = ("G(a -> F[1/3,3] b)", "(a | b) U(1/2,2] c", "!F[0,1) (b & X[0,0] a)")
+    DIGESTS = {
+        ("rho1", "itw"): "4724410639b4d6a7", ("rho1", "its"): "8dde20e18f60d9ad",
+        ("rho1", "mx"): "6323466128dd31dd",
+        (3, "itw"): "49abf4a478dc2712", (3, "its"): "eaa6e2d5d4e2e8a8",
+        (3, "mx"): "1a7a8e7858e15740",
+        (17, "itw"): "18b3914596e59c81", (17, "its"): "ba7c044179237e9e",
+        (17, "mx"): "a11eae30329801b7",
+        (42, "itw"): "c501f582e91db939", (42, "its"): "7e22ec8355383372",
+        (42, "mx"): "e18ff2283435f406",
+    }
+
+    @pytest.mark.parametrize("name,sem", sorted(DIGESTS, key=str))
+    def test_bytes(self, name, sem, tmp_path, capsys):
+        import hashlib
+
+        from mtlsem.oracle import gen_word
+        from mtlsem.structures import word_to_json
+
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(RHO1 if name == "rho1" else word_to_json(gen_word(name))))
+        digest = hashlib.sha256()
+        for f in self.FORMULAS:
+            code, out = run(capsys, "satset", "--semantics", sem, "--formula", f,
+                            "--alphabet", "a,b,c", "--word", str(path))
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest()[:16] == self.DIGESTS[name, sem]

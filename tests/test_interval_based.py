@@ -14,6 +14,8 @@ from mtlsem.interval_based import (
     eval_itw_lasso,
     sat_set_its,
     sat_set_itw,
+    sat_sets_its,
+    sat_sets_itw,
 )
 from mtlsem.oracle import (
     critical_points,
@@ -204,3 +206,34 @@ def test_time_outside_the_grammar_is_an_input_error(entry, t):
 @pytest.mark.parametrize("entry", TIME_ENTRY_POINTS)
 def test_time_with_spaces_around_the_slash_is_accepted(entry):
     assert TIME_ENTRY_POINTS[entry](" 1 / 2 ") is TIME_ENTRY_POINTS[entry](Fraction(1, 2)) is True
+
+
+class TestSharedBounds:
+    """Every set of one table holds one Bound object per endpoint key."""
+
+    @staticmethod
+    def _by_key(sets):
+        seen = {}
+        for s in sets:
+            for p in s.parts:
+                for side, b in (("lo", p.lo), ("hi", p.hi)):
+                    key = (b.value, b.closed, None if b.closed else side)
+                    assert seen.setdefault(key, b) is b, key
+        return seen
+
+    def test_itw_and_its_tables(self):
+        sigma = alphabet("a,b,c")
+        for seed in range(200):
+            rho = gen_word(seed)
+            f = parse("G(a -> F[1/3,3] b) & !((a | b) U(1/2,2] c)", sigma)
+            for table in (sat_sets_itw(rho, f), sat_sets_its(word_to_tss(rho), f)):
+                self._by_key(table.values())
+
+    def test_mx_table_gaps(self):
+        from mtlsem.mixed import sat_sets_mx
+
+        sigma = alphabet("a,b,c")
+        f = parse("G(a -> F[1/3,3] b) & !((a | b) U(1/2,2] c)", sigma, allow_beta=True)
+        for seed in range(200):
+            table = sat_sets_mx(compact(gen_word(seed)), f)
+            self._by_key(s.gap for s in table.values())

@@ -1,10 +1,12 @@
 """Timed words, state sequences, lassos and their class predicates."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from mtlsem.cli import main
 from mtlsem.errors import (
     AdjacencyError,
     EmptyWordError,
@@ -13,7 +15,10 @@ from mtlsem.errors import (
     NonMonotoneError,
     OutOfDomainError,
 )
+from mtlsem.intervals import tick_column
+from mtlsem.oracle import gen_lasso, gen_word
 from mtlsem.structures import (
+    TimedWord,
     duration,
     is_action_based,
     is_strictly_monotone,
@@ -231,3 +236,201 @@ class TestLasso:
         assert word_or_lasso_from_json(lasso_to_json(l)) == l
         w = word(RHO1)
         assert word_or_lasso_from_json(word_to_json(w)) == w
+
+
+# ---------------------------------------------------------------------------
+# words on the integer base from construction
+
+def _texts(rng, q: Fraction):
+    """q written as JSON in one of the forms the wire format accepts: reduced,
+    unreduced, spaced, padded decimal, leading zeros or a plain int."""
+    p, r = q.numerator, q.denominator
+    forms = [str(q), f"{2 * p}/{2 * r}", f" {p} / {r} ", f"0{p}/{r}"]
+    if r == 1:
+        forms += [p, f"{p}.0"]
+    k = next((k for k in range(1, 7) if 10 ** k % r == 0), None)
+    if k is not None:  # a terminating decimal, padded with a zero
+        digits = str(p * 10 ** k // r).rjust(k + 1, "0")
+        forms.append(f"{digits[:-k]}.{digits[-k:]}0")
+    return rng.choice(forms)
+
+
+def _reference_value(text) -> Fraction:
+    """The standard library's reading, independent of `intervals`."""
+    return Fraction(text) if isinstance(text, int) else Fraction(text.replace(" ", ""))
+
+
+SCALES = (Fraction(1), Fraction(1, 3), Fraction(7, 10), Fraction(5, 6), Fraction(11, 4))
+
+
+def _corpus_words():
+    for seed in range(500):
+        w = gen_word(seed)
+        yield seed, validate_word([(a, t * SCALES[seed % len(SCALES)]) for a, t in w.events])
+
+
+class TestLoadedWordsCarryTicks:
+    def test_loaded_words_equal_validated_fraction_words(self):
+        rng = random.Random(15)
+        for seed, w in _corpus_words():
+            for obj in (word_to_json(w),
+                        {"events": [[a, _texts(rng, t)] for a, t in w.events]}):
+                got = word_or_lasso_from_json(obj)
+                want = validate_word([(a, _reference_value(t)) for a, t in obj["events"]])
+                assert got == want == w, (seed, obj)
+                seeded = got.__dict__
+                assert seeded["ticks"] == tick_column(got.times) == want.ticks
+                assert seeded["actions"] == tuple(a for a, _ in w.events)
+                assert seeded["times"] == tuple(t for _, t in w.events)
+
+    def test_unreduced_and_padded_texts_read_as_their_value(self):
+        padded = word_or_lasso_from_json(
+            {"events": [["a", 0], ["b", "2/4"], ["c", "0.50"], ["a", 1], ["b", "3.30"]]})
+        plain = word([("a", "0"), ("b", "1/2"), ("c", "1/2"), ("a", "1"), ("b", "33/10")])
+        assert padded == plain
+        assert padded.__dict__["ticks"] == (10, (0, 5, 5, 10, 33)) == tick_column(plain.times)
+        assert word_to_json(padded) == word_to_json(plain)
+
+    def test_nonzero_start_words_keep_their_base(self):
+        rng = random.Random(16)
+        for seed, w in _corpus_words():
+            shift = Fraction(seed % 7, 3)
+            events = [[a, _texts(rng, t + shift)] for a, t in w.events]
+            got = word_or_lasso_from_json({"events": events}, allow_nonzero_start=True)
+            assert got.times == tuple(t + shift for _, t in w.events)
+            assert got.__dict__["ticks"] == tick_column(got.times)
+
+    def test_loaded_lassos_equal_their_source(self):
+        rng = random.Random(17)
+        for seed in range(500):
+            l = gen_lasso(seed)
+            obj = lasso_to_json(l)
+            assert word_or_lasso_from_json(obj) == l
+            obj["events"] = [[a, _texts(rng, _reference_value(t))] for a, t in obj["events"]]
+            obj["period"]["offsets"] = [_texts(rng, _reference_value(o))
+                                        for o in obj["period"]["offsets"]]
+            got = word_or_lasso_from_json(obj)
+            assert got == l, seed
+            assert got.prefix.__dict__["ticks"] == tick_column(got.prefix.times)
+
+    def test_validated_words_read_their_ticks(self):
+        for seed, w in _corpus_words():
+            got = validate_word(w.events)
+            assert got.ticks == tick_column(tuple(t for _, t in w.events))
+            assert got.actions == tuple(a for a, _ in w.events)
+
+
+def _reference_unroll(l, horizon: Fraction) -> TimedWord:
+    """Unrolling with Fraction arithmetic, event by event."""
+    base = l.prefix.events[-1][1]
+    events = list(l.prefix.events)
+    copy = 0
+    while base + copy * l.period_duration + l.period_offsets[0] <= horizon:
+        for a, o in zip(l.period_actions, l.period_offsets):
+            t = base + copy * l.period_duration + o
+            if t <= horizon:
+                events.append((a, t))
+        copy += 1
+    return TimedWord(tuple(events))
+
+
+class TestUnrollOnTicks:
+    def test_unroll_equals_the_fraction_reference(self):
+        for seed in range(500):
+            src = gen_lasso(seed)
+            k = SCALES[seed % len(SCALES)]
+            l = lasso(validate_word([(a, t * k) for a, t in src.prefix.events]),
+                      src.period_actions, [o * k for o in src.period_offsets],
+                      src.period_duration * k)
+            p, P = duration(l.prefix), l.period_duration
+            # horizons on the lasso's base and off it: sevenths and elevenths
+            # are no denominator of any lasso here
+            for h in (p, p + P, p + 3 * P, p + Fraction(1, 7), p + 2 * P + Fraction(5, 11),
+                      p + 4 * P - Fraction(1, 7)):
+                got, want = unroll(l, h), _reference_unroll(l, h)
+                assert got == want, (seed, h)
+                assert got.actions == want.actions
+                assert got.__dict__["ticks"] == tick_column(got.times)
+
+    def test_horizon_below_the_prefix_is_rejected(self):
+        l = lasso(word(RHO1), ["c"], ["1"], "1")
+        with pytest.raises(MtlsemError, match="horizon must cover"):
+            unroll(l, Fraction(329, 100))
+
+
+# ---------------------------------------------------------------------------
+# the loader's error paths: exact messages, exit 3
+
+LOADER_ERRORS = [
+    ("bool time", {"events": [["a", "0"], ["b", True]]}, False,
+     "malformed input: events[1][1] must be a rational string or integer"),
+    ("float time", {"events": [["a", 0.5]]}, False,
+     "malformed input: events[0][1] must be a rational string or integer"),
+    ("negative int", {"events": [["a", 0], ["b", -1]]}, False,
+     "malformed input: events[1][1]: negative value not allowed: -1"),
+    ("zero denominator", {"events": [["a", "0"], ["b", "1/0"]]}, False,
+     "malformed input: events[1][1]: zero denominator: '1/0'"),
+    ("spaced zero denominator", {"events": [["a", "0"], ["b", " 1 / 0 "]]}, False,
+     "malformed input: events[1][1]: zero denominator: '1 / 0'"),
+    ("bad text", {"events": [["a", "0"], ["b", "x"]]}, False,
+     "malformed input: events[1][1]: not a nonnegative rational: 'x'"),
+    ("signed text", {"events": [["a", "0"], ["b", "-1"]]}, False,
+     "malformed input: events[1][1]: not a nonnegative rational: '-1'"),
+    ("short pair", {"events": [["a", "0"], ["b"]]}, False,
+     "malformed input: events[1] must be an [action, time] pair"),
+    ("long pair", {"events": [["a", "0", "1"]]}, False,
+     "malformed input: events[0] must be an [action, time] pair"),
+    ("action not a string", {"events": [[1, "0"]]}, False,
+     "malformed input: events[0] must be an [action, time] pair"),
+    ("events not a list", {"events": "a"}, False,
+     "malformed input: events must be a list of [action, time] pairs"),
+    ("empty events", {"events": []}, False, "empty timed word"),
+    ("decrease at 2", {"events": [["a", "0"], ["b", "2"], ["c", "3/2"], ["a", "1"]]}, False,
+     "timestamps decrease at position 2"),
+    ("padded decrease at 3", {"events": [["a", "0"], ["b", "0.50"], ["c", "2/4"],
+                                         ["a", "0.4"]]}, True,
+     "timestamps decrease at position 3"),
+    ("nonzero start", {"events": [["a", "1/2"], ["b", "1"]]}, False,
+     "first timestamp is 1/2, expected 0"),
+    ("padded nonzero start", {"events": [["a", "0.50"], ["b", "1"]]}, False,
+     "first timestamp is 1/2, expected 0"),
+    ("period offset", {"events": [["a", "0"]], "period": {
+        "actions": ["b", "c"], "offsets": ["1", "1/0"], "duration": "2"}}, False,
+     "malformed input: period.offsets[1]: zero denominator: '1/0'"),
+    ("period duration", {"events": [["a", "0"]], "period": {
+        "actions": ["b"], "offsets": ["1"], "duration": True}}, False,
+     "malformed input: period.duration must be a rational"),
+]
+
+
+class TestLoaderErrors:
+    @pytest.mark.parametrize("name,obj,allow,message", LOADER_ERRORS,
+                             ids=[c[0] for c in LOADER_ERRORS])
+    def test_message_and_exit_code(self, name, obj, allow, message, tmp_path, capsys):
+        with pytest.raises(MtlsemError) as exc:
+            word_or_lasso_from_json(obj, allow_nonzero_start=allow)
+        assert str(exc.value) == message
+        if "decrease" in name:
+            assert exc.value.position == int(name.split()[-1])
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(obj))
+        argv = ["eval", "--semantics", "itw", "--formula", "F a", "--alphabet", "a,b,c",
+                "--word", str(path)] + (["--allow-nonzero-start"] if allow else [])
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_nonzero_start_is_admitted_when_allowed(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"events": [["a", "0.50"], ["b", "1"]]}))
+        argv = ["eval", "--semantics", "itw", "--formula", "F b", "--time", "1/2",
+                "--word", str(path), "--allow-nonzero-start"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "true"
+
+    def test_validate_word_reports_the_first_decrease(self):
+        for k in range(1, 6):
+            times = [Fraction(i + 1) for i in range(6)]
+            times[k] -= Fraction(3, 2)  # below its predecessor, above 0
+            with pytest.raises(NonMonotoneError) as exc:
+                validate_word([("a", t) for t in times], allow_nonzero_start=True)
+            assert exc.value.position == k
