@@ -55,7 +55,6 @@ from .formulas import (
 from .intervals import (
     Bounds,
     IntervalSet,
-    _trusted_interval,
     back_shift_keys,
     difference_keys,
     from_keys,
@@ -136,9 +135,8 @@ def _sat_dense(atom_parts, domain: tuple, D: int, f: Formula) -> dict:
 
 
 def _converted(table: dict, D: int) -> dict:
-    bound = Bounds(D).bound  # one Bound per key, shared by every set of the table
-    return {key: IntervalSet(tuple([_trusted_interval(bound(lo), bound(hi)) for lo, hi in keys]))
-            for key, keys in table.items()}
+    bounds = Bounds(D)  # one Bound per key, shared by every set of the table
+    return {key: from_keys(keys, bounds) for key, keys in table.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +161,7 @@ def sat_sets_itw(rho: TimedWord, f: Formula) -> dict:
 def sat_set_itw(rho: TimedWord, f: Formula) -> IntervalSet:
     """Exactly the times t in [0, duration] where rho, t satisfies f."""
     table, D = _itw_table(rho, f)
-    return from_keys(table[f], D)
+    return from_keys(table[f], Bounds(D))
 
 
 def eval_itw(rho: TimedWord, t, f: Formula) -> bool:
@@ -199,7 +197,7 @@ def sat_sets_its(kappa: TimedStateSequence, f: Formula) -> dict:
 
 def sat_set_its(kappa: TimedStateSequence, f: Formula) -> IntervalSet:
     table, D = _its_table(kappa, f)
-    return from_keys(table[f], D)
+    return from_keys(table[f], Bounds(D))
 
 
 def eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:

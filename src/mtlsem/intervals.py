@@ -19,8 +19,8 @@ Each model carries an integer column on the base D0 of its timestamps (see
 `structures`).  An engine moves it onto D, the lcm of D0 and its windows'
 denominators, with one int multiply per value (`rebased`), runs every set
 operation on key lists (`normalize_keys`, `intersect_keys`, `difference_keys`
-and `back_shift_keys`) and converts only its results back (`from_keys`; the
-sets of one table go through one `Bounds`, so they share one Bound per key).
+and `back_shift_keys`) and converts only its results back (`from_keys`, through
+a `Bounds`: the sets of one table share one, and so one Bound per key).
 Every endpoint it produces is an input time plus or minus window bounds, so
 nothing leaves the base.  `IntervalSet`'s own operations bring their operands
 onto a common base per call and run the same sweeps.  `intersect_keys` and
@@ -222,11 +222,6 @@ def interval_keys(iv: Interval, D: int) -> tuple:
     return lo_key, 3 * (hi.value.numerator * (D // hi.value.denominator)) - (not hi.closed)
 
 
-def _bound(key, D: int) -> Bound:
-    v = (key + 1) // 3
-    return Bound(Fraction(v, D), key == 3 * v)
-
-
 def _trusted_interval(lo: Bound, hi: Bound) -> Interval:
     """The Interval lo..hi of bounds that are valid by construction, without
     `Interval.__post_init__`'s re-validation."""
@@ -239,33 +234,30 @@ def _trusted_interval(lo: Bound, hi: Bound) -> Interval:
 
 class Bounds(dict):
     """The Bound of each endpoint key on the time base D, built on first use,
-    so the sets of one table built through one `Bounds` share one Bound per
-    key (a lone set needs no such memo: `from_keys`).  The open ends just
-    before and just after a value v (keys 3v - 1 and 3v + 1) are one Bound,
-    kept under 3v + 1; a caller may store one it builds from a Fraction it
-    already holds."""
+    so the sets converted through one `Bounds` share one Bound per key.  The
+    open ends just after and just before a value v (keys 3v + 1 and 3v - 1)
+    are one Bound."""
+
+    __slots__ = ("D",)
 
     def __init__(self, D: int):
-        super().__init__({INF: _OPEN_INF})
         self.D = D
+        self[INF] = _OPEN_INF
 
-    def bound(self, key) -> Bound:
-        if key % 3 == 2:
-            key += 2
-        b = self.get(key)
-        if b is None:
-            b = self[key] = _bound(key, self.D)
+    def __missing__(self, key) -> Bound:
+        v = (key + 1) // 3
+        b = self[key] = Bound(Fraction(v, self.D), key == 3 * v)
+        if key != 3 * v:
+            self[6 * v - key] = b  # 3v + 1 and 3v - 1 lie either side of 3v
         return b
 
 
 _OPEN_INF = Bound(INF, False)
 
 
-def from_keys(keys, D: int) -> "IntervalSet":
-    """The IntervalSet of a normalized key list on the time base D."""
-    return IntervalSet(tuple(
-        _trusted_interval(_bound(lo, D), Bound(INF, False) if hi == INF else _bound(hi, D))
-        for lo, hi in keys))
+def from_keys(keys, bounds: Bounds) -> "IntervalSet":
+    """The IntervalSet of a normalized key list, its ends taken from `bounds`."""
+    return IntervalSet(tuple([_trusted_interval(bounds[lo], bounds[hi]) for lo, hi in keys]))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +365,7 @@ class IntervalSet:
     @staticmethod
     def from_intervals(ivs) -> "IntervalSet":
         D, (keys,) = _on_base(tuple(ivs))
-        return from_keys(normalize_keys(keys), D)
+        return from_keys(normalize_keys(keys), Bounds(D))
 
     @property
     def is_empty(self) -> bool:
@@ -387,11 +379,11 @@ class IntervalSet:
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         D, (a, b) = _on_base(self.parts, other.parts)
-        return from_keys(intersect_keys(a, b), D)
+        return from_keys(intersect_keys(a, b), Bounds(D))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         D, (a, b) = _on_base(self.parts, other.parts)
-        return from_keys(difference_keys(a, b), D)
+        return from_keys(difference_keys(a, b), Bounds(D))
 
     def complement(self, domain: Interval) -> "IntervalSet":
         dom = IntervalSet.of(domain)
@@ -423,4 +415,4 @@ def back_shift(q: Interval, i: Interval) -> Interval | None:
     """
     D, ([q_keys], [i_keys]) = _on_base((q,), (i,))
     keys = back_shift_keys(*q_keys, *i_keys)
-    return None if keys is None else from_keys([keys], D).parts[0]
+    return None if keys is None else from_keys([keys], Bounds(D)).parts[0]

@@ -34,10 +34,9 @@ and `finite_window_bounds(f)`.  `_mx_table` builds only what the fold reads:
 the slots of the atoms f names, `beta` when the fold reaches it, and the
 blocks of two or more positions.  A returned set becomes a `MixedSet` part by
 part, bisecting the block starts: its grid points, and its gap as its time
-keys k // J less the stamps inside; each stamp's open Bound serves the gap
-parts on both of its sides and is built from the block's own timestamp.  The
-sets of a table (`sat_sets_mx`) go through one `Bounds`, so they share one
-Bound per key; a lone root (`sat_set_mx`) builds its own without the memo.
+keys k // J less the stamps inside.  Every set of one table goes through one
+`Bounds`, so the sets share one Bound per key, and the gap parts on both
+sides of a stamp share its open Bound.
 
 A lasso verdict is an exact boolean: `encodings.lasso_instance` bounds the
 formula and unrolls the lasso, and the verdict is whether (0, 0) lies in the
@@ -48,7 +47,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import partial
 
 from .formulas import (
     And,
@@ -62,10 +60,8 @@ from .formulas import (
     fold,
 )
 from .intervals import (
-    Bound,
     Bounds,
     IntervalSet,
-    _bound,
     _trusted_interval,
     difference_keys,
     intersect_keys,
@@ -156,36 +152,23 @@ def _mx_table(cw: CompactTimedWord, f: Formula):
                     bases += _same_block_bases(l, r, multi)
                 return normalize_keys(bases)
 
-    table_bounds = None
+    bounds = Bounds(D)  # one Bound per key, shared by every set built here
 
-    def mixed_set(keys: list, in_table: bool = False) -> MixedSet:
-        """The MixedSet of a lex-key list.  The sets of a table share one Bound
-        per key through `table_bounds`; a lone set builds its own without the
-        memo, which it would not reuse (it cost about 4% of `sat_set_mx`)."""
-        nonlocal table_bounds
-        if in_table and table_bounds is None:
-            table_bounds = Bounds(D)
-        shared = table_bounds if in_table else None
+    def mixed_set(keys: list) -> MixedSet:
         points = []
         for lo, hi in keys:  # the blocks from the last start <= lo to the last start <= hi
             points += [(k, j) for k in range(bisect_right(starts, lo) - 1,
                                              bisect_right(starts, hi))
                        for j in range(max(lo - starts[k], 0), min(hi - starts[k] + 1, sizes[k]))]
-        bound = partial(_bound, D=D) if shared is None else shared.bound
         parts = []  # the time keys k // J, less the block stamps inside each part
         for lo, hi in normalize_keys((lo // J, hi // J) for lo, hi in keys):
-            lo_bound = None  # until a stamp opens the part
             for k in range(bisect_left(starts, lo * J), bisect_right(starts, hi * J)):
                 stamp = starts[k] // J
-                if shared is None:  # the stamp's open Bound, from the block's own Fraction
-                    open_bound = Bound(cw.blocks[k][1], False)
-                elif (open_bound := shared.get(stamp + 1)) is None:
-                    open_bound = shared[stamp + 1] = Bound(cw.blocks[k][1], False)
                 if lo < stamp:
-                    parts.append(_trusted_interval(lo_bound or bound(lo), open_bound))
-                lo, lo_bound = stamp + 1, open_bound
+                    parts.append(_trusted_interval(bounds[lo], bounds[stamp - 1]))
+                lo = stamp + 1
             if lo <= hi:
-                parts.append(_trusted_interval(lo_bound or bound(lo), bound(hi)))
+                parts.append(_trusted_interval(bounds[lo], bounds[hi]))
         return MixedSet(frozenset(points), IntervalSet(tuple(parts)))
     return fold(f, visit), mixed_set
 
@@ -193,7 +176,7 @@ def _mx_table(cw: CompactTimedWord, f: Formula):
 def sat_sets_mx(cw: CompactTimedWord, f: Formula) -> dict:
     """The fold table: Sat(g) per subformula g, in `subformulas` order."""
     table, mixed_set = _mx_table(cw, f)
-    return {key: mixed_set(keys, in_table=True) for key, keys in table.items()}
+    return {key: mixed_set(keys) for key, keys in table.items()}
 
 
 def sat_set_mx(cw: CompactTimedWord, f: Formula) -> MixedSet:

@@ -451,7 +451,9 @@ def word_or_lasso_from_json(obj, allow_nonzero_start: bool = False):
         actions.append(e[0])
         ratios.append(_rational_field(e[1], "events[{}][1]", i))
     D = math.lcm(*{d for _, d in ratios})
-    w = _word_on_ticks(tuple(actions), D, [n * (D // d) for n, d in ratios])
+    ticks = [n * (D // d) for n, d in ratios]
+    ratios = None  # freed before the Fractions are built
+    w = _word_on_ticks(tuple(actions), D, ticks)
     _check_ticks(*w.ticks, allow_nonzero_start)
     if "period" not in obj:
         return w

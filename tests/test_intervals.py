@@ -8,6 +8,8 @@ import pytest
 from mtlsem.errors import MtlsemError
 from mtlsem.intervals import (
     INF,
+    Bound,
+    Bounds,
     IntervalSet,
     back_shift,
     from_keys,
@@ -324,9 +326,19 @@ def test_keys_round_trip_through_the_base():
         x = _rand_interval(rng, _ODD_VALS)
         lo, hi = interval_keys(x, D)
         assert (lo % 3 == 0) == x.lo.closed and (hi == INF or (hi % 3 == 0) == x.hi.closed)
-        back = from_keys([(lo, hi)], D)
+        back = from_keys([(lo, hi)], Bounds(D))
         assert back.parts == (x,)
         _assert_fraction_endpoints(back)
+
+
+def test_bounds_share_one_bound_per_key_and_one_per_open_value():
+    bounds = Bounds(6)
+    closed, after, before = bounds[3 * 5], bounds[3 * 5 + 1], bounds[3 * 5 - 1]
+    assert (closed.value, closed.closed) == (Fraction(5, 6), True)
+    assert (after.value, after.closed) == (Fraction(5, 6), False)
+    assert after is before is bounds[3 * 5 + 1] and closed is bounds[3 * 5]
+    assert bounds[INF] == Bound(INF, False)
+    assert from_keys([(0, 3 * 5 - 1), (3 * 5 + 1, INF)], bounds).parts[1].lo is after
 
 
 def test_sweeps_and_back_shift_on_coprime_and_huge_denominators():
