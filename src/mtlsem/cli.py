@@ -192,8 +192,8 @@ def cmd_satset(args) -> int:
     sets = []
     for sub, got in sat_sets(_finite(loaded, sem, read), f).items():
         shown = ({"points": sorted([k, j] for k, j in got.points),
-                  "gaps": [str(p) for p in got.gap.parts]} if sem == "mx"
-                 else {"parts": [str(p) for p in got.parts]})
+                  "gaps": got.gap.part_texts()} if sem == "mx"
+                 else {"parts": got.part_texts()})
         sets.append({"formula": texts[sub], **shown})
     _emit({"semantics": sem, "sets": sets}, args.pretty)
     return OK

@@ -25,9 +25,11 @@ keys.  With J = 1 this is the dense rule above.
 Sets are key lists on an integer time base (see `intervals`).  Each entry
 point reads the model's integer column, the word's ticks or the state
 sequence's step keys, and takes D once, from its base D0 and
-`finite_window_bounds(f)`; the fold runs on ints only.  `sat_set_*` converts
-the root's keys back to an `IntervalSet`, `sat_sets_*` every set of the
-table, through one `Bounds`, so the sets share one Bound per endpoint key.
+`finite_window_bounds(f)`; the fold runs on ints only.  `sat_set_*` returns
+the root's key list as an `IntervalSet` on that base, `sat_sets_*` every set
+of the table; a set builds its Intervals only when a caller reads its parts.
+`eval_*` and the lasso verdict bisect the root's keys at one key and build no
+set.
 
 Lasso verdicts are exact booleans: `encodings.lasso_instance` closes every
 unbounded window at the lasso's period and unrolls the lasso far enough, and
@@ -53,17 +55,18 @@ from .formulas import (
     require_beta_free,
 )
 from .intervals import (
-    Bounds,
     IntervalSet,
     back_shift_keys,
     difference_keys,
-    from_keys,
     intersect_keys,
     interval_keys,
+    meets,
     normalize_keys,
     rational,
     rebased,
+    scaled_keys,
     time_base,
+    time_key,
 )
 from .structures import (
     Lasso,
@@ -134,11 +137,6 @@ def _sat_dense(atom_parts, domain: tuple, D: int, f: Formula) -> dict:
     return fold(f, visit)
 
 
-def _converted(table: dict, D: int) -> dict:
-    bounds = Bounds(D)  # one Bound per key, shared by every set of the table
-    return {key: from_keys(keys, bounds) for key, keys in table.items()}
-
-
 # ---------------------------------------------------------------------------
 # timed words
 
@@ -155,20 +153,22 @@ def _itw_table(rho: TimedWord, f: Formula):
 
 def sat_sets_itw(rho: TimedWord, f: Formula) -> dict:
     """The fold table: Sat(g) per subformula g, in `subformulas` order."""
-    return _converted(*_itw_table(rho, f))
+    table, D = _itw_table(rho, f)
+    return {key: IntervalSet.on_base(D, keys) for key, keys in table.items()}
 
 
 def sat_set_itw(rho: TimedWord, f: Formula) -> IntervalSet:
     """Exactly the times t in [0, duration] where rho, t satisfies f."""
     table, D = _itw_table(rho, f)
-    return from_keys(table[f], Bounds(D))
+    return IntervalSet.on_base(D, table[f])
 
 
 def eval_itw(rho: TimedWord, t, f: Formula) -> bool:
     t = t if isinstance(t, Fraction) else rational(t)
     if t < 0 or t > duration(rho):
         raise OutOfDomainError(f"time {t} outside [0, {duration(rho)}]")
-    return sat_set_itw(rho, f).member(t)
+    table, D = _itw_table(rho, f)
+    return meets(table[f], time_key(t, D))
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +178,8 @@ def _its_table(kappa: TimedStateSequence, f: Formula):
     require_beta_free(f, "interval-based")
     D0, keys, props = kappa.columns
     D = math.lcm(D0, time_base(finite_window_bounds(f)))
-    if D > D0:  # each value times D // D0, each open-end offset kept
-        m = 3 * (D // D0 - 1)
-        keys = [(lo + m * ((lo + 1) // 3), hi + m * ((hi + 1) // 3)) for lo, hi in keys]
+    if D > D0:
+        keys = scaled_keys(keys, D // D0)
     parts = {}
     for k, p in zip(keys, props):
         for name in p:
@@ -192,19 +191,21 @@ def _its_table(kappa: TimedStateSequence, f: Formula):
 
 def sat_sets_its(kappa: TimedStateSequence, f: Formula) -> dict:
     """The fold table: Sat(g) per subformula g, in `subformulas` order."""
-    return _converted(*_its_table(kappa, f))
+    table, D = _its_table(kappa, f)
+    return {key: IntervalSet.on_base(D, keys) for key, keys in table.items()}
 
 
 def sat_set_its(kappa: TimedStateSequence, f: Formula) -> IntervalSet:
     table, D = _its_table(kappa, f)
-    return from_keys(table[f], Bounds(D))
+    return IntervalSet.on_base(D, table[f])
 
 
 def eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
     t = t if isinstance(t, Fraction) else rational(t)
     if t < tss_start(kappa) or t > tss_duration(kappa):
         raise OutOfDomainError(f"time {t} outside the covered span")
-    return sat_set_its(kappa, f).member(t)
+    table, D = _its_table(kappa, f)
+    return meets(table[f], time_key(t, D))
 
 
 # ---------------------------------------------------------------------------
@@ -213,4 +214,5 @@ def eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
 def eval_itw_lasso(l: Lasso, f: Formula) -> bool:
     """Exact verdict at time 0 of the unrolled infinite word."""
     rho, g = lasso_instance(l, f)
-    return sat_set_itw(rho, g).member(0)
+    table, _ = _itw_table(rho, g)
+    return meets(table[g], 0)

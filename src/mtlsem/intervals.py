@@ -17,13 +17,15 @@ list of such pairs.
 
 Each model carries an integer column on the base D0 of its timestamps (see
 `structures`).  An engine moves it onto D, the lcm of D0 and its windows'
-denominators, with one int multiply per value (`rebased`), runs every set
+denominators, with one int multiply per value (`rebased`), and runs every set
 operation on key lists (`normalize_keys`, `intersect_keys`, `difference_keys`
-and `back_shift_keys`) and converts only its results back (`from_keys`, through
-a `Bounds`: the sets of one table share one, and so one Bound per key).
-Every endpoint it produces is an input time plus or minus window bounds, so
-nothing leaves the base.  `IntervalSet`'s own operations bring their operands
-onto a common base per call and run the same sweeps.  `intersect_keys` and
+and `back_shift_keys`).  Every endpoint it produces is an input time plus or
+minus window bounds, so nothing leaves the base.  Its results stay there: an
+`IntervalSet` holds its key list and builds its Intervals (`key_intervals`)
+only when a caller reads `parts`.  `member` bisects the keys and `str`
+renders them with int arithmetic.  `IntervalSet`'s own operations bring their
+operands onto a common base per call, one int multiply per key, and run
+the same sweeps.  `intersect_keys` and
 `difference_keys` are single linear sweeps over the two sorted lists (the
 representation of Maler & Nickovic, FORMATS 2004) and never re-sort.
 `IntervalSet.from_intervals` normalizes arbitrary input; constructing
@@ -42,8 +44,10 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import MtlsemError
 
@@ -222,42 +226,56 @@ def interval_keys(iv: Interval, D: int) -> tuple:
     return lo_key, 3 * (hi.value.numerator * (D // hi.value.denominator)) - (not hi.closed)
 
 
-def _trusted_interval(lo: Bound, hi: Bound) -> Interval:
-    """The Interval lo..hi of bounds that are valid by construction, without
-    `Interval.__post_init__`'s re-validation."""
-    iv = object.__new__(Interval)
-    fields = iv.__dict__  # written directly: Interval is frozen
-    fields["lo"] = lo
-    fields["hi"] = hi
-    return iv
+def key_column(ivs) -> tuple:
+    """(D, each interval's key pair on D), D the time base of the endpoints."""
+    D = time_base(v for p in ivs for v in (p.lo.value, p.hi.value))
+    return D, [interval_keys(p, D) for p in ivs]
 
 
-class Bounds(dict):
-    """The Bound of each endpoint key on the time base D, built on first use,
-    so the sets converted through one `Bounds` share one Bound per key.  The
-    open ends just after and just before a value v (keys 3v + 1 and 3v - 1)
-    are one Bound."""
-
-    __slots__ = ("D",)
-
-    def __init__(self, D: int):
-        self.D = D
-        self[INF] = _OPEN_INF
-
-    def __missing__(self, key) -> Bound:
-        v = (key + 1) // 3
-        b = self[key] = Bound(Fraction(v, self.D), key == 3 * v)
-        if key != 3 * v:
-            self[6 * v - key] = b  # 3v + 1 and 3v - 1 lie either side of 3v
-        return b
+def key_intervals(D: int, keys) -> tuple:
+    """The Interval of each key pair on the time base D, trusted to be one:
+    built without `Interval.__post_init__`'s re-validation, with one Bound per
+    key.  The open ends just after and just before a value v (keys 3v + 1 and
+    3v - 1) are one Bound."""
+    bound = {INF: _OPEN_INF}
+    for k in {k for pair in keys for k in pair}:
+        if k not in bound:
+            v = (k + 1) // 3
+            b = bound[k] = Bound(Fraction(v, D), k == 3 * v)
+            bound[6 * v - k] = b  # 3v + 1 and 3v - 1 lie either side of 3v
+    out = []
+    for lo, hi in keys:
+        iv = object.__new__(Interval)
+        fields = iv.__dict__  # written directly: Interval is frozen
+        fields["lo"] = bound[lo]
+        fields["hi"] = bound[hi]
+        out.append(iv)
+    return tuple(out)
 
 
 _OPEN_INF = Bound(INF, False)
 
 
-def from_keys(keys, bounds: Bounds) -> "IntervalSet":
-    """The IntervalSet of a normalized key list, its ends taken from `bounds`."""
-    return IntervalSet(tuple([_trusted_interval(bounds[lo], bounds[hi]) for lo, hi in keys]))
+def scaled_keys(keys, f: int) -> list:
+    """A key list on a time base f times finer: each value times f, each
+    open-end offset kept."""
+    m = 3 * (f - 1)
+    return [(lo + m * ((lo + 1) // 3), hi if hi == INF else hi + m * ((hi + 1) // 3))
+            for lo, hi in keys]
+
+
+def time_key(t, D: int) -> int:
+    """The key of time t on the base D.  A t off the base gets the key of the
+    open stretch after floor(tD), which every part holding t holds."""
+    q, r = divmod(t.numerator * D, t.denominator)
+    return 3 * q + (r > 0)
+
+
+def meets(keys, lo, hi=None) -> bool:
+    """Whether a part of the normalized key list meets the keys lo..hi, by
+    default the one key lo."""
+    i = bisect_right(keys, (lo if hi is None else hi, INF))  # the parts starting there or before
+    return i > 0 and keys[i - 1][1] >= lo
 
 
 # ---------------------------------------------------------------------------
@@ -339,20 +357,52 @@ def back_shift_keys(lo, hi, w_lo, w_hi):
 # ---------------------------------------------------------------------------
 # normalized unions
 
-def _on_base(*sets):
-    """A common time base for the sets, and each set's key list on it."""
-    D = time_base(v for s in sets for p in s for v in (p.lo.value, p.hi.value))
-    return D, [[interval_keys(p, D) for p in s] for s in sets]
-
-
-@dataclass(frozen=True)
 class IntervalSet:
     """Normalized finite union of disjoint intervals, sorted, adjacency merged.
 
-    `parts` must already be normalized; use `from_intervals` otherwise.
+    A set holds its `parts` or its `keys`, (D, its key list on the time base
+    D), and builds the one from the other on first read; the engines build
+    their results from keys, so a set nobody reads as parts makes no Fraction.
+    Equality and hashing read the keys on the least base that holds them, so
+    equal sets built on different bases are equal.  `IntervalSet(parts)` must
+    be given normalized parts; use `from_intervals` otherwise.
     """
 
-    parts: tuple
+    def __init__(self, parts: tuple):
+        self.__dict__["parts"] = parts
+
+    @classmethod
+    def on_base(cls, D: int, keys) -> "IntervalSet":
+        """The set of a normalized key list on the time base D."""
+        s = object.__new__(cls)
+        s.__dict__["keys"] = (D, keys)
+        return s
+
+    @cached_property
+    def parts(self) -> tuple:
+        return key_intervals(*self.keys)
+
+    @cached_property
+    def keys(self) -> tuple:
+        return key_column(self.parts)
+
+    @cached_property
+    def _least(self) -> tuple:
+        """The keys on the least base that holds them: D / gcd(D, every value)."""
+        D, keys = self.keys
+        g = math.gcd(D, *[(k + 1) // 3 for pair in keys for k in pair if k != INF])
+        ends = [k if k == INF else k - 3 * ((k + 1) // 3 - (k + 1) // 3 // g)
+                for pair in keys for k in pair]
+        return D // g, tuple(zip(ends[::2], ends[1::2]))
+
+    def __eq__(self, other):
+        return isinstance(other, IntervalSet) and self._least == other._least
+
+    def __hash__(self):
+        return hash(self._least)
+
+    def __repr__(self):
+        return f"IntervalSet({self})"
 
     @staticmethod
     def empty() -> "IntervalSet":
@@ -364,26 +414,32 @@ class IntervalSet:
 
     @staticmethod
     def from_intervals(ivs) -> "IntervalSet":
-        D, (keys,) = _on_base(tuple(ivs))
-        return from_keys(normalize_keys(keys), Bounds(D))
+        D, keys = key_column(tuple(ivs))
+        return IntervalSet.on_base(D, normalize_keys(keys))
 
     @property
     def is_empty(self) -> bool:
-        return not self.parts
+        return not self.keys[1]
 
     def member(self, t: Fraction) -> bool:
-        return any(p.contains(t) for p in self.parts)
+        D, keys = self.keys
+        return meets(keys, time_key(t, D))
+
+    def _swept(self, other: "IntervalSet", sweep) -> "IntervalSet":
+        """sweep(a, b) over the key lists of the two sets on a common time base."""
+        (Da, a), (Db, b) = self.keys, other.keys
+        D = math.lcm(Da, Db)
+        return IntervalSet.on_base(D, sweep(a if Da == D else scaled_keys(a, D // Da),
+                                            b if Db == D else scaled_keys(b, D // Db)))
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.from_intervals(self.parts + other.parts)
+        return self._swept(other, lambda a, b: normalize_keys(a + b))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        D, (a, b) = _on_base(self.parts, other.parts)
-        return from_keys(intersect_keys(a, b), Bounds(D))
+        return self._swept(other, intersect_keys)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        D, (a, b) = _on_base(self.parts, other.parts)
-        return from_keys(difference_keys(a, b), Bounds(D))
+        return self._swept(other, difference_keys)
 
     def complement(self, domain: Interval) -> "IntervalSet":
         dom = IntervalSet.of(domain)
@@ -397,10 +453,20 @@ class IntervalSet:
     def clip(self, domain: Interval) -> "IntervalSet":
         return self.intersect(IntervalSet.of(domain))
 
+    def part_texts(self) -> list:
+        """Each part as `str(Interval)` prints it, rendered from the keys."""
+        D, keys = self.keys
+
+        def text(k) -> str:  # str(Fraction((k + 1) // 3, D)), by one int gcd
+            v = (k + 1) // 3
+            g = math.gcd(v, D)
+            return str(v // g) if g == D else f"{v // g}/{D // g}"
+        return [("(" if lo % 3 else "[") + text(lo) + ","
+                + ("inf)" if hi == INF else text(hi) + (")" if hi % 3 else "]"))
+                for lo, hi in keys]
+
     def __str__(self) -> str:
-        if not self.parts:
-            return "{}"
-        return "{" + ", ".join(str(p) for p in self.parts) + "}"
+        return "{" + ", ".join(self.part_texts()) + "}"
 
 
 _EMPTY = IntervalSet(())
@@ -413,6 +479,6 @@ def back_shift(q: Interval, i: Interval) -> Interval | None:
     back through the constraint interval i, dropping 0 from i first because a
     witness must lie strictly in the future.  Always convex; None when empty.
     """
-    D, ([q_keys], [i_keys]) = _on_base((q,), (i,))
+    D, (q_keys, i_keys) = key_column((q, i))
     keys = back_shift_keys(*q_keys, *i_keys)
-    return None if keys is None else from_keys([keys], Bounds(D)).parts[0]
+    return None if keys is None else key_intervals(D, [keys])[0]

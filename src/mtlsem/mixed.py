@@ -32,21 +32,23 @@ The engine runs on an integer time base (see `intervals`): `sat_sets_mx` and
 `sat_set_mx` read the block ticks `cw.ticks` and take D once, from their base
 and `finite_window_bounds(f)`.  `_mx_table` builds only what the fold reads:
 the slots of the atoms f names, `beta` when the fold reaches it, and the
-blocks of two or more positions.  A returned set becomes a `MixedSet` part by
-part, bisecting the block starts: its grid points, and its gap as its time
-keys k // J less the stamps inside.  Every set of one table goes through one
-`Bounds`, so the sets share one Bound per key, and the gap parts on both
-sides of a stamp share its open Bound.
+blocks of two or more positions.  A returned `MixedSet` holds its lex keys
+and the grid its table shares (D, J, the block starts and sizes).  Its grid
+points and its gap are built on first read, part by part, bisecting the block
+starts: the gap is its time keys k // J less the stamps inside, an
+`IntervalSet` on D.  `eval_mx` tests one key and builds no set: at a block
+point its slot, at a gap time any of the time key's J slots.
 
 A lasso verdict is an exact boolean: `encodings.lasso_instance` bounds the
-formula and unrolls the lasso, and the verdict is whether (0, 0) lies in the
-root's grid points.  The paper promises only sound three-valued verdicts here.
+formula and unrolls the lasso, and the verdict is whether the root holds the
+slot of (0, 0).  The paper promises only sound three-valued verdicts here.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cached_property
 
 from .formulas import (
     And,
@@ -60,15 +62,15 @@ from .formulas import (
     fold,
 )
 from .intervals import (
-    Bounds,
     IntervalSet,
-    _trusted_interval,
     difference_keys,
     intersect_keys,
     interval_keys,
+    meets,
     normalize_keys,
     rational,
     rebased,
+    time_key,
 )
 from .structures import CompactTimedWord, Lasso
 from .encodings import block_index_at, compact, lasso_instance
@@ -84,13 +86,44 @@ def compact_at(cw: CompactTimedWord, t) -> tuple:
 
 
 class MixedSet:
-    """Satisfaction set for the mixed semantics: grid points plus gap intervals."""
+    """Satisfaction set for the mixed semantics: grid points plus gap intervals.
 
-    __slots__ = ("points", "gap")
+    A set holds its `points` and `gap`, or `lex`: its lex-key list and its
+    table's grid (D, J, block starts, block sizes), from which both are built
+    on first read."""
 
     def __init__(self, points: frozenset, gap: IntervalSet):
-        self.points = points
-        self.gap = gap
+        self.__dict__.update(points=points, gap=gap)
+
+    @classmethod
+    def on_grid(cls, keys: list, grid: tuple) -> "MixedSet":
+        s = object.__new__(cls)
+        s.__dict__["lex"] = (keys, grid)
+        return s
+
+    @cached_property
+    def points(self) -> frozenset:
+        keys, (_, _, starts, sizes) = self.lex
+        points = []
+        for lo, hi in keys:  # the blocks from the last start <= lo to the last start <= hi
+            points += [(k, j) for k in range(bisect_right(starts, lo) - 1,
+                                             bisect_right(starts, hi))
+                       for j in range(max(lo - starts[k], 0), min(hi - starts[k] + 1, sizes[k]))]
+        return frozenset(points)
+
+    @cached_property
+    def gap(self) -> IntervalSet:
+        keys, (D, J, starts, _) = self.lex
+        parts = []  # the time keys k // J, less the block stamps inside each part
+        for lo, hi in normalize_keys((lo // J, hi // J) for lo, hi in keys):
+            for k in range(bisect_left(starts, lo * J), bisect_right(starts, hi * J)):
+                stamp = starts[k] // J
+                if lo < stamp:
+                    parts.append((lo, stamp - 1))
+                lo = stamp + 1
+            if lo <= hi:
+                parts.append((lo, hi))
+        return IntervalSet.on_base(D, parts)
 
     def __eq__(self, other):
         return (isinstance(other, MixedSet)
@@ -121,7 +154,7 @@ def _same_block_bases(f: list, g: list, multi: list) -> list:
 
 
 def _mx_table(cw: CompactTimedWord, f: Formula):
-    """The lex-key table of f over cw, and the conversion of one entry to a MixedSet."""
+    """The lex-key table of f over cw, and its grid (D, J, block starts, block sizes)."""
     D, times = rebased(cw.ticks, finite_window_bounds(f))
     sizes = [len(acts) for acts, _ in cw.blocks]
     J = max(sizes)
@@ -151,38 +184,19 @@ def _mx_table(cw: CompactTimedWord, f: Formula):
                 if w[0] == 0:
                     bases += _same_block_bases(l, r, multi)
                 return normalize_keys(bases)
-
-    bounds = Bounds(D)  # one Bound per key, shared by every set built here
-
-    def mixed_set(keys: list) -> MixedSet:
-        points = []
-        for lo, hi in keys:  # the blocks from the last start <= lo to the last start <= hi
-            points += [(k, j) for k in range(bisect_right(starts, lo) - 1,
-                                             bisect_right(starts, hi))
-                       for j in range(max(lo - starts[k], 0), min(hi - starts[k] + 1, sizes[k]))]
-        parts = []  # the time keys k // J, less the block stamps inside each part
-        for lo, hi in normalize_keys((lo // J, hi // J) for lo, hi in keys):
-            for k in range(bisect_left(starts, lo * J), bisect_right(starts, hi * J)):
-                stamp = starts[k] // J
-                if lo < stamp:
-                    parts.append(_trusted_interval(bounds[lo], bounds[stamp - 1]))
-                lo = stamp + 1
-            if lo <= hi:
-                parts.append(_trusted_interval(bounds[lo], bounds[hi]))
-        return MixedSet(frozenset(points), IntervalSet(tuple(parts)))
-    return fold(f, visit), mixed_set
+    return fold(f, visit), (D, J, starts, sizes)
 
 
 def sat_sets_mx(cw: CompactTimedWord, f: Formula) -> dict:
     """The fold table: Sat(g) per subformula g, in `subformulas` order."""
-    table, mixed_set = _mx_table(cw, f)
-    return {key: mixed_set(keys) for key, keys in table.items()}
+    table, grid = _mx_table(cw, f)
+    return {key: MixedSet.on_grid(keys, grid) for key, keys in table.items()}
 
 
 def sat_set_mx(cw: CompactTimedWord, f: Formula) -> MixedSet:
     """Exactly the in-domain pairs (t, j) where the compact word satisfies f."""
-    table, mixed_set = _mx_table(cw, f)
-    return mixed_set(table[f])
+    table, grid = _mx_table(cw, f)
+    return MixedSet.on_grid(table[f], grid)
 
 
 def eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
@@ -191,11 +205,15 @@ def eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
     size = len(cw.blocks[k][0]) if k is not None else 1
     if not 0 <= j < size:
         raise IndexError(f"position {j} out of range at time {t}")
-    got = sat_set_mx(cw, f)
-    return (k, j) in got.points if k is not None else got.gap.member(t)
+    table, (D, J, starts, _) = _mx_table(cw, f)
+    if k is not None:  # the slot of position j
+        return meets(table[f], starts[k] + j)
+    T = time_key(t, D)  # any slot of the time key
+    return meets(table[f], T * J, T * J + J - 1)
 
 
 def eval_mx_lasso(l: Lasso, f: Formula) -> bool:
     """Exact verdict at (0, 0) of the unrolled infinite word."""
     rho, g = lasso_instance(l, f)
-    return (0, 0) in sat_set_mx(compact(rho), g).points
+    table, (_, _, starts, _) = _mx_table(compact(rho), g)
+    return meets(table[g], starts[0])

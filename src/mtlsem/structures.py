@@ -44,11 +44,10 @@ from .errors import (
     OutOfDomainError,
 )
 from .intervals import (
-    Bound,
     Interval,
-    _on_base,
     _text_ratio,
-    _trusted_interval,
+    key_column,
+    key_intervals,
     parse_interval,
     rat_str,
     rational,
@@ -231,17 +230,11 @@ class TimedStateSequence:
     @cached_property
     def steps(self) -> tuple:
         D0, keys, props = self.columns
-        ends = {}  # per value its open and closed Bound, shared by the steps that meet there
-        for v in {(k + 1) // 3 for pair in keys for k in pair}:
-            q = Fraction(v, D0)
-            ends[v] = (Bound(q, False), Bound(q, True))
-        return tuple((p, _trusted_interval(ends[(lo + 1) // 3][lo % 3 == 0],
-                                           ends[(hi + 1) // 3][hi % 3 == 0]))
-                     for (lo, hi), p in zip(keys, props))
+        return tuple(zip(props, key_intervals(D0, keys)))
 
     @cached_property
     def columns(self) -> tuple:
-        D0, (keys,) = _on_base([iv for _, iv in self.steps])
+        D0, keys = key_column([iv for _, iv in self.steps])
         return D0, tuple(keys), tuple(p for p, _ in self.steps)
 
     def __eq__(self, other):
@@ -441,15 +434,19 @@ def _strings(values: list, path: str) -> list:
 
 
 def word_or_lasso_from_json(obj, allow_nonzero_start: bool = False):
-    """A word or lasso from its JSON object.  Each timestamp text is read to
-    its (numerator, denominator) pair, all of them go on one time base, and the
-    checks run on the ticks; the events' Fractions are built from the ticks."""
+    """A word or lasso from its JSON object.  Each distinct timestamp text is
+    read once to its (numerator, denominator) pair, all of them go on one time
+    base, and the checks run on the ticks; the events' Fractions are built from
+    the ticks."""
     actions, ratios = [], []
+    seen = {}  # each distinct stamp's pair; a bool (True == 1) or a list is never looked up
     for i, e in enumerate(_field(obj, "events", "", list, "a list of [action, time] pairs")):
         if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)):
             raise MtlsemError(f"malformed input: events[{i}] must be an [action, time] pair")
         actions.append(e[0])
-        ratios.append(_rational_field(e[1], "events[{}][1]", i))
+        t = e[1]
+        ratio = seen.get(t) if type(t) in (str, int) else None
+        ratios.append(ratio or seen.setdefault(t, _rational_field(t, "events[{}][1]", i)))
     D = math.lcm(*{d for _, d in ratios})
     ticks = [n * (D // d) for n, d in ratios]
     ratios = None  # freed before the Fractions are built

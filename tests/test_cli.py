@@ -231,6 +231,37 @@ class TestOtherCommands:
         assert got["sets"][-1]["points"] == [[0, 0], [1, 0], [2, 0]]
         assert got["sets"][-1]["gaps"] == ["(0,1)", "(1,33/10)"]
 
+    # every set of one formula's table, byte for byte
+    RHO1_MX_SETS = (
+        '{"semantics": "mx", "sets": [{"formula": "a", "gaps": [], "points": [[0, 0], [1, 1]]}'
+        ', {"formula": "!a", "gaps": ["(0,1)", "(1,33/10)"], "points": [[1, 0], [2, 0]]}'
+        ', {"formula": "!(!a)", "gaps": [], "points": [[0, 0], [1, 1]]}'
+        ', {"formula": "(!a & !(!a))", "gaps": [], "points": []}'
+        ', {"formula": "!(!a & !(!a))", "gaps": ["(0,1)", "(1,33/10)"], "points": [[0, 0], [1, 0], [1, 1], [2, 0]]}'
+        ', {"formula": "b", "gaps": [], "points": [[1, 0]]}'
+        ', {"formula": "(!(!a & !(!a)) U[1/3,3] b)", "gaps": ["(0,2/3]"], "points": [[0, 0]]}'
+        ', {"formula": "!(!(!a & !(!a)) U[1/3,3] b)", "gaps": ["(2/3,1)", "(1,33/10)"], "points": [[1, 0], [1, 1], [2, 0]]}'
+        ', {"formula": "(a & !(!(!a & !(!a)) U[1/3,3] b))", "gaps": [], "points": [[1, 1]]}'
+        ', {"formula": "!(a & !(!(!a & !(!a)) U[1/3,3] b))", "gaps": ["(0,1)", "(1,33/10)"], "points": [[0, 0], [1, 0], [2, 0]]}'
+        ', {"formula": "!(!(a & !(!(!a & !(!a)) U[1/3,3] b)))", "gaps": [], "points": [[1, 1]]}'
+        ', {"formula": "(!(!a & !(!a)) U[0,inf) !(!(a & !(!(!a & !(!a)) U[1/3,3] b))))", "gaps": ["(0,1)"], "points": [[0, 0], [1, 0]]}'
+        ', {"formula": "!(!(!a & !(!a)) U[0,inf) !(!(a & !(!(!a & !(!a)) U[1/3,3] b))))", "gaps": ["(1,33/10)"], "points": [[1, 1], [2, 0]]}]}')
+
+    def test_satset_mx_prints_the_sets_of_rho1(self, rho1, capsys):
+        code, out = run(capsys, "satset", "--semantics", "mx",
+                        "--formula", "G(a -> F[1/3,3] b)", "--word", rho1)
+        assert code == 0
+        assert out == self.RHO1_MX_SETS + "\n"
+
+    def test_satset_itw_and_its_print_equal_sets(self, rho1, capsys):
+        sets = []
+        for sem in ("itw", "its"):
+            code, out = run(capsys, "satset", "--semantics", sem,
+                            "--formula", "G(a -> F[1/3,3] b)", "--word", rho1)
+            assert code == 0
+            sets.append(json.loads(out)["sets"])
+        assert sets[0] == sets[1]
+
     def test_check_word(self, rho1, capsys):
         code, out = run(capsys, "check", "--word", rho1)
         assert code == 0
@@ -335,6 +366,32 @@ class TestExitCodes:
         code = main(["eval", "--semantics", "itw", "--alphabet", "a,b,c", "--time", time,
                      "--formula", "F[0, 1 / 2] b", "--word", str(p)])
         assert code == 0
+
+    @pytest.mark.parametrize("events, field", [
+        ([["a", 0], ["b", -1]], "events[1][1]"),
+        ([["a", "0"], ["b", True]], "events[1][1]"),
+        ([["a", 0], ["b", 1], ["c", True]], "events[2][1]"),  # True == 1
+        ([["a", "0"], ["b", ["1"]]], "events[1][1]"),
+        ([["a", "0"], ["b", "2"], ["c", "3/2"]], "position 2"),
+    ], ids=["negative", "bool", "bool-after-one", "list", "decrease"])
+    def test_bad_timestamp_is_input_error_naming_the_field(self, tmp_path, capsys, events, field):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"events": events}))
+        code = main(["eval", "--semantics", "itw", "--formula", "a", "--word", str(p)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert field in err
+
+    def test_padded_and_reduced_stamps_print_the_same(self, tmp_path, capsys):
+        outputs = []
+        for stamps in (("0", "0.50", "2/4", "3.30"), ("0", "1/2", "1/2", "33/10")):
+            p = tmp_path / "w.json"
+            p.write_text(json.dumps({"events": [list(e) for e in zip("abac", stamps)]}))
+            outputs.append((run(capsys, "eval", "--semantics", "itw", "--word", str(p),
+                                "--formula", "G(a -> F[1/2,3] c)"),
+                            run(capsys, "encode", "--to", "word", "--word", str(p))))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][1][1])["events"][1] == ["b", "1/2"]
 
     def test_unexpected_exception_is_exit_four_in_one_line(self, rho1, capsys, monkeypatch):
         import mtlsem.cli as cli

@@ -208,32 +208,73 @@ def test_time_with_spaces_around_the_slash_is_accepted(entry):
     assert TIME_ENTRY_POINTS[entry](" 1 / 2 ") is TIME_ENTRY_POINTS[entry](Fraction(1, 2)) is True
 
 
-class TestSharedBounds:
-    """Every set of one table holds one Bound object per endpoint key."""
+class TestConvertedOnRead:
+    """A result builds its Intervals once per set, and only when a caller reads
+    its parts: printing, membership, equality and the grid points build none."""
+
+    F = "G(a -> F[1/3,3] b) & !((a | b) U(1/2,2] c)"
+
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        import mtlsem.intervals as intervals
+
+        calls, real = [], intervals.key_intervals
+
+        def counted(D, keys):
+            calls.append(keys)
+            return real(D, keys)
+        monkeypatch.setattr(intervals, "key_intervals", counted)
+        return calls
 
     @staticmethod
-    def _by_key(sets):
-        seen = {}
+    def _read(sets, calls):
         for s in sets:
-            for p in s.parts:
+            str(s)
+            s.member(Fraction(1, 3))
+            assert s == s and hash(s) == hash(s)
+        assert calls == []
+        for s in sets:
+            seen = {}  # one Bound per endpoint key within a set
+            for p in s.parts + s.parts:
                 for side, b in (("lo", p.lo), ("hi", p.hi)):
-                    key = (b.value, b.closed, None if b.closed else side)
-                    assert seen.setdefault(key, b) is b, key
-        return seen
+                    assert seen.setdefault((b.value, b.closed, b.closed or side), b) is b
+        assert [id(keys) for keys in calls] == [id(s.keys[1]) for s in sets]
+        calls.clear()
 
-    def test_itw_and_its_tables(self):
-        sigma = alphabet("a,b,c")
+    def test_itw_and_its_tables(self, conversions):
+        f = parse(self.F, ABC)
         for seed in range(200):
             rho = gen_word(seed)
-            f = parse("G(a -> F[1/3,3] b) & !((a | b) U(1/2,2] c)", sigma)
             for table in (sat_sets_itw(rho, f), sat_sets_its(word_to_tss(rho), f)):
-                self._by_key(table.values())
+                self._read(list(table.values()), conversions)
 
-    def test_mx_table_gaps(self):
+    def test_mx_table_gaps(self, conversions):
         from mtlsem.mixed import sat_sets_mx
 
-        sigma = alphabet("a,b,c")
-        f = parse("G(a -> F[1/3,3] b) & !((a | b) U(1/2,2] c)", sigma, allow_beta=True)
+        f = parse(self.F, ABC, allow_beta=True)
         for seed in range(200):
             table = sat_sets_mx(compact(gen_word(seed)), f)
-            self._by_key(s.gap for s in table.values())
+            for s in table.values():
+                s.points
+            self._read([s.gap for s in table.values()], conversions)
+
+    def test_verdicts_build_no_set(self, monkeypatch):
+        from mtlsem.intervals import IntervalSet
+        from mtlsem.mixed import MixedSet, eval_mx, eval_mx_lasso, sat_set_mx
+
+        f = parse(self.F, ABC, allow_beta=True)
+        l = lasso(RHO1, ["c"], ["1"], "1")
+        times = [Fraction(t) for t in ("0", "1/3", "1", "33/10")]
+        itw, mx = sat_set_itw(RHO1, f), sat_set_mx(compact(RHO1), f)
+        want = ([itw.member(t) for t in times] * 2 + [(1, 0) in mx.points, mx.gap.member(times[1])]
+                + [eval_itw_lasso(l, f), eval_mx_lasso(l, f)])
+
+        def refuse(*_):
+            raise AssertionError("a verdict built a set")
+        monkeypatch.setattr(IntervalSet, "on_base", refuse)
+        monkeypatch.setattr(MixedSet, "on_grid", refuse)
+        got = ([eval_itw(RHO1, t, f) for t in times]
+               + [eval_its(word_to_tss(RHO1), t, f) for t in times]
+               + [eval_mx(compact(RHO1), 1, 0, f), eval_mx(compact(RHO1), times[1], 0, f)]
+               + [eval_itw_lasso(l, f), eval_mx_lasso(l, f)])
+        assert got == want

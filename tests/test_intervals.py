@@ -9,10 +9,9 @@ from mtlsem.errors import MtlsemError
 from mtlsem.intervals import (
     INF,
     Bound,
-    Bounds,
+    Interval,
     IntervalSet,
     back_shift,
-    from_keys,
     interval,
     interval_keys,
     parse_interval,
@@ -326,19 +325,19 @@ def test_keys_round_trip_through_the_base():
         x = _rand_interval(rng, _ODD_VALS)
         lo, hi = interval_keys(x, D)
         assert (lo % 3 == 0) == x.lo.closed and (hi == INF or (hi % 3 == 0) == x.hi.closed)
-        back = from_keys([(lo, hi)], Bounds(D))
+        back = IntervalSet.on_base(D, [(lo, hi)])
         assert back.parts == (x,)
         _assert_fraction_endpoints(back)
 
 
 def test_bounds_share_one_bound_per_key_and_one_per_open_value():
-    bounds = Bounds(6)
-    closed, after, before = bounds[3 * 5], bounds[3 * 5 + 1], bounds[3 * 5 - 1]
-    assert (closed.value, closed.closed) == (Fraction(5, 6), True)
+    parts = IntervalSet.on_base(6, [(0, 3 * 5 - 1), (3 * 5 + 1, 3 * 7), (3 * 7 + 1, INF)]).parts
+    before, after, closed = parts[0].hi, parts[1].lo, parts[1].hi
     assert (after.value, after.closed) == (Fraction(5, 6), False)
-    assert after is before is bounds[3 * 5 + 1] and closed is bounds[3 * 5]
-    assert bounds[INF] == Bound(INF, False)
-    assert from_keys([(0, 3 * 5 - 1), (3 * 5 + 1, INF)], bounds).parts[1].lo is after
+    assert (closed.value, closed.closed) == (Fraction(7, 6), True)
+    assert after is before and parts[2].lo is not closed
+    assert (parts[2].lo.value, parts[2].lo.closed) == (Fraction(7, 6), False)
+    assert parts[2].hi == Bound(INF, False)
 
 
 def test_sweeps_and_back_shift_on_coprime_and_huge_denominators():
@@ -361,3 +360,96 @@ def test_sweeps_and_back_shift_on_coprime_and_huge_denominators():
         _assert_fraction_endpoints(got_set)
         for t in _sample_points(q, i):
             assert got_set.member(t) == _witness_exists(t, q, i), (str(q), str(i), t)
+
+
+# ---------------------------------------------------------------------------
+# sets held as keys, against the earlier conversion of a key list to Intervals
+
+class _Bounds(dict):
+    """The earlier conversion's memo: the Bound of each key on the time base
+    D, the open ends on either side of a value sharing one."""
+
+    def __init__(self, D):
+        self.D = D
+        self[INF] = Bound(INF, False)
+
+    def __missing__(self, key):
+        v = (key + 1) // 3
+        b = self[key] = Bound(Fraction(v, self.D), key == 3 * v)
+        if key != 3 * v:
+            self[6 * v - key] = b
+        return b
+
+
+def _reference_parts(D, keys):
+    bounds = _Bounds(D)
+    return tuple(Interval(bounds[lo], bounds[hi]) for lo, hi in keys)
+
+
+_FACTORS = (1, 2, 3, 7, 10, 2**61 - 1, 2**67 + 3)
+
+
+def _on_finer_base(s, rng):
+    """s as keys on its least base times a random factor, and that base."""
+    D = time_base(v for p in s.parts for v in (p.lo.value, p.hi.value)) * rng.choice(_FACTORS)
+    return IntervalSet.on_base(D, [interval_keys(p, D) for p in s.parts]), D
+
+
+def test_sets_on_different_bases_are_equal_and_hash_alike():
+    rng = random.Random(31)
+    bases = []
+    for _ in range(400):
+        s = IntervalSet.from_intervals(_rand_interval(rng, _ODD_VALS)
+                                       for _ in range(rng.randint(0, 6)))
+        (a, Da), (b, Db) = _on_finer_base(s, rng), _on_finer_base(s, rng)
+        bases += [Da, Db]
+        by_parts = IntervalSet(_reference_parts(*a.keys))
+        for x in (a, b, by_parts):
+            assert x == s and hash(x) == hash(s), (str(s), Da, Db)
+        assert a.parts == b.parts == s.parts
+        if s.parts:  # one end moved by one key: a different set
+            D, keys = a.keys
+            lo, hi = keys[-1]
+            other = IntervalSet.on_base(D, keys[:-1] + [(lo + 1, hi) if lo < hi else (lo, hi + 1)])
+            assert other != a and other.parts != a.parts
+    assert sum(D > 2**64 for D in bases) > 100
+
+
+def test_member_on_and_off_the_base():
+    rng = random.Random(32)
+    for _ in range(400):
+        s, D = _on_finer_base(_rand_normal_set(rng), rng)
+        ref = _reference_parts(*s.keys)
+        probes = _probes(s) + [Fraction(rng.randint(0, 90), rng.choice((7, 11, 13, 2**61 - 1)))
+                               for _ in range(20)]
+        for t in probes:
+            assert s.member(t) == any(p.contains(t) for p in ref), (str(s), D, t)
+
+
+def test_key_rendering_prints_as_fraction_str():
+    rng = random.Random(33)
+    for _ in range(400):
+        s, D = _on_finer_base(IntervalSet.from_intervals(
+            _rand_interval(rng, _ODD_VALS) for _ in range(rng.randint(0, 6))), rng)
+        ref = _reference_parts(*s.keys)
+        assert s.part_texts() == [str(p) for p in ref], D
+        assert str(s) == "{" + ", ".join(str(p) for p in ref) + "}"
+        assert s.parts == ref
+
+
+def test_set_operations_between_parts_and_keys():
+    rng = random.Random(34)
+    for _ in range(400):
+        a, b = _rand_normal_set(rng), _rand_normal_set(rng)
+        ka, kb = _on_finer_base(a, rng)[0], _on_finer_base(b, rng)[0]
+        pa, pb = IntervalSet(a.parts), IntervalSet(b.parts)
+        for op in ("union", "intersect", "difference"):
+            want = getattr(pa, op)(pb)
+            for x, y in ((pa, kb), (ka, pb), (ka, kb)):
+                got = getattr(x, op)(y)
+                assert got == want and got.parts == want.parts, (op, str(a), str(b))
+                assert got.parts == _reference_parts(*got.keys)
+            for t in _probes(a, b):
+                assert want.member(t) == {"union": a.member(t) or b.member(t),
+                                          "intersect": a.member(t) and b.member(t),
+                                          "difference": a.member(t) and not b.member(t)}[op]

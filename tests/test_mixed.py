@@ -10,7 +10,7 @@ from mtlsem.encodings import block_index_at, compact
 from mtlsem.errors import OutOfDomainError
 from mtlsem.formulas import BETA, alphabet, finite_window_bounds, parse
 from mtlsem.interval_based import eval_itw, sat_set_itw
-from mtlsem.intervals import Bounds, difference_keys, from_keys, normalize_keys, rebased
+from mtlsem.intervals import IntervalSet, difference_keys, normalize_keys, rebased
 from mtlsem.mixed import (
     NO_ACTION,
     MixedSet,
@@ -321,7 +321,7 @@ def _reference_sets(cw, f):
     for node, keys in table.items():
         points = frozenset(p for p, held in zip(grid, _members(keys, grid_slots)) if held)
         gap = difference_keys(normalize_keys((lo // J, hi // J) for lo, hi in keys), stamps)
-        out[node] = MixedSet(points, from_keys(gap, Bounds(D)))
+        out[node] = MixedSet(points, IntervalSet.on_base(D, gap))
     return out
 
 
@@ -332,6 +332,7 @@ def _assert_converted_as_the_reference(cw, f):
         g = got[node]
         assert g.points == w.points, (str(cw), node)
         assert g.gap == w.gap and str(g.gap) == str(w.gap), (str(cw), node)
+        assert g.gap.parts == w.gap.parts, (str(cw), node)
         assert g == w and hash(g) == hash(w), (str(cw), node)
 
 
