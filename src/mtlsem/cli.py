@@ -82,8 +82,7 @@ def _the_alphabet(args, loaded=None):
     elif isinstance(loaded, Lasso):
         symbols = set(loaded.prefix.actions) | set(loaded.period_actions)
     elif isinstance(loaded, TimedStateSequence):
-        for props, _ in loaded.steps:
-            symbols |= props
+        symbols = set().union(*loaded.columns[2])
     if args.alphabet:
         sigma = alphabet(args.alphabet)
         outside = sorted(symbols.difference(sigma.symbols))

@@ -39,7 +39,6 @@ from .structures import (
     Lasso,
     TimedStateSequence,
     TimedWord,
-    compact_duration,
     duration,
     mfs_decompose,
     unroll,
@@ -81,7 +80,7 @@ def to_tss(cw: CompactTimedWord) -> TimedStateSequence:
         keys.append((3 * v, 3 * v))
         props.append(frozenset(acts))
         prev = v
-    return TimedStateSequence.from_columns(D0, tuple(keys), tuple(props))
+    return TimedStateSequence(D0, tuple(keys), tuple(props))
 
 
 def word_to_tss(rho: TimedWord) -> TimedStateSequence:
@@ -122,11 +121,12 @@ def block_position(cw: CompactTimedWord, i: int) -> tuple:
 
 
 def block_index_at(cw: CompactTimedWord, t) -> int | None:
-    """Block index whose timestamp is exactly t, None for hole times."""
+    """Block index whose timestamp is exactly t, None for hole times.  The
+    domain runs from the first block to the last, as the mixed oracle's grid."""
     t = t if isinstance(t, Fraction) else rational(t)
-    if t < 0 or t > compact_duration(cw):
-        raise OutOfDomainError(f"time {t} outside [0, {compact_duration(cw)}]")
     times = cw.times
+    if t < times[0] or t > times[-1]:
+        raise OutOfDomainError(f"time {t} outside [{times[0]}, {times[-1]}]")
     k = bisect_left(times, t)  # t <= the last time, so k is a block
     return k if times[k] == t else None
 

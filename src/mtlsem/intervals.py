@@ -21,16 +21,17 @@ denominators, with one int multiply per value (`rebased`), and runs every set
 operation on key lists (`normalize_keys`, `intersect_keys`, `difference_keys`
 and `back_shift_keys`).  Every endpoint it produces is an input time plus or
 minus window bounds, so nothing leaves the base.  Its results stay there: an
-`IntervalSet` holds its key list and builds its Intervals (`key_intervals`)
-only when a caller reads `parts`.  `member` bisects the keys and `str`
-renders them with int arithmetic.  `IntervalSet`'s own operations bring their
-operands onto a common base per call, one int multiply per key, and run
-the same sweeps.  `intersect_keys` and
+`IntervalSet` holds only its key list, as a timed state sequence does its
+steps' keys, and either builds its Intervals (`key_intervals`) only when a
+caller reads them.  `member` bisects the keys and `key_texts` renders them
+with int arithmetic, byte for byte as `str(Interval)` prints.
+`IntervalSet`'s own operations bring their operands onto a common base per
+call, one int multiply per key, and run the same sweeps.  `intersect_keys` and
 `difference_keys` are single linear sweeps over the two sorted lists (the
 representation of Maler & Nickovic, FORMATS 2004) and never re-sort.
 `IntervalSet.from_intervals` normalizes arbitrary input; constructing
-`IntervalSet(parts)` directly is only valid with parts that are already
-normalized.
+`IntervalSet(parts)` directly, which turns the parts into keys, is only valid
+with parts that are already normalized.
 
 Rationals and intervals have one text grammar, `RATIONAL_TEXT` and
 `INTERVAL_TEXT`.  A rational is "p/q" (spaces allowed around the slash, q
@@ -256,6 +257,18 @@ def key_intervals(D: int, keys) -> tuple:
 _OPEN_INF = Bound(INF, False)
 
 
+def key_texts(D: int, keys) -> list:
+    """Each key pair on the time base D as `str(Interval)` prints it, by int
+    arithmetic."""
+    def text(k) -> str:  # str(Fraction((k + 1) // 3, D)), by one int gcd
+        v = (k + 1) // 3
+        g = math.gcd(v, D)
+        return str(v // g) if g == D else f"{v // g}/{D // g}"
+    return [("(" if lo % 3 else "[") + text(lo) + ","
+            + ("inf)" if hi == INF else text(hi) + (")" if hi % 3 else "]"))
+            for lo, hi in keys]
+
+
 def scaled_keys(keys, f: int) -> list:
     """A key list on a time base f times finer: each value times f, each
     open-end offset kept."""
@@ -360,31 +373,28 @@ def back_shift_keys(lo, hi, w_lo, w_hi):
 class IntervalSet:
     """Normalized finite union of disjoint intervals, sorted, adjacency merged.
 
-    A set holds its `parts` or its `keys`, (D, its key list on the time base
-    D), and builds the one from the other on first read; the engines build
-    their results from keys, so a set nobody reads as parts makes no Fraction.
-    Equality and hashing read the keys on the least base that holds them, so
-    equal sets built on different bases are equal.  `IntervalSet(parts)` must
-    be given normalized parts; use `from_intervals` otherwise.
+    A set holds `keys`, (D, its key list on the time base D), and builds its
+    `parts` on first read; the engines build their results from keys, so a set
+    nobody reads as parts makes no Fraction.  Equality and hashing read the
+    keys on the least base that holds them, so equal sets built on different
+    bases are equal.  `IntervalSet(parts)` must be given normalized parts,
+    which it turns into keys; use `from_intervals` otherwise.
     """
 
     def __init__(self, parts: tuple):
+        self.keys = key_column(parts)
         self.__dict__["parts"] = parts
 
     @classmethod
     def on_base(cls, D: int, keys) -> "IntervalSet":
         """The set of a normalized key list on the time base D."""
         s = object.__new__(cls)
-        s.__dict__["keys"] = (D, keys)
+        s.keys = (D, keys)
         return s
 
     @cached_property
     def parts(self) -> tuple:
         return key_intervals(*self.keys)
-
-    @cached_property
-    def keys(self) -> tuple:
-        return key_column(self.parts)
 
     @cached_property
     def _least(self) -> tuple:
@@ -455,15 +465,7 @@ class IntervalSet:
 
     def part_texts(self) -> list:
         """Each part as `str(Interval)` prints it, rendered from the keys."""
-        D, keys = self.keys
-
-        def text(k) -> str:  # str(Fraction((k + 1) // 3, D)), by one int gcd
-            v = (k + 1) // 3
-            g = math.gcd(v, D)
-            return str(v // g) if g == D else f"{v // g}/{D // g}"
-        return [("(" if lo % 3 else "[") + text(lo) + ","
-                + ("inf)" if hi == INF else text(hi) + (")" if hi % 3 else "]"))
-                for lo, hi in keys]
+        return key_texts(*self.keys)
 
     def __str__(self) -> str:
         return "{" + ", ".join(self.part_texts()) + "}"

@@ -7,11 +7,13 @@ adjacent intervals.  Infinite words are represented by lassos (finite prefix
 plus a repeating timed period) and are non-Zeno by construction since the
 period duration must be positive.
 
-The columns of a model are computed once per object, on first read, and
-shared by every later reader; equality and hashing still depend on the
-events, blocks or steps alone.  Words and compact words have `times` and the
-integer column `ticks` that the engines read; a state sequence has its steps
-and its columns, each built from the other (see `TimedStateSequence`).
+The columns of a word or compact word are computed once per object, on first
+read, and shared by every later reader; equality and hashing still depend on
+the events or blocks alone.  Words and compact words have `times` and the
+integer column `ticks` that the engines read.  A state sequence holds only its
+columns, the key pair of each step on the integer base and its propositions;
+its checks, lookups, equality and rendering read the keys, and it builds the
+`Interval`s of its `steps` on first read (see `TimedStateSequence`).
 
 Words loaded from JSON and unrolled from lassos are built on the integer base
 and carry their ticks from construction.  `word_or_lasso_from_json` reads each
@@ -44,15 +46,18 @@ from .errors import (
     OutOfDomainError,
 )
 from .intervals import (
+    INF,
     Interval,
     _text_ratio,
     key_column,
     key_intervals,
+    key_texts,
     parse_interval,
     rat_str,
     rational,
     tick_column,
     time_base,
+    time_key,
 )
 
 
@@ -214,69 +219,55 @@ def compact_duration(cw: CompactTimedWord) -> Fraction:
 # timed state sequences
 
 class TimedStateSequence:
-    """Adjacent steps (frozenset of symbols, Interval), or columns (D0, keys,
-    props): each step's key pair on the time base D0 (see `intervals`) and its
-    propositions.  Either is built from the other on first read."""
+    """Adjacent steps, held as the columns (D0, keys, props): each step's key
+    pair on the time base D0 (see `intervals`) and its propositions.  Both
+    constructors, `validate_tss` and `encodings.to_tss`, put the keys on the
+    least base that holds them, so equal sequences have equal columns.  The
+    steps, (frozenset of symbols, Interval) pairs, are built on first read."""
 
-    def __init__(self, steps: tuple):
-        self.__dict__["steps"] = steps
-
-    @classmethod
-    def from_columns(cls, D0: int, keys: tuple, props: tuple) -> "TimedStateSequence":
-        kappa = object.__new__(cls)
-        kappa.__dict__["columns"] = (D0, keys, props)
-        return kappa
+    def __init__(self, D0: int, keys: tuple, props: tuple):
+        self.columns = (D0, keys, props)
 
     @cached_property
     def steps(self) -> tuple:
         D0, keys, props = self.columns
         return tuple(zip(props, key_intervals(D0, keys)))
 
-    @cached_property
-    def columns(self) -> tuple:
-        D0, keys = key_column([iv for _, iv in self.steps])
-        return D0, tuple(keys), tuple(p for p, _ in self.steps)
-
     def __eq__(self, other):
-        return other.__class__ is self.__class__ and self.steps == other.steps
+        return other.__class__ is self.__class__ and self.columns == other.columns
 
     def __hash__(self):
-        return hash((self.steps,))
+        return hash(self.columns)
 
     def __len__(self):
-        return len(self.steps)
+        return len(self.columns[2])
 
     def __str__(self):
-        return "".join(
-            "({" + ",".join(sorted(props)) + "}," + str(iv) + ")" for props, iv in self.steps
-        )
-
-
-def _adjacent(a: Interval, b: Interval) -> bool:
-    """Disjoint, union is one interval, and a lies entirely before b.
-
-    Two convex sets that meet at one value, where exactly one of them holds
-    it, are disjoint, so the touching ends alone decide."""
-    return a.hi.value == b.lo.value and a.hi.closed != b.lo.closed
+        D0, keys, props = self.columns
+        return "".join("({" + ",".join(sorted(p)) + "}," + text + ")"
+                       for p, text in zip(props, key_texts(D0, keys)))
 
 
 def validate_tss(steps, allow_nonzero_start: bool = False) -> TimedStateSequence:
+    """Check the steps on their keys, returning the sequence: neighbours are
+    adjacent (a lower key one past the upper key before it), the first starts
+    closed at 0 unless `allow_nonzero_start`, and the last ends closed."""
     steps = tuple(
         (frozenset(props), iv if isinstance(iv, Interval) else parse_interval(iv))
         for props, iv in steps
     )
     if not steps:
         raise EmptyWordError("empty timed state sequence")
-    for pos in range(1, len(steps)):
-        if not _adjacent(steps[pos - 1][1], steps[pos][1]):
+    D0, keys = key_column([iv for _, iv in steps])
+    for pos in range(1, len(keys)):
+        if keys[pos][0] != keys[pos - 1][1] + 1:
             raise AdjacencyError(pos)
-    first = steps[0][1]
-    if not allow_nonzero_start and not (first.lo.value == 0 and first.lo.closed):
+    if not allow_nonzero_start and keys[0][0] != 0:
         raise FirstTimestampError("first interval must be left-closed at 0")
-    last = steps[-1][1]
-    if not last.hi.closed:
+    last = keys[-1][1]
+    if last == INF or last % 3:
         raise MtlsemError("a finite timed state sequence must end with a right-closed interval")
-    return TimedStateSequence(steps)
+    return TimedStateSequence(D0, tuple(keys), tuple(p for p, _ in steps))
 
 
 def tss_duration(kappa: TimedStateSequence) -> Fraction:
@@ -292,32 +283,29 @@ def tss_start(kappa: TimedStateSequence) -> Fraction:
 def tss_at(kappa: TimedStateSequence, t) -> frozenset:
     """The unique step's propositions at time t (uniqueness by adjacency)."""
     t = t if isinstance(t, Fraction) else rational(t)
-    for props, iv in kappa.steps:
-        if iv.contains(t):
-            return props
-    raise OutOfDomainError(f"time {rat_str(t)} outside the covered span")
+    D0, keys, props = kappa.columns
+    k = time_key(t, D0)
+    i = bisect_right(keys, (k, INF)) - 1  # the last step starting at or before k
+    if i < 0 or keys[i][1] < k:
+        raise OutOfDomainError(f"time {rat_str(t)} outside the covered span")
+    return props[i]
 
 
 def is_action_based(kappa: TimedStateSequence) -> bool:
     """Alternating punctual action steps and non-punctual empty steps from [0,0].
 
-    Any finite sequence passing all clauses has odd length; that consistency
-    is asserted rather than tested.
+    A step is punctual exactly when its two keys are equal.  Any finite
+    sequence passing all clauses has odd length; that consistency is asserted
+    rather than tested.
     """
-    steps = kappa.steps
-    first = steps[0][1]
-    if not (first.lo.value == 0 and first.lo.closed and first.is_punctual):
+    _, keys, props = kappa.columns
+    if keys[0] != (0, 0) or keys[-1][0] != keys[-1][1]:
         return False
-    if not steps[-1][1].is_punctual:
-        return False
-    for i, (props, iv) in enumerate(steps):
-        if i % 2 == 0:
-            if not props or not iv.is_punctual:
-                return False
-        else:
-            if props or iv.is_punctual:
-                return False
-    assert len(steps) % 2 == 1, "alternation admitted an even-length sequence"
+    for i, ((lo, hi), p) in enumerate(zip(keys, props)):
+        even = i % 2 == 0
+        if bool(p) != even or (lo == hi) != even:
+            return False
+    assert len(keys) % 2 == 1, "alternation admitted an even-length sequence"
     return True
 
 
@@ -465,7 +453,8 @@ def word_or_lasso_from_json(obj, allow_nonzero_start: bool = False):
 
 
 def tss_to_json(kappa: TimedStateSequence) -> dict:
-    return {"steps": [[sorted(props), str(iv)] for props, iv in kappa.steps]}
+    D0, keys, props = kappa.columns
+    return {"steps": [[sorted(p), text] for p, text in zip(props, key_texts(D0, keys))]}
 
 
 def tss_from_json(obj, allow_nonzero_start: bool = False) -> TimedStateSequence:

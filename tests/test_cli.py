@@ -212,9 +212,9 @@ class TestOtherCommands:
             [["a"], "0"], [["b", "a"], "1"], [["c"], "33/10"]]
 
     def test_encode_tss(self, rho1, capsys):
-        code, out = run(capsys, "encode", "--to", "tss", "--word", rho1)
-        assert code == 0
-        assert json.loads(out)["steps"][2] == [["a", "b"], "[1,1]"]
+        assert run(capsys, "encode", "--to", "tss", "--word", rho1) == (0, (
+            '{"steps": [[["a"], "[0,0]"], [[], "(0,1)"], [["a", "b"], "[1,1]"], '
+            '[[], "(1,33/10)"], [["c"], "[33/10,33/10]"]]}\n'))
 
     def test_satset_lists_subformulas(self, rho1, capsys):
         code, out = run(capsys, "satset", "--semantics", "itw",
@@ -273,6 +273,13 @@ class TestOtherCommands:
         code, out = run(capsys, "oracle", "--semantics", "itw", "--time", "1/2",
                         "--formula", "F(0,1) F[0,3.5] c", "--word", rho1)
         assert code == 0
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("formula", ["(a | b) U c", "G(a -> F[1,3] b)"])
+    def test_pw_eval_and_oracle_exit_alike(self, rho1, capsys, formula, position):
+        codes = [run(capsys, command, "--semantics", "pw", "--position", str(position),
+                     "--formula", formula, "--word", rho1)[0] for command in ("eval", "oracle")]
+        assert codes[0] == codes[1] and codes[0] in (0, 1)
 
     def test_fuzz_small_run(self, capsys):
         code, out = run(capsys, "fuzz", "--cases", "5", "--seed", "3",
@@ -393,6 +400,29 @@ class TestExitCodes:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0][1][1])["events"][1] == ["b", "1/2"]
 
+    @pytest.mark.parametrize("time, code", [("0", 3), ("1/2", 3), ("1", 0)])
+    @pytest.mark.parametrize("command", ["eval", "oracle"])
+    def test_mx_time_before_the_first_block_is_input_error(
+            self, tmp_path, capsys, command, time, code):
+        # a word that starts at 1: the mixed domain starts at its first block
+        p = tmp_path / "late.json"
+        p.write_text(json.dumps({"events": [["a", "1"], ["b", "2"]]}))
+        got = main([command, "--semantics", "mx", "--time", time, "--allow-nonzero-start",
+                    "--formula", "a", "--word", str(p)])
+        captured = capsys.readouterr()
+        assert got == code
+        assert (captured.out == "") is (code == 3)
+
+    def test_unknown_option_exits_three_with_usage(self):
+        src = str(Path(mtlsem.cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "mtlsem", "eval", "--bogus"],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr.startswith("usage: mtlsem eval")
+        assert "mtlsem eval: error:" in done.stderr
+
     def test_unexpected_exception_is_exit_four_in_one_line(self, rho1, capsys, monkeypatch):
         import mtlsem.cli as cli
 
@@ -476,3 +506,46 @@ class TestSatsetOutputIsUnchanged:
             assert code == 0
             digest.update(out.encode())
         assert digest.hexdigest()[:16] == self.DIGESTS[name, sem]
+
+
+class TestStateSequencesBuildNoSteps:
+    """The CLI reads a state sequence's key columns: evaluating, printing the
+    sets of, encoding into and checking a state sequence build no step
+    Intervals."""
+
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        import mtlsem.intervals as intervals
+
+        calls, real = [], intervals.key_intervals
+
+        def counted(D, keys):
+            calls.append(keys)
+            return real(D, keys)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mtlsem") and hasattr(module, "key_intervals"):
+                monkeypatch.setattr(module, "key_intervals", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--semantics", "its", "--time", "1/2", "--formula", "F[0,1] b"),
+        ("satset", "--semantics", "its", "--formula", "(a | b) U(1/2,2] c"),
+        ("check",),
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("source", ["rho1", "kappa1"])
+    def test_commands(self, conversions, capsys, request, argv, source):
+        assert main([*argv, "--word", request.getfixturevalue(source)]) == 0
+        capsys.readouterr()
+        assert conversions == []
+
+    @pytest.mark.parametrize("source", ["rho1", "swap_lasso"])
+    def test_encode_tss(self, conversions, capsys, request, source):
+        assert main(["encode", "--to", "tss", "--word", request.getfixturevalue(source)]) == 0
+        capsys.readouterr()
+        assert conversions == []
+
+    def test_reading_the_steps_is_counted(self, conversions, kappa1):
+        from mtlsem.structures import load_input
+
+        load_input(kappa1).steps
+        assert len(conversions) == 1

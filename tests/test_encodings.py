@@ -193,7 +193,7 @@ class TestStateSequenceView:
             assert w == twin and hash(w) == hash(twin) == hashed
             kappa, checked = word_to_tss(w), tss_by_intervals(w)
             hashed = hash(checked)
-            assert kappa.columns == checked.columns  # built by to_tss, derived from steps
+            assert kappa.columns == checked.columns  # built by to_tss and by validate_tss
             assert kappa == checked and hash(kappa) == hash(checked) == hashed
 
 

@@ -1,6 +1,7 @@
 """Timed words, state sequences, lassos and their class predicates."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from mtlsem.errors import (
     NonMonotoneError,
     OutOfDomainError,
 )
-from mtlsem.intervals import tick_column
+from mtlsem.intervals import interval, tick_column
 from mtlsem.oracle import gen_lasso, gen_word
 from mtlsem.structures import (
     TimedWord,
@@ -188,6 +189,153 @@ class TestActionBased:
     def test_roundtrip_json(self):
         k = validate_tss(KAPPA_OK, allow_nonzero_start=True)
         assert tss_from_json(tss_to_json(k), allow_nonzero_start=True) == k
+
+
+# The state-sequence rules as they read on Intervals, before `validate_tss`
+# and `is_action_based` moved to keys: the reference the keyed rules must match.
+
+def _adjacent(a, b) -> bool:
+    """Disjoint, union is one interval, and a lies entirely before b."""
+    return a.hi.value == b.lo.value and a.hi.closed != b.lo.closed
+
+
+def _reference_verdict(steps, allow_nonzero_start):
+    """(error class, position) that the Interval rules give the steps, or None."""
+    if not steps:
+        return EmptyWordError, None
+    for pos in range(1, len(steps)):
+        if not _adjacent(steps[pos - 1][1], steps[pos][1]):
+            return AdjacencyError, pos
+    first = steps[0][1]
+    if not allow_nonzero_start and not (first.lo.value == 0 and first.lo.closed):
+        return FirstTimestampError, None
+    if not steps[-1][1].hi.closed:
+        return MtlsemError, None
+    return None
+
+
+def _reference_action_based(steps) -> bool:
+    first = steps[0][1]
+    if not (first.lo.value == 0 and first.lo.closed and first.is_punctual):
+        return False
+    if not steps[-1][1].is_punctual:
+        return False
+    return all((bool(props) and iv.is_punctual) if i % 2 == 0
+               else not (props or iv.is_punctual)
+               for i, (props, iv) in enumerate(steps))
+
+
+def _random_steps(rng):
+    """Steps that are mostly adjacent, with flipped end flags, gaps, overlaps,
+    an `inf` end and nonzero starts mixed in, on bases up to above 2^64."""
+    den = rng.choice([1, 2, 3, 7, 10, 2**64 + 13])
+    value = Fraction(rng.choice([0, 0, 0, 1, rng.randrange(1, 9)]), den)
+    closed = rng.random() < 0.8
+    steps = []
+    for i in range(rng.randint(0, 7)):
+        punct = closed and rng.random() < (0.7 if i % 2 == 0 else 0.2)
+        if punct:
+            hi, hi_closed = value, True
+        elif rng.random() < 0.08:
+            hi, hi_closed = math.inf, False
+        else:
+            hi, hi_closed = value + Fraction(rng.randint(1, 4), den), rng.random() < 0.5
+        props = (frozenset("p" * (i % 2 == 0)) if rng.random() < 0.7  # action-based-like
+                 else frozenset(rng.sample("pq", rng.randint(0, 2))))
+        steps.append((props, interval(value, hi, closed, hi_closed)))
+        if hi == math.inf:
+            break
+        r = rng.random()
+        value = (hi + Fraction(1, den) if r < 0.05          # a gap
+                 else max(0, hi - Fraction(1, den)) if r < 0.1  # an overlap
+                 else hi)
+        closed = (not hi_closed) if rng.random() < 0.9 else hi_closed  # a flag kept
+    return steps
+
+
+class TestKeyedRules:
+    """`validate_tss` and `is_action_based` read keys; each must give what the
+    Interval rules give."""
+
+    def test_validation_matches_the_interval_rules(self):
+        rng = random.Random(31)
+        outcomes = set()
+        for _ in range(4000):
+            steps = _random_steps(rng)
+            allow = rng.random() < 0.3
+            want = _reference_verdict(steps, allow)
+            try:
+                kappa = validate_tss(steps, allow_nonzero_start=allow)
+            except MtlsemError as exc:
+                got = type(exc), getattr(exc, "position", None)
+            else:
+                got = None
+                assert kappa.steps == tuple(steps)
+                assert is_action_based(kappa) is _reference_action_based(steps)
+                outcomes.add(("action based", is_action_based(kappa)))
+            assert got == want, steps
+            outcomes.add(want and want[0])
+        assert outcomes == {None, EmptyWordError, AdjacencyError, FirstTimestampError,
+                            MtlsemError, ("action based", True), ("action based", False)}
+
+
+def _moved(kappa, scale, shift):
+    """kappa with every endpoint v moved to v * scale + shift."""
+    return validate_tss([(props, interval(iv.lo.value * scale + shift,
+                                          iv.hi.value * scale + shift,
+                                          iv.lo.closed, iv.hi.closed))
+                         for props, iv in kappa.steps], allow_nonzero_start=True)
+
+
+def _tss_corpus():
+    """gen_ka seeds, word_to_tss images, and both moved onto nonzero starts and
+    onto bases above 2^64."""
+    from mtlsem.encodings import word_to_tss
+    from mtlsem.oracle import gen_ka
+
+    kappas = [gen_ka(seed) for seed in range(150)]
+    kappas += [word_to_tss(gen_word(seed)) for seed in range(150)]
+    kappas += [word_to_tss(word(RHO1))]
+    big = 2**64 + 13
+    return kappas + [_moved(k, Fraction(s, d), Fraction(o, d))
+                     for i, k in enumerate(kappas[::5])
+                     for s, d, o in [(1, 3, 2), (7, big, 1), (big, 1, i)]]
+
+
+def _scan_at(kappa, t):
+    """The propositions of the first step whose Interval contains t, or None."""
+    for props, iv in kappa.steps:
+        if iv.contains(t):
+            return props
+    return None
+
+
+class TestKeyedLookupAndRendering:
+    def test_lookup_matches_a_linear_scan(self):
+        rng = random.Random(32)
+        for kappa in _tss_corpus():
+            ends = sorted({v for _, iv in kappa.steps for v in (iv.lo.value, iv.hi.value)})
+            first, last = ends[0], ends[-1]
+            times = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+            times += [last + 1, last + Fraction(1, 10**30), first / 2, Fraction(0)]
+            times += [first + (last - first) * Fraction(rng.randrange(1, 10**6),
+                                                       rng.choice([10**6 + 3, 2**67 + 1]))
+                      for _ in range(10)]
+            for t in times:
+                want = _scan_at(kappa, t)
+                if want is None:
+                    with pytest.raises(OutOfDomainError):
+                        tss_at(kappa, t)
+                else:
+                    assert tss_at(kappa, t) == want, (str(kappa), t)
+            assert _scan_at(kappa, last + Fraction(1, 10**30)) is None
+
+    def test_rendering_matches_str_of_the_intervals(self):
+        for kappa in _tss_corpus():
+            want = {"steps": [[sorted(props), str(iv)] for props, iv in kappa.steps]}
+            assert json.dumps(tss_to_json(kappa)) == json.dumps(want)
+            assert str(kappa) == "".join("({" + ",".join(sorted(props)) + "}," + str(iv) + ")"
+                                         for props, iv in kappa.steps)
 
 
 class TestLasso:
