@@ -207,29 +207,30 @@ def cmd_compile(args) -> int:
     return OK
 
 
+def _blocks_json(cw) -> dict:
+    return {"blocks": [[list(a), text] for a, text in zip(cw.actions, cw.time_texts())]}
+
+
 def cmd_encode(args) -> int:
     loaded = load_input(args.word, args.allow_nonzero_start)
     if isinstance(loaded, Lasso):
         if args.to == "word":
             _emit(lasso_to_json(loaded), args.pretty)
-            return OK
-        cl = compact_lasso(loaded)
-        prefix = {"blocks": [[list(a), rat_str(t)] for a, t in cl.prefix.blocks]}
-        if args.to == "compact":
-            _emit({"prefix": prefix,
+        elif args.to == "compact":
+            cl = compact_lasso(loaded)
+            _emit({"prefix": _blocks_json(cl.prefix),
                    "period": {"blocks": [[list(a), rat_str(o)] for a, o in cl.period_blocks],
                               "duration": rat_str(cl.period_duration)}}, args.pretty)
-            return OK
-        _emit(tss_to_json(word_to_tss(unroll(
-            loaded, duration(loaded.prefix) + 2 * loaded.period_duration))), args.pretty)
+        else:
+            _emit(tss_to_json(word_to_tss(unroll(
+                loaded, duration(loaded.prefix) + 2 * loaded.period_duration))), args.pretty)
         return OK
     if isinstance(loaded, TimedStateSequence):
         raise MtlsemError("state sequences are encoding targets, not sources")
     if args.to == "word":
         _emit(word_to_json(loaded), args.pretty)
     elif args.to == "compact":
-        cw = compact(loaded)
-        _emit({"blocks": [[list(a), rat_str(t)] for a, t in cw.blocks]}, args.pretty)
+        _emit(_blocks_json(compact(loaded)), args.pretty)
     else:
         _emit(tss_to_json(word_to_tss(loaded)), args.pretty)
     return OK

@@ -4,7 +4,10 @@
 block; `to_tss` fills the holes between block timestamps with non-punctual
 empty steps, yielding an action-based timed state sequence.  The index helpers
 relate block coordinates (k, j) to word positions and timestamps to block
-indices, by bisection on the block times and ends.
+indices, by bisection on the block ends and the block ticks.
+
+`compact` and `uncompact` read and build the models' columns, the actions and
+the ticks (see `structures`), and build no `Fraction`.
 
 `to_tss` maps block ticks to step keys (see `structures`): the punctual step
 (3v, 3v) of each block tick v, and the open filler (3v + 1, 3v' - 1) between
@@ -33,7 +36,7 @@ from .errors import (
     SeamStutterError,
 )
 from .formulas import Formula, Until, fold, horizon
-from .intervals import interval, rational
+from .intervals import interval, rational, tick_text, time_key
 from .structures import (
     CompactTimedWord,
     Lasso,
@@ -47,20 +50,18 @@ from .structures import (
 
 def compact(rho: TimedWord) -> CompactTimedWord:
     """Collapse each maximal flat run of ticks into a block keeping the action order."""
-    if not rho.events:
+    if not rho.actions:
         raise EmptyWordError("empty timed word")
     D0, ticks = rho.ticks
-    acts, times, runs = rho.actions, rho.times, mfs_decompose(ticks).runs()
-    cw = CompactTimedWord(tuple([(acts[i:j + 1], times[i]) for i, j in runs]))
-    cw.__dict__["ticks"] = (D0, tuple([ticks[i] for i, _ in runs]))  # as `ticks` would compute it
-    return cw
+    acts, runs = rho.actions, mfs_decompose(ticks).runs()
+    return CompactTimedWord.on_base(tuple([acts[i:j + 1] for i, j in runs]), D0,
+                                    [ticks[i] for i, _ in runs])
 
 
 def uncompact(cw: CompactTimedWord) -> TimedWord:
-    events = []
-    for acts, t in cw.blocks:
-        events.extend((a, t) for a in acts)
-    return TimedWord(tuple(events))
+    D0, ticks = cw.ticks
+    return TimedWord.on_base(tuple([a for acts in cw.actions for a in acts]), D0,
+                             [v for acts, v in zip(cw.actions, ticks) for _ in acts])
 
 
 def to_tss(cw: CompactTimedWord) -> TimedStateSequence:
@@ -71,7 +72,7 @@ def to_tss(cw: CompactTimedWord) -> TimedStateSequence:
     empty = frozenset()
     D0, ticks = cw.ticks
     keys, props = [], []
-    for k, ((acts, _), v) in enumerate(zip(cw.blocks, ticks)):
+    for k, (acts, v) in enumerate(zip(cw.actions, ticks)):
         if k:
             if not prev < v:
                 raise NonMonotoneError(k)
@@ -94,7 +95,7 @@ def _block_ends(cw: CompactTimedWord):
     """Cumulative last word-positions per block (the flat-run boundary sequence)."""
     ends = []
     total = -1
-    for acts, _ in cw.blocks:
+    for acts in cw.actions:
         total += len(acts)
         ends.append(total)
     return ends
@@ -102,9 +103,9 @@ def _block_ends(cw: CompactTimedWord):
 
 def word_position(cw: CompactTimedWord, k: int, j: int) -> int:
     """Word position of the j-th action of block k."""
-    if not (0 <= k < len(cw.blocks)):
+    if not (0 <= k < len(cw.actions)):
         raise IndexError(f"block index {k} out of range")
-    if not (0 <= j < len(cw.blocks[k][0])):
+    if not (0 <= j < len(cw.actions[k])):
         raise IndexError(f"position {j} out of range in block {k}")
     if k == 0:
         return j
@@ -122,13 +123,16 @@ def block_position(cw: CompactTimedWord, i: int) -> tuple:
 
 def block_index_at(cw: CompactTimedWord, t) -> int | None:
     """Block index whose timestamp is exactly t, None for hole times.  The
-    domain runs from the first block to the last, as the mixed oracle's grid."""
+    domain runs from the first block to the last, as the mixed oracle's grid.
+    It bisects the block ticks at t's key (see `intervals.time_key`)."""
     t = t if isinstance(t, Fraction) else rational(t)
-    times = cw.times
-    if t < times[0] or t > times[-1]:
-        raise OutOfDomainError(f"time {t} outside [{times[0]}, {times[-1]}]")
-    k = bisect_left(times, t)  # t <= the last time, so k is a block
-    return k if times[k] == t else None
+    D0, ticks = cw.ticks
+    T = time_key(t, D0)
+    if T < 3 * ticks[0] or T > 3 * ticks[-1]:
+        raise OutOfDomainError(
+            f"time {t} outside [{tick_text(ticks[0], D0)}, {tick_text(ticks[-1], D0)}]")
+    k = bisect_left(ticks, T // 3)  # T <= the last block's key, so k is a block
+    return k if 3 * ticks[k] == T else None
 
 
 # ---------------------------------------------------------------------------

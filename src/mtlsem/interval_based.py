@@ -20,12 +20,14 @@ construction of Maler & Nickovic, FORMATS 2004).  `_until_bases` runs it for
 the mixed line too: there each time key owns J slots, one per block position
 (see `mixed`), a part's bases start at the point right before it and its
 window ends at the point right after it, and distances are read off the time
-keys.  With J = 1 this is the dense rule above.
+keys.  With J = 1 this is the dense rule above.  `_sat_dense` is the one fold
+of `itw`, `its` and `mx`; on the lex line it also reads `beta` and the
+witnesses inside a block (`_same_block_bases`).
 
 Sets are key lists on an integer time base (see `intervals`).  Each entry
-point reads the model's integer column, the word's ticks or the state
-sequence's step keys, and takes D once, from its base D0 and
-`finite_window_bounds(f)`; the fold runs on ints only.  `sat_set_*` returns
+point reads the model's integer columns, the word's actions and ticks or the
+state sequence's step keys and propositions, and takes D once, from its base
+D0 and `finite_window_bounds(f)`; the fold runs on ints only.  `sat_set_*` returns
 the root's key list as an `IntervalSet` on that base, `sat_sets_*` every set
 of the table; a set builds its Intervals only when a caller reads its parts.
 `eval_*` and the lasso verdict bisect the root's keys at one key and build no
@@ -47,6 +49,7 @@ from .errors import OutOfDomainError
 from .formulas import (
     And,
     Atom,
+    Beta,
     Formula,
     Not,
     Until,
@@ -118,22 +121,48 @@ def _until_bases(f: list, g: list, w: tuple, domain: tuple, J: int = 1, last=Non
     return out
 
 
-def _sat_dense(atom_parts, domain: tuple, D: int, f: Formula) -> dict:
+def _same_block_bases(f: list, g: list, multi: list) -> list:
+    """The slots (v, j) witnessed later in their own block (`multi`: start slot,
+    size): g's parts past a block's first slot and f's run before each, less 1."""
+    inner = [(s + 1, s + n - 1) for s, n in multi]
+    runs = intersect_keys(f, inner)
+    out = []
+    i = 0
+    for lo, hi in intersect_keys(g, inner):
+        while i < len(runs) and runs[i][1] < lo - 1:
+            i += 1
+        if i < len(runs) and runs[i][0] < lo:
+            lo = runs[i][0]
+        out.append((lo - 1, hi - 1))
+    return out
+
+
+def _sat_dense(atom_parts, domain: tuple, D: int, f: Formula, J: int = 1, multi=()) -> dict:
     """The dense algebra on keys: atom_parts(name) are the atom's key pairs,
     negation is complement in the domain, conjunction intersection, Until
-    `_until_bases`."""
+    `_until_bases`.  On the mixed line (see `mixed`) each time key owns J
+    slots and `multi` lists the blocks of two or more positions (start slot,
+    size): `beta` drops their later positions, and a window holding 0 adds
+    the witnesses inside a block (`_same_block_bases`)."""
     full = [domain]
+    last = {s // J: n - 1 for s, n in multi}  # the offset of each block's last point
 
     def visit(node, l=None, r=None) -> list:
         match node:
             case Atom(name):
                 return normalize_keys(atom_parts(name))
+            case Beta():
+                return difference_keys(full, [(s + 1, s + J - 1) for s, _ in multi])
             case Not():
                 return difference_keys(full, l)
             case And():
                 return intersect_keys(l, r)
             case Until(_, w, _):
-                return normalize_keys(_until_bases(l, r, interval_keys(w, D), domain))
+                w = interval_keys(w, D)
+                bases = _until_bases(l, r, w, domain, J, last)
+                if w[0] == 0:
+                    bases += _same_block_bases(l, r, multi)
+                return normalize_keys(bases)
     return fold(f, visit)
 
 

@@ -257,15 +257,18 @@ def key_intervals(D: int, keys) -> tuple:
 _OPEN_INF = Bound(INF, False)
 
 
+def tick_text(v: int, D: int) -> str:
+    """The tick v on the time base D as `rat_str` prints its value, by one int
+    gcd: str(Fraction(v, D))."""
+    g = math.gcd(v, D)
+    return str(v // g) if g == D else f"{v // g}/{D // g}"
+
+
 def key_texts(D: int, keys) -> list:
     """Each key pair on the time base D as `str(Interval)` prints it, by int
     arithmetic."""
-    def text(k) -> str:  # str(Fraction((k + 1) // 3, D)), by one int gcd
-        v = (k + 1) // 3
-        g = math.gcd(v, D)
-        return str(v // g) if g == D else f"{v // g}/{D // g}"
-    return [("(" if lo % 3 else "[") + text(lo) + ","
-            + ("inf)" if hi == INF else text(hi) + (")" if hi % 3 else "]"))
+    return [("(" if lo % 3 else "[") + tick_text((lo + 1) // 3, D) + ","
+            + ("inf)" if hi == INF else tick_text((hi + 1) // 3, D) + (")" if hi % 3 else "]"))
             for lo, hi in keys]
 
 

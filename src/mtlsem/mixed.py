@@ -19,25 +19,27 @@ difference from the domain (3J*t0, 3J*t_end + J - 1); the position-zero atom
 `beta` is the domain minus the slots 3vJ + 1 to 3vJ + J - 1 of every block
 with s >= 2.
 
-Until.  `interval_based._until_bases` decomposes by the maximal parts of the
-left operand's set, with J and the last-point offsets of the block time keys.
-A part's bases start at the point right before it (the floor), its witness
-window ends at the point right after it, and distances are read off the time
-keys k // J.  This covers every witness at a strictly later time.  When the
-window holds 0, a base (v, j) also holds if some later position of its own
-block holds g with f at every position strictly between them: one sweep over
-the parts of g and f inside blocks (`_same_block_bases`).
+Until.  The fold is `interval_based._sat_dense`, the dense engines' own,
+given J and the blocks of two or more positions.  Its `_until_bases`
+decomposes by the maximal parts of the left operand's set, with J and the
+last-point offsets of the block time keys.  A part's bases start at the
+point right before it (the floor), its witness window ends at the point
+right after it, and distances are read off the time keys k // J.  This
+covers every witness at a strictly later time.  When the window holds 0, a
+base (v, j) also holds if some later position of its own block holds g with
+f at every position strictly between them: one sweep over the parts of g and
+f inside blocks (`_same_block_bases`).
 
 The engine runs on an integer time base (see `intervals`): `sat_sets_mx` and
-`sat_set_mx` read the block ticks `cw.ticks` and take D once, from their base
-and `finite_window_bounds(f)`.  `_mx_table` builds only what the fold reads:
-the slots of the atoms f names, `beta` when the fold reaches it, and the
-blocks of two or more positions.  A returned `MixedSet` holds its lex keys
-and the grid its table shares (D, J, the block starts and sizes).  Its grid
-points and its gap are built on first read, part by part, bisecting the block
-starts: the gap is its time keys k // J less the stamps inside, an
-`IntervalSet` on D.  `eval_mx` tests one key and builds no set: at a block
-point its slot, at a gap time any of the time key's J slots.
+`sat_set_mx` read the compact word's columns, the block ticks `cw.ticks` and
+the blocks' actions `cw.actions`, and take D once, from their base and
+`finite_window_bounds(f)`.  `_mx_table` builds the grid and only the slots of
+the atoms f names.  A returned `MixedSet` holds its lex keys and the grid its
+table shares (D, J, the block starts and sizes).  Its grid points and its gap
+are built on first read, part by part, bisecting the block starts: the gap is
+its time keys k // J less the stamps inside, an `IntervalSet` on D.
+`eval_mx` tests one key and builds no set: at a block point its slot, at a
+gap time any of the time key's J slots.
 
 A lasso verdict is an exact boolean: `encodings.lasso_instance` bounds the
 formula and unrolls the lasso, and the verdict is whether the root holds the
@@ -50,31 +52,11 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 
-from .formulas import (
-    And,
-    Atom,
-    Beta,
-    Formula,
-    Not,
-    Until,
-    atoms,
-    finite_window_bounds,
-    fold,
-)
-from .intervals import (
-    IntervalSet,
-    difference_keys,
-    intersect_keys,
-    interval_keys,
-    meets,
-    normalize_keys,
-    rational,
-    rebased,
-    time_key,
-)
+from .formulas import Formula, atoms, finite_window_bounds
+from .intervals import IntervalSet, meets, normalize_keys, rational, rebased, time_key
 from .structures import CompactTimedWord, Lasso
 from .encodings import block_index_at, compact, lasso_instance
-from .interval_based import _until_bases
+from .interval_based import _sat_dense
 
 NO_ACTION = "⊢"  # the internal no-action sentinel filling gap times
 
@@ -82,7 +64,7 @@ NO_ACTION = "⊢"  # the internal no-action sentinel filling gap times
 def compact_at(cw: CompactTimedWord, t) -> tuple:
     """The action sequence read at time t: a block's actions or the no-action mark."""
     k = block_index_at(cw, t)  # domain-checks t
-    return cw.blocks[k][0] if k is not None else (NO_ACTION,)
+    return cw.actions[k] if k is not None else (NO_ACTION,)
 
 
 class MixedSet:
@@ -137,54 +119,20 @@ class MixedSet:
         return f"MixedSet(points={pts}, gap={self.gap})"
 
 
-def _same_block_bases(f: list, g: list, multi: list) -> list:
-    """The slots (v, j) witnessed later in their own block (`multi`: start slot,
-    size): g's parts past a block's first slot and f's run before each, less 1."""
-    inner = [(s + 1, s + n - 1) for s, n in multi]
-    runs = intersect_keys(f, inner)
-    out = []
-    i = 0
-    for lo, hi in intersect_keys(g, inner):
-        while i < len(runs) and runs[i][1] < lo - 1:
-            i += 1
-        if i < len(runs) and runs[i][0] < lo:
-            lo = runs[i][0]
-        out.append((lo - 1, hi - 1))
-    return out
-
-
 def _mx_table(cw: CompactTimedWord, f: Formula):
     """The lex-key table of f over cw, and its grid (D, J, block starts, block sizes)."""
     D, times = rebased(cw.ticks, finite_window_bounds(f))
-    sizes = [len(acts) for acts, _ in cw.blocks]
+    sizes = [len(acts) for acts in cw.actions]
     J = max(sizes)
     starts = [3 * J * v for v in times]  # the slot of each block's position 0
-    multi = [(s, n) for s, n in zip(starts, sizes) if n > 1]
-    last = {s // J: n - 1 for s, n in multi}
-    domain = (starts[0], starts[-1] + J - 1)
     slots = {name: [] for name in atoms(f)}  # the slots of each atom the formula names
-    for s, n, (acts, _) in zip(starts, sizes, cw.blocks):
+    for s, n, acts in zip(starts, sizes, cw.actions):
         for j, a in enumerate(acts):
             if a in slots:
                 slots[a].append((s + j, s + J - 1 if j == n - 1 else s + j))
-
-    def visit(node, l=None, r=None) -> list:
-        match node:
-            case Atom(name):
-                return normalize_keys(slots[name])
-            case Beta():
-                return difference_keys([domain], [(s + 1, s + J - 1) for s, _ in multi])
-            case Not():
-                return difference_keys([domain], l)
-            case And():
-                return intersect_keys(l, r)
-            case Until(_, w, _):
-                w = interval_keys(w, D)
-                bases = _until_bases(l, r, w, domain, J, last)
-                if w[0] == 0:
-                    bases += _same_block_bases(l, r, multi)
-                return normalize_keys(bases)
-    return fold(f, visit), (D, J, starts, sizes)
+    multi = [(s, n) for s, n in zip(starts, sizes) if n > 1]
+    table = _sat_dense(lambda name: slots[name], (starts[0], starts[-1] + J - 1), D, f, J, multi)
+    return table, (D, J, starts, sizes)
 
 
 def sat_sets_mx(cw: CompactTimedWord, f: Formula) -> dict:
@@ -202,7 +150,7 @@ def sat_set_mx(cw: CompactTimedWord, f: Formula) -> MixedSet:
 def eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
     t = t if isinstance(t, Fraction) else rational(t)
     k = block_index_at(cw, t)  # domain-checks t
-    size = len(cw.blocks[k][0]) if k is not None else 1
+    size = len(cw.actions[k]) if k is not None else 1
     if not 0 <= j < size:
         raise IndexError(f"position {j} out of range at time {t}")
     table, (D, J, starts, _) = _mx_table(cw, f)

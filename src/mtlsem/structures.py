@@ -7,25 +7,25 @@ adjacent intervals.  Infinite words are represented by lassos (finite prefix
 plus a repeating timed period) and are non-Zeno by construction since the
 period duration must be positive.
 
-The columns of a word or compact word are computed once per object, on first
-read, and shared by every later reader; equality and hashing still depend on
-the events or blocks alone.  Words and compact words have `times` and the
-integer column `ticks` that the engines read.  A state sequence holds only its
-columns, the key pair of each step on the integer base and its propositions;
-its checks, lookups, equality and rendering read the keys, and it builds the
-`Interval`s of its `steps` on first read (see `TimedStateSequence`).
+Every model holds only its integer columns (see `intervals`).  A word or
+compact word holds `actions`, one action per event or one tuple of actions per
+block, and `ticks`, (D0, each timestamp times D0 as an int) on the least base
+D0 that holds them; equality and hashing read the two columns.  `times` and
+`events` (`blocks`) are `Fraction` views, built on first read with one
+Fraction per distinct stamp.  A state sequence holds the key pair of each step
+on the integer base and its propositions; its checks, lookups, equality and
+rendering read the keys, and it builds the `Interval`s of its `steps` on first
+read (see `TimedStateSequence`).
 
-Words loaded from JSON and unrolled from lassos are built on the integer base
-and carry their ticks from construction.  `word_or_lasso_from_json` reads each
-timestamp text to its (numerator, denominator) pair, puts them all on one time
-base and checks monotonicity and the zero start on the ints; `unroll` lays
-the prefix, the offsets and the period on one base.  Either moves the ticks to
-the least base that holds them, the D0 of `tick_column`, seeds `ticks`,
-`times` and `actions`, and builds one Fraction per distinct stamp.
-`validate_word` runs the same checks on the ticks of in-memory events, one
-tick at a time, and keeps no column: a word held in memory pays for its
-column once an engine reads it, and the check leaves no short-lived column
-behind in the heap of a program that builds many words.
+`TimedWord(events)` and `CompactTimedWord(blocks)` turn their pairs into the
+columns; they check nothing.  Every other constructor gives ticks on some base
+D to `on_base`, which moves them to the least base, D / gcd(D, every tick):
+`validate_word`, `validate_compact` and `word_or_lasso_from_json` after one
+check of the ticks (`_checked`), `unroll` and the encodings without one.
+`word_or_lasso_from_json` reads each distinct timestamp text once, to its
+(numerator, denominator) pair, and puts them all on one time base; `unroll`
+lays the prefix, the offsets and the period on one base.  Text output renders
+the ticks with int arithmetic (`time_texts`), as `rat_str` prints the values.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import islice
+from operator import le, lt
 
 from .errors import (
     AdjacencyError,
@@ -56,30 +58,85 @@ from .intervals import (
     rat_str,
     rational,
     tick_column,
+    tick_text,
     time_base,
     time_key,
 )
 
 
-@dataclass(frozen=True)
-class TimedWord:
-    events: tuple  # of (action, Fraction)
+class _OnTicks:
+    """The two columns of a word or compact word, `actions` and `ticks` on the
+    least base, and the views built from them (see the module docstring)."""
 
-    ticks = cached_property(lambda self: tick_column(self.times))
+    def __init__(self, pairs):
+        pairs = tuple(pairs)
+        self.actions = tuple([a for a, _ in pairs])
+        self.ticks = tick_column([t for _, t in pairs])  # reduced Fractions: the least base
+
+    @classmethod
+    def on_base(cls, actions: tuple, D: int, ticks):
+        """The model of the actions at the ticks on the time base D, moved to
+        the least base that holds them: D / gcd(D, every tick)."""
+        g = math.gcd(D, *ticks)
+        self = object.__new__(cls)
+        self.actions = actions
+        self.ticks = (D // g, tuple(ticks) if g == 1 else tuple([v // g for v in ticks]))
+        return self
 
     @cached_property
-    def actions(self):
-        return tuple(a for a, _ in self.events)
+    def times(self) -> tuple:
+        """The timestamps, one Fraction per distinct tick."""
+        D0, ticks = self.ticks
+        of = {v: Fraction(v, D0) for v in set(ticks)}
+        return tuple([of[v] for v in ticks])
 
-    @cached_property
-    def times(self):
-        return tuple(t for _, t in self.events)
+    def time_texts(self) -> list:
+        """Each timestamp as `rat_str` prints it, rendered from the ticks."""
+        D0, ticks = self.ticks
+        return [tick_text(v, D0) for v in ticks]
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__
+                and self.ticks == other.ticks and self.actions == other.actions)
+
+    def __hash__(self):
+        return hash((self.actions, self.ticks))
 
     def __len__(self):
-        return len(self.events)
+        return len(self.actions)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+def _pairs(model: _OnTicks) -> tuple:
+    return tuple(zip(model.actions, model.times))
+
+
+class TimedWord(_OnTicks):
+    """(action, timestamp) events with non-decreasing timestamps."""
+
+    events = cached_property(_pairs)  # (action, Fraction) pairs
 
     def __str__(self):
-        return "".join(f"({a},{rat_str(t)})" for a, t in self.events)
+        return "".join(f"({a},{text})" for a, text in zip(self.actions, self.time_texts()))
+
+
+def _checked(cls, actions: tuple, D: int, ticks, allow_nonzero_start: bool):
+    """The model `cls` of the actions at the ticks on the time base D, once
+    they are found to be one: non-empty, ticks non-decreasing (strictly
+    increasing for blocks), the first 0 unless `allow_nonzero_start`."""
+    compact = cls is CompactTimedWord
+    if not ticks:
+        raise EmptyWordError("empty compact timed word" if compact else "empty timed word")
+    ordered = lt if compact else le
+    if not all(map(ordered, ticks, islice(ticks, 1, None))):
+        raise NonMonotoneError(next(pos for pos in range(1, len(ticks))
+                                    if not ordered(ticks[pos - 1], ticks[pos])))
+    if ticks[0] and not allow_nonzero_start:
+        raise FirstTimestampError("first block timestamp must be 0" if compact else
+                                  f"first timestamp is {tick_text(ticks[0], D)}, expected 0")
+    return cls.on_base(actions, D, ticks)
 
 
 def validate_word(events, allow_nonzero_start: bool = False) -> TimedWord:
@@ -87,43 +144,9 @@ def validate_word(events, allow_nonzero_start: bool = False) -> TimedWord:
 
     `allow_nonzero_start` admits raw words whose first timestamp is positive.
     """
-    events = tuple((a, t if isinstance(t, Fraction) else rational(t)) for a, t in events)
-    D0 = time_base(t for _, t in events)
-    # one tick at a time: a column kept here costs memory in every word held
-    # long, and one built and dropped here slowed later engine calls on the words
-    _check_ticks(D0, (t.numerator * (D0 // t.denominator) for _, t in events),
-                 allow_nonzero_start)
-    return TimedWord(events)
-
-
-def _check_ticks(D0: int, ticks, allow_nonzero_start: bool):
-    """Raise unless the ticks, on the time base D0, are a word's: non-empty,
-    non-decreasing, and starting at 0 unless `allow_nonzero_start`."""
-    ticks = iter(ticks)
-    first = prev = next(ticks, None)
-    if first is None:
-        raise EmptyWordError("empty timed word")
-    for pos, v in enumerate(ticks, 1):
-        if v < prev:
-            raise NonMonotoneError(pos)
-        prev = v
-    if first and not allow_nonzero_start:
-        raise FirstTimestampError(
-            f"first timestamp is {rat_str(Fraction(first, D0))}, expected 0")
-
-
-def _word_on_ticks(actions: tuple, D: int, ticks: list, times: tuple = ()) -> TimedWord:
-    """The word of the actions at the ticks on the time base D, its columns
-    seeded as the cached properties would compute them: the ticks move to the
-    least base that holds them, the D0 of `tick_column`, and each distinct tick
-    past the `times` the caller already holds gets one Fraction."""
-    g = math.gcd(D, *ticks)
-    D0, ticks = D // g, tuple(ticks if g == 1 else [v // g for v in ticks])
-    of = {v: Fraction(v, D0) for v in set(ticks[len(times):])}
-    times += tuple([of[v] for v in ticks[len(times):]])
-    w = TimedWord(tuple(zip(actions, times)))
-    w.__dict__.update(actions=actions, times=times, ticks=(D0, ticks))
-    return w
+    events = tuple(events)
+    D, ticks = tick_column([t if isinstance(t, Fraction) else rational(t) for _, t in events])
+    return _checked(TimedWord, tuple([a for a, _ in events]), D, ticks, allow_nonzero_start)
 
 
 def word(text_pairs) -> TimedWord:
@@ -132,22 +155,18 @@ def word(text_pairs) -> TimedWord:
 
 
 def duration(rho: TimedWord) -> Fraction:
-    return rho.events[-1][1]
+    D0, ticks = rho.ticks
+    return Fraction(ticks[-1], D0)
 
 
 def is_stutter_free(rho: TimedWord) -> bool:
     """No action occurs twice at the same timestamp."""
-    seen = set()
-    for a, t in rho.events:
-        if (a, t) in seen:
-            return False
-        seen.add((a, t))
-    return True
+    return len(set(zip(rho.actions, rho.ticks[1]))) == len(rho)
 
 
 def is_strictly_monotone(rho: TimedWord) -> bool:
-    times = rho.times
-    return all(times[i - 1] < times[i] for i in range(1, len(times)))
+    ticks = rho.ticks[1]
+    return all(map(lt, ticks, islice(ticks, 1, None)))
 
 
 @dataclass(frozen=True)
@@ -177,42 +196,24 @@ def mfs_decompose(times) -> MfsIndex:
 # ---------------------------------------------------------------------------
 # compact timed words
 
-@dataclass(frozen=True)
-class CompactTimedWord:
-    blocks: tuple  # of (actions tuple, Fraction timestamp)
+class CompactTimedWord(_OnTicks):
+    """Ordered action blocks at strictly increasing timestamps: `actions`
+    holds one tuple of actions per block."""
 
-    ticks = cached_property(lambda self: tick_column(self.times))
-
-    @cached_property
-    def times(self):
-        return tuple(t for _, t in self.blocks)
-
-    def __len__(self):
-        return len(self.blocks)
+    blocks = cached_property(_pairs)  # (actions tuple, Fraction) pairs
 
     def __str__(self):
-        return "".join(
-            "((" + ",".join(acts) + f"),{rat_str(t)})" for acts, t in self.blocks
-        )
+        return "".join("((" + ",".join(acts) + f"),{text})"
+                       for acts, text in zip(self.actions, self.time_texts()))
 
 
 def validate_compact(blocks, allow_nonzero_start: bool = False) -> CompactTimedWord:
-    blocks = tuple((tuple(acts), t if isinstance(t, Fraction) else rational(t)) for acts, t in blocks)
-    if not blocks:
-        raise EmptyWordError("empty compact timed word")
-    for acts, _ in blocks:
-        if not acts:
-            raise EmptyWordError("empty action block")
-    for pos in range(1, len(blocks)):
-        if blocks[pos][1] <= blocks[pos - 1][1]:
-            raise NonMonotoneError(pos)
-    if blocks[0][1] != 0 and not allow_nonzero_start:
-        raise FirstTimestampError("first block timestamp must be 0")
-    return CompactTimedWord(blocks)
-
-
-def compact_duration(cw: CompactTimedWord) -> Fraction:
-    return cw.blocks[-1][1]
+    blocks = tuple(blocks)
+    D, ticks = tick_column([t if isinstance(t, Fraction) else rational(t) for _, t in blocks])
+    actions = tuple([tuple(acts) for acts, _ in blocks])
+    if not all(actions):
+        raise EmptyWordError("empty action block")
+    return _checked(CompactTimedWord, actions, D, ticks, allow_nonzero_start)
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +370,14 @@ def unroll(l: Lasso, horizon) -> TimedWord:
         acts += l.period_actions[:k]
         out += [start + o for o in offsets[:k]]
         start += period
-    return _word_on_ticks(tuple(acts), D, out, l.prefix.times)
+    return TimedWord.on_base(tuple(acts), D, out)
 
 
 # ---------------------------------------------------------------------------
 # JSON wire formats
 
 def word_to_json(rho: TimedWord) -> dict:
-    return {"events": [[a, rat_str(t)] for a, t in rho.events]}
+    return {"events": [[a, text] for a, text in zip(rho.actions, rho.time_texts())]}
 
 
 def lasso_to_json(l: Lasso) -> dict:
@@ -424,8 +425,7 @@ def _strings(values: list, path: str) -> list:
 def word_or_lasso_from_json(obj, allow_nonzero_start: bool = False):
     """A word or lasso from its JSON object.  Each distinct timestamp text is
     read once to its (numerator, denominator) pair, all of them go on one time
-    base, and the checks run on the ticks; the events' Fractions are built from
-    the ticks."""
+    base, and the checks run on the ticks."""
     actions, ratios = [], []
     seen = {}  # each distinct stamp's pair; a bool (True == 1) or a list is never looked up
     for i, e in enumerate(_field(obj, "events", "", list, "a list of [action, time] pairs")):
@@ -436,10 +436,8 @@ def word_or_lasso_from_json(obj, allow_nonzero_start: bool = False):
         ratio = seen.get(t) if type(t) in (str, int) else None
         ratios.append(ratio or seen.setdefault(t, _rational_field(t, "events[{}][1]", i)))
     D = math.lcm(*{d for _, d in ratios})
-    ticks = [n * (D // d) for n, d in ratios]
-    ratios = None  # freed before the Fractions are built
-    w = _word_on_ticks(tuple(actions), D, ticks)
-    _check_ticks(*w.ticks, allow_nonzero_start)
+    w = _checked(TimedWord, tuple(actions), D, [n * (D // d) for n, d in ratios],
+                 allow_nonzero_start)
     if "period" not in obj:
         return w
     p = _field(obj, "period", "", dict, "an object")

@@ -179,15 +179,32 @@ class TestLassoSurface:
     def test_encode(self, swap_lasso, capsys, to, want):
         assert run(capsys, "encode", "--to", to, "--word", swap_lasso) == (0, want + "\n")
 
+    SEAM = {"events": [["a", "0"], ["b", "1"]], "period": {
+        "actions": ["a"], "offsets": ["0"], "duration": "1"}}
+
     def test_encode_rejects_a_seam_stutter(self, tmp_path, capsys):
+        """Only the compact encoding keeps blocks apart at the seam."""
         p = tmp_path / "seam.json"
-        p.write_text(json.dumps({"events": [["a", "0"], ["b", "1"]], "period": {
-            "actions": ["c"], "offsets": ["0"], "duration": "1"}}))
-        for to in ("compact", "tss"):
-            assert main(["encode", "--to", to, "--word", str(p)]) == 3
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "coincides with the prefix end" in captured.err
+        p.write_text(json.dumps(self.SEAM))
+        assert main(["encode", "--to", "compact", "--word", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "coincides with the prefix end" in captured.err
+
+    def test_encode_tss_reads_a_seam_stutter(self, tmp_path, capsys):
+        from mtlsem.encodings import word_to_tss
+        from mtlsem.structures import duration, tss_to_json, unroll, word_or_lasso_from_json
+
+        p = tmp_path / "seam.json"
+        p.write_text(json.dumps(self.SEAM))
+        l = word_or_lasso_from_json(self.SEAM)
+        want = tss_to_json(word_to_tss(unroll(l, duration(l.prefix) + 2 * l.period_duration)))
+        assert run(capsys, "encode", "--to", "tss", "--word", str(p)) == (
+            0, json.dumps(want, sort_keys=True) + "\n")
+        assert want["steps"][2] == [["a", "b"], "[1,1]"]  # the seam's two events, one step
+        code, out = run(capsys, "eval", "--semantics", "itw", "--formula", "F[1,1] (a & b)",
+                        "--word", str(p))
+        assert (code, json.loads(out)["verdict"]) == (0, "true")
 
 
 class TestOtherCommands:
@@ -549,3 +566,67 @@ class TestStateSequencesBuildNoSteps:
 
         load_input(kappa1).steps
         assert len(conversions) == 1
+
+
+class TestWordsBuildNoViews:
+    """The CLI reads a word's columns, its actions and ticks: evaluating,
+    printing the sets of, encoding and checking a word or lasso build none of
+    its `Fraction` views (`times`, `events`, `blocks`)."""
+
+    @pytest.fixture
+    def views(self, monkeypatch):
+        from mtlsem.structures import CompactTimedWord, TimedWord, _OnTicks
+
+        calls = []
+        for cls, name in ((_OnTicks, "times"), (TimedWord, "events"),
+                          (CompactTimedWord, "blocks")):
+            prop = vars(cls)[name]
+
+            def counted(model, real=prop.func, name=name):
+                calls.append(name)
+                return real(model)
+            monkeypatch.setattr(prop, "func", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--semantics", "pw", "--position", "1", "--formula", "F[0,3] c"),
+        ("eval", "--semantics", "itw", "--time", "1/2", "--formula", "a U(0,3] c"),
+        ("eval", "--semantics", "its", "--time", "1/2", "--formula", "F[0,1] b"),
+        ("eval", "--semantics", "mx", "--time", "1", "--pos", "1", "--formula", "beta U[0,1] c"),
+        ("satset", "--semantics", "itw", "--formula", "(a | b) U(1/2,2] c"),
+        ("satset", "--semantics", "its", "--formula", "(a | b) U(1/2,2] c"),
+        ("satset", "--semantics", "mx", "--formula", "(a | b) U[0,2] c"),
+        ("encode", "--to", "word"),
+        ("encode", "--to", "compact"),
+        ("encode", "--to", "tss"),
+        ("check",),
+    ], ids=lambda argv: "-".join(argv[:3]))
+    def test_word_commands(self, views, capsys, rho1, argv):
+        assert main([*argv, "--word", rho1]) in (0, 1)
+        capsys.readouterr()
+        assert views == []
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--semantics", "pw", "--formula", "G F c"),
+        ("eval", "--semantics", "itw", "--formula", "G F c"),
+        ("eval", "--semantics", "mx", "--formula", "G F c"),
+        ("encode", "--to", "word"),
+        ("encode", "--to", "compact"),
+        ("encode", "--to", "tss"),
+        ("check",),
+    ], ids=lambda argv: "-".join(argv[:3]))
+    def test_lasso_commands(self, views, capsys, swap_lasso, argv):
+        assert main([*argv, "--word", swap_lasso]) in (0, 1)
+        capsys.readouterr()
+        assert views == []
+
+    def test_reading_a_view_builds_it_once(self, views, rho1):
+        from mtlsem.encodings import compact
+        from mtlsem.structures import load_input
+
+        w = load_input(rho1)
+        assert w.events == w.events and w.times == w.times
+        assert sorted(views) == ["events", "times"]
+        cw = compact(w)
+        assert cw.blocks == cw.blocks
+        assert sorted(views) == ["blocks", "events", "times", "times"]

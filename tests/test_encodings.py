@@ -1,6 +1,7 @@
 """Maps between timed words, compact timed words and state sequences."""
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,37 @@ class TestIndexHelpers:
                 assert block_index_at(cw, t) == k
                 if k:
                     assert block_index_at(cw, (cw.blocks[k - 1][1] + t) / 2) is None
+
+
+    def test_block_index_at_against_a_fraction_bisection(self):
+        """At every stamp, midpoint, time off the word's base and time outside
+        the blocks, on bases up to 3 * (2^64 + 13) and with nonzero starts."""
+        big = 2**64 + 13
+        rng = random.Random(27)
+        for _ in range(300):
+            D = rng.choice((1, 3, 10, big, 3 * big))
+            t = Fraction(rng.choice((0, 0, 1, 2 * big)), D)
+            blocks = []
+            for _ in range(rng.randint(1, 8)):
+                blocks.append((tuple(rng.sample("abc", rng.randint(1, 3))), t))
+                t += Fraction(rng.choice((1, 2, D, 3 * D + 1)), D)
+            cw = validate_compact(blocks, allow_nonzero_start=True)
+            times = [s for _, s in blocks]
+            probes = set(times) | {(a + b) / 2 for a, b in zip(times, times[1:])}
+            probes |= {s + Fraction(1, 7 * big) for s in times}
+            probes |= {s - Fraction(1, 7 * big) for s in times if s > 0}
+            probes |= {times[-1] + 1, times[-1] + Fraction(1, 3 * D)}
+            if times[0] > 0:
+                probes |= {Fraction(0), times[0] / 2}
+            for s in probes:
+                if s < times[0] or s > times[-1]:
+                    with pytest.raises(OutOfDomainError) as exc:
+                        block_index_at(cw, s)
+                    assert str(exc.value) == f"time {s} outside [{times[0]}, {times[-1]}]"
+                    continue
+                k = bisect_left(times, s)
+                assert block_index_at(cw, s) == (k if times[k] == s else None), (blocks, s)
+            assert set(vars(cw)) == {"actions", "ticks"}  # no view was built
 
 
 class TestLassoEncodings:

@@ -16,9 +16,11 @@ from mtlsem.errors import (
     NonMonotoneError,
     OutOfDomainError,
 )
-from mtlsem.intervals import interval, tick_column
+from mtlsem.encodings import compact, uncompact
+from mtlsem.intervals import interval, rat_str, tick_column
 from mtlsem.oracle import gen_lasso, gen_word
 from mtlsem.structures import (
+    CompactTimedWord,
     TimedWord,
     duration,
     is_action_based,
@@ -31,6 +33,7 @@ from mtlsem.structures import (
     tss_from_json,
     tss_to_json,
     unroll,
+    validate_compact,
     validate_tss,
     validate_word,
     word,
@@ -63,6 +66,39 @@ class TestValidateWord:
     def test_empty(self):
         with pytest.raises(EmptyWordError):
             validate_word([])
+
+
+class TestValidateCompact:
+    @pytest.mark.parametrize("blocks, position", [
+        ([(("a",), "0"), (("b",), "1"), (("c",), "1")], 2),
+        ([(("a",), "0"), (("b",), "0")], 1),
+        ([(("a",), "0"), (("b",), "2"), (("c",), "3/2"), (("a",), "4")], 2),
+        ([(("a",), "0"), (("b",), "1/2"), (("c",), "0.50")], 2),
+    ], ids=["equal", "equal-first", "decreasing", "equal-padded"])
+    def test_block_times_strictly_increase(self, blocks, position):
+        with pytest.raises(NonMonotoneError) as exc:
+            validate_compact(blocks)
+        assert exc.value.position == position
+
+    @pytest.mark.parametrize("blocks, allow, error, message", [
+        ([], False, EmptyWordError, "empty compact timed word"),
+        ([(("a",), "0"), ((), "1")], False, EmptyWordError, "empty action block"),
+        ([(("a",), "1/2")], False, FirstTimestampError, "first block timestamp must be 0"),
+    ], ids=["empty", "empty-block", "nonzero-start"])
+    def test_rejections(self, blocks, allow, error, message):
+        with pytest.raises(error) as exc:
+            validate_compact(blocks, allow)
+        assert str(exc.value) == message
+
+    def test_nonzero_start_with_flag(self):
+        cw = validate_compact([(("a", "b"), "1/2"), (("c",), "1")], allow_nonzero_start=True)
+        assert cw.blocks == ((("a", "b"), Fraction(1, 2)), (("c",), Fraction(1)))
+
+    def test_word_rejection_messages(self):
+        with pytest.raises(EmptyWordError, match="^empty timed word$"):
+            validate_word([])
+        with pytest.raises(FirstTimestampError, match="^first timestamp is 2/3, expected 0$"):
+            validate_word([("a", "4/6")])
 
 
 class TestDuration:
@@ -417,6 +453,15 @@ def _corpus_words():
         yield seed, validate_word([(a, t * SCALES[seed % len(SCALES)]) for a, t in w.events])
 
 
+def stored(w):
+    """The columns w holds before any view is read: only its actions and its
+    ticks, on the least base that holds them."""
+    assert set(vars(w)) == {"actions", "ticks"}, vars(w).keys()
+    D0, ticks = w.ticks
+    assert type(ticks) is tuple and math.gcd(D0, *ticks) == 1
+    return w.actions, w.ticks
+
+
 class TestLoadedWordsCarryTicks:
     def test_loaded_words_equal_validated_fraction_words(self):
         rng = random.Random(15)
@@ -425,18 +470,19 @@ class TestLoadedWordsCarryTicks:
                         {"events": [[a, _texts(rng, t)] for a, t in w.events]}):
                 got = word_or_lasso_from_json(obj)
                 want = validate_word([(a, _reference_value(t)) for a, t in obj["events"]])
+                assert stored(got) == stored(want)
+                assert stored(got) == (tuple(a for a, _ in w.events),
+                                       tick_column([t for _, t in w.events]))
                 assert got == want == w, (seed, obj)
-                seeded = got.__dict__
-                assert seeded["ticks"] == tick_column(got.times) == want.ticks
-                assert seeded["actions"] == tuple(a for a, _ in w.events)
-                assert seeded["times"] == tuple(t for _, t in w.events)
+                assert got.times == tuple(t for _, t in w.events)
 
     def test_unreduced_and_padded_texts_read_as_their_value(self):
         padded = word_or_lasso_from_json(
             {"events": [["a", 0], ["b", "2/4"], ["c", "0.50"], ["a", 1], ["b", "3.30"]]})
         plain = word([("a", "0"), ("b", "1/2"), ("c", "1/2"), ("a", "1"), ("b", "33/10")])
+        assert stored(padded) == stored(plain)
+        assert padded.ticks == (10, (0, 5, 5, 10, 33)) == tick_column(plain.times)
         assert padded == plain
-        assert padded.__dict__["ticks"] == (10, (0, 5, 5, 10, 33)) == tick_column(plain.times)
         assert word_to_json(padded) == word_to_json(plain)
 
     def test_nonzero_start_words_keep_their_base(self):
@@ -445,8 +491,8 @@ class TestLoadedWordsCarryTicks:
             shift = Fraction(seed % 7, 3)
             events = [[a, _texts(rng, t + shift)] for a, t in w.events]
             got = word_or_lasso_from_json({"events": events}, allow_nonzero_start=True)
+            assert stored(got)[1] == tick_column([t + shift for _, t in w.events])
             assert got.times == tuple(t + shift for _, t in w.events)
-            assert got.__dict__["ticks"] == tick_column(got.times)
 
     def test_loaded_lassos_equal_their_source(self):
         rng = random.Random(17)
@@ -458,14 +504,106 @@ class TestLoadedWordsCarryTicks:
             obj["period"]["offsets"] = [_texts(rng, _reference_value(o))
                                         for o in obj["period"]["offsets"]]
             got = word_or_lasso_from_json(obj)
+            assert stored(got.prefix) == stored(l.prefix)
             assert got == l, seed
-            assert got.prefix.__dict__["ticks"] == tick_column(got.prefix.times)
 
     def test_validated_words_read_their_ticks(self):
         for seed, w in _corpus_words():
             got = validate_word(w.events)
-            assert got.ticks == tick_column(tuple(t for _, t in w.events))
-            assert got.actions == tuple(a for a, _ in w.events)
+            assert stored(got) == (tuple(a for a, _ in w.events),
+                                   tick_column(tuple(t for _, t in w.events)))
+
+
+# ---------------------------------------------------------------------------
+# words and compact words on their columns, against their Fraction pairs
+
+BIG = 2**64 + 13  # a prime denominator past 64 bits
+BASES = (1, 3, 10, BIG, 3 * BIG)
+
+
+def _random_events(rng, start=Fraction(0)):
+    """Up to 12 events on a random base of BASES, with stutters and repeats."""
+    D = rng.choice(BASES)
+    t, out = start, []
+    for _ in range(rng.randint(1, 12)):
+        out.append((rng.choice("abc"), t))
+        t += Fraction(rng.choice((0, 0, 1, 2, D, 3 * D + 1)), D)
+    return out
+
+
+def _blocks_of(events):
+    """The compact blocks of events, by Fraction comparison."""
+    blocks = []
+    for a, t in events:
+        if blocks and blocks[-1][1] == t:
+            blocks[-1] = (blocks[-1][0] + (a,), t)
+        else:
+            blocks.append(((a,), t))
+    return blocks
+
+
+def _texts_of(events):
+    return [(a, rat_str(t)) for a, t in events]
+
+
+class TestWordColumns:
+    def test_events_and_blocks_round_trip(self):
+        rng = random.Random(18)
+        for _ in range(400):
+            events = _random_events(rng, rng.choice((Fraction(0), Fraction(5, BIG))))
+            blocks = _blocks_of(events)
+            allow = events[0][1] != 0
+            for w in (TimedWord(events), validate_word(events, allow),
+                      validate_word(_texts_of(events), allow),
+                      word_or_lasso_from_json(word_to_json(TimedWord(events)), allow)):
+                assert w.events == tuple(events) and w.actions == tuple(a for a, _ in events)
+                assert w.times == tuple(t for _, t in events)
+            for cw in (CompactTimedWord(blocks), validate_compact(blocks, allow),
+                       compact(TimedWord(events))):
+                assert cw.blocks == tuple(blocks)
+                assert uncompact(cw).events == tuple(events)
+
+    def test_equality_and_hash_across_constructors(self):
+        rng = random.Random(19)
+        for _ in range(400):
+            events = _random_events(rng)
+            tail = rng.choice(("a", "b"))
+            l = lasso(TimedWord(events), [tail], ["1"], "2")
+            whole = events + [(tail, events[-1][1] + 1)]
+            words = [TimedWord(whole), validate_word(whole), validate_word(_texts_of(whole)),
+                     word_or_lasso_from_json({"events": [list(e) for e in _texts_of(whole)]}),
+                     unroll(l, events[-1][1] + 1), unroll(l, events[-1][1] + Fraction(5, 2)),
+                     uncompact(compact(TimedWord(whole))),
+                     uncompact(validate_compact(_blocks_of(whole)))]
+            for w in words:
+                assert w == words[0] and hash(w) == hash(words[0])
+                assert stored(w) == stored(words[0])
+            cws = [CompactTimedWord(_blocks_of(whole)), validate_compact(_blocks_of(whole)),
+                   compact(words[0]), compact(words[3])]
+            for cw in cws:
+                assert cw == cws[0] and hash(cw) == hash(cws[0]) and stored(cw) == stored(cws[0])
+            assert cws[0] != words[0]
+            moved = TimedWord([(a, t + Fraction(1, BIG)) for a, t in whole])
+            assert moved != words[0] and moved.ticks != words[0].ticks
+
+    def test_rendering_matches_the_fraction_rendering(self):
+        rng = random.Random(20)
+        for _ in range(400):
+            events = _random_events(rng, rng.choice((Fraction(0), Fraction(7, 3 * BIG))))
+            allow = events[0][1] != 0
+            want = "".join(f"({a},{rat_str(t)})" for a, t in events)
+            want_json = json.dumps({"events": [[a, rat_str(t)] for a, t in events]})
+            blocks = _blocks_of(events)
+            want_compact = "".join("((" + ",".join(acts) + f"),{rat_str(t)})"
+                                   for acts, t in blocks)
+            for w in (TimedWord(events), validate_word(_texts_of(events), allow),
+                      word_or_lasso_from_json({"events": [list(e) for e in _texts_of(events)]},
+                                              allow)):
+                assert str(w) == want
+                assert json.dumps(word_to_json(w)) == want_json
+                assert str(compact(w)) == want_compact
+                assert compact(w).time_texts() == [rat_str(t) for _, t in blocks]
+                assert set(vars(w)) == {"actions", "ticks"}  # rendered without a view
 
 
 def _reference_unroll(l, horizon: Fraction) -> TimedWord:
@@ -496,9 +634,9 @@ class TestUnrollOnTicks:
             for h in (p, p + P, p + 3 * P, p + Fraction(1, 7), p + 2 * P + Fraction(5, 11),
                       p + 4 * P - Fraction(1, 7)):
                 got, want = unroll(l, h), _reference_unroll(l, h)
+                assert stored(got) == stored(want)
                 assert got == want, (seed, h)
-                assert got.actions == want.actions
-                assert got.__dict__["ticks"] == tick_column(got.times)
+                assert got.events == want.events
 
     def test_horizon_below_the_prefix_is_rejected(self):
         l = lasso(word(RHO1), ["c"], ["1"], "1")
