@@ -6,9 +6,9 @@ endpoints, shifted by signed sums of window bounds up to the temporal nesting
 depth), on which every subformula is piecewise constant, and then decide each
 quantifier by scanning pieces: a piece is a critical point or the open interval
 between two neighbours, represented by the point itself or the midpoint.  The
-only arithmetic is intersecting a candidate piece with the base's shifted
-window; witnesses are never sampled, so window endpoints that fall strictly
-inside a piece are still found.
+only arithmetic is comparing a candidate piece with the base's shifted window;
+witnesses are never sampled, so window endpoints that fall strictly inside a
+piece are still found.
 
 The mixed oracle reads the same pieces from the first block on, with one
 point per block position (its offset j) in place of each block's timestamp.
@@ -17,6 +17,12 @@ the base's own block lies at distance 0 from it.
 
 Piecewise constancy itself is checked empirically by double sampling in the
 test suite, not assumed silently.
+
+A table costs one frontier closure for the critical values (each round
+shifts only the values the last one added), one step lookup per piece (its:
+one walk, pieces and steps both in time order), per Until and base the
+window's absolute ends once, then the scan: still the literal quantifier
+over later pieces, on `Fraction`s.  A lookup is a dict or a bisection.
 
 The oracles keep two traversals of their own, one over positions (pw),
 evaluated on demand, and one over pieces (itw, its, mx).  Both run on the
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 from .errors import OutOfDomainError
@@ -54,7 +61,6 @@ from .structures import (
     Lasso,
     TimedStateSequence,
     TimedWord,
-    duration,
     lasso,
     validate_tss,
     word,
@@ -65,9 +71,7 @@ from .structures import (
 # critical points
 
 def _base_values(structure):
-    if isinstance(structure, TimedWord):
-        return sorted(set(structure.times)), Fraction(0), duration(structure)
-    if isinstance(structure, CompactTimedWord):
+    if isinstance(structure, (TimedWord, CompactTimedWord)):
         return sorted(set(structure.times)), Fraction(0), structure.times[-1]
     if isinstance(structure, TimedStateSequence):
         vals = set()
@@ -80,33 +84,26 @@ def _base_values(structure):
 
 
 def critical_values(structure, f: Formula):
-    """The depth-closed critical values (no midpoints), domain endpoints included."""
+    """The depth-closed critical values (no midpoints), domain endpoints included.
+
+    Each round shifts only the values new since the last: an older value's
+    shifts are in the set already.  A bound 0 shifts nothing and is skipped.
+    """
     vals, lo, hi = _base_values(structure)
-    current = set(vals) | {lo, hi}
-    bounds = finite_window_bounds(f)
+    current = frontier = set(vals) | {lo, hi}
+    bounds = [b for b in finite_window_bounds(f) if b]
     for _ in range(temporal_depth(f)):
-        nxt = set(current)
-        for t in current:
-            for b in bounds:
-                for cand in (t + b, t - b):
-                    if lo <= cand <= hi:
-                        nxt.add(cand)
-        if nxt == current:
+        frontier = ({c for c in (t + b for t in frontier for b in bounds) if c <= hi}
+                    | {c for c in (t - b for t in frontier for b in bounds) if c >= lo}) - current
+        if not frontier:
             break
-        current = nxt
+        current = current | frontier
     return sorted(current)
 
 
 def critical_points(structure, f: Formula):
     """Critical values plus the midpoint of every neighbouring pair, sorted."""
-    return _with_midpoints(critical_values(structure, f))
-
-
-def _with_midpoints(vals) -> list:
-    out = list(vals)
-    for a, b in zip(vals, vals[1:]):
-        out.append((a + b) / 2)
-    return sorted(out)
+    return [p.rep for p in _pieces(critical_values(structure, f))]
 
 
 # ---------------------------------------------------------------------------
@@ -122,36 +119,30 @@ class _Piece:
         self.j = j  # the position within a block (mixed pieces only)
         self.rep = lo if is_point else (lo + hi) / 2
 
-    def window_hits(self, base: Fraction, w: Interval) -> bool:
-        """Does this piece, met after the base, hold a time t' with t' - base in w?
-
-        A point met after the base lies at or after it: at it exactly for a
-        later position of the base's own block, which is a hit when w holds 0.
-        An open piece is intersected with the window and with (base, inf).
-        """
-        if self.is_point:
-            return w.contains(self.lo - base)
-        w_lo = base + w.lo.value
-        w_hi = INF if w.hi.value == INF else base + w.hi.value
-        lo_k = max((self.lo, 1), (base, 1), (w_lo, 0 if w.lo.closed else 1))
-        hi_k = min((self.hi, -1), (w_hi, 0 if w.hi.closed else -1))
-        return lo_k <= hi_k
-
 
 def _pieces(values) -> list:
-    out = []
-    for i, v in enumerate(values):
-        out.append(_Piece(v, v, True))
-        if i + 1 < len(values):
-            out.append(_Piece(v, values[i + 1], False))
+    out = [_Piece(values[0], values[0], True)]
+    for a, b in zip(values, values[1:]):
+        out += (_Piece(a, b, False), _Piece(b, b, True))
     return out
 
 
-def _piece_index(pieces, t, j=0) -> int:
-    for i, p in enumerate(pieces):
-        if p.j == j and (p.lo == t if p.is_point else p.lo < t < p.hi):
-            return i
-    raise OutOfDomainError(f"({t}, {j}) is not on the piece grid")
+def _lookup(pieces, truth):
+    """The truth at (t, j) in a piece table: in an open piece (j = 0 only) by
+    bisection over their ends, else at a point piece by its key (t, j)."""
+    points = {(p.lo, p.j): v for p, v in zip(pieces, truth) if p.is_point}
+    spans = [(p.hi, p.lo, v) for p, v in zip(pieces, truth) if not p.is_point]
+    ends = [hi for hi, _, _ in spans]
+
+    def at(t, j=0):
+        i = bisect_right(ends, t)  # the first open piece ending after t
+        if j == 0 and i < len(spans) and spans[i][1] < t:
+            return spans[i][2]
+        if (t, j) not in points:
+            raise OutOfDomainError(f"({t}, {j}) is not on the piece grid")
+        return points[t, j]
+
+    return at
 
 
 def _demand(clauses, root, memo: dict):
@@ -182,17 +173,18 @@ def _demand(clauses, root, memo: dict):
     return memo[root]
 
 
-def _piece_truth(pieces, atom_truth, f: Formula, beta: bool = False):
+def _piece_truth(pieces, holds, f: Formula, beta: bool = False):
     """Bottom-up truth arrays over pieces; Until scans pieces with exact windows.
 
-    `beta` admits the position-zero atom, which holds at every piece with j = 0.
+    `holds[i]` holds the atoms true on piece i.  `beta` admits the
+    position-zero atom, which holds at every piece with j = 0.
     """
     n = len(pieces)
 
     def sat(node):
         match node:
             case Atom(name):
-                return [atom_truth(name, p) for p in pieces]
+                return [name in h for h in holds]
             case Beta() if beta:
                 return [p.j == 0 for p in pieces]
             case Not(arg):
@@ -202,27 +194,38 @@ def _piece_truth(pieces, atom_truth, f: Formula, beta: bool = False):
                 return [a and b for a, b in zip(lv, rv)]
             case Until(l, w, r):
                 lv, rv = (yield l), (yield r)
-                return [_until_at(i, w, lv, rv) for i in range(n)]
+                return _until(w, lv, rv)
             case _:
                 raise TypeError(f"not a formula: {node!r}")
 
-    def _until_at(i, w, lv, rv):
-        base = pieces[i].rep
-        ok = True
-        if not pieces[i].is_point:
-            if lv[i] and rv[i] and pieces[i].window_hits(base, w):
-                return True
-            ok = lv[i]  # the rest of the base piece must be crossed
-        for ip in range(i + 1, n):
-            pc = pieces[ip]
-            if not ok:
-                return False
-            if rv[ip] and (pc.is_point or lv[ip]) and pc.window_hits(base, w):
-                return True
-            ok = ok and lv[ip]
-            if w.hi.value != INF and pc.lo > base + w.hi.value:
-                return False
-        return False
+    def _until(w, lv, rv):
+        """Per base: a later t' with t' - base in w where r holds, and l on
+        (base, t')?  The scan starts at an open base's own piece, which l must
+        cross.  A point piece, at or after the base, is tested against the
+        window's absolute ends with their flags; an open piece (a, b) meets
+        the window past the base iff a < hi and lo < b, when w holds a time
+        past 0."""
+        lo_w, hi_w, bounded = w.lo.value, w.hi.value, w.hi.value != INF
+        opens = hi_w > 0
+
+        def hits(p, lo, hi):
+            if not p.is_point:
+                return opens and lo < p.hi and (not bounded or p.lo < hi)
+            return ((lo < p.lo or w.lo.closed and lo == p.lo)
+                    and (not bounded or p.lo < hi or w.hi.closed and p.lo == hi))
+
+        def at(i):
+            base = pieces[i].rep
+            lo, hi = base + lo_w, (base + hi_w if bounded else None)
+            for ip in range(i + pieces[i].is_point, n):
+                p = pieces[ip]
+                if rv[ip] and (p.is_point or lv[ip]) and hits(p, lo, hi):
+                    return True
+                if not lv[ip] or bounded and p.lo > hi:
+                    return False
+            return False
+
+        return [at(i) for i in range(n)]
 
     return _demand(sat, f, {})
 
@@ -230,46 +233,36 @@ def _piece_truth(pieces, atom_truth, f: Formula, beta: bool = False):
 # ---------------------------------------------------------------------------
 # oracles
 
-def _dense_oracle(values, f: Formula, atom_truth):
-    """Truth of f at any time on the grid of the critical `values`, from one piece table."""
-    pieces = _pieces(values)
-    truth = _piece_truth(pieces, atom_truth, f)
-    return lambda t: truth[_piece_index(pieces, t)]
-
-
-def _itw_oracle(rho: TimedWord, f: Formula, values):
+def _itw_oracle(rho: TimedWord, f: Formula, pieces):
     stamp_acts = {}
     for a, ts in rho.events:
         stamp_acts.setdefault(ts, set()).add(a)
-
-    def atom_truth(name, p):
-        return p.is_point and name in stamp_acts.get(p.lo, ())
-
-    return _dense_oracle(values, f, atom_truth)
+    holds = [stamp_acts.get(p.lo, ()) if p.is_point else () for p in pieces]
+    return _lookup(pieces, _piece_truth(pieces, holds, f))
 
 
-def _its_oracle(kappa: TimedStateSequence, f: Formula, values):
-    def atom_truth(name, p):
-        for props, iv in kappa.steps:
-            if iv.contains(p.rep):
-                return name in props
-        return False
-
-    return _dense_oracle(values, f, atom_truth)
+def _its_oracle(kappa: TimedStateSequence, f: Formula, pieces):
+    """Each piece's step found in one walk: pieces and steps are in time order."""
+    steps, k, holds = kappa.steps, 0, []
+    for p in pieces:
+        while not steps[k][1].contains(p.rep):
+            k += 1
+        holds.append(steps[k][0])
+    return _lookup(pieces, _piece_truth(pieces, holds, f))
 
 
 def oracle_eval_itw(rho: TimedWord, t, f: Formula) -> bool:
     t = t if isinstance(t, Fraction) else rational(t)
-    if t < 0 or t > duration(rho):
-        raise OutOfDomainError(f"time {t} outside [0, {duration(rho)}]")
-    return _itw_oracle(rho, f, critical_values(rho, f))(t)
+    if t < 0 or t > rho.times[-1]:
+        raise OutOfDomainError(f"time {t} outside [0, {rho.times[-1]}]")
+    return _itw_oracle(rho, f, _pieces(critical_values(rho, f)))(t)
 
 
 def oracle_eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
     t = t if isinstance(t, Fraction) else rational(t)
     if t < kappa.steps[0][1].lo.value or t > kappa.steps[-1][1].hi.value:
-        raise OutOfDomainError("time outside the covered span")
-    return _its_oracle(kappa, f, critical_values(kappa, f))(t)
+        raise OutOfDomainError(f"time {t} outside the covered span")
+    return _its_oracle(kappa, f, _pieces(critical_values(kappa, f)))(t)
 
 
 def _pw_oracle(rho: TimedWord, f: Formula):
@@ -286,7 +279,10 @@ def _pw_oracle(rho: TimedWord, f: Formula):
             case And(l, r):
                 return (yield l, k) and (yield r, k)
             case Until(l, w, r):
+                end = times[k] + w.hi.value if w.hi.value != INF else None
                 for j in range(k + 1, len(times)):
+                    if end is not None and times[j] > end:
+                        break  # past the window: no later witness
                     if not (w.contains(times[j] - times[k]) and (yield r, j)):
                         continue
                     for m in range(k + 1, j):
@@ -308,26 +304,30 @@ def oracle_eval_pw(rho: TimedWord, i: int, f: Formula) -> bool:
     return _pw_oracle(rho, f)(i)
 
 
-def _mx_oracle(cw: CompactTimedWord, f: Formula, values):
-    """The dense pieces from the first block on, one point per block position."""
+def _mx_oracle(cw: CompactTimedWord, f: Formula, dense):
+    """The `dense` pieces from the first block on, one point per block position."""
     blocks = {t: acts for acts, t in cw.blocks}
-    pieces = []
-    for p in _pieces(values):
+    pieces, holds = [], []
+    for p in dense:
         if p.is_point and p.lo in blocks:
-            pieces.extend(_Piece(p.lo, p.lo, True, j) for j in range(len(blocks[p.lo])))
+            for j, act in enumerate(blocks[p.lo]):
+                pieces.append(_Piece(p.lo, p.lo, True, j))
+                holds.append((act,))
         elif p.lo >= cw.times[0]:
             pieces.append(p)
-
-    def atom_truth(name, p):
-        return p.is_point and p.lo in blocks and blocks[p.lo][p.j] == name
-
-    truth = _piece_truth(pieces, atom_truth, f, beta=True)
-    return lambda t, j: truth[_piece_index(pieces, t, j)]
+            holds.append(())
+    return _lookup(pieces, _piece_truth(pieces, holds, f, beta=True))
 
 
 def oracle_eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
     t = t if isinstance(t, Fraction) else rational(t)
-    return _mx_oracle(cw, f, critical_values(cw, f))(t, j)
+    times = cw.times
+    if t < times[0] or t > times[-1]:
+        raise OutOfDomainError(f"time {t} outside [{times[0]}, {times[-1]}]")
+    size = next((len(acts) for acts, s in cw.blocks if s == t), 1)
+    if not 0 <= j < size:
+        raise IndexError(f"position {j} out of range at time {t}")
+    return _mx_oracle(cw, f, _pieces(critical_values(cw, f)))(t, j)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +339,8 @@ def differential(engine: str, structure, f: Formula):
     `engine` is pw, itw, its or mx; `structure` is the timed word, state
     sequence or compact word it reads.  The samples are every position (pw),
     every critical point (itw, its), or every grid position and every critical
-    point off the block times (mx).  The critical values are computed once,
-    for the oracle table and the samples, and each oracle table is built once.
+    point off the block times (mx).  The pieces are built once, for the oracle
+    table and the samples (their representatives), and so is each table.
     A divergence is {"at": sample, "engine": verdict, "oracle": verdict}.
     """
     if engine == "pw":
@@ -349,17 +349,17 @@ def differential(engine: str, structure, f: Formula):
     elif engine in ("itw", "its"):
         sat_set, oracle = ((sat_set_itw, _itw_oracle) if engine == "itw"
                            else (sat_set_its, _its_oracle))
-        vals = critical_values(structure, f)
-        got, truth = sat_set(structure, f), oracle(structure, f, vals)
-        checks = ((rat_str(t), got.member(t), truth(t)) for t in _with_midpoints(vals))
+        pieces = _pieces(critical_values(structure, f))
+        got, truth = sat_set(structure, f), oracle(structure, f, pieces)
+        checks = ((rat_str(p.rep), got.member(p.rep), truth(p.rep)) for p in pieces)
     else:
-        vals = critical_values(structure, f)
-        got, truth = sat_set_mx(structure, f), _mx_oracle(structure, f, vals)
+        pieces = _pieces(critical_values(structure, f))
+        got, truth = sat_set_mx(structure, f), _mx_oracle(structure, f, pieces)
         stamps = set(structure.times)
         grid = (([rat_str(t), j], (k, j) in got.points, truth(t, j))
                 for k, (acts, t) in enumerate(structure.blocks) for j in range(len(acts)))
-        gaps = (([rat_str(t), 0], got.gap.member(t), truth(t, 0))
-                for t in _with_midpoints(vals) if t not in stamps)
+        gaps = (([rat_str(p.rep), 0], got.gap.member(p.rep), truth(p.rep, 0))
+                for p in pieces if p.rep not in stamps)
         checks = itertools.chain(grid, gaps)
     for at, mine, want in checks:
         if mine != want:

@@ -452,6 +452,40 @@ class TestExitCodes:
         assert code == 4
         assert err.strip() == "internal error: ZeroDivisionError: boom"
 
+    @pytest.mark.parametrize("point", [
+        ("its", "--time", "4"),
+        ("mx", "--time", "4"),
+        ("mx", "--time", "1", "--pos", "2"),
+        ("mx", "--time", "1", "--pos", "-1"),
+        ("mx", "--time", "1/2", "--pos", "1"),
+        ("itw", "--time", "4"),
+        ("pw", "--position", "4"),
+    ], ids=" ".join)
+    def test_oracle_rejects_a_point_off_the_domain_as_eval_does(self, rho1, capsys, point):
+        sem, *where = point
+        got = []
+        for command in ("eval", "oracle"):
+            code = main([command, "--semantics", sem, *where, "--formula", "a", "--word", rho1])
+            got.append((code, capsys.readouterr().err))
+        assert got[0][0] == 3 and got[0][1].startswith("error: ")
+        assert got[1] == got[0]
+
+    @pytest.mark.parametrize("point", [("its", "1/2", "0"), ("mx", "1/2", "0"),
+                                       ("mx", "2", "2")], ids=" ".join)
+    def test_oracle_rejects_a_point_before_a_late_start_as_eval_does(
+            self, tmp_path, capsys, point):
+        sem, t, j = point
+        p = tmp_path / "late.json"
+        p.write_text(json.dumps({"events": [["a", "1"], ["b", "2"], ["b", "2"]]}))
+        got = []
+        for command in ("eval", "oracle"):
+            code = main([command, "--semantics", sem, "--time", t, "--formula", "a",
+                         "--allow-nonzero-start", "--word", str(p)]
+                        + (["--pos", j] if sem == "mx" else []))
+            got.append((code, capsys.readouterr().err))
+        assert got[0][0] == 3 and got[0][1].startswith("error: ")
+        assert got[1] == got[0]
+
 
 class TestOneParser:
     """`main` parses every argv against the one parser built at import."""

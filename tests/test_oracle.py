@@ -7,8 +7,22 @@ from fractions import Fraction
 import pytest
 
 from mtlsem import oracle
-from mtlsem.encodings import word_to_tss
-from mtlsem.formulas import alphabet, is_bounded, parse
+from mtlsem.encodings import compact, word_to_tss
+from mtlsem.errors import OutOfDomainError
+from mtlsem.formulas import (
+    And,
+    Atom,
+    Beta,
+    Not,
+    Until,
+    alphabet,
+    finite_window_bounds,
+    is_bounded,
+    parse,
+    subformulas,
+    temporal_depth,
+)
+from mtlsem.intervals import INF, punctual
 from mtlsem.oracle import (
     critical_points,
     critical_values,
@@ -24,11 +38,13 @@ from mtlsem.structures import (
     duration,
     is_action_based,
     unroll,
+    validate_compact,
     validate_word,
     word,
 )
 
 ABC = alphabet("a,b,c")
+ALPHABET_ABCD = alphabet("a,b,c,d")
 RHO1 = word([("a", "0"), ("b", "1"), ("a", "1"), ("c", "3.3")])
 WINDOWED_C = parse("F(0,1) F[0,3.5] c", ABC)
 
@@ -64,12 +80,212 @@ class TestCriticalPoints:
                 Fraction(0), duration(rho))
             assert critical_values(rho, f) == vals
 
+    F_NOW_A, A_UNTIL_B = parse("F[0,0] a", ABC), parse("a U[0,2] b", ABC)
+
+    def test_matches_hand_recurrence_on_every_structure(self):
+        # compact words and state sequences too, and windows with a 0 or
+        # punctual bound around a random formula
+        for seed in range(300):
+            rho, g = gen_word(seed), gen_formula(seed * 23 + 5, ABC)
+            formulas = [g, And(g, self.F_NOW_A), Until(self.A_UNTIL_B, punctual(1), g)]
+            for structure in (rho, compact(rho), word_to_tss(rho), gen_ka(seed)):
+                if hasattr(structure, "steps"):
+                    ends = [iv.lo.value for _, iv in structure.steps]
+                    lo, hi = ends[0], structure.steps[-1][1].hi.value
+                    times = ends + [hi]
+                else:
+                    times, lo, hi = structure.times, Fraction(0), structure.times[-1]
+                for f in formulas:
+                    vals = closure_by_hand(
+                        times, finite_window_bounds(f), temporal_depth(f), lo, hi)
+                    assert critical_values(structure, f) == vals, (str(structure), f)
+
     def test_no_windows_gives_timestamps(self):
         got = critical_points(RHO1, parse("a", ABC))
         assert [v for v in got if v in set(RHO1.times)] == sorted(set(RHO1.times))
 
     def test_single_event(self):
         assert critical_points(word([("a", 0)]), parse("a", ABC)) == [0]
+
+
+# ---------------------------------------------------------------------------
+# the literal piece scan, kept as the reference for the oracle's tables: the
+# window ends rebuilt for every scanned piece, a linear piece search, and a
+# step scan for each (atom, piece) pair
+
+def _reference_window_hits(p, base, w):
+    if p.is_point:
+        return w.contains(p.lo - base)
+    w_lo = base + w.lo.value
+    w_hi = INF if w.hi.value == INF else base + w.hi.value
+    lo_k = max((p.lo, 1), (base, 1), (w_lo, 0 if w.lo.closed else 1))
+    hi_k = min((p.hi, -1), (w_hi, 0 if w.hi.closed else -1))
+    return lo_k <= hi_k
+
+
+def _reference_until_at(pieces, i, w, lv, rv):
+    base = pieces[i].rep
+    ok = True
+    if not pieces[i].is_point:
+        if lv[i] and rv[i] and _reference_window_hits(pieces[i], base, w):
+            return True
+        ok = lv[i]
+    for ip in range(i + 1, len(pieces)):
+        pc = pieces[ip]
+        if not ok:
+            return False
+        if rv[ip] and (pc.is_point or lv[ip]) and _reference_window_hits(pc, base, w):
+            return True
+        ok = ok and lv[ip]
+        if w.hi.value != INF and pc.lo > base + w.hi.value:
+            return False
+    return False
+
+
+def _reference_truth(pieces, atom_truth, f, beta=False):
+    sat = {}
+    for node in [*subformulas(f), f]:
+        match node:
+            case Atom(name):
+                sat[node] = [atom_truth(name, p) for p in pieces]
+            case Beta() if beta:
+                sat[node] = [p.j == 0 for p in pieces]
+            case Not(arg):
+                sat[node] = [not v for v in sat[arg]]
+            case And(l, r):
+                sat[node] = [a and b for a, b in zip(sat[l], sat[r])]
+            case Until(l, w, r):
+                sat[node] = [_reference_until_at(pieces, i, w, sat[l], sat[r])
+                             for i in range(len(pieces))]
+            case _:
+                raise TypeError(f"not a formula: {node!r}")
+    return sat[f]
+
+
+def _reference_piece_index(pieces, t, j=0):
+    for i, p in enumerate(pieces):
+        if p.j == j and (p.lo == t if p.is_point else p.lo < t < p.hi):
+            return i
+    raise OutOfDomainError(f"({t}, {j}) is not on the piece grid")
+
+
+def _reference_lookup(pieces, atom_truth, f, beta=False):
+    truth = _reference_truth(pieces, atom_truth, f, beta)
+    return pieces, lambda t, j=0: truth[_reference_piece_index(pieces, t, j)]
+
+
+def _reference_itw(rho, f, vals):
+    stamp_acts = {}
+    for a, ts in rho.events:
+        stamp_acts.setdefault(ts, set()).add(a)
+    return _reference_lookup(
+        oracle._pieces(vals), lambda name, p: p.is_point and name in stamp_acts.get(p.lo, ()), f)
+
+
+def _reference_its(kappa, f, vals):
+    def atom_truth(name, p):
+        for props, iv in kappa.steps:
+            if iv.contains(p.rep):
+                return name in props
+        return False
+
+    return _reference_lookup(oracle._pieces(vals), atom_truth, f)
+
+
+def _reference_mx(cw, f, vals):
+    blocks = {t: acts for acts, t in cw.blocks}
+    pieces = []
+    for p in oracle._pieces(vals):
+        if p.is_point and p.lo in blocks:
+            pieces.extend(oracle._Piece(p.lo, p.lo, True, j) for j in range(len(blocks[p.lo])))
+        elif p.lo >= cw.times[0]:
+            pieces.append(p)
+    return _reference_lookup(
+        pieces, lambda name, p: p.is_point and p.lo in blocks and blocks[p.lo][p.j] == name,
+        f, beta=True)
+
+
+def _reference_pw(rho, f):
+    """Every position's truth, every later position tried for each Until."""
+    times, n, sat = rho.times, len(rho), {}
+    for node in [*subformulas(f), f]:
+        match node:
+            case Atom(name):
+                sat[node] = [a == name for a in rho.actions]
+            case Not(arg):
+                sat[node] = [not v for v in sat[arg]]
+            case And(l, r):
+                sat[node] = [a and b for a, b in zip(sat[l], sat[r])]
+            case Until(l, w, r):
+                sat[node] = [any(w.contains(times[j] - times[k]) and sat[r][j]
+                                 and all(sat[l][k + 1:j]) for j in range(k + 1, n))
+                             for k in range(n)]
+    return sat[f]
+
+
+def _outcome(lookup, t, j):
+    try:
+        return lookup(t, j)
+    except OutOfDomainError:
+        return OutOfDomainError
+
+
+def _assert_lookups_agree(got, reference, vals):
+    """Every piece's representative and a second interior point of every open
+    piece, and off the grid: before the first value, past the last, j < 0,
+    before the table's first piece (a mixed word's first block), j past a
+    block's size and j > 0 inside an open piece."""
+    pieces, want = reference
+    samples = [(p.rep, p.j) for p in pieces]
+    samples += [(p.lo + (p.hi - p.lo) / 3, 0) for p in pieces if not p.is_point]
+    off = [(vals[0] - 1, 0), (vals[-1] + 1, 0), (vals[0], -1), (pieces[-1].rep, -1)]
+    off += [(p.rep, 0) for p in oracle._pieces(vals) if p.lo < pieces[0].lo]
+    must_raise = len(off)
+    off += [(p.lo, p.j + 1) for p in pieces if p.is_point]
+    off += [(p.rep, 1) for p in pieces if not p.is_point]
+    for t, j in samples + off:
+        mine = _outcome(got, t, j)
+        assert mine == _outcome(want, t, j), (t, j)
+        assert (t, j) not in off[:must_raise] or mine is OutOfDomainError, (t, j)
+
+
+class TestTablesAgainstTheLiteralScan:
+    """The oracle's tables and lookups against the literal scan above, on
+    larger words and deeper formulas than the fuzzer draws."""
+
+    SEEDS = range(1500)
+
+    def test_itw(self):
+        for seed in self.SEEDS:
+            rho, f = gen_word(seed, max_len=10), gen_formula(seed * 7 + 3, ABC, max_depth=5)
+            vals = critical_values(rho, f)
+            _assert_lookups_agree(oracle._itw_oracle(rho, f, oracle._pieces(vals)),
+                                  _reference_itw(rho, f, vals), vals)
+
+    def test_its(self):
+        for seed in self.SEEDS:
+            f = gen_formula(seed * 7 + 3, ALPHABET_ABCD, max_depth=5)
+            for kappa in (gen_ka(seed), word_to_tss(gen_word(seed, max_len=10))):
+                vals = critical_values(kappa, f)
+                _assert_lookups_agree(oracle._its_oracle(kappa, f, oracle._pieces(vals)),
+                                      _reference_its(kappa, f, vals), vals)
+
+    def test_mx(self):
+        for seed in self.SEEDS:
+            cw = compact(gen_word(seed, max_len=10))
+            if seed % 2:  # a first block past 0: the pieces before it are off the grid
+                cw = validate_compact([(acts, t + Fraction(1, 2)) for acts, t in cw.blocks],
+                                      allow_nonzero_start=True)
+            f = gen_formula(seed * 7 + 3, ABC, max_depth=5, allow_beta=True)
+            vals = critical_values(cw, f)
+            _assert_lookups_agree(oracle._mx_oracle(cw, f, oracle._pieces(vals)),
+                                  _reference_mx(cw, f, vals), vals)
+
+    def test_pw(self):
+        for seed in self.SEEDS:
+            rho, f = gen_word(seed, max_len=10), gen_formula(seed * 7 + 3, ABC, max_depth=5)
+            truth = oracle._pw_oracle(rho, f)
+            assert [truth(i) for i in range(len(rho))] == _reference_pw(rho, f), seed
 
 
 class TestGridSoundness:
@@ -125,7 +341,10 @@ class TestPwOracleShape:
 
 
 class TestIndependence:
-    ENGINE_NAMES = {"fold", "IntervalSet", "back_shift", "sat_positions", "lasso_instance"}
+    ENGINE_NAMES = {"fold", "IntervalSet", "back_shift", "sat_positions", "lasso_instance",
+                    # the engines' integer time base
+                    "ticks", "time_base", "tick_column", "rebased", "time_key",
+                    "interval_keys", "key_column", "scaled_keys", "on_base"}
 
     def test_no_oracle_function_names_engine_code(self):
         # only `differential`, which compares an engine with its oracle, may
@@ -138,6 +357,7 @@ class TestIndependence:
                         else node.attr if isinstance(node, ast.Attribute) else None)
                 assert name not in self.ENGINE_NAMES, (fn.name, name)
                 assert not (name or "").startswith("sat_set"), (fn.name, name)
+                assert not (name or "").endswith("_keys"), (fn.name, name)  # key sweeps
 
     def test_dense_oracles_reject_beta(self):
         f = parse("F beta", ABC, allow_beta=True)
