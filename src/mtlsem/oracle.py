@@ -22,7 +22,8 @@ A table costs one frontier closure for the critical values (each round
 shifts only the values the last one added), one step lookup per piece (its:
 one walk, pieces and steps both in time order), per Until and base the
 window's absolute ends once, then the scan: still the literal quantifier
-over later pieces, on `Fraction`s.  A lookup is a dict or a bisection.
+over later pieces, on `Fraction`s.  `differential` reads a table in piece
+order; a single lookup (oracle_eval_*) is one scan over the pieces.
 
 The oracles keep two traversals of their own, one over positions (pw),
 evaluated on demand, and one over pieces (itw, its, mx).  Both run on the
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_right
 from fractions import Fraction
 
 from .errors import OutOfDomainError
@@ -127,22 +127,14 @@ def _pieces(values) -> list:
     return out
 
 
-def _lookup(pieces, truth):
-    """The truth at (t, j) in a piece table: in an open piece (j = 0 only) by
-    bisection over their ends, else at a point piece by its key (t, j)."""
-    points = {(p.lo, p.j): v for p, v in zip(pieces, truth) if p.is_point}
-    spans = [(p.hi, p.lo, v) for p, v in zip(pieces, truth) if not p.is_point]
-    ends = [hi for hi, _, _ in spans]
-
-    def at(t, j=0):
-        i = bisect_right(ends, t)  # the first open piece ending after t
-        if j == 0 and i < len(spans) and spans[i][1] < t:
-            return spans[i][2]
-        if (t, j) not in points:
-            raise OutOfDomainError(f"({t}, {j}) is not on the piece grid")
-        return points[t, j]
-
-    return at
+def _truth_at(pieces, truth, t, j=0):
+    """The truth at (t, j) in a piece table: at the point piece (t, j), else
+    (j = 0 only) in the open piece around t.  One scan: each oracle_eval_*
+    reads one point, and `differential` reads the table in piece order."""
+    for p, v in zip(pieces, truth):
+        if p.j == j and (p.lo == t if p.is_point else p.lo < t < p.hi):
+            return v
+    raise OutOfDomainError(f"({t}, {j}) is not on the piece grid")
 
 
 def _demand(clauses, root, memo: dict):
@@ -238,31 +230,36 @@ def _itw_oracle(rho: TimedWord, f: Formula, pieces):
     for a, ts in rho.events:
         stamp_acts.setdefault(ts, set()).add(a)
     holds = [stamp_acts.get(p.lo, ()) if p.is_point else () for p in pieces]
-    return _lookup(pieces, _piece_truth(pieces, holds, f))
+    return _piece_truth(pieces, holds, f)
 
 
 def _its_oracle(kappa: TimedStateSequence, f: Formula, pieces):
-    """Each piece's step found in one walk: pieces and steps are in time order."""
+    """Each piece's step found in one walk: pieces and steps are in time order,
+    and every step's ends are critical values, so every step holds a piece and
+    the walk moves at most one step per piece.  A piece that no step covers
+    (the start of a left-open first step) holds no atoms."""
     steps, k, holds = kappa.steps, 0, []
     for p in pieces:
-        while not steps[k][1].contains(p.rep):
+        if k + 1 < len(steps) and steps[k + 1][1].contains(p.rep):
             k += 1
-        holds.append(steps[k][0])
-    return _lookup(pieces, _piece_truth(pieces, holds, f))
+        holds.append(steps[k][0] if steps[k][1].contains(p.rep) else frozenset())
+    return _piece_truth(pieces, holds, f)
 
 
 def oracle_eval_itw(rho: TimedWord, t, f: Formula) -> bool:
     t = t if isinstance(t, Fraction) else rational(t)
     if t < 0 or t > rho.times[-1]:
         raise OutOfDomainError(f"time {t} outside [0, {rho.times[-1]}]")
-    return _itw_oracle(rho, f, _pieces(critical_values(rho, f)))(t)
+    pieces = _pieces(critical_values(rho, f))
+    return _truth_at(pieces, _itw_oracle(rho, f, pieces), t)
 
 
 def oracle_eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
     t = t if isinstance(t, Fraction) else rational(t)
     if t < kappa.steps[0][1].lo.value or t > kappa.steps[-1][1].hi.value:
         raise OutOfDomainError(f"time {t} outside the covered span")
-    return _its_oracle(kappa, f, _pieces(critical_values(kappa, f)))(t)
+    pieces = _pieces(critical_values(kappa, f))
+    return _truth_at(pieces, _its_oracle(kappa, f, pieces), t)
 
 
 def _pw_oracle(rho: TimedWord, f: Formula):
@@ -316,7 +313,7 @@ def _mx_oracle(cw: CompactTimedWord, f: Formula, dense):
         elif p.lo >= cw.times[0]:
             pieces.append(p)
             holds.append(())
-    return _lookup(pieces, _piece_truth(pieces, holds, f, beta=True))
+    return pieces, _piece_truth(pieces, holds, f, beta=True)
 
 
 def oracle_eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
@@ -327,7 +324,7 @@ def oracle_eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
     size = next((len(acts) for acts, s in cw.blocks if s == t), 1)
     if not 0 <= j < size:
         raise IndexError(f"position {j} out of range at time {t}")
-    return _mx_oracle(cw, f, _pieces(critical_values(cw, f)))(t, j)
+    return _truth_at(*_mx_oracle(cw, f, _pieces(critical_values(cw, f))), t, j)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +335,9 @@ def differential(engine: str, structure, f: Formula):
 
     `engine` is pw, itw, its or mx; `structure` is the timed word, state
     sequence or compact word it reads.  The samples are every position (pw),
-    every critical point (itw, its), or every grid position and every critical
-    point off the block times (mx).  The pieces are built once, for the oracle
-    table and the samples (their representatives), and so is each table.
+    every piece (itw, its), or every grid position and then every piece off
+    the block times (mx), each at its representative and read off the oracle
+    table in piece order.
     A divergence is {"at": sample, "engine": verdict, "oracle": verdict}.
     """
     if engine == "pw":
@@ -351,15 +348,15 @@ def differential(engine: str, structure, f: Formula):
                            else (sat_set_its, _its_oracle))
         pieces = _pieces(critical_values(structure, f))
         got, truth = sat_set(structure, f), oracle(structure, f, pieces)
-        checks = ((rat_str(p.rep), got.member(p.rep), truth(p.rep)) for p in pieces)
+        checks = ((rat_str(p.rep), got.member(p.rep), v) for p, v in zip(pieces, truth))
     else:
-        pieces = _pieces(critical_values(structure, f))
-        got, truth = sat_set_mx(structure, f), _mx_oracle(structure, f, pieces)
-        stamps = set(structure.times)
-        grid = (([rat_str(t), j], (k, j) in got.points, truth(t, j))
-                for k, (acts, t) in enumerate(structure.blocks) for j in range(len(acts)))
-        gaps = (([rat_str(p.rep), 0], got.gap.member(p.rep), truth(p.rep, 0))
-                for p in pieces if p.rep not in stamps)
+        got = sat_set_mx(structure, f)
+        table = list(zip(*_mx_oracle(structure, f, _pieces(critical_values(structure, f)))))
+        block = {t: k for k, (_, t) in enumerate(structure.blocks)}
+        grid = (([rat_str(p.lo), p.j], (block[p.lo], p.j) in got.points, v)
+                for p, v in table if p.rep in block)
+        gaps = (([rat_str(p.rep), 0], got.gap.member(p.rep), v)
+                for p, v in table if p.rep not in block)
         checks = itertools.chain(grid, gaps)
     for at, mine, want in checks:
         if mine != want:

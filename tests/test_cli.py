@@ -486,6 +486,22 @@ class TestExitCodes:
         assert got[0][0] == 3 and got[0][1].startswith("error: ")
         assert got[1] == got[0]
 
+    @pytest.mark.parametrize("t", ["1", "3/2", "2"])
+    @pytest.mark.parametrize("formula", ["p", "!p", "F[0,1] p"])
+    def test_oracle_agrees_with_eval_on_a_left_open_start(self, tmp_path, capsys, formula, t):
+        # time 1 starts the span but lies in no step: no atom holds there
+        p = tmp_path / "left_open.json"
+        p.write_text(json.dumps({"steps": [[["p"], "(1,2]"]]}))
+        got = []
+        for command in ("eval", "oracle"):
+            code = main([command, "--semantics", "its", "--time", t, "--formula", formula,
+                         "--allow-nonzero-start", "--word", str(p)])
+            got.append((code, *capsys.readouterr()))
+        assert got[0][0] in (0, 1) and got[0][2] == ""
+        assert got[1] == got[0]
+        if t == "1" and formula != "F[0,1] p":
+            assert json.loads(got[0][1])["verdict"] == ("true" if formula == "!p" else "false")
+
 
 class TestOneParser:
     """`main` parses every argv against the one parser built at import."""

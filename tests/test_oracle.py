@@ -39,6 +39,7 @@ from mtlsem.structures import (
     is_action_based,
     unroll,
     validate_compact,
+    validate_tss,
     validate_word,
     word,
 )
@@ -111,7 +112,7 @@ class TestCriticalPoints:
 # ---------------------------------------------------------------------------
 # the literal piece scan, kept as the reference for the oracle's tables: the
 # window ends rebuilt for every scanned piece, a linear piece search, and a
-# step scan for each (atom, piece) pair
+# scan over every step for each piece
 
 def _reference_window_hits(p, base, w):
     if p.is_point:
@@ -142,12 +143,14 @@ def _reference_until_at(pieces, i, w, lv, rv):
     return False
 
 
-def _reference_truth(pieces, atom_truth, f, beta=False):
+def _reference_table(pieces, atoms, f, beta=False):
+    """The pieces and every piece's truth; `atoms[i]` holds the atoms true on
+    piece i."""
     sat = {}
     for node in [*subformulas(f), f]:
         match node:
             case Atom(name):
-                sat[node] = [atom_truth(name, p) for p in pieces]
+                sat[node] = [name in a for a in atoms]
             case Beta() if beta:
                 sat[node] = [p.j == 0 for p in pieces]
             case Not(arg):
@@ -159,7 +162,7 @@ def _reference_truth(pieces, atom_truth, f, beta=False):
                              for i in range(len(pieces))]
             case _:
                 raise TypeError(f"not a formula: {node!r}")
-    return sat[f]
+    return pieces, sat[f]
 
 
 def _reference_piece_index(pieces, t, j=0):
@@ -169,27 +172,25 @@ def _reference_piece_index(pieces, t, j=0):
     raise OutOfDomainError(f"({t}, {j}) is not on the piece grid")
 
 
-def _reference_lookup(pieces, atom_truth, f, beta=False):
-    truth = _reference_truth(pieces, atom_truth, f, beta)
-    return pieces, lambda t, j=0: truth[_reference_piece_index(pieces, t, j)]
-
-
 def _reference_itw(rho, f, vals):
     stamp_acts = {}
     for a, ts in rho.events:
         stamp_acts.setdefault(ts, set()).add(a)
-    return _reference_lookup(
-        oracle._pieces(vals), lambda name, p: p.is_point and name in stamp_acts.get(p.lo, ()), f)
+    pieces = oracle._pieces(vals)
+    return _reference_table(
+        pieces, [stamp_acts.get(p.lo, ()) if p.is_point else () for p in pieces], f)
+
+
+def _reference_step_props(kappa, p):
+    for props, iv in kappa.steps:
+        if iv.contains(p.rep):
+            return props
+    return ()
 
 
 def _reference_its(kappa, f, vals):
-    def atom_truth(name, p):
-        for props, iv in kappa.steps:
-            if iv.contains(p.rep):
-                return name in props
-        return False
-
-    return _reference_lookup(oracle._pieces(vals), atom_truth, f)
+    pieces = oracle._pieces(vals)
+    return _reference_table(pieces, [_reference_step_props(kappa, p) for p in pieces], f)
 
 
 def _reference_mx(cw, f, vals):
@@ -200,9 +201,8 @@ def _reference_mx(cw, f, vals):
             pieces.extend(oracle._Piece(p.lo, p.lo, True, j) for j in range(len(blocks[p.lo])))
         elif p.lo >= cw.times[0]:
             pieces.append(p)
-    return _reference_lookup(
-        pieces, lambda name, p: p.is_point and p.lo in blocks and blocks[p.lo][p.j] == name,
-        f, beta=True)
+    atoms = [(blocks[p.lo][p.j],) if p.is_point and p.lo in blocks else () for p in pieces]
+    return _reference_table(pieces, atoms, f, beta=True)
 
 
 def _reference_pw(rho, f):
@@ -230,12 +230,19 @@ def _outcome(lookup, t, j):
         return OutOfDomainError
 
 
-def _assert_lookups_agree(got, reference, vals):
-    """Every piece's representative and a second interior point of every open
-    piece, and off the grid: before the first value, past the last, j < 0,
-    before the table's first piece (a mixed word's first block), j past a
-    block's size and j > 0 inside an open piece."""
-    pieces, want = reference
+def _assert_tables_agree(got, reference, vals, lookups):
+    """The same pieces and the same truth on every piece.  With `lookups`,
+    also `_truth_at` against the linear search, at every piece's
+    representative and a second interior point of every open piece, and off
+    the grid: before the first value, past the last, j < 0, before the
+    table's first piece (a mixed word's first block), j past a block's size
+    and j > 0 inside an open piece."""
+    (pieces, truth), (ref_pieces, ref_truth) = got, reference
+    assert ([(p.lo, p.hi, p.is_point, p.j) for p in pieces]
+            == [(p.lo, p.hi, p.is_point, p.j) for p in ref_pieces])
+    assert truth == ref_truth
+    if not lookups:
+        return
     samples = [(p.rep, p.j) for p in pieces]
     samples += [(p.lo + (p.hi - p.lo) / 3, 0) for p in pieces if not p.is_point]
     off = [(vals[0] - 1, 0), (vals[-1] + 1, 0), (vals[0], -1), (pieces[-1].rep, -1)]
@@ -244,31 +251,61 @@ def _assert_lookups_agree(got, reference, vals):
     off += [(p.lo, p.j + 1) for p in pieces if p.is_point]
     off += [(p.rep, 1) for p in pieces if not p.is_point]
     for t, j in samples + off:
-        mine = _outcome(got, t, j)
-        assert mine == _outcome(want, t, j), (t, j)
+        mine = _outcome(lambda t, j: oracle._truth_at(pieces, truth, t, j), t, j)
+        want = _outcome(lambda t, j: ref_truth[_reference_piece_index(ref_pieces, t, j)], t, j)
+        assert mine == want, (t, j)
         assert (t, j) not in off[:must_raise] or mine is OutOfDomainError, (t, j)
 
 
+def _left_open_start(kappa):
+    """A gen_ka sequence of two steps or more with its first two, [0,0] and
+    (0,t), replaced by (0,t) holding the first's atoms: the critical value 0
+    is then a point that no step covers."""
+    if len(kappa.steps) < 2:
+        return None
+    (props, _), (_, second) = kappa.steps[:2]
+    return validate_tss([(props, second), *kappa.steps[2:]], allow_nonzero_start=True)
+
+
 class TestTablesAgainstTheLiteralScan:
-    """The oracle's tables and lookups against the literal scan above, on
-    larger words and deeper formulas than the fuzzer draws."""
+    """The oracle's tables against the literal scan above, on larger words
+    and deeper formulas than the fuzzer draws; the lookups on every
+    LOOKUP_EVERY-th seed (each is a scan over the pieces, as the reference's)."""
 
     SEEDS = range(1500)
+    LOOKUP_EVERY = 5
 
     def test_itw(self):
         for seed in self.SEEDS:
             rho, f = gen_word(seed, max_len=10), gen_formula(seed * 7 + 3, ABC, max_depth=5)
             vals = critical_values(rho, f)
-            _assert_lookups_agree(oracle._itw_oracle(rho, f, oracle._pieces(vals)),
-                                  _reference_itw(rho, f, vals), vals)
+            pieces = oracle._pieces(vals)
+            _assert_tables_agree((pieces, oracle._itw_oracle(rho, f, pieces)),
+                                 _reference_itw(rho, f, vals), vals,
+                                 seed % self.LOOKUP_EVERY == 0)
 
     def test_its(self):
+        # gen_ka and word_to_tss start closed; on odd seeds a gen_ka also
+        # runs with a left-open first step
         for seed in self.SEEDS:
             f = gen_formula(seed * 7 + 3, ALPHABET_ABCD, max_depth=5)
-            for kappa in (gen_ka(seed), word_to_tss(gen_word(seed, max_len=10))):
+            ka = gen_ka(seed)
+            kappas = [ka, word_to_tss(gen_word(seed, max_len=10)),
+                      seed % 2 and _left_open_start(ka)]
+            for kappa in filter(None, kappas):
                 vals = critical_values(kappa, f)
-                _assert_lookups_agree(oracle._its_oracle(kappa, f, oracle._pieces(vals)),
-                                      _reference_its(kappa, f, vals), vals)
+                pieces = oracle._pieces(vals)
+                _assert_tables_agree((pieces, oracle._its_oracle(kappa, f, pieces)),
+                                     _reference_its(kappa, f, vals), vals,
+                                     seed % self.LOOKUP_EVERY == 0)
+
+    def test_its_left_open_start(self):
+        # the first critical value lies in no step: it holds no atoms
+        kappa = validate_tss([({"p"}, "(1,2]")], allow_nonzero_start=True)
+        for text, want in [("p", False), ("!p", True), ("F[0,1] p", True)]:
+            f = parse(text, alphabet("p"))
+            assert oracle_eval_its(kappa, 1, f) is want, text
+            assert oracle.differential("its", kappa, f) is None, text
 
     def test_mx(self):
         for seed in self.SEEDS:
@@ -278,8 +315,9 @@ class TestTablesAgainstTheLiteralScan:
                                       allow_nonzero_start=True)
             f = gen_formula(seed * 7 + 3, ABC, max_depth=5, allow_beta=True)
             vals = critical_values(cw, f)
-            _assert_lookups_agree(oracle._mx_oracle(cw, f, oracle._pieces(vals)),
-                                  _reference_mx(cw, f, vals), vals)
+            _assert_tables_agree(oracle._mx_oracle(cw, f, oracle._pieces(vals)),
+                                 _reference_mx(cw, f, vals), vals,
+                                 seed % self.LOOKUP_EVERY == 1)
 
     def test_pw(self):
         for seed in self.SEEDS:
