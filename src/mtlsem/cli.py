@@ -125,8 +125,8 @@ def _point(args, sem: str, options: tuple) -> list:
     for name in ("position", "time", "pos"):
         if name not in options and getattr(args, name) is not None:
             raise MtlsemError(f"--{name} does not apply to the {sem} semantics")
-    return [(rational(args.time or "0") if name == "time" else getattr(args, name) or 0)
-            for name in options]
+    return [(rational("0" if args.time is None else args.time) if name == "time"
+             else getattr(args, name) or 0) for name in options]
 
 
 def _finite(loaded, sem: str, read):
@@ -268,6 +268,8 @@ def _fuzz_one(engine: str, seed: int):
 
 
 def cmd_fuzz(args) -> int:
+    if args.cases < 0:
+        raise MtlsemError(f"--cases must be nonnegative, not {args.cases}")
     engines = ["pw", "itw", "its", "mx"] if args.engine == "all" else [args.engine]
     ran = 0
     for engine in engines:

@@ -10,27 +10,25 @@ only arithmetic is comparing a candidate piece with the base's shifted window;
 witnesses are never sampled, so window endpoints that fall strictly inside a
 piece are still found.
 
-The mixed oracle reads the same pieces from the first block on, with one
-point per block position (its offset j) in place of each block's timestamp.
-One piece scan then decides every dense and mixed Until; a later position of
-the base's own block lies at distance 0 from it.
-
-Piecewise constancy itself is checked empirically by double sampling in the
-test suite, not assumed silently.
+The pointwise oracle reads one point piece per event, in word order: a later
+position is a later piece.  The mixed oracle reads the dense pieces from the
+first block on, one point per block position (its offset j) in place of each
+block's timestamp.  One piece scan decides every Until of all four relations;
+a later position at the same time lies at distance 0.  Piecewise constancy
+itself is checked empirically by double sampling in the test suite.
 
 A table costs one frontier closure for the critical values (each round
 shifts only the values the last one added), one step lookup per piece (its:
 one walk, pieces and steps both in time order), per Until and base the
 window's absolute ends once, then the scan: still the literal quantifier
 over later pieces, on `Fraction`s.  `differential` reads a table in piece
-order; a single lookup (oracle_eval_*) is one scan over the pieces.
+order; a single lookup (oracle_eval_*) builds the table and reads one entry.
 
-The oracles keep two traversals of their own, one over positions (pw),
-evaluated on demand, and one over pieces (itw, its, mx).  Both run on the
-oracle's own explicit stack (`_demand`), not on the engines' `formulas.fold`,
-so a fault there cannot hide in both, and they compute on `Fraction`s, not on
-the engines' integer time base.  Only `differential`, which compares an engine
-with its oracle, calls the engines.
+The tables are filled bottom-up over the oracle's own post-order of the
+formula, found on an explicit stack (`_post_order`), not the engines'
+`formulas.fold`, so a fault there cannot hide in both, and they compute on
+`Fraction`s, not on the engines' integer time base.  Only `differential`,
+which compares an engine with its oracle, calls the engines.
 """
 
 from __future__ import annotations
@@ -137,32 +135,24 @@ def _truth_at(pieces, truth, t, j=0):
     raise OutOfDomainError(f"({t}, {j}) is not on the piece grid")
 
 
-def _demand(clauses, root, memo: dict):
-    """The value of query `root`, evaluated on an explicit stack.
-
-    `clauses(query)` is a generator: it yields each sub-query whose value it
-    needs, receives that value, and returns its own.  Sub-queries are asked
-    only when needed, every value is kept in `memo`, and nesting depth costs
-    no Python recursion.
-    """
-    if root in memo:
-        return memo[root]
-    stack = [(root, clauses(root))]
-    value = None
+def _post_order(f: Formula) -> list:
+    """Every distinct subformula of `f` once, after its operands, found on an
+    explicit stack: nesting depth costs no Python recursion, and a shared
+    subformula is visited once."""
+    order, seen, stack = [], set(), [(f, False)]
     while stack:
-        query, steps = stack[-1]
-        try:
-            sub = steps.send(value)
-        except StopIteration as done:
-            memo[query] = value = done.value
-            stack.pop()
-            continue
-        if sub in memo:
-            value = memo[sub]
-        else:
-            stack.append((sub, clauses(sub)))
-            value = None
-    return memo[root]
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            match node:
+                case Not(arg):
+                    stack.append((arg, False))
+                case And(l, r) | Until(l, _, r):
+                    stack += ((r, False), (l, False))
+    return order
 
 
 def _piece_truth(pieces, holds, f: Formula, beta: bool = False):
@@ -172,23 +162,6 @@ def _piece_truth(pieces, holds, f: Formula, beta: bool = False):
     position-zero atom, which holds at every piece with j = 0.
     """
     n = len(pieces)
-
-    def sat(node):
-        match node:
-            case Atom(name):
-                return [name in h for h in holds]
-            case Beta() if beta:
-                return [p.j == 0 for p in pieces]
-            case Not(arg):
-                return [not v for v in (yield arg)]
-            case And(l, r):
-                lv, rv = (yield l), (yield r)
-                return [a and b for a, b in zip(lv, rv)]
-            case Until(l, w, r):
-                lv, rv = (yield l), (yield r)
-                return _until(w, lv, rv)
-            case _:
-                raise TypeError(f"not a formula: {node!r}")
 
     def _until(w, lv, rv):
         """Per base: a later t' with t' - base in w where r holds, and l on
@@ -219,7 +192,22 @@ def _piece_truth(pieces, holds, f: Formula, beta: bool = False):
 
         return [at(i) for i in range(n)]
 
-    return _demand(sat, f, {})
+    sat = {}
+    for node in _post_order(f):
+        match node:
+            case Atom(name):
+                sat[node] = [name in h for h in holds]
+            case Beta() if beta:
+                sat[node] = [p.j == 0 for p in pieces]
+            case Not(arg):
+                sat[node] = [not v for v in sat[arg]]
+            case And(l, r):
+                sat[node] = [a and b for a, b in zip(sat[l], sat[r])]
+            case Until(l, w, r):
+                sat[node] = _until(w, sat[l], sat[r])
+            case _:
+                raise TypeError(f"not a formula: {node!r}")
+    return sat[f]
 
 
 # ---------------------------------------------------------------------------
@@ -263,42 +251,15 @@ def oracle_eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
 
 
 def _pw_oracle(rho: TimedWord, f: Formula):
-    """Literal quantifier evaluation over positions, on demand and memoized per word."""
-    times, acts = rho.times, rho.actions
-
-    def ev(query):
-        node, k = query
-        match node:
-            case Atom(name):
-                return acts[k] == name
-            case Not(arg):
-                return not (yield arg, k)
-            case And(l, r):
-                return (yield l, k) and (yield r, k)
-            case Until(l, w, r):
-                end = times[k] + w.hi.value if w.hi.value != INF else None
-                for j in range(k + 1, len(times)):
-                    if end is not None and times[j] > end:
-                        break  # past the window: no later witness
-                    if not (w.contains(times[j] - times[k]) and (yield r, j)):
-                        continue
-                    for m in range(k + 1, j):
-                        if not (yield l, m):
-                            break
-                    else:
-                        return True
-                return False
-            case _:
-                raise TypeError(f"not a formula: {node!r}")
-
-    memo: dict = {}
-    return lambda i: _demand(ev, (f, i), memo)
+    """One point piece per event, in word order: a later position is a later piece."""
+    return _piece_truth([_Piece(t, t, True) for t in rho.times],
+                        [(a,) for a in rho.actions], f)
 
 
 def oracle_eval_pw(rho: TimedWord, i: int, f: Formula) -> bool:
     if not (0 <= i < len(rho)):
         raise IndexError(f"position {i} out of range")
-    return _pw_oracle(rho, f)(i)
+    return _pw_oracle(rho, f)[i]
 
 
 def _mx_oracle(cw: CompactTimedWord, f: Formula, dense):
@@ -341,8 +302,8 @@ def differential(engine: str, structure, f: Formula):
     A divergence is {"at": sample, "engine": verdict, "oracle": verdict}.
     """
     if engine == "pw":
-        got, truth = sat_positions(structure, f), _pw_oracle(structure, f)
-        checks = ((i, i in got, truth(i)) for i in range(len(structure)))
+        got = sat_positions(structure, f)
+        checks = ((i, i in got, v) for i, v in enumerate(_pw_oracle(structure, f)))
     elif engine in ("itw", "its"):
         sat_set, oracle = ((sat_set_itw, _itw_oracle) if engine == "itw"
                            else (sat_set_its, _its_oracle))
@@ -367,12 +328,14 @@ def differential(engine: str, structure, f: Formula):
 # ---------------------------------------------------------------------------
 # deterministic fuzz generators
 
+_ACTIONS = ("a", "b", "c")  # the actions of gen_word and gen_lasso
+_KA_PROPS = ("a", "b", "c", "d")
+_KA_MAX_BLOCKS = 5
 _STEP_POOL = [Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1),
               Fraction(3, 2), Fraction(2)]
 
 
-def gen_word(seed: int, max_len: int = 8, alphabet_=("a", "b", "c"),
-             stutter_free: bool = False) -> TimedWord:
+def gen_word(seed: int, max_len: int = 8, stutter_free: bool = False) -> TimedWord:
     rng = random.Random(seed)
     n = rng.randint(1, max_len)
     events = []
@@ -383,13 +346,13 @@ def gen_word(seed: int, max_len: int = 8, alphabet_=("a", "b", "c"),
             t = t + step
         if stutter_free:
             used = {a for a, ts in events if ts == t}
-            free = [a for a in alphabet_ if a not in used]
+            free = [a for a in _ACTIONS if a not in used]
             if not free:
                 t = t + rng.choice([s for s in _STEP_POOL if s > 0])
-                free = list(alphabet_)
+                free = list(_ACTIONS)
             events.append((rng.choice(free), t))
         else:
-            events.append((rng.choice(alphabet_), t))
+            events.append((rng.choice(_ACTIONS), t))
     return word(events)
 
 
@@ -434,29 +397,29 @@ def gen_formula(seed: int, sigma, max_depth: int = 4,
     return build(0)
 
 
-def gen_ka(seed: int, alphabet_=("a", "b", "c", "d"), max_blocks: int = 5) -> TimedStateSequence:
+def gen_ka(seed: int) -> TimedStateSequence:
     """A random action-based timed state sequence (alternating punctual/open steps)."""
     rng = random.Random(seed)
     t = Fraction(0)
     steps = []
-    for i in range(rng.randint(1, max_blocks)):
+    for i in range(rng.randint(1, _KA_MAX_BLOCKS)):
         if i > 0:
             nxt = t + rng.choice([Fraction(1, 2), Fraction(1), Fraction(2)])
             steps.append((frozenset(), interval(t, nxt, False, False)))
             t = nxt
-        props = frozenset(rng.sample(alphabet_, rng.randint(1, min(3, len(alphabet_)))))
+        props = frozenset(rng.sample(_KA_PROPS, rng.randint(1, 3)))
         steps.append((props, punctual(t)))
     return validate_tss(steps)
 
 
-def gen_lasso(seed: int, max_prefix: int = 5, alphabet_=("a", "b", "c")) -> Lasso:
+def gen_lasso(seed: int, max_prefix: int = 5) -> Lasso:
     rng = random.Random(seed)
-    prefix = gen_word(seed * 31 + 7, max_len=max_prefix, alphabet_=alphabet_)
+    prefix = gen_word(seed * 31 + 7, max_len=max_prefix)
     dur = rng.choice([Fraction(1), Fraction(3, 2), Fraction(2)])
     n = rng.randint(1, 3)
     offsets = sorted(
         rng.choice([o for o in (Fraction(0), Fraction(1, 2), Fraction(1), dur)
                     if o <= dur])
         for _ in range(n))
-    acts = [rng.choice(alphabet_) for _ in range(n)]
+    acts = [rng.choice(_ACTIONS) for _ in range(n)]
     return lasso(prefix, acts, offsets, dur)

@@ -327,18 +327,22 @@ class Lasso:
     period_duration: Fraction
 
     def __post_init__(self):
+        """Errors name the field of the lasso's JSON form."""
         if not self.period_actions:
             raise EmptyWordError("empty lasso period")
         if len(self.period_actions) != len(self.period_offsets):
-            raise MtlsemError("period actions and offsets must have equal length")
+            raise MtlsemError("period: actions and offsets must have equal length")
         if self.period_duration <= 0:
-            raise MtlsemError("period duration must be positive")
+            raise MtlsemError("period.duration must be positive")
         offs = self.period_offsets
         for i in range(1, len(offs)):
             if offs[i] < offs[i - 1]:
-                raise NonMonotoneError(i)
-        if any(o < 0 or o > self.period_duration for o in offs):
-            raise MtlsemError("period offsets must lie in [0, duration]")
+                error = NonMonotoneError(i)
+                error.args = (f"period.offsets[{i}] is below period.offsets[{i - 1}]",)
+                raise error
+        for i, o in enumerate(offs):
+            if o < 0 or o > self.period_duration:
+                raise MtlsemError(f"period.offsets[{i}] must lie in [0, period.duration]")
 
 
 def lasso(prefix: TimedWord, actions, offsets, duration_) -> Lasso:

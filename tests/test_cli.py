@@ -110,6 +110,15 @@ class TestEval:
         assert captured.out == ""
         assert option in captured.err and semantics in captured.err
 
+    @pytest.mark.parametrize("command", ["eval", "oracle"])
+    @pytest.mark.parametrize("semantics", ["itw", "its", "mx"])
+    def test_an_empty_time_is_input_error(self, rho1, capsys, command, semantics):
+        code = main([command, "--semantics", semantics, "--time", "",
+                     "--formula", "a", "--word", rho1])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "" and "not a nonnegative rational: ''" in captured.err
+
 
 class TestLassoSurface:
     """What the CLI does with a lasso input, pinned on the swap lasso."""
@@ -138,6 +147,16 @@ class TestLassoSurface:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == "" and option in captured.err
+
+    @pytest.mark.parametrize("command", ["eval", "oracle"])
+    @pytest.mark.parametrize("semantics", ["itw", "mx"])
+    def test_an_empty_time_on_a_lasso_is_input_error(self, swap_lasso, capsys, command,
+                                                     semantics):
+        code = main([command, "--semantics", semantics, "--time", "",
+                     "--formula", "a", "--word", swap_lasso])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "" and "not a nonnegative rational: ''" in captured.err
 
     @pytest.mark.parametrize("semantics, options", [
         ("itw", ["--time", "0"]),
@@ -304,6 +323,16 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["divergence"] is None
 
+    def test_fuzz_no_cases(self, capsys):
+        assert run(capsys, "fuzz", "--cases", "0") == (
+            0, '{"cases_run": 0, "divergence": null}\n')
+
+    def test_fuzz_negative_cases_is_input_error(self, capsys):
+        code = main(["fuzz", "--cases", "-1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "" and "--cases" in captured.err
+
     def test_paper_all(self, capsys):
         code, out = run(capsys, "paper", "--all")
         assert code == 0
@@ -336,6 +365,15 @@ class TestExitCodes:
         ({"steps": [[["a"], "[0,0]"], [[], "(0,1/0)"]]},
          "steps[1][1]: zero denominator: '1/0'"),
         ({"steps": [[["a"], "[0,0]"], [[], "(0,1"]]}, "steps[1][1]: not an interval: '(0,1'"),
+        # the period's own checks name its fields, not the prefix's positions
+        ({"events": [["a", "0"]], "period": {"actions": ["b", "c"], "offsets": ["1", "1/2"],
+                                             "duration": "1"}}, "error: period.offsets[1]"),
+        ({"events": [["a", "0"]], "period": {"actions": ["b", "c"], "offsets": ["1/2", "2"],
+                                             "duration": "1"}}, "error: period.offsets[1]"),
+        ({"events": [["a", "0"]], "period": {"actions": ["b"], "offsets": ["0"],
+                                             "duration": "0"}}, "error: period.duration"),
+        ({"events": [["a", "0"]], "period": {"actions": ["b", "c"], "offsets": ["0"],
+                                             "duration": "1"}}, "error: period: "),
     ])
     def test_malformed_shape_is_input_error_naming_the_field(
             self, tmp_path, capsys, payload, field):

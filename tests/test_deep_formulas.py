@@ -2,23 +2,26 @@
 
 `F sigma` over 200 symbols desugars into an or-chain about 600 nodes deep, and
 600 nested negations are as deep.  Each must give the same result as a
-shallow formula with the same meaning on the word at hand.  On a lasso, 50
-alternating `G F` pairs add 100 nested unbounded windows, each of which the
-lasso verdict closes at a bound of its own.  Long operator
-chains and long runs of prefix operators must parse into the formula built
-directly.
+shallow formula with the same meaning on the word at hand.  A formula that
+shares its subformulas 2,000 levels deep must cost the oracles its distinct
+nodes only.  On a lasso, 50 alternating `G F` pairs add 100 nested unbounded
+windows, each of which the lasso verdict closes at a bound of its own.  Long
+operator chains and long runs of prefix operators must parse into the formula
+built directly.
 """
 
 import json
 
 import pytest
 
+from mtlsem import oracle
 from mtlsem.cli import main
 from mtlsem.encodings import compact, word_to_tss
 from mtlsem.formulas import FULL, And, Atom, Not, alphabet, f_globally, f_or, parse, to_text
 from mtlsem.gallery import no_simultaneous
 from mtlsem.interval_based import eval_itw_lasso, sat_set_its, sat_set_itw, sat_sets_itw
 from mtlsem.mixed import eval_mx_lasso, sat_set_mx
+from mtlsem.oracle import oracle_eval_its, oracle_eval_itw, oracle_eval_mx, oracle_eval_pw
 from mtlsem.pointwise import eval_pw_lasso, sat_positions
 from mtlsem.structures import lasso, word, word_to_json
 
@@ -171,3 +174,30 @@ def test_cli_satset_prints_every_text_of_a_long_chain(tmp_path, capsys):
     for i, (sub, got) in enumerate(table.items()):
         if i % 97 == 0 or i >= len(table) - 3:
             assert sets[i] == {"formula": to_text(sub), "parts": [str(p) for p in got.parts]}
+
+
+def _doubled(levels):
+    """`a` with `g = And(g, g)` applied `levels` times: levels + 1 distinct
+    nodes, though its tree has 2 ** levels leaves."""
+    g = Atom("a")
+    for _ in range(levels):
+        g = And(g, g)
+    return g
+
+
+def test_oracles_visit_shared_subformulas_once():
+    # the post-order holds each distinct node once, so a 2,000-level DAG costs
+    # 2,001 steps of the oracle's stack, not 2 ** 2000
+    assert len(oracle._post_order(_doubled(10))) == 11
+    deep, a = _doubled(2000), Atom("a")
+    rho = word([("a", "0"), ("b", "1"), ("a", "1"), ("c", "5/2")])
+    kappa, cw = word_to_tss(rho), compact(rho)
+    for i in range(len(rho)):
+        assert oracle_eval_pw(rho, i, deep) is oracle_eval_pw(rho, i, a), i
+    for t in ("0", "1/2", "1", "5/2"):
+        assert oracle_eval_itw(rho, t, deep) is oracle_eval_itw(rho, t, a), t
+        assert oracle_eval_its(kappa, t, deep) is oracle_eval_its(kappa, t, a), t
+    for t, j in (("0", 0), ("1", 0), ("1", 1), ("5/2", 0)):
+        assert oracle_eval_mx(cw, t, j, deep) is oracle_eval_mx(cw, t, j, a), (t, j)
+    for engine, structure in (("pw", rho), ("itw", rho), ("its", kappa), ("mx", cw)):
+        assert oracle.differential(engine, structure, deep) is None, engine

@@ -322,8 +322,13 @@ class TestTablesAgainstTheLiteralScan:
     def test_pw(self):
         for seed in self.SEEDS:
             rho, f = gen_word(seed, max_len=10), gen_formula(seed * 7 + 3, ABC, max_depth=5)
-            truth = oracle._pw_oracle(rho, f)
-            assert [truth(i) for i in range(len(rho))] == _reference_pw(rho, f), seed
+            want = _reference_pw(rho, f)
+            assert oracle._pw_oracle(rho, f) == want, seed
+            if seed % self.LOOKUP_EVERY == 0:
+                assert [oracle_eval_pw(rho, i, f) for i in range(len(rho))] == want, seed
+                for i in (-1, len(rho)):
+                    with pytest.raises(IndexError):
+                        oracle_eval_pw(rho, i, f)
 
 
 class TestGridSoundness:

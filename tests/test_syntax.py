@@ -1,4 +1,6 @@
-"""The package parses as Python 3.10, the oldest version pyproject.toml admits."""
+"""Everything the Python 3.10 CI job runs parses as Python 3.10, the oldest
+version pyproject.toml admits: the package, the tests, the benchmark harness
+and the demos."""
 
 import ast
 from pathlib import Path
@@ -7,9 +9,13 @@ import pytest
 
 import mtlsem
 
-SOURCES = sorted(Path(mtlsem.__file__).parent.glob("*.py"))
+PACKAGE = Path(mtlsem.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted(
+    p for folder in ("tests", "bench", "demos") for p in (ROOT / folder).glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+@pytest.mark.parametrize("path", SOURCES, ids=[
+    p.name if p.parent == PACKAGE else p.relative_to(ROOT).as_posix() for p in SOURCES])
 def test_parses_as_python_3_10(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
