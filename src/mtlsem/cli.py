@@ -60,6 +60,7 @@ from .structures import (
     is_stutter_free,
     lasso_to_json,
     load_input,
+    read_text,
     tss_to_json,
     unroll,
     word_to_json,
@@ -97,8 +98,7 @@ def _the_alphabet(args, loaded=None):
 def _formula(args, sigma, allow_beta: bool):
     text = args.formula
     if text is None and getattr(args, "formula_file", None):
-        with open(args.formula_file) as fh:
-            text = fh.read().strip()
+        text = read_text(args.formula_file).strip()
     if text is None:
         raise MtlsemError("no formula given (use --formula or --formula-file)")
     return parse(text, sigma, allow_beta=allow_beta)

@@ -22,10 +22,17 @@ columns; they check nothing.  Every other constructor gives ticks on some base
 D to `on_base`, which moves them to the least base, D / gcd(D, every tick):
 `validate_word`, `validate_compact` and `word_or_lasso_from_json` after one
 check of the ticks (`_checked`), `unroll` and the encodings without one.
-`word_or_lasso_from_json` reads each distinct timestamp text once, to its
-(numerator, denominator) pair, and puts them all on one time base; `unroll`
-lays the prefix, the offsets and the period on one base.  Text output renders
-the ticks with int arithmetic (`time_texts`), as `rat_str` prints the values.
+`unroll` lays the prefix, the offsets and the period on one base.  Text output
+renders the ticks with int arithmetic (`time_texts`), as `rat_str` prints the
+values.
+
+The JSON loaders read in bulk.  `word_or_lasso_from_json` checks the events a
+column at a time, reads each distinct stamp once (`intervals.ratios`) and
+gives each event its tick with one dict lookup, on the lcm of the
+denominators; `tss_from_json` reads each step text straight to its key pair
+(`intervals.interval_ratios`).  Only a bad input is read again, field by
+field, to name its first bad field.  `load_input` decodes a file as UTF-8
+whatever the locale.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -50,12 +58,13 @@ from .errors import (
 from .intervals import (
     INF,
     Interval,
-    _text_ratio,
+    interval_ratios,
     key_column,
     key_intervals,
     key_texts,
     parse_interval,
     rat_str,
+    ratios,
     rational,
     tick_column,
     tick_text,
@@ -250,16 +259,23 @@ class TimedStateSequence:
 
 
 def validate_tss(steps, allow_nonzero_start: bool = False) -> TimedStateSequence:
-    """Check the steps on their keys, returning the sequence: neighbours are
-    adjacent (a lower key one past the upper key before it), the first starts
-    closed at 0 unless `allow_nonzero_start`, and the last ends closed."""
+    """The sequence of the steps, (propositions, Interval or `INTERVAL_TEXT`)
+    pairs, once `_checked_tss` finds them to be one."""
     steps = tuple(
         (frozenset(props), iv if isinstance(iv, Interval) else parse_interval(iv))
         for props, iv in steps
     )
-    if not steps:
-        raise EmptyWordError("empty timed state sequence")
     D0, keys = key_column([iv for _, iv in steps])
+    return _checked_tss(D0, keys, [p for p, _ in steps], allow_nonzero_start)
+
+
+def _checked_tss(D0: int, keys: list, props: list, allow_nonzero_start: bool):
+    """The sequence of the step keys on the least base D0, once it is found to
+    be one: neighbours are adjacent (a lower key one past the upper key before
+    it), the first starts closed at 0 unless `allow_nonzero_start`, and the
+    last ends closed."""
+    if not keys:
+        raise EmptyWordError("empty timed state sequence")
     for pos in range(1, len(keys)):
         if keys[pos][0] != keys[pos - 1][1] + 1:
             raise AdjacencyError(pos)
@@ -268,7 +284,7 @@ def validate_tss(steps, allow_nonzero_start: bool = False) -> TimedStateSequence
     last = keys[-1][1]
     if last == INF or last % 3:
         raise MtlsemError("a finite timed state sequence must end with a right-closed interval")
-    return TimedStateSequence(D0, tuple(keys), tuple(p for p, _ in steps))
+    return TimedStateSequence(D0, tuple(keys), tuple(props))
 
 
 def tss_duration(kappa: TimedStateSequence) -> Fraction:
@@ -407,50 +423,62 @@ def _field(obj: dict, key: str, where: str, kind, expected: str):
     return value
 
 
-def _rational_field(value, path: str, i=None) -> tuple:
-    """The (numerator, denominator) pair of a rational field; errors name the
-    field path, `path.format(i)`."""
-    if not isinstance(value, (str, int)) or isinstance(value, bool):
-        raise MtlsemError(
-            f"malformed input: {path.format(i)} must be a rational string or integer")
+_RATIONAL_TYPES = {str, int}  # by type: a bool or a float, which hash as ints, is never read
+
+
+def _distinct_ratios(values) -> tuple | None:
+    """(the distinct rational fields of values, the (numerator, denominator)
+    pair of each), each read once (an int as its decimal text); None if one is
+    bad."""
+    kinds = set(map(type, values))
+    if kinds <= _RATIONAL_TYPES:
+        distinct = list(set(values))
+        with suppress(MtlsemError):
+            return distinct, ratios(distinct if kinds <= {str} else list(map(str, distinct)))
+    return None
+
+
+def _rational_at(value, path: str) -> Fraction:
+    """The value of one rational field; errors name it by its path."""
+    if type(value) not in _RATIONAL_TYPES:
+        raise MtlsemError(f"malformed input: {path} must be a rational string or integer")
     try:
-        return _text_ratio(value)
+        return rational(value)
     except MtlsemError as exc:
-        raise MtlsemError(f"malformed input: {path.format(i)}: {exc}") from None
+        raise MtlsemError(f"malformed input: {path}: {exc}") from None
 
 
 def _strings(values: list, path: str) -> list:
     for i, v in enumerate(values):
-        if not isinstance(v, str):
+        if type(v) is not str:
             raise MtlsemError(f"malformed input: {path}[{i}] must be a string")
     return values
 
 
 def word_or_lasso_from_json(obj, allow_nonzero_start: bool = False):
-    """A word or lasso from its JSON object.  Each distinct timestamp text is
-    read once to its (numerator, denominator) pair, all of them go on one time
-    base, and the checks run on the ticks."""
-    actions, ratios = [], []
-    seen = {}  # each distinct stamp's pair; a bool (True == 1) or a list is never looked up
-    for i, e in enumerate(_field(obj, "events", "", list, "a list of [action, time] pairs")):
-        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)):
+    """A word or lasso from its JSON object, read in bulk (see the module docstring)."""
+    events = _field(obj, "events", "", list, "a list of [action, time] pairs")
+    read = None
+    if all(type(e) is list and len(e) == 2 and type(e[0]) is str for e in events):
+        actions, stamps = tuple(zip(*events)) or ((), ())
+        read = _distinct_ratios(stamps)
+    for i, e in enumerate(events if read is None else ()):
+        if not (type(e) is list and len(e) == 2 and type(e[0]) is str):
             raise MtlsemError(f"malformed input: events[{i}] must be an [action, time] pair")
-        actions.append(e[0])
-        t = e[1]
-        ratio = seen.get(t) if type(t) in (str, int) else None
-        ratios.append(ratio or seen.setdefault(t, _rational_field(t, "events[{}][1]", i)))
-    D = math.lcm(*{d for _, d in ratios})
-    w = _checked(TimedWord, tuple(actions), D, [n * (D // d) for n, d in ratios],
-                 allow_nonzero_start)
+        _rational_at(e[1], f"events[{i}][1]")  # a bad input is read again to name its field
+    distinct, pairs = read
+    D = math.lcm(*{d for _, d in pairs})
+    tick = dict(zip(distinct, [n * (D // d) for n, d in pairs]))
+    w = _checked(TimedWord, actions, D, list(map(tick.__getitem__, stamps)), allow_nonzero_start)
     if "period" not in obj:
         return w
     p = _field(obj, "period", "", dict, "an object")
     actions = _strings(_field(p, "actions", "period", list, "a list of actions"),
                        "period.actions")
-    offsets = [Fraction(*_rational_field(o, "period.offsets[{}]", i)) for i, o in
+    offsets = [_rational_at(o, f"period.offsets[{i}]") for i, o in
                enumerate(_field(p, "offsets", "period", list, "a list of rationals"))]
-    duration_ = Fraction(*_rational_field(
-        _field(p, "duration", "period", (str, int), "a rational"), "period.duration"))
+    duration_ = _rational_at(_field(p, "duration", "period", (str, int), "a rational"),
+                             "period.duration")
     return lasso(w, actions, offsets, duration_)
 
 
@@ -460,25 +488,47 @@ def tss_to_json(kappa: TimedStateSequence) -> dict:
 
 
 def tss_from_json(obj, allow_nonzero_start: bool = False) -> TimedStateSequence:
-    steps = []
-    for i, st in enumerate(_field(obj, "steps", "", list,
-                                  "a list of [propositions, interval] pairs")):
-        if not (isinstance(st, list) and len(st) == 2
-                and isinstance(st[0], list) and isinstance(st[1], str)):
+    """A state sequence from its JSON object, read in bulk: every end goes
+    onto the least base, the lcm of the ends' reduced denominators."""
+    steps = _field(obj, "steps", "", list, "a list of [propositions, interval] pairs")
+    keys = None
+    if all(type(st) is list and len(st) == 2 and type(st[0]) is list and type(st[1]) is str
+           for st in steps) and {type(p) for st in steps for p in st[0]} <= {str}:
+        props, texts = tuple(zip(*steps)) or ((), ())
+        with suppress(MtlsemError):
+            ends = interval_ratios(texts)
+            pairs = {lo for lo, _, _, _ in ends} | {hi for _, hi, _, _ in ends if hi}
+            D0 = math.lcm(*{d // math.gcd(n, d) for n, d in pairs})
+            keys = [(3 * (lo[0] * D0 // lo[1]) + (not lo_closed),
+                     INF if hi is None else 3 * (hi[0] * D0 // hi[1]) - (not hi_closed))
+                    for lo, hi, lo_closed, hi_closed in ends]
+    bad = keys is None or not all(lo <= hi for lo, hi in keys)  # an empty step is bad too
+    for i, st in enumerate(steps if bad else ()):
+        if not (type(st) is list and len(st) == 2
+                and type(st[0]) is list and type(st[1]) is str):
             raise MtlsemError(
                 f"malformed input: steps[{i}] must be a [propositions, interval] pair")
-        props = _strings(st[0], f"steps[{i}][0]")
+        _strings(st[0], f"steps[{i}][0]")
         try:
-            steps.append((props, parse_interval(st[1])))
+            parse_interval(st[1])
         except MtlsemError as exc:
             raise MtlsemError(f"malformed input: steps[{i}][1]: {exc}") from None
-    return validate_tss(steps, allow_nonzero_start=allow_nonzero_start)
+    return _checked_tss(D0, keys, [frozenset(p) for p in props], allow_nonzero_start)
+
+
+def read_text(path: str) -> str:
+    """The text of a file, decoded as UTF-8 whatever the locale."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MtlsemError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def load_input(path: str, allow_nonzero_start: bool = False):
     """Load a word, lasso or state sequence from a JSON file, by shape."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = json.loads(read_text(path))
     if isinstance(obj, dict) and "steps" in obj:
         return tss_from_json(obj, allow_nonzero_start=allow_nonzero_start)
     return word_or_lasso_from_json(obj, allow_nonzero_start=allow_nonzero_start)

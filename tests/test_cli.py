@@ -1,15 +1,18 @@
 """End-to-end command-line checks, one per subcommand."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import mtlsem.cli
 from mtlsem.cli import main
+from mtlsem.structures import load_input, validate_word, word_to_json
 
 RHO1 = {"events": [["a", "0"], ["b", "1"], ["a", "1"], ["c", "3.3"]]}
 LASSO_SWAP_AB = {"events": [["a", "0"], ["a", "1"], ["b", "1"], ["c", "3.3"]],
@@ -374,6 +377,31 @@ class TestExitCodes:
                                              "duration": "0"}}, "error: period.duration"),
         ({"events": [["a", "0"]], "period": {"actions": ["b", "c"], "offsets": ["0"],
                                              "duration": "1"}}, "error: period: "),
+        # the first bad field is named, whatever comes after it
+        ({"events": [["a", "x"], ["b"]]}, "events[0][1]: not a nonnegative rational: 'x'"),
+        ({"events": [["a", "0"], ["b", "1/0"], ["c", "y"]]},
+         "events[1][1]: zero denominator: '1/0'"),
+        ({"events": [["a", "0"], ["b", "z"], ["c", "1"], ["a", "z"]]},
+         "events[1][1]: not a nonnegative rational: 'z'"),
+        ({"events": [["a", 0], ["b", 1], ["c", True]]},
+         "events[2][1] must be a rational string or integer"),
+        ({"events": [["a", "0"], ["b", [1]], ["c", {"x": 1}]]},
+         "events[1][1] must be a rational string or integer"),
+        ({"events": [["a", "0"], ["b", {}], ["c", []]]},
+         "events[1][1] must be a rational string or integer"),
+        # every step text is read before the steps are checked for adjacency
+        ({"steps": [[["a"], "[0,0]"], [[], "(1,2)"], [[], "(2,x)"]]},
+         "steps[2][1]: not an interval: '(2,x)'"),
+        ({"steps": [[["a"], "[0,0]"], [[], "(1,2)"], [[], "[3,2]"]]},
+         "steps[2][1]: empty interval: [3,2]"),
+        ({"steps": [[["a"], "[0,1/0]"], [[], "(0,1)"], "x"]},
+         "steps[0][1]: zero denominator: '1/0'"),
+        ({"steps": [[["a"], "[0,0]"], [[], "(0,1)"], "x", [[], "[2,x]"]]},
+         "steps[2] must be a [propositions, interval] pair"),
+        ({"steps": [[["a"], "[0,0]"], [[1], "(0,1)"], [[], "[1,x]"]]},
+         "steps[1][0][0] must be a string"),
+        ({"steps": [[["a"], "[0,0]"], [[], "(0,inf]"]]},
+         "steps[1][1]: infinite upper bound must be open: '(0,inf]'"),
     ])
     def test_malformed_shape_is_input_error_naming_the_field(
             self, tmp_path, capsys, payload, field):
@@ -718,3 +746,76 @@ class TestWordsBuildNoViews:
         cw = compact(w)
         assert cw.blocks == cw.blocks
         assert sorted(views) == ["blocks", "events", "times", "times"]
+
+
+
+class TestFilesAreReadAsUtf8:
+    """Input files are decoded as UTF-8 whatever the locale; a file that is
+    not UTF-8 is an input error naming the file."""
+
+    def test_undecodable_word_file(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"events": [["a", "0"]]}\xff')
+        assert main(["check", "--word", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {p}: not UTF-8 text")
+
+    def test_undecodable_formula_file(self, tmp_path, rho1, capsys):
+        f = tmp_path / "bad.mtl"
+        f.write_bytes(b"F a\xff")
+        assert main(["eval", "--semantics", "pw", "--formula-file", str(f), "--word", rho1]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {f}: not UTF-8 text")
+
+    def test_a_utf8_word_under_the_c_locale(self, tmp_path):
+        p = tmp_path / "accent.json"
+        p.write_bytes('{"events": [["\u00e9", "0"], ["b", "1/2"]]}'.encode("utf-8"))
+        src = str(Path(mtlsem.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0"}
+        done = subprocess.run([sys.executable, "-m", "mtlsem", "check", "--word", str(p)],
+                              capture_output=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert json.loads(done.stdout)["length"] == 2
+
+    def test_a_byte_order_mark_stays_an_input_error(self, tmp_path, capsys):
+        # pinned: JSON text has no byte order mark, and none is skipped
+        p = tmp_path / "bom.json"
+        p.write_bytes(b"\xef\xbb\xbf" + json.dumps(RHO1).encode("utf-8"))
+        assert main(["check", "--word", str(p)]) == 3
+        assert capsys.readouterr().err.startswith("error: Unexpected UTF-8 BOM")
+
+def _primes(k: int) -> list:
+    out, n = [], 2
+    while len(out) < k:
+        if all(n % q for q in out if q * q <= n):
+            out.append(n)
+        n += 1
+    return out
+
+
+class TestCoprimeDenominators:
+    """Event i of the word is at time i + 1/p_i, p_i the i-th prime (event 0 at
+    time 0): 299 pairwise coprime denominators, so the loader's lcm runs over
+    every distinct denominator and the time base has about 2,700 bits."""
+
+    def test_loaded_word_and_satset_match_the_validated_word(self, tmp_path, capsys, monkeypatch):
+        primes = _primes(299)
+        events = [("abc"[i % 3], Fraction(i * p + 1, p) if i else Fraction(0))
+                  for i, p in enumerate([1] + primes)]
+        want = validate_word(events)
+        assert want.ticks[0] == math.prod(primes)
+        path = tmp_path / "coprime.json"
+        path.write_text(json.dumps(word_to_json(want)))
+        loaded = load_input(str(path))
+        assert loaded == want and loaded.ticks == want.ticks
+        for sem in ("itw", "its", "mx"):
+            for formula in ("G(a -> F[1,3] b)", "(a | b) U[0,5/7] c"):
+                argv = ["satset", "--semantics", sem, "--formula", formula,
+                        "--alphabet", "a,b,c", "--word", str(path)]
+                assert main(argv) == 0
+                from_json = capsys.readouterr().out
+                with monkeypatch.context() as m:
+                    m.setattr(mtlsem.cli, "load_input", lambda *_: want)
+                    assert main(argv) == 0
+                assert capsys.readouterr().out == from_json, (sem, formula)

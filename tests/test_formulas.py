@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,15 @@ from mtlsem.formulas import (
 )
 from mtlsem.encodings import compact, word_to_tss
 from mtlsem.interval_based import sat_sets_its, sat_sets_itw
-from mtlsem.intervals import INF, interval, parse_interval, rat_str, rational
+from mtlsem.intervals import (
+    INF,
+    interval,
+    interval_ratios,
+    parse_interval,
+    rat_str,
+    ratios,
+    rational,
+)
 from mtlsem.mixed import sat_sets_mx
 from mtlsem.oracle import _gen_window, gen_formula, gen_word
 from mtlsem.pointwise import sat_positions
@@ -266,6 +275,102 @@ class TestTextGrammar:
         with pytest.raises(FormulaSyntaxError):
             parse(f"F[0,{text}] a", ABC)
 
+
+
+# The grammar as a reference: a rational, its denominator (None for a decimal
+# or an int), and an interval of two of them.
+_REF_RATIONAL = r"\s*(\d+(?:\.\d+|\s*/\s*(\d+))?)\s*"
+_REF_INTERVAL = r"\s*([\[(])\s*(\d+(?:\.\d+|\s*/\s*(\d+))?)\s*,\s*(\d+(?:\.\d+|\s*/\s*(\d+))?|inf)\s*([\])])\s*"
+
+
+def _rational_texts(rng, k):
+    """k rational texts, most in the grammar: padded decimals, leading zeros,
+    spaced slashes, numerators past 2^64, and near misses."""
+    out = []
+    for _ in range(k):
+        n = rng.choice([rng.randrange(100), rng.randrange(10**6), rng.randrange(2**64, 2**80)])
+        d = rng.choice([1, 2, 3, 8, 10, 12, 10**rng.randrange(1, 4), 2**64 + 13, 0])
+        pad = rng.choice(["", " ", "  ", "\t", "\n"])
+        form = rng.randrange(9)
+        if form == 0:
+            text = str(n)
+        elif form == 1:
+            text = "0" * rng.randrange(1, 4) + str(n)
+        elif form == 2:
+            text = f"{n}.{rng.randrange(1000):03}" + "0" * rng.randrange(3)
+        elif form == 3:
+            text = f"{n}{pad}/{pad}{d}"
+        elif form == 4:
+            text = f"{n}/{d:0{rng.randrange(1, 5)}}"
+        else:
+            text = rng.choice([f"-{n}", f"+{n}", f".{n}", f"{n}.", f"{n}/", f"/{d}", f"{n}e3",
+                               f"{n}_0", f"{n} {d}", f"{n}//{d}", f"{n}.5/{d}", "inf", "", pad,
+                               f"0x{n}", f"{n}/-{d}"])
+        out.append(rng.choice(["", " ", "\t "]) + text + rng.choice(["", " ", " \n"]))
+    return out
+
+
+class TestReaderAgainstFraction:
+    """`ratios`, `interval_ratios` and their wrappers against the standard
+    library's reading, on a fixed corpus of about 2,000 texts."""
+
+    def test_rationals(self):
+        texts = _rational_texts(random.Random(71), 1400)
+        read = 0
+        for text in texts:
+            m = re.fullmatch(_REF_RATIONAL, text)
+            if m and (m[2] is None or int(m[2])):
+                (n, d), = ratios([text])
+                assert Fraction(n, d) == Fraction("".join(text.split())) == rational(text)
+                read += 1
+                continue
+            want = (f"zero denominator: {m[1]!r}" if m else
+                    f"not a nonnegative rational: {text!r}")
+            for call in (ratios, lambda t: rational(t[0])):
+                with pytest.raises(MtlsemError) as exc:
+                    call([text])
+                assert str(exc.value) == want
+        assert 700 < read < 1300  # both sides of the grammar are exercised
+        # a batch raises for its first bad text, and reads as its texts one by one
+        good = [t for t in texts if re.fullmatch(_REF_RATIONAL, t) and "/0" not in t
+                and not re.search(r"/\s*0+\s*$", t)]
+        assert ratios(good) == [ratios([t])[0] for t in good]
+        with pytest.raises(MtlsemError, match="zero denominator: '1/0'"):
+            ratios(good[:5] + ["1/0", "x"] + good)
+        with pytest.raises(MtlsemError, match="not a nonnegative rational: 'x'"):
+            ratios(good[:5] + ["x", "1/0"] + good)
+
+    def test_intervals(self):
+        rng = random.Random(73)
+        ends = _rational_texts(rng, 1200)
+        for lo, hi in zip(ends[::2], ends[1::2]):
+            hi = "inf" if rng.random() < 0.15 else hi
+            text = f"{rng.choice('[(')}{lo},{hi}{rng.choice(')]')}"
+            if rng.random() < 0.05:
+                text = text[:-1]
+            m = re.fullmatch(_REF_INTERVAL, text)
+            if not m:
+                want = f"not an interval: {text!r}"
+            elif m[4] == "inf" and m[6] == "]":
+                want = f"infinite upper bound must be open: {text!r}"
+            elif m[3] is not None and not int(m[3]):
+                want = f"zero denominator: {m[2]!r}"
+            elif m[5] is not None and not int(m[5]):
+                want = f"zero denominator: {m[4]!r}"
+            else:
+                (lo_pair, hi_pair, lo_closed, hi_closed), = interval_ratios([text])
+                lo_v = Fraction("".join(m[2].split()))
+                hi_v = INF if m[4] == "inf" else Fraction("".join(m[4].split()))
+                assert Fraction(*lo_pair) == lo_v
+                assert (hi_pair is None) if hi_v == INF else Fraction(*hi_pair) == hi_v
+                assert (lo_closed, hi_closed) == (m[1] == "[", m[6] == "]")
+                if lo_v < hi_v or lo_v == hi_v and lo_closed and hi_closed:
+                    assert parse_interval(text) == interval(lo_v, hi_v, lo_closed, hi_closed)
+                    continue
+                want = f"empty interval: {m[1]}{rat_str(lo_v)},{rat_str(hi_v)}{m[6]}"
+            with pytest.raises(MtlsemError) as exc:
+                parse_interval(text)
+            assert str(exc.value) == want
 
 def _rand_formula(rng, depth):
     if depth >= 6 or rng.random() < 0.3:

@@ -17,7 +17,7 @@ from mtlsem.errors import (
     OutOfDomainError,
 )
 from mtlsem.encodings import compact, uncompact
-from mtlsem.intervals import interval, rat_str, tick_column
+from mtlsem.intervals import INF, interval, rat_str, tick_column
 from mtlsem.oracle import gen_lasso, gen_word
 from mtlsem.structures import (
     CompactTimedWord,
@@ -345,6 +345,21 @@ def _scan_at(kappa, t):
             return props
     return None
 
+
+
+class TestLoadedStateSequences:
+    def test_padded_and_unreduced_texts_load_on_the_least_base(self):
+        """`tss_from_json` reads each step text straight to its keys: written
+        in any accepted form, the steps load to the columns `validate_tss`
+        gives their Intervals."""
+        rng = random.Random(19)
+        for kappa in _tss_corpus():
+            steps = [[sorted(props), ("[" if iv.lo.closed else "(") + str(_texts(rng, iv.lo.value))
+                      + "," + ("inf)" if iv.hi.value == INF else
+                               str(_texts(rng, iv.hi.value)) + ("]" if iv.hi.closed else ")"))]
+                     for props, iv in kappa.steps]
+            assert tss_from_json({"steps": steps}, allow_nonzero_start=True).columns \
+                == kappa.columns, steps
 
 class TestKeyedLookupAndRendering:
     def test_lookup_matches_a_linear_scan(self):
@@ -686,6 +701,34 @@ LOADER_ERRORS = [
     ("period duration", {"events": [["a", "0"]], "period": {
         "actions": ["b"], "offsets": ["1"], "duration": True}}, False,
      "malformed input: period.duration must be a rational"),
+    # the first bad field is named, whatever comes after it
+    ("stamp ahead of a shape", {"events": [["a", "x"], ["b"]]}, False,
+     "malformed input: events[0][1]: not a nonnegative rational: 'x'"),
+    ("shape ahead of a stamp", {"events": [["a", "0"], ["b"], ["c", "x"]]}, False,
+     "malformed input: events[1] must be an [action, time] pair"),
+    ("two bad stamps", {"events": [["a", "0"], ["b", "1/0"], ["c", "y"]]}, False,
+     "malformed input: events[1][1]: zero denominator: '1/0'"),
+    ("two bad stamps swapped", {"events": [["a", "0"], ["b", "y"], ["c", "1/0"]]}, False,
+     "malformed input: events[1][1]: not a nonnegative rational: 'y'"),
+    ("same bad text twice", {"events": [["a", "0"], ["b", "z"], ["c", "1"], ["a", "z"]]},
+     False, "malformed input: events[1][1]: not a nonnegative rational: 'z'"),
+    ("one then true", {"events": [["a", 0], ["b", 1], ["c", True]]}, False,
+     "malformed input: events[2][1] must be a rational string or integer"),
+    ("zero then false", {"events": [["a", 0], ["b", False]]}, False,
+     "malformed input: events[1][1] must be a rational string or integer"),
+    ("list then dict", {"events": [["a", "0"], ["b", [1]], ["c", {"x": 1}]]}, False,
+     "malformed input: events[1][1] must be a rational string or integer"),
+    ("dict then list", {"events": [["a", "0"], ["b", {}], ["c", []]]}, False,
+     "malformed input: events[1][1] must be a rational string or integer"),
+    ("bad offset ahead of a bad duration", {"events": [["a", "0"]], "period": {
+        "actions": ["b", "c"], "offsets": ["1", "q"], "duration": "1/0"}}, False,
+     "malformed input: period.offsets[1]: not a nonnegative rational: 'q'"),
+    ("offset of the wrong type", {"events": [["a", "0"]], "period": {
+        "actions": ["b", "c"], "offsets": [1, 1.5], "duration": "2"}}, False,
+     "malformed input: period.offsets[1] must be a rational string or integer"),
+    ("zero duration denominator", {"events": [["a", "0"]], "period": {
+        "actions": ["b"], "offsets": ["1"], "duration": " 2 / 0 "}}, False,
+     "malformed input: period.duration: zero denominator: '2 / 0'"),
 ]
 
 
