@@ -34,15 +34,14 @@ representation of Maler & Nickovic, FORMATS 2004) and never re-sort.
 with parts that are already normalized.
 
 Rationals and intervals have one text grammar, `RATIONAL_TEXT` and
-`INTERVAL_TEXT`, and one reader of it.  A rational is "p/q" (spaces allowed
-around the slash, q nonzero) or a terminating decimal; an interval is a
-bracket, a rational, a comma, a rational or "inf", and a bracket.  `ratios`
-reads a list of rational texts to their (numerator, denominator) pairs and
-`interval_ratios` a list of interval texts to two such pairs and two flags
-each, with one compiled match per text and no call per value.  `rational`,
-`parse_interval` (and through it the formula parser's window token) and the
-JSON loaders are wrappers over them, so `--time`, JSON timestamps,
-state-sequence intervals and formula windows accept the same text.
+`INTERVAL_TEXT`, and one reader: `rational_pair` reads a rational text to its
+(numerator, denominator) pair with one compiled match, and `rational_ticks` a
+list of them to ticks on one base, plain "p" and "p/q" texts with no call per
+text.  A rational is "p/q" (spaces allowed around the slash, q nonzero) or a
+terminating decimal; an interval is a bracket, a rational, a comma, a rational
+or "inf", and a bracket.  `rational`, `parse_interval`, the formula parser's
+window token and the JSON loaders read through them, so `--time`, JSON
+timestamps, state-sequence intervals and formula windows accept the same text.
 """
 
 from __future__ import annotations
@@ -53,61 +52,58 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
-from re import Match
+from itertools import compress, repeat
+from operator import mul
 
 from .errors import MtlsemError
 
 INF = math.inf
 
-# A rational captures its digits: the whole part, the decimals, the denominator.
-# Its empty third branch, in place of a trailing "?", spares the regex engine
-# a repeat, which makes each match cheaper.
-RATIONAL_TEXT = r"(\d+)(?:\.(\d+)|\s*/\s*(\d+)|)"
+RATIONAL_TEXT = r"(\d+)(?:\.(\d+)|\s*/\s*(\d+))?"
 INTERVAL_TEXT = rf"([\[(])\s*({RATIONAL_TEXT})\s*,\s*({RATIONAL_TEXT}|inf)\s*([\])])"
-_RATIONAL = re.compile(rf"\s*({RATIONAL_TEXT})\s*")
+_RATIONAL = re.compile(rf"\s*{RATIONAL_TEXT}\s*")
 _INTERVAL = re.compile(rf"\s*{INTERVAL_TEXT}\s*")
 
 
-def _raise(message: str):
-    raise MtlsemError(message)
+def _pair(text: str, whole: str, frac: str, den: str) -> tuple:
+    """The (numerator, denominator) pair of a `RATIONAL_TEXT` from its groups
+    (whole, decimals, denominator), as written: "0.50" gives (50, 100)."""
+    d = int(den) if den else 10 ** len(frac)
+    if not d:
+        raise MtlsemError(f"zero denominator: {text!r}")
+    return int(whole + frac), d
 
 
-def ratios(texts: list) -> list:
-    """The (numerator, denominator) pair of each `RATIONAL_TEXT`, as written:
-    "2/4" gives (2, 4) and "0.50" gives (50, 100).  One compiled match per
-    text and no call per value; the first text that is no rational raises."""
-    try:  # ints, not Fraction(str): the fractions module's own regex is most of its cost
-        return [(int(w + f), (int(d) or _raise(f"zero denominator: {t!r}")) if d else 10 ** len(f))
-                for t, w, f, d in map(Match.groups, map(_RATIONAL.fullmatch, texts), repeat(""))]
-    except TypeError:  # a text matched nothing: its match is None
-        bad = next(t for t in texts if not _RATIONAL.fullmatch(t))
-        raise MtlsemError(f"not a nonnegative rational: {bad!r}") from None
+def rational_pair(text: str) -> tuple:
+    """The (numerator, denominator) pair of a `RATIONAL_TEXT`, as written."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise MtlsemError(f"not a nonnegative rational: {text!r}")
+    return _pair(text.strip(), *m.groups(""))
 
 
-def interval_ratios(texts: list) -> list:
-    """The ends of each `INTERVAL_TEXT` as (lo, hi, lo_closed, hi_closed), lo
-    and hi read as `ratios` reads them, hi None for inf.  The first text that
-    is no interval raises; an empty one does not."""
-    try:
-        return [((int(lw + lf), (int(ld) or _raise(f"zero denominator: {lo!r}"))
-                  if ld else 10 ** len(lf)),
-                 None if hi == "inf" else (int(hw + hf), (int(hd) or _raise(
-                     f"zero denominator: {hi!r}")) if hd else 10 ** len(hf)),
-                 lbr == "[", rbr == "]")
-                for text, (lbr, lo, lw, lf, ld, hi, hw, hf, hd, rbr) in
-                zip(texts, map(Match.groups, map(_INTERVAL.fullmatch, texts), repeat("")))
-                if hi != "inf" or rbr == ")"
-                or _raise(f"infinite upper bound must be open: {text!r}")]
-    except TypeError:  # a text matched nothing: its match is None
-        bad = next(t for t in texts if not _INTERVAL.fullmatch(t))
-        raise MtlsemError(f"not an interval: {bad!r}") from None
+def rational_ticks(texts) -> tuple:
+    """(D, each `RATIONAL_TEXT`'s value times D, as an int), D the lcm of the
+    denominators as written.  A list of plain "p" and "p/q" texts is read with
+    str methods and int over whole columns, no call per text; any other list
+    one distinct text at a time (`rational_pair`).  The first bad text raises."""
+    nums, slashes, dens = tuple(zip(*map(str.partition, texts, repeat("/")))) or ((), (), ())
+    if all(map(str.isdecimal, nums)) and all(map(str.isdecimal, compress(dens, slashes))):
+        den_of = {q: int(q or 1) for q in set(dens)}  # q is "" for a plain "p"
+        if 0 in den_of.values():  # the first text with a zero denominator raises
+            rational_pair(next(t for t, q in zip(texts, dens) if not den_of[q]))
+        D = math.lcm(*den_of.values())
+        scale = {q: D // d for q, d in den_of.items()}
+        return D, list(map(mul, map(int, nums), map(scale.__getitem__, dens)))
+    pair_of = {t: rational_pair(t) for t in dict.fromkeys(texts)}  # each distinct text once
+    D = math.lcm(*{d for _, d in pair_of.values()})
+    return D, [n * (D // d) for n, d in map(pair_of.__getitem__, texts)]
 
 
 def rational(value) -> Fraction:
     """Parse a nonnegative rational from `RATIONAL_TEXT`, an int or a Fraction."""
     if isinstance(value, str):
-        return Fraction(*ratios([value])[0])
+        return Fraction(*rational_pair(value))
     if not isinstance(value, (int, Fraction)):
         raise MtlsemError(f"not a rational: {value!r}")
     if value < 0:
@@ -188,8 +184,15 @@ def punctual(t) -> Interval:
 
 def parse_interval(text: str) -> Interval:
     """Parse `INTERVAL_TEXT`: "[l,u]", "(l,u]", "[l,u)" or "(l,u)"; u may be "inf" if open."""
-    (lo, hi, lo_closed, hi_closed), = interval_ratios([text])
-    return interval(Fraction(*lo), INF if hi is None else Fraction(*hi), lo_closed, hi_closed)
+    m = _INTERVAL.fullmatch(text)
+    if not m:
+        raise MtlsemError(f"not an interval: {text!r}")
+    lbr, lo, lw, lf, ld, hi, hw, hf, hd, rbr = m.groups("")  # each end and its three groups
+    if hi == "inf" and rbr == "]":
+        raise MtlsemError(f"infinite upper bound must be open: {text!r}")
+    return interval(Fraction(*_pair(lo, lw, lf, ld)),
+                    INF if hi == "inf" else Fraction(*_pair(hi, hw, hf, hd)),
+                    lbr == "[", rbr == "]")
 
 
 def _lo_key(b: Bound):

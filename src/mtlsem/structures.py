@@ -22,17 +22,12 @@ columns; they check nothing.  Every other constructor gives ticks on some base
 D to `on_base`, which moves them to the least base, D / gcd(D, every tick):
 `validate_word`, `validate_compact` and `word_or_lasso_from_json` after one
 check of the ticks (`_checked`), `unroll` and the encodings without one.
+`word_or_lasso_from_json` reads in bulk: it checks the event shapes in one
+pass and reads the stamps as one column (`intervals.rational_ticks`); only a
+bad input is read again, field by field, to name its first bad field.
 `unroll` lays the prefix, the offsets and the period on one base.  Text output
 renders the ticks with int arithmetic (`time_texts`), as `rat_str` prints the
 values.
-
-The JSON loaders read in bulk.  `word_or_lasso_from_json` checks the events a
-column at a time, reads each distinct stamp once (`intervals.ratios`) and
-gives each event its tick with one dict lookup, on the lcm of the
-denominators; `tss_from_json` reads each step text straight to its key pair
-(`intervals.interval_ratios`).  Only a bad input is read again, field by
-field, to name its first bad field.  `load_input` decodes a file as UTF-8
-whatever the locale.
 """
 
 from __future__ import annotations
@@ -40,7 +35,6 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -58,14 +52,13 @@ from .errors import (
 from .intervals import (
     INF,
     Interval,
-    interval_ratios,
     key_column,
     key_intervals,
     key_texts,
     parse_interval,
     rat_str,
-    ratios,
     rational,
+    rational_ticks,
     tick_column,
     tick_text,
     time_base,
@@ -259,23 +252,16 @@ class TimedStateSequence:
 
 
 def validate_tss(steps, allow_nonzero_start: bool = False) -> TimedStateSequence:
-    """The sequence of the steps, (propositions, Interval or `INTERVAL_TEXT`)
-    pairs, once `_checked_tss` finds them to be one."""
+    """Check the steps on their keys, returning the sequence: neighbours are
+    adjacent (a lower key one past the upper key before it), the first starts
+    closed at 0 unless `allow_nonzero_start`, and the last ends closed."""
     steps = tuple(
         (frozenset(props), iv if isinstance(iv, Interval) else parse_interval(iv))
         for props, iv in steps
     )
-    D0, keys = key_column([iv for _, iv in steps])
-    return _checked_tss(D0, keys, [p for p, _ in steps], allow_nonzero_start)
-
-
-def _checked_tss(D0: int, keys: list, props: list, allow_nonzero_start: bool):
-    """The sequence of the step keys on the least base D0, once it is found to
-    be one: neighbours are adjacent (a lower key one past the upper key before
-    it), the first starts closed at 0 unless `allow_nonzero_start`, and the
-    last ends closed."""
-    if not keys:
+    if not steps:
         raise EmptyWordError("empty timed state sequence")
+    D0, keys = key_column([iv for _, iv in steps])
     for pos in range(1, len(keys)):
         if keys[pos][0] != keys[pos - 1][1] + 1:
             raise AdjacencyError(pos)
@@ -284,7 +270,7 @@ def _checked_tss(D0: int, keys: list, props: list, allow_nonzero_start: bool):
     last = keys[-1][1]
     if last == INF or last % 3:
         raise MtlsemError("a finite timed state sequence must end with a right-closed interval")
-    return TimedStateSequence(D0, tuple(keys), tuple(props))
+    return TimedStateSequence(D0, tuple(keys), tuple(p for p, _ in steps))
 
 
 def tss_duration(kappa: TimedStateSequence) -> Fraction:
@@ -423,19 +409,7 @@ def _field(obj: dict, key: str, where: str, kind, expected: str):
     return value
 
 
-_RATIONAL_TYPES = {str, int}  # by type: a bool or a float, which hash as ints, is never read
-
-
-def _distinct_ratios(values) -> tuple | None:
-    """(the distinct rational fields of values, the (numerator, denominator)
-    pair of each), each read once (an int as its decimal text); None if one is
-    bad."""
-    kinds = set(map(type, values))
-    if kinds <= _RATIONAL_TYPES:
-        distinct = list(set(values))
-        with suppress(MtlsemError):
-            return distinct, ratios(distinct if kinds <= {str} else list(map(str, distinct)))
-    return None
+_RATIONAL_TYPES = {str, int}  # by type: a bool, an int subclass, is no rational field
 
 
 def _rational_at(value, path: str) -> Fraction:
@@ -450,7 +424,7 @@ def _rational_at(value, path: str) -> Fraction:
 
 def _strings(values: list, path: str) -> list:
     for i, v in enumerate(values):
-        if type(v) is not str:
+        if not isinstance(v, str):
             raise MtlsemError(f"malformed input: {path}[{i}] must be a string")
     return values
 
@@ -458,18 +432,20 @@ def _strings(values: list, path: str) -> list:
 def word_or_lasso_from_json(obj, allow_nonzero_start: bool = False):
     """A word or lasso from its JSON object, read in bulk (see the module docstring)."""
     events = _field(obj, "events", "", list, "a list of [action, time] pairs")
-    read = None
-    if all(type(e) is list and len(e) == 2 and type(e[0]) is str for e in events):
-        actions, stamps = tuple(zip(*events)) or ((), ())
-        read = _distinct_ratios(stamps)
-    for i, e in enumerate(events if read is None else ()):
-        if not (type(e) is list and len(e) == 2 and type(e[0]) is str):
-            raise MtlsemError(f"malformed input: events[{i}] must be an [action, time] pair")
-        _rational_at(e[1], f"events[{i}][1]")  # a bad input is read again to name its field
-    distinct, pairs = read
-    D = math.lcm(*{d for _, d in pairs})
-    tick = dict(zip(distinct, [n * (D // d) for n, d in pairs]))
-    w = _checked(TimedWord, actions, D, list(map(tick.__getitem__, stamps)), allow_nonzero_start)
+    bad = next((i for i, e in enumerate(events)
+                if not (type(e) is list and len(e) == 2 and type(e[0]) is str)), len(events))
+    actions, stamps = tuple(zip(*events[:bad])) or ((), ())
+    kinds, read = {*map(type, stamps)}, None
+    if kinds <= _RATIONAL_TYPES:
+        try:  # an int is read as its decimal text
+            read = rational_ticks(stamps if kinds <= {str} else list(map(str, stamps)))
+        except MtlsemError:
+            pass
+    if read is None or bad < len(events):  # a bad stamp ahead of the bad event is named first
+        for i, t in enumerate(stamps):
+            _rational_at(t, f"events[{i}][1]")
+        raise MtlsemError(f"malformed input: events[{bad}] must be an [action, time] pair")
+    w = _checked(TimedWord, actions, *read, allow_nonzero_start)
     if "period" not in obj:
         return w
     p = _field(obj, "period", "", dict, "an object")
@@ -488,46 +464,32 @@ def tss_to_json(kappa: TimedStateSequence) -> dict:
 
 
 def tss_from_json(obj, allow_nonzero_start: bool = False) -> TimedStateSequence:
-    """A state sequence from its JSON object, read in bulk: every end goes
-    onto the least base, the lcm of the ends' reduced denominators."""
-    steps = _field(obj, "steps", "", list, "a list of [propositions, interval] pairs")
-    keys = None
-    if all(type(st) is list and len(st) == 2 and type(st[0]) is list and type(st[1]) is str
-           for st in steps) and {type(p) for st in steps for p in st[0]} <= {str}:
-        props, texts = tuple(zip(*steps)) or ((), ())
-        with suppress(MtlsemError):
-            ends = interval_ratios(texts)
-            pairs = {lo for lo, _, _, _ in ends} | {hi for _, hi, _, _ in ends if hi}
-            D0 = math.lcm(*{d // math.gcd(n, d) for n, d in pairs})
-            keys = [(3 * (lo[0] * D0 // lo[1]) + (not lo_closed),
-                     INF if hi is None else 3 * (hi[0] * D0 // hi[1]) - (not hi_closed))
-                    for lo, hi, lo_closed, hi_closed in ends]
-    bad = keys is None or not all(lo <= hi for lo, hi in keys)  # an empty step is bad too
-    for i, st in enumerate(steps if bad else ()):
-        if not (type(st) is list and len(st) == 2
-                and type(st[0]) is list and type(st[1]) is str):
+    steps = []
+    for i, st in enumerate(_field(obj, "steps", "", list,
+                                  "a list of [propositions, interval] pairs")):
+        if not (isinstance(st, list) and len(st) == 2
+                and isinstance(st[0], list) and isinstance(st[1], str)):
             raise MtlsemError(
                 f"malformed input: steps[{i}] must be a [propositions, interval] pair")
-        _strings(st[0], f"steps[{i}][0]")
+        props = _strings(st[0], f"steps[{i}][0]")
         try:
-            parse_interval(st[1])
+            steps.append((props, parse_interval(st[1])))
         except MtlsemError as exc:
             raise MtlsemError(f"malformed input: steps[{i}][1]: {exc}") from None
-    return _checked_tss(D0, keys, [frozenset(p) for p in props], allow_nonzero_start)
+    return validate_tss(steps, allow_nonzero_start=allow_nonzero_start)
 
 
 def read_text(path: str) -> str:
     """The text of a file, decoded as UTF-8 whatever the locale."""
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
-        return data.decode("utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise MtlsemError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def load_input(path: str, allow_nonzero_start: bool = False):
-    """Load a word, lasso or state sequence from a JSON file, by shape."""
+    """Load a word, lasso or state sequence from a UTF-8 JSON file, by shape."""
     obj = json.loads(read_text(path))
     if isinstance(obj, dict) and "steps" in obj:
         return tss_from_json(obj, allow_nonzero_start=allow_nonzero_start)

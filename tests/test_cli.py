@@ -785,6 +785,22 @@ class TestFilesAreReadAsUtf8:
         assert main(["check", "--word", str(p)]) == 3
         assert capsys.readouterr().err.startswith("error: Unexpected UTF-8 BOM")
 
+    def test_line_ends_are_read_as_in_text_mode(self, tmp_path, rho1, capsys):
+        # "\r\n" and "\r" read as "\n", so an error's position counts no "\r"
+        errors = []
+        for end in ("\n", "\r\n", "\r"):
+            f = tmp_path / "f.mtl"
+            f.write_bytes(f"F a{end}&{end}& b{end}".encode())
+            w = tmp_path / "w.json"
+            w.write_bytes(f'{{"events":{end}[["a", "0"],{end}x]}}'.encode())
+            argv = ["eval", "--semantics", "pw", "--formula-file", str(f), "--word", rho1]
+            assert main(argv) == 3
+            assert main(["check", "--word", str(w)]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == errors[2]
+        assert "syntax error at 6:" in errors[0] and "line 3 column 1 (char 24)" in errors[0]
+
+
 def _primes(k: int) -> list:
     out, n = [], 2
     while len(out) < k:

@@ -1,5 +1,6 @@
 """Formula parsing, printing, and structural metrics."""
 
+import math
 import pickle
 import random
 import re
@@ -37,11 +38,11 @@ from mtlsem.interval_based import sat_sets_its, sat_sets_itw
 from mtlsem.intervals import (
     INF,
     interval,
-    interval_ratios,
     parse_interval,
     rat_str,
-    ratios,
     rational,
+    rational_pair,
+    rational_ticks,
 )
 from mtlsem.mixed import sat_sets_mx
 from mtlsem.oracle import _gen_window, gen_formula, gen_word
@@ -311,8 +312,9 @@ def _rational_texts(rng, k):
 
 
 class TestReaderAgainstFraction:
-    """`ratios`, `interval_ratios` and their wrappers against the standard
-    library's reading, on a fixed corpus of about 2,000 texts."""
+    """`rational_pair`, `rational_ticks` and their wrappers, `rational` and
+    `parse_interval`, against the standard library's reading, on a fixed
+    corpus of about 2,000 texts."""
 
     def test_rationals(self):
         texts = _rational_texts(random.Random(71), 1400)
@@ -320,25 +322,35 @@ class TestReaderAgainstFraction:
         for text in texts:
             m = re.fullmatch(_REF_RATIONAL, text)
             if m and (m[2] is None or int(m[2])):
-                (n, d), = ratios([text])
-                assert Fraction(n, d) == Fraction("".join(text.split())) == rational(text)
+                D, (v,) = rational_ticks([text])
+                assert Fraction(v, D) == Fraction("".join(text.split())) == rational(text)
+                assert Fraction(*rational_pair(text)) == rational(text)
                 read += 1
                 continue
             want = (f"zero denominator: {m[1]!r}" if m else
                     f"not a nonnegative rational: {text!r}")
-            for call in (ratios, lambda t: rational(t[0])):
+            for call in (rational_ticks, lambda t: rational(t[0]), lambda t: rational_pair(t[0])):
                 with pytest.raises(MtlsemError) as exc:
                     call([text])
                 assert str(exc.value) == want
         assert 700 < read < 1300  # both sides of the grammar are exercised
-        # a batch raises for its first bad text, and reads as its texts one by one
+        # a batch, plain ("p", "p/q") or not, reads as its texts one by one
         good = [t for t in texts if re.fullmatch(_REF_RATIONAL, t) and "/0" not in t
                 and not re.search(r"/\s*0+\s*$", t)]
-        assert ratios(good) == [ratios([t])[0] for t in good]
+        plain = [t.strip() for t in good if re.fullmatch(r"\s*\d+(/\d+)?\s*", t)]
+        assert 100 < len(plain) < len(good)
+        for batch in (good, plain):
+            D, ticks = rational_ticks(batch)
+            assert D == math.lcm(*{rational_ticks([t])[0] for t in batch})
+            assert [Fraction(v, D) for v in ticks] == [rational(t) for t in batch]
+        # it raises for its first bad text
         with pytest.raises(MtlsemError, match="zero denominator: '1/0'"):
-            ratios(good[:5] + ["1/0", "x"] + good)
+            rational_ticks(good[:5] + ["1/0", "x"] + good)
         with pytest.raises(MtlsemError, match="not a nonnegative rational: 'x'"):
-            ratios(good[:5] + ["x", "1/0"] + good)
+            rational_ticks(good[:5] + ["x", "1/0"] + good)
+        with pytest.raises(MtlsemError, match="zero denominator: '3/0'"):
+            rational_ticks(plain[:5] + ["3/0", "2/00"] + plain)
+        assert rational_ticks([]) == (1, [])
 
     def test_intervals(self):
         rng = random.Random(73)
@@ -358,12 +370,9 @@ class TestReaderAgainstFraction:
             elif m[5] is not None and not int(m[5]):
                 want = f"zero denominator: {m[4]!r}"
             else:
-                (lo_pair, hi_pair, lo_closed, hi_closed), = interval_ratios([text])
                 lo_v = Fraction("".join(m[2].split()))
                 hi_v = INF if m[4] == "inf" else Fraction("".join(m[4].split()))
-                assert Fraction(*lo_pair) == lo_v
-                assert (hi_pair is None) if hi_v == INF else Fraction(*hi_pair) == hi_v
-                assert (lo_closed, hi_closed) == (m[1] == "[", m[6] == "]")
+                lo_closed, hi_closed = m[1] == "[", m[6] == "]"
                 if lo_v < hi_v or lo_v == hi_v and lo_closed and hi_closed:
                     assert parse_interval(text) == interval(lo_v, hi_v, lo_closed, hi_closed)
                     continue
@@ -371,6 +380,7 @@ class TestReaderAgainstFraction:
             with pytest.raises(MtlsemError) as exc:
                 parse_interval(text)
             assert str(exc.value) == want
+
 
 def _rand_formula(rng, depth):
     if depth >= 6 or rng.random() < 0.3:
