@@ -10,10 +10,10 @@ included, is exact, so it is true or false.  Machine output is JSON on stdout;
 table, `_relations`: per relation, how it reads a timed word, its engine and
 oracle at one point, its lasso verdict and its satisfaction sets.
 
-`main(argv)` is reentrant: the argument parser is built once, at import, and
-every call parses its argv against it, so a program that calls `main` in a
-loop pays for argparse construction once.  The library (`import mtlsem`) does
-not import this module.
+`main(argv)` is reentrant: the one argument parser is built at import.  An
+argv that starts with a command name is parsed by that command's sub-parser
+alone (an unrecognized argument prints the command's usage), any other by the
+top parser: one argparse pass.  The library (`import mtlsem`) does not import it.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from .structures import (
 )
 
 OK, FALSE, INPUT_ERROR, INVARIANT = 0, 1, 3, 4
+_FUZZ_SIGMA = alphabet("a,b,c")  # the actions of oracle.gen_word
 
 
 def _emit(obj, pretty: bool):
@@ -256,10 +257,8 @@ def cmd_check(args) -> int:
 
 def _fuzz_one(engine: str, seed: int):
     """Compare one fuzzed case against the oracle; return a divergence or None."""
-    sigma = alphabet("a,b,c")
     rho = gen_word(seed)
-    f = gen_formula(seed * 2654435761 % (2**31), sigma,
-                    allow_beta=engine == "mx")
+    f = gen_formula(seed * 2654435761 % (2**31), _FUZZ_SIGMA, allow_beta=engine == "mx")
     read, *_ = _relations()[engine]
     diverged = differential(engine, read(rho), f)
     if diverged:
@@ -373,11 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
 # argparse keeps no state between parse_args calls (each returns a fresh
 # Namespace), so one parser serves every call of `main`.
 _PARSER = build_parser()
+_COMMANDS = next(a.choices for a in _PARSER._actions if a.dest == "command")
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    command = _COMMANDS.get(argv[0]) if argv else None
     try:
-        args = _PARSER.parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
     except SystemExit as exc:
         return INPUT_ERROR if exc.code not in (0, None) else 0
     try:

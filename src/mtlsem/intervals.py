@@ -68,10 +68,13 @@ _INTERVAL = re.compile(rf"\s*{INTERVAL_TEXT}\s*")
 def _pair(text: str, whole: str, frac: str, den: str) -> tuple:
     """The (numerator, denominator) pair of a `RATIONAL_TEXT` from its groups
     (whole, decimals, denominator), as written: "0.50" gives (50, 100)."""
-    d = int(den) if den else 10 ** len(frac)
+    try:
+        n, d = int(whole + frac), int(den) if den else 10 ** len(frac)
+    except ValueError:  # past int's digit limit (sys.get_int_max_str_digits)
+        raise MtlsemError(f"numeral too long to read: {text[:16]!r}...") from None
     if not d:
         raise MtlsemError(f"zero denominator: {text!r}")
-    return int(whole + frac), d
+    return n, d
 
 
 def rational_pair(text: str) -> tuple:
@@ -85,16 +88,17 @@ def rational_pair(text: str) -> tuple:
 def rational_ticks(texts) -> tuple:
     """(D, each `RATIONAL_TEXT`'s value times D, as an int), D the lcm of the
     denominators as written.  A list of plain "p" and "p/q" texts is read with
-    str methods and int over whole columns, no call per text; any other list
-    one distinct text at a time (`rational_pair`).  The first bad text raises."""
+    str methods and int over whole columns, no call per text; any other list, or
+    one that fails there, by `rational_pair` per distinct text: the first bad raises."""
     nums, slashes, dens = tuple(zip(*map(str.partition, texts, repeat("/")))) or ((), (), ())
     if all(map(str.isdecimal, nums)) and all(map(str.isdecimal, compress(dens, slashes))):
-        den_of = {q: int(q or 1) for q in set(dens)}  # q is "" for a plain "p"
-        if 0 in den_of.values():  # the first text with a zero denominator raises
-            rational_pair(next(t for t, q in zip(texts, dens) if not den_of[q]))
-        D = math.lcm(*den_of.values())
-        scale = {q: D // d for q, d in den_of.items()}
-        return D, list(map(mul, map(int, nums), map(scale.__getitem__, dens)))
+        try:
+            den_of = {q: int(q or 1) for q in set(dens)}  # q is "" for a plain "p"
+            D = math.lcm(*den_of.values())
+            scale = {q: D // d for q, d in den_of.items()}
+            return D, list(map(mul, map(int, nums), map(scale.__getitem__, dens)))
+        except (ValueError, ZeroDivisionError):  # int's digit limit; 0 // 0 at a zero denominator
+            pass
     pair_of = {t: rational_pair(t) for t in dict.fromkeys(texts)}  # each distinct text once
     D = math.lcm(*{d for _, d in pair_of.values()})
     return D, [n * (D // d) for n, d in map(pair_of.__getitem__, texts)]

@@ -33,6 +33,7 @@ which compares an engine with its oracle, calls the engines.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -326,7 +327,8 @@ def differential(engine: str, structure, f: Formula):
 
 
 # ---------------------------------------------------------------------------
-# deterministic fuzz generators
+# deterministic fuzz generators: the fuzz corpus and criterion 8 are their
+# draws per seed, pinned by digest in the tests
 
 _ACTIONS = ("a", "b", "c")  # the actions of gen_word and gen_lasso
 _KA_PROPS = ("a", "b", "c", "d")
@@ -358,23 +360,25 @@ def gen_word(seed: int, max_len: int = 8, stutter_free: bool = False) -> TimedWo
 
 _LO_POOL = [Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
 _SPAN_POOL = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), INF]
+# each window a draw can name, built and validated once: at most 5 x 5 x 2 x 2
+_window = functools.cache(lambda lo, span, lo_closed, hi_closed: interval(
+    lo, INF if span is INF else lo + span, lo_closed, hi_closed))
 
 
 def _gen_window(rng) -> Interval:
-    lo = rng.choice(_LO_POOL)
-    span = rng.choice(_SPAN_POOL)
-    if span == INF:
-        return interval(lo, INF, rng.random() < 0.5, False)
-    hi = lo + span
-    if lo == hi:
-        return interval(lo, hi, True, True)
-    return interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+    lo, span = rng.choice(_LO_POOL), rng.choice(_SPAN_POOL)
+    if span is INF:
+        return _window(lo, span, rng.random() < 0.5, False)
+    if not span:
+        return _window(lo, span, True, True)
+    return _window(lo, span, rng.random() < 0.5, rng.random() < 0.5)
 
 
 def gen_formula(seed: int, sigma, max_depth: int = 4,
                 bounded_only: bool = False, allow_beta: bool = False) -> Formula:
     sigma = alphabet(sigma)
     rng = random.Random(seed)
+    true = f_true(sigma)
 
     def build(depth) -> Formula:
         if depth >= max_depth or rng.random() < 0.3:
@@ -391,7 +395,7 @@ def gen_formula(seed: int, sigma, max_depth: int = 4,
             w = _gen_window(rng)
         left = build(depth + 1)
         if rng.random() < 0.5:
-            left = f_true(sigma)  # plain eventually, the common shape
+            left = true  # plain eventually, the common shape
         return Until(left, w, build(depth + 1))
 
     return build(0)

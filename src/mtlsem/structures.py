@@ -490,7 +490,12 @@ def read_text(path: str) -> str:
 
 def load_input(path: str, allow_nonzero_start: bool = False):
     """Load a word, lasso or state sequence from a UTF-8 JSON file, by shape."""
-    obj = json.loads(read_text(path))
+    try:
+        obj = json.loads(read_text(path))
+    except (MtlsemError, json.JSONDecodeError):
+        raise
+    except ValueError:  # a JSON integer past int's digit limit
+        raise MtlsemError(f"malformed input: {path}: an integer too long to read") from None
     if isinstance(obj, dict) and "steps" in obj:
         return tss_from_json(obj, allow_nonzero_start=allow_nonzero_start)
     return word_or_lasso_from_json(obj, allow_nonzero_start=allow_nonzero_start)

@@ -472,6 +472,33 @@ class TestExitCodes:
         assert code == 3
         assert field in err
 
+    LONG = "1" * 5000  # past int's default limit of 4,300 digits read from text
+
+    @pytest.mark.parametrize("word, time, formula, message", [
+        ('{"events": [["a", "0"], ["b", "%s"]]}' % LONG, "0", "a",
+         "error: malformed input: events[1][1]: numeral too long to read: '1111"),
+        # json.loads itself fails, before any field is read: the file is named
+        ('{"events": [["a", 0], ["b", %s]]}' % LONG, "0", "a",
+         "error: malformed input: {path}: an integer too long to read\n"),
+        ('{"events": [["a", "0"]], "period": {"actions": ["b"], "offsets": ["%s"], '
+         '"duration": "1"}}' % LONG, "0", "a",
+         "error: malformed input: period.offsets[0]: numeral too long to read: '1111"),
+        ('{"events": [["a", "0"]]}', "0", f"F[0, {LONG}] a",
+         "error: syntax error at 1: numeral too long to read: '1111"),
+        ('{"events": [["a", "0"]]}', LONG, "a", "error: numeral too long to read: '1111"),
+    ], ids=["json-stamp-string", "json-stamp-integer", "lasso-offset", "formula-window",
+            "time-option"])
+    def test_a_numeral_past_the_digit_limit_is_input_error(
+            self, tmp_path, capsys, word, time, formula, message):
+        p = tmp_path / "long.json"
+        p.write_text(word)
+        code = main(["eval", "--semantics", "itw", "--alphabet", "a,b", "--time", time,
+                     "--formula", formula, "--word", str(p)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith(message.format(path=p)) and len(captured.err) < 200
+
     def test_padded_and_reduced_stamps_print_the_same(self, tmp_path, capsys):
         outputs = []
         for stamps in (("0", "0.50", "2/4", "3.30"), ("0", "1/2", "1/2", "33/10")):
@@ -604,6 +631,78 @@ class TestOneParser:
         monkeypatch.setattr(cli, "build_parser", boom)
         assert run(capsys, *self.PLAIN, "--word", rho1)[0] == 1
         assert main(["eval", "--bogus"]) == 3
+
+
+class TestDispatch:
+    """`main` hands an argv that starts with a command name to that command's
+    sub-parser: one argparse pass, with the Namespace and the exits of the
+    top parser's two."""
+
+    @staticmethod
+    def top_parser(capsys, argv):
+        """What the top parser alone makes of argv: (Namespace or exit code, stdout, stderr)."""
+        try:
+            got = mtlsem.cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            got = 0 if exc.code in (0, None) else 3
+        return (got, *capsys.readouterr())
+
+    @pytest.mark.parametrize("argv", [
+        ("parse", "--formula", "F[0,1] a", "--beta", "--pretty"),
+        ("eval", "--semantics", "mx", "--time", "1/2", "--pos", "1", "--formula", "a"),
+        ("eval", "--sem", "pw", "--formula", "a"),  # an abbreviated option
+        ("oracle", "--semantics", "itw", "--alphabet", "a,b,c", "--formula", "a",
+         "--allow-nonzero-start"),
+        ("satset", "--semantics", "its", "--formula-file", "f.txt"),
+        ("compile", "--target", "itw2mx", "--formula", "a U b"),
+        ("encode", "--to", "tss"),
+        ("check",),
+        ("fuzz", "--cases", "3", "--seed", "7", "--engine", "mx"),
+        ("paper", "--name", "lasso"),
+    ], ids=lambda argv: " ".join(argv[:2]))
+    @pytest.mark.parametrize("from_sys_argv", [False, True], ids=["argv", "sys.argv"])
+    def test_the_namespace_is_the_top_parsers(
+            self, rho1, capsys, monkeypatch, argv, from_sys_argv):
+        argv = [*argv, "--word", rho1] if argv[0] in ("eval", "oracle", "satset", "encode",
+                                                      "check") else list(argv)
+        seen = []
+        for name in ("cmd_parse", "cmd_eval", "cmd_satset", "cmd_compile", "cmd_encode",
+                     "cmd_check", "cmd_fuzz", "cmd_paper"):
+            monkeypatch.setattr(mtlsem.cli, name, lambda args: seen.append(args) or 0)
+        if from_sys_argv:  # the installed entry point's path
+            monkeypatch.setattr(sys, "argv", ["mtlsem", *argv])
+            assert main() == 0
+        else:
+            assert main(argv) == 0
+        want, out, err = self.top_parser(capsys, argv)
+        assert out == err == ""
+        assert ({k: v for k, v in vars(seen[0]).items() if k != "command"}
+                == {k: v for k, v in vars(want).items() if k != "command"})
+
+    @pytest.mark.parametrize("argv", [
+        (),
+        ("-h",),
+        ("bogus",),
+        ("bogus", "--formula", "a"),
+        ("eval", "-h"),
+        ("eval", "--formula", "a", "--word", "w.json"),  # no --semantics
+        ("eval", "--semantics", "ltl", "--formula", "a", "--word", "w.json"),
+        ("satset", "--semantics", "pw", "--formula", "a", "--word", "w.json"),
+        ("fuzz", "--cases", "x"),
+    ], ids=lambda argv: " ".join(argv) or "empty")
+    def test_parse_exits_are_the_top_parsers(self, capsys, argv):
+        want = self.top_parser(capsys, list(argv))
+        assert want[0] in (0, 3)
+        assert (main(list(argv)), *capsys.readouterr()) == want
+
+    def test_unrecognized_arguments_print_the_command_usage(self, rho1, capsys):
+        argv = ["eval", "--semantics", "pw", "--formula", "a", "--word", rho1, "extra"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (mtlsem.cli._COMMANDS["eval"].format_usage()
+                                + "mtlsem eval: error: unrecognized arguments: extra\n")
+        assert captured.err.startswith("usage: mtlsem eval [-h]")
 
 
 class TestSatsetOutputIsUnchanged:

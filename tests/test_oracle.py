@@ -1,7 +1,9 @@
 """The brute-force grid: critical points, piecewise constancy, generators."""
 
 import ast
+import hashlib
 import inspect
+import json
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from mtlsem.formulas import (
     parse,
     subformulas,
     temporal_depth,
+    to_text,
 )
 from mtlsem.intervals import INF, punctual
 from mtlsem.oracle import (
@@ -37,11 +40,14 @@ from mtlsem.oracle import (
 from mtlsem.structures import (
     duration,
     is_action_based,
+    lasso_to_json,
+    tss_to_json,
     unroll,
     validate_compact,
     validate_tss,
     validate_word,
     word,
+    word_to_json,
 )
 
 ABC = alphabet("a,b,c")
@@ -373,6 +379,47 @@ class TestGenerators:
             l = gen_lasso(seed)
             w = unroll(l, duration(l.prefix) + 3 * l.period_duration)
             validate_word(w.events)
+
+
+# The SHA-256 of each generator's renderings over seeds 0-2,999, one per line.
+# The fuzz corpus and criterion 8 are defined by these streams: a faster
+# generator must draw the same words, formulas, lassos and sequences.
+GENERATOR_RENDERINGS = {
+    "gen_word": lambda s: json.dumps(word_to_json(gen_word(s))),
+    "gen_word stutter_free": lambda s: json.dumps(word_to_json(gen_word(s, stutter_free=True))),
+    "gen_word max_len=30": lambda s: json.dumps(word_to_json(gen_word(s, max_len=30))),
+    "gen_formula": lambda s: to_text(gen_formula(s, ABC)),
+    "gen_formula allow_beta": lambda s: to_text(gen_formula(s, ABC, allow_beta=True)),
+    "gen_formula bounded_only": lambda s: to_text(gen_formula(s, ABC, bounded_only=True)),
+    "gen_formula allow_beta bounded_only": lambda s: to_text(
+        gen_formula(s, ABC, bounded_only=True, allow_beta=True)),
+    "gen_lasso max_prefix=30": lambda s: json.dumps(lasso_to_json(gen_lasso(s, max_prefix=30))),
+    "gen_ka": lambda s: json.dumps(tss_to_json(gen_ka(s))),
+}
+GENERATOR_DIGESTS = {
+    "gen_word": "5302582442ae82bd89f6f977e2894a1e7855bad786878a80e7cc1acff8ab7c38",
+    "gen_word stutter_free": "40d7f840de58341e902b5c1ff9ee1501d4e0052c4ac70f70e1d76af6ea887b54",
+    "gen_word max_len=30": "f4a6aa752389622f2eb5421f1ece9e00f769e7d69fb25ef8f68cf87b1b95c68e",
+    "gen_formula": "df37deb7195dda3438000f93b93d9e6fb8af9609d604ed7067300d040f499eea",
+    "gen_formula allow_beta": "6386d2c0bc2ef850788488c346c100baa6a74339e3fa3cf21b47354264e7d953",
+    "gen_formula bounded_only":
+        "e8487ccd32dbe8b02b8b9da1581e70ba3fb9f1a6e4d117ab413ecdea675d757d",
+    "gen_formula allow_beta bounded_only":
+        "2477bdd895ef40004cd8c65ded6692e6dff62d9060b167dd45de57f9486f1756",
+    "gen_lasso max_prefix=30":
+        "21aa7519462c6481ac3d6c5f020716c2a705d6091e09419290847414ead04ada",
+    "gen_ka": "3625a5403e4701088a4b87af104f4a2ebc6431fc290109ceb56acdee4165fc17",
+}
+
+
+def generator_digest(name: str) -> str:
+    render = GENERATOR_RENDERINGS[name]
+    return hashlib.sha256("\n".join(map(render, range(3000))).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", GENERATOR_RENDERINGS)
+def test_generator_streams_are_pinned(name):
+    assert generator_digest(name) == GENERATOR_DIGESTS[name]
 
 
 class TestPwOracleShape:
