@@ -181,14 +181,12 @@ class CompactLasso:
 
 def compact_lasso(l: Lasso) -> CompactLasso:
     """Compact prefix and period blockwise; a flat run may not span the seam."""
-    if l.period_offsets[0] == 0:
+    D, offsets, _ = l.period
+    if offsets[0] == 0:
         raise SeamStutterError("first period event coincides with the prefix end")
-    pref = compact(l.prefix)
-    acts = l.period_actions
-    blocks = []
-    for start, end in mfs_decompose(l.period_offsets).runs():
-        blocks.append((acts[start:end + 1], l.period_offsets[start]))
-    return CompactLasso(pref, tuple(blocks), l.period_duration)
+    blocks = tuple((l.period_actions[start:end + 1], Fraction(offsets[start], D))
+                   for start, end in mfs_decompose(offsets).runs())
+    return CompactLasso(compact(l.prefix), blocks, l.period_duration)
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,10 @@ def rational(value) -> Fraction:
 def rat_str(q) -> str:
     # the isinstance test spares a slow Fraction == float comparison: inf is
     # the one float a value holds
-    return "inf" if isinstance(q, float) else str(q)
+    try:
+        return "inf" if isinstance(q, float) else str(q)
+    except ValueError:  # past int's digit limit (sys.get_int_max_str_digits)
+        raise MtlsemError("value too long to print") from None
 
 
 @dataclass(frozen=True)
@@ -278,7 +281,10 @@ def tick_text(v: int, D: int) -> str:
     """The tick v on the time base D as `rat_str` prints its value, by one int
     gcd: str(Fraction(v, D))."""
     g = math.gcd(v, D)
-    return str(v // g) if g == D else f"{v // g}/{D // g}"
+    try:
+        return str(v // g) if g == D else f"{v // g}/{D // g}"
+    except ValueError:  # past int's digit limit, as in `rat_str`
+        raise MtlsemError("value too long to print") from None
 
 
 def key_texts(D: int, keys) -> list:

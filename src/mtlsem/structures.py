@@ -12,10 +12,11 @@ compact word holds `actions`, one action per event or one tuple of actions per
 block, and `ticks`, (D0, each timestamp times D0 as an int) on the least base
 D0 that holds them; equality and hashing read the two columns.  `times` and
 `events` (`blocks`) are `Fraction` views, built on first read with one
-Fraction per distinct stamp.  A state sequence holds the key pair of each step
-on the integer base and its propositions; its checks, lookups, equality and
-rendering read the keys, and it builds the `Interval`s of its `steps` on first
-read (see `TimedStateSequence`).
+Fraction per distinct stamp.  A lasso holds its period as ticks on one base
+with its prefix, which its checks, `unroll` and JSON form read (see `Lasso`).
+A state sequence holds the key pair of each step on the integer base and its
+propositions; its checks, lookups, equality and rendering read the keys, and
+it builds the `Interval`s of its `steps` on first read.
 
 `TimedWord(events)` and `CompactTimedWord(blocks)` turn their pairs into the
 columns; they check nothing.  Every other constructor gives ticks on some base
@@ -24,10 +25,9 @@ D to `on_base`, which moves them to the least base, D / gcd(D, every tick):
 check of the ticks (`_checked`), `unroll` and the encodings without one.
 `word_or_lasso_from_json` reads in bulk: it checks the event shapes in one
 pass and reads the stamps as one column (`intervals.rational_ticks`); only a
-bad input is read again, field by field, to name its first bad field.
-`unroll` lays the prefix, the offsets and the period on one base.  Text output
-renders the ticks with int arithmetic (`time_texts`), as `rat_str` prints the
-values.
+bad input is read again, field by field, to name its first bad field.  Text
+output renders the ticks with int arithmetic (`tick_text`), as `rat_str`
+prints the values.
 """
 
 from __future__ import annotations
@@ -319,57 +319,61 @@ def is_action_based(kappa: TimedStateSequence) -> bool:
 class Lasso:
     """Finite prefix plus a repeating period; unrolls to a non-Zeno infinite word.
 
-    Period offsets are relative to the period start; the k-th copy of offset
-    o happens at duration(prefix) + k * period_duration + o.
+    `period` is (D, offset ticks, duration tick) on the least base D of the prefix
+    and the period, with `Fraction` views `period_offsets` and `period_duration`.
+    The k-th copy of offset o happens at duration(prefix) + k * period_duration + o.
     """
 
     prefix: TimedWord
     period_actions: tuple
-    period_offsets: tuple
-    period_duration: Fraction
+    period: tuple
 
     def __post_init__(self):
         """Errors name the field of the lasso's JSON form."""
+        _, offs, P = self.period
         if not self.period_actions:
             raise EmptyWordError("empty lasso period")
-        if len(self.period_actions) != len(self.period_offsets):
+        if len(self.period_actions) != len(offs):
             raise MtlsemError("period: actions and offsets must have equal length")
-        if self.period_duration <= 0:
+        if P <= 0:
             raise MtlsemError("period.duration must be positive")
-        offs = self.period_offsets
         for i in range(1, len(offs)):
             if offs[i] < offs[i - 1]:
                 error = NonMonotoneError(i)
                 error.args = (f"period.offsets[{i}] is below period.offsets[{i - 1}]",)
                 raise error
         for i, o in enumerate(offs):
-            if o < 0 or o > self.period_duration:
+            if o < 0 or o > P:
                 raise MtlsemError(f"period.offsets[{i}] must lie in [0, period.duration]")
+
+    @cached_property
+    def period_offsets(self) -> tuple:
+        return tuple([Fraction(o, self.period[0]) for o in self.period[1]])
+
+    @cached_property
+    def period_duration(self) -> Fraction:
+        return Fraction(self.period[2], self.period[0])
 
 
 def lasso(prefix: TimedWord, actions, offsets, duration_) -> Lasso:
-    return Lasso(
-        prefix,
-        tuple(actions),
-        tuple(o if isinstance(o, Fraction) else rational(o) for o in offsets),
-        duration_ if isinstance(duration_, Fraction) else rational(duration_),
-    )
+    values = [v if isinstance(v, Fraction) else rational(v) for v in (*offsets, duration_)]
+    D = math.lcm(prefix.ticks[0], time_base(values))
+    *offs, P = [v.numerator * (D // v.denominator) for v in values]
+    return Lasso(prefix, tuple(actions), (D, tuple(offs), P))
 
 
 def unroll(l: Lasso, horizon) -> TimedWord:
     """Finite prefix of the unrolled word containing exactly the events <= horizon.
 
-    It runs on ticks: the prefix, the offsets and the period on one time base
-    D, up to the last tick at or before the horizon."""
+    It runs on ticks: the prefix rebased to the lasso's base D, the offsets
+    and the period, up to the last tick at or before the horizon."""
     horizon = horizon if isinstance(horizon, Fraction) else rational(horizon)
     D0, ticks = l.prefix.ticks
-    D = math.lcm(D0, time_base((*l.period_offsets, l.period_duration)))
+    D, offsets, period = l.period
     out = [v * (D // D0) for v in ticks]
     last = horizon.numerator * D // horizon.denominator
     if last < out[-1]:
         raise MtlsemError("horizon must cover the lasso prefix")
-    offsets = [o.numerator * (D // o.denominator) for o in l.period_offsets]
-    period = l.period_duration.numerator * (D // l.period_duration.denominator)
     acts = list(l.prefix.actions)
     start = out[-1]
     while k := bisect_right(offsets, last - start):  # the offsets of this copy in range
@@ -387,13 +391,11 @@ def word_to_json(rho: TimedWord) -> dict:
 
 
 def lasso_to_json(l: Lasso) -> dict:
-    out = word_to_json(l.prefix)
-    out["period"] = {
+    D, offsets, period = l.period
+    return {**word_to_json(l.prefix), "period": {
         "actions": list(l.period_actions),
-        "offsets": [rat_str(o) for o in l.period_offsets],
-        "duration": rat_str(l.period_duration),
-    }
-    return out
+        "offsets": [tick_text(o, D) for o in offsets],
+        "duration": tick_text(period, D)}}
 
 
 def _field(obj: dict, key: str, where: str, kind, expected: str):

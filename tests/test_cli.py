@@ -330,6 +330,31 @@ class TestOtherCommands:
         assert run(capsys, "fuzz", "--cases", "0") == (
             0, '{"cases_run": 0, "divergence": null}\n')
 
+    def test_fuzz_reports_the_first_divergence(self, capsys, monkeypatch):
+        from mtlsem.formulas import to_text
+        from mtlsem.oracle import gen_word
+
+        calls = []
+
+        def diverges_on_the_seventh_call(engine, structure, f):
+            calls.append((engine, to_text(f)))
+            return {"at": 0, "engine": True, "oracle": False} if len(calls) == 7 else None
+
+        monkeypatch.setattr(mtlsem.cli, "differential", diverges_on_the_seventh_call)
+        code, out = run(capsys, "fuzz", "--cases", "5", "--seed", "10", "--engine", "all")
+        report = json.loads(out)
+        assert code == 4
+        # five pw cases, then itw's second case (seed 11); its and mx never run
+        assert report["cases_run"] == 7
+        assert [engine for engine, _ in calls] == ["pw"] * 5 + ["itw"] * 2
+        divergence = report["divergence"]
+        assert sorted(divergence) == ["at", "engine", "engine_name", "formula", "oracle",
+                                      "seed", "word"]
+        assert (divergence["engine_name"], divergence["seed"]) == ("itw", 11)
+        assert (divergence["at"], divergence["engine"], divergence["oracle"]) == (0, True, False)
+        assert divergence["word"] == word_to_json(gen_word(11))
+        assert divergence["formula"] == calls[-1][1]
+
     def test_fuzz_negative_cases_is_input_error(self, capsys):
         code = main(["fuzz", "--cases", "-1"])
         captured = capsys.readouterr()
@@ -498,6 +523,44 @@ class TestExitCodes:
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith(message.format(path=p)) and len(captured.err) < 200
+
+    @pytest.mark.parametrize("argv, message", [
+        (("eval", "--semantics", "itw", "--formula", "a", "--word", "{kappa}"),
+         "cannot be read under itw"),
+        (("encode", "--to", "word", "--word", "{kappa}"), "encoding targets"),
+        (("eval", "--semantics", "pw", "--word", "{rho}"), "no formula given"),
+        (("eval", "--semantics", "its", "--formula", "true", "--word", "{empty}"),
+         "none inferable"),
+        (("paper", "--name", "nosuch"), "no gallery check matches 'nosuch'"),
+        (("parse", "--formula", "(a"), "expected ')'"),
+    ], ids=["tss-under-itw", "encode-tss", "no-formula", "no-alphabet", "paper-name",
+            "parse-paren"])
+    def test_input_errors(self, tmp_path, capsys, rho1, kappa1, argv, message):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"steps": [[[], "[0,0]"], [[], "(0,1]"]]}))
+        code = main([a.format(kappa=kappa1, rho=rho1, empty=empty) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and message in captured.err
+
+    NINES = "9" * 4300  # a value printable alone whose double is not
+
+    @pytest.mark.parametrize("argv, payload", [
+        (("parse", "--formula", f"F[0,{NINES}] F[0,{NINES}] b"), None),
+        (("encode", "--to", "tss"), {"events": [["a", "0"]], "period": {
+            "actions": ["b"], "offsets": ["1"], "duration": NINES}}),
+    ], ids=["parse-horizon", "encode-tss-lasso"])
+    def test_a_value_too_long_to_print_is_input_error(self, tmp_path, capsys, argv, payload):
+        if payload is not None:
+            p = tmp_path / "long.json"
+            p.write_text(json.dumps(payload))
+            argv = (*argv, "--word", str(p))
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: value too long to print\n"
 
     def test_padded_and_reduced_stamps_print_the_same(self, tmp_path, capsys):
         outputs = []

@@ -1,5 +1,6 @@
 """Timed words, state sequences, lassos and their class predicates."""
 
+import hashlib
 import json
 import math
 import random
@@ -436,6 +437,27 @@ class TestLasso:
         w = word(RHO1)
         assert word_or_lasso_from_json(word_to_json(w)) == w
 
+    def test_equal_values_written_apart_give_equal_lassos(self):
+        lassos = [word_or_lasso_from_json({"events": [["a", "0"], ["b", "1/3"]], "period": {
+            "actions": ["c", "a"], "offsets": [half, "1"], "duration": whole}})
+            for half, whole in (("1/2", "3/2"), ("0.5", "1.5"), ("2/4", "6/4"))]
+        lassos.append(lasso(word([("a", 0), ("b", "1/3")]), ["c", "a"],
+                            [Fraction(1, 2), 1], Fraction(3, 2)))
+        assert len(set(lassos)) == 1
+        assert len({hash(l) for l in lassos}) == 1
+
+    # The SHA-256 of the period views and the JSON form of gen_lasso seeds
+    # 0-2,999, one line per seed: the views stay Fractions of the same values.
+    VIEWS_DIGEST = "7694c6e9d179434b6cc97c5ef2f9adaa811c1766ffb4ca403267f50731dcce86"
+
+    def test_views_and_json_of_generated_lassos_are_pinned(self):
+        lines = []
+        for seed in range(3000):
+            l = gen_lasso(seed)
+            lines.append(repr((l.period_offsets, l.period_duration))
+                         + json.dumps(lasso_to_json(l)))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.VIEWS_DIGEST
+
 
 # ---------------------------------------------------------------------------
 # words on the integer base from construction
@@ -729,6 +751,15 @@ LOADER_ERRORS = [
     ("zero duration denominator", {"events": [["a", "0"]], "period": {
         "actions": ["b"], "offsets": ["1"], "duration": " 2 / 0 "}}, False,
      "malformed input: period.duration: zero denominator: '2 / 0'"),
+    ("empty period", {"events": [["a", "0"]], "period": {
+        "actions": [], "offsets": [], "duration": "1"}}, False, "empty lasso period"),
+    # the order of the period checks: a decrease is named before an offset out of range
+    ("offset past the duration after a decrease at 1", {"events": [["a", "0"]], "period": {
+        "actions": ["b", "c"], "offsets": ["2", "1/2"], "duration": "1"}}, False,
+     "period.offsets[1] is below period.offsets[0]"),
+    ("offset off the base past the duration", {"events": [["a", "0"]], "period": {
+        "actions": ["b"], "offsets": ["1/3"], "duration": "1/4"}}, False,
+     "period.offsets[0] must lie in [0, period.duration]"),
 ]
 
 
