@@ -1,9 +1,9 @@
 """Pointwise satisfaction: formulas evaluated at event positions only.
 
 The engine supplies an algebra to `formulas.fold`.  A subformula's value is one
-int: position i of n is bit n-1-i, so `format(x, f"0{n}b")[i]` reads it and
-`int(s, 2)` packs a bit string back.  An atom packs the action column once,
-`!` is `full ^ x` with full = (1 << n) - 1, and `&` is `x & y`.
+int, position i of n at bit n-1-i: an atom packs the action column once, `!` is
+`full ^ x` with full = (1 << n) - 1, and `&` is `x & y`.  `sat_positions`
+unpacks the root's int; `eval_pw` and `eval_pw_lasso` read the one bit they need.
 
 f U_w g holds at i when a later position j in the window satisfies g and f
 holds strictly between i and j.  The window [0,inf) reads positions only, and
@@ -14,35 +14,33 @@ clears exactly the run above it, and the Until is `(N << 1) & full`.  That
 covers G, plain U and F, and the nested unbounded windows of a lasso unroll.
 
 Every other window, (0,inf) included (simultaneous events make it depend on
-time), is one forward scan over the operands' bit strings (the sliding window
-of Donzé, Ferrère & Maler, "Efficient Robust Monitoring for STL", CAV 2013).
-Times never decrease, so a base's window is one run of positions whose ends
-only move forward.  The first g at or after the run's start is the best
-witness: it holds when it lies in the run and no f-failure comes first.
-`str.find` gives the next g and the next f-failure, again only once the scan
-has passed the last hit, so the scan stays linear.  The scan compares ints:
-`sat_positions` takes the time base D once (see `intervals`) from the word's
-ticks and `finite_window_bounds(f)`, and hands it 3tD per event time t.
+time), is one forward scan over the operands' bit strings and the word's own
+ticks (the sliding window of Donzé, Ferrère & Maler, "Efficient Robust
+Monitoring for STL", CAV 2013).  Times never decrease, so a base's window is
+one run of positions whose ends only move forward.  The first g at or after the
+run's start is the best witness; `str.find` gives it and the next f-failure
+only once the scan has passed the last hit, so the scan stays linear.  With D
+the time base of the ticks' base D0 and `finite_window_bounds(f)`, and
+m = 3D / D0, a tick distance k is 3dD = km for a time distance d: a window's
+key pair (lo, hi) on D (see `intervals`) becomes ceil(lo / m) <= k <= floor(hi / m).
 """
 
 from __future__ import annotations
 
+import math
 from itertools import compress
 
 from .encodings import lasso_instance
 from .formulas import And, Atom, Formula, Not, Until, finite_window_bounds, fold, require_beta_free
-from .intervals import INF, interval_keys, rebased
+from .intervals import INF, interval_keys, time_base
 from .structures import Lasso, TimedWord
 
 
 def _until(w, l: int, r: int, times) -> int:
-    """f U_w g at every position, from the operand values l, r.
-
-    `w` is the window's key pair and event i occurs at times[i] / 3D.  Base
-    i's window holds the positions first <= j < last after i; it holds when
-    its first g-position j at or after `first` has j < last and the first
-    f-failure k after i is not before j.
-    """
+    """f U_w g at every position, from the operand values l, r.  For `w` = (lo, hi),
+    base i's window holds the positions first <= j < last after i, those with
+    lo <= times[j] - times[i] <= hi; it holds when its first g-position j >=
+    first has j < last and the first f-failure k after i is not before j."""
     n = len(times)
     if w == (0, INF):
         F = l & ~r
@@ -68,14 +66,13 @@ def _until(w, l: int, r: int, times) -> int:
     return int(out, 2)
 
 
-def sat_positions(rho: TimedWord, f: Formula) -> frozenset:
-    """All positions i with rho, i satisfying f."""
+def _root(rho: TimedWord, f: Formula) -> int:
     require_beta_free(f, "pointwise")
     acts = rho.actions
-    n = len(acts)
-    full = (1 << n) - 1
-    D, ticks = rebased(rho.ticks, finite_window_bounds(f))
-    times = [3 * t for t in ticks]
+    full = (1 << len(acts)) - 1
+    D0, ticks = rho.ticks
+    D = math.lcm(D0, time_base(finite_window_bounds(f)))
+    m = 3 * D // D0
 
     def visit(node, l=None, r=None) -> int:
         match node:
@@ -86,20 +83,26 @@ def sat_positions(rho: TimedWord, f: Formula) -> frozenset:
             case And():
                 return l & r
             case Until(_, w, _):
-                return _until(interval_keys(w, D), l, r, times)
+                lo, hi = interval_keys(w, D)
+                return _until((-(-lo // m), hi if hi == INF else hi // m), l, r, ticks)
 
-    bits = format(fold(f, visit)[f], f"0{n}b").encode()
-    return frozenset(compress(range(n), bits.translate(bytes.maketrans(b"01", b"\0\1"))))
+    return fold(f, visit)[f]
+
+
+def sat_positions(rho: TimedWord, f: Formula) -> frozenset:
+    """All positions i with rho, i satisfying f."""
+    bits = format(_root(rho, f), f"0{len(rho)}b").encode()
+    return frozenset(compress(range(len(bits)), bits.translate(bytes.maketrans(b"01", b"\0\1"))))
 
 
 def eval_pw(rho: TimedWord, i: int, f: Formula) -> bool:
     if not (0 <= i < len(rho)):
         raise IndexError(f"position {i} out of range")
-    return i in sat_positions(rho, f)
+    return bool(_root(rho, f) >> (len(rho) - 1 - i) & 1)
 
 
 def eval_pw_lasso(l: Lasso, f: Formula) -> bool:
     """Exact verdict at position 0: `lasso_instance` closes every unbounded window
     at the lasso's period and unrolls far enough for a finite word to decide it."""
     rho, g = lasso_instance(l, f)
-    return 0 in sat_positions(rho, g)
+    return eval_pw(rho, 0, g)

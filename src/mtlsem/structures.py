@@ -61,7 +61,6 @@ from .intervals import (
     rational_ticks,
     tick_column,
     tick_text,
-    time_base,
     time_key,
 )
 
@@ -320,7 +319,8 @@ class Lasso:
     """Finite prefix plus a repeating period; unrolls to a non-Zeno infinite word.
 
     `period` is (D, offset ticks, duration tick) on the least base D of the prefix
-    and the period, with `Fraction` views `period_offsets` and `period_duration`.
+    and the period, whatever base it is given on, with `Fraction` views
+    `period_offsets` and `period_duration`.
     The k-th copy of offset o happens at duration(prefix) + k * period_duration + o.
     """
 
@@ -330,7 +330,7 @@ class Lasso:
 
     def __post_init__(self):
         """Errors name the field of the lasso's JSON form."""
-        _, offs, P = self.period
+        D, offs, P = self.period
         if not self.period_actions:
             raise EmptyWordError("empty lasso period")
         if len(self.period_actions) != len(offs):
@@ -345,6 +345,13 @@ class Lasso:
         for i, o in enumerate(offs):
             if o < 0 or o > P:
                 raise MtlsemError(f"period.offsets[{i}] must lie in [0, period.duration]")
+        if D <= 0:
+            raise MtlsemError("period: the time base must be positive")
+        g = math.gcd(D, *offs, P)
+        base = math.lcm(self.prefix.ticks[0], D // g)  # least base of prefix and period
+        if base != D:
+            k = base // (D // g)
+            object.__setattr__(self, "period", (base, tuple([o // g * k for o in offs]), P // g * k))
 
     @cached_property
     def period_offsets(self) -> tuple:
@@ -357,8 +364,7 @@ class Lasso:
 
 def lasso(prefix: TimedWord, actions, offsets, duration_) -> Lasso:
     values = [v if isinstance(v, Fraction) else rational(v) for v in (*offsets, duration_)]
-    D = math.lcm(prefix.ticks[0], time_base(values))
-    *offs, P = [v.numerator * (D // v.denominator) for v in values]
+    D, (*offs, P) = tick_column(values)  # `Lasso` adds the prefix's base
     return Lasso(prefix, tuple(actions), (D, tuple(offs), P))
 
 

@@ -3,9 +3,11 @@ through `lasso_instance` (bounded windows on a finite unroll).
 
 `TestBitsets` keeps the list-of-bools engine as the reference for the int
 bitsets: one truth value per position, and the Until as a forward scan over
-two arrays of next positions."""
+two arrays of next positions, on times rebased to 3tD rather than on the
+word's ticks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +25,7 @@ from mtlsem.formulas import (
     parse,
 )
 from mtlsem.intervals import INF, interval, interval_keys, rebased
-from mtlsem.oracle import differential, gen_formula, gen_word, oracle_eval_pw
+from mtlsem.oracle import differential, gen_formula, gen_lasso, gen_word, oracle_eval_pw
 from mtlsem.pointwise import eval_pw, eval_pw_lasso, sat_positions
 from mtlsem.structures import lasso, unroll, word
 
@@ -148,6 +150,8 @@ def _reference_until(w, lv, rv, times) -> list:
 
 
 def _reference_positions(rho, f) -> frozenset:
+    """The positions by the list scan on 3tD per event time t, D the time base
+    of the word and the windows, with the windows' own keys on D."""
     acts = rho.actions
     D, ticks = rebased(rho.ticks, finite_window_bounds(f))
     times = [3 * t for t in ticks]
@@ -245,3 +249,107 @@ class TestBitsets:
             want = _reference_positions(rho, g)
             assert sat_positions(rho, g) == want
             assert eval_pw_lasso(l, f) is (0 in want) is verdict
+
+
+# ---------------------------------------------------------------------------
+# windows off the half grid: the engine compares tick distances on the word's
+# own base D0 against the thresholds ceil(lo / m) and floor(hi / m)
+
+GRIDS = (2, 3, 6)  # the words' events lie on multiples of 1/g
+DENOMINATORS = (1, 2, 3, 5, 7)
+
+
+def _grid_word(g: int, n: int, seed: int):
+    """n events on the grid 1/g; steps of 0, 1, 2, g and g + 1 ticks make
+    distances of 1/g, 2/g, 1 and 2 common."""
+    rng = random.Random(f"{g}/{n}/{seed}")
+    t, events = 0, []
+    for _ in range(n):
+        events.append((rng.choice("abc"), Fraction(t, g)))
+        t += rng.choice((0, 1, 1, 2, g, g + 1))
+    return word(events)
+
+
+def _grid_windows() -> list:
+    """Windows a/q to b/q (or inf) for each denominator q, under every open and
+    closed combination; the bounds 0, 1 and 2 and, with q | g, 1/q and 2/q
+    land exactly on distances of the words."""
+    out = []
+    for q in DENOMINATORS:
+        for a, b in ((0, 0), (0, 1), (1, 2), (0, q), (1, q), (q, q), (q, 2 * q), (2, 3 * q + 1),
+                     (0, INF), (1, INF), (q, INF)):
+            for lo_closed in (True, False):
+                for hi_closed in ((False,) if b == INF else (True, False)):
+                    if a == b and not (lo_closed and hi_closed):
+                        continue
+                    hi = INF if b == INF else Fraction(b, q)
+                    out.append(interval(Fraction(a, q), hi, lo_closed, hi_closed))
+    return out
+
+
+def _grid_formulas(w) -> list:
+    return [parse(text.replace("W", str(w)), ABC)
+            for text in ("FW b", "a UW b", "!(b UW !a)", "FW (a & FW c)")]
+
+
+class TestThresholdsOffTheHalfGrid:
+    @pytest.mark.parametrize("g", GRIDS)
+    def test_positions_match_the_list_engine(self, g):
+        words = [_grid_word(g, 40, seed) for seed in range(2)]
+        on_lo = on_hi = 0
+        for w in _grid_windows():
+            for rho in words:
+                times = rho.times
+                gaps = {b - a for i, a in enumerate(times) for b in times[i + 1:]}
+                on_lo += w.lo.value in gaps
+                on_hi += w.hi.value in gaps
+                for f in _grid_formulas(w):
+                    assert sat_positions(rho, f) == _reference_positions(rho, f), (rho, f)
+        assert on_lo > 100 and on_hi > 100  # the data reaches both ends exactly
+
+    @pytest.mark.parametrize("g", GRIDS)
+    def test_positions_match_the_oracle(self, g):
+        words = [_grid_word(g, 9, seed) for seed in range(2)]
+        for w in _grid_windows():
+            for rho in words:
+                for f in _grid_formulas(w):
+                    want = {i for i in range(len(rho)) if oracle_eval_pw(rho, i, f)}
+                    assert sat_positions(rho, f) == want, (rho, f)
+
+    # from position 0 of END_WORD the c's lie at distances 1/2 and 7/6
+    END_WORD = word([("a", 0), ("b", "1/3"), ("c", "1/2"), ("b", 1), ("c", "7/6")])
+
+    @pytest.mark.parametrize("window, want", [
+        ("[1/2,7/6]", True), ("(1/2,7/6)", False), ("[1/2,7/6)", True), ("(1/2,7/6]", True),
+        ("[1/3,1/2)", False), ("(1/3,1/2]", True), ("(1/2,7/10]", False), ("(1/2,6/5)", True),
+        ("[0,1/2)", False), ("[5/7,8/7]", False), ("[5/7,7/6]", True), ("(1/2,inf)", True),
+        ("(7/6,inf)", False),
+    ])
+    def test_witnesses_on_and_off_the_window_ends(self, window, want):
+        f = parse(f"F{window} c", ABC)
+        assert eval_pw(self.END_WORD, 0, f) is want
+        assert oracle_eval_pw(self.END_WORD, 0, f) is want
+
+
+# ---------------------------------------------------------------------------
+# one-bit verdicts: eval_pw and eval_pw_lasso read the bit sat_positions unpacks
+
+class TestOneBitVerdicts:
+    def test_eval_pw_at_every_position(self):
+        for seed in range(1000):
+            rho = gen_word(seed)
+            f = gen_formula(seed * 31 + 7, ABC)
+            got = sat_positions(rho, f)
+            assert [eval_pw(rho, i, f) for i in range(len(rho))] == [
+                i in got for i in range(len(rho))], (seed, rho, f)
+
+    def test_eval_pw_lasso_reads_position_zero(self):
+        for seed in range(600):
+            l = gen_lasso(seed)
+            f = gen_formula(seed * 13 + 5, ABC)
+            assert eval_pw_lasso(l, f) is (0 in sat_positions(*lasso_instance(l, f))), (l, f)
+
+    @pytest.mark.parametrize("i", [-1, 4])
+    def test_positions_outside_the_word_raise(self, i):
+        with pytest.raises(IndexError, match=f"^position {i} out of range$"):
+            eval_pw(RHO1, i, parse("a", ABC))

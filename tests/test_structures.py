@@ -22,6 +22,7 @@ from mtlsem.intervals import INF, interval, rat_str, tick_column
 from mtlsem.oracle import gen_lasso, gen_word
 from mtlsem.structures import (
     CompactTimedWord,
+    Lasso,
     TimedWord,
     duration,
     is_action_based,
@@ -457,6 +458,35 @@ class TestLasso:
             lines.append(repr((l.period_offsets, l.period_duration))
                          + json.dumps(lasso_to_json(l)))
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.VIEWS_DIGEST
+
+    def test_a_period_below_the_prefix_base_unrolls_on_the_prefix_base(self):
+        # the period is given on base 1, the prefix needs base 2
+        w = word([("a", 0), ("b", "1/2")])
+        l = Lasso(w, ("c",), (1, (0,), 1))
+        assert l.period == (2, (0,), 2)
+        assert unroll(l, 2) == word([("a", 0), ("b", "1/2"), ("c", "1/2"), ("c", "3/2")])
+
+    def test_equal_periods_on_other_bases_give_equal_lassos(self):
+        w = word([("a", 0), ("b", "1/2")])
+        want = lasso(w, ["c"], ["1/2"], "1")
+        assert want.period == (2, (1,), 2)
+        for period in ((4, (2,), 4), (12, (6,), 12), (1, (0,), 1)):
+            l = Lasso(w, ("c",), period)
+            assert (l == want) is (period[1] != (0,))
+            if l == want:
+                assert hash(l) == hash(want)
+                assert l.period == want.period
+                assert (l.period_offsets, l.period_duration) == (
+                    want.period_offsets, want.period_duration)
+                assert lasso_to_json(l) == lasso_to_json(want)
+        w3 = word([("a", 0), ("b", "1/3")])  # base 3 and a period on 4: least base 6
+        assert Lasso(w3, ("c",), (4, (2,), 6)).period == (6, (3,), 9)
+        assert Lasso(w3, ("c",), (4, (2,), 6)) == lasso(w3, ["c"], ["1/2"], "3/2")
+
+    @pytest.mark.parametrize("base", [0, -2])
+    def test_a_period_on_a_base_below_one_is_rejected(self, base):
+        with pytest.raises(MtlsemError, match="^period: the time base must be positive$"):
+            Lasso(word([("a", 0)]), ("c",), (base, (1,), 2))
 
 
 # ---------------------------------------------------------------------------
