@@ -22,7 +22,9 @@ the mixed line too: there each time key owns J slots, one per block position
 window ends at the point right after it, and distances are read off the time
 keys.  With J = 1 this is the dense rule above.  `_sat_dense` is the one fold
 of `itw`, `its` and `mx`; on the lex line it also reads `beta` and the
-witnesses inside a block (`_same_block_bases`).
+witnesses inside a block (`_same_block_bases`).  The pass emits the bases in
+order, each merged into the last, so nothing sorts them; negation and `beta`
+walk the gaps of one list, and !!x is x's own list.
 
 Sets are key lists on an integer time base (see `intervals`).  Each entry
 point reads the model's integer columns, the word's actions and ticks or the
@@ -58,9 +60,9 @@ from .formulas import (
     require_beta_free,
 )
 from .intervals import (
+    INF,
     IntervalSet,
-    back_shift_keys,
-    difference_keys,
+    complement_keys,
     intersect_keys,
     interval_keys,
     meets,
@@ -81,19 +83,28 @@ from .structures import (
 )
 
 
-def _until_bases(f: list, g: list, w: tuple, domain: tuple, J: int = 1, last=None) -> list:
-    """The dense Until decomposition on keys: per maximal part of f, the bases
-    in domain, from the point right before the part on (its floor), of the
-    witnesses g holds in the part or at the point right after it.
+def _until_bases(f: list, g: list, w: tuple, J: int = 1, last=None) -> list:
+    """The dense Until decomposition on keys: per maximal part of f, the bases,
+    from the point right before the part on (its floor), of the witnesses g
+    holds in the part or at the point right after it.
 
     Each time key owns J slots (J = 1 on the dense line; see `mixed` for the
     lex line), and `last[T]` is the slot offset where time key T's last point
     starts.  Distances are read off the time keys k // J, so only witnesses at
-    a strictly later time count."""
+    a strictly later time count.
+
+    One pass, `back_shift_keys` inline, merging each base into the last: a
+    part's bases follow g's order and end before the next part's floor, and
+    none passes the domain (g lies in it, and w's lower end is over 0)."""
     w_lo, w_hi = w
-    d_hi = domain[1]
-    J3 = 3 * J
+    if w_lo == 0:  # a witness lies strictly in the future: drop 0 from the window
+        if w_hi < 1:
+            return []
+        w_lo = 1
+    bounded = w_hi != INF
+    J1, J3 = J - 1, 3 * J
     out = []
+    top = -2  # the last base's upper key
     j, ng = 0, len(g)
     for f_lo, f_hi in f:
         r = f_lo % J3
@@ -110,14 +121,28 @@ def _until_bases(f: list, g: list, w: tuple, domain: tuple, J: int = 1, last=Non
         while j < ng and g[j][1] < z_lo:
             j += 1
         k = j  # g[k] may reach into the next window too: the next part starts at j
-        while k < ng and g[k][0] <= z_hi:
+        while k < ng:
             g_lo, g_hi = g[k]
-            base = back_shift_keys(max(g_lo, z_lo) // J, min(g_hi, z_hi) // J, w_lo, w_hi)
-            if base is not None:
-                lo, hi = max(base[0] * J, floor), min(base[1] * J + J - 1, d_hi)
-                if lo <= hi:
-                    out.append((lo, hi))
+            if g_lo > z_hi:
+                break
             k += 1
+            hi = (z_hi if g_hi > z_hi else g_hi) // J - w_lo  # offsets add: two open ends make one
+            hi = (hi + 1 if hi % 3 == 1 else hi) * J + J1
+            lo = floor
+            if bounded:
+                b = (z_lo if g_lo < z_lo else g_lo) // J - w_hi
+                b = (b - 1 if b % 3 == 2 else b) * J
+                if b > lo:
+                    lo = b
+            if lo > hi:
+                continue
+            if lo <= top + 1:  # touches or overlaps the last base
+                if hi > top:
+                    out[-1] = (out[-1][0], hi)
+                    top = hi
+            else:
+                out.append((lo, hi))
+                top = hi
     return out
 
 
@@ -139,30 +164,31 @@ def _same_block_bases(f: list, g: list, multi: list) -> list:
 
 def _sat_dense(atom_parts, domain: tuple, D: int, f: Formula, J: int = 1, multi=()) -> dict:
     """The dense algebra on keys: atom_parts(name) are the atom's key pairs,
-    negation is complement in the domain, conjunction intersection, Until
-    `_until_bases`.  On the mixed line (see `mixed`) each time key owns J
-    slots and `multi` lists the blocks of two or more positions (start slot,
-    size): `beta` drops their later positions, and a window holding 0 adds
-    the witnesses inside a block (`_same_block_bases`)."""
-    full = [domain]
+    negation one walk over the domain (`complement_keys`; !!x is x's list),
+    conjunction intersection, Until `_until_bases`.  On the mixed line (see
+    `mixed`) each time key owns J slots and `multi` lists the blocks of two or
+    more positions (start slot, size): `beta` drops their later positions, and
+    a window holding 0 adds the witnesses inside a block (`_same_block_bases`)."""
     last = {s // J: n - 1 for s, n in multi}  # the offset of each block's last point
+    negated = {}  # each Not node's operand keys
 
     def visit(node, l=None, r=None) -> list:
         match node:
             case Atom(name):
                 return normalize_keys(atom_parts(name))
             case Beta():
-                return difference_keys(full, [(s + 1, s + J - 1) for s, _ in multi])
-            case Not():
-                return difference_keys(full, l)
+                return complement_keys(domain, [(s + 1, s + J - 1) for s, _ in multi])
+            case Not(arg):
+                negated[node] = l
+                return negated[arg] if arg in negated else complement_keys(domain, l)
             case And():
                 return intersect_keys(l, r)
             case Until(_, w, _):
                 w = interval_keys(w, D)
-                bases = _until_bases(l, r, w, domain, J, last)
-                if w[0] == 0:
-                    bases += _same_block_bases(l, r, multi)
-                return normalize_keys(bases)
+                bases = _until_bases(l, r, w, J, last)
+                if w[0] == 0 and multi:
+                    return normalize_keys(bases + _same_block_bases(l, r, multi))
+                return bases
     return fold(f, visit)
 
 

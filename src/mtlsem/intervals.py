@@ -19,7 +19,7 @@ Each model carries an integer column on the base D0 of its timestamps (see
 `structures`).  The dense and mixed engines move it onto D, the lcm of D0 and
 their windows' denominators, with one int multiply per value (`rebased`; the
 pointwise engine keeps D0, see `pointwise`), and run every set operation on key
-lists (`normalize_keys`, `intersect_keys`, `difference_keys` and
+lists (`normalize_keys`, `intersect_keys`, `complement_keys` and, inline,
 `back_shift_keys`).  Every endpoint such an engine produces is an input time
 plus or minus window bounds, so nothing leaves the base.  Its results stay
 there: an `IntervalSet` holds only its key list, as a timed state sequence does
@@ -27,12 +27,12 @@ its steps' keys, and either builds its Intervals (`key_intervals`) only when a
 caller reads them.  `member` bisects the keys and `key_texts` renders them with
 int arithmetic, byte for byte as `str(Interval)` prints.  `IntervalSet`'s own
 operations bring their operands onto a common base per call, one int multiply
-per key, and run the same sweeps.  `intersect_keys` and `difference_keys` are
-single linear sweeps over the two sorted lists (the representation of Maler &
-Nickovic, FORMATS 2004) and never re-sort.  `IntervalSet.from_intervals`
-normalizes arbitrary input; constructing `IntervalSet(parts)` directly, which
-turns the parts into keys, is only valid with parts that are already
-normalized.
+per key, and run these sweeps and `difference_keys`.  `intersect_keys`,
+`difference_keys` and `complement_keys` are single linear sweeps (the
+representation of Maler & Nickovic, FORMATS 2004) and never re-sort.
+`IntervalSet.from_intervals` normalizes arbitrary input; constructing
+`IntervalSet(parts)` directly, which turns the parts into keys, is only valid
+with parts that are already normalized.
 
 Rationals and intervals have one text grammar, `RATIONAL_TEXT` and
 `INTERVAL_TEXT`, and one reader: `rational_pair` reads a rational text to its
@@ -371,6 +371,19 @@ def difference_keys(a, b) -> list:
             k += 1
         else:
             out.append((lo, hi))
+    return out
+
+
+def complement_keys(domain: tuple, keys) -> list:
+    """One walk: the domain less a normalized key list inside it, its gaps."""
+    lo, hi = domain
+    out = []
+    for k_lo, k_hi in keys:
+        if lo < k_lo:
+            out.append((lo, k_lo - 1))
+        lo = k_hi + 1
+    if lo <= hi:
+        out.append((lo, hi))
     return out
 
 

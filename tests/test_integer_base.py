@@ -26,6 +26,7 @@ from mtlsem.intervals import INF, interval, time_base
 from mtlsem.mixed import eval_mx_lasso, sat_sets_mx
 from mtlsem.oracle import (
     differential,
+    gen_formula,
     gen_ka,
     gen_word,
     oracle_eval_its,
@@ -184,3 +185,19 @@ def test_rescaled_validated_sequences_agree_with_the_oracle(text):
         assert differential("its", kappa, f) is None, seed
         for t in (0, kappa.steps[-1][1].hi.value):  # the ends of the covered span
             assert eval_its(kappa, t, f) is oracle_eval_its(kappa, t, f), seed
+
+
+def _scaled(rho, m: Fraction):
+    return word([(a, t * m) for a, t in rho.events])
+
+
+@pytest.mark.parametrize("m", [Fraction(2, 3), Fraction(6, 5)], ids=str)
+@pytest.mark.parametrize("engine", ["itw", "its", "mx"])
+def test_fuzz_words_off_the_half_grid_agree_with_the_oracle(engine, m):
+    """Criterion 8's words with their stamps scaled by m, so that the base D
+    of the half-grid windows lies above the word's own base D0."""
+    model = {"itw": lambda rho: rho, "its": word_to_tss, "mx": compact}[engine]
+    for s in range(500):
+        rho = _scaled(gen_word(s), m)
+        f = gen_formula(s, ABC, max_depth=3, allow_beta=engine == "mx")
+        assert differential(engine, model(rho), f) is None, (s, rho, f)

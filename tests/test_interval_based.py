@@ -9,6 +9,7 @@ from mtlsem.encodings import compact, uncompact, word_to_tss
 from mtlsem.errors import BetaNotAllowedError, MtlsemError, OutOfDomainError
 from mtlsem.formulas import alphabet, parse
 from mtlsem.interval_based import (
+    _until_bases,
     eval_its,
     eval_itw,
     eval_itw_lasso,
@@ -17,6 +18,7 @@ from mtlsem.interval_based import (
     sat_sets_its,
     sat_sets_itw,
 )
+from mtlsem.intervals import INF, back_shift_keys, normalize_keys
 from mtlsem.oracle import (
     critical_points,
     critical_values,
@@ -278,3 +280,155 @@ class TestConvertedOnRead:
                + [eval_mx(compact(RHO1), 1, 0, f), eval_mx(compact(RHO1), times[1], 0, f)]
                + [eval_itw_lasso(l, f), eval_mx_lasso(l, f)])
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the one-pass Until against the per-witness back-shift it replaced
+
+def _reference_until_bases(f, g, w, domain, J=1, last=None):
+    """`_until_bases` as a back_shift_keys call per witness, then one
+    normalize_keys over every part's bases."""
+    w_lo, w_hi = w
+    d_hi = domain[1]
+    J3 = 3 * J
+    out = []
+    j, ng = 0, len(g)
+    for f_lo, f_hi in f:
+        r = f_lo % J3
+        if r == 0:
+            floor = f_lo
+        elif r == J:
+            floor = f_lo - J + (last.get(f_lo // J - 1, 0) if last else 0)
+        else:
+            floor = f_lo - 1
+        z_lo = floor - floor % J + J
+        z_hi = f_hi if (f_hi + 1) % J3 == J else f_hi + 1
+        if z_lo > z_hi:
+            continue
+        while j < ng and g[j][1] < z_lo:
+            j += 1
+        k = j
+        while k < ng and g[k][0] <= z_hi:
+            g_lo, g_hi = g[k]
+            base = back_shift_keys(max(g_lo, z_lo) // J, min(g_hi, z_hi) // J, w_lo, w_hi)
+            if base is not None:
+                lo, hi = max(base[0] * J, floor), min(base[1] * J + J - 1, d_hi)
+                if lo <= hi:
+                    out.append((lo, hi))
+            k += 1
+    return normalize_keys(out)
+
+
+def _line(rng, t0, t1, J):
+    """The points of the lex line with J slots per time key over the stamps
+    t0..t1 (J = 1: the dense line), as slot pairs in order, and the last-point
+    offset of each block of two or more positions."""
+    points, last = [], {}
+    for T in range(3 * t0, 3 * t1 + 1):
+        s = rng.randint(1, J) if T % 3 == 0 and rng.random() < 0.7 else 1
+        if s > 1:
+            last[T] = s - 1
+        points += [(T * J + i, T * J + i) for i in range(s - 1)]
+        points.append((T * J + s - 1, T * J + J - 1))
+    return points, last
+
+
+def _random_set(rng, points):
+    """A normalized key list: runs of the points, drawn with random odds."""
+    p, held, keys = rng.uniform(0.2, 0.8), False, []
+    for point in points:
+        if rng.random() < 0.4:
+            held = rng.random() < p
+        if held:
+            keys.append(point)
+    return normalize_keys(keys)
+
+
+def _window_keys(lo, span, lo_closed, hi_closed):
+    """The key pair of a window on the base 1; span None is unbounded."""
+    if span is None:
+        return 3 * lo + (not lo_closed), INF
+    return 3 * lo + (not lo_closed), 3 * (lo + span) - (not hi_closed)
+
+
+WINDOWS = [_window_keys(lo, span, lc, hc)
+           for lo in (0, 1, 2) for span in (0, 1, 2, 5, None)
+           for lc in (True, False) for hc in (True, False)
+           if (span != 0 or lc and hc) and (span is not None or not hc)]
+
+
+class TestOnePassUntil:
+    def test_windows_cover_every_kind(self):
+        assert (0, 0) in WINDOWS and (0, INF) in WINDOWS and (1, INF) in WINDOWS
+        assert {(lo % 3, hi % 3) for lo, hi in WINDOWS if hi != INF} == {
+            (0, 0), (0, 2), (1, 0), (1, 2)}
+
+    @pytest.mark.parametrize("J", [1, 2, 3])
+    def test_equals_the_reference_and_is_normalized(self, J):
+        rng = random.Random(40 + J)
+        for _ in range(400):
+            t0 = rng.choice((0, 0, 2))
+            points, last = _line(rng, t0, t0 + rng.randint(0, 12), J)
+            if J == 1:
+                last = None
+            elif not last:
+                continue  # a lex line has a block of two or more positions
+            domain = (points[0][0], points[-1][1])
+            f, g = _random_set(rng, points), _random_set(rng, points)
+            for w in WINDOWS:
+                got = _until_bases(f, g, w, J, last)
+                assert got == _reference_until_bases(f, g, w, domain, J, last), (f, g, w, last)
+                assert all(lo <= hi for lo, hi in got)
+                assert all(a[1] + 1 < b[0] for a, b in zip(got, got[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the tables on long words, pinned by digest
+
+def _long_word(seed):
+    """300-600 events with steps on the grid of 1/2 (odd seeds) or 1/3."""
+    rng = random.Random(seed)
+    step = Fraction(1, 2 if seed % 2 else 3)
+    t, events = Fraction(0), []
+    for i in range(rng.randint(300, 600)):
+        if i:
+            t += step * rng.choice((0, 0, 1, 1, 2, 3, 5))
+        events.append((rng.choice("abc"), t))
+    return word(events)
+
+
+class TestLongWordTablesAreUnchanged:
+    """Every set of the fold table of each engine, as its base and key list,
+    hashed over six formulas on seeded words of 300-600 events.  A word's
+    `its` table is its state sequence's, so the two share their digests."""
+
+    FORMULAS = ("G(a -> F[1,3] b)", "(a | b) U(1/2,2] c", "F[0,1) (b & X[0,0] a)",
+                "G[0,2] F(1/3,1] (a | c)", "!(!c U[1/2,inf) (b & F[0,1] a))", "F[1,2) G[0,1/2] !b")
+    DIGESTS = {
+        ("itw", 1): "c477835615cafec2", ("itw", 2): "28bc0f0bc0233eae",
+        ("itw", 3): "a2a8de50cf3056bc",
+        ("its", 1): "c477835615cafec2", ("its", 2): "28bc0f0bc0233eae",
+        ("its", 3): "a2a8de50cf3056bc",
+        ("mx", 1): "d6fa243450ee82f3", ("mx", 2): "200a64fca1ee5498",
+        ("mx", 3): "4bf68396cb8a37e4",
+    }
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("engine", ["itw", "its", "mx"])
+    def test_digest(self, engine, seed):
+        import hashlib
+
+        from mtlsem.mixed import sat_sets_mx
+
+        rho = _long_word(seed)
+        digest = hashlib.sha256()
+        for text in self.FORMULAS:
+            f = parse(text, ABC)
+            if engine == "itw":
+                sets = [s.keys for s in sat_sets_itw(rho, f).values()]
+            elif engine == "its":
+                sets = [s.keys for s in sat_sets_its(word_to_tss(rho), f).values()]
+            else:
+                sets = [(s.lex[1][0], s.lex[0]) for s in sat_sets_mx(compact(rho), f).values()]
+            digest.update(repr(sets).encode())
+        assert digest.hexdigest()[:16] == self.DIGESTS.get((engine, seed)), len(rho.events)

@@ -12,8 +12,11 @@ from mtlsem.intervals import (
     Interval,
     IntervalSet,
     back_shift,
+    complement_keys,
+    difference_keys,
     interval,
     interval_keys,
+    normalize_keys,
     parse_interval,
     punctual,
     rat_str,
@@ -296,6 +299,20 @@ def test_covers_by_membership():
         s, probe = _rand_normal_set(rng), _rand_interval(rng)
         expect = all(s.member(t) for t in _probes(s, probe) if probe.contains(t))
         assert s.covers(probe) == expect, (str(s), str(probe))
+
+
+def test_complement_walk_equals_the_difference_from_the_domain():
+    domain = (3, 30)
+    cases = [[], [(3, 5)], [(28, 30)], [(3, 4), (28, 30)], [domain], [(4, 29)]]
+    rng = random.Random(24)
+    for _ in range(600):
+        keys = []
+        for _ in range(rng.randint(0, 4)):
+            lo = rng.randint(domain[0], domain[1])
+            keys.append((lo, rng.randint(lo, domain[1])))
+        cases.append(normalize_keys(keys))
+    for keys in cases:
+        assert complement_keys(domain, keys) == difference_keys([domain], keys), keys
 
 
 # ---------------------------------------------------------------------------
