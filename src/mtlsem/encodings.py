@@ -27,6 +27,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt
 
 from .errors import (
     EmptyWordError,
@@ -65,22 +66,17 @@ def uncompact(cw: CompactTimedWord) -> TimedWord:
 
 
 def to_tss(cw: CompactTimedWord) -> TimedStateSequence:
-    """Alternate punctual action steps with non-punctual empty fillers.
-
-    Raises NonMonotoneError at the first block whose time is not strictly
-    later than its predecessor's."""
-    empty = frozenset()
+    """Alternate punctual action steps with non-punctual empty fillers; raise
+    NonMonotoneError at the first block not strictly later than the one before."""
     D0, ticks = cw.ticks
-    keys, props = [], []
-    for k, (acts, v) in enumerate(zip(cw.actions, ticks)):
-        if k:
-            if not prev < v:
-                raise NonMonotoneError(k)
-            keys.append((3 * prev + 1, 3 * v - 1))
-            props.append(empty)
-        keys.append((3 * v, 3 * v))
-        props.append(frozenset(acts))
-        prev = v
+    later = list(map(lt, ticks, ticks[1:]))
+    if not all(later):
+        raise NonMonotoneError(later.index(False) + 1)
+    keys = [None] * (2 * len(ticks) - 1)
+    keys[::2] = [(3 * v, 3 * v) for v in ticks]
+    keys[1::2] = [(3 * u + 1, 3 * v - 1) for u, v in zip(ticks, ticks[1:])]
+    props = [frozenset()] * len(keys)  # the fillers share one empty set
+    props[::2] = map(frozenset, cw.actions)
     return TimedStateSequence(D0, tuple(keys), tuple(props))
 
 

@@ -22,18 +22,19 @@ the mixed line too: there each time key owns J slots, one per block position
 window ends at the point right after it, and distances are read off the time
 keys.  With J = 1 this is the dense rule above.  `_sat_dense` is the one fold
 of `itw`, `its` and `mx`; on the lex line it also reads `beta` and the
-witnesses inside a block (`_same_block_bases`).  The pass emits the bases in
-order, each merged into the last, so nothing sorts them; negation and `beta`
-walk the gaps of one list, and !!x is x's own list.
+witnesses inside a block (`_same_block_bases`).  Nothing in the fold sorts:
+the pass emits the bases in order, merged; negation and `beta` walk the gaps
+of one list, and !!x is x's own list; each entry point builds the atoms'
+lists merged; and x & !x, the And inside every `true`, is empty with no sweep.
 
 Sets are key lists on an integer time base (see `intervals`).  Each entry
 point reads the model's integer columns, the word's actions and ticks or the
 state sequence's step keys and propositions, and takes D once, from its base
-D0 and `finite_window_bounds(f)`; the fold runs on ints only.  `sat_set_*` returns
-the root's key list as an `IntervalSet` on that base, `sat_sets_*` every set
-of the table; a set builds its Intervals only when a caller reads its parts.
-`eval_*` and the lasso verdict bisect the root's keys at one key and build no
-set.
+D0 and `finite_window_bounds(f)`; the fold runs on ints only.  `sat_set_*`
+returns the root's key list as an `IntervalSet` on that base, `sat_sets_*`
+every set of the table; a set builds its Intervals only when a caller reads
+its parts.  `eval_*` and the lasso verdict bisect the root's keys at one key
+and build no set.
 
 Lasso verdicts are exact booleans: `encodings.lasso_instance` closes every
 unbounded window at the lasso's period and unrolls the lasso far enough, and
@@ -55,6 +56,7 @@ from .formulas import (
     Formula,
     Not,
     Until,
+    atoms,
     finite_window_bounds,
     fold,
     require_beta_free,
@@ -66,6 +68,7 @@ from .intervals import (
     intersect_keys,
     interval_keys,
     meets,
+    merge_keys,
     normalize_keys,
     rational,
     rebased,
@@ -162,8 +165,8 @@ def _same_block_bases(f: list, g: list, multi: list) -> list:
     return out
 
 
-def _sat_dense(atom_parts, domain: tuple, D: int, f: Formula, J: int = 1, multi=()) -> dict:
-    """The dense algebra on keys: atom_parts(name) are the atom's key pairs,
+def _sat_dense(atom_keys: dict, domain: tuple, D: int, f: Formula, J: int = 1, multi=()) -> dict:
+    """The dense algebra on keys: atom_keys[name] is the atom's key list,
     negation one walk over the domain (`complement_keys`; !!x is x's list),
     conjunction intersection, Until `_until_bases`.  On the mixed line (see
     `mixed`) each time key owns J slots and `multi` lists the blocks of two or
@@ -175,12 +178,14 @@ def _sat_dense(atom_parts, domain: tuple, D: int, f: Formula, J: int = 1, multi=
     def visit(node, l=None, r=None) -> list:
         match node:
             case Atom(name):
-                return normalize_keys(atom_parts(name))
+                return atom_keys[name]
             case Beta():
                 return complement_keys(domain, [(s + 1, s + J - 1) for s, _ in multi])
             case Not(arg):
                 negated[node] = l
                 return negated[arg] if arg in negated else complement_keys(domain, l)
+            case And(x, Not(y)) if x is y:  # the And inside every `true`
+                return []
             case And():
                 return intersect_keys(l, r)
             case Until(_, w, _):
@@ -199,11 +204,10 @@ def _itw_table(rho: TimedWord, f: Formula):
     """The key table of f over rho, and its time base."""
     require_beta_free(f, "interval-based")
     D, times = rebased(rho.ticks, finite_window_bounds(f))
-    points = {}
-    for a, t in zip(rho.actions, times):
-        points.setdefault(a, []).append((3 * t, 3 * t))
-    domain = (0, 3 * times[-1])
-    return _sat_dense(lambda name: points.get(name, ()), domain, D, f), D
+    points = {name: [(k, k) for k in dict.fromkeys([3 * t for a, t in zip(rho.actions, times)
+                                                     if a == name])]
+              for name in atoms(f)}  # an action repeated at one stamp is one point
+    return _sat_dense(points, (0, 3 * times[-1]), D, f), D
 
 
 def sat_sets_itw(rho: TimedWord, f: Formula) -> dict:
@@ -235,13 +239,10 @@ def _its_table(kappa: TimedStateSequence, f: Formula):
     D = math.lcm(D0, time_base(finite_window_bounds(f)))
     if D > D0:
         keys = scaled_keys(keys, D // D0)
-    parts = {}
-    for k, p in zip(keys, props):
-        for name in p:
-            parts.setdefault(name, []).append(k)
+    parts = {name: merge_keys([k for k, p in zip(keys, props) if name in p]) for name in atoms(f)}
     # the first and last step's end values, closed
     domain = (3 * ((keys[0][0] + 1) // 3), 3 * ((keys[-1][1] + 1) // 3))
-    return _sat_dense(lambda name: parts.get(name, ()), domain, D, f), D
+    return _sat_dense(parts, domain, D, f), D
 
 
 def sat_sets_its(kappa: TimedStateSequence, f: Formula) -> dict:

@@ -19,7 +19,7 @@ Each model carries an integer column on the base D0 of its timestamps (see
 `structures`).  The dense and mixed engines move it onto D, the lcm of D0 and
 their windows' denominators, with one int multiply per value (`rebased`; the
 pointwise engine keeps D0, see `pointwise`), and run every set operation on key
-lists (`normalize_keys`, `intersect_keys`, `complement_keys` and, inline,
+lists (`merge_keys`, `intersect_keys`, `complement_keys` and, inline,
 `back_shift_keys`).  Every endpoint such an engine produces is an input time
 plus or minus window bounds, so nothing leaves the base.  Its results stay
 there: an `IntervalSet` holds only its key list, as a timed state sequence does
@@ -323,8 +323,13 @@ def meets(keys, lo, hi=None) -> bool:
 
 def normalize_keys(keys) -> list:
     """Sort key pairs and merge the ones that overlap or touch."""
+    return merge_keys(sorted(keys))
+
+
+def merge_keys(keys) -> list:
+    """Merge the key pairs, already in order, that overlap or touch."""
     out = []
-    for lo, hi in sorted(keys):
+    for lo, hi in keys:
         if out and lo <= out[-1][1] + 1:
             if hi > out[-1][1]:
                 out[-1] = (out[-1][0], hi)

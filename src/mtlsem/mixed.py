@@ -13,22 +13,18 @@ T*J + J - 1.  At a block of size s at time v, position j < s - 1 is slot
 3vJ + j, and the last position owns the spare slots 3vJ + s - 1 to
 3vJ + J - 1.  Every other time key, a gap time or an open side of one, keeps
 all J of its slots.  Lex points with nothing between them then get adjacent
-slots, so `normalize_keys`, `intersect_keys` and `difference_keys` work
-unchanged.  Atoms are the slots of their positions; negation is the
-difference from the domain (3J*t0, 3J*t_end + J - 1); the position-zero atom
-`beta` is the domain minus the slots 3vJ + 1 to 3vJ + J - 1 of every block
-with s >= 2.
+slots, so the key sweeps of `intervals` run on lex keys as on time keys.
+Atoms are the slots of their positions, merged as in `interval_based` (a
+block (a, a) gives adjacent slots); negation is the complement in the domain
+(3J*t0, 3J*t_end + J - 1); the position-zero atom `beta` is the domain minus
+the slots 3vJ + 1 to 3vJ + J - 1 of every block with s >= 2.
 
 Until.  The fold is `interval_based._sat_dense`, the dense engines' own,
-given J and the blocks of two or more positions.  Its `_until_bases`
-decomposes by the maximal parts of the left operand's set, with J and the
-last-point offsets of the block time keys.  A part's bases start at the
-point right before it (the floor), its witness window ends at the point
-right after it, and distances are read off the time keys k // J.  This
-covers every witness at a strictly later time.  When the window holds 0, a
-base (v, j) also holds if some later position of its own block holds g with
-f at every position strictly between them: one sweep over the parts of g and
-f inside blocks (`_same_block_bases`).
+given J and the blocks of two or more positions.  Its `_until_bases` reads
+distances off the time keys k // J, so it covers every witness at a strictly
+later time.  When the window holds 0, a base (v, j) also holds if some later
+position of its own block holds g with f at every position strictly between
+them: one sweep over the parts of g and f inside blocks (`_same_block_bases`).
 
 The engine runs on an integer time base (see `intervals`): `sat_sets_mx` and
 `sat_set_mx` read the compact word's columns, the block ticks `cw.ticks` and
@@ -53,7 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .formulas import Formula, atoms, finite_window_bounds
-from .intervals import IntervalSet, meets, normalize_keys, rational, rebased, time_key
+from .intervals import IntervalSet, meets, merge_keys, rational, rebased, time_key
 from .structures import CompactTimedWord, Lasso
 from .encodings import block_index_at, compact, lasso_instance
 from .interval_based import _sat_dense
@@ -97,7 +93,7 @@ class MixedSet:
     def gap(self) -> IntervalSet:
         keys, (D, J, starts, _) = self.lex
         parts = []  # the time keys k // J, less the block stamps inside each part
-        for lo, hi in normalize_keys((lo // J, hi // J) for lo, hi in keys):
+        for lo, hi in merge_keys((lo // J, hi // J) for lo, hi in keys):
             for k in range(bisect_left(starts, lo * J), bisect_right(starts, hi * J)):
                 stamp = starts[k] // J
                 if lo < stamp:
@@ -130,8 +126,9 @@ def _mx_table(cw: CompactTimedWord, f: Formula):
         for j, a in enumerate(acts):
             if a in slots:
                 slots[a].append((s + j, s + J - 1 if j == n - 1 else s + j))
+    slots = {name: merge_keys(keys) for name, keys in slots.items()}  # (a, a): adjacent slots
     multi = [(s, n) for s, n in zip(starts, sizes) if n > 1]
-    table = _sat_dense(lambda name: slots[name], (starts[0], starts[-1] + J - 1), D, f, J, multi)
+    table = _sat_dense(slots, (starts[0], starts[-1] + J - 1), D, f, J, multi)
     return table, (D, J, starts, sizes)
 
 

@@ -1,5 +1,6 @@
 """Dense-time satisfaction sets over words and state sequences."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,8 +8,10 @@ import pytest
 
 from mtlsem.encodings import compact, uncompact, word_to_tss
 from mtlsem.errors import BetaNotAllowedError, MtlsemError, OutOfDomainError
-from mtlsem.formulas import alphabet, parse
+from mtlsem.formulas import And, Atom, Not, alphabet, atoms, finite_window_bounds, parse
 from mtlsem.interval_based import (
+    _its_table,
+    _itw_table,
     _until_bases,
     eval_its,
     eval_itw,
@@ -18,7 +21,16 @@ from mtlsem.interval_based import (
     sat_sets_its,
     sat_sets_itw,
 )
-from mtlsem.intervals import INF, back_shift_keys, normalize_keys
+from mtlsem.intervals import (
+    INF,
+    back_shift_keys,
+    intersect_keys,
+    normalize_keys,
+    rebased,
+    scaled_keys,
+    time_base,
+)
+from mtlsem.mixed import _mx_table
 from mtlsem.oracle import (
     critical_points,
     critical_values,
@@ -30,7 +42,7 @@ from mtlsem.oracle import (
     oracle_eval_mx,
 )
 from mtlsem.pointwise import eval_pw_lasso
-from mtlsem.structures import lasso, validate_tss, word
+from mtlsem.structures import lasso, validate_compact, validate_tss, word
 
 ABC = alphabet("a,b,c")
 B_THEN_A = parse("F(b & X[0,0] a)", ABC)
@@ -432,3 +444,91 @@ class TestLongWordTablesAreUnchanged:
                 sets = [(s.lex[1][0], s.lex[0]) for s in sat_sets_mx(compact(rho), f).values()]
             digest.update(repr(sets).encode())
         assert digest.hexdigest()[:16] == self.DIGESTS.get((engine, seed)), len(rho.events)
+
+
+# ---------------------------------------------------------------------------
+# the atom lists each entry point hands the fold, and x & !x
+
+ABCD = alphabet("a,b,c,d")
+# the same action twice at one stamp, simultaneous events, and no d
+REPEATED = word([("a", "0"), ("b", "1/2"), ("a", "1/2"), ("a", "1/2"), ("c", "2"), ("a", "2"),
+                 ("b", "3")])
+# adjacent steps sharing a proposition
+SHARED_STEPS = validate_tss([({"a"}, "[0,0]"), ({"a", "b"}, "(0,1)"), ({"a"}, "[1,1]"),
+                             (set(), "(1,5/2)"), ({"b", "c"}, "[5/2,5/2]"), ({"c"}, "(5/2,3]")])
+# the blocks (a, a) and (a, b, a)
+BLOCKS = validate_compact([(("a", "a"), "0"), (("b",), "1/3"), (("a", "b", "a"), "1"),
+                           (("c", "c", "b"), "2")])
+TABLES = {"itw": _itw_table, "its": _its_table, "mx": _mx_table}
+MODELS = [("itw", REPEATED), ("its", SHARED_STEPS), ("mx", BLOCKS), ("mx", compact(REPEATED))]
+MODEL_IDS = ["itw-word", "its-shared-steps", "mx-blocks", "mx-word"]
+
+
+def _per_event_atoms(engine, model, f):
+    """Each atom's key pairs as one append per event, step or position, in
+    model order, with no merging."""
+    parts = {}
+    if engine == "its":
+        D0, keys, props = model.columns
+        D = math.lcm(D0, time_base(finite_window_bounds(f)))
+        keys = scaled_keys(keys, D // D0) if D > D0 else keys
+        for k, p in zip(keys, props):
+            for name in p:
+                parts.setdefault(name, []).append(k)
+    elif engine == "itw":
+        _, times = rebased(model.ticks, finite_window_bounds(f))
+        for a, t in zip(model.actions, times):
+            parts.setdefault(a, []).append((3 * t, 3 * t))
+    else:
+        _, times = rebased(model.ticks, finite_window_bounds(f))
+        J = max(len(acts) for acts in model.actions)
+        for v, acts in zip(times, model.actions):
+            for j, a in enumerate(acts):
+                last = j == len(acts) - 1
+                parts.setdefault(a, []).append((3 * J * v + j, 3 * J * v + (J - 1 if last else j)))
+    return {name: parts.get(name, []) for name in atoms(f)}
+
+
+class TestAtomListsArriveMerged:
+    """Each dense entry point hands `_sat_dense` every atom's list already
+    normalized: the fold's Atom case takes it as is."""
+
+    F = parse("F[0,1/2] (a & !b) | (c U(1/2,2] d)", ABCD)
+
+    @pytest.mark.parametrize("engine, model", MODELS, ids=MODEL_IDS)
+    def test_atoms_are_the_normalized_per_event_lists(self, engine, model):
+        table, _ = TABLES[engine](model, self.F)
+        raw = _per_event_atoms(engine, model, self.F)
+        want = {name: normalize_keys(keys) for name, keys in raw.items()}
+        assert {name: table[Atom(name)] for name in want} == want
+        assert want["d"] == []  # an atom the model never holds
+        assert raw != want  # each model has keys to merge
+
+
+class TestEmptyAndOfNegation:
+    """x & !x is empty with no sweep, the And inside every `true` among them;
+    every other And is still the intersection of its operands."""
+
+    F = parse("(F[0,1] a | G b | true) & ((a & !a) | (a & !b) | (!a & a) | (b & !a))", ABC)
+
+    @pytest.mark.parametrize("engine, model", MODELS, ids=MODEL_IDS)
+    def test_values(self, engine, model):
+        table, _ = TABLES[engine](model, self.F)
+        ands = [node for node in table if type(node) is And]
+        for node in ands:
+            assert table[node] == intersect_keys(table[node.left], table[node.right]), node
+        a = parse("a", ABC)
+        assert And(Not(a), Not(Not(a))) in ands  # the And of `true`
+        assert table[And(Not(a), Not(Not(a)))] == table[parse("a & !a", ABC)] == []
+        assert table[parse("!a & a", ABC)] == []
+        assert table[parse("a & !b", ABC)] or table[parse("b & !a", ABC)]
+
+    @pytest.mark.parametrize("engine, model", MODELS, ids=MODEL_IDS)
+    def test_no_sweep_inside_true(self, engine, model, monkeypatch):
+        import mtlsem.interval_based as ib
+
+        calls = []
+        monkeypatch.setattr(ib, "intersect_keys", lambda a, b: calls.append((a, b)) or [])
+        f = parse("F(0,1] G[1,2] (a & !a)", ABC)  # no window holds 0: no block sweep in mx
+        TABLES[engine](model, f)
+        assert calls == []
