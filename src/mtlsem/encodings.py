@@ -149,10 +149,10 @@ def lasso_instance(l: Lasso, f: Formula) -> tuple:
     This holds for every relation: positions, times and lexicographic points
     alike shift by one period.
 
-    The rewritten formula g is bounded.  Every stretch (x, x + P] with x >= p
-    holds one copy of each period event, so unrolling to max(p, horizon(g)) + P
-    keeps every event up to horizon(g) and one beyond it: the finite word
-    agrees with the lasso wherever g can look from the origin.
+    The rewritten formula g is bounded (g is f when f is).  Every stretch
+    (x, x + P] with x >= p holds one copy of each period event, so unrolling to
+    max(p, horizon(g)) + P keeps every event up to horizon(g) and one beyond it:
+    the finite word agrees with the lasso wherever g can look from the origin.
     """
     p, P = duration(l.prefix), l.period_duration
 
@@ -164,8 +164,11 @@ def lasso_instance(l: Lasso, f: Formula) -> tuple:
             w = interval(w.lo.value, max(w.lo.value, p) + P, w.lo.closed, True)
         return Until(kids[0], w, kids[1])
 
-    g = fold(f, close)[f]
-    return unroll(l, max(p, horizon(g)) + P), g
+    h = horizon(f)
+    if isinstance(h, float):  # inf: some window is unbounded
+        f = fold(f, close)[f]
+        h = horizon(f)
+    return unroll(l, max(p, h) + P), f
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,10 @@
 """Interval-based satisfaction over timed words and timed state sequences.
 
 Each subformula gets an exact satisfaction set: a normalized union of
-rational-endpoint intervals over the covered time domain.  The engine supplies
-this algebra to `formulas.fold`: atoms are the event points (or the
-state-sequence steps), negation is complement in the domain, conjunction is
-intersection, and the strict dense Until decomposes by the maximal convex
-parts of the left operand's set:
+rational-endpoint intervals over the covered time domain.  Atoms are the event
+points (or the state-sequence steps), negation is complement in the domain,
+conjunction is intersection, and the strict dense Until decomposes by the
+maximal convex parts of the left operand's set:
 
     a base point t satisfies (f U_I g) exactly when some maximal part <l,u>
     of Sat(f) has l <= t and a witness t' in Sat(g) with t < t' <= u and
@@ -22,10 +21,13 @@ the mixed line too: there each time key owns J slots, one per block position
 window ends at the point right after it, and distances are read off the time
 keys.  With J = 1 this is the dense rule above.  `_sat_dense` is the one fold
 of `itw`, `its` and `mx`; on the lex line it also reads `beta` and the
-witnesses inside a block (`_same_block_bases`).  Nothing in the fold sorts:
-the pass emits the bases in order, merged; negation and `beta` walk the gaps
-of one list, and !!x is x's own list; each entry point builds the atoms'
-lists merged; and x & !x, the And inside every `true`, is empty with no sweep.
+witnesses inside a block (`_same_block_bases`).  Nothing in the fold sorts,
+and negation is pending: a `!` node's value is its operand's list read as its
+complement (!!x is x's own list; `beta` is the blocks' later slots read so).
+And reads pending operands by De Morgan: x & !x is empty with no sweep, x & !y
+is one difference sweep, !x & !y the pending complement of one union.  A
+complement is walked over its list's gaps only where a list is read: by an
+Until, and from the table (`_Table`), such as the root `sat_set_*` returns.
 
 Sets are key lists on an integer time base (see `intervals`).  Each entry
 point reads the model's integer columns, the word's actions and ticks or the
@@ -33,8 +35,8 @@ state sequence's step keys and propositions, and takes D once, from its base
 D0 and `finite_window_bounds(f)`; the fold runs on ints only.  `sat_set_*`
 returns the root's key list as an `IntervalSet` on that base, `sat_sets_*`
 every set of the table; a set builds its Intervals only when a caller reads
-its parts.  `eval_*` and the lasso verdict bisect the root's keys at one key
-and build no set.
+its parts.  `eval_*` and the lasso verdict bisect the root's keys at one key,
+negated for a pending root, and build no set or complement.
 
 Lasso verdicts are exact booleans: `encodings.lasso_instance` closes every
 unbounded window at the lasso's period and unrolls the lasso far enough, and
@@ -58,13 +60,14 @@ from .formulas import (
     Until,
     atoms,
     finite_window_bounds,
-    fold,
     require_beta_free,
+    subformulas,
 )
 from .intervals import (
     INF,
     IntervalSet,
     complement_keys,
+    difference_keys,
     intersect_keys,
     interval_keys,
     meets,
@@ -149,52 +152,85 @@ def _until_bases(f: list, g: list, w: tuple, J: int = 1, last=None) -> list:
     return out
 
 
-def _same_block_bases(f: list, g: list, multi: list) -> list:
-    """The slots (v, j) witnessed later in their own block (`multi`: start slot,
-    size): g's parts past a block's first slot and f's run before each, less 1."""
-    inner = [(s + 1, s + n - 1) for s, n in multi]
-    runs = intersect_keys(f, inner)
+def _same_block_bases(f: list, g: list, later: list, J: int, last: dict) -> list:
+    """The slots witnessed later in their own block (`later`: each block's slots
+    past position 0): g's parts there and f's run before each, one point back."""
+    runs = intersect_keys(f, later)
     out = []
     i = 0
-    for lo, hi in intersect_keys(g, inner):
+    for lo, hi in intersect_keys(g, later):
         while i < len(runs) and runs[i][1] < lo - 1:
             i += 1
         if i < len(runs) and runs[i][0] < lo:
             lo = runs[i][0]
-        out.append((lo - 1, hi - 1))
+        top = hi - hi % J + last[hi // J]  # the first slot of the block's last point
+        out.append((lo - 1, (top if hi > top else hi) - 1))
     return out
 
 
-def _sat_dense(atom_keys: dict, domain: tuple, D: int, f: Formula, J: int = 1, multi=()) -> dict:
-    """The dense algebra on keys: atom_keys[name] is the atom's key list,
-    negation one walk over the domain (`complement_keys`; !!x is x's list),
-    conjunction intersection, Until `_until_bases`.  On the mixed line (see
-    `mixed`) each time key owns J slots and `multi` lists the blocks of two or
-    more positions (start slot, size): `beta` drops their later positions, and
-    a window holding 0 adds the witnesses inside a block (`_same_block_bases`)."""
-    last = {s // J: n - 1 for s, n in multi}  # the offset of each block's last point
-    negated = {}  # each Not node's operand keys
+class _Table(dict):
+    """A fold table: each node's key list, or, for the nodes in `co`, the list
+    whose complement in the domain is the node's set, walked when a subscript
+    or `items` first reads it (`get` reads the list as it is)."""
 
-    def visit(node, l=None, r=None) -> list:
+    def __init__(self, domain: tuple):
+        self.domain, self.co = domain, set()
+
+    def __getitem__(self, node) -> list:
+        keys = dict.__getitem__(self, node)
+        if node in self.co:
+            self.co.remove(node)
+            self[node] = keys = complement_keys(self.domain, keys) if keys else [self.domain]
+        return keys
+
+    def items(self) -> list:
+        return [(node, self[node]) for node in self]
+
+    def holds(self, node, key) -> bool:
+        """Whether node's set holds the key, with no walk: a complement holds
+        it where its list does not."""
+        return meets(self.get(node), key) != (node in self.co)
+
+
+def _sat_dense(atom_keys: dict, domain: tuple, D: int, f: Formula, J: int = 1, multi=()) -> _Table:
+    """The dense algebra on keys, filling a `_Table` in `subformulas` order (see
+    above).  On the mixed line (see `mixed`) each time key owns J slots and
+    `multi` lists the blocks of two or more positions (start slot, size): `beta`
+    is the complement of their later slots, and a window holding 0 adds the
+    witnesses inside a block."""
+    last = {s // J: n - 1 for s, n in multi}  # the offset of each block's last point
+    later = [(s + 1, s + J - 1) for s, _ in multi]  # each block's slots past position 0
+    table = _Table(domain)
+    co, get = table.co, table.get  # get reads a node's list as it is: no walk
+    for node in subformulas(f):
         match node:
             case Atom(name):
-                return atom_keys[name]
+                keys = atom_keys[name]
             case Beta():
-                return complement_keys(domain, [(s + 1, s + J - 1) for s, _ in multi])
+                co.add(node)
+                keys = later
             case Not(arg):
-                negated[node] = l
-                return negated[arg] if arg in negated else complement_keys(domain, l)
-            case And(x, Not(y)) if x is y:  # the And inside every `true`
-                return []
-            case And():
-                return intersect_keys(l, r)
-            case Until(_, w, _):
+                keys = get(arg)
+                if arg not in co:
+                    co.add(node)
+            case And(x, y):
+                l, r = get(x), get(y)
+                if x in co and y in co:  # !x & !y is !(x | y)
+                    co.add(node)
+                    keys = l if l is r else normalize_keys(l + r)
+                elif x in co or y in co:  # x & !y; x & !x, the And of `true`, is empty
+                    p, q = (r, l) if x in co else (l, r)
+                    keys = [] if l is r else difference_keys(p, q)
+                else:
+                    keys = l if l is r else intersect_keys(l, r)
+            case Until(x, w, y):
+                l, r = table[x], table[y]
                 w = interval_keys(w, D)
-                bases = _until_bases(l, r, w, J, last)
+                keys = _until_bases(l, r, w, J, last)
                 if w[0] == 0 and multi:
-                    return normalize_keys(bases + _same_block_bases(l, r, multi))
-                return bases
-    return fold(f, visit)
+                    keys = normalize_keys(keys + _same_block_bases(l, r, later, J, last))
+        table[node] = keys
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +263,7 @@ def eval_itw(rho: TimedWord, t, f: Formula) -> bool:
     if t < 0 or t > duration(rho):
         raise OutOfDomainError(f"time {t} outside [0, {duration(rho)}]")
     table, D = _itw_table(rho, f)
-    return meets(table[f], time_key(t, D))
+    return table.holds(f, time_key(t, D))
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +273,12 @@ def _its_table(kappa: TimedStateSequence, f: Formula):
     require_beta_free(f, "interval-based")
     D0, keys, props = kappa.columns
     D = math.lcm(D0, time_base(finite_window_bounds(f)))
-    if D > D0:
-        keys = scaled_keys(keys, D // D0)
     parts = {name: merge_keys([k for k, p in zip(keys, props) if name in p]) for name in atoms(f)}
     # the first and last step's end values, closed
     domain = (3 * ((keys[0][0] + 1) // 3), 3 * ((keys[-1][1] + 1) // 3))
+    if D > D0:  # rescale only what the fold reads
+        parts = {name: scaled_keys(keys, D // D0) for name, keys in parts.items()}
+        domain = (domain[0] * (D // D0), domain[1] * (D // D0))
     return _sat_dense(parts, domain, D, f), D
 
 
@@ -261,7 +298,7 @@ def eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
     if t < tss_start(kappa) or t > tss_duration(kappa):
         raise OutOfDomainError(f"time {t} outside the covered span")
     table, D = _its_table(kappa, f)
-    return meets(table[f], time_key(t, D))
+    return table.holds(f, time_key(t, D))
 
 
 # ---------------------------------------------------------------------------
@@ -271,4 +308,4 @@ def eval_itw_lasso(l: Lasso, f: Formula) -> bool:
     """Exact verdict at time 0 of the unrolled infinite word."""
     rho, g = lasso_instance(l, f)
     table, _ = _itw_table(rho, g)
-    return meets(table[g], 0)
+    return table.holds(g, 0)

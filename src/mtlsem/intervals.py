@@ -19,15 +19,15 @@ Each model carries an integer column on the base D0 of its timestamps (see
 `structures`).  The dense and mixed engines move it onto D, the lcm of D0 and
 their windows' denominators, with one int multiply per value (`rebased`; the
 pointwise engine keeps D0, see `pointwise`), and run every set operation on key
-lists (`merge_keys`, `intersect_keys`, `complement_keys` and, inline,
-`back_shift_keys`).  Every endpoint such an engine produces is an input time
-plus or minus window bounds, so nothing leaves the base.  Its results stay
-there: an `IntervalSet` holds only its key list, as a timed state sequence does
-its steps' keys, and either builds its Intervals (`key_intervals`) only when a
-caller reads them.  `member` bisects the keys and `key_texts` renders them with
-int arithmetic, byte for byte as `str(Interval)` prints.  `IntervalSet`'s own
-operations bring their operands onto a common base per call, one int multiply
-per key, and run these sweeps and `difference_keys`.  `intersect_keys`,
+lists (`merge_keys`, `intersect_keys`, `difference_keys`, `complement_keys`
+and, inline, `back_shift_keys`).  Every endpoint such an engine produces is an
+input time plus or minus window bounds, so nothing leaves the base.  Its
+results stay there: an `IntervalSet` holds only its key list, as a timed state
+sequence does its steps' keys, and either builds its Intervals
+(`key_intervals`) only when a caller reads them.  `member` bisects the keys and
+`key_texts` renders them with int arithmetic, byte for byte as `str(Interval)`
+prints.  `IntervalSet`'s own operations bring their operands onto a common base
+per call, one int multiply per key, and run these sweeps.  `intersect_keys`,
 `difference_keys` and `complement_keys` are single linear sweeps (the
 representation of Maler & Nickovic, FORMATS 2004) and never re-sort.
 `IntervalSet.from_intervals` normalizes arbitrary input; constructing
@@ -311,11 +311,10 @@ def time_key(t, D: int) -> int:
     return 3 * q + (r > 0)
 
 
-def meets(keys, lo, hi=None) -> bool:
-    """Whether a part of the normalized key list meets the keys lo..hi, by
-    default the one key lo."""
-    i = bisect_right(keys, (lo if hi is None else hi, INF))  # the parts starting there or before
-    return i > 0 and keys[i - 1][1] >= lo
+def meets(keys, key) -> bool:
+    """Whether a part of the normalized key list holds the key."""
+    i = bisect_right(keys, (key, INF))  # the parts starting there or before
+    return i > 0 and keys[i - 1][1] >= key
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ T*J + J - 1.  At a block of size s at time v, position j < s - 1 is slot
 all J of its slots.  Lex points with nothing between them then get adjacent
 slots, so the key sweeps of `intervals` run on lex keys as on time keys.
 Atoms are the slots of their positions, merged as in `interval_based` (a
-block (a, a) gives adjacent slots); negation is the complement in the domain
-(3J*t0, 3J*t_end + J - 1); the position-zero atom `beta` is the domain minus
-the slots 3vJ + 1 to 3vJ + J - 1 of every block with s >= 2.
+block (a, a) gives adjacent slots); negation is a pending complement in the
+domain (3J*t0, 3J*t_end + J - 1), as there; the position-zero atom `beta` is
+the pending complement of the slots 3vJ + 1 to 3vJ + J - 1 of every block
+with s >= 2, one list the fold builds once and shares with the block sweep.
 
 Until.  The fold is `interval_based._sat_dense`, the dense engines' own,
 given J and the blocks of two or more positions.  Its `_until_bases` reads
@@ -35,7 +36,8 @@ table shares (D, J, the block starts and sizes).  Its grid points and its gap
 are built on first read, part by part, bisecting the block starts: the gap is
 its time keys k // J less the stamps inside, an `IntervalSet` on D.
 `eval_mx` tests one key and builds no set: at a block point its slot, at a
-gap time any of the time key's J slots.
+gap time the first of its time key's J slots, as every set is a union of whole
+lex points.
 
 A lasso verdict is an exact boolean: `encodings.lasso_instance` bounds the
 formula and unrolls the lasso, and the verdict is whether the root holds the
@@ -49,7 +51,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .formulas import Formula, atoms, finite_window_bounds
-from .intervals import IntervalSet, meets, merge_keys, rational, rebased, time_key
+from .intervals import IntervalSet, merge_keys, rational, rebased, time_key
 from .structures import CompactTimedWord, Lasso
 from .encodings import block_index_at, compact, lasso_instance
 from .interval_based import _sat_dense
@@ -151,14 +153,12 @@ def eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
     if not 0 <= j < size:
         raise IndexError(f"position {j} out of range at time {t}")
     table, (D, J, starts, _) = _mx_table(cw, f)
-    if k is not None:  # the slot of position j
-        return meets(table[f], starts[k] + j)
-    T = time_key(t, D)  # any slot of the time key
-    return meets(table[f], T * J, T * J + J - 1)
+    # the slot of position j; at a gap time its time key's first (a set holds all J or none)
+    return table.holds(f, starts[k] + j if k is not None else time_key(t, D) * J)
 
 
 def eval_mx_lasso(l: Lasso, f: Formula) -> bool:
     """Exact verdict at (0, 0) of the unrolled infinite word."""
     rho, g = lasso_instance(l, f)
     table, (_, _, starts, _) = _mx_table(compact(rho), g)
-    return meets(table[g], starts[0])
+    return table.holds(g, starts[0])

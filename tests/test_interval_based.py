@@ -8,7 +8,8 @@ import pytest
 
 from mtlsem.encodings import compact, uncompact, word_to_tss
 from mtlsem.errors import BetaNotAllowedError, MtlsemError, OutOfDomainError
-from mtlsem.formulas import And, Atom, Not, alphabet, atoms, finite_window_bounds, parse
+from mtlsem.formulas import (And, Atom, Beta, Not, Until, alphabet, atoms, finite_window_bounds, fold,
+                             parse)
 from mtlsem.interval_based import (
     _its_table,
     _itw_table,
@@ -24,7 +25,10 @@ from mtlsem.interval_based import (
 from mtlsem.intervals import (
     INF,
     back_shift_keys,
+    complement_keys,
     intersect_keys,
+    interval_keys,
+    merge_keys,
     normalize_keys,
     rebased,
     scaled_keys,
@@ -532,3 +536,220 @@ class TestEmptyAndOfNegation:
         f = parse("F(0,1] G[1,2] (a & !a)", ABC)  # no window holds 0: no block sweep in mx
         TABLES[engine](model, f)
         assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# pending complements: the tables against the eager fold
+
+def _reference_same_block_bases(f, g, multi):
+    inner = [(s + 1, s + n - 1) for s, n in multi]
+    runs = intersect_keys(f, inner)
+    out = []
+    i = 0
+    for lo, hi in intersect_keys(g, inner):
+        while i < len(runs) and runs[i][1] < lo - 1:
+            i += 1
+        if i < len(runs) and runs[i][0] < lo:
+            lo = runs[i][0]
+        out.append((lo - 1, hi - 1))
+    return out
+
+
+def _reference_sat_dense(atom_keys, domain, D, f, J=1, multi=()):
+    """The eager fold: every `!` and `beta` walks its complement over the
+    domain as it is met, and every And intersects."""
+    last = {s // J: n - 1 for s, n in multi}
+    negated = {}
+
+    def visit(node, l=None, r=None):
+        match node:
+            case Atom(name):
+                return atom_keys[name]
+            case Beta():
+                return complement_keys(domain, [(s + 1, s + J - 1) for s, _ in multi])
+            case Not(arg):
+                negated[node] = l
+                return negated[arg] if arg in negated else complement_keys(domain, l)
+            case And(x, Not(y)) if x is y:
+                return []
+            case And():
+                return intersect_keys(l, r)
+            case Until(_, w, _):
+                w = interval_keys(w, D)
+                bases = _until_bases(l, r, w, J, last)
+                if w[0] == 0 and multi:
+                    return normalize_keys(bases + _reference_same_block_bases(l, r, multi))
+                return bases
+    return fold(f, visit)
+
+
+def _key_lists(engine, model, f):
+    """Each entry of the engine's `sat_sets_*` table: its node, base and key list."""
+    from mtlsem.mixed import sat_sets_mx
+
+    if engine == "mx":
+        return [(node, s.lex[1][0], s.lex[0]) for node, s in sat_sets_mx(model, f).items()]
+    sets = (sat_sets_itw if engine == "itw" else sat_sets_its)(model, f)
+    return [(node, *s.keys) for node, s in sets.items()]
+
+
+def _against_the_eager_fold(engine, model, f, monkeypatch):
+    import mtlsem.interval_based as ib
+    import mtlsem.mixed as mixed
+
+    got = _key_lists(engine, model, f)
+    with monkeypatch.context() as m:
+        m.setattr(ib, "_sat_dense", _reference_sat_dense)
+        m.setattr(mixed, "_sat_dense", _reference_sat_dense)
+        want = _key_lists(engine, model, f)
+    assert got == want, (engine, model, f)
+
+
+def _model(engine, rho):
+    return rho if engine == "itw" else word_to_tss(rho) if engine == "its" else compact(rho)
+
+
+SUGAR = ("(a | b) U c", "G(a -> F[1,3] b)", "true U[1,2] (a -> false)", "X[0,1] !!a",
+         "!!(a & !a) | (!a & !b)", "!(!a & !b) & !(a | c)", "(noact -> X b) U(0,2] !!!c",
+         "!(a & !a) U(1/2,2] !(!b & !c)", "G[0,2] (!a & !b) | false", "!a & !a & (b | !b)",
+         "F[0,1/2] noact & G(1,2] !(a & !c)")
+BETA_SUGAR = ("beta -> !(a & !beta)", "!beta & !a", "(a & !beta) U[0,1] (!beta & !c)",
+              "!(!beta & !b) U (beta | !noact)", "G[0,1] (beta -> !X[0,0] a)")
+
+
+class TestPendingComplements:
+    """Every entry of each dense table equals the eager fold's, which walked a
+    complement at every negation."""
+
+    @pytest.mark.parametrize("engine", ["itw", "its", "mx"])
+    def test_fuzzed_formulas(self, engine, monkeypatch):
+        for seed in range(600):
+            f = gen_formula(seed, ABC, allow_beta=engine == "mx")
+            _against_the_eager_fold(engine, _model(engine, gen_word(seed)), f, monkeypatch)
+
+    @pytest.mark.parametrize("engine", ["itw", "its", "mx"])
+    def test_sugar(self, engine, monkeypatch):
+        texts = SUGAR + (BETA_SUGAR if engine == "mx" else ())
+        fs = [parse(text, ABC, allow_beta=True) for text in texts]
+        for rho in [gen_word(seed) for seed in range(150)] + [_long_word(1), REPEATED]:
+            for f in fs:
+                _against_the_eager_fold(engine, _model(engine, rho), f, monkeypatch)
+
+    @pytest.mark.parametrize("text, walks", [("(a | b) U c", 0), ("F[0,2] a", 0),
+                                             ("G(a -> F[1,3] b)", 1)])
+    def test_a_root_only_read_walks_only_the_root(self, text, walks, monkeypatch):
+        import mtlsem.interval_based as ib
+
+        walked = []
+        real = ib.complement_keys
+        monkeypatch.setattr(ib, "complement_keys", lambda d, k: walked.append(real(d, k)) or walked[-1])
+        got = sat_set_itw(_long_word(1), parse(text, ABC))
+        assert len(walked) == walks
+        assert walked == walked[:1] and all(keys is got.keys[1] for keys in walked)
+
+
+# ---------------------------------------------------------------------------
+# point queries on a pending root
+
+def _sample_times(rho):
+    """Every event time, every midpoint between two, and one off the base."""
+    times = sorted(set(rho.times))
+    return times + [(u + v) / 2 for u, v in zip(times, times[1:])] + [times[-1] * Fraction(5, 7)]
+
+
+class TestPointQueriesOnPendingRoots:
+    """eval_* answer at a pending root with one bisect of its operand's list,
+    and agree with membership in the walked set."""
+
+    WORDS = [gen_word(seed, max_len=30) for seed in (11, 29)]
+    FORMULAS = ("G(a -> F[1,3] b)", "!F[0,1] c", "!(a U c)")
+
+    @staticmethod
+    def _no_walk(monkeypatch):
+        import mtlsem.interval_based as ib
+
+        def refuse(*_):
+            raise AssertionError("a point query walked a complement")
+        monkeypatch.setattr(ib, "complement_keys", refuse)
+
+    @pytest.mark.parametrize("engine", ["itw", "its"])
+    def test_dense(self, engine, monkeypatch):
+        eval_, sat_set = (eval_itw, sat_set_itw) if engine == "itw" else (eval_its, sat_set_its)
+        seen = set()
+        for rho in self.WORDS:
+            model = _model(engine, rho)
+            for text in self.FORMULAS:
+                f = parse(text, ABC)
+                assert f in TABLES[engine](model, f)[0].co  # the root is pending
+                want = [sat_set(model, f).member(t) for t in _sample_times(rho)]
+                with monkeypatch.context() as m:
+                    self._no_walk(m)
+                    got = [eval_(model, t, f) for t in _sample_times(rho)]
+                assert got == want, (text, rho)
+                seen.update(got)
+        assert seen == {True, False}
+
+    def test_mx(self, monkeypatch):
+        from mtlsem.mixed import eval_mx, sat_set_mx
+
+        for rho in self.WORDS:
+            cw = compact(rho)
+            assert any(len(acts) > 1 for acts in cw.actions)
+            blocks = [(k, t, j) for k, (acts, t) in enumerate(cw.blocks) for j in range(len(acts))]
+            stamps = [t for _, t in cw.blocks]
+            gaps = [(u + v) / 2 for u, v in zip(stamps, stamps[1:])]
+            for text in self.FORMULAS + ("beta", "!beta"):
+                f = parse(text, ABC, allow_beta=True)
+                s = sat_set_mx(cw, f)
+                want = [(k, j) in s.points for k, _, j in blocks] + [s.gap.member(t) for t in gaps]
+                with monkeypatch.context() as m:
+                    self._no_walk(m)
+                    got = [eval_mx(cw, t, j, f) for _, t, j in blocks] + [eval_mx(cw, t, 0, f) for t in gaps]
+                assert got == want, (text, rho)
+
+    def test_lassos(self, monkeypatch):
+        from mtlsem.encodings import lasso_instance
+        from mtlsem.mixed import eval_mx_lasso, sat_set_mx
+        from mtlsem.oracle import gen_lasso
+
+        fs = [parse(text, ABC) for text in self.FORMULAS]
+        for seed in range(150):
+            l = gen_lasso(seed)
+            for f in fs:
+                rho, g = lasso_instance(l, f)
+                want = (sat_set_itw(rho, g).member(0), (0, 0) in sat_set_mx(compact(rho), g).points)
+                with monkeypatch.context() as m:
+                    self._no_walk(m)
+                    assert (eval_itw_lasso(l, f), eval_mx_lasso(l, f)) == want, (seed, f)
+
+
+# ---------------------------------------------------------------------------
+# `_its_table` rescales only the atoms' lists and the domain's ends
+
+def _parent_its_table(kappa, f):
+    """Every step key rescaled first, then each atom's steps picked and merged."""
+    D0, keys, props = kappa.columns
+    D = math.lcm(D0, time_base(finite_window_bounds(f)))
+    if D > D0:
+        keys = scaled_keys(keys, D // D0)
+    parts = {name: merge_keys([k for k, p in zip(keys, props) if name in p]) for name in atoms(f)}
+    domain = (3 * ((keys[0][0] + 1) // 3), 3 * ((keys[-1][1] + 1) // 3))
+    return _reference_sat_dense(parts, domain, D, f), D
+
+
+OFF_BASE_START = validate_tss([({"a"}, "(1/4,1)"), ({"b"}, "[1,1]"), ({"a", "b"}, "(1,7/4)"),
+                               ({"c"}, "[7/4,7/4]"), (set(), "(7/4,3]")], allow_nonzero_start=True)
+
+
+class TestItsRescalesOnlyTheAtoms:
+    FORMULAS = ("F[0,1/3] a", "a U(1/2,5/3] b", "G[0,2/7](a -> F(1/3,1] b)")
+
+    @pytest.mark.parametrize("kappa", [word_to_tss(_long_word(1)), SHARED_STEPS, OFF_BASE_START],
+                             ids=["word-image", "shared-steps", "nonzero-start"])
+    def test_tables_are_the_parent_ones(self, kappa):
+        for text in self.FORMULAS:
+            f = parse(text, ABC)
+            table, D = _parent_its_table(kappa, f)
+            assert D > kappa.columns[0]  # the windows leave the sequence's base
+            assert [(node, *s.keys) for node, s in sat_sets_its(kappa, f).items()] == \
+                [(node, D, keys) for node, keys in table.items()]

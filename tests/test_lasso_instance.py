@@ -91,3 +91,14 @@ def test_every_lasso_verdict_is_a_bool(verdict):
     for seed in range(200):
         got = verdict(gen_lasso(seed), gen_formula(seed, ABC))
         assert type(got) is bool, (seed, got)
+
+
+@pytest.mark.parametrize("text", ["F[0,2] a", "G[0,3](a -> F[0,2] b)", "!a U(1/2,2] (b & X[0,1] c)"])
+def test_a_bounded_formula_is_its_own_instance(text):
+    # nothing to close: f comes back as is, and the unroll reads horizon(f)
+    f = parse(text, ABC)
+    for seed in range(100):
+        l = gen_lasso(seed, max_prefix=30)
+        rho, g = lasso_instance(l, f)
+        assert g is f
+        assert rho == unroll(l, max(duration(l.prefix), horizon(f)) + l.period_duration)
