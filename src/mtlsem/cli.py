@@ -38,7 +38,7 @@ from .formulas import (
     uses_beta,
 )
 from .interval_based import eval_its, eval_itw, eval_itw_lasso, sat_sets_its, sat_sets_itw
-from .intervals import rat_str, rational
+from .intervals import rat_str, rational, tick_text
 from .mixed import eval_mx, eval_mx_lasso, sat_sets_mx
 from .oracle import (
     differential,
@@ -218,10 +218,10 @@ def cmd_encode(args) -> int:
         if args.to == "word":
             _emit(lasso_to_json(loaded), args.pretty)
         elif args.to == "compact":
-            cl = compact_lasso(loaded)
-            _emit({"prefix": _blocks_json(cl.prefix),
-                   "period": {"blocks": [[list(a), rat_str(o)] for a, o in cl.period_blocks],
-                              "duration": rat_str(cl.period_duration)}}, args.pretty)
+            prefix, period = compact_lasso(loaded)
+            D, _, P = loaded.period
+            _emit({"prefix": _blocks_json(prefix),
+                   "period": {**_blocks_json(period), "duration": tick_text(P, D)}}, args.pretty)
         else:
             _emit(tss_to_json(word_to_tss(unroll(
                 loaded, duration(loaded.prefix) + 2 * loaded.period_duration))), args.pretty)

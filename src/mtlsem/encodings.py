@@ -2,30 +2,17 @@
 
 `compact` groups each maximal flat run of a timed word into one ordered action
 block; `to_tss` fills the holes between block timestamps with non-punctual
-empty steps, yielding an action-based timed state sequence.  The index helpers
-relate block coordinates (k, j) to word positions and timestamps to block
-indices, by bisection on the block ends and the block ticks.
-
-`compact` and `uncompact` read and build the models' columns, the actions and
-the ticks (see `structures`), and build no `Fraction`.
-
-`to_tss` maps block ticks to step keys (see `structures`): the punctual step
-(3v, 3v) of each block tick v, and the open filler (3v + 1, 3v' - 1) between
-consecutive ticks v < v'.  Strictly increasing ticks make these steps valid
-by construction: each is non-empty, and neighbours touch at one value that
-exactly one of them holds.  So the one check it keeps is v < v' per block,
-which a hand-built `CompactTimedWord` may break.
-
-`lasso_instance` turns a lasso and a formula into a finite word and a bounded
-formula with the same verdict at the origin, which the finite-word engines
-then decide exactly.
+empty steps, yielding an action-based timed state sequence; `compact_lasso`
+compacts a lasso's prefix and period apart.  They and `uncompact` read and
+build the models' integer columns (see `structures`) and build no `Fraction`.
+The index helpers relate block coordinates (k, j) to word positions and
+timestamps to block indices, by bisection on the block ends and ticks.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import lt
 
@@ -44,6 +31,7 @@ from .structures import (
     TimedStateSequence,
     TimedWord,
     duration,
+    is_action_based,
     mfs_decompose,
     unroll,
 )
@@ -66,8 +54,13 @@ def uncompact(cw: CompactTimedWord) -> TimedWord:
 
 
 def to_tss(cw: CompactTimedWord) -> TimedStateSequence:
-    """Alternate punctual action steps with non-punctual empty fillers; raise
-    NonMonotoneError at the first block not strictly later than the one before."""
+    """The step keys (see `intervals`) of block ticks: the punctual step (3v, 3v)
+    of each block tick v, and the open empty filler (3v + 1, 3v' - 1) between
+    consecutive ticks v < v'.  Strictly increasing ticks make these steps valid
+    by construction: each is non-empty, and neighbours touch at one value that
+    exactly one of them holds.  So the one check kept is v < v' per block, which
+    a hand-built `CompactTimedWord` may break: NonMonotoneError at the first
+    block not strictly later than the one before."""
     D0, ticks = cw.ticks
     later = list(map(lt, ticks, ticks[1:]))
     if not all(later):
@@ -87,40 +80,27 @@ def word_to_tss(rho: TimedWord) -> TimedStateSequence:
 # ---------------------------------------------------------------------------
 # index helpers
 
-def _block_ends(cw: CompactTimedWord):
-    """Cumulative last word-positions per block (the flat-run boundary sequence)."""
-    ends = []
-    total = -1
-    for acts in cw.actions:
-        total += len(acts)
-        ends.append(total)
-    return ends
-
-
 def word_position(cw: CompactTimedWord, k: int, j: int) -> int:
     """Word position of the j-th action of block k."""
     if not (0 <= k < len(cw.actions)):
         raise IndexError(f"block index {k} out of range")
     if not (0 <= j < len(cw.actions[k])):
         raise IndexError(f"position {j} out of range in block {k}")
-    if k == 0:
-        return j
-    return _block_ends(cw)[k - 1] + j + 1
+    return sum(map(len, cw.actions[:k])) + j
 
 
 def block_position(cw: CompactTimedWord, i: int) -> tuple:
     """Inverse of word_position: (block, offset) holding word position i."""
-    ends = _block_ends(cw)
-    if not (0 <= i <= ends[-1]):
+    ends = list(itertools.accumulate(map(len, cw.actions)))  # one past each block's end
+    if not (0 <= i < ends[-1]):
         raise IndexError(f"word position {i} out of range")
-    k = bisect_left(ends, i)  # the first block ending at or after i
-    return (k, i - ends[k - 1] - 1 if k else i)
+    k = bisect_right(ends, i)  # the first block ending after i
+    return (k, i - ends[k - 1] if k else i)
 
 
 def block_index_at(cw: CompactTimedWord, t) -> int | None:
     """Block index whose timestamp is exactly t, None for hole times.  The
-    domain runs from the first block to the last, as the mixed oracle's grid.
-    It bisects the block ticks at t's key (see `intervals.time_key`)."""
+    domain runs from the first block to the last, as the mixed oracle's grid."""
     t = t if isinstance(t, Fraction) else rational(t)
     D0, ticks = cw.ticks
     T = time_key(t, D0)
@@ -153,6 +133,8 @@ def lasso_instance(l: Lasso, f: Formula) -> tuple:
     (x, x + P] with x >= p holds one copy of each period event, so unrolling to
     max(p, horizon(g)) + P keeps every event up to horizon(g) and one beyond it:
     the finite word agrees with the lasso wherever g can look from the origin.
+    So the lasso verdicts, which decide this instance, are exact, where the
+    paper promises only sound three-valued ones.
     """
     p, P = duration(l.prefix), l.period_duration
 
@@ -171,43 +153,30 @@ def lasso_instance(l: Lasso, f: Formula) -> tuple:
     return unroll(l, max(p, h) + P), f
 
 
-@dataclass(frozen=True)
-class CompactLasso:
-    prefix: CompactTimedWord
-    period_blocks: tuple  # of (actions tuple, offset Fraction)
-    period_duration: Fraction
-
-
-def compact_lasso(l: Lasso) -> CompactLasso:
-    """Compact prefix and period blockwise; a flat run may not span the seam."""
+def compact_lasso(l: Lasso) -> tuple:
+    """The compact prefix and the compact period, its blocks at their offset
+    ticks; a flat run may not span the seam."""
     D, offsets, _ = l.period
     if offsets[0] == 0:
         raise SeamStutterError("first period event coincides with the prefix end")
-    blocks = tuple((l.period_actions[start:end + 1], Fraction(offsets[start], D))
-                   for start, end in mfs_decompose(offsets).runs())
-    return CompactLasso(compact(l.prefix), blocks, l.period_duration)
+    return compact(l.prefix), compact(TimedWord.on_base(l.period_actions, D, offsets))
 
 
 # ---------------------------------------------------------------------------
 # bounded preimage search (incomparability harness only)
 
 def stutter_free_preimages(kappa: TimedStateSequence, limit: int = 64):
-    """Stutter-free timed words whose state-sequence image is `kappa`.
-
-    Only action-based sequences have preimages; each punctual step contributes
-    the orderings of its action set.
-    """
-    from .structures import is_action_based
-
+    """Stutter-free timed words whose state-sequence image is `kappa`: only
+    action-based sequences have them, and each punctual step contributes the
+    orderings of its action set."""
     if not is_action_based(kappa):
         raise MtlsemError("only action-based state sequences have word preimages")
-    punctuals = [(sorted(props), iv.lo.value) for props, iv in kappa.steps if props]
+    D0, keys, props = kappa.columns
+    punctuals = [(sorted(p), lo // 3) for p, (lo, _) in zip(props, keys) if p]
     out = []
     for orderings in itertools.product(*(itertools.permutations(p) for p, _ in punctuals)):
-        events = []
-        for (_, t), acts in zip(punctuals, orderings):
-            events.extend((a, t) for a in acts)
-        out.append(TimedWord(tuple(events)))
+        ticks = [v for (_, v), acts in zip(punctuals, orderings) for _ in acts]
+        out.append(TimedWord.on_base(tuple(itertools.chain(*orderings)), D0, ticks))
         if len(out) >= limit:
             break
     return out

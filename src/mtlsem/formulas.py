@@ -253,11 +253,6 @@ def temporal_depth(f: Formula) -> int:
     return fold(f, lambda node, *kids: (type(node) is Until) + max(kids, default=0))[f]
 
 
-def windows(f: Formula):
-    """The windows of the distinct Until subformulas, parents before children."""
-    return [node.window for node in reversed(subformulas(f)) if type(node) is Until]
-
-
 def finite_window_bounds(f: Formula) -> tuple:
     """The finite endpoint values appearing in Until windows, sorted, cached on f."""
     try:

@@ -1,47 +1,17 @@
 """Interval-based satisfaction over timed words and timed state sequences.
 
-Each subformula gets an exact satisfaction set: a normalized union of
-rational-endpoint intervals over the covered time domain.  Atoms are the event
-points (or the state-sequence steps), negation is complement in the domain,
-conjunction is intersection, and the strict dense Until decomposes by the
-maximal convex parts of the left operand's set:
-
-    a base point t satisfies (f U_I g) exactly when some maximal part <l,u>
-    of Sat(f) has l <= t and a witness t' in Sat(g) with t < t' <= u and
-    t' - t in I; the open interval (t, t') is then inside that single part,
-    since distinct maximal parts are separated by at least a missing point.
-
-The witness window per part is (l, u] regardless of the part's own endpoint
-flags; back_shift turns each witness interval into the exact base region.
-The windows of consecutive parts are disjoint and in order, so one
-two-pointer pass over the parts of f and of g finds every witness (the until
-construction of Maler & Nickovic, FORMATS 2004).  `_until_bases` runs it for
-the mixed line too: there each time key owns J slots, one per block position
-(see `mixed`), a part's bases start at the point right before it and its
-window ends at the point right after it, and distances are read off the time
-keys.  With J = 1 this is the dense rule above.  `_sat_dense` is the one fold
-of `itw`, `its` and `mx`; on the lex line it also reads `beta` and the
-witnesses inside a block (`_same_block_bases`).  Nothing in the fold sorts,
-and negation is pending: a `!` node's value is its operand's list read as its
-complement (!!x is x's own list; `beta` is the blocks' later slots read so).
-And reads pending operands by De Morgan: x & !x is empty with no sweep, x & !y
-is one difference sweep, !x & !y the pending complement of one union.  A
-complement is walked over its list's gaps only where a list is read: by an
-Until, and from the table (`_Table`), such as the root `sat_set_*` returns.
+Each subformula gets an exact satisfaction set over the covered time domain:
+atoms are the event points (or the state-sequence steps), negation is the
+complement in the domain, conjunction is intersection, and the strict dense
+Until is `_until_bases`.  `_sat_dense` is the one fold of `itw`, `its` and
+`mx` (which runs it over lex keys, see `mixed`).
 
 Sets are key lists on an integer time base (see `intervals`).  Each entry
-point reads the model's integer columns, the word's actions and ticks or the
-state sequence's step keys and propositions, and takes D once, from its base
-D0 and `finite_window_bounds(f)`; the fold runs on ints only.  `sat_set_*`
-returns the root's key list as an `IntervalSet` on that base, `sat_sets_*`
-every set of the table; a set builds its Intervals only when a caller reads
-its parts.  `eval_*` and the lasso verdict bisect the root's keys at one key,
-negated for a pending root, and build no set or complement.
-
-Lasso verdicts are exact booleans: `encodings.lasso_instance` closes every
-unbounded window at the lasso's period and unrolls the lasso far enough, and
-the verdict is whether 0 lies in the finite word's set.  This goes beyond the
-paper, which promises only sound three-valued verdicts on lassos.
+point reads the model's integer columns and takes D once, from its base D0 and
+`finite_window_bounds(f)`; the fold runs on ints only.  `sat_set_*` returns the
+root's key list as an `IntervalSet` on that base, `sat_sets_*` every set of the
+table.  `eval_*` and the lasso verdict, whether 0 lies in the set of
+`encodings.lasso_instance`, bisect the root's keys at one key.
 """
 
 from __future__ import annotations
@@ -76,32 +46,34 @@ from .intervals import (
     rational,
     rebased,
     scaled_keys,
+    tick_text,
     time_base,
     time_key,
 )
-from .structures import (
-    Lasso,
-    TimedStateSequence,
-    TimedWord,
-    duration,
-    tss_duration,
-    tss_start,
-)
+from .structures import Lasso, TimedStateSequence, TimedWord
 
 
 def _until_bases(f: list, g: list, w: tuple, J: int = 1, last=None) -> list:
-    """The dense Until decomposition on keys: per maximal part of f, the bases,
-    from the point right before the part on (its floor), of the witnesses g
-    holds in the part or at the point right after it.
+    """The bases of the strict dense Until f U_w g, on keys.
+
+    A base t satisfies it exactly when some maximal part <l,u> of f has l <= t
+    and a witness t' in g with t < t' <= u and t' - t in w: the open (t, t')
+    then lies inside that one part, since distinct maximal parts are separated
+    by at least a missing point.  So per part, the bases run from the point
+    right before the part (its floor), and the witnesses are g's inside the
+    part or at the point right after it, back-shifted through w.  The witness
+    windows of consecutive parts are disjoint and in order, so one two-pointer
+    pass over f and g finds every witness (the until construction of Maler &
+    Nickovic, FORMATS 2004).
 
     Each time key owns J slots (J = 1 on the dense line; see `mixed` for the
     lex line), and `last[T]` is the slot offset where time key T's last point
     starts.  Distances are read off the time keys k // J, so only witnesses at
     a strictly later time count.
 
-    One pass, `back_shift_keys` inline, merging each base into the last: a
-    part's bases follow g's order and end before the next part's floor, and
-    none passes the domain (g lies in it, and w's lower end is over 0)."""
+    The back-shift (`back_shift_keys`) runs inline, merging each base into the
+    last: a part's bases follow g's order and end before the next part's floor,
+    and none passes the domain (g lies in it, and w's lower end is over 0)."""
     w_lo, w_hi = w
     if w_lo == 0:  # a witness lies strictly in the future: drop 0 from the window
         if w_hi < 1:
@@ -193,11 +165,18 @@ class _Table(dict):
 
 
 def _sat_dense(atom_keys: dict, domain: tuple, D: int, f: Formula, J: int = 1, multi=()) -> _Table:
-    """The dense algebra on keys, filling a `_Table` in `subformulas` order (see
-    above).  On the mixed line (see `mixed`) each time key owns J slots and
-    `multi` lists the blocks of two or more positions (start slot, size): `beta`
-    is the complement of their later slots, and a window holding 0 adds the
-    witnesses inside a block."""
+    """The dense algebra on keys, filling a `_Table` in `subformulas` order.
+
+    Negation is pending: a `!` node's value is its operand's list, read as its
+    complement in the domain (!!x is x's own list).  And reads pending operands
+    by De Morgan: x & !x is empty with no sweep, x & !y is one difference sweep,
+    and !x & !y the pending complement of one union.  A complement is walked
+    over its list's gaps only where the list is read: by an Until, and from the
+    table.  Its sorts are `normalize_keys` on two sorted runs (the union, and
+    the lex line's bases of a window holding 0): each is one linear run merge.
+
+    On the lex line (see `mixed`) each time key owns J slots, and `multi` lists
+    the blocks of two or more positions as (start slot, size)."""
     last = {s // J: n - 1 for s, n in multi}  # the offset of each block's last point
     later = [(s + 1, s + J - 1) for s, _ in multi]  # each block's slots past position 0
     table = _Table(domain)
@@ -260,8 +239,9 @@ def sat_set_itw(rho: TimedWord, f: Formula) -> IntervalSet:
 
 def eval_itw(rho: TimedWord, t, f: Formula) -> bool:
     t = t if isinstance(t, Fraction) else rational(t)
-    if t < 0 or t > duration(rho):
-        raise OutOfDomainError(f"time {t} outside [0, {duration(rho)}]")
+    D0, ticks = rho.ticks
+    if not 0 <= time_key(t, D0) <= 3 * ticks[-1]:
+        raise OutOfDomainError(f"time {t} outside [0, {tick_text(ticks[-1], D0)}]")
     table, D = _itw_table(rho, f)
     return table.holds(f, time_key(t, D))
 
@@ -274,8 +254,8 @@ def _its_table(kappa: TimedStateSequence, f: Formula):
     D0, keys, props = kappa.columns
     D = math.lcm(D0, time_base(finite_window_bounds(f)))
     parts = {name: merge_keys([k for k, p in zip(keys, props) if name in p]) for name in atoms(f)}
-    # the first and last step's end values, closed
-    domain = (3 * ((keys[0][0] + 1) // 3), 3 * ((keys[-1][1] + 1) // 3))
+    # the span's end values, closed (a left-open first step's start is in it)
+    domain = (keys[0][0] - keys[0][0] % 3, keys[-1][1])
     if D > D0:  # rescale only what the fold reads
         parts = {name: scaled_keys(keys, D // D0) for name, keys in parts.items()}
         domain = (domain[0] * (D // D0), domain[1] * (D // D0))
@@ -295,7 +275,8 @@ def sat_set_its(kappa: TimedStateSequence, f: Formula) -> IntervalSet:
 
 def eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
     t = t if isinstance(t, Fraction) else rational(t)
-    if t < tss_start(kappa) or t > tss_duration(kappa):
+    D0, keys, _ = kappa.columns
+    if not keys[0][0] - keys[0][0] % 3 <= time_key(t, D0) <= keys[-1][1]:  # `_its_table`'s span
         raise OutOfDomainError(f"time {t} outside the covered span")
     table, D = _its_table(kappa, f)
     return table.holds(f, time_key(t, D))

@@ -1,48 +1,31 @@
 """Exact interval algebra over nonnegative rationals.
 
 Single intervals carry open/closed flags on both ends; interval sets are
-normalized finite unions (disjoint, sorted, adjacency merged).  All endpoint
-arithmetic is exact: finite values are `fractions.Fraction`, the missing upper
-bound is `math.inf` (never closed).
+normalized finite unions (disjoint, sorted, adjacency merged).  Finite values
+are `fractions.Fraction`; the missing upper bound is `math.inf` (never closed).
 
-The set operations run on an integer time base.  D, the least common multiple
-of the denominators involved (`time_base`), turns every finite value v into
-the integer vD, and an endpoint into one int key: 3vD for a closed end, +1 for
-an open lower end, -1 for an open upper end.  Keys order endpoints exactly as
-(value, epsilon) pairs do, so a key pair (lo, hi) denotes a non-empty interval
-exactly when lo <= hi, t is in it exactly when lo <= 3tD <= hi, and flipping
-an upper end into the lower end of what follows it is hi + 1 (lower into upper,
-lo - 1).  The missing upper bound keeps the key `INF`.  A key list is a sorted
-list of such pairs.
+The key encoding.  D, the least common multiple of the denominators involved
+(`time_base`), turns every finite value v into the integer vD, and an endpoint
+into one int key: 3vD for a closed end, +1 for an open lower end, -1 for an
+open upper end.  Keys order endpoints exactly as (value, epsilon) pairs do, so
+a key pair (lo, hi) denotes a non-empty interval exactly when lo <= hi, t is in
+it exactly when lo <= 3tD <= hi, and flipping an upper end into the lower end
+of what follows it is hi + 1 (lower into upper, lo - 1).  The missing upper
+bound keeps the key `INF`.  A key list is a sorted list of such pairs.
 
-Each model carries an integer column on the base D0 of its timestamps (see
-`structures`).  The dense and mixed engines move it onto D, the lcm of D0 and
-their windows' denominators, with one int multiply per value (`rebased`; the
-pointwise engine keeps D0, see `pointwise`), and run every set operation on key
-lists (`merge_keys`, `intersect_keys`, `difference_keys`, `complement_keys`
-and, inline, `back_shift_keys`).  Every endpoint such an engine produces is an
-input time plus or minus window bounds, so nothing leaves the base.  Its
-results stay there: an `IntervalSet` holds only its key list, as a timed state
-sequence does its steps' keys, and either builds its Intervals
-(`key_intervals`) only when a caller reads them.  `member` bisects the keys and
-`key_texts` renders them with int arithmetic, byte for byte as `str(Interval)`
-prints.  `IntervalSet`'s own operations bring their operands onto a common base
-per call, one int multiply per key, and run these sweeps.  `intersect_keys`,
-`difference_keys` and `complement_keys` are single linear sweeps (the
-representation of Maler & Nickovic, FORMATS 2004) and never re-sort.
-`IntervalSet.from_intervals` normalizes arbitrary input; constructing
-`IntervalSet(parts)` directly, which turns the parts into keys, is only valid
-with parts that are already normalized.
+Each model carries its values on the base D0 of its timestamps (see
+`structures`).  The dense and mixed engines move them onto D, the lcm of D0 and
+their windows' denominators (`rebased`), and run every set operation as a
+sweep over key lists (the representation of Maler & Nickovic, FORMATS 2004).
+Every endpoint they produce is an input time plus or minus window bounds, so
+nothing leaves the base, and their results stay there as `IntervalSet`s.
 
 Rationals and intervals have one text grammar, `RATIONAL_TEXT` and
-`INTERVAL_TEXT`, and one reader: `rational_pair` reads a rational text to its
-(numerator, denominator) pair with one compiled match, and `rational_ticks` a
-list of them to ticks on one base, plain "p" and "p/q" texts with no call per
-text.  A rational is "p/q" (spaces allowed around the slash, q nonzero) or a
+`INTERVAL_TEXT`, and one reader, `rational_pair` (`rational_ticks` for a
+column).  A rational is "p/q" (spaces allowed around the slash, q nonzero) or a
 terminating decimal; an interval is a bracket, a rational, a comma, a rational
-or "inf", and a bracket.  `rational`, `parse_interval`, the formula parser's
-window token and the JSON loaders read through them, so `--time`, JSON
-timestamps, state-sequence intervals and formula windows accept the same text.
+or "inf", and a bracket.  `--time`, JSON timestamps, state-sequence intervals
+and formula windows all read through them, so they accept the same text.
 """
 
 from __future__ import annotations
@@ -161,19 +144,8 @@ class Interval:
             object.__setattr__(self, "_hash", h)
         return h
 
-    @property
-    def is_punctual(self) -> bool:
-        return self.lo.value == self.hi.value
-
     def contains(self, t: Fraction) -> bool:
         return _lo_key(self.lo) <= (t, 0) <= _hi_key(self.hi)
-
-    def intersect(self, other: "Interval") -> "Interval | None":
-        lo = max(_lo_key(self.lo), _lo_key(other.lo))
-        hi = min(_hi_key(self.hi), _hi_key(other.hi))
-        if not lo <= hi:
-            return None
-        return Interval(Bound(lo[0], lo[1] == 0), Bound(hi[0], hi[1] == 0))
 
     def __str__(self) -> str:
         return _fmt(self.lo, self.hi)
@@ -321,7 +293,8 @@ def meets(keys, key) -> bool:
 # sweeps over key lists
 
 def normalize_keys(keys) -> list:
-    """Sort key pairs and merge the ones that overlap or touch."""
+    """Sort key pairs and merge the ones that overlap or touch.  On two sorted
+    runs one after the other, the sort is one linear run merge."""
     return merge_keys(sorted(keys))
 
 
@@ -418,12 +391,10 @@ class IntervalSet:
     """Normalized finite union of disjoint intervals, sorted, adjacency merged.
 
     A set holds `keys`, (D, its key list on the time base D), and builds its
-    `parts` on first read; the engines build their results from keys, so a set
-    nobody reads as parts makes no Fraction.  Equality and hashing read the
-    keys on the least base that holds them, so equal sets built on different
-    bases are equal.  `IntervalSet(parts)` must be given normalized parts,
-    which it turns into keys; use `from_intervals` otherwise.
-    """
+    `parts` on first read, so a set nobody reads as parts makes no Fraction.
+    Equality and hashing read the keys on the least base that holds them, so
+    equal sets built on different bases are equal.  `IntervalSet(parts)` must
+    be given normalized parts; use `from_intervals` otherwise."""
 
     def __init__(self, parts: tuple):
         self.keys = key_column(parts)
@@ -519,12 +490,10 @@ _EMPTY = IntervalSet(())
 
 
 def back_shift(q: Interval, i: Interval) -> Interval | None:
-    """The set {t >= 0 : exists t' in q with t' - t in i and t' > t}.
-
-    This is the time quantifier of the dense Until: shift the witness window q
-    back through the constraint interval i, dropping 0 from i first because a
-    witness must lie strictly in the future.  Always convex; None when empty.
-    """
+    """The set {t >= 0 : exists t' in q with t' - t in i and t' > t}, the time
+    quantifier of the dense Until: the witness window q shifted back through i,
+    with 0 dropped from i first, since a witness lies strictly in the future.
+    Always convex; None when empty."""
     D, (q_keys, i_keys) = key_column((q, i))
     keys = back_shift_keys(*q_keys, *i_keys)
     return None if keys is None else key_intervals(D, [keys])[0]

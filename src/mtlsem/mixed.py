@@ -4,44 +4,20 @@ Evaluation points are lexicographic pairs (t, j): at a block timestamp, j
 ranges over the ordered simultaneous actions; anywhere else the word reads as
 the one-element no-action sequence, so only j = 0 exists there.  This is the
 dense time line with each block timestamp widened into its ordered positions,
-and the engine evaluates it as one: every set is a key list (see `intervals`)
-over lex keys, and the fold runs the dense algebra of `interval_based`.
+and the engine evaluates it as one: the fold is `interval_based._sat_dense`
+over lex keys.
 
-Lex keys.  Let J be the largest block size.  Each dense time key T (3vD for
-the point v, +1 just after it, -1 just before it) owns the J slots T*J to
-T*J + J - 1.  At a block of size s at time v, position j < s - 1 is slot
-3vJ + j, and the last position owns the spare slots 3vJ + s - 1 to
-3vJ + J - 1.  Every other time key, a gap time or an open side of one, keeps
-all J of its slots.  Lex points with nothing between them then get adjacent
-slots, so the key sweeps of `intervals` run on lex keys as on time keys.
-Atoms are the slots of their positions, merged as in `interval_based` (a
-block (a, a) gives adjacent slots); negation is a pending complement in the
-domain (3J*t0, 3J*t_end + J - 1), as there; the position-zero atom `beta` is
-the pending complement of the slots 3vJ + 1 to 3vJ + J - 1 of every block
-with s >= 2, one list the fold builds once and shares with the block sweep.
-
-Until.  The fold is `interval_based._sat_dense`, the dense engines' own,
-given J and the blocks of two or more positions.  Its `_until_bases` reads
-distances off the time keys k // J, so it covers every witness at a strictly
-later time.  When the window holds 0, a base (v, j) also holds if some later
-position of its own block holds g with f at every position strictly between
-them: one sweep over the parts of g and f inside blocks (`_same_block_bases`).
-
-The engine runs on an integer time base (see `intervals`): `sat_sets_mx` and
-`sat_set_mx` read the compact word's columns, the block ticks `cw.ticks` and
-the blocks' actions `cw.actions`, and take D once, from their base and
-`finite_window_bounds(f)`.  `_mx_table` builds the grid and only the slots of
-the atoms f names.  A returned `MixedSet` holds its lex keys and the grid its
-table shares (D, J, the block starts and sizes).  Its grid points and its gap
-are built on first read, part by part, bisecting the block starts: the gap is
-its time keys k // J less the stamps inside, an `IntervalSet` on D.
-`eval_mx` tests one key and builds no set: at a block point its slot, at a
-gap time the first of its time key's J slots, as every set is a union of whole
-lex points.
-
-A lasso verdict is an exact boolean: `encodings.lasso_instance` bounds the
-formula and unrolls the lasso, and the verdict is whether the root holds the
-slot of (0, 0).  The paper promises only sound three-valued verdicts here.
+Lex keys.  Let J be the largest block size.  Each dense time key T (see
+`intervals`) owns the J slots T*J to T*J + J - 1.  At a block of size s at time
+v, position j < s - 1 is slot 3vJ + j, and the last position owns the spare
+slots 3vJ + s - 1 to 3vJ + J - 1.  Every other time key, a gap time or an open
+side of one, keeps all J of its slots.  Lex points with nothing between them
+then get adjacent slots, so the key sweeps run on lex keys as on time keys, and
+every set is a union of whole lex points.  Atoms are the slots of their
+positions; `beta` is the complement of the slots 3vJ + 1 to 3vJ + J - 1 of
+every block with s >= 2.  When the window holds 0, an Until's base (v, j) also
+holds if a later position of its own block holds g with f at every position
+strictly between them (`interval_based._same_block_bases`).
 """
 
 from __future__ import annotations

@@ -3,31 +3,22 @@
 Timed words carry (action, timestamp) events with non-decreasing timestamps;
 compact timed words group simultaneous events into ordered blocks at strictly
 increasing timestamps; timed state sequences alternate proposition sets over
-adjacent intervals.  Infinite words are represented by lassos (finite prefix
-plus a repeating timed period) and are non-Zeno by construction since the
-period duration must be positive.
+adjacent intervals.  Infinite words are lassos (see `Lasso`).
 
-Every model holds only its integer columns (see `intervals`).  A word or
-compact word holds `actions`, one action per event or one tuple of actions per
-block, and `ticks`, (D0, each timestamp times D0 as an int) on the least base
-D0 that holds them; equality and hashing read the two columns.  `times` and
-`events` (`blocks`) are `Fraction` views, built on first read with one
-Fraction per distinct stamp.  A lasso holds its period as ticks on one base
-with its prefix, which its checks, `unroll` and JSON form read (see `Lasso`).
-A state sequence holds the key pair of each step on the integer base and its
-propositions; its checks, lookups, equality and rendering read the keys, and
-it builds the `Interval`s of its `steps` on first read.
+Every model holds only integer columns (see `intervals`).  A word or compact
+word holds `actions`, one action per event or one tuple of actions per block,
+and `ticks`, (D0, each timestamp times D0 as an int) on the least base D0 that
+holds them; a state sequence its step keys (see `TimedStateSequence`); a lasso
+its period's ticks (see `Lasso`).  Equality, hashing, the checks and the text
+and JSON output read the columns, rendering ticks with int arithmetic
+(`tick_text`).  The `Fraction` views (`times`, `events`, `blocks`, `steps`)
+are built on first read.
 
 `TimedWord(events)` and `CompactTimedWord(blocks)` turn their pairs into the
 columns; they check nothing.  Every other constructor gives ticks on some base
-D to `on_base`, which moves them to the least base, D / gcd(D, every tick):
-`validate_word`, `validate_compact` and `word_or_lasso_from_json` after one
-check of the ticks (`_checked`), `unroll` and the encodings without one.
-`word_or_lasso_from_json` reads in bulk: it checks the event shapes in one
-pass and reads the stamps as one column (`intervals.rational_ticks`); only a
-bad input is read again, field by field, to name its first bad field.  Text
-output renders the ticks with int arithmetic (`tick_text`), as `rat_str`
-prints the values.
+D to `on_base`, which moves them to the least base: `validate_word`,
+`validate_compact` and `word_or_lasso_from_json` after one check of the ticks
+(`_checked`), `unroll` and the encodings without one.
 """
 
 from __future__ import annotations
@@ -141,10 +132,8 @@ def _checked(cls, actions: tuple, D: int, ticks, allow_nonzero_start: bool):
 
 
 def validate_word(events, allow_nonzero_start: bool = False) -> TimedWord:
-    """Check monotonicity and the zero start on the ticks, returning the word.
-
-    `allow_nonzero_start` admits raw words whose first timestamp is positive.
-    """
+    """Check monotonicity and the zero start on the ticks, returning the word;
+    `allow_nonzero_start` admits raw words whose first timestamp is positive."""
     events = tuple(events)
     D, ticks = tick_column([t if isinstance(t, Fraction) else rational(t) for _, t in events])
     return _checked(TimedWord, tuple([a for a, _ in events]), D, ticks, allow_nonzero_start)
@@ -222,10 +211,9 @@ def validate_compact(blocks, allow_nonzero_start: bool = False) -> CompactTimedW
 
 class TimedStateSequence:
     """Adjacent steps, held as the columns (D0, keys, props): each step's key
-    pair on the time base D0 (see `intervals`) and its propositions.  Both
-    constructors, `validate_tss` and `encodings.to_tss`, put the keys on the
-    least base that holds them, so equal sequences have equal columns.  The
-    steps, (frozenset of symbols, Interval) pairs, are built on first read."""
+    pair on the time base D0 and its propositions.  Both constructors,
+    `validate_tss` and `encodings.to_tss`, put the keys on the least base, so
+    equal sequences have equal columns.  `steps` is the (props, Interval) view."""
 
     def __init__(self, D0: int, keys: tuple, props: tuple):
         self.columns = (D0, keys, props)
@@ -272,16 +260,6 @@ def validate_tss(steps, allow_nonzero_start: bool = False) -> TimedStateSequence
     return TimedStateSequence(D0, tuple(keys), tuple(p for p, _ in steps))
 
 
-def tss_duration(kappa: TimedStateSequence) -> Fraction:
-    D0, keys, _ = kappa.columns
-    return Fraction((keys[-1][1] + 1) // 3, D0)
-
-
-def tss_start(kappa: TimedStateSequence) -> Fraction:
-    D0, keys, _ = kappa.columns
-    return Fraction((keys[0][0] + 1) // 3, D0)
-
-
 def tss_at(kappa: TimedStateSequence, t) -> frozenset:
     """The unique step's propositions at time t (uniqueness by adjacency)."""
     t = t if isinstance(t, Fraction) else rational(t)
@@ -295,11 +273,8 @@ def tss_at(kappa: TimedStateSequence, t) -> frozenset:
 
 def is_action_based(kappa: TimedStateSequence) -> bool:
     """Alternating punctual action steps and non-punctual empty steps from [0,0].
-
-    A step is punctual exactly when its two keys are equal.  Any finite
-    sequence passing all clauses has odd length; that consistency is asserted
-    rather than tested.
-    """
+    A step is punctual exactly when its two keys are equal.  Any finite sequence
+    passing all clauses has odd length; that consistency is asserted, not tested."""
     _, keys, props = kappa.columns
     if keys[0] != (0, 0) or keys[-1][0] != keys[-1][1]:
         return False
@@ -369,10 +344,9 @@ def lasso(prefix: TimedWord, actions, offsets, duration_) -> Lasso:
 
 
 def unroll(l: Lasso, horizon) -> TimedWord:
-    """Finite prefix of the unrolled word containing exactly the events <= horizon.
-
-    It runs on ticks: the prefix rebased to the lasso's base D, the offsets
-    and the period, up to the last tick at or before the horizon."""
+    """Finite prefix of the unrolled word containing exactly the events <= horizon,
+    on ticks: the prefix rebased to the lasso's base D, the offsets and the
+    period, up to the last tick at or before the horizon."""
     horizon = horizon if isinstance(horizon, Fraction) else rational(horizon)
     D0, ticks = l.prefix.ticks
     D, offsets, period = l.period
@@ -438,7 +412,9 @@ def _strings(values: list, path: str) -> list:
 
 
 def word_or_lasso_from_json(obj, allow_nonzero_start: bool = False):
-    """A word or lasso from its JSON object, read in bulk (see the module docstring)."""
+    """A word or lasso from its JSON object, read in bulk: the event shapes in
+    one pass, the stamps as one column (`intervals.rational_ticks`).  Only a bad
+    input is read again, field by field, to name its first bad field."""
     events = _field(obj, "events", "", list, "a list of [action, time] pairs")
     bad = next((i for i, e in enumerate(events)
                 if not (type(e) is list and len(e) == 2 and type(e[0]) is str)), len(events))

@@ -201,6 +201,17 @@ class TestLassoSurface:
     def test_encode(self, swap_lasso, capsys, to, want):
         assert run(capsys, "encode", "--to", to, "--word", swap_lasso) == (0, want + "\n")
 
+    def test_encode_compact_on_two_bases(self, tmp_path, capsys):
+        """A prefix on halves, and a period with a two-action block on thirds
+        and sixths: the blocks print on the least base of each part."""
+        p = tmp_path / "lasso.json"
+        p.write_text(json.dumps({"events": [["a", "0"], ["b", "1/2"], ["c", "1/2"]], "period": {
+            "actions": ["c", "a", "b", "c"], "duration": "3/2",
+            "offsets": ["1/3", "5/6", "5/6", "3/2"]}}))
+        assert run(capsys, "encode", "--to", "compact", "--word", str(p)) == (0, (
+            '{"period": {"blocks": [[["c"], "1/3"], [["a", "b"], "5/6"], [["c"], "3/2"]], '
+            '"duration": "3/2"}, "prefix": {"blocks": [[["a"], "0"], [["b", "c"], "1/2"]]}}\n'))
+
     SEAM = {"events": [["a", "0"], ["b", "1"]], "period": {
         "actions": ["a"], "offsets": ["0"], "duration": "1"}}
 
@@ -657,6 +668,19 @@ class TestExitCodes:
         assert got[1] == got[0]
         if t == "1" and formula != "F[0,1] p":
             assert json.loads(got[0][1])["verdict"] == ("true" if formula == "!p" else "false")
+
+
+    @pytest.mark.parametrize("t, code", [
+        ("0", 3), ("1/4", 0), ("1/2", 1), ("2", 0), ("5/2", 3), ("201/100", 3)])
+    def test_its_domain_runs_from_a_left_open_start_to_the_last_end(
+            self, tmp_path, capsys, t, code):
+        # the span is [1/4, 2]: at 1/4 no step holds, so !p holds there
+        p = tmp_path / "left_open.json"
+        p.write_text(json.dumps({"steps": [[["p"], "(1/4,1]"], [["q"], "(1,2]"]]}))
+        assert main(["eval", "--semantics", "its", "--time", t, "--formula", "!p",
+                     "--allow-nonzero-start", "--word", str(p)]) == code
+        err = capsys.readouterr().err
+        assert err == (f"error: time {t} outside the covered span\n" if code == 3 else "")
 
 
 class TestOneParser:

@@ -26,9 +26,7 @@ from mtlsem.structures import (
     is_action_based,
     lasso,
     mfs_decompose,
-    tss_duration,
     tss_from_json,
-    tss_start,
     tss_to_json,
     validate_compact,
     validate_tss,
@@ -184,8 +182,6 @@ class TestStateSequenceView:
             assert str(got) == str(want)
             assert tss_to_json(got) == tss_to_json(want)
             assert is_action_based(got) and is_action_based(want)
-            assert (tss_start(got), tss_duration(got)) == (tss_start(want), tss_duration(want))
-            assert isinstance(tss_start(got), Fraction) and isinstance(tss_duration(got), Fraction)
 
     def test_reading_the_columns_keeps_equality_and_hash(self):
         for w in corpus() + [RHO1]:
@@ -307,9 +303,10 @@ class TestLassoEncodings:
 
     def test_blockwise_period(self):
         l = lasso(RHO1, ["c", "a", "b"], ["1/2", "1", "1"], "2")
-        cl = compact_lasso(l)
-        assert cblocks(cl.prefix) == cblocks(compact(RHO1))
-        assert cl.period_blocks == ((("c",), Fraction(1, 2)), (("a", "b"), Fraction(1)))
+        prefix, period = compact_lasso(l)
+        assert cblocks(prefix) == cblocks(compact(RHO1))
+        assert period.actions == (("c",), ("a", "b")) and period.ticks == (2, (1, 2))
+        assert period.blocks == ((("c",), Fraction(1, 2)), (("a", "b"), Fraction(1)))
 
 
 class TestPreimages:

@@ -105,6 +105,15 @@ class TestStateSequenceSets:
     def test_gap_step_has_no_action(self):
         assert not eval_its(KAPPA1, "1/2", parse("sigma", ABC))
 
+    def test_domain_runs_from_a_closed_start_to_the_last_end(self):
+        kappa = validate_tss([[["p"], "[1/4,1]"], [["q"], "(1,2]"]], allow_nonzero_start=True)
+        p = parse("p", alphabet("p,q"))
+        assert [eval_its(kappa, t, p) for t in ("1/4", "1/2", "1", "3/2", "2")] == [
+            True, True, True, False, False]
+        for t in ("0", "1/5", "201/100"):
+            with pytest.raises(OutOfDomainError, match=f"time {t} outside the covered span"):
+                eval_its(kappa, t, p)
+
 
 class TestAgreementWithWordSemantics:
     def test_image_agrees_on_swap_pair(self):

@@ -9,7 +9,7 @@ and against the oracles on a formula closed at twice that bound.
 import pytest
 
 from mtlsem.encodings import compact, lasso_instance
-from mtlsem.formulas import Until, alphabet, fold, horizon, is_bounded, parse, windows
+from mtlsem.formulas import Until, alphabet, fold, horizon, is_bounded, parse, subformulas
 from mtlsem.interval_based import eval_itw_lasso
 from mtlsem.intervals import INF, interval
 from mtlsem.mixed import eval_mx_lasso
@@ -43,7 +43,8 @@ def test_unbounded_safety_and_response_are_true(text):
 def test_the_rewrite_closes_every_unbounded_window():
     # p = 0 and P = 1: [0,inf) becomes [0,1], (2,inf) becomes (2,3]
     rho, g = lasso_instance(A_THEN_B, parse("a U (b U(2,inf) a)", ABC))
-    assert [str(w) for w in windows(g)] == ["[0,1]", "(2,3]"]
+    assert [str(n.window) for n in reversed(subformulas(g)) if type(n) is Until] == [
+        "[0,1]", "(2,3]"]
     # the horizon is 4, and the unroll runs one period further: to 5
     assert horizon(g) == 4
     assert rho.times[-1] == 5

@@ -254,12 +254,12 @@ def _reference_verdict(steps, allow_nonzero_start):
 
 def _reference_action_based(steps) -> bool:
     first = steps[0][1]
-    if not (first.lo.value == 0 and first.lo.closed and first.is_punctual):
+    if not (first.lo.value == 0 and first.lo.closed and first.lo == first.hi):
         return False
-    if not steps[-1][1].is_punctual:
+    if steps[-1][1].lo != steps[-1][1].hi:
         return False
-    return all((bool(props) and iv.is_punctual) if i % 2 == 0
-               else not (props or iv.is_punctual)
+    return all((bool(props) and iv.lo == iv.hi) if i % 2 == 0
+               else not (props or iv.lo == iv.hi)
                for i, (props, iv) in enumerate(steps))
 
 
