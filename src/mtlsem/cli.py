@@ -38,7 +38,7 @@ from .formulas import (
     uses_beta,
 )
 from .interval_based import eval_its, eval_itw, eval_itw_lasso, sat_sets_its, sat_sets_itw
-from .intervals import rat_str, rational, tick_text
+from .intervals import rat_str, rational
 from .mixed import eval_mx, eval_mx_lasso, sat_sets_mx
 from .oracle import (
     differential,
@@ -71,19 +71,15 @@ _FUZZ_SIGMA = alphabet("a,b,c")  # the actions of oracle.gen_word
 
 
 def _emit(obj, pretty: bool):
-    if pretty:
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(obj, sort_keys=True))
+    print(json.dumps(obj, indent=2 if pretty else None, sort_keys=True))
 
 
-def _the_alphabet(args, loaded=None):
-    symbols = set()
+def _the_alphabet(args, loaded):
     if isinstance(loaded, TimedWord):
         symbols = set(loaded.actions)
     elif isinstance(loaded, Lasso):
         symbols = set(loaded.prefix.actions) | set(loaded.period_actions)
-    elif isinstance(loaded, TimedStateSequence):
+    else:  # a state sequence
         symbols = set().union(*loaded.columns[2])
     if args.alphabet:
         sigma = alphabet(args.alphabet)
@@ -143,7 +139,7 @@ def _finite(loaded, sem: str, read):
 # subcommands
 
 def cmd_parse(args) -> int:
-    sigma = alphabet(args.alphabet) if args.alphabet else alphabet("a,b,c")
+    sigma = alphabet(args.alphabet or "a,b,c")
     f = _formula(args, sigma, allow_beta=args.beta)
     _emit({
         "canonical": to_text(f),
@@ -200,7 +196,7 @@ def cmd_satset(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    sigma = alphabet(args.alphabet) if args.alphabet else alphabet("a,b,c")
+    sigma = alphabet(args.alphabet or "a,b,c")
     f = _formula(args, sigma, allow_beta=False)
     compiled = compile_pw(f, sigma) if args.target == "pw2mx" else compile_itw(f, sigma)
     _emit({"target": args.target, "source": to_text(f), "compiled": to_text(compiled)},
@@ -214,26 +210,22 @@ def _blocks_json(cw) -> dict:
 
 def cmd_encode(args) -> int:
     loaded = load_input(args.word, args.allow_nonzero_start)
-    if isinstance(loaded, Lasso):
-        if args.to == "word":
-            _emit(lasso_to_json(loaded), args.pretty)
-        elif args.to == "compact":
-            prefix, period = compact_lasso(loaded)
-            D, _, P = loaded.period
-            _emit({"prefix": _blocks_json(prefix),
-                   "period": {**_blocks_json(period), "duration": tick_text(P, D)}}, args.pretty)
-        else:
-            _emit(tss_to_json(word_to_tss(unroll(
-                loaded, duration(loaded.prefix) + 2 * loaded.period_duration))), args.pretty)
-        return OK
     if isinstance(loaded, TimedStateSequence):
         raise MtlsemError("state sequences are encoding targets, not sources")
+    lasso = isinstance(loaded, Lasso)
     if args.to == "word":
-        _emit(word_to_json(loaded), args.pretty)
+        out = lasso_to_json(loaded) if lasso else word_to_json(loaded)
     elif args.to == "compact":
-        _emit(_blocks_json(compact(loaded)), args.pretty)
+        if lasso:
+            prefix, period = compact_lasso(loaded)
+            out = {"prefix": _blocks_json(prefix),
+                   "period": {**_blocks_json(period), "duration": rat_str(loaded.period_duration)}}
+        else:
+            out = _blocks_json(compact(loaded))
     else:
-        _emit(tss_to_json(word_to_tss(loaded)), args.pretty)
+        out = tss_to_json(word_to_tss(unroll(
+            loaded, duration(loaded.prefix) + 2 * loaded.period_duration) if lasso else loaded))
+    _emit(out, args.pretty)
     return OK
 
 

@@ -21,8 +21,9 @@ the JSON wire format and `--time`.
 
 Nodes are hash-consed: structurally equal formulas are one object.  A node
 caches its distinct subformulas, children first, walked once with an explicit
-stack (`subformulas`).  `fold` is a flat loop over that order: the engines, the
-compilers and the printer supply only the per-node step; the metrics read it.
+stack (`subformulas`).  `fold` is a flat loop over that order for `pointwise`,
+the compilers, the printer, the metrics and `lasso_instance`.  The dense loop
+`interval_based._sat_dense` is its own: a `fold` visit ran up to 21% slower.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class Alphabet:
         for s in self.symbols:
             if s in _RESERVED or not re.fullmatch(_NAME, s):
                 raise MtlsemError(f"invalid alphabet symbol: {s!r}")
-
-    def __iter__(self):
-        return iter(self.symbols)
 
     def __contains__(self, s):
         return s in self.symbols

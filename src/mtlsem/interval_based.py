@@ -3,7 +3,7 @@
 Each subformula gets an exact satisfaction set over the covered time domain:
 atoms are the event points (or the state-sequence steps), negation is the
 complement in the domain, conjunction is intersection, and the strict dense
-Until is `_until_bases`.  `_sat_dense` is the one fold of `itw`, `its` and
+Until is `_until_bases`.  `_sat_dense` is the one loop of `itw`, `its` and
 `mx` (which runs it over lex keys, see `mixed`).
 
 Sets are key lists on an integer time base (see `intervals`).  Each entry
@@ -212,6 +212,18 @@ def _sat_dense(atom_keys: dict, domain: tuple, D: int, f: Formula, J: int = 1, m
     return table
 
 
+def _sets(table: _Table, D: int) -> dict:
+    return {node: IntervalSet.on_base(D, keys) for node, keys in table.items()}
+
+
+def _holds_at(table: _Table, D: int, t, f: Formula, span: str = "") -> bool:
+    t = t if isinstance(t, Fraction) else rational(t)
+    key, (lo, hi) = time_key(t, D), table.domain
+    if not lo <= key <= hi:
+        raise OutOfDomainError(f"time {t} outside {span or f'[0, {tick_text(hi // 3, D)}]'}")
+    return table.holds(f, key)
+
+
 # ---------------------------------------------------------------------------
 # timed words
 
@@ -227,8 +239,7 @@ def _itw_table(rho: TimedWord, f: Formula):
 
 def sat_sets_itw(rho: TimedWord, f: Formula) -> dict:
     """The fold table: Sat(g) per subformula g, in `subformulas` order."""
-    table, D = _itw_table(rho, f)
-    return {key: IntervalSet.on_base(D, keys) for key, keys in table.items()}
+    return _sets(*_itw_table(rho, f))
 
 
 def sat_set_itw(rho: TimedWord, f: Formula) -> IntervalSet:
@@ -238,12 +249,7 @@ def sat_set_itw(rho: TimedWord, f: Formula) -> IntervalSet:
 
 
 def eval_itw(rho: TimedWord, t, f: Formula) -> bool:
-    t = t if isinstance(t, Fraction) else rational(t)
-    D0, ticks = rho.ticks
-    if not 0 <= time_key(t, D0) <= 3 * ticks[-1]:
-        raise OutOfDomainError(f"time {t} outside [0, {tick_text(ticks[-1], D0)}]")
-    table, D = _itw_table(rho, f)
-    return table.holds(f, time_key(t, D))
+    return _holds_at(*_itw_table(rho, f), t, f)
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +260,16 @@ def _its_table(kappa: TimedStateSequence, f: Formula):
     D0, keys, props = kappa.columns
     D = math.lcm(D0, time_base(finite_window_bounds(f)))
     parts = {name: merge_keys([k for k, p in zip(keys, props) if name in p]) for name in atoms(f)}
+    m = D // D0  # rescale only what the fold reads: the atoms' lists and the span's ends
+    if m > 1:
+        parts = {name: scaled_keys(keys, m) for name, keys in parts.items()}
     # the span's end values, closed (a left-open first step's start is in it)
-    domain = (keys[0][0] - keys[0][0] % 3, keys[-1][1])
-    if D > D0:  # rescale only what the fold reads
-        parts = {name: scaled_keys(keys, D // D0) for name, keys in parts.items()}
-        domain = (domain[0] * (D // D0), domain[1] * (D // D0))
-    return _sat_dense(parts, domain, D, f), D
+    return _sat_dense(parts, (m * (keys[0][0] - keys[0][0] % 3), m * keys[-1][1]), D, f), D
 
 
 def sat_sets_its(kappa: TimedStateSequence, f: Formula) -> dict:
     """The fold table: Sat(g) per subformula g, in `subformulas` order."""
-    table, D = _its_table(kappa, f)
-    return {key: IntervalSet.on_base(D, keys) for key, keys in table.items()}
+    return _sets(*_its_table(kappa, f))
 
 
 def sat_set_its(kappa: TimedStateSequence, f: Formula) -> IntervalSet:
@@ -274,12 +278,7 @@ def sat_set_its(kappa: TimedStateSequence, f: Formula) -> IntervalSet:
 
 
 def eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
-    t = t if isinstance(t, Fraction) else rational(t)
-    D0, keys, _ = kappa.columns
-    if not keys[0][0] - keys[0][0] % 3 <= time_key(t, D0) <= keys[-1][1]:  # `_its_table`'s span
-        raise OutOfDomainError(f"time {t} outside the covered span")
-    table, D = _its_table(kappa, f)
-    return table.holds(f, time_key(t, D))
+    return _holds_at(*_its_table(kappa, f), t, f, "the covered span")
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ class TimedWord(_OnTicks):
 def _checked(cls, actions: tuple, D: int, ticks, allow_nonzero_start: bool):
     """The model `cls` of the actions at the ticks on the time base D, once
     they are found to be one: non-empty, ticks non-decreasing (strictly
-    increasing for blocks), the first 0 unless `allow_nonzero_start`."""
+    increasing for blocks), the first 0 (or, with `allow_nonzero_start`, >= 0)."""
     compact = cls is CompactTimedWord
     if not ticks:
         raise EmptyWordError("empty compact timed word" if compact else "empty timed word")
@@ -128,6 +128,8 @@ def _checked(cls, actions: tuple, D: int, ticks, allow_nonzero_start: bool):
     if ticks[0] and not allow_nonzero_start:
         raise FirstTimestampError("first block timestamp must be 0" if compact else
                                   f"first timestamp is {tick_text(ticks[0], D)}, expected 0")
+    if ticks[0] < 0:  # a Fraction stamp skips `rational`'s sign check
+        raise MtlsemError(f"negative value not allowed: {tick_text(ticks[0], D)}")
     return cls.on_base(actions, D, ticks)
 
 

@@ -249,6 +249,15 @@ class TestOtherCommands:
         assert got["horizon"] == "9/2"
         assert got["bounded"] is True
 
+    @pytest.mark.parametrize("symbols, message", [
+        ("a,a", "alphabet symbols must be distinct"),
+        ("a,true", "invalid alphabet symbol: 'true'"),
+    ])
+    def test_parse_rejects_a_bad_alphabet(self, capsys, symbols, message):
+        assert main(["parse", "--alphabet", symbols, "--formula", "a"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
     def test_compile_targets(self, capsys):
         code, out = run(capsys, "compile", "--target", "itw2mx",
                         "--alphabet", "a,b,c", "--formula", "a U[0,1] b")
@@ -681,6 +690,32 @@ class TestExitCodes:
                      "--allow-nonzero-start", "--word", str(p)]) == code
         err = capsys.readouterr().err
         assert err == (f"error: time {t} outside the covered span\n" if code == 3 else "")
+
+
+class TestDomainsOfALateStart:
+    """A raw word that starts after 0: `itw` reads it over [0, end], `its`
+    over its image's span, which starts at the first event."""
+
+    @pytest.fixture
+    def late(self, tmp_path):
+        p = tmp_path / "late.json"
+        p.write_text(json.dumps({"events": [["a", "1"], ["b", "2"]]}))
+        return str(p)
+
+    @pytest.mark.parametrize("semantics, parts", [
+        ("itw", ["[0,1)", "(1,2]"]), ("its", ["(1,2]"])])
+    def test_satset(self, late, capsys, semantics, parts):
+        code, out = run(capsys, "satset", "--semantics", semantics, "--formula", "!a",
+                        "--allow-nonzero-start", "--word", late)
+        assert code == 0
+        assert json.loads(out)["sets"][-1] == {"formula": "!a", "parts": parts}
+
+    @pytest.mark.parametrize("semantics, code, err", [
+        ("itw", 0, ""), ("its", 3, "error: time 1/2 outside the covered span\n")])
+    def test_eval_before_the_first_event(self, late, capsys, semantics, code, err):
+        assert main(["eval", "--semantics", semantics, "--time", "1/2", "--formula", "!a",
+                     "--allow-nonzero-start", "--word", late]) == code
+        assert capsys.readouterr().err == err
 
 
 class TestOneParser:

@@ -17,7 +17,13 @@ from mtlsem.encodings import (
     word_position,
     word_to_tss,
 )
-from mtlsem.errors import NonMonotoneError, OutOfDomainError, SeamStutterError
+from mtlsem.errors import (
+    EmptyWordError,
+    MtlsemError,
+    NonMonotoneError,
+    OutOfDomainError,
+    SeamStutterError,
+)
 from mtlsem.intervals import interval, punctual
 from mtlsem.oracle import gen_word
 from mtlsem.structures import (
@@ -73,6 +79,10 @@ class TestCompact:
             (("a",), 0), (("b", "a"), 1), (("c",), Fraction(33, 10))]
         assert cblocks(compact(RHO2)) == [
             (("a",), 0), (("a", "b"), 1), (("c",), Fraction(33, 10))]
+
+    def test_empty_word(self):
+        with pytest.raises(EmptyWordError, match="^empty timed word$"):
+            compact(TimedWord([]))
 
     def test_strictly_monotone_gives_singletons(self):
         cw = compact(word([("a", 0), ("b", 1), ("c", 2)]))
@@ -244,9 +254,11 @@ class TestIndexHelpers:
 
     def test_out_of_range(self):
         cw = compact(RHO1)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="^position 2 out of range in block 1$"):
             word_position(cw, 1, 2)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="^block index 3 out of range$"):
+            word_position(cw, 3, 0)  # past the last block
+        with pytest.raises(IndexError, match="^word position 4 out of range$"):
             block_position(cw, 4)
 
     def test_block_index_at(self):
@@ -318,3 +330,10 @@ class TestPreimages:
             (("a", Fraction(0)), ("a", Fraction(1)), ("b", Fraction(1))),
             (("a", Fraction(0)), ("b", Fraction(1)), ("a", Fraction(1))),
         }
+
+    def test_only_action_based_sequences_have_preimages(self):
+        kappa = validate_tss([[["a"], "[0,1]"]])  # a non-punctual step holds an action
+        assert not is_action_based(kappa)
+        with pytest.raises(MtlsemError,
+                           match="^only action-based state sequences have word preimages$"):
+            stutter_free_preimages(kappa)

@@ -263,6 +263,10 @@ class TestTextGrammar:
         assert parse("F[0,1\t/2] a", ABC) is parse("F[0,1/2] a", ABC)
         assert rational(" 1 / 2 ") == Fraction(1, 2)
 
+    def test_empty_alphabet_rejected(self):
+        with pytest.raises(MtlsemError, match="^alphabet must be non-empty$"):
+            alphabet([])
+
     def test_parenthesised_atom_named_like_inf(self):
         sigma = alphabet("a,inf_x")
         assert parse("F(inf_x)", sigma) is f_eventually(FULL, Atom("inf_x"), sigma)

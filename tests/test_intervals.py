@@ -64,6 +64,14 @@ class TestInterval:
         with pytest.raises(MtlsemError):
             parse_interval("[0,inf]")
 
+    def test_constructor_rejections(self):
+        with pytest.raises(MtlsemError, match="^an infinite bound cannot be closed$"):
+            interval(0, INF, True, True)
+        with pytest.raises(MtlsemError, match="^intervals live over nonnegative values$"):
+            Interval(Bound(Fraction(-1), True), Bound(Fraction(1), True))
+        with pytest.raises(MtlsemError, match="^lower bound must be finite$"):
+            Interval(Bound(INF, False), Bound(INF, False))
+
     def test_membership_flags(self):
         assert not iv("(1,2]").contains(Fraction(1))
         assert iv("(1,2]").contains(Fraction(2))

@@ -25,7 +25,8 @@ from mtlsem.formulas import (
     temporal_depth,
     to_text,
 )
-from mtlsem.intervals import INF, punctual
+from mtlsem.intervals import INF, IntervalSet, punctual
+from mtlsem.mixed import MixedSet
 from mtlsem.oracle import (
     critical_points,
     critical_values,
@@ -455,3 +456,29 @@ class TestIndependence:
             oracle_eval_itw(RHO1, 0, f)
         with pytest.raises(TypeError):
             oracle_eval_its(word_to_tss(RHO1), 0, f)
+
+
+class TestDifferentialReportsADivergence:
+    """With each engine patched to an empty result, `differential` names the
+    first sample, in its sample order, where the engine says false and the
+    oracle true."""
+
+    W = word([("a", 0), ("b", 1)])
+    EMPTY = {"sat_positions": lambda rho, f: frozenset(),
+             "sat_set_itw": lambda rho, f: IntervalSet(()),
+             "sat_set_its": lambda kappa, f: IntervalSet(()),
+             "sat_set_mx": lambda cw, f: MixedSet(frozenset(), IntervalSet(()))}
+
+    @pytest.mark.parametrize("text, engine, at", [
+        ("a", "pw", 0), ("a", "itw", "0"), ("a", "its", "0"), ("a", "mx", ["0", 0]),
+        ("!a", "pw", 1), ("!a", "itw", "1/2"), ("!a", "its", "1/2"),
+        ("!a", "mx", ["1", 0]),  # the grid points come before the gaps
+    ])
+    def test_first_sample(self, text, engine, at, monkeypatch):
+        for name, empty in self.EMPTY.items():
+            monkeypatch.setattr(oracle, name, empty)
+        structure = {"pw": self.W, "itw": self.W, "its": word_to_tss(self.W),
+                     "mx": compact(self.W)}[engine]
+        f = parse(text, ABC)
+        assert oracle.differential(engine, structure, f) == {
+            "at": at, "engine": False, "oracle": True}

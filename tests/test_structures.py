@@ -103,6 +103,35 @@ class TestValidateCompact:
             validate_word([("a", "4/6")])
 
 
+class TestNegativeStamps:
+    """A negative first stamp is rejected under `allow_nonzero_start` too,
+    whether it comes as text, int or `Fraction` (which skips `rational`)."""
+
+    @pytest.mark.parametrize("stamp, message", [
+        ("-1", "not a nonnegative rational: '-1'"),
+        (-1, "negative value not allowed: -1"),
+        (Fraction(-1), "negative value not allowed: -1"),
+        (Fraction(-1, 2), "negative value not allowed: -1/2"),
+    ], ids=["text", "int", "fraction", "fraction-half"])
+    def test_both_validators(self, stamp, message):
+        with pytest.raises(MtlsemError) as exc:
+            validate_word([("a", stamp), ("b", 0)], allow_nonzero_start=True)
+        assert str(exc.value) == message
+        with pytest.raises(MtlsemError) as exc:
+            validate_compact([(("a",), stamp), (("b",), 1)], allow_nonzero_start=True)
+        assert str(exc.value) == message
+
+    def test_without_the_flag_the_start_is_named(self):
+        with pytest.raises(FirstTimestampError, match="^first timestamp is -1, expected 0$"):
+            validate_word([("a", Fraction(-1)), ("b", 0)])
+
+    def test_a_raw_word_starting_at_one_still_loads(self):
+        w = validate_word([("a", Fraction(1)), ("b", 2)], allow_nonzero_start=True)
+        assert w.times == (Fraction(1), Fraction(2))
+        cw = validate_compact([(("a",), Fraction(1))], allow_nonzero_start=True)
+        assert cw.blocks == ((("a",), Fraction(1)),)
+
+
 class TestDuration:
     def test_values(self):
         assert duration(word(RHO1)) == Fraction(33, 10)
@@ -134,6 +163,10 @@ class TestMfs:
 
     def test_constant_pair(self):
         assert mfs_decompose([Fraction(0), Fraction(0)]).boundaries == (1,)
+
+    def test_empty(self):
+        with pytest.raises(EmptyWordError, match="^empty time sequence$"):
+            mfs_decompose([])
 
     def test_runs_partition_fuzzed(self):
         rng = random.Random(5)
