@@ -187,8 +187,7 @@ def cmd_satset(args) -> int:
     texts = fold(f, _text)  # every text from one fold, not one fold per entry
     sets = []
     for sub, got in sat_sets(_finite(loaded, sem, read), f).items():
-        shown = ({"points": sorted([k, j] for k, j in got.points),
-                  "gaps": got.gap.part_texts()} if sem == "mx"
+        shown = ({"points": got.point_list, "gaps": got.gap.part_texts()} if sem == "mx"
                  else {"parts": got.part_texts()})
         sets.append({"formula": texts[sub], **shown})
     _emit({"semantics": sem, "sets": sets}, args.pretty)

@@ -38,13 +38,15 @@ from .structures import (
 
 
 def compact(rho: TimedWord) -> CompactTimedWord:
-    """Collapse each maximal flat run of ticks into a block keeping the action order."""
+    """Collapse each maximal flat run of ticks into a block keeping the action
+    order: the runs end at `mfs_decompose`'s boundaries, and each block's tick
+    is its last event's."""
     if not rho.actions:
         raise EmptyWordError("empty timed word")
     D0, ticks = rho.ticks
-    acts, runs = rho.actions, mfs_decompose(ticks).runs()
-    return CompactTimedWord.on_base(tuple([acts[i:j + 1] for i, j in runs]), D0,
-                                    [ticks[i] for i, _ in runs])
+    acts, ends = rho.actions, mfs_decompose(ticks).boundaries
+    return CompactTimedWord.on_base(tuple([acts[i + 1:j + 1] for i, j in zip((-1, *ends), ends)]),
+                                    D0, [ticks[j] for j in ends])
 
 
 def uncompact(cw: CompactTimedWord) -> TimedWord:

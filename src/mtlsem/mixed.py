@@ -14,10 +14,14 @@ slots 3vJ + s - 1 to 3vJ + J - 1.  Every other time key, a gap time or an open
 side of one, keeps all J of its slots.  Lex points with nothing between them
 then get adjacent slots, so the key sweeps run on lex keys as on time keys, and
 every set is a union of whole lex points.  Atoms are the slots of their
-positions; `beta` is the complement of the slots 3vJ + 1 to 3vJ + J - 1 of
-every block with s >= 2.  When the window holds 0, an Until's base (v, j) also
-holds if a later position of its own block holds g with f at every position
-strictly between them (`interval_based._same_block_bases`).
+positions, merged as one walk over the blocks appends them: an (a, a) pair
+inside a block takes adjacent slots, and slots of two blocks never touch, since
+a block's lie in its stamp's time key 3v and the open keys 3v +- 1 between
+blocks keep their own J slots each.  A result reads its grid (D, J, block
+starts, blocks) from that walk.  `beta` is the complement of the slots 3vJ + 1
+to 3vJ + J - 1 of every block with s >= 2.  When the window holds 0, an Until's
+base (v, j) also holds if a later position of its own block holds g with f at
+every position strictly between them (`interval_based._same_block_bases`).
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ class MixedSet:
     """Satisfaction set for the mixed semantics: grid points plus gap intervals.
 
     A set holds its `points` and `gap`, or `lex`: its lex-key list and its
-    table's grid (D, J, block starts, block sizes), from which both are built
-    on first read."""
+    table's grid (D, J, block starts, blocks), from which `point_list` (the
+    points in lex order), `points` and `gap` are built on first read."""
 
     def __init__(self, points: frozenset, gap: IntervalSet):
         self.__dict__.update(points=points, gap=gap)
@@ -58,14 +62,17 @@ class MixedSet:
         return s
 
     @cached_property
-    def points(self) -> frozenset:
-        keys, (_, _, starts, sizes) = self.lex
+    def point_list(self) -> list:
+        keys, (_, _, starts, blocks) = self.lex
         points = []
         for lo, hi in keys:  # the blocks from the last start <= lo to the last start <= hi
             points += [(k, j) for k in range(bisect_right(starts, lo) - 1,
                                              bisect_right(starts, hi))
-                       for j in range(max(lo - starts[k], 0), min(hi - starts[k] + 1, sizes[k]))]
-        return frozenset(points)
+                       for j in range(max(lo - starts[k], 0),
+                                      min(hi - starts[k] + 1, len(blocks[k])))]
+        return points
+
+    points = cached_property(lambda self: frozenset(self.point_list))
 
     @cached_property
     def gap(self) -> IntervalSet:
@@ -94,20 +101,29 @@ class MixedSet:
 
 
 def _mx_table(cw: CompactTimedWord, f: Formula):
-    """The lex-key table of f over cw, and its grid (D, J, block starts, block sizes)."""
+    """The lex-key table of f over cw, and its grid (D, J, block starts, blocks),
+    from one walk over the blocks (see the module docstring for the atom slots)."""
     D, times = rebased(cw.ticks, finite_window_bounds(f))
-    sizes = [len(acts) for acts in cw.actions]
-    J = max(sizes)
-    starts = [3 * J * v for v in times]  # the slot of each block's position 0
+    J = max(map(len, cw.actions))
+    starts, multi = [], []  # each block's slot of position 0; (start, size) of size >= 2
     slots = {name: [] for name in atoms(f)}  # the slots of each atom the formula names
-    for s, n, acts in zip(starts, sizes, cw.actions):
-        for j, a in enumerate(acts):
+    for v, acts in zip(times, cw.actions):
+        s = 3 * J * v
+        starts.append(s)
+        if len(acts) == 1:  # one position owns the whole time key
+            if acts[0] in slots:
+                slots[acts[0]].append((s, s + J - 1))
+            continue
+        multi.append((s, len(acts)))
+        for j, a in enumerate(acts, s):
             if a in slots:
-                slots[a].append((s + j, s + J - 1 if j == n - 1 else s + j))
-    slots = {name: merge_keys(keys) for name, keys in slots.items()}  # (a, a): adjacent slots
-    multi = [(s, n) for s, n in zip(starts, sizes) if n > 1]
+                keys, hi = slots[a], (j if j < s + len(acts) - 1 else s + J - 1)
+                if keys and keys[-1][1] == j - 1:  # a at position j - 1 too
+                    keys[-1] = (keys[-1][0], hi)
+                else:
+                    keys.append((j, hi))
     table = _sat_dense(slots, (starts[0], starts[-1] + J - 1), D, f, J, multi)
-    return table, (D, J, starts, sizes)
+    return table, (D, J, starts, cw.actions)
 
 
 def sat_sets_mx(cw: CompactTimedWord, f: Formula) -> dict:

@@ -73,7 +73,33 @@ def compact_by_runs(w):
         (acts[start:end + 1], times[start]) for start, end in mfs_decompose(times).runs()))
 
 
+def compact_by_run_pairs(w):
+    """compact through the (start, end) run pairs of the tick column: the
+    slices, then each run's first tick."""
+    D0, ticks = w.ticks
+    runs = mfs_decompose(ticks).runs()
+    return CompactTimedWord.on_base(tuple([w.actions[i:j + 1] for i, j in runs]), D0,
+                                    [ticks[i] for i, _ in runs])
+
+
+# a repeated action inside a block and ending the last one, J = 1, one block,
+# and blocks of J positions
+HAND_WORDS = [word([("a", 0), ("b", 1), ("a", 1), ("a", 1), ("c", 2)]),
+              word([("c", 0), ("b", "1/2"), ("a", "1/2"), ("a", "1/2")]),
+              word([("a", 0), ("b", "1/3"), ("a", 1), ("c", 2)]), word([("b", 0)]),
+              word([("a", 0), ("a", 0), ("b", 0), ("a", 0)]),
+              uncompact(validate_compact([(("a", "a", "b"), 0), (("c",), 1), (("b", "a", "a"), 3)])),
+              uncompact(validate_compact([(("c", "c"), "1/2"), (("a", "b"), 1)],
+                                         allow_nonzero_start=True))]
+
+
 class TestCompact:
+    def test_matches_the_run_pairs(self):
+        for w in [gen_word(seed) for seed in range(600)] + HAND_WORDS:
+            got, want = compact(w), compact_by_run_pairs(w)
+            assert got == want and got.ticks == want.ticks and got.actions == want.actions, str(w)
+            assert type(got.actions) is tuple and all(type(a) is tuple for a in got.actions)
+
     def test_swap_pair_images(self):
         assert cblocks(compact(RHO1)) == [
             (("a",), 0), (("b", "a"), 1), (("c",), Fraction(33, 10))]

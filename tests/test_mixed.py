@@ -8,9 +8,9 @@ import pytest
 from mtlsem.compilers import compile_itw, compile_pw
 from mtlsem.encodings import block_index_at, compact
 from mtlsem.errors import OutOfDomainError
-from mtlsem.formulas import BETA, alphabet, finite_window_bounds, parse
-from mtlsem.interval_based import eval_itw, sat_set_itw
-from mtlsem.intervals import IntervalSet, difference_keys, normalize_keys, rebased
+from mtlsem.formulas import BETA, alphabet, atoms, finite_window_bounds, parse
+from mtlsem.interval_based import _sat_dense, eval_itw, sat_set_itw
+from mtlsem.intervals import IntervalSet, difference_keys, merge_keys, normalize_keys, rebased
 from mtlsem.mixed import (
     NO_ACTION,
     MixedSet,
@@ -331,6 +331,7 @@ def _assert_converted_as_the_reference(cw, f):
     for node, w in want.items():
         g = got[node]
         assert g.points == w.points, (str(cw), node)
+        assert g.point_list == sorted(w.points), (str(cw), node)  # lex order, each point once
         assert g.gap == w.gap and str(g.gap) == str(w.gap), (str(cw), node)
         assert g.gap.parts == w.gap.parts, (str(cw), node)
         assert g == w and hash(g) == hash(w), (str(cw), node)
@@ -369,3 +370,96 @@ def test_conversion_matches_the_reference_on_absent_atoms_and_beta(text):
     for seed in range(100):
         _assert_converted_as_the_reference(compact(gen_word(seed + 7000)), f)
         _assert_converted_as_the_reference(compact(_large_block_word(seed)), f)
+
+
+# ---------------------------------------------------------------------------
+# the one-walk table, against the two-pass construction: a slot loop over the
+# block sizes, then one merge pass per atom
+
+
+def _two_pass_inputs(cw, f):
+    """The fold's atom slots, block starts, multi-position blocks and grid, as
+    the two-pass construction built them."""
+    D, times = rebased(cw.ticks, finite_window_bounds(f))
+    sizes = [len(acts) for acts in cw.actions]
+    J = max(sizes)
+    starts = [3 * J * v for v in times]
+    slots = {name: [] for name in atoms(f)}
+    for s, n, acts in zip(starts, sizes, cw.actions):
+        for j, a in enumerate(acts):
+            if a in slots:
+                slots[a].append((s + j, s + J - 1 if j == n - 1 else s + j))
+    slots = {name: merge_keys(keys) for name, keys in slots.items()}
+    multi = [(s, n) for s, n in zip(starts, sizes) if n > 1]
+    return slots, (starts[0], starts[-1] + J - 1), D, J, multi, starts, sizes
+
+
+def _assert_walked_as_the_two_pass_construction(cw, f, monkeypatch):
+    import mtlsem.mixed as mixed
+
+    handed = []
+    with monkeypatch.context() as m:
+        m.setattr(mixed, "_sat_dense", lambda *args: handed.append(args) or _sat_dense(*args))
+        table, (D, J, starts, blocks) = _mx_table(cw, f)
+    slots, domain, wD, wJ, multi, wstarts, sizes = _two_pass_inputs(cw, f)
+    assert handed == [(slots, domain, wD, f, wJ, multi)], (str(cw), f)
+    assert (D, J, starts) == (wD, wJ, wstarts) and list(map(len, blocks)) == sizes
+    want = _sat_dense(slots, domain, wD, f, wJ, multi)
+    assert list(table.items()) == list(want.items())
+    got = sat_sets_mx(cw, f)
+    assert [(node, s.lex[0]) for node, s in got.items()] == list(want.items()), (str(cw), f)
+
+
+# blocks that repeat an action: (b, a, a) inside, and (a, a) ending the last block
+REPEATS = [word([("a", 0), ("b", 1), ("a", 1), ("a", 1), ("c", 2)]),
+           word([("c", 0), ("b", "1/2"), ("a", "1/2"), ("a", "1/2")]),
+           word([("a", 0), ("a", 0), ("b", 0), ("a", 0), ("a", 0)])]  # one block
+SINGLES = [word([("a", 0), ("b", "1/3"), ("a", 1), ("c", 2)]), word([("b", 0)])]  # J = 1
+FULL_BLOCKS = [  # several blocks of J positions
+    validate_compact([(("a", "a", "b"), 0), (("c",), 1), (("b", "a", "a"), "3/2")]),
+    validate_compact([(("c", "c"), "1/2"), (("a", "b"), 1), (("a", "a"), 2)],
+                     allow_nonzero_start=True)]
+WALK_FORMULAS = ["a", "a U[0,1] c", "G[0,4](a -> F[1,3] b)", "F[0,0] (a & !beta)",
+                 "(a | beta) U[0,0] b", "!a U (b & beta)", "d | F(1/2,2] c"]
+
+
+class TestOneWalkTable:
+    def test_fuzzed(self, monkeypatch):
+        for seed in range(600):
+            cw = compact(gen_word(seed))
+            for f in (gen_formula(seed, ABC, allow_beta=True), compile_pw(parse("a U c", ABC), ABC)):
+                _assert_walked_as_the_two_pass_construction(cw, f, monkeypatch)
+
+    @pytest.mark.parametrize("text", WALK_FORMULAS)
+    def test_hand_cases(self, text, monkeypatch):
+        f = parse(text, alphabet("a,b,c,d"), allow_beta=True)
+        for cw in [compact(w) for w in REPEATS + SINGLES] + FULL_BLOCKS:
+            _assert_walked_as_the_two_pass_construction(cw, f, monkeypatch)
+
+    def test_hand_cases_have_the_shapes_they_name(self):
+        runs = [compact(w).actions for w in REPEATS]
+        assert runs[0][1] == ("b", "a", "a") and runs[1][-1] == ("b", "a", "a")
+        assert len(runs[2]) == 1
+        assert all(len(acts) == 1 for w in SINGLES for acts in compact(w).actions)
+        for cw in FULL_BLOCKS:
+            sizes = list(map(len, cw.actions))
+            assert sizes.count(max(sizes)) >= 2
+
+    def test_a_root_only_read_merges_no_atom_list(self, monkeypatch):
+        import mtlsem.mixed as mixed
+
+        rng = random.Random("merge-guard")
+        t, events = Fraction(0), []
+        for _ in range(300):
+            events.append((rng.choice("ab"), t))
+            t += rng.choice([Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1)])
+        cw = compact(word(events))
+        assert any(x == y for acts in cw.actions for x, y in zip(acts, acts[1:]))
+        merged = []
+        real = mixed.merge_keys
+        monkeypatch.setattr(mixed, "merge_keys", lambda keys: merged.append(1) or real(keys))
+        got = sat_set_mx(cw, parse("(a | b) U[0,2] c", ABC))
+        got.points
+        assert merged == []
+        got.gap
+        assert merged == [1]  # the gap's own pass, through the patched name
