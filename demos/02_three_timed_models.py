@@ -32,7 +32,7 @@ print("stutter free:", is_stutter_free(swap_ba),
       "| strictly monotone:", is_strictly_monotone(swap_ba))
 
 print("\nmaximal flat runs of the first word's time sequence:",
-      mfs_decompose(swap_ba.times).boundaries)
+      mfs_decompose(swap_ba.times))
 
 cw_ba, cw_ab = compact(swap_ba), compact(swap_ab)
 print("\ncompaction groups each flat run into an ordered block:")

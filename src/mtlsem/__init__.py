@@ -69,7 +69,6 @@ from .pointwise import eval_pw, eval_pw_lasso, sat_positions
 from .structures import (
     CompactTimedWord,
     Lasso,
-    MfsIndex,
     TimedStateSequence,
     TimedWord,
     duration,

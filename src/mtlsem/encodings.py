@@ -39,12 +39,12 @@ from .structures import (
 
 def compact(rho: TimedWord) -> CompactTimedWord:
     """Collapse each maximal flat run of ticks into a block keeping the action
-    order: the runs end at `mfs_decompose`'s boundaries, and each block's tick
+    order: `mfs_decompose` gives each run's last index, and each block's tick
     is its last event's."""
     if not rho.actions:
         raise EmptyWordError("empty timed word")
     D0, ticks = rho.ticks
-    acts, ends = rho.actions, mfs_decompose(ticks).boundaries
+    acts, ends = rho.actions, mfs_decompose(ticks)
     return CompactTimedWord.on_base(tuple([acts[i + 1:j + 1] for i, j in zip((-1, *ends), ends)]),
                                     D0, [ticks[j] for j in ends])
 
@@ -175,10 +175,7 @@ def stutter_free_preimages(kappa: TimedStateSequence, limit: int = 64):
         raise MtlsemError("only action-based state sequences have word preimages")
     D0, keys, props = kappa.columns
     punctuals = [(sorted(p), lo // 3) for p, (lo, _) in zip(props, keys) if p]
-    out = []
-    for orderings in itertools.product(*(itertools.permutations(p) for p, _ in punctuals)):
-        ticks = [v for (_, v), acts in zip(punctuals, orderings) for _ in acts]
-        out.append(TimedWord.on_base(tuple(itertools.chain(*orderings)), D0, ticks))
-        if len(out) >= limit:
-            break
-    return out
+    orders = itertools.product(*(itertools.permutations(p) for p, _ in punctuals))
+    return [TimedWord.on_base(tuple(itertools.chain(*orderings)), D0,
+                              [v for (_, v), acts in zip(punctuals, orderings) for _ in acts])
+            for orderings in itertools.islice(orders, limit)]

@@ -3,8 +3,8 @@
 Each subformula gets an exact satisfaction set over the covered time domain:
 atoms are the event points (or the state-sequence steps), negation is the
 complement in the domain, conjunction is intersection, and the strict dense
-Until is `_until_bases`.  `_sat_dense` is the one loop of `itw`, `its` and
-`mx` (which runs it over lex keys, see `mixed`).
+Until is `intervals._until_bases`.  `_sat_dense` is the one loop of `itw`,
+`its` and `mx` (which runs it over lex keys, see `mixed`).
 
 Sets are key lists on an integer time base (see `intervals`).  Each entry
 point reads the model's integer columns and takes D once, from its base D0 and
@@ -34,8 +34,8 @@ from .formulas import (
     subformulas,
 )
 from .intervals import (
-    INF,
     IntervalSet,
+    _until_bases,
     complement_keys,
     difference_keys,
     intersect_keys,
@@ -51,77 +51,6 @@ from .intervals import (
     time_key,
 )
 from .structures import Lasso, TimedStateSequence, TimedWord
-
-
-def _until_bases(f: list, g: list, w: tuple, J: int = 1, last=None) -> list:
-    """The bases of the strict dense Until f U_w g, on keys.
-
-    A base t satisfies it exactly when some maximal part <l,u> of f has l <= t
-    and a witness t' in g with t < t' <= u and t' - t in w: the open (t, t')
-    then lies inside that one part, since distinct maximal parts are separated
-    by at least a missing point.  So per part, the bases run from the point
-    right before the part (its floor), and the witnesses are g's inside the
-    part or at the point right after it, back-shifted through w.  The witness
-    windows of consecutive parts are disjoint and in order, so one two-pointer
-    pass over f and g finds every witness (the until construction of Maler &
-    Nickovic, FORMATS 2004).
-
-    Each time key owns J slots (J = 1 on the dense line; see `mixed` for the
-    lex line), and `last[T]` is the slot offset where time key T's last point
-    starts.  Distances are read off the time keys k // J, so only witnesses at
-    a strictly later time count.
-
-    The back-shift (`back_shift_keys`) runs inline, merging each base into the
-    last: a part's bases follow g's order and end before the next part's floor,
-    and none passes the domain (g lies in it, and w's lower end is over 0)."""
-    w_lo, w_hi = w
-    if w_lo == 0:  # a witness lies strictly in the future: drop 0 from the window
-        if w_hi < 1:
-            return []
-        w_lo = 1
-    bounded = w_hi != INF
-    J1, J3 = J - 1, 3 * J
-    out = []
-    top = -2  # the last base's upper key
-    j, ng = 0, len(g)
-    for f_lo, f_hi in f:
-        r = f_lo % J3
-        if r == 0:  # no point right before a closed time
-            floor = f_lo
-        elif r == J:  # the part opens right after a time: that time's last point
-            floor = f_lo - J + (last.get(f_lo // J - 1, 0) if last else 0)
-        else:
-            floor = f_lo - 1
-        z_lo = floor - floor % J + J  # the window starts after the floor's time
-        z_hi = f_hi if (f_hi + 1) % J3 == J else f_hi + 1
-        if z_lo > z_hi:
-            continue
-        while j < ng and g[j][1] < z_lo:
-            j += 1
-        k = j  # g[k] may reach into the next window too: the next part starts at j
-        while k < ng:
-            g_lo, g_hi = g[k]
-            if g_lo > z_hi:
-                break
-            k += 1
-            hi = (z_hi if g_hi > z_hi else g_hi) // J - w_lo  # offsets add: two open ends make one
-            hi = (hi + 1 if hi % 3 == 1 else hi) * J + J1
-            lo = floor
-            if bounded:
-                b = (z_lo if g_lo < z_lo else g_lo) // J - w_hi
-                b = (b - 1 if b % 3 == 2 else b) * J
-                if b > lo:
-                    lo = b
-            if lo > hi:
-                continue
-            if lo <= top + 1:  # touches or overlaps the last base
-                if hi > top:
-                    out[-1] = (out[-1][0], hi)
-                    top = hi
-            else:
-                out.append((lo, hi))
-                top = hi
-    return out
 
 
 def _same_block_bases(f: list, g: list, later: list, J: int, last: dict) -> list:

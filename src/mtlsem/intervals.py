@@ -15,10 +15,10 @@ bound keeps the key `INF`.  A key list is a sorted list of such pairs.
 
 Each model carries its values on the base D0 of its timestamps (see
 `structures`).  The dense and mixed engines move them onto D, the lcm of D0 and
-their windows' denominators (`rebased`), and run every set operation as a
-sweep over key lists (the representation of Maler & Nickovic, FORMATS 2004).
-Every endpoint they produce is an input time plus or minus window bounds, so
-nothing leaves the base, and their results stay there as `IntervalSet`s.
+their windows' denominators (`rebased`), and run every set operation and the
+Until (`_until_bases`) as a sweep over key lists (after Maler & Nickovic,
+FORMATS 2004).  Every endpoint they make is an input time plus or minus window
+bounds, so nothing leaves the base; their results stay there as `IntervalSet`s.
 
 Rationals and intervals have one text grammar, `RATIONAL_TEXT` and
 `INTERVAL_TEXT`, and one reader, `rational_pair` (`rational_ticks` for a
@@ -364,24 +364,75 @@ def complement_keys(domain: tuple, keys) -> list:
     return out
 
 
-def back_shift_keys(lo, hi, w_lo, w_hi):
-    """back_shift on keys: the bases of the witnesses (lo, hi) through window (w_lo, w_hi)."""
+def _until_bases(f: list, g: list, w: tuple, J: int = 1, last=None) -> list:
+    """The bases of the strict dense Until f U_w g, on keys.
+
+    A base t satisfies it exactly when some maximal part <l,u> of f has l <= t
+    and a witness t' in g with t < t' <= u and t' - t in w: the open (t, t')
+    then lies inside that one part, since distinct maximal parts are separated
+    by at least a missing point.  So per part, the bases run from the point
+    right before the part (its floor), and the witnesses are g's inside the
+    part or at the point right after it, back-shifted through w.  The witness
+    windows of consecutive parts are disjoint and in order, so one two-pointer
+    pass over f and g finds every witness (the until construction of Maler &
+    Nickovic, FORMATS 2004).
+
+    Each time key owns J slots (J = 1 on the dense line; see `mixed` for the
+    lex line), and `last[T]` is the slot offset where time key T's last point
+    starts.  Distances are read off the time keys k // J, so only witnesses at
+    a strictly later time count.
+
+    The back-shift runs inline, merging each base into the last: a part's bases
+    follow g's order and end before the next part's floor, and none passes the
+    domain (g lies in it, and w's lower end is over 0)."""
+    w_lo, w_hi = w
     if w_lo == 0:  # a witness lies strictly in the future: drop 0 from the window
         if w_hi < 1:
-            return None
+            return []
         w_lo = 1
-    if w_hi == INF:
-        b_lo = 0
-    else:
-        b_lo = lo - w_hi  # the offsets of two ends add; two open ends make one open end
-        if b_lo % 3 == 2:
-            b_lo -= 1
-        if b_lo < 0:
-            b_lo = 0
-    b_hi = hi - w_lo
-    if b_hi != INF and b_hi % 3 == 1:
-        b_hi += 1
-    return (b_lo, b_hi) if b_lo <= b_hi else None
+    bounded = w_hi != INF
+    J1, J3 = J - 1, 3 * J
+    out = []
+    top = -2  # the last base's upper key
+    j, ng = 0, len(g)
+    for f_lo, f_hi in f:
+        r = f_lo % J3
+        if r == 0:  # no point right before a closed time
+            floor = f_lo
+        elif r == J:  # the part opens right after a time: that time's last point
+            floor = f_lo - J + (last.get(f_lo // J - 1, 0) if last else 0)
+        else:
+            floor = f_lo - 1
+        z_lo = floor - floor % J + J  # the window starts after the floor's time
+        z_hi = f_hi if (f_hi + 1) % J3 == J else f_hi + 1
+        if z_lo > z_hi:
+            continue
+        while j < ng and g[j][1] < z_lo:
+            j += 1
+        k = j  # g[k] may reach into the next window too: the next part starts at j
+        while k < ng:
+            g_lo, g_hi = g[k]
+            if g_lo > z_hi:
+                break
+            k += 1
+            hi = (z_hi if g_hi > z_hi else g_hi) // J - w_lo  # offsets add: two open ends make one
+            hi = (hi + 1 if hi % 3 == 1 else hi) * J + J1
+            lo = floor
+            if bounded:
+                b = (z_lo if g_lo < z_lo else g_lo) // J - w_hi
+                b = (b - 1 if b % 3 == 2 else b) * J
+                if b > lo:
+                    lo = b
+            if lo > hi:
+                continue
+            if lo <= top + 1:  # touches or overlaps the last base
+                if hi > top:
+                    out[-1] = (out[-1][0], hi)
+                    top = hi
+            else:
+                out.append((lo, hi))
+                top = hi
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +544,9 @@ def back_shift(q: Interval, i: Interval) -> Interval | None:
     """The set {t >= 0 : exists t' in q with t' - t in i and t' > t}, the time
     quantifier of the dense Until: the witness window q shifted back through i,
     with 0 dropped from i first, since a witness lies strictly in the future.
-    Always convex; None when empty."""
-    D, (q_keys, i_keys) = key_column((q, i))
-    keys = back_shift_keys(*q_keys, *i_keys)
-    return None if keys is None else key_intervals(D, [keys])[0]
+    Always convex; None when empty.  The Until's sweep of f = [0, q's end] and
+    g = q, with an unbounded q cut past every base's start, then given INF back."""
+    D, ((lo, hi), w) = key_column((q, i))
+    top = lo + w[0] + 3 if hi == INF else hi
+    keys = _until_bases([(0, top)], [(lo, top)], w)
+    return key_intervals(D, [(keys[0][0], INF if hi == INF else keys[0][1])])[0] if keys else None

@@ -29,8 +29,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import islice
-from operator import le, lt
+from itertools import compress, count, islice
+from operator import le, lt, ne
 
 from .errors import (
     AdjacencyError,
@@ -161,28 +161,12 @@ def is_strictly_monotone(rho: TimedWord) -> bool:
     return all(map(lt, ticks, islice(ticks, 1, None)))
 
 
-@dataclass(frozen=True)
-class MfsIndex:
-    """Last indices of the maximal flat subsequences of a time sequence."""
-
-    boundaries: tuple
-
-    def runs(self):
-        """(start, end) index pairs, inclusive, one per maximal flat run."""
-        out = []
-        start = 0
-        for end in self.boundaries:
-            out.append((start, end))
-            start = end + 1
-        return out
-
-
-def mfs_decompose(times) -> MfsIndex:
-    times = tuple(times)
+def mfs_decompose(times) -> tuple:
+    """The last index of each maximal flat subsequence (run of equal times)."""
+    times = tuple(times)  # a tuple is not copied
     if not times:
         raise EmptyWordError("empty time sequence")
-    last = len(times) - 1
-    return MfsIndex(tuple([i for i in range(last) if times[i] != times[i + 1]] + [last]))
+    return (*compress(count(), map(ne, times, islice(times, 1, None))), len(times) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,88 @@
+"""The console contract, in process: each hand-written check of the CI "Console
+script" step, run through `cli.main` with the same argv and inputs and the same
+byte and exit-code comparisons.  The CI step keeps what needs the installed
+entry point."""
+
+import json
+
+import pytest
+
+from mtlsem.cli import main
+
+LASSO = ('{"events": [["a", "0"], ["b", "1/2"]], "period": {"actions": ["c", "a"], '
+         '"duration": "3/2", "offsets": ["1/3", "1"]}}\n')
+STAMPS = ('{"events": [["a", "0"], ["b", "1/2"], ["a", "1/2"], ["a", "1/2"], ["c", "2"], '
+          '["a", "2"], ["b", "3"]]}\n')
+
+# argv, and the bytes it prints
+PRINTS = [
+    # a lasso prints back byte for byte
+    (["encode", "--to", "word", "--word", "lasso.json"], LASSO),
+    # its compact form groups the period's blocks on the period's own ticks
+    (["encode", "--to", "compact", "--word", "lasso.json"],
+     '{"period": {"blocks": [[["c"], "1/3"], [["a"], "1"]], "duration": "3/2"}, '
+     '"prefix": {"blocks": [[["a"], "0"], [["b"], "1/2"]]}}\n'),
+    # its state sequence is the image of the prefix and two periods
+    (["encode", "--to", "tss", "--word", "lasso.json"],
+     '{"steps": [[["a"], "[0,0]"], [[], "(0,1/2)"], [["b"], "[1/2,1/2]"], [[], "(1/2,5/6)"], '
+     '[["c"], "[5/6,5/6]"], [[], "(5/6,3/2)"], [["a"], "[3/2,3/2]"], [[], "(3/2,7/3)"], '
+     '[["c"], "[7/3,7/3]"], [[], "(7/3,3)"], [["a"], "[3,3]"]]}\n'),
+]
+
+# argv, and a text its output holds
+HOLDS = [
+    (["check", "--word", "lasso.json"], '"kind": "lasso"'),
+    # the one-bit pointwise verdict of a lasso
+    (["eval", "--semantics", "pw", "--formula", "F c", "--word", "lasso.json"],
+     '"verdict": "true"'),
+]
+
+G = "G[0,4](a -> F[1,3] b)"
+# the options after `eval` or `oracle` whose verdicts must exit alike: the root
+# of a G formula is a pending complement, answered without a walk; mx merges the
+# (a, a) slots of the block (b, a, a) at 1/2 as it appends them
+VERDICTS = ([["--semantics", s, "--time", "5/2", "--formula", G] for s in ("itw", "its", "mx")]
+            + [["--semantics", "mx", *at.split(), "--formula", f]
+               for f in ("a U[0,1] c", G)
+               for at in ("--time 1/2 --pos 0", "--time 1/2 --pos 1", "--time 1/2 --pos 2",
+                          "--time 1")])
+
+
+@pytest.fixture(autouse=True)
+def inputs(tmp_path, monkeypatch):
+    (tmp_path / "lasso.json").write_text(LASSO)
+    (tmp_path / "stamps.json").write_text(STAMPS)
+    monkeypatch.chdir(tmp_path)
+
+
+def run(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, want", PRINTS, ids=[argv[2] for argv, _ in PRINTS])
+def test_prints_the_pinned_bytes(capsys, argv, want):
+    assert run(capsys, argv) == (0, want)
+
+
+@pytest.mark.parametrize("argv, text", HOLDS, ids=[argv[0] for argv, _ in HOLDS])
+def test_output_holds(capsys, argv, text):
+    code, out = run(capsys, argv)
+    assert code == 0 and text in out
+
+
+def test_itw_and_its_print_the_same_sets(capsys):
+    # itw and its build their atoms apart: on simultaneous events and an action
+    # repeated at one stamp they print the same sets
+    formula = "G[0,1] (a -> F(0,2] b) | (a U(1/2,2] c)"
+    itw, its = (json.loads(run(capsys, ["satset", "--semantics", s, "--formula", formula,
+                                        "--word", "stamps.json"])[1])["sets"]
+                for s in ("itw", "its"))
+    assert itw == its
+
+
+@pytest.mark.parametrize("options", VERDICTS, ids=" ".join)
+def test_eval_exits_as_the_oracle_does(capsys, options):
+    tail = [*options, "--word", "stamps.json"]
+    code = run(capsys, ["eval", *tail])[0]
+    assert code in (0, 1) and code == run(capsys, ["oracle", *tail])[0]

@@ -38,6 +38,7 @@ from mtlsem.structures import (
     validate_tss,
     word,
 )
+from test_structures import mfs_runs
 
 RHO1 = word([("a", "0"), ("b", "1"), ("a", "1"), ("c", "3.3")])
 RHO2 = word([("a", "0"), ("a", "1"), ("b", "1"), ("c", "3.3")])
@@ -70,14 +71,14 @@ def compact_by_runs(w):
     """compact through the maximal flat runs of the time column."""
     acts, times = w.actions, w.times
     return CompactTimedWord(tuple(
-        (acts[start:end + 1], times[start]) for start, end in mfs_decompose(times).runs()))
+        (acts[start:end + 1], times[start]) for start, end in mfs_runs(mfs_decompose(times))))
 
 
 def compact_by_run_pairs(w):
     """compact through the (start, end) run pairs of the tick column: the
     slices, then each run's first tick."""
     D0, ticks = w.ticks
-    runs = mfs_decompose(ticks).runs()
+    runs = mfs_runs(mfs_decompose(ticks))
     return CompactTimedWord.on_base(tuple([w.actions[i:j + 1] for i, j in runs]), D0,
                                     [ticks[i] for i, _ in runs])
 
@@ -356,6 +357,13 @@ class TestPreimages:
             (("a", Fraction(0)), ("a", Fraction(1)), ("b", Fraction(1))),
             (("a", Fraction(0)), ("b", Fraction(1)), ("a", Fraction(1))),
         }
+
+    def test_limit_caps_the_words(self):
+        kappa = word_to_tss(word([("a", 0), ("b", 0), ("c", 1)]))
+        assert len(stutter_free_preimages(kappa)) == 2
+        assert stutter_free_preimages(kappa, limit=0) == []
+        assert [w.events for w in stutter_free_preimages(kappa, limit=1)] == [
+            (("a", Fraction(0)), ("b", Fraction(0)), ("c", Fraction(1)))]
 
     def test_only_action_based_sequences_have_preimages(self):
         kappa = validate_tss([[["a"], "[0,1]"]])  # a non-punctual step holds an action

@@ -24,10 +24,13 @@ from mtlsem.interval_based import (
 )
 from mtlsem.intervals import (
     INF,
-    back_shift_keys,
+    back_shift,
     complement_keys,
     intersect_keys,
+    interval,
     interval_keys,
+    key_column,
+    key_intervals,
     merge_keys,
     normalize_keys,
     rebased,
@@ -309,6 +312,43 @@ class TestConvertedOnRead:
 
 # ---------------------------------------------------------------------------
 # the one-pass Until against the per-witness back-shift it replaced
+
+def back_shift_keys(lo, hi, w_lo, w_hi):
+    """The back-shift of one witness key pair (lo, hi) through the window
+    (w_lo, w_hi), as it stood before `_until_bases` took it inline: the frozen
+    reference that pins `back_shift` and the one-pass Until's open-end arithmetic."""
+    if w_lo == 0:  # a witness lies strictly in the future: drop 0 from the window
+        if w_hi < 1:
+            return None
+        w_lo = 1
+    if w_hi == INF:
+        b_lo = 0
+    else:
+        b_lo = lo - w_hi  # the offsets of two ends add; two open ends make one open end
+        if b_lo % 3 == 2:
+            b_lo -= 1
+        if b_lo < 0:
+            b_lo = 0
+    b_hi = hi - w_lo
+    if b_hi != INF and b_hi % 3 == 1:
+        b_hi += 1
+    return (b_lo, b_hi) if b_lo <= b_hi else None
+
+
+def test_back_shift_equals_the_frozen_keys_on_the_half_grid():
+    """Every pair of intervals with ends in {0, 1/2, ..., 4} or at inf."""
+    ends = [Fraction(k, 2) for k in range(9)]
+    ivs = [interval(lo, hi, lc, hc) for lo in ends for hi in ends + [INF]
+           for lc in (True, False) for hc in (True, False)
+           if (lo < hi or lo == hi and lc and hc) and (hi != INF or not hc)]
+    assert len(ivs) == 171
+    for q in ivs:
+        for i in ivs:
+            D, (q_keys, i_keys) = key_column((q, i))
+            keys = back_shift_keys(*q_keys, *i_keys)
+            assert back_shift(q, i) == (None if keys is None else key_intervals(D, [keys])[0]), (
+                str(q), str(i))
+
 
 def _reference_until_bases(f, g, w, domain, J=1, last=None):
     """`_until_bases` as a back_shift_keys call per witness, then one

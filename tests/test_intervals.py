@@ -223,6 +223,13 @@ def test_back_shift_spec_examples():
     assert back_shift(iv("[2,2]"), iv("[1,1]")) == iv("[1,1]")
 
 
+def test_back_shift_of_an_unbounded_witness_window():
+    assert back_shift(iv("[1,inf)"), iv("[0,inf)")) == iv("[0,inf)")
+    assert back_shift(iv("(2,inf)"), iv("[1,1]")) == iv("(1,inf)")
+    assert back_shift(iv("[0,inf)"), iv("[0,0]")) is None
+    assert back_shift(iv("(0,inf)"), iv("(3/2,5/2]")) == iv("[0,inf)")
+
+
 def test_back_shift_punctual_zero_constraint_is_empty():
     assert back_shift(iv("[5,5]"), iv("[0,0]")) is None
 

@@ -152,21 +152,36 @@ def brute_mfs(times):
     return tuple(bounds)
 
 
+def mfs_runs(ends):
+    """(start, end) index pairs, inclusive, one per maximal flat run, from the
+    run ends that mfs_decompose returns."""
+    return list(zip((0, *[e + 1 for e in ends[:-1]]), ends))
+
+
 class TestMfs:
     def test_swap_word_runs(self):
         times = word(RHO1).times
         assert brute_mfs(times) == (0, 2, 3)
-        assert mfs_decompose(times).boundaries == (0, 2, 3)
+        assert mfs_decompose(times) == (0, 2, 3)
+        assert mfs_decompose(word(RHO1).ticks[1]) == (0, 2, 3)  # (0, 10, 10, 33) on D0 = 10
 
     def test_strictly_increasing_all_trivial(self):
-        assert mfs_decompose([Fraction(0), Fraction(1), Fraction(2)]).boundaries == (0, 1, 2)
+        assert mfs_decompose([Fraction(0), Fraction(1), Fraction(2)]) == (0, 1, 2)
+        assert mfs_decompose([0, 1, 2]) == (0, 1, 2)
 
     def test_constant_pair(self):
-        assert mfs_decompose([Fraction(0), Fraction(0)]).boundaries == (1,)
+        assert mfs_decompose([Fraction(0), Fraction(0)]) == (1,)
+        assert mfs_decompose((0, 0)) == (1,)
 
     def test_empty(self):
         with pytest.raises(EmptyWordError, match="^empty time sequence$"):
             mfs_decompose([])
+        with pytest.raises(EmptyWordError, match="^empty time sequence$"):
+            mfs_decompose(iter(()))
+
+    def test_an_iterator_is_read_once(self):
+        assert mfs_decompose(iter([3, 3, 5])) == (1, 2)
+        assert mfs_decompose(t for t in [Fraction(1, 2)]) == (0,)
 
     def test_runs_partition_fuzzed(self):
         rng = random.Random(5)
@@ -176,9 +191,10 @@ class TestMfs:
             for _ in range(rng.randint(1, 10)):
                 times.append(t)
                 t += rng.choice([Fraction(0), Fraction(1, 2), Fraction(1)])
-            idx = mfs_decompose(times)
-            assert idx.boundaries == brute_mfs(times)
-            runs = idx.runs()
+            ends = mfs_decompose(times)
+            assert type(ends) is tuple and ends == brute_mfs(times)
+            assert mfs_decompose([int(2 * t) for t in times]) == ends  # the ticks on D0 = 2
+            runs = mfs_runs(ends)
             flat = [i for s, e in runs for i in range(s, e + 1)]
             assert flat == list(range(len(times)))
             for s, e in runs:
