@@ -216,5 +216,4 @@ def eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
 def eval_itw_lasso(l: Lasso, f: Formula) -> bool:
     """Exact verdict at time 0 of the unrolled infinite word."""
     rho, g = lasso_instance(l, f)
-    table, _ = _itw_table(rho, g)
-    return table.holds(g, 0)
+    return eval_itw(rho, 0, g)

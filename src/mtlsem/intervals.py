@@ -21,11 +21,11 @@ FORMATS 2004).  Every endpoint they make is an input time plus or minus window
 bounds, so nothing leaves the base; their results stay there as `IntervalSet`s.
 
 Rationals and intervals have one text grammar, `RATIONAL_TEXT` and
-`INTERVAL_TEXT`, and one reader, `rational_pair` (`rational_ticks` for a
-column).  A rational is "p/q" (spaces allowed around the slash, q nonzero) or a
-terminating decimal; an interval is a bracket, a rational, a comma, a rational
-or "inf", and a bracket.  `--time`, JSON timestamps, state-sequence intervals
-and formula windows all read through them, so they accept the same text.
+`INTERVAL_TEXT`, and one reader each, `rational_pair` (`rational_ticks` for a
+column) and `interval_pair` (to keys).  A rational is "p/q" (spaces allowed
+around the slash, q nonzero) or a terminating decimal; an interval is a bracket,
+a rational, a comma, a rational or "inf", and a bracket.  `--time`, JSON stamps,
+state-sequence steps and formula windows all read through them, alike.
 """
 
 from __future__ import annotations
@@ -88,6 +88,24 @@ def rational_ticks(texts) -> tuple:
     return D, [n * (D // d) for n, d in map(pair_of.__getitem__, texts)]
 
 
+def interval_pair(text: str) -> tuple:
+    """(d, the (lo, hi) key pair of an `INTERVAL_TEXT` on d), d the least base of
+    its two ends: each end's (numerator, denominator) reduced by its own gcd."""
+    m = _INTERVAL.fullmatch(text)
+    if not m:
+        raise MtlsemError(f"not an interval: {text!r}")
+    lbr, lo, lw, lf, ld, hi, hw, hf, hd, rbr = m.groups("")  # each end and its three groups
+    if hi == "inf" and rbr == "]":
+        raise MtlsemError(f"infinite upper bound must be open: {text!r}")
+    ends = [_pair(lo, lw, lf, ld), (0, 1) if hi == "inf" else _pair(hi, hw, hf, hd)]
+    (a, p), (b, q) = [(x // g, y // g) for x, y in ends for g in (math.gcd(x, y),)]
+    d = math.lcm(p, q)
+    keys = 3 * a * (d // p) + (lbr == "("), INF if hi == "inf" else 3 * b * (d // q) - (rbr == ")")
+    if keys[0] > keys[1]:
+        raise MtlsemError(f"empty interval: {key_texts(d, [keys])[0]}")
+    return d, keys
+
+
 def rational(value) -> Fraction:
     """Parse a nonnegative rational from `RATIONAL_TEXT`, an int or a Fraction."""
     if isinstance(value, str):
@@ -133,8 +151,9 @@ class Interval:
             raise MtlsemError("intervals live over nonnegative values")
         if isinstance(self.lo.value, float) and self.lo.value == INF:
             raise MtlsemError("lower bound must be finite")
-        if not _lo_key(self.lo) <= _hi_key(self.hi):
-            raise MtlsemError(f"empty interval: {_fmt(self.lo, self.hi)}")
+        _, (lo, hi) = self.keys
+        if lo > hi:
+            raise MtlsemError(f"empty interval: {self}")
 
     def __hash__(self) -> int:
         # computed once: formulas are interned by a key holding their window
@@ -144,11 +163,19 @@ class Interval:
             object.__setattr__(self, "_hash", h)
         return h
 
+    @property
+    def keys(self) -> tuple:
+        """(d, the key pair on d), d the least base of the two ends."""
+        d = time_base((self.lo.value, self.hi.value))
+        return d, interval_keys(self, d)
+
     def contains(self, t: Fraction) -> bool:
-        return _lo_key(self.lo) <= (t, 0) <= _hi_key(self.hi)
+        d, (lo, hi) = self.keys
+        return lo <= time_key(t, d) <= hi
 
     def __str__(self) -> str:
-        return _fmt(self.lo, self.hi)
+        d, pair = self.keys
+        return key_texts(d, [pair])[0]
 
 
 def interval(lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> Interval:
@@ -158,36 +185,14 @@ def interval(lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> Interval
 
 
 def punctual(t) -> Interval:
-    t = t if isinstance(t, Fraction) else rational(t)
-    return interval(t, t, True, True)
+    return interval(t, t)
 
 
 def parse_interval(text: str) -> Interval:
-    """Parse `INTERVAL_TEXT`: "[l,u]", "(l,u]", "[l,u)" or "(l,u)"; u may be "inf" if open."""
-    m = _INTERVAL.fullmatch(text)
-    if not m:
-        raise MtlsemError(f"not an interval: {text!r}")
-    lbr, lo, lw, lf, ld, hi, hw, hf, hd, rbr = m.groups("")  # each end and its three groups
-    if hi == "inf" and rbr == "]":
-        raise MtlsemError(f"infinite upper bound must be open: {text!r}")
-    return interval(Fraction(*_pair(lo, lw, lf, ld)),
-                    INF if hi == "inf" else Fraction(*_pair(hi, hw, hf, hd)),
-                    lbr == "[", rbr == "]")
-
-
-def _lo_key(b: Bound):
-    """A single interval's lower end as a (value, epsilon) pair, for point tests."""
-    return (b.value, 0 if b.closed else 1)
-
-
-def _hi_key(b: Bound):
-    return (b.value, 0 if b.closed else -1)
-
-
-def _fmt(lo: Bound, hi: Bound) -> str:
-    l = "[" if lo.closed else "("
-    r = "]" if hi.closed else ")"
-    return f"{l}{rat_str(lo.value)},{rat_str(hi.value)}{r}"
+    """The Interval of an `INTERVAL_TEXT`, read by `interval_pair`."""
+    D, (lo, hi) = interval_pair(text)
+    return interval(Fraction((lo + 1) // 3, D), INF if hi == INF else Fraction((hi + 1) // 3, D),
+                    lo % 3 == 0, hi != INF and hi % 3 == 0)
 
 
 # ---------------------------------------------------------------------------

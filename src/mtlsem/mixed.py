@@ -17,21 +17,22 @@ every set is a union of whole lex points.  Atoms are the slots of their
 positions, merged as one walk over the blocks appends them: an (a, a) pair
 inside a block takes adjacent slots, and slots of two blocks never touch, since
 a block's lie in its stamp's time key 3v and the open keys 3v +- 1 between
-blocks keep their own J slots each.  A result reads its grid (D, J, block
-starts, blocks) from that walk.  `beta` is the complement of the slots 3vJ + 1
-to 3vJ + J - 1 of every block with s >= 2.  When the window holds 0, an Until's
-base (v, j) also holds if a later position of its own block holds g with f at
-every position strictly between them (`interval_based._same_block_bases`).
+blocks keep their own J slots each.  A result reads its grid from that walk,
+and its points and gaps in one walk of its own.  `beta` is the complement of
+the slots 3vJ + 1 to 3vJ + J - 1 of every block with s >= 2.  When the window
+holds 0, an Until's base (v, j) also holds if a later position of its own block
+holds g with f at every position strictly between them
+(`interval_based._same_block_bases`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 
 from .formulas import Formula, atoms, finite_window_bounds
-from .intervals import IntervalSet, merge_keys, rational, rebased, time_key
+from .intervals import IntervalSet, rational, rebased, time_key
 from .structures import CompactTimedWord, Lasso
 from .encodings import block_index_at, compact, lasso_instance
 from .interval_based import _sat_dense
@@ -49,11 +50,10 @@ class MixedSet:
     """Satisfaction set for the mixed semantics: grid points plus gap intervals.
 
     A set holds its `points` and `gap`, or `lex`: its lex-key list and its
-    table's grid (D, J, block starts, blocks), from which `point_list` (the
-    points in lex order), `points` and `gap` are built on first read."""
+    table's grid (D, J, block starts, blocks), read on first use in one walk."""
 
     def __init__(self, points: frozenset, gap: IntervalSet):
-        self.__dict__.update(points=points, gap=gap)
+        self.__dict__.update(points=points, _read=(sorted(points), gap))
 
     @classmethod
     def on_grid(cls, keys: list, grid: tuple) -> "MixedSet":
@@ -62,31 +62,28 @@ class MixedSet:
         return s
 
     @cached_property
-    def point_list(self) -> list:
-        keys, (_, _, starts, blocks) = self.lex
-        points = []
-        for lo, hi in keys:  # the blocks from the last start <= lo to the last start <= hi
-            points += [(k, j) for k in range(bisect_right(starts, lo) - 1,
-                                             bisect_right(starts, hi))
-                       for j in range(max(lo - starts[k], 0),
-                                      min(hi - starts[k] + 1, len(blocks[k])))]
-        return points
+    def _read(self) -> tuple:
+        """(point_list, gap): each part's points, and its time keys [lo // J,
+        hi // J] less the block stamps in it.  A gap time key holds all J slots
+        or none and parts never touch: the pieces come sorted and disjoint."""
+        keys, (D, J, starts, blocks) = self.lex
+        points, gap, k = [], [], 0
+        for lo, hi in keys:
+            k = bisect_right(starts, lo - J, k)  # the first block whose slots reach lo
+            T = lo // J  # the part's first time key not yet read
+            for k in range(k, bisect_right(starts, hi, k)):
+                s = starts[k]
+                points += [(k, j) for j in range(max(lo - s, 0), min(hi - s + 1, len(blocks[k])))]
+                if T < s // J:
+                    gap.append((T, s // J - 1))
+                T = s // J + 1
+            if T <= hi // J:
+                gap.append((T, hi // J))
+        return points, IntervalSet.on_base(D, gap)
 
+    point_list = property(lambda self: self._read[0])
     points = cached_property(lambda self: frozenset(self.point_list))
-
-    @cached_property
-    def gap(self) -> IntervalSet:
-        keys, (D, J, starts, _) = self.lex
-        parts = []  # the time keys k // J, less the block stamps inside each part
-        for lo, hi in merge_keys((lo // J, hi // J) for lo, hi in keys):
-            for k in range(bisect_left(starts, lo * J), bisect_right(starts, hi * J)):
-                stamp = starts[k] // J
-                if lo < stamp:
-                    parts.append((lo, stamp - 1))
-                lo = stamp + 1
-            if lo <= hi:
-                parts.append((lo, hi))
-        return IntervalSet.on_base(D, parts)
+    gap = property(lambda self: self._read[1])
 
     def __eq__(self, other):
         return (isinstance(other, MixedSet)
@@ -152,5 +149,4 @@ def eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
 def eval_mx_lasso(l: Lasso, f: Formula) -> bool:
     """Exact verdict at (0, 0) of the unrolled infinite word."""
     rho, g = lasso_instance(l, f)
-    table, (_, _, starts, _) = _mx_table(compact(rho), g)
-    return table.holds(g, starts[0])
+    return eval_mx(compact(rho), 0, 0, g)

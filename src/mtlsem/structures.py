@@ -43,13 +43,13 @@ from .errors import (
 from .intervals import (
     INF,
     Interval,
-    key_column,
+    interval_pair,
     key_intervals,
     key_texts,
-    parse_interval,
     rat_str,
     rational,
     rational_ticks,
+    scaled_keys,
     tick_column,
     tick_text,
     time_key,
@@ -227,14 +227,14 @@ class TimedStateSequence:
 def validate_tss(steps, allow_nonzero_start: bool = False) -> TimedStateSequence:
     """Check the steps on their keys, returning the sequence: neighbours are
     adjacent (a lower key one past the upper key before it), the first starts
-    closed at 0 unless `allow_nonzero_start`, and the last ends closed."""
-    steps = tuple(
-        (frozenset(props), iv if isinstance(iv, Interval) else parse_interval(iv))
-        for props, iv in steps
-    )
+    closed at 0 unless `allow_nonzero_start`, and the last ends closed.  Each
+    step's interval (a text, an Interval or its (d, key pair)) moves to D0."""
+    steps = [(frozenset(props), interval_pair(iv) if isinstance(iv, str)
+              else iv.keys if isinstance(iv, Interval) else iv) for props, iv in steps]
     if not steps:
         raise EmptyWordError("empty timed state sequence")
-    D0, keys = key_column([iv for _, iv in steps])
+    D0 = math.lcm(*{d for _, (d, _) in steps})
+    keys = [k for _, (d, pair) in steps for k in scaled_keys([pair], D0 // d)]
     for pos in range(1, len(keys)):
         if keys[pos][0] != keys[pos - 1][1] + 1:
             raise AdjacencyError(pos)
@@ -443,7 +443,7 @@ def tss_from_json(obj, allow_nonzero_start: bool = False) -> TimedStateSequence:
                 f"malformed input: steps[{i}] must be a [propositions, interval] pair")
         props = _strings(st[0], f"steps[{i}][0]")
         try:
-            steps.append((props, parse_interval(st[1])))
+            steps.append((props, interval_pair(st[1])))
         except MtlsemError as exc:
             raise MtlsemError(f"malformed input: steps[{i}][1]: {exc}") from None
     return validate_tss(steps, allow_nonzero_start=allow_nonzero_start)

@@ -48,6 +48,33 @@ VERDICTS = ([["--semantics", s, "--time", "5/2", "--formula", G] for s in ("itw"
                           "--time 1")])
 
 
+# formula, and the bytes `satset --semantics mx` prints for it on stamps.json:
+# points in lex order, gaps cut at the block stamps inside each part
+MX_SETS = {
+    "!a U(0,1] b":
+        '{"semantics": "mx", "sets": [{"formula": "a", "gaps": [], "points": [[0, 0], [1, 1], '
+        '[1, 2], [2, 1]]}, {"formula": "!a", "gaps": ["(0,1/2)", "(1/2,2)", "(2,3)"], "points": '
+        '[[1, 0], [2, 0], [3, 0]]}, {"formula": "b", "gaps": [], "points": [[1, 0], [3, 0]]}, '
+        '{"formula": "(!a U(0,1] b)", "gaps": ["(0,1/2)", "(2,3)"], "points": [[0, 0], [2, 1]]}]}\n',
+    "F(0,1] !beta":
+        '{"semantics": "mx", "sets": [{"formula": "a", "gaps": [], "points": [[0, 0], [1, 1], '
+        '[1, 2], [2, 1]]}, {"formula": "!a", "gaps": ["(0,1/2)", "(1/2,2)", "(2,3)"], "points": '
+        '[[1, 0], [2, 0], [3, 0]]}, {"formula": "!(!a)", "gaps": [], "points": [[0, 0], [1, 1], '
+        '[1, 2], [2, 1]]}, {"formula": "(!a & !(!a))", "gaps": [], "points": []}, {"formula": '
+        '"!(!a & !(!a))", "gaps": ["(0,1/2)", "(1/2,2)", "(2,3)"], "points": [[0, 0], [1, 0], '
+        '[1, 1], [1, 2], [2, 0], [2, 1], [3, 0]]}, {"formula": "beta", "gaps": ["(0,1/2)", '
+        '"(1/2,2)", "(2,3)"], "points": [[0, 0], [1, 0], [2, 0], [3, 0]]}, {"formula": "!beta", '
+        '"gaps": [], "points": [[1, 1], [1, 2], [2, 1]]}, {"formula": "(!(!a & !(!a)) U(0,1] '
+        '!beta)", "gaps": ["(0,1/2)", "[1,2)"], "points": [[0, 0]]}]}\n',
+}
+
+# the state sequence of stamps.json, as `encode --to tss` prints it
+STAMPS_TSS = ('{"steps": [[["a"], "[0,0]"], [[], "(0,1/2)"], [["a", "b"], "[1/2,1/2]"], '
+              '[[], "(1/2,2)"], [["a", "c"], "[2,2]"], [[], "(2,3)"], [["b"], "[3,3]"]]}\n')
+ITS_FORMULA = "G[0,1] (a -> F(0,2] b) | (a U(1/2,2] c)"
+CHECKED_TSS = '{"action_based": true, "kind": "state-sequence", "length": 7, "valid": true}\n'
+
+
 @pytest.fixture(autouse=True)
 def inputs(tmp_path, monkeypatch):
     (tmp_path / "lasso.json").write_text(LASSO)
@@ -74,8 +101,7 @@ def test_output_holds(capsys, argv, text):
 def test_itw_and_its_print_the_same_sets(capsys):
     # itw and its build their atoms apart: on simultaneous events and an action
     # repeated at one stamp they print the same sets
-    formula = "G[0,1] (a -> F(0,2] b) | (a U(1/2,2] c)"
-    itw, its = (json.loads(run(capsys, ["satset", "--semantics", s, "--formula", formula,
+    itw, its = (json.loads(run(capsys, ["satset", "--semantics", s, "--formula", ITS_FORMULA,
                                         "--word", "stamps.json"])[1])["sets"]
                 for s in ("itw", "its"))
     assert itw == its
@@ -86,3 +112,28 @@ def test_eval_exits_as_the_oracle_does(capsys, options):
     tail = [*options, "--word", "stamps.json"]
     code = run(capsys, ["eval", *tail])[0]
     assert code in (0, 1) and code == run(capsys, ["oracle", *tail])[0]
+
+
+@pytest.mark.parametrize("formula", MX_SETS)
+def test_mx_sets_print_the_pinned_bytes(capsys, formula):
+    argv = ["satset", "--semantics", "mx", "--formula", formula, "--word", "stamps.json"]
+    assert run(capsys, argv) == (0, MX_SETS[formula])
+
+
+def test_the_encoded_state_sequence_reads_as_the_word(capsys, tmp_path):
+    assert run(capsys, ["encode", "--to", "tss", "--word", "stamps.json"]) == (0, STAMPS_TSS)
+    (tmp_path / "tss.json").write_text(STAMPS_TSS)
+    satset = ["satset", "--semantics", "its", "--formula", ITS_FORMULA, "--word"]
+    assert run(capsys, [*satset, "tss.json"]) == run(capsys, [*satset, "stamps.json"])
+    assert run(capsys, ["check", "--word", "tss.json"]) == (0, CHECKED_TSS)
+
+
+@pytest.mark.parametrize("half", ["0.50", "2/4", " 1 / 2 "])
+def test_a_step_spelled_otherwise_loads_to_the_same_bytes(capsys, tmp_path, half):
+    spelled = (STAMPS_TSS.replace('"(0,1/2)"', f'"(0,{half})"')
+               .replace('"[1/2,1/2]"', f'"[{half},{half}]"').replace('"(1/2,2)"', f'"({half}, 2)"'))
+    assert spelled.count(half) == 4
+    (tmp_path / "spelled.json").write_text(spelled)
+    satset = ["satset", "--semantics", "its", "--formula", ITS_FORMULA, "--word"]
+    assert run(capsys, [*satset, "spelled.json"]) == run(capsys, [*satset, "stamps.json"])
+    assert run(capsys, ["check", "--word", "spelled.json"]) == (0, CHECKED_TSS)

@@ -1,6 +1,7 @@
 """Mixed satisfaction over compact timed words: grid points plus gap intervals."""
 
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,14 @@ from mtlsem.encodings import block_index_at, compact
 from mtlsem.errors import OutOfDomainError
 from mtlsem.formulas import BETA, alphabet, atoms, finite_window_bounds, parse
 from mtlsem.interval_based import _sat_dense, eval_itw, sat_set_itw
-from mtlsem.intervals import IntervalSet, difference_keys, merge_keys, normalize_keys, rebased
+from mtlsem.intervals import (
+    IntervalSet,
+    difference_keys,
+    interval,
+    merge_keys,
+    normalize_keys,
+    rebased,
+)
 from mtlsem.mixed import (
     NO_ACTION,
     MixedSet,
@@ -456,10 +464,99 @@ class TestOneWalkTable:
         cw = compact(word(events))
         assert any(x == y for acts in cw.actions for x, y in zip(acts, acts[1:]))
         merged = []
-        real = mixed.merge_keys
-        monkeypatch.setattr(mixed, "merge_keys", lambda keys: merged.append(1) or real(keys))
+        # `mixed` imports no `merge_keys`: the patched name counts one put back
+        monkeypatch.setattr(mixed, "merge_keys", lambda keys: merged.append(1) or merge_keys(keys),
+                            raising=False)
         got = sat_set_mx(cw, parse("(a | b) U[0,2] c", ABC))
         got.points
         assert merged == []
         got.gap
-        assert merged == [1]  # the gap's own pass, through the patched name
+        assert merged == []  # the gap comes from the points' walk, with no pass of its own
+
+
+# ---------------------------------------------------------------------------
+# the one walk that reads an mx result, against the two walks it replaced
+
+
+def _two_walk_point_list(keys, grid):
+    """The point list as its own walk built it: per part, the blocks from the
+    last start <= lo to the last start <= hi."""
+    _, _, starts, blocks = grid
+    points = []
+    for lo, hi in keys:
+        points += [(k, j) for k in range(bisect_right(starts, lo) - 1, bisect_right(starts, hi))
+                   for j in range(max(lo - starts[k], 0), min(hi - starts[k] + 1, len(blocks[k])))]
+    return points
+
+
+def _two_walk_gap(keys, grid):
+    """The gap as its own walk built it: the time keys k // J merged, less the
+    block stamps inside each merged part."""
+    D, J, starts, _ = grid
+    parts = []
+    for lo, hi in merge_keys((lo // J, hi // J) for lo, hi in keys):
+        for k in range(bisect_left(starts, lo * J), bisect_right(starts, hi * J)):
+            stamp = starts[k] // J
+            if lo < stamp:
+                parts.append((lo, stamp - 1))
+            lo = stamp + 1
+        if lo <= hi:
+            parts.append((lo, hi))
+    return IntervalSet.on_base(D, parts)
+
+
+def _assert_read_as_the_two_walks(s):
+    keys, grid = s.lex
+    want = _two_walk_gap(keys, grid)
+    assert s.point_list == _two_walk_point_list(keys, grid), keys
+    assert s.gap.keys == want.keys and s.gap.part_texts() == want.part_texts(), keys
+
+
+# four blocks on the base 1 with J = 3: time key T owns the slots 3T to 3T + 2,
+# the blocks start at 0, 9, 18 and 27, and a block's last position owns its
+# spare slots
+HAND_CW = validate_compact([(("a", "b", "c"), 0), (("b",), 1), (("a", "a"), 2), (("c",), 3)])
+HAND_READS = {  # lex keys: (points, gap keys)
+    "starts inside a block": ([(1, 8)], ([(0, 1), (0, 2)], [(1, 2)])),
+    "ends inside a block": ([(12, 18)], ([(2, 0)], [(4, 5)])),
+    "starts in a gap past a block": ([(15, 17)], ([], [(5, 5)])),
+    "spans several blocks": ([(2, 29)], ([(0, 2), (1, 0), (2, 0), (2, 1), (3, 0)],
+                                         [(1, 2), (4, 5), (7, 8)])),
+    "parts share a block": ([(0, 0), (2, 5), (19, 20)], ([(0, 0), (0, 2), (2, 1)], [(1, 1)])),
+    "empty": ([], ([], [])),
+    "whole domain": ([(0, 29)], ([(0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (2, 1), (3, 0)],
+                                 [(1, 2), (4, 5), (7, 8)])),
+}
+
+
+class TestOneWalkReads:
+    def test_fuzzed(self):
+        for seed in range(600):
+            cw = compact(gen_word(seed))
+            for f in (gen_formula(seed, ABC, allow_beta=True), compile_itw(parse("a U c", ABC), ABC)):
+                for s in sat_sets_mx(cw, f).values():
+                    _assert_read_as_the_two_walks(s)
+
+    @pytest.mark.parametrize("case", HAND_READS)
+    def test_hand_cases(self, case):
+        keys, (points, gap) = HAND_READS[case]
+        s = MixedSet.on_grid(keys, _mx_table(HAND_CW, parse("a", ABC))[1])
+        assert (s.point_list, s.gap.keys) == (points, (1, gap))
+        _assert_read_as_the_two_walks(s)
+
+    def test_one_slot_per_time_key(self):
+        cw = compact(word([("a", 0), ("b", "1/2"), ("c", 2)]))  # J = 1, base 2: stamps 0, 3, 12
+        grid = _mx_table(cw, parse("a", ABC))[1]
+        assert grid[1] == 1
+        for keys, points, gap in [([(0, 12)], [(0, 0), (1, 0), (2, 0)], [(1, 2), (4, 11)]),
+                                  ([(2, 5)], [(1, 0)], [(2, 2), (4, 5)]),
+                                  ([(4, 11)], [], [(4, 11)])]:
+            s = MixedSet.on_grid(keys, grid)
+            assert (s.point_list, s.gap.keys) == (points, (2, gap))
+            _assert_read_as_the_two_walks(s)
+
+    def test_a_hand_made_set_reads_its_points_in_lex_order(self):
+        gap = IntervalSet.of(interval("1/2", 1, False, False))
+        s = MixedSet(frozenset({(2, 0), (0, 1), (1, 0), (0, 0)}), gap)
+        assert s.point_list == [(0, 0), (0, 1), (1, 0), (2, 0)]
+        assert s.gap is gap and s == MixedSet(frozenset(s.point_list), gap)

@@ -18,7 +18,17 @@ from mtlsem.errors import (
     OutOfDomainError,
 )
 from mtlsem.encodings import compact, uncompact
-from mtlsem.intervals import INF, interval, rat_str, tick_column
+from mtlsem.intervals import (
+    _INTERVAL,
+    INF,
+    _pair,
+    interval,
+    interval_pair,
+    key_column,
+    parse_interval,
+    rat_str,
+    tick_column,
+)
 from mtlsem.oracle import gen_lasso, gen_word
 from mtlsem.structures import (
     CompactTimedWord,
@@ -397,6 +407,44 @@ def _scan_at(kappa, t):
     return None
 
 
+# The state-sequence loader before `interval_pair`, frozen: each step text read
+# to an Interval through Fractions, then one `key_column` over the steps.
+
+def _interval_loader_parse(text):
+    m = _INTERVAL.fullmatch(text)
+    if not m:
+        raise MtlsemError(f"not an interval: {text!r}")
+    lbr, lo, lw, lf, ld, hi, hw, hf, hd, rbr = m.groups("")
+    if hi == "inf" and rbr == "]":
+        raise MtlsemError(f"infinite upper bound must be open: {text!r}")
+    return interval(Fraction(*_pair(lo, lw, lf, ld)),
+                    INF if hi == "inf" else Fraction(*_pair(hi, hw, hf, hd)),
+                    lbr == "[", rbr == "]")
+
+
+def _interval_loader_columns(obj):
+    steps = [(frozenset(props), _interval_loader_parse(text)) for props, text in obj["steps"]]
+    D0, keys = key_column([iv for _, iv in steps])
+    return D0, tuple(keys), tuple(props for props, _ in steps)
+
+
+def _spelled(rng, iv) -> str:
+    """iv's text with each end in one of the accepted forms (see `_texts`)."""
+    return (("[" if iv.lo.closed else "(") + str(_texts(rng, iv.lo.value)) + ","
+            + ("inf)" if iv.hi.value == INF else
+               str(_texts(rng, iv.hi.value)) + ("]" if iv.hi.closed else ")")))
+
+
+LONG = "9" * 5000  # past int's digit limit
+INTERVAL_SPELLINGS = [
+    "[0.50,1]", "[2/4,0.75]", "[1 / 2,3/4)", "( 1 / 2 , 2 )", " [0 ,1] ", "[00.250,7/4)",
+    "[0,inf)", "(1/3, inf)", "[0,0]", "(3,3.4]", "[3.10,31/10]", "[6/4,3/2]",
+    f"[1/{2**64 + 13},1]", f"[0,{2**70}/{3**40})",
+    # errors, each with its message
+    "[1,inf]", "[2,1/2]", "(1,1]", "[1,1)", "(1/2,2/4)", "[1,2", "[a,1]", "[1/0,2]",
+    "[-1,2]", "[inf,inf)", f"[0,{LONG}]", f"[0.5,{LONG}/3)", f"[0,1/{LONG})",
+]
+
 
 class TestLoadedStateSequences:
     def test_padded_and_unreduced_texts_load_on_the_least_base(self):
@@ -405,12 +453,55 @@ class TestLoadedStateSequences:
         gives their Intervals."""
         rng = random.Random(19)
         for kappa in _tss_corpus():
-            steps = [[sorted(props), ("[" if iv.lo.closed else "(") + str(_texts(rng, iv.lo.value))
-                      + "," + ("inf)" if iv.hi.value == INF else
-                               str(_texts(rng, iv.hi.value)) + ("]" if iv.hi.closed else ")"))]
-                     for props, iv in kappa.steps]
+            steps = [[sorted(props), _spelled(rng, iv)] for props, iv in kappa.steps]
             assert tss_from_json({"steps": steps}, allow_nonzero_start=True).columns \
                 == kappa.columns, steps
+
+    def test_texts_load_as_the_interval_loader_did(self):
+        rng = random.Random(20)
+        for kappa in _tss_corpus():
+            steps = [[sorted(props), _spelled(rng, iv)] for props, iv in kappa.steps]
+            obj = {"steps": steps}
+            assert tss_from_json(obj, allow_nonzero_start=True).columns \
+                == _interval_loader_columns(obj), steps
+
+    @pytest.mark.parametrize("text", INTERVAL_SPELLINGS)
+    def test_interval_pair_reads_as_the_interval_loader_did(self, text):
+        try:
+            want = key_column([_interval_loader_parse(text)])
+        except MtlsemError as exc:
+            with pytest.raises(MtlsemError) as got:
+                interval_pair(text)
+            assert str(got.value) == str(exc)
+            with pytest.raises(MtlsemError) as got:
+                parse_interval(text)
+            assert str(got.value) == str(exc)
+        else:
+            D, (pair,) = want
+            assert interval_pair(text) == (D, pair)
+            assert parse_interval(text) == _interval_loader_parse(text)
+
+    def test_loading_builds_no_interval(self, monkeypatch):
+        """A state-sequence JSON loads to keys: no `interval` and no
+        `key_intervals` call, in any module that holds the names."""
+        import sys
+
+        calls = []
+        for name in ("interval", "key_intervals"):
+            for module in [m for n, m in sys.modules.items() if n.startswith("mtlsem")]:
+                if hasattr(module, name):
+                    real = getattr(module, name)
+                    monkeypatch.setattr(module, name,
+                                        lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        kappa = tss_from_json({"steps": [[["a"], "[0,0]"], [[], "(0, 0.50)"], [["b"], "[2/4,1/2]"],
+                                         [[], "(1/2, 1)"], [[], "[1,1]"]]})
+        assert kappa.columns == (2, ((0, 0), (1, 2), (3, 3), (4, 5), (6, 6)),
+                                 (frozenset("a"), frozenset(), frozenset("b"), frozenset(),
+                                  frozenset()))
+        assert calls == []
+        kappa.steps  # the view is built on first read, through the patched name
+        assert calls == ["key_intervals"]
+
 
 class TestKeyedLookupAndRendering:
     def test_lookup_matches_a_linear_scan(self):
