@@ -48,7 +48,6 @@ SIMUL_AB = parse("F(a & b)", ABC)
 
 OPEN_END_B_C = parse("F[0,1](F[0,1) b & F[1,1] c)", ABC)      # closed outer start
 OPEN_START_B_C = parse("F(0,1](F[0,1) b & F[1,1] c)", ABC)    # open outer start
-SILENT_02 = parse("G(0,2] noact", ABC)
 MIX_ONLY = parse(
     "F(0,1](F[0,1) b & F[1,1] c) | (F(b & X[0,0] a) & G(0,2] noact)", ABC)
 

@@ -24,11 +24,11 @@ window's absolute ends once, then the scan: still the literal quantifier
 over later pieces, on `Fraction`s.  `differential` reads a table in piece
 order; a single lookup (oracle_eval_*) builds the table and reads one entry.
 
-The tables are filled bottom-up over the oracle's own post-order of the
-formula, found on an explicit stack (`_post_order`), not the engines'
-`formulas.fold`, so a fault there cannot hide in both, and they compute on
-`Fraction`s, not on the engines' integer time base.  Only `differential`,
-which compares an engine with its oracle, calls the engines.
+The tables, and the depth and window bounds of the critical values, are read
+off the oracle's own post-order of the formula (`_post_order`, an explicit
+stack), not the engines' `fold` or `subformulas`, so a fault there cannot hide
+in both.  They compare `Fraction`s and flags, never the engines' integer keys.
+Only `differential`, which compares an engine with its oracle, calls the engines.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ from .formulas import (
     Until,
     alphabet,
     f_true,
-    finite_window_bounds,
-    temporal_depth,
 )
 from .interval_based import sat_set_its, sat_set_itw
 from .intervals import INF, Interval, interval, punctual, rat_str, rational
@@ -90,8 +88,13 @@ def critical_values(structure, f: Formula):
     """
     vals, lo, hi = _base_values(structure)
     current = frontier = set(vals) | {lo, hi}
-    bounds = [b for b in finite_window_bounds(f) if b]
-    for _ in range(temporal_depth(f)):
+    depth, bounds = {}, set()  # each node's temporal depth; the window bounds
+    for node in _post_order(f):
+        depth[node] = (type(node) is Until) + max(map(depth.__getitem__, node.children), default=0)
+        if type(node) is Until:
+            bounds.update((node.window.lo.value, node.window.hi.value))
+    bounds -= {0, INF}
+    for _ in range(depth[f]):
         frontier = ({c for c in (t + b for t in frontier for b in bounds) if c <= hi}
                     | {c for c in (t - b for t in frontier for b in bounds) if c >= lo}) - current
         if not frontier:
@@ -227,11 +230,16 @@ def _its_oracle(kappa: TimedStateSequence, f: Formula, pieces):
     and every step's ends are critical values, so every step holds a piece and
     the walk moves at most one step per piece.  A piece that no step covers
     (the start of a left-open first step) holds no atoms."""
+    def covers(iv, t):  # the step's end values and flags against t
+        lo, hi = iv.lo, iv.hi
+        return ((lo.value < t or lo.closed and lo.value == t)
+                and (t < hi.value or hi.closed and t == hi.value))
+
     steps, k, holds = kappa.steps, 0, []
     for p in pieces:
-        if k + 1 < len(steps) and steps[k + 1][1].contains(p.rep):
+        if k + 1 < len(steps) and covers(steps[k + 1][1], p.rep):
             k += 1
-        holds.append(steps[k][0] if steps[k][1].contains(p.rep) else frozenset())
+        holds.append(steps[k][0] if covers(steps[k][1], p.rep) else frozenset())
     return _piece_truth(pieces, holds, f)
 
 

@@ -30,8 +30,6 @@ from mtlsem.structures import lasso, word
 ABC = alphabet("a,b,c")
 SIGMA = f_sigma(ABC)
 
-RHO1 = word([("a", "0"), ("b", "1"), ("a", "1"), ("c", "3.3")])
-
 
 class TestPwClauses:
     def test_atom_is_identity(self):

@@ -17,20 +17,14 @@ import pytest
 from mtlsem import oracle
 from mtlsem.cli import main
 from mtlsem.encodings import compact, word_to_tss
-from mtlsem.formulas import FULL, And, Atom, Not, alphabet, f_globally, f_or, parse, to_text
-from mtlsem.gallery import no_simultaneous
+from mtlsem.formulas import And, Atom, parse, to_text
 from mtlsem.interval_based import eval_itw_lasso, sat_set_its, sat_set_itw, sat_sets_itw
 from mtlsem.mixed import eval_mx_lasso, sat_set_mx
 from mtlsem.oracle import oracle_eval_its, oracle_eval_itw, oracle_eval_mx, oracle_eval_pw
 from mtlsem.pointwise import eval_pw_lasso, sat_positions
 from mtlsem.structures import lasso, word, word_to_json
+from shared import CASES, CHAINS, CONJUNCTS, LASSO_CASES, S0_S1, WIDE
 
-WIDE = alphabet([f"s{i}" for i in range(200)])
-S1_S2 = word([("s1", "0"), ("s2", "1/2"), ("s1", "1/2"), ("s2", "2"), ("s1", "7/2")])
-S0_S1 = word([("s0", "0"), ("s1", "1"), ("s0", "1"), ("s1", "3/2"), ("s0", "4")])
-NEGATIONS = "!" * 600 + "s0"
-
-CASES = [(S1_S2, "F sigma", "F (s1 | s2)"), (S0_S1, NEGATIONS, "s0")]
 ENGINES = {
     "pw": sat_positions,
     "itw": sat_set_itw,
@@ -48,8 +42,6 @@ def test_engines_match_the_shallow_formula(engine, rho, deep, shallow):
 
 # s1 at 1/2 and an s2 at every integer from 1 on; never s3
 LASSO = lasso(word([("s0", "0"), ("s1", "1/2")]), ["s1", "s2"], ["1/2", "1"], "1")
-LASSO_CASES = [("G F " * 50 + "s2", "G F s2", True), ("G F " * 50 + "s3", "G F s3", False),
-               ("F sigma", "F (s1 | s2)", True)]
 LASSO_ENGINES = {
     "pw": eval_pw_lasso,
     "itw": eval_itw_lasso,
@@ -105,37 +97,6 @@ def test_cli_matches_the_shallow_formula(tmp_path, capsys, rho, deep, shallow):
             code, out = _cli(capsys, "eval", "--semantics", sem, "--formula", text, *where, *common)
             verdicts.append((code, json.loads(out)["verdict"]))
         assert verdicts[0] == verdicts[1], sem
-
-
-def _right_fold(join, operands):
-    f = operands[-1]
-    for g in reversed(operands[:-1]):
-        f = join(g, f)
-    return f
-
-
-def _negations(n, f):
-    for _ in range(n):
-        f = Not(f)
-    return f
-
-
-def _no_simultaneous_built(sigma):
-    syms = sigma.symbols
-    pairs = [And(Atom(x), Atom(y)) for i, x in enumerate(syms) for y in syms[i + 1:]]
-    clause = Not(_right_fold(f_or, pairs))
-    return And(clause, f_globally(FULL, clause, sigma))
-
-
-FIFTY = alphabet([f"s{i}" for i in range(50)])
-CONJUNCTS = [f"s{i % 200}" for i in range(2000)]
-CHAINS = {
-    "no-simultaneous-50": (lambda: no_simultaneous(FIFTY), lambda: _no_simultaneous_built(FIFTY)),
-    "and-2000": (lambda: parse(" & ".join(CONJUNCTS), WIDE),
-                 lambda: _right_fold(And, [Atom(a) for a in CONJUNCTS])),
-    "not-1000": (lambda: parse("!" * 1000 + "s0", WIDE),
-                 lambda: _negations(1000, Atom("s0"))),
-}
 
 
 def test_nested_parentheses_parse():

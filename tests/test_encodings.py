@@ -24,63 +24,24 @@ from mtlsem.errors import (
     OutOfDomainError,
     SeamStutterError,
 )
-from mtlsem.intervals import interval, punctual
 from mtlsem.oracle import gen_word
 from mtlsem.structures import (
     CompactTimedWord,
     TimedWord,
     is_action_based,
     lasso,
-    mfs_decompose,
     tss_from_json,
     tss_to_json,
     validate_compact,
     validate_tss,
     word,
 )
-from test_structures import mfs_runs
-
-RHO1 = word([("a", "0"), ("b", "1"), ("a", "1"), ("c", "3.3")])
-RHO2 = word([("a", "0"), ("a", "1"), ("b", "1"), ("c", "3.3")])
-
-KAPPA1 = validate_tss([
-    [["a"], "[0,0]"],
-    [[], "(0,1)"],
-    [["a", "b"], "[1,1]"],
-    [[], "(1,3.3)"],
-    [["c"], "[3.3,3.3]"],
-])
+from shared import (KAPPA1, RHO1, RHO2, compact_by_run_pairs, compact_by_runs, corpus,
+                    tss_by_intervals)
 
 
 def cblocks(cw):
     return [(acts, t) for acts, t in cw.blocks]
-
-
-def corpus():
-    """gen_word seeds 0-499 and one 300-event word with runs and gaps."""
-    rng = random.Random(26)
-    t = Fraction(0)
-    events = []
-    for _ in range(300):
-        events.append((rng.choice("abc"), t))
-        t += rng.choice([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)])
-    return [gen_word(seed) for seed in range(500)] + [word(events)]
-
-
-def compact_by_runs(w):
-    """compact through the maximal flat runs of the time column."""
-    acts, times = w.actions, w.times
-    return CompactTimedWord(tuple(
-        (acts[start:end + 1], times[start]) for start, end in mfs_runs(mfs_decompose(times))))
-
-
-def compact_by_run_pairs(w):
-    """compact through the (start, end) run pairs of the tick column: the
-    slices, then each run's first tick."""
-    D0, ticks = w.ticks
-    runs = mfs_runs(mfs_decompose(ticks))
-    return CompactTimedWord.on_base(tuple([w.actions[i:j + 1] for i, j in runs]), D0,
-                                    [ticks[i] for i, _ in runs])
 
 
 # a repeated action inside a block and ending the last one, J = 1, one block,
@@ -200,20 +161,9 @@ class TestToTss:
         assert exc.value.position == k
 
 
-def tss_by_intervals(w):
-    """The state-sequence image of w from `Fraction` intervals, through `validate_tss`."""
-    blocks = compact_by_runs(w).blocks
-    steps = []
-    for k, (acts, t) in enumerate(blocks):
-        if k:
-            steps.append(([], interval(blocks[k - 1][1], t, False, False)))
-        steps.append((acts, punctual(t)))
-    return validate_tss(steps)
-
-
 class TestStateSequenceView:
     def test_image_equals_the_validated_interval_steps(self):
-        for w in corpus() + [RHO1]:
+        for w in corpus() + (RHO1,):
             got, want = word_to_tss(w), tss_by_intervals(w)
             assert got == want and hash(got) == hash(want)
             assert str(got) == str(want)
@@ -221,7 +171,7 @@ class TestStateSequenceView:
             assert is_action_based(got) and is_action_based(want)
 
     def test_reading_the_columns_keeps_equality_and_hash(self):
-        for w in corpus() + [RHO1]:
+        for w in corpus() + (RHO1,):
             twin, hashed = TimedWord(w.events), hash(w)
             assert w.ticks[0] >= 1 and len(w.ticks[1]) == len(w)
             assert w == twin and hash(w) == hash(twin) == hashed

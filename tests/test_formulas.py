@@ -47,7 +47,7 @@ from mtlsem.intervals import (
 from mtlsem.mixed import sat_sets_mx
 from mtlsem.oracle import _gen_window, gen_formula, gen_word
 from mtlsem.pointwise import sat_positions
-from test_deep_formulas import CASES, CHAINS, LASSO_CASES, S1_S2, WIDE
+from shared import CASES, CHAINS, LASSO_CASES, S1_S2, WIDE
 
 ABC = alphabet("a,b,c")
 

@@ -1,6 +1,5 @@
 """Dense-time satisfaction sets over words and state sequences."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -8,12 +7,11 @@ import pytest
 
 from mtlsem.encodings import compact, uncompact, word_to_tss
 from mtlsem.errors import BetaNotAllowedError, MtlsemError, OutOfDomainError
-from mtlsem.formulas import (And, Atom, Beta, Not, Until, alphabet, atoms, finite_window_bounds, fold,
-                             parse)
+from mtlsem.formulas import And, Atom, Not, alphabet, parse
+from mtlsem.gallery import ABC, B_THEN_A, WINDOWED_C
 from mtlsem.interval_based import (
     _its_table,
     _itw_table,
-    _until_bases,
     eval_its,
     eval_itw,
     eval_itw_lasso,
@@ -24,18 +22,13 @@ from mtlsem.interval_based import (
 )
 from mtlsem.intervals import (
     INF,
+    _until_bases,
     back_shift,
-    complement_keys,
     intersect_keys,
     interval,
-    interval_keys,
     key_column,
     key_intervals,
-    merge_keys,
     normalize_keys,
-    rebased,
-    scaled_keys,
-    time_base,
 )
 from mtlsem.mixed import _mx_table
 from mtlsem.oracle import (
@@ -50,17 +43,8 @@ from mtlsem.oracle import (
 )
 from mtlsem.pointwise import eval_pw_lasso
 from mtlsem.structures import lasso, validate_compact, validate_tss, word
-
-ABC = alphabet("a,b,c")
-B_THEN_A = parse("F(b & X[0,0] a)", ABC)
-WINDOWED_C = parse("F(0,1) F[0,3.5] c", ABC)
-
-RHO1 = word([("a", "0"), ("b", "1"), ("a", "1"), ("c", "3.3")])
-RHO2 = word([("a", "0"), ("a", "1"), ("b", "1"), ("c", "3.3")])
-
-KAPPA1 = validate_tss([
-    [["a"], "[0,0]"], [[], "(0,1)"], [["a", "b"], "[1,1]"],
-    [[], "(1,3.3)"], [["c"], "[3.3,3.3]"]])
+from shared import (KAPPA1, RHO1, RHO2, _parent_its_table, _per_event_atoms, _reference_sat_dense,
+                    _reference_until_bases, back_shift_keys, seeded_pairs)
 
 
 class TestWordSets:
@@ -159,7 +143,6 @@ class TestReorderInvariance:
         for seed in range(150):
             rho = gen_word(seed + 300)
             f = gen_formula(seed * 3 + 11, ABC)
-            from mtlsem.encodings import compact
             from mtlsem.structures import CompactTimedWord
 
             cw = compact(rho)
@@ -313,28 +296,6 @@ class TestConvertedOnRead:
 # ---------------------------------------------------------------------------
 # the one-pass Until against the per-witness back-shift it replaced
 
-def back_shift_keys(lo, hi, w_lo, w_hi):
-    """The back-shift of one witness key pair (lo, hi) through the window
-    (w_lo, w_hi), as it stood before `_until_bases` took it inline: the frozen
-    reference that pins `back_shift` and the one-pass Until's open-end arithmetic."""
-    if w_lo == 0:  # a witness lies strictly in the future: drop 0 from the window
-        if w_hi < 1:
-            return None
-        w_lo = 1
-    if w_hi == INF:
-        b_lo = 0
-    else:
-        b_lo = lo - w_hi  # the offsets of two ends add; two open ends make one open end
-        if b_lo % 3 == 2:
-            b_lo -= 1
-        if b_lo < 0:
-            b_lo = 0
-    b_hi = hi - w_lo
-    if b_hi != INF and b_hi % 3 == 1:
-        b_hi += 1
-    return (b_lo, b_hi) if b_lo <= b_hi else None
-
-
 def test_back_shift_equals_the_frozen_keys_on_the_half_grid():
     """Every pair of intervals with ends in {0, 1/2, ..., 4} or at inf."""
     ends = [Fraction(k, 2) for k in range(9)]
@@ -348,40 +309,6 @@ def test_back_shift_equals_the_frozen_keys_on_the_half_grid():
             keys = back_shift_keys(*q_keys, *i_keys)
             assert back_shift(q, i) == (None if keys is None else key_intervals(D, [keys])[0]), (
                 str(q), str(i))
-
-
-def _reference_until_bases(f, g, w, domain, J=1, last=None):
-    """`_until_bases` as a back_shift_keys call per witness, then one
-    normalize_keys over every part's bases."""
-    w_lo, w_hi = w
-    d_hi = domain[1]
-    J3 = 3 * J
-    out = []
-    j, ng = 0, len(g)
-    for f_lo, f_hi in f:
-        r = f_lo % J3
-        if r == 0:
-            floor = f_lo
-        elif r == J:
-            floor = f_lo - J + (last.get(f_lo // J - 1, 0) if last else 0)
-        else:
-            floor = f_lo - 1
-        z_lo = floor - floor % J + J
-        z_hi = f_hi if (f_hi + 1) % J3 == J else f_hi + 1
-        if z_lo > z_hi:
-            continue
-        while j < ng and g[j][1] < z_lo:
-            j += 1
-        k = j
-        while k < ng and g[k][0] <= z_hi:
-            g_lo, g_hi = g[k]
-            base = back_shift_keys(max(g_lo, z_lo) // J, min(g_hi, z_hi) // J, w_lo, w_hi)
-            if base is not None:
-                lo, hi = max(base[0] * J, floor), min(base[1] * J + J - 1, d_hi)
-                if lo <= hi:
-                    out.append((lo, hi))
-            k += 1
-    return normalize_keys(out)
 
 
 def _line(rng, t0, t1, J):
@@ -517,31 +444,6 @@ MODELS = [("itw", REPEATED), ("its", SHARED_STEPS), ("mx", BLOCKS), ("mx", compa
 MODEL_IDS = ["itw-word", "its-shared-steps", "mx-blocks", "mx-word"]
 
 
-def _per_event_atoms(engine, model, f):
-    """Each atom's key pairs as one append per event, step or position, in
-    model order, with no merging."""
-    parts = {}
-    if engine == "its":
-        D0, keys, props = model.columns
-        D = math.lcm(D0, time_base(finite_window_bounds(f)))
-        keys = scaled_keys(keys, D // D0) if D > D0 else keys
-        for k, p in zip(keys, props):
-            for name in p:
-                parts.setdefault(name, []).append(k)
-    elif engine == "itw":
-        _, times = rebased(model.ticks, finite_window_bounds(f))
-        for a, t in zip(model.actions, times):
-            parts.setdefault(a, []).append((3 * t, 3 * t))
-    else:
-        _, times = rebased(model.ticks, finite_window_bounds(f))
-        J = max(len(acts) for acts in model.actions)
-        for v, acts in zip(times, model.actions):
-            for j, a in enumerate(acts):
-                last = j == len(acts) - 1
-                parts.setdefault(a, []).append((3 * J * v + j, 3 * J * v + (J - 1 if last else j)))
-    return {name: parts.get(name, []) for name in atoms(f)}
-
-
 class TestAtomListsArriveMerged:
     """Each dense entry point hands `_sat_dense` every atom's list already
     normalized: the fold's Atom case takes it as is."""
@@ -590,48 +492,6 @@ class TestEmptyAndOfNegation:
 # ---------------------------------------------------------------------------
 # pending complements: the tables against the eager fold
 
-def _reference_same_block_bases(f, g, multi):
-    inner = [(s + 1, s + n - 1) for s, n in multi]
-    runs = intersect_keys(f, inner)
-    out = []
-    i = 0
-    for lo, hi in intersect_keys(g, inner):
-        while i < len(runs) and runs[i][1] < lo - 1:
-            i += 1
-        if i < len(runs) and runs[i][0] < lo:
-            lo = runs[i][0]
-        out.append((lo - 1, hi - 1))
-    return out
-
-
-def _reference_sat_dense(atom_keys, domain, D, f, J=1, multi=()):
-    """The eager fold: every `!` and `beta` walks its complement over the
-    domain as it is met, and every And intersects."""
-    last = {s // J: n - 1 for s, n in multi}
-    negated = {}
-
-    def visit(node, l=None, r=None):
-        match node:
-            case Atom(name):
-                return atom_keys[name]
-            case Beta():
-                return complement_keys(domain, [(s + 1, s + J - 1) for s, _ in multi])
-            case Not(arg):
-                negated[node] = l
-                return negated[arg] if arg in negated else complement_keys(domain, l)
-            case And(x, Not(y)) if x is y:
-                return []
-            case And():
-                return intersect_keys(l, r)
-            case Until(_, w, _):
-                w = interval_keys(w, D)
-                bases = _until_bases(l, r, w, J, last)
-                if w[0] == 0 and multi:
-                    return normalize_keys(bases + _reference_same_block_bases(l, r, multi))
-                return bases
-    return fold(f, visit)
-
-
 def _key_lists(engine, model, f):
     """Each entry of the engine's `sat_sets_*` table: its node, base and key list."""
     from mtlsem.mixed import sat_sets_mx
@@ -672,9 +532,8 @@ class TestPendingComplements:
 
     @pytest.mark.parametrize("engine", ["itw", "its", "mx"])
     def test_fuzzed_formulas(self, engine, monkeypatch):
-        for seed in range(600):
-            f = gen_formula(seed, ABC, allow_beta=engine == "mx")
-            _against_the_eager_fold(engine, _model(engine, gen_word(seed)), f, monkeypatch)
+        for rho, f in seeded_pairs(600, allow_beta=engine == "mx"):
+            _against_the_eager_fold(engine, _model(engine, rho), f, monkeypatch)
 
     @pytest.mark.parametrize("engine", ["itw", "its", "mx"])
     def test_sugar(self, engine, monkeypatch):
@@ -774,17 +633,6 @@ class TestPointQueriesOnPendingRoots:
 
 # ---------------------------------------------------------------------------
 # `_its_table` rescales only the atoms' lists and the domain's ends
-
-def _parent_its_table(kappa, f):
-    """Every step key rescaled first, then each atom's steps picked and merged."""
-    D0, keys, props = kappa.columns
-    D = math.lcm(D0, time_base(finite_window_bounds(f)))
-    if D > D0:
-        keys = scaled_keys(keys, D // D0)
-    parts = {name: merge_keys([k for k, p in zip(keys, props) if name in p]) for name in atoms(f)}
-    domain = (3 * ((keys[0][0] + 1) // 3), 3 * ((keys[-1][1] + 1) // 3))
-    return _reference_sat_dense(parts, domain, D, f), D
-
 
 OFF_BASE_START = validate_tss([({"a"}, "(1/4,1)"), ({"b"}, "[1,1]"), ({"a", "b"}, "(1,7/4)"),
                                ({"c"}, "[7/4,7/4]"), (set(), "(7/4,3]")], allow_nonzero_start=True)

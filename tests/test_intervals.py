@@ -23,6 +23,7 @@ from mtlsem.intervals import (
     rational,
     time_base,
 )
+from shared import _reference_parts
 
 
 def iv(text):
@@ -389,27 +390,6 @@ def test_sweeps_and_back_shift_on_coprime_and_huge_denominators():
 
 # ---------------------------------------------------------------------------
 # sets held as keys, against the earlier conversion of a key list to Intervals
-
-class _Bounds(dict):
-    """The earlier conversion's memo: the Bound of each key on the time base
-    D, the open ends on either side of a value sharing one."""
-
-    def __init__(self, D):
-        self.D = D
-        self[INF] = Bound(INF, False)
-
-    def __missing__(self, key):
-        v = (key + 1) // 3
-        b = self[key] = Bound(Fraction(v, self.D), key == 3 * v)
-        if key != 3 * v:
-            self[6 * v - key] = b
-        return b
-
-
-def _reference_parts(D, keys):
-    bounds = _Bounds(D)
-    return tuple(Interval(bounds[lo], bounds[hi]) for lo, hi in keys)
-
 
 _FACTORS = (1, 2, 3, 7, 10, 2**61 - 1, 2**67 + 3)
 

@@ -1,7 +1,6 @@
 """Mixed satisfaction over compact timed words: grid points plus gap intervals."""
 
 import random
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -9,16 +8,10 @@ import pytest
 from mtlsem.compilers import compile_itw, compile_pw
 from mtlsem.encodings import block_index_at, compact
 from mtlsem.errors import OutOfDomainError
-from mtlsem.formulas import BETA, alphabet, atoms, finite_window_bounds, parse
+from mtlsem.formulas import BETA, alphabet, parse
+from mtlsem.gallery import ABC, B_THEN_A, WINDOWED_C
 from mtlsem.interval_based import _sat_dense, eval_itw, sat_set_itw
-from mtlsem.intervals import (
-    IntervalSet,
-    difference_keys,
-    interval,
-    merge_keys,
-    normalize_keys,
-    rebased,
-)
+from mtlsem.intervals import IntervalSet, interval, merge_keys
 from mtlsem.mixed import (
     NO_ACTION,
     MixedSet,
@@ -38,12 +31,9 @@ from mtlsem.oracle import (
 )
 from mtlsem.pointwise import eval_pw_lasso
 from mtlsem.structures import lasso, validate_compact, word
+from shared import (RHO1, _reference_sets, _two_pass_inputs, _two_walk_gap, _two_walk_point_list,
+                    seeded_pairs)
 
-ABC = alphabet("a,b,c")
-B_THEN_A = parse("F(b & X[0,0] a)", ABC)
-WINDOWED_C = parse("F(0,1) F[0,3.5] c", ABC)
-
-RHO1 = word([("a", "0"), ("b", "1"), ("a", "1"), ("c", "3.3")])
 CW1 = compact(RHO1)
 
 GAMMA2 = parse("F[0,1](F[0,1) b & F[1,1] c)", ABC)
@@ -303,36 +293,6 @@ def test_large_blocks_fuzzed_agree_with_oracle():
 # the MixedSet conversion, against the one-sweep-over-the-whole-grid reference
 
 
-def _members(keys, slots):
-    """Whether the key list covers each slot of an ascending list, in one sweep."""
-    out = []
-    i, n = 0, len(keys)
-    for s in slots:
-        while i < n and keys[i][1] < s:
-            i += 1
-        out.append(i < n and keys[i][0] <= s)
-    return out
-
-
-def _reference_sets(cw, f):
-    """Each lex-key set of the table converted through the whole grid: the
-    points whose slot a part covers, and the gap as the time keys k // J less
-    every block stamp."""
-    table, _ = _mx_table(cw, f)
-    D, times = rebased(cw.ticks, finite_window_bounds(f))
-    sizes = [len(acts) for acts, _ in cw.blocks]
-    J = max(sizes)
-    grid = [(k, j) for k, n in enumerate(sizes) for j in range(n)]
-    grid_slots = [3 * J * times[k] + j for k, j in grid]
-    stamps = [(3 * v, 3 * v) for v in times]
-    out = {}
-    for node, keys in table.items():
-        points = frozenset(p for p, held in zip(grid, _members(keys, grid_slots)) if held)
-        gap = difference_keys(normalize_keys((lo // J, hi // J) for lo, hi in keys), stamps)
-        out[node] = MixedSet(points, IntervalSet.on_base(D, gap))
-    return out
-
-
 def _assert_converted_as_the_reference(cw, f):
     got, want = sat_sets_mx(cw, f), _reference_sets(cw, f)
     assert list(got) == list(want)
@@ -381,25 +341,7 @@ def test_conversion_matches_the_reference_on_absent_atoms_and_beta(text):
 
 
 # ---------------------------------------------------------------------------
-# the one-walk table, against the two-pass construction: a slot loop over the
-# block sizes, then one merge pass per atom
-
-
-def _two_pass_inputs(cw, f):
-    """The fold's atom slots, block starts, multi-position blocks and grid, as
-    the two-pass construction built them."""
-    D, times = rebased(cw.ticks, finite_window_bounds(f))
-    sizes = [len(acts) for acts in cw.actions]
-    J = max(sizes)
-    starts = [3 * J * v for v in times]
-    slots = {name: [] for name in atoms(f)}
-    for s, n, acts in zip(starts, sizes, cw.actions):
-        for j, a in enumerate(acts):
-            if a in slots:
-                slots[a].append((s + j, s + J - 1 if j == n - 1 else s + j))
-    slots = {name: merge_keys(keys) for name, keys in slots.items()}
-    multi = [(s, n) for s, n in zip(starts, sizes) if n > 1]
-    return slots, (starts[0], starts[-1] + J - 1), D, J, multi, starts, sizes
+# the one-walk table, against the two-pass construction
 
 
 def _assert_walked_as_the_two_pass_construction(cw, f, monkeypatch):
@@ -433,9 +375,9 @@ WALK_FORMULAS = ["a", "a U[0,1] c", "G[0,4](a -> F[1,3] b)", "F[0,0] (a & !beta)
 
 class TestOneWalkTable:
     def test_fuzzed(self, monkeypatch):
-        for seed in range(600):
-            cw = compact(gen_word(seed))
-            for f in (gen_formula(seed, ABC, allow_beta=True), compile_pw(parse("a U c", ABC), ABC)):
+        for rho, g in seeded_pairs(600, allow_beta=True):
+            cw = compact(rho)
+            for f in (g, compile_pw(parse("a U c", ABC), ABC)):
                 _assert_walked_as_the_two_pass_construction(cw, f, monkeypatch)
 
     @pytest.mark.parametrize("text", WALK_FORMULAS)
@@ -478,33 +420,6 @@ class TestOneWalkTable:
 # the one walk that reads an mx result, against the two walks it replaced
 
 
-def _two_walk_point_list(keys, grid):
-    """The point list as its own walk built it: per part, the blocks from the
-    last start <= lo to the last start <= hi."""
-    _, _, starts, blocks = grid
-    points = []
-    for lo, hi in keys:
-        points += [(k, j) for k in range(bisect_right(starts, lo) - 1, bisect_right(starts, hi))
-                   for j in range(max(lo - starts[k], 0), min(hi - starts[k] + 1, len(blocks[k])))]
-    return points
-
-
-def _two_walk_gap(keys, grid):
-    """The gap as its own walk built it: the time keys k // J merged, less the
-    block stamps inside each merged part."""
-    D, J, starts, _ = grid
-    parts = []
-    for lo, hi in merge_keys((lo // J, hi // J) for lo, hi in keys):
-        for k in range(bisect_left(starts, lo * J), bisect_right(starts, hi * J)):
-            stamp = starts[k] // J
-            if lo < stamp:
-                parts.append((lo, stamp - 1))
-            lo = stamp + 1
-        if lo <= hi:
-            parts.append((lo, hi))
-    return IntervalSet.on_base(D, parts)
-
-
 def _assert_read_as_the_two_walks(s):
     keys, grid = s.lex
     want = _two_walk_gap(keys, grid)
@@ -531,9 +446,9 @@ HAND_READS = {  # lex keys: (points, gap keys)
 
 class TestOneWalkReads:
     def test_fuzzed(self):
-        for seed in range(600):
-            cw = compact(gen_word(seed))
-            for f in (gen_formula(seed, ABC, allow_beta=True), compile_itw(parse("a U c", ABC), ABC)):
+        for rho, g in seeded_pairs(600, allow_beta=True):
+            cw = compact(rho)
+            for f in (g, compile_itw(parse("a U c", ABC), ABC)):
                 for s in sat_sets_mx(cw, f).values():
                     _assert_read_as_the_two_walks(s)
 

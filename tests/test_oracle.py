@@ -13,19 +13,16 @@ from mtlsem.encodings import compact, word_to_tss
 from mtlsem.errors import OutOfDomainError
 from mtlsem.formulas import (
     And,
-    Atom,
-    Beta,
-    Not,
     Until,
     alphabet,
     finite_window_bounds,
     is_bounded,
     parse,
-    subformulas,
     temporal_depth,
     to_text,
 )
-from mtlsem.intervals import INF, IntervalSet, punctual
+from mtlsem.gallery import ABC, WINDOWED_C
+from mtlsem.intervals import IntervalSet, punctual
 from mtlsem.mixed import MixedSet
 from mtlsem.oracle import (
     critical_points,
@@ -36,6 +33,7 @@ from mtlsem.oracle import (
     gen_word,
     oracle_eval_its,
     oracle_eval_itw,
+    oracle_eval_mx,
     oracle_eval_pw,
 )
 from mtlsem.structures import (
@@ -50,11 +48,10 @@ from mtlsem.structures import (
     word,
     word_to_json,
 )
+from shared import (RHO1, _reference_its, _reference_itw, _reference_mx, _reference_piece_index,
+                    _reference_pw, seeded_pairs)
 
-ABC = alphabet("a,b,c")
 ALPHABET_ABCD = alphabet("a,b,c,d")
-RHO1 = word([("a", "0"), ("b", "1"), ("a", "1"), ("c", "3.3")])
-WINDOWED_C = parse("F(0,1) F[0,3.5] c", ABC)
 
 
 def closure_by_hand(times, bounds, depth, lo, hi):
@@ -81,8 +78,6 @@ class TestCriticalPoints:
         for seed in range(100):
             rho = gen_word(seed)
             f = gen_formula(seed * 23 + 5, ABC)
-            from mtlsem.formulas import finite_window_bounds, temporal_depth
-
             vals = closure_by_hand(
                 rho.times, finite_window_bounds(f), temporal_depth(f),
                 Fraction(0), duration(rho))
@@ -117,118 +112,7 @@ class TestCriticalPoints:
 
 
 # ---------------------------------------------------------------------------
-# the literal piece scan, kept as the reference for the oracle's tables: the
-# window ends rebuilt for every scanned piece, a linear piece search, and a
-# scan over every step for each piece
-
-def _reference_window_hits(p, base, w):
-    if p.is_point:
-        return w.contains(p.lo - base)
-    w_lo = base + w.lo.value
-    w_hi = INF if w.hi.value == INF else base + w.hi.value
-    lo_k = max((p.lo, 1), (base, 1), (w_lo, 0 if w.lo.closed else 1))
-    hi_k = min((p.hi, -1), (w_hi, 0 if w.hi.closed else -1))
-    return lo_k <= hi_k
-
-
-def _reference_until_at(pieces, i, w, lv, rv):
-    base = pieces[i].rep
-    ok = True
-    if not pieces[i].is_point:
-        if lv[i] and rv[i] and _reference_window_hits(pieces[i], base, w):
-            return True
-        ok = lv[i]
-    for ip in range(i + 1, len(pieces)):
-        pc = pieces[ip]
-        if not ok:
-            return False
-        if rv[ip] and (pc.is_point or lv[ip]) and _reference_window_hits(pc, base, w):
-            return True
-        ok = ok and lv[ip]
-        if w.hi.value != INF and pc.lo > base + w.hi.value:
-            return False
-    return False
-
-
-def _reference_table(pieces, atoms, f, beta=False):
-    """The pieces and every piece's truth; `atoms[i]` holds the atoms true on
-    piece i."""
-    sat = {}
-    for node in [*subformulas(f), f]:
-        match node:
-            case Atom(name):
-                sat[node] = [name in a for a in atoms]
-            case Beta() if beta:
-                sat[node] = [p.j == 0 for p in pieces]
-            case Not(arg):
-                sat[node] = [not v for v in sat[arg]]
-            case And(l, r):
-                sat[node] = [a and b for a, b in zip(sat[l], sat[r])]
-            case Until(l, w, r):
-                sat[node] = [_reference_until_at(pieces, i, w, sat[l], sat[r])
-                             for i in range(len(pieces))]
-            case _:
-                raise TypeError(f"not a formula: {node!r}")
-    return pieces, sat[f]
-
-
-def _reference_piece_index(pieces, t, j=0):
-    for i, p in enumerate(pieces):
-        if p.j == j and (p.lo == t if p.is_point else p.lo < t < p.hi):
-            return i
-    raise OutOfDomainError(f"({t}, {j}) is not on the piece grid")
-
-
-def _reference_itw(rho, f, vals):
-    stamp_acts = {}
-    for a, ts in rho.events:
-        stamp_acts.setdefault(ts, set()).add(a)
-    pieces = oracle._pieces(vals)
-    return _reference_table(
-        pieces, [stamp_acts.get(p.lo, ()) if p.is_point else () for p in pieces], f)
-
-
-def _reference_step_props(kappa, p):
-    for props, iv in kappa.steps:
-        if iv.contains(p.rep):
-            return props
-    return ()
-
-
-def _reference_its(kappa, f, vals):
-    pieces = oracle._pieces(vals)
-    return _reference_table(pieces, [_reference_step_props(kappa, p) for p in pieces], f)
-
-
-def _reference_mx(cw, f, vals):
-    blocks = {t: acts for acts, t in cw.blocks}
-    pieces = []
-    for p in oracle._pieces(vals):
-        if p.is_point and p.lo in blocks:
-            pieces.extend(oracle._Piece(p.lo, p.lo, True, j) for j in range(len(blocks[p.lo])))
-        elif p.lo >= cw.times[0]:
-            pieces.append(p)
-    atoms = [(blocks[p.lo][p.j],) if p.is_point and p.lo in blocks else () for p in pieces]
-    return _reference_table(pieces, atoms, f, beta=True)
-
-
-def _reference_pw(rho, f):
-    """Every position's truth, every later position tried for each Until."""
-    times, n, sat = rho.times, len(rho), {}
-    for node in [*subformulas(f), f]:
-        match node:
-            case Atom(name):
-                sat[node] = [a == name for a in rho.actions]
-            case Not(arg):
-                sat[node] = [not v for v in sat[arg]]
-            case And(l, r):
-                sat[node] = [a and b for a, b in zip(sat[l], sat[r])]
-            case Until(l, w, r):
-                sat[node] = [any(w.contains(times[j] - times[k]) and sat[r][j]
-                                 and all(sat[l][k + 1:j]) for j in range(k + 1, n))
-                             for k in range(n)]
-    return sat[f]
-
+# the oracle's tables against the literal piece scan
 
 def _outcome(lookup, t, j):
     try:
@@ -275,16 +159,14 @@ def _left_open_start(kappa):
 
 
 class TestTablesAgainstTheLiteralScan:
-    """The oracle's tables against the literal scan above, on larger words
+    """The oracle's tables against the literal scan of `shared`, on larger words
     and deeper formulas than the fuzzer draws; the lookups on every
     LOOKUP_EVERY-th seed (each is a scan over the pieces, as the reference's)."""
 
-    SEEDS = range(1500)
     LOOKUP_EVERY = 5
 
     def test_itw(self):
-        for seed in self.SEEDS:
-            rho, f = gen_word(seed, max_len=10), gen_formula(seed * 7 + 3, ABC, max_depth=5)
+        for seed, (rho, f) in enumerate(seeded_pairs(1500, 7, 3, max_len=10, max_depth=5)):
             vals = critical_values(rho, f)
             pieces = oracle._pieces(vals)
             _assert_tables_agree((pieces, oracle._itw_oracle(rho, f, pieces)),
@@ -294,10 +176,10 @@ class TestTablesAgainstTheLiteralScan:
     def test_its(self):
         # gen_ka and word_to_tss start closed; on odd seeds a gen_ka also
         # runs with a left-open first step
-        for seed in self.SEEDS:
+        for seed, (rho, _) in enumerate(seeded_pairs(1500, 7, 3, max_len=10, max_depth=5)):
             f = gen_formula(seed * 7 + 3, ALPHABET_ABCD, max_depth=5)
             ka = gen_ka(seed)
-            kappas = [ka, word_to_tss(gen_word(seed, max_len=10)),
+            kappas = [ka, word_to_tss(rho),
                       seed % 2 and _left_open_start(ka)]
             for kappa in filter(None, kappas):
                 vals = critical_values(kappa, f)
@@ -315,8 +197,8 @@ class TestTablesAgainstTheLiteralScan:
             assert oracle.differential("its", kappa, f) is None, text
 
     def test_mx(self):
-        for seed in self.SEEDS:
-            cw = compact(gen_word(seed, max_len=10))
+        for seed, (rho, _) in enumerate(seeded_pairs(1500, 7, 3, max_len=10, max_depth=5)):
+            cw = compact(rho)
             if seed % 2:  # a first block past 0: the pieces before it are off the grid
                 cw = validate_compact([(acts, t + Fraction(1, 2)) for acts, t in cw.blocks],
                                       allow_nonzero_start=True)
@@ -327,8 +209,7 @@ class TestTablesAgainstTheLiteralScan:
                                  seed % self.LOOKUP_EVERY == 1)
 
     def test_pw(self):
-        for seed in self.SEEDS:
-            rho, f = gen_word(seed, max_len=10), gen_formula(seed * 7 + 3, ABC, max_depth=5)
+        for seed, (rho, f) in enumerate(seeded_pairs(1500, 7, 3, max_len=10, max_depth=5)):
             want = _reference_pw(rho, f)
             assert oracle._pw_oracle(rho, f) == want, seed
             if seed % self.LOOKUP_EVERY == 0:
@@ -456,6 +337,35 @@ class TestIndependence:
             oracle_eval_itw(RHO1, 0, f)
         with pytest.raises(TypeError):
             oracle_eval_its(word_to_tss(RHO1), 0, f)
+
+    def test_oracles_run_no_engine_code(self, monkeypatch):
+        """At run time too: with the engines' formula walks and integer key
+        helpers made to raise, every oracle entry point and `critical_values`
+        answer as they did before."""
+        from mtlsem import formulas, intervals
+
+        f = parse("G[0,4](a -> F[1,3] b) & !((a | b) U(1/2,2] c) & F[0,1/3] c", ABC)
+        rho = word([("a", "0"), ("b", "1/2"), ("a", "1"), ("c", "1"), ("a", "5/2"), ("b", "7/2")])
+        kappa, cw = word_to_tss(rho), compact(rho)
+        rho.events, rho.times, cw.blocks, cw.times, kappa.steps  # the Fraction views, read first
+        times = ["0", "1/4", "1/2", "1", "3/2", "5/2", "3", "7/2"]
+
+        def run():
+            return ([critical_values(s, f) for s in (rho, kappa, cw)]
+                    + [oracle_eval_pw(rho, i, f) for i in range(len(rho))]
+                    + [oracle_eval_itw(rho, t, f) for t in times]
+                    + [oracle_eval_its(kappa, t, f) for t in times]
+                    + [oracle_eval_mx(cw, t, j, f) for t in times for j in range(1 + (t == "1"))])
+        want = run()
+
+        def refuse(*_):
+            raise AssertionError("an oracle ran engine code")
+        for module, names in ((formulas, ("fold", "subformulas")),
+                              (intervals, ("time_key", "time_base", "interval_keys", "scaled_keys",
+                                           "key_column", "tick_column", "rebased", "_until_bases"))):
+            for name in names:
+                monkeypatch.setattr(module, name, refuse)
+        assert run() == want
 
 
 class TestDifferentialReportsADivergence:

@@ -1,10 +1,7 @@
 """Pointwise evaluation: position sets, single verdicts, and exact lasso verdicts
 through `lasso_instance` (bounded windows on a finite unroll).
 
-`TestBitsets` keeps the list-of-bools engine as the reference for the int
-bitsets: one truth value per position, and the Until as a forward scan over
-two arrays of next positions, on times rebased to 3tD rather than on the
-word's ticks."""
+`TestBitsets` pins the int bitsets to the list-of-bools engine of `shared`."""
 
 import random
 from fractions import Fraction
@@ -14,27 +11,13 @@ import pytest
 from mtlsem import pointwise
 from mtlsem.encodings import lasso_instance
 from mtlsem.errors import BetaNotAllowedError
-from mtlsem.formulas import (
-    And,
-    Atom,
-    Not,
-    Until,
-    alphabet,
-    finite_window_bounds,
-    fold,
-    parse,
-)
-from mtlsem.intervals import INF, interval, interval_keys, rebased
-from mtlsem.oracle import differential, gen_formula, gen_lasso, gen_word, oracle_eval_pw
+from mtlsem.formulas import parse
+from mtlsem.gallery import ABC, B_THEN_A, WINDOWED_C
+from mtlsem.intervals import INF, interval, interval_keys
+from mtlsem.oracle import differential, gen_formula, gen_lasso, oracle_eval_pw
 from mtlsem.pointwise import eval_pw, eval_pw_lasso, sat_positions
 from mtlsem.structures import lasso, unroll, word
-
-ABC = alphabet("a,b,c")
-B_THEN_A = parse("F(b & X[0,0] a)", ABC)          # order-sensitive at equal times
-WINDOWED_C = parse("F(0,1) F[0,3.5] c", ABC)      # needs a non-event start time
-
-RHO1 = word([("a", "0"), ("b", "1"), ("a", "1"), ("c", "3.3")])
-RHO2 = word([("a", "0"), ("a", "1"), ("b", "1"), ("c", "3.3")])
+from shared import RHO1, RHO2, _reference_positions, _reference_until, seeded_pairs
 
 
 class TestFinite:
@@ -55,9 +38,7 @@ class TestFinite:
             sat_positions(RHO1, parse("beta", ABC, allow_beta=True))
 
     def test_oracle_agreement(self):
-        for seed in range(400):
-            w = gen_word(seed)
-            f = gen_formula(seed * 17 + 3, ABC)
+        for w, f in seeded_pairs(1000, 17, 3)[:400]:
             assert differential("pw", w, f) is None, (w, f)
 
 
@@ -77,7 +58,6 @@ class TestLasso:
 
     def test_bounded_formulas_match_unrolled_word(self):
         from mtlsem.formulas import horizon
-        from mtlsem.oracle import gen_lasso
         from mtlsem.structures import duration
 
         for seed in range(200):
@@ -110,7 +90,6 @@ class TestLasso:
         # the mixed semantics and take its answer
         from mtlsem.compilers import compile_pw
         from mtlsem.mixed import eval_mx_lasso
-        from mtlsem.oracle import gen_lasso
 
         for seed in range(150):
             l = gen_lasso(seed + 1234)
@@ -121,54 +100,7 @@ class TestLasso:
 
 
 # ---------------------------------------------------------------------------
-# the list-of-bools engine, kept as the reference for the bitsets
-
-def _next_true(flags) -> list:
-    """out[i] is the first index >= i whose flag is set, len(flags) if there is none."""
-    out = [len(flags)] * (len(flags) + 1)
-    for i in range(len(flags) - 1, -1, -1):
-        out[i] = i if flags[i] else out[i + 1]
-    return out
-
-
-def _reference_until(w, lv, rv, times) -> list:
-    w_lo, w_hi = w
-    n = len(times)
-    fail = _next_true([not v for v in lv])
-    good = _next_true(rv)
-    out = []
-    first, last = 0, n if w_hi == INF else 0
-    for i, t in enumerate(times):
-        first = max(first, i + 1)
-        while first < n and times[first] - t < w_lo:
-            first += 1
-        while last < n and times[last] - t <= w_hi:
-            last += 1
-        j = good[first]
-        out.append(j < last and j <= fail[i + 1])
-    return out
-
-
-def _reference_positions(rho, f) -> frozenset:
-    """The positions by the list scan on 3tD per event time t, D the time base
-    of the word and the windows, with the windows' own keys on D."""
-    acts = rho.actions
-    D, ticks = rebased(rho.ticks, finite_window_bounds(f))
-    times = [3 * t for t in ticks]
-
-    def visit(node, l=None, r=None) -> list:
-        match node:
-            case Atom(name):
-                return [a == name for a in acts]
-            case Not():
-                return [not v for v in l]
-            case And():
-                return [a and b for a, b in zip(l, r)]
-            case Until(_, w, _):
-                return _reference_until(interval_keys(w, D), l, r, times)
-
-    return frozenset(i for i, v in enumerate(fold(f, visit)[f]) if v)
-
+# the bitsets against the list-of-bools engine
 
 def _pack(values) -> int:
     """Position i of n at bit n-1-i."""
@@ -224,16 +156,12 @@ class TestBitsets:
             assert _unpack(got, n) == _reference_until(keys, lv, rv, times), name
 
     def test_positions_match_the_oracle(self):
-        for seed in range(1000):
-            w = gen_word(seed)
-            f = gen_formula(seed * 31 + 7, ABC)
+        for seed, (w, f) in enumerate(seeded_pairs(1000, 31, 7)):
             want = {i for i in range(len(w)) if oracle_eval_pw(w, i, f)}
             assert sat_positions(w, f) == want, (seed, w, f)
 
     def test_positions_match_the_list_engine(self):
-        for seed in range(1000):
-            w = gen_word(seed)
-            f = gen_formula(seed * 17 + 3, ABC)
+        for seed, (w, f) in enumerate(seeded_pairs(1000, 17, 3)):
             assert sat_positions(w, f) == _reference_positions(w, f), (seed, w, f)
 
     @pytest.mark.parametrize("k", [1, 2, 8])
@@ -336,9 +264,7 @@ class TestThresholdsOffTheHalfGrid:
 
 class TestOneBitVerdicts:
     def test_eval_pw_at_every_position(self):
-        for seed in range(1000):
-            rho = gen_word(seed)
-            f = gen_formula(seed * 31 + 7, ABC)
+        for seed, (rho, f) in enumerate(seeded_pairs(1000, 31, 7)):
             got = sat_positions(rho, f)
             assert [eval_pw(rho, i, f) for i in range(len(rho))] == [
                 i in got for i in range(len(rho))], (seed, rho, f)

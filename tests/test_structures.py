@@ -19,9 +19,7 @@ from mtlsem.errors import (
 )
 from mtlsem.encodings import compact, uncompact
 from mtlsem.intervals import (
-    _INTERVAL,
     INF,
-    _pair,
     interval,
     interval_pair,
     key_column,
@@ -29,7 +27,7 @@ from mtlsem.intervals import (
     rat_str,
     tick_column,
 )
-from mtlsem.oracle import gen_lasso, gen_word
+from mtlsem.oracle import gen_lasso
 from mtlsem.structures import (
     CompactTimedWord,
     Lasso,
@@ -52,6 +50,9 @@ from mtlsem.structures import (
     word_or_lasso_from_json,
     word_to_json,
 )
+from shared import (SCALES, _interval_loader_columns, _interval_loader_parse,
+                    _reference_action_based, _reference_unroll, _reference_verdict, mfs_runs,
+                    scaled_words, tss_corpus)
 
 RHO1 = [("a", "0"), ("b", "1"), ("a", "1"), ("c", "3.3")]
 RAW_4 = [("a", "1"), ("b", "1.3"), ("c", "3.5"), ("b", "3.5")]
@@ -160,12 +161,6 @@ def brute_mfs(times):
         bounds.append(j)
         i = j + 1
     return tuple(bounds)
-
-
-def mfs_runs(ends):
-    """(start, end) index pairs, inclusive, one per maximal flat run, from the
-    run ends that mfs_decompose returns."""
-    return list(zip((0, *[e + 1 for e in ends[:-1]]), ends))
 
 
 class TestMfs:
@@ -288,40 +283,6 @@ class TestActionBased:
         assert tss_from_json(tss_to_json(k), allow_nonzero_start=True) == k
 
 
-# The state-sequence rules as they read on Intervals, before `validate_tss`
-# and `is_action_based` moved to keys: the reference the keyed rules must match.
-
-def _adjacent(a, b) -> bool:
-    """Disjoint, union is one interval, and a lies entirely before b."""
-    return a.hi.value == b.lo.value and a.hi.closed != b.lo.closed
-
-
-def _reference_verdict(steps, allow_nonzero_start):
-    """(error class, position) that the Interval rules give the steps, or None."""
-    if not steps:
-        return EmptyWordError, None
-    for pos in range(1, len(steps)):
-        if not _adjacent(steps[pos - 1][1], steps[pos][1]):
-            return AdjacencyError, pos
-    first = steps[0][1]
-    if not allow_nonzero_start and not (first.lo.value == 0 and first.lo.closed):
-        return FirstTimestampError, None
-    if not steps[-1][1].hi.closed:
-        return MtlsemError, None
-    return None
-
-
-def _reference_action_based(steps) -> bool:
-    first = steps[0][1]
-    if not (first.lo.value == 0 and first.lo.closed and first.lo == first.hi):
-        return False
-    if steps[-1][1].lo != steps[-1][1].hi:
-        return False
-    return all((bool(props) and iv.lo == iv.hi) if i % 2 == 0
-               else not (props or iv.lo == iv.hi)
-               for i, (props, iv) in enumerate(steps))
-
-
 def _random_steps(rng):
     """Steps that are mostly adjacent, with flipped end flags, gaps, overlaps,
     an `inf` end and nonzero starts mixed in, on bases up to above 2^64."""
@@ -376,56 +337,12 @@ class TestKeyedRules:
                             MtlsemError, ("action based", True), ("action based", False)}
 
 
-def _moved(kappa, scale, shift):
-    """kappa with every endpoint v moved to v * scale + shift."""
-    return validate_tss([(props, interval(iv.lo.value * scale + shift,
-                                          iv.hi.value * scale + shift,
-                                          iv.lo.closed, iv.hi.closed))
-                         for props, iv in kappa.steps], allow_nonzero_start=True)
-
-
-def _tss_corpus():
-    """gen_ka seeds, word_to_tss images, and both moved onto nonzero starts and
-    onto bases above 2^64."""
-    from mtlsem.encodings import word_to_tss
-    from mtlsem.oracle import gen_ka
-
-    kappas = [gen_ka(seed) for seed in range(150)]
-    kappas += [word_to_tss(gen_word(seed)) for seed in range(150)]
-    kappas += [word_to_tss(word(RHO1))]
-    big = 2**64 + 13
-    return kappas + [_moved(k, Fraction(s, d), Fraction(o, d))
-                     for i, k in enumerate(kappas[::5])
-                     for s, d, o in [(1, 3, 2), (7, big, 1), (big, 1, i)]]
-
-
 def _scan_at(kappa, t):
     """The propositions of the first step whose Interval contains t, or None."""
     for props, iv in kappa.steps:
         if iv.contains(t):
             return props
     return None
-
-
-# The state-sequence loader before `interval_pair`, frozen: each step text read
-# to an Interval through Fractions, then one `key_column` over the steps.
-
-def _interval_loader_parse(text):
-    m = _INTERVAL.fullmatch(text)
-    if not m:
-        raise MtlsemError(f"not an interval: {text!r}")
-    lbr, lo, lw, lf, ld, hi, hw, hf, hd, rbr = m.groups("")
-    if hi == "inf" and rbr == "]":
-        raise MtlsemError(f"infinite upper bound must be open: {text!r}")
-    return interval(Fraction(*_pair(lo, lw, lf, ld)),
-                    INF if hi == "inf" else Fraction(*_pair(hi, hw, hf, hd)),
-                    lbr == "[", rbr == "]")
-
-
-def _interval_loader_columns(obj):
-    steps = [(frozenset(props), _interval_loader_parse(text)) for props, text in obj["steps"]]
-    D0, keys = key_column([iv for _, iv in steps])
-    return D0, tuple(keys), tuple(props for props, _ in steps)
 
 
 def _spelled(rng, iv) -> str:
@@ -452,14 +369,14 @@ class TestLoadedStateSequences:
         in any accepted form, the steps load to the columns `validate_tss`
         gives their Intervals."""
         rng = random.Random(19)
-        for kappa in _tss_corpus():
+        for kappa in tss_corpus():
             steps = [[sorted(props), _spelled(rng, iv)] for props, iv in kappa.steps]
             assert tss_from_json({"steps": steps}, allow_nonzero_start=True).columns \
                 == kappa.columns, steps
 
     def test_texts_load_as_the_interval_loader_did(self):
         rng = random.Random(20)
-        for kappa in _tss_corpus():
+        for kappa in tss_corpus():
             steps = [[sorted(props), _spelled(rng, iv)] for props, iv in kappa.steps]
             obj = {"steps": steps}
             assert tss_from_json(obj, allow_nonzero_start=True).columns \
@@ -506,7 +423,7 @@ class TestLoadedStateSequences:
 class TestKeyedLookupAndRendering:
     def test_lookup_matches_a_linear_scan(self):
         rng = random.Random(32)
-        for kappa in _tss_corpus():
+        for kappa in tss_corpus():
             ends = sorted({v for _, iv in kappa.steps for v in (iv.lo.value, iv.hi.value)})
             first, last = ends[0], ends[-1]
             times = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
@@ -524,7 +441,7 @@ class TestKeyedLookupAndRendering:
             assert _scan_at(kappa, last + Fraction(1, 10**30)) is None
 
     def test_rendering_matches_str_of_the_intervals(self):
-        for kappa in _tss_corpus():
+        for kappa in tss_corpus():
             want = {"steps": [[sorted(props), str(iv)] for props, iv in kappa.steps]}
             assert json.dumps(tss_to_json(kappa)) == json.dumps(want)
             assert str(kappa) == "".join("({" + ",".join(sorted(props)) + "}," + str(iv) + ")"
@@ -651,15 +568,6 @@ def _reference_value(text) -> Fraction:
     return Fraction(text) if isinstance(text, int) else Fraction(text.replace(" ", ""))
 
 
-SCALES = (Fraction(1), Fraction(1, 3), Fraction(7, 10), Fraction(5, 6), Fraction(11, 4))
-
-
-def _corpus_words():
-    for seed in range(500):
-        w = gen_word(seed)
-        yield seed, validate_word([(a, t * SCALES[seed % len(SCALES)]) for a, t in w.events])
-
-
 def stored(w):
     """The columns w holds before any view is read: only its actions and its
     ticks, on the least base that holds them."""
@@ -672,7 +580,7 @@ def stored(w):
 class TestLoadedWordsCarryTicks:
     def test_loaded_words_equal_validated_fraction_words(self):
         rng = random.Random(15)
-        for seed, w in _corpus_words():
+        for seed, w in scaled_words():
             for obj in (word_to_json(w),
                         {"events": [[a, _texts(rng, t)] for a, t in w.events]}):
                 got = word_or_lasso_from_json(obj)
@@ -694,7 +602,7 @@ class TestLoadedWordsCarryTicks:
 
     def test_nonzero_start_words_keep_their_base(self):
         rng = random.Random(16)
-        for seed, w in _corpus_words():
+        for seed, w in scaled_words():
             shift = Fraction(seed % 7, 3)
             events = [[a, _texts(rng, t + shift)] for a, t in w.events]
             got = word_or_lasso_from_json({"events": events}, allow_nonzero_start=True)
@@ -715,7 +623,7 @@ class TestLoadedWordsCarryTicks:
             assert got == l, seed
 
     def test_validated_words_read_their_ticks(self):
-        for seed, w in _corpus_words():
+        for seed, w in scaled_words():
             got = validate_word(w.events)
             assert stored(got) == (tuple(a for a, _ in w.events),
                                    tick_column(tuple(t for _, t in w.events)))
@@ -811,20 +719,6 @@ class TestWordColumns:
                 assert str(compact(w)) == want_compact
                 assert compact(w).time_texts() == [rat_str(t) for _, t in blocks]
                 assert set(vars(w)) == {"actions", "ticks"}  # rendered without a view
-
-
-def _reference_unroll(l, horizon: Fraction) -> TimedWord:
-    """Unrolling with Fraction arithmetic, event by event."""
-    base = l.prefix.events[-1][1]
-    events = list(l.prefix.events)
-    copy = 0
-    while base + copy * l.period_duration + l.period_offsets[0] <= horizon:
-        for a, o in zip(l.period_actions, l.period_offsets):
-            t = base + copy * l.period_duration + o
-            if t <= horizon:
-                events.append((a, t))
-        copy += 1
-    return TimedWord(tuple(events))
 
 
 class TestUnrollOnTicks:

@@ -18,4 +18,4 @@ SOURCES = sorted(PACKAGE.glob("*.py")) + sorted(
 @pytest.mark.parametrize("path", SOURCES, ids=[
     p.name if p.parent == PACKAGE else p.relative_to(ROOT).as_posix() for p in SOURCES])
 def test_parses_as_python_3_10(path):
-    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
