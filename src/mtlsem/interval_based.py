@@ -4,14 +4,15 @@ Each subformula gets an exact satisfaction set over the covered time domain:
 atoms are the event points (or the state-sequence steps), negation is the
 complement in the domain, conjunction is intersection, and the strict dense
 Until is `intervals._until_bases`.  `_sat_dense` is the one loop of `itw`,
-`its` and `mx` (which runs it over lex keys, see `mixed`).
+`its` and `mx` (which runs it over lex keys, see `mixed`).  A complement waits
+in its `_Table` until a list is read, which walks it from the domain.
 
-Sets are key lists on an integer time base (see `intervals`).  Each entry
-point reads the model's integer columns and takes D once, from its base D0 and
-`finite_window_bounds(f)`; the fold runs on ints only.  `sat_set_*` returns the
-root's key list as an `IntervalSet` on that base, `sat_sets_*` every set of the
-table.  `eval_*` and the lasso verdict, whether 0 lies in the set of
-`encodings.lasso_instance`, bisect the root's keys at one key.
+Sets are key lists on an integer time base, and every sweep over them is in
+`intervals`.  Each entry point reads the model's integer columns and takes D
+once, from its base D0 and `finite_window_bounds(f)`; the fold runs on ints
+only.  `sat_set_*` returns the root's key list as an `IntervalSet` on that base,
+`sat_sets_*` every set of the table.  `eval_*` and the lasso verdict, whether 0
+lies in the set of `encodings.lasso_instance`, bisect the root's keys at one key.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .formulas import (
 )
 from .intervals import (
     IntervalSet,
+    _same_block_bases,
     _until_bases,
-    complement_keys,
     difference_keys,
     intersect_keys,
     interval_keys,
@@ -53,26 +54,10 @@ from .intervals import (
 from .structures import Lasso, TimedStateSequence, TimedWord
 
 
-def _same_block_bases(f: list, g: list, later: list, J: int, last: dict) -> list:
-    """The slots witnessed later in their own block (`later`: each block's slots
-    past position 0): g's parts there and f's run before each, one point back."""
-    runs = intersect_keys(f, later)
-    out = []
-    i = 0
-    for lo, hi in intersect_keys(g, later):
-        while i < len(runs) and runs[i][1] < lo - 1:
-            i += 1
-        if i < len(runs) and runs[i][0] < lo:
-            lo = runs[i][0]
-        top = hi - hi % J + last[hi // J]  # the first slot of the block's last point
-        out.append((lo - 1, (top if hi > top else hi) - 1))
-    return out
-
-
 class _Table(dict):
     """A fold table: each node's key list, or, for the nodes in `co`, the list
-    whose complement in the domain is the node's set, walked when a subscript
-    or `items` first reads it (`get` reads the list as it is)."""
+    whose complement in the domain is the node's set, walked (`walk`) when a
+    subscript or `items` first reads it (`get` reads the list as it is)."""
 
     def __init__(self, domain: tuple):
         self.domain, self.co = domain, set()
@@ -81,8 +66,11 @@ class _Table(dict):
         keys = dict.__getitem__(self, node)
         if node in self.co:
             self.co.remove(node)
-            self[node] = keys = complement_keys(self.domain, keys) if keys else [self.domain]
+            self[node] = keys = self.walk(keys) if keys else [self.domain]
         return keys
+
+    def walk(self, keys: list) -> list:
+        return difference_keys([self.domain], keys)
 
     def items(self) -> list:
         return [(node, self[node]) for node in self]

@@ -15,10 +15,10 @@ bound keeps the key `INF`.  A key list is a sorted list of such pairs.
 
 Each model carries its values on the base D0 of its timestamps (see
 `structures`).  The dense and mixed engines move them onto D, the lcm of D0 and
-their windows' denominators (`rebased`), and run every set operation and the
-Until (`_until_bases`) as a sweep over key lists (after Maler & Nickovic,
-FORMATS 2004).  Every endpoint they make is an input time plus or minus window
-bounds, so nothing leaves the base; their results stay there as `IntervalSet`s.
+their windows' denominators (`rebased`), and run every sweep over key lists here:
+set operations, complements (`difference_keys` from the domain) and the Until
+(`_until_bases`, and `_same_block_bases` on the lex line), after Maler & Nickovic,
+FORMATS 2004.  Every endpoint is an input time plus or minus window bounds, on D.
 
 Rationals and intervals have one text grammar, `RATIONAL_TEXT` and
 `INTERVAL_TEXT`, and one reader each, `rational_pair` (`rational_ticks` for a
@@ -356,19 +356,6 @@ def difference_keys(a, b) -> list:
     return out
 
 
-def complement_keys(domain: tuple, keys) -> list:
-    """One walk: the domain less a normalized key list inside it, its gaps."""
-    lo, hi = domain
-    out = []
-    for k_lo, k_hi in keys:
-        if lo < k_lo:
-            out.append((lo, k_lo - 1))
-        lo = k_hi + 1
-    if lo <= hi:
-        out.append((lo, hi))
-    return out
-
-
 def _until_bases(f: list, g: list, w: tuple, J: int = 1, last=None) -> list:
     """The bases of the strict dense Until f U_w g, on keys.
 
@@ -437,6 +424,22 @@ def _until_bases(f: list, g: list, w: tuple, J: int = 1, last=None) -> list:
             else:
                 out.append((lo, hi))
                 top = hi
+    return out
+
+
+def _same_block_bases(f: list, g: list, later: list, J: int, last: dict) -> list:
+    """The slots witnessed later in their own block (`later`: each block's slots
+    past position 0): g's parts there and f's run before each, one point back."""
+    runs = intersect_keys(f, later)
+    out = []
+    i = 0
+    for lo, hi in intersect_keys(g, later):
+        while i < len(runs) and runs[i][1] < lo - 1:
+            i += 1
+        if i < len(runs) and runs[i][0] < lo:
+            lo = runs[i][0]
+        top = hi - hi % J + last[hi // J]  # the first slot of the block's last point
+        out.append((lo - 1, (top if hi > top else hi) - 1))
     return out
 
 

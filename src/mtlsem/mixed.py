@@ -22,7 +22,7 @@ and its points and gaps in one walk of its own.  `beta` is the complement of
 the slots 3vJ + 1 to 3vJ + J - 1 of every block with s >= 2.  When the window
 holds 0, an Until's base (v, j) also holds if a later position of its own block
 holds g with f at every position strictly between them
-(`interval_based._same_block_bases`).
+(`intervals._same_block_bases`).
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ from mtlsem.formulas import (FULL, And, Atom, Beta, Not, Until, alphabet, atoms,
                              finite_window_bounds, fold, parse, subformulas)
 from mtlsem.gallery import ABC, WORD_SWAP_AB, WORD_SWAP_BA, no_simultaneous
 from mtlsem.intervals import (_INTERVAL, INF, Bound, Interval, IntervalSet, _pair, _until_bases,
-                              complement_keys, difference_keys, interval, interval_keys,
-                              intersect_keys, key_column, merge_keys, normalize_keys, punctual,
-                              rebased, scaled_keys, time_base)
+                              difference_keys, interval, interval_keys, intersect_keys,
+                              key_column, merge_keys, normalize_keys, punctual, rebased,
+                              scaled_keys, time_base)
 from mtlsem.mixed import MixedSet, _mx_table
 from mtlsem.oracle import gen_formula, gen_ka, gen_word
 from mtlsem.structures import (CompactTimedWord, TimedWord, mfs_decompose, validate_tss,
@@ -136,6 +136,19 @@ def mfs_runs(ends):
 
 # ---------------------------------------------------------------------------
 # frozen copies: the dense Until and the dense fold (`intervals`, `interval_based`)
+
+def complement_keys(domain, keys):
+    """Pins `_Table.walk` since it is `difference_keys` from the domain: a walk over the gaps."""
+    lo, hi = domain
+    out = []
+    for k_lo, k_hi in keys:
+        if lo < k_lo:
+            out.append((lo, k_lo - 1))
+        lo = k_hi + 1
+    if lo <= hi:
+        out.append((lo, hi))
+    return out
+
 
 def back_shift_keys(lo, hi, w_lo, w_hi):
     """Pins `back_shift` since it reads `_until_bases`: one witness key pair (lo,

@@ -386,6 +386,25 @@ class TestOtherCommands:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_a_crashed_check_is_a_failed_check(self, capsys, monkeypatch):
+        from mtlsem import gallery
+
+        names = [name for name, _, _ in gallery._checks()]
+
+        def crash(*_):
+            raise ValueError("no mixed engine")
+        monkeypatch.setattr(gallery, "eval_mx", crash)  # the mx checks read it at call time
+        code, out = run(capsys, "paper", "--all")
+        lines = out.splitlines()
+        assert code == 4
+        assert [line.split(":")[0].split()[1] for line in lines[:-1]] == names
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert failed == [f"FAIL  {name}: raised ValueError: no mixed engine"
+                          for name in ("mixed-recovers-order", "mixed-accepts-windowed-start",
+                                       "mixed-rejects-interleaved-left-operand",
+                                       "mixed-separates-shared-time-conjunct")]
+        assert lines[-1] == f"{len(names) - len(failed)}/{len(names)} checks passed"
+
     def test_paper_name_filter(self, capsys):
         code, out = run(capsys, "paper", "--name", "mixed-recovers-order")
         assert code == 0

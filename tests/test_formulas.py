@@ -73,6 +73,10 @@ class TestInterning:
         assert Until(a, interval(0, "1/2"), b) is Until(a, interval(0, Fraction(1, 2)), b)
         assert Until(a, interval(0, 1), b) is not Until(a, interval(0, 1, True, False), b)
 
+    def test_a_wrong_field_count_is_a_type_error(self):
+        with pytest.raises(TypeError, match=r"Until takes fields \('left', 'window', 'right'\)"):
+            Until(Atom("a"), Atom("b"))
+
     def test_nodes_are_immutable(self):
         with pytest.raises(AttributeError):
             Atom("a").name = "b"

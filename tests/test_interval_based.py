@@ -549,8 +549,8 @@ class TestPendingComplements:
         import mtlsem.interval_based as ib
 
         walked = []
-        real = ib.complement_keys
-        monkeypatch.setattr(ib, "complement_keys", lambda d, k: walked.append(real(d, k)) or walked[-1])
+        real = ib._Table.walk
+        monkeypatch.setattr(ib._Table, "walk", lambda t, k: walked.append(real(t, k)) or walked[-1])
         got = sat_set_itw(_long_word(1), parse(text, ABC))
         assert len(walked) == walks
         assert walked == walked[:1] and all(keys is got.keys[1] for keys in walked)
@@ -578,7 +578,7 @@ class TestPointQueriesOnPendingRoots:
 
         def refuse(*_):
             raise AssertionError("a point query walked a complement")
-        monkeypatch.setattr(ib, "complement_keys", refuse)
+        monkeypatch.setattr(ib._Table, "walk", refuse)
 
     @pytest.mark.parametrize("engine", ["itw", "its"])
     def test_dense(self, engine, monkeypatch):

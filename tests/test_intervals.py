@@ -12,7 +12,6 @@ from mtlsem.intervals import (
     Interval,
     IntervalSet,
     back_shift,
-    complement_keys,
     difference_keys,
     interval,
     interval_keys,
@@ -23,7 +22,7 @@ from mtlsem.intervals import (
     rational,
     time_base,
 )
-from shared import _reference_parts
+from shared import _reference_parts, complement_keys
 
 
 def iv(text):
@@ -107,6 +106,10 @@ class TestSetOps:
     def test_complement_requires_containment(self):
         with pytest.raises(MtlsemError):
             iset("[0,2]").complement(iv("[0,1]"))
+
+    def test_repr_is_the_set_text(self):
+        assert repr(iset("[0,1/2)", "(2,inf)")) == "IntervalSet({[0,1/2), (2,inf)})"
+        assert repr(IntervalSet.empty()) == "IntervalSet({})"
 
     def test_member(self):
         assert not iset("[0,1)").member(Fraction(1))
@@ -310,6 +313,15 @@ def test_covers_by_membership():
         assert s.covers(probe) == expect, (str(s), str(probe))
 
 
+def test_clip_by_membership():
+    rng = random.Random(25)
+    for _ in range(600):
+        s, domain = _rand_normal_set(rng), _rand_interval(rng)
+        clipped = s.clip(domain)
+        for t in _probes(s, domain):
+            assert clipped.member(t) == (s.member(t) and domain.contains(t)), (str(s), str(domain), t)
+
+
 def test_complement_walk_equals_the_difference_from_the_domain():
     domain = (3, 30)
     cases = [[], [(3, 5)], [(28, 30)], [(3, 4), (28, 30)], [domain], [(4, 29)]]
@@ -321,7 +333,7 @@ def test_complement_walk_equals_the_difference_from_the_domain():
             keys.append((lo, rng.randint(lo, domain[1])))
         cases.append(normalize_keys(keys))
     for keys in cases:
-        assert complement_keys(domain, keys) == difference_keys([domain], keys), keys
+        assert difference_keys([domain], keys) == complement_keys(domain, keys), keys
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,10 @@ class TestCriticalPoints:
                         times, finite_window_bounds(f), temporal_depth(f), lo, hi)
                     assert critical_values(structure, f) == vals, (str(structure), f)
 
+    def test_a_non_model_is_a_type_error(self):
+        with pytest.raises(TypeError, match="no critical points for 42"):
+            critical_values(42, WINDOWED_C)
+
     def test_no_windows_gives_timestamps(self):
         got = critical_points(RHO1, parse("a", ABC))
         assert [v for v in got if v in set(RHO1.times)] == sorted(set(RHO1.times))

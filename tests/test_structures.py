@@ -440,6 +440,11 @@ class TestKeyedLookupAndRendering:
                     assert tss_at(kappa, t) == want, (str(kappa), t)
             assert _scan_at(kappa, last + Fraction(1, 10**30)) is None
 
+    def test_repr_names_the_class(self):
+        rho = word([("a", "0"), ("b", "1/2"), ("c", "1/2")])
+        assert repr(rho) == "TimedWord((a,0)(b,1/2)(c,1/2))"
+        assert repr(compact(rho)) == "CompactTimedWord(((a),0)((b,c),1/2))"
+
     def test_rendering_matches_str_of_the_intervals(self):
         for kappa in tss_corpus():
             want = {"steps": [[sorted(props), str(iv)] for props, iv in kappa.steps]}
