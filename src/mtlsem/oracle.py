@@ -17,24 +17,26 @@ block's timestamp.  One piece scan decides every Until of all four relations;
 a later position at the same time lies at distance 0.  Piecewise constancy
 itself is checked empirically by double sampling in the test suite.
 
-A table costs one frontier closure for the critical values (each round
-shifts only the values the last one added), one step lookup per piece (its:
-one walk, pieces and steps both in time order), per Until and base the
-window's absolute ends once, then the scan: still the literal quantifier
-over later pieces, on `Fraction`s.  `differential` reads a table in piece
-order; a single lookup (oracle_eval_*) builds the table and reads one entry.
+A table costs one walk of the formula, one frontier closure for the critical
+values (each round shifts only the values the last one added), one step lookup
+per piece (its: one walk, pieces and steps both in time order), per Until and
+base the window's absolute ends once, then the scan: still the literal
+quantifier over later pieces, on ints at a scale where every critical value,
+window end and midpoint is one.  `differential` labels only the divergence it
+reports; a single lookup (oracle_eval_*) builds the table and reads one entry.
 
-The tables, and the depth and window bounds of the critical values, are read
-off the oracle's own post-order of the formula (`_post_order`, an explicit
-stack), not the engines' `fold` or `subformulas`, so a fault there cannot hide
-in both.  They compare `Fraction`s and flags, never the engines' integer keys.
-Only `differential`, which compares an engine with its oracle, calls the engines.
+The tables, the critical values and the scale are read off the oracle's own
+post-order of the formula (`_post_order`, an explicit stack), not the engines'
+`fold` or `subformulas`, and the base values' `Fraction`s, not the engines'
+integer time base or key helpers: no fault there can hide in both.  Only
+`differential`, which compares an engine with its oracle, calls the engines.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -69,38 +71,49 @@ from .structures import (
 
 def _base_values(structure):
     if isinstance(structure, (TimedWord, CompactTimedWord)):
-        return sorted(set(structure.times)), Fraction(0), structure.times[-1]
+        return set(structure.times), Fraction(0), structure.times[-1]
     if isinstance(structure, TimedStateSequence):
-        vals = set()
-        for _, iv in structure.steps:
-            vals.add(iv.lo.value)
-            if iv.hi.value != INF:
-                vals.add(iv.hi.value)
-        return sorted(vals), structure.steps[0][1].lo.value, structure.steps[-1][1].hi.value
+        steps = [iv for _, iv in structure.steps]
+        vals = {b.value for iv in steps for b in (iv.lo, iv.hi)} - {INF}
+        return vals, steps[0].lo.value, steps[-1].hi.value
     raise TypeError(f"no critical points for {structure!r}")
 
 
-def critical_values(structure, f: Formula):
-    """The depth-closed critical values (no midpoints), domain endpoints included.
-
-    Each round shifts only the values new since the last: an older value's
-    shifts are in the set already.  A bound 0 shifts nothing and is skipped.
-    """
-    vals, lo, hi = _base_values(structure)
-    current = frontier = set(vals) | {lo, hi}
-    depth, bounds = {}, set()  # each node's temporal depth; the window bounds
-    for node in _post_order(f):
+def _walk(f: Formula, values):
+    """A table's one walk of `f`: its post-order, temporal depth and finite
+    nonzero window bounds, and the scale, twice the lcm of the denominators of
+    `values` and the bounds: times it, every critical value, window end and
+    midpoint is an int."""
+    order, depth, bounds = _post_order(f), {}, set()
+    for node in order:
         depth[node] = (type(node) is Until) + max(map(depth.__getitem__, node.children), default=0)
         if type(node) is Until:
             bounds.update((node.window.lo.value, node.window.hi.value))
     bounds -= {0, INF}
-    for _ in range(depth[f]):
-        frontier = ({c for c in (t + b for t in frontier for b in bounds) if c <= hi}
-                    | {c for c in (t - b for t in frontier for b in bounds) if c >= lo}) - current
-        if not frontier:
-            break
-        current = current | frontier
-    return sorted(current)
+    return order, depth[f], bounds, 2 * math.lcm(*{v.denominator for v in (*values, *bounds)})
+
+
+def _scaled(v: Fraction, scale: int) -> int:
+    return v.numerator * (scale // v.denominator)
+
+
+def _critical(structure, f: Formula):
+    """The post-order of `f`, the scale and the depth-closed critical values,
+    sorted.  The closure runs on ints; each round shifts only the new values."""
+    vals, lo, hi = _base_values(structure)
+    order, depth, bounds, scale = _walk(f, vals)
+    lo, hi, shifts = _scaled(lo, scale), _scaled(hi, scale), [_scaled(b, scale) for b in bounds]
+    current = frontier = {_scaled(v, scale) for v in vals} | {lo, hi}
+    for _ in range(depth):
+        frontier = {c for t in frontier for b in shifts for c in (t + b, t - b)
+                    if lo <= c <= hi} - current
+        current |= frontier
+    return order, scale, [Fraction(c, scale) for c in sorted(current)]
+
+
+def critical_values(structure, f: Formula):
+    """The depth-closed critical values (no midpoints), domain endpoints included."""
+    return _critical(structure, f)[2]
 
 
 def critical_points(structure, f: Formula):
@@ -159,45 +172,44 @@ def _post_order(f: Formula) -> list:
     return order
 
 
-def _piece_truth(pieces, holds, f: Formula, beta: bool = False):
-    """Bottom-up truth arrays over pieces; Until scans pieces with exact windows.
+def _piece_truth(pieces, holds, order, scale, beta: bool = False):
+    """Bottom-up truth arrays over pieces; Until scans them on ints at the scale.
 
     `holds[i]` holds the atoms true on piece i.  `beta` admits the
     position-zero atom, which holds at every piece with j = 0.
     """
-    n = len(pieces)
+    points = [p.is_point for p in pieces]
+    los = [_scaled(p.lo, scale) for p in pieces]
+    his = [_scaled(p.hi, scale) for p in pieces]
 
     def _until(w, lv, rv):
         """Per base: a later t' with t' - base in w where r holds, and l on
         (base, t')?  The scan starts at an open base's own piece, which l must
-        cross.  A point piece, at or after the base, is tested against the
-        window's absolute ends with their flags; an open piece (a, b) meets
-        the window past the base iff a < hi and lo < b, when w holds a time
-        past 0."""
-        lo_w, hi_w, bounded = w.lo.value, w.hi.value, w.hi.value != INF
-        opens = hi_w > 0
-
-        def hits(p, lo, hi):
-            if not p.is_point:
-                return opens and lo < p.hi and (not bounded or p.lo < hi)
-            return ((lo < p.lo or w.lo.closed and lo == p.lo)
-                    and (not bounded or p.lo < hi or w.hi.closed and p.lo == hi))
+        cross.  A point piece, at or after the base, lies within the window's
+        absolute ends, an open end moved one inward (on ints, lo < x iff
+        lo + 1 <= x); an open piece (a, b) meets the window past the base iff
+        a < hi and lo < b, when w holds a time past 0."""
+        lo_w, bounded = _scaled(w.lo.value, scale), w.hi.value != INF
+        hi_w = _scaled(w.hi.value, scale) if bounded else INF
+        lo_open, hi_open, opens = not w.lo.closed, not w.hi.closed, w.hi.value > 0
 
         def at(i):
-            base = pieces[i].rep
-            lo, hi = base + lo_w, (base + hi_w if bounded else None)
-            for ip in range(i + pieces[i].is_point, n):
-                p = pieces[ip]
-                if rv[ip] and (p.is_point or lv[ip]) and hits(p, lo, hi):
+            base = (los[i] + his[i]) // 2  # exact: the scale is even
+            lo, hi = base + lo_w, (base + hi_w if bounded else INF)
+            first, last = lo + lo_open, hi - hi_open
+            for ip in range(i + points[i], len(pieces)):
+                x = los[ip]
+                if rv[ip] and (first <= x <= last if points[ip]
+                               else lv[ip] and opens and lo < his[ip] and x < hi):
                     return True
-                if not lv[ip] or bounded and p.lo > hi:
+                if not lv[ip] or x > hi:
                     return False
             return False
 
-        return [at(i) for i in range(n)]
+        return [at(i) for i in range(len(pieces))]
 
     sat = {}
-    for node in _post_order(f):
+    for node in order:
         match node:
             case Atom(name):
                 sat[node] = [name in h for h in holds]
@@ -211,21 +223,22 @@ def _piece_truth(pieces, holds, f: Formula, beta: bool = False):
                 sat[node] = _until(w, sat[l], sat[r])
             case _:
                 raise TypeError(f"not a formula: {node!r}")
-    return sat[f]
+    return sat[order[-1]]
 
 
 # ---------------------------------------------------------------------------
 # oracles
 
-def _itw_oracle(rho: TimedWord, f: Formula, pieces):
-    stamp_acts = {}
+def _itw_oracle(rho: TimedWord, f: Formula):
+    order, scale, values = _critical(rho, f)
+    pieces, stamp_acts = _pieces(values), {}
     for a, ts in rho.events:
         stamp_acts.setdefault(ts, set()).add(a)
     holds = [stamp_acts.get(p.lo, ()) if p.is_point else () for p in pieces]
-    return _piece_truth(pieces, holds, f)
+    return pieces, _piece_truth(pieces, holds, order, scale)
 
 
-def _its_oracle(kappa: TimedStateSequence, f: Formula, pieces):
+def _its_oracle(kappa: TimedStateSequence, f: Formula):
     """Each piece's step found in one walk: pieces and steps are in time order,
     and every step's ends are critical values, so every step holds a piece and
     the walk moves at most one step per piece.  A piece that no step covers
@@ -235,34 +248,34 @@ def _its_oracle(kappa: TimedStateSequence, f: Formula, pieces):
         return ((lo.value < t or lo.closed and lo.value == t)
                 and (t < hi.value or hi.closed and t == hi.value))
 
-    steps, k, holds = kappa.steps, 0, []
+    order, scale, values = _critical(kappa, f)
+    pieces, steps, k, holds = _pieces(values), kappa.steps, 0, []
     for p in pieces:
         if k + 1 < len(steps) and covers(steps[k + 1][1], p.rep):
             k += 1
         holds.append(steps[k][0] if covers(steps[k][1], p.rep) else frozenset())
-    return _piece_truth(pieces, holds, f)
+    return pieces, _piece_truth(pieces, holds, order, scale)
 
 
 def oracle_eval_itw(rho: TimedWord, t, f: Formula) -> bool:
     t = t if isinstance(t, Fraction) else rational(t)
     if t < 0 or t > rho.times[-1]:
         raise OutOfDomainError(f"time {t} outside [0, {rho.times[-1]}]")
-    pieces = _pieces(critical_values(rho, f))
-    return _truth_at(pieces, _itw_oracle(rho, f, pieces), t)
+    return _truth_at(*_itw_oracle(rho, f), t)
 
 
 def oracle_eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
     t = t if isinstance(t, Fraction) else rational(t)
     if t < kappa.steps[0][1].lo.value or t > kappa.steps[-1][1].hi.value:
         raise OutOfDomainError(f"time {t} outside the covered span")
-    pieces = _pieces(critical_values(kappa, f))
-    return _truth_at(pieces, _its_oracle(kappa, f, pieces), t)
+    return _truth_at(*_its_oracle(kappa, f), t)
 
 
 def _pw_oracle(rho: TimedWord, f: Formula):
     """One point piece per event, in word order: a later position is a later piece."""
-    return _piece_truth([_Piece(t, t, True) for t in rho.times],
-                        [(a,) for a in rho.actions], f)
+    order, *_, scale = _walk(f, rho.times)
+    return _piece_truth([_Piece(t, t, True) for t in rho.times], [(a,) for a in rho.actions],
+                        order, scale)
 
 
 def oracle_eval_pw(rho: TimedWord, i: int, f: Formula) -> bool:
@@ -271,11 +284,12 @@ def oracle_eval_pw(rho: TimedWord, i: int, f: Formula) -> bool:
     return _pw_oracle(rho, f)[i]
 
 
-def _mx_oracle(cw: CompactTimedWord, f: Formula, dense):
-    """The `dense` pieces from the first block on, one point per block position."""
+def _mx_oracle(cw: CompactTimedWord, f: Formula):
+    """The dense pieces from the first block on, one point per block position."""
+    order, scale, values = _critical(cw, f)
     blocks = {t: acts for acts, t in cw.blocks}
     pieces, holds = [], []
-    for p in dense:
+    for p in _pieces(values):
         if p.is_point and p.lo in blocks:
             for j, act in enumerate(blocks[p.lo]):
                 pieces.append(_Piece(p.lo, p.lo, True, j))
@@ -283,7 +297,7 @@ def _mx_oracle(cw: CompactTimedWord, f: Formula, dense):
         elif p.lo >= cw.times[0]:
             pieces.append(p)
             holds.append(())
-    return pieces, _piece_truth(pieces, holds, f, beta=True)
+    return pieces, _piece_truth(pieces, holds, order, scale, beta=True)
 
 
 def oracle_eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
@@ -294,7 +308,7 @@ def oracle_eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
     size = next((len(acts) for acts, s in cw.blocks if s == t), 1)
     if not 0 <= j < size:
         raise IndexError(f"position {j} out of range at time {t}")
-    return _truth_at(*_mx_oracle(cw, f, _pieces(critical_values(cw, f))), t, j)
+    return _truth_at(*_mx_oracle(cw, f), t, j)
 
 
 # ---------------------------------------------------------------------------
@@ -313,24 +327,24 @@ def differential(engine: str, structure, f: Formula):
     if engine == "pw":
         got = sat_positions(structure, f)
         checks = ((i, i in got, v) for i, v in enumerate(_pw_oracle(structure, f)))
+        label = int  # a position is its own label
     elif engine in ("itw", "its"):
         sat_set, oracle = ((sat_set_itw, _itw_oracle) if engine == "itw"
                            else (sat_set_its, _its_oracle))
-        pieces = _pieces(critical_values(structure, f))
-        got, truth = sat_set(structure, f), oracle(structure, f, pieces)
-        checks = ((rat_str(p.rep), got.member(p.rep), v) for p, v in zip(pieces, truth))
+        got = sat_set(structure, f)
+        checks = ((p, got.member(p.rep), v) for p, v in zip(*oracle(structure, f)))
+        label = lambda p: rat_str(p.rep)
     else:
         got = sat_set_mx(structure, f)
-        table = list(zip(*_mx_oracle(structure, f, _pieces(critical_values(structure, f)))))
+        table = list(zip(*_mx_oracle(structure, f)))
         block = {t: k for k, (_, t) in enumerate(structure.blocks)}
-        grid = (([rat_str(p.lo), p.j], (block[p.lo], p.j) in got.points, v)
-                for p, v in table if p.rep in block)
-        gaps = (([rat_str(p.rep), 0], got.gap.member(p.rep), v)
-                for p, v in table if p.rep not in block)
+        grid = ((p, (block[p.lo], p.j) in got.points, v) for p, v in table if p.rep in block)
+        gaps = ((p, got.gap.member(p.rep), v) for p, v in table if p.rep not in block)
         checks = itertools.chain(grid, gaps)
-    for at, mine, want in checks:
-        if mine != want:
-            return {"at": at, "engine": mine, "oracle": want}
+        label = lambda p: [rat_str(p.rep), p.j]
+    for sample, mine, want in checks:
+        if mine != want:  # only the divergence is labelled
+            return {"at": label(sample), "engine": mine, "oracle": want}
     return None
 
 

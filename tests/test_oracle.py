@@ -49,7 +49,7 @@ from mtlsem.structures import (
     word_to_json,
 )
 from shared import (RHO1, _reference_its, _reference_itw, _reference_mx, _reference_piece_index,
-                    _reference_pw, seeded_pairs)
+                    _reference_pw, scaled_words, seeded_pairs, tss_corpus)
 
 ALPHABET_ABCD = alphabet("a,b,c,d")
 
@@ -64,6 +64,26 @@ def closure_by_hand(times, bounds, depth, lo, hi):
                     if lo <= c <= hi:
                         vals.add(c)
     return sorted(vals)
+
+
+def _hand_values(structure, f):
+    """closure_by_hand on a model's base values and domain."""
+    if hasattr(structure, "steps"):
+        ends = [iv.lo.value for _, iv in structure.steps]
+        lo, hi = ends[0], structure.steps[-1][1].hi.value
+        times = ends + [hi]
+    else:
+        times, lo, hi = structure.times, Fraction(0), structure.times[-1]
+    return closure_by_hand(times, finite_window_bounds(f), temporal_depth(f), lo, hi)
+
+
+# windows whose bounds have denominators 3, 5 and 7, for words and state
+# sequences off the half grid; under F[0,1/3] a, the one-event word's only
+# piece is 0, so no piece holds the window's denominator
+OFF_GRID = tuple(parse(text, ABC) for text in (
+    "F[0,1/3] a", "a U(2/5,5/7] b", "G[0,1/7](a -> F(0,1/3] b)",
+    "!(b U[2/3,inf) c) & F[3/7,3/7] a", "(a | c) U[0,6/5) (b & F[0,2/7] c)"))
+ONE_EVENT = word([("a", "0")])
 
 
 class TestCriticalPoints:
@@ -92,16 +112,17 @@ class TestCriticalPoints:
             rho, g = gen_word(seed), gen_formula(seed * 23 + 5, ABC)
             formulas = [g, And(g, self.F_NOW_A), Until(self.A_UNTIL_B, punctual(1), g)]
             for structure in (rho, compact(rho), word_to_tss(rho), gen_ka(seed)):
-                if hasattr(structure, "steps"):
-                    ends = [iv.lo.value for _, iv in structure.steps]
-                    lo, hi = ends[0], structure.steps[-1][1].hi.value
-                    times = ends + [hi]
-                else:
-                    times, lo, hi = structure.times, Fraction(0), structure.times[-1]
                 for f in formulas:
-                    vals = closure_by_hand(
-                        times, finite_window_bounds(f), temporal_depth(f), lo, hi)
+                    vals = _hand_values(structure, f)
                     assert critical_values(structure, f) == vals, (str(structure), f)
+
+    def test_matches_hand_recurrence_off_the_half_grid(self):
+        # stamps scaled by 1/3, 7/10, 5/6 and 11/4, state sequences with
+        # bases above 2^64, windows with denominators 3, 5 and 7
+        models = [rho for _, rho in scaled_words()] + list(tss_corpus())
+        for i, structure in enumerate([ONE_EVENT, *models]):
+            f = OFF_GRID[i % len(OFF_GRID)]
+            assert critical_values(structure, f) == _hand_values(structure, f), (str(structure), f)
 
     def test_a_non_model_is_a_type_error(self):
         with pytest.raises(TypeError, match="no critical points for 42"):
@@ -172,9 +193,7 @@ class TestTablesAgainstTheLiteralScan:
     def test_itw(self):
         for seed, (rho, f) in enumerate(seeded_pairs(1500, 7, 3, max_len=10, max_depth=5)):
             vals = critical_values(rho, f)
-            pieces = oracle._pieces(vals)
-            _assert_tables_agree((pieces, oracle._itw_oracle(rho, f, pieces)),
-                                 _reference_itw(rho, f, vals), vals,
+            _assert_tables_agree(oracle._itw_oracle(rho, f), _reference_itw(rho, f, vals), vals,
                                  seed % self.LOOKUP_EVERY == 0)
 
     def test_its(self):
@@ -187,10 +206,8 @@ class TestTablesAgainstTheLiteralScan:
                       seed % 2 and _left_open_start(ka)]
             for kappa in filter(None, kappas):
                 vals = critical_values(kappa, f)
-                pieces = oracle._pieces(vals)
-                _assert_tables_agree((pieces, oracle._its_oracle(kappa, f, pieces)),
-                                     _reference_its(kappa, f, vals), vals,
-                                     seed % self.LOOKUP_EVERY == 0)
+                _assert_tables_agree(oracle._its_oracle(kappa, f), _reference_its(kappa, f, vals),
+                                     vals, seed % self.LOOKUP_EVERY == 0)
 
     def test_its_left_open_start(self):
         # the first critical value lies in no step: it holds no atoms
@@ -208,9 +225,29 @@ class TestTablesAgainstTheLiteralScan:
                                       allow_nonzero_start=True)
             f = gen_formula(seed * 7 + 3, ABC, max_depth=5, allow_beta=True)
             vals = critical_values(cw, f)
-            _assert_tables_agree(oracle._mx_oracle(cw, f, oracle._pieces(vals)),
+            _assert_tables_agree(oracle._mx_oracle(cw, f),
                                  _reference_mx(cw, f, vals), vals,
                                  seed % self.LOOKUP_EVERY == 1)
+
+    def test_off_the_half_grid(self):
+        """Every relation on words scaled off the half grid and on state
+        sequences with bases above 2^64, under windows with denominators 3, 5
+        and 7: the oracle's scale must hold each window end and midpoint."""
+        for i, rho in enumerate([ONE_EVENT, *(rho for _, rho in scaled_words())]):
+            f, lookups = OFF_GRID[i % len(OFF_GRID)], i % self.LOOKUP_EVERY == 0
+            vals = critical_values(rho, f)
+            _assert_tables_agree(oracle._itw_oracle(rho, f), _reference_itw(rho, f, vals), vals,
+                                 lookups)
+            cw = compact(rho)
+            vals = critical_values(cw, f)
+            _assert_tables_agree(oracle._mx_oracle(cw, f), _reference_mx(cw, f, vals), vals,
+                                 lookups)
+            assert oracle._pw_oracle(rho, f) == _reference_pw(rho, f), (str(rho), f)
+        for i, kappa in enumerate(tss_corpus()):
+            f = OFF_GRID[i % len(OFF_GRID)]
+            vals = critical_values(kappa, f)
+            _assert_tables_agree(oracle._its_oracle(kappa, f), _reference_its(kappa, f, vals),
+                                 vals, i % self.LOOKUP_EVERY == 0)
 
     def test_pw(self):
         for seed, (rho, f) in enumerate(seeded_pairs(1500, 7, 3, max_len=10, max_depth=5)):
@@ -320,7 +357,9 @@ class TestIndependence:
     ENGINE_NAMES = {"fold", "IntervalSet", "back_shift", "sat_positions", "lasso_instance",
                     # the engines' integer time base
                     "ticks", "time_base", "tick_column", "rebased", "time_key",
-                    "interval_keys", "key_column", "scaled_keys", "on_base"}
+                    "interval_keys", "key_column", "scaled_keys", "on_base",
+                    "rational_ticks", "rational_pair", "interval_pair", "tick_text",
+                    "key_texts", "key_intervals", "meets", "columns"}
 
     def test_no_oracle_function_names_engine_code(self):
         # only `differential`, which compares an engine with its oracle, may
@@ -344,31 +383,49 @@ class TestIndependence:
 
     def test_oracles_run_no_engine_code(self, monkeypatch):
         """At run time too: with the engines' formula walks and integer key
-        helpers made to raise, every oracle entry point and `critical_values`
-        answer as they did before."""
-        from mtlsem import formulas, intervals
+        helpers made to raise, at every binding of them in the package, and a
+        state sequence's key columns unreadable, every oracle entry point and
+        `critical_values` answer as they did before.  The second word's stamps
+        have coprime denominators, so the oracle's own scale is not 2."""
+        import sys
+
+        from mtlsem import structures
 
         f = parse("G[0,4](a -> F[1,3] b) & !((a | b) U(1/2,2] c) & F[0,1/3] c", ABC)
-        rho = word([("a", "0"), ("b", "1/2"), ("a", "1"), ("c", "1"), ("a", "5/2"), ("b", "7/2")])
-        kappa, cw = word_to_tss(rho), compact(rho)
-        rho.events, rho.times, cw.blocks, cw.times, kappa.steps  # the Fraction views, read first
-        times = ["0", "1/4", "1/2", "1", "3/2", "5/2", "3", "7/2"]
+        words = [(word([("a", "0"), ("b", "1/2"), ("a", "1"), ("c", "1"), ("a", "5/2"),
+                        ("b", "7/2")]), ["0", "1/4", "1/2", "1", "3/2", "5/2", "3", "7/2"]),
+                 (word([("a", "0"), ("b", "1/3"), ("c", "2/5"), ("c", "2/5"), ("b", "5/7")]),
+                  ["0", "1/3", "2/5", "5/7", "1/2", "1/11"])]
+        cases = []
+        for rho, times in words:
+            kappa, cw = word_to_tss(rho), compact(rho)
+            # the Fraction views and the times, read before the helpers raise
+            rho.events, rho.times, cw.blocks, cw.times, kappa.steps
+            sizes = {t: len(acts) for acts, t in cw.blocks}
+            points = [(t, sizes.get(t, 1)) for t in map(Fraction, times)]
+            cases.append((rho, kappa, cw, points))
 
         def run():
-            return ([critical_values(s, f) for s in (rho, kappa, cw)]
-                    + [oracle_eval_pw(rho, i, f) for i in range(len(rho))]
-                    + [oracle_eval_itw(rho, t, f) for t in times]
-                    + [oracle_eval_its(kappa, t, f) for t in times]
-                    + [oracle_eval_mx(cw, t, j, f) for t in times for j in range(1 + (t == "1"))])
+            return [([critical_values(s, f) for s in (rho, kappa, cw)]
+                     + [oracle_eval_pw(rho, i, f) for i in range(len(rho))]
+                     + [oracle_eval_itw(rho, t, f) for t, _ in points]
+                     + [oracle_eval_its(kappa, t, f) for t, _ in points]
+                     + [oracle_eval_mx(cw, t, j, f) for t, size in points for j in range(size)])
+                    for rho, kappa, cw, points in cases]
         want = run()
 
         def refuse(*_):
             raise AssertionError("an oracle ran engine code")
-        for module, names in ((formulas, ("fold", "subformulas")),
-                              (intervals, ("time_key", "time_base", "interval_keys", "scaled_keys",
-                                           "key_column", "tick_column", "rebased", "_until_bases"))):
+        names = ("fold", "subformulas", "time_key", "time_base", "interval_keys", "scaled_keys",
+                 "key_column", "tick_column", "rebased", "_until_bases", "rational_ticks",
+                 "rational_pair", "interval_pair", "tick_text", "key_texts", "key_intervals",
+                 "meets")
+        for module in [m for name, m in sys.modules.items() if name.startswith("mtlsem.")]:
             for name in names:
-                monkeypatch.setattr(module, name, refuse)
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(structures.TimedStateSequence, "columns", property(refuse),
+                            raising=False)
         assert run() == want
 
 
