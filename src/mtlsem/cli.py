@@ -377,7 +377,7 @@ def main(argv=None) -> int:
         # looked up by name per call: a cmd_* rebound after import (a test double,
         # a tracing wrapper) is the one that runs
         return globals()[args.handler](args)
-    except (MtlsemError, IndexError, OSError, json.JSONDecodeError) as exc:
+    except (MtlsemError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except Exception as exc:  # a crash is never a verdict: keep it off exit 1

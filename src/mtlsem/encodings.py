@@ -21,6 +21,7 @@ from .errors import (
     MtlsemError,
     NonMonotoneError,
     OutOfDomainError,
+    PositionError,
     SeamStutterError,
 )
 from .formulas import Formula, Until, fold, horizon
@@ -85,9 +86,9 @@ def word_to_tss(rho: TimedWord) -> TimedStateSequence:
 def word_position(cw: CompactTimedWord, k: int, j: int) -> int:
     """Word position of the j-th action of block k."""
     if not (0 <= k < len(cw.actions)):
-        raise IndexError(f"block index {k} out of range")
+        raise PositionError(f"block index {k} out of range")
     if not (0 <= j < len(cw.actions[k])):
-        raise IndexError(f"position {j} out of range in block {k}")
+        raise PositionError(f"position {j} out of range in block {k}")
     return sum(map(len, cw.actions[:k])) + j
 
 
@@ -95,7 +96,7 @@ def block_position(cw: CompactTimedWord, i: int) -> tuple:
     """Inverse of word_position: (block, offset) holding word position i."""
     ends = list(itertools.accumulate(map(len, cw.actions)))  # one past each block's end
     if not (0 <= i < ends[-1]):
-        raise IndexError(f"word position {i} out of range")
+        raise PositionError(f"word position {i} out of range")
     k = bisect_right(ends, i)  # the first block ending after i
     return (k, i - ends[k - 1] if k else i)
 

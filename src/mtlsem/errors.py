@@ -51,3 +51,8 @@ class UnknownAtomError(MtlsemError):
 
 class BetaNotAllowedError(MtlsemError):
     """The position-zero atom is only meaningful under the mixed semantics."""
+
+
+class PositionError(MtlsemError, IndexError):
+    """A position or block index lies outside the model: an input error, and
+    still an IndexError to callers that catch one."""

@@ -31,6 +31,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 
+from .errors import PositionError
 from .formulas import Formula, atoms, finite_window_bounds
 from .intervals import IntervalSet, rational, rebased, time_key
 from .structures import CompactTimedWord, Lasso
@@ -140,7 +141,7 @@ def eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
     k = block_index_at(cw, t)  # domain-checks t
     size = len(cw.actions[k]) if k is not None else 1
     if not 0 <= j < size:
-        raise IndexError(f"position {j} out of range at time {t}")
+        raise PositionError(f"position {j} out of range at time {t}")
     table, (D, J, starts, _) = _mx_table(cw, f)
     # the slot of position j; at a gap time its time key's first (a set holds all J or none)
     return table.holds(f, starts[k] + j if k is not None else time_key(t, D) * J)

@@ -17,12 +17,19 @@ block's timestamp.  One piece scan decides every Until of all four relations;
 a later position at the same time lies at distance 0.  Piecewise constancy
 itself is checked empirically by double sampling in the test suite.
 
+A table lives on one number type: ints at the oracle's scale, twice the lcm
+of the denominators of the base values and the window bounds, where every
+critical value, window end and midpoint is an int.  A piece is (lo, hi, j),
+a point when lo == hi, with (lo + hi) // 2 its point or exact midpoint.
+`Fraction` appears only at the edges: the values `critical_values` and
+`critical_points` return, the oracle_eval_* domain checks and lookups, and
+`differential`'s engine queries and divergence labels.
+
 A table costs one walk of the formula, one frontier closure for the critical
 values (each round shifts only the values the last one added), one step lookup
 per piece (its: one walk, pieces and steps both in time order), per Until and
 base the window's absolute ends once, then the scan: still the literal
-quantifier over later pieces, on ints at a scale where every critical value,
-window end and midpoint is one.  `differential` labels only the divergence it
+quantifier over later pieces.  `differential` labels only the divergence it
 reports; a single lookup (oracle_eval_*) builds the table and reads one entry.
 
 The tables, the critical values and the scale are read off the oracle's own
@@ -40,7 +47,7 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import OutOfDomainError
+from .errors import OutOfDomainError, PositionError
 from .formulas import (
     And,
     Atom,
@@ -98,8 +105,8 @@ def _scaled(v: Fraction, scale: int) -> int:
 
 
 def _critical(structure, f: Formula):
-    """The post-order of `f`, the scale and the depth-closed critical values,
-    sorted.  The closure runs on ints; each round shifts only the new values."""
+    """The post-order of `f`, the scale and the depth-closed critical values
+    times the scale, sorted ints.  Each closure round shifts only the new values."""
     vals, lo, hi = _base_values(structure)
     order, depth, bounds, scale = _walk(f, vals)
     lo, hi, shifts = _scaled(lo, scale), _scaled(hi, scale), [_scaled(b, scale) for b in bounds]
@@ -108,46 +115,40 @@ def _critical(structure, f: Formula):
         frontier = {c for t in frontier for b in shifts for c in (t + b, t - b)
                     if lo <= c <= hi} - current
         current |= frontier
-    return order, scale, [Fraction(c, scale) for c in sorted(current)]
+    return order, scale, sorted(current)
 
 
 def critical_values(structure, f: Formula):
     """The depth-closed critical values (no midpoints), domain endpoints included."""
-    return _critical(structure, f)[2]
+    _, scale, values = _critical(structure, f)
+    return [Fraction(c, scale) for c in values]
 
 
 def critical_points(structure, f: Formula):
     """Critical values plus the midpoint of every neighbouring pair, sorted."""
-    return [p.rep for p in _pieces(critical_values(structure, f))]
+    _, scale, values = _critical(structure, f)
+    return [Fraction((lo + hi) // 2, scale) for lo, hi, _ in _pieces(values)]
 
 
 # ---------------------------------------------------------------------------
-# pieces: points and open intervals between consecutive critical values
-
-class _Piece:
-    __slots__ = ("lo", "hi", "is_point", "j", "rep")
-
-    def __init__(self, lo, hi, is_point, j=0):
-        self.lo = lo
-        self.hi = hi
-        self.is_point = is_point
-        self.j = j  # the position within a block (mixed pieces only)
-        self.rep = lo if is_point else (lo + hi) / 2
-
+# pieces: (lo, hi, j) on the scale, a point (lo == hi) or the open interval
+# between consecutive critical values; j is the position within a block (mixed
+# pieces only)
 
 def _pieces(values) -> list:
-    out = [_Piece(values[0], values[0], True)]
+    out = [(values[0], values[0], 0)]
     for a, b in zip(values, values[1:]):
-        out += (_Piece(a, b, False), _Piece(b, b, True))
+        out += ((a, b, 0), (b, b, 0))
     return out
 
 
-def _truth_at(pieces, truth, t, j=0):
+def _truth_at(pieces, truth, scale, t, j=0):
     """The truth at (t, j) in a piece table: at the point piece (t, j), else
     (j = 0 only) in the open piece around t.  One scan: each oracle_eval_*
     reads one point, and `differential` reads the table in piece order."""
-    for p, v in zip(pieces, truth):
-        if p.j == j and (p.lo == t if p.is_point else p.lo < t < p.hi):
+    x = t * scale
+    for (lo, hi, pj), v in zip(pieces, truth):
+        if pj == j and (lo == x if lo == hi else lo < x < hi):
             return v
     raise OutOfDomainError(f"({t}, {j}) is not on the piece grid")
 
@@ -178,10 +179,6 @@ def _piece_truth(pieces, holds, order, scale, beta: bool = False):
     `holds[i]` holds the atoms true on piece i.  `beta` admits the
     position-zero atom, which holds at every piece with j = 0.
     """
-    points = [p.is_point for p in pieces]
-    los = [_scaled(p.lo, scale) for p in pieces]
-    his = [_scaled(p.hi, scale) for p in pieces]
-
     def _until(w, lv, rv):
         """Per base: a later t' with t' - base in w where r holds, and l on
         (base, t')?  The scan starts at an open base's own piece, which l must
@@ -191,16 +188,17 @@ def _piece_truth(pieces, holds, order, scale, beta: bool = False):
         a < hi and lo < b, when w holds a time past 0."""
         lo_w, bounded = _scaled(w.lo.value, scale), w.hi.value != INF
         hi_w = _scaled(w.hi.value, scale) if bounded else INF
-        lo_open, hi_open, opens = not w.lo.closed, not w.hi.closed, w.hi.value > 0
+        lo_open, hi_open, opens = not w.lo.closed, not w.hi.closed, hi_w > 0
 
         def at(i):
-            base = (los[i] + his[i]) // 2  # exact: the scale is even
+            a, b, _ = pieces[i]
+            base = (a + b) // 2  # exact: the scale is even
             lo, hi = base + lo_w, (base + hi_w if bounded else INF)
             first, last = lo + lo_open, hi - hi_open
-            for ip in range(i + points[i], len(pieces)):
-                x = los[ip]
-                if rv[ip] and (first <= x <= last if points[ip]
-                               else lv[ip] and opens and lo < his[ip] and x < hi):
+            for ip in range(i + (a == b), len(pieces)):
+                x, y, _ = pieces[ip]
+                if rv[ip] and (first <= x <= last if x == y
+                               else lv[ip] and opens and lo < y and x < hi):
                     return True
                 if not lv[ip] or x > hi:
                     return False
@@ -214,7 +212,7 @@ def _piece_truth(pieces, holds, order, scale, beta: bool = False):
             case Atom(name):
                 sat[node] = [name in h for h in holds]
             case Beta() if beta:
-                sat[node] = [p.j == 0 for p in pieces]
+                sat[node] = [j == 0 for _, _, j in pieces]
             case Not(arg):
                 sat[node] = [not v for v in sat[arg]]
             case And(l, r):
@@ -227,34 +225,34 @@ def _piece_truth(pieces, holds, order, scale, beta: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# oracles
+# oracles: each table is (pieces, truth, scale)
 
 def _itw_oracle(rho: TimedWord, f: Formula):
     order, scale, values = _critical(rho, f)
     pieces, stamp_acts = _pieces(values), {}
     for a, ts in rho.events:
-        stamp_acts.setdefault(ts, set()).add(a)
-    holds = [stamp_acts.get(p.lo, ()) if p.is_point else () for p in pieces]
-    return pieces, _piece_truth(pieces, holds, order, scale)
+        stamp_acts.setdefault(_scaled(ts, scale), set()).add(a)
+    holds = [stamp_acts.get(lo, ()) if lo == hi else () for lo, hi, _ in pieces]
+    return pieces, _piece_truth(pieces, holds, order, scale), scale
 
 
 def _its_oracle(kappa: TimedStateSequence, f: Formula):
     """Each piece's step found in one walk: pieces and steps are in time order,
     and every step's ends are critical values, so every step holds a piece and
-    the walk moves at most one step per piece.  A piece that no step covers
-    (the start of a left-open first step) holds no atoms."""
-    def covers(iv, t):  # the step's end values and flags against t
-        lo, hi = iv.lo, iv.hi
-        return ((lo.value < t or lo.closed and lo.value == t)
-                and (t < hi.value or hi.closed and t == hi.value))
-
+    the walk moves at most one step per piece.  A step holds the midpoints
+    between its ends on the scale, an open end moved one inward; a piece that
+    no step holds (the start of a left-open first step) holds no atoms."""
     order, scale, values = _critical(kappa, f)
-    pieces, steps, k, holds = _pieces(values), kappa.steps, 0, []
-    for p in pieces:
-        if k + 1 < len(steps) and covers(steps[k + 1][1], p.rep):
+    steps = [(props, _scaled(iv.lo.value, scale) + (not iv.lo.closed),
+              _scaled(iv.hi.value, scale) - (not iv.hi.closed)) for props, iv in kappa.steps]
+    pieces, k, holds = _pieces(values), 0, []
+    for lo, hi, _ in pieces:
+        m = (lo + hi) // 2
+        if k + 1 < len(steps) and steps[k + 1][1] <= m <= steps[k + 1][2]:
             k += 1
-        holds.append(steps[k][0] if covers(steps[k][1], p.rep) else frozenset())
-    return pieces, _piece_truth(pieces, holds, order, scale)
+        props, first, last = steps[k]
+        holds.append(props if first <= m <= last else frozenset())
+    return pieces, _piece_truth(pieces, holds, order, scale), scale
 
 
 def oracle_eval_itw(rho: TimedWord, t, f: Formula) -> bool:
@@ -274,30 +272,30 @@ def oracle_eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
 def _pw_oracle(rho: TimedWord, f: Formula):
     """One point piece per event, in word order: a later position is a later piece."""
     order, *_, scale = _walk(f, rho.times)
-    return _piece_truth([_Piece(t, t, True) for t in rho.times], [(a,) for a in rho.actions],
-                        order, scale)
+    return _piece_truth([(s, s, 0) for s in (_scaled(t, scale) for t in rho.times)],
+                        [(a,) for a in rho.actions], order, scale)
 
 
 def oracle_eval_pw(rho: TimedWord, i: int, f: Formula) -> bool:
     if not (0 <= i < len(rho)):
-        raise IndexError(f"position {i} out of range")
+        raise PositionError(f"position {i} out of range")
     return _pw_oracle(rho, f)[i]
 
 
 def _mx_oracle(cw: CompactTimedWord, f: Formula):
     """The dense pieces from the first block on, one point per block position."""
     order, scale, values = _critical(cw, f)
-    blocks = {t: acts for acts, t in cw.blocks}
-    pieces, holds = [], []
-    for p in _pieces(values):
-        if p.is_point and p.lo in blocks:
-            for j, act in enumerate(blocks[p.lo]):
-                pieces.append(_Piece(p.lo, p.lo, True, j))
+    blocks = {_scaled(t, scale): acts for acts, t in cw.blocks}
+    start, pieces, holds = _scaled(cw.times[0], scale), [], []
+    for lo, hi, _ in _pieces(values):
+        if lo == hi and lo in blocks:
+            for j, act in enumerate(blocks[lo]):
+                pieces.append((lo, lo, j))
                 holds.append((act,))
-        elif p.lo >= cw.times[0]:
-            pieces.append(p)
+        elif lo >= start:
+            pieces.append((lo, hi, 0))
             holds.append(())
-    return pieces, _piece_truth(pieces, holds, order, scale, beta=True)
+    return pieces, _piece_truth(pieces, holds, order, scale, beta=True), scale
 
 
 def oracle_eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
@@ -307,7 +305,7 @@ def oracle_eval_mx(cw: CompactTimedWord, t, j: int, f: Formula) -> bool:
         raise OutOfDomainError(f"time {t} outside [{times[0]}, {times[-1]}]")
     size = next((len(acts) for acts, s in cw.blocks if s == t), 1)
     if not 0 <= j < size:
-        raise IndexError(f"position {j} out of range at time {t}")
+        raise PositionError(f"position {j} out of range at time {t}")
     return _truth_at(*_mx_oracle(cw, f), t, j)
 
 
@@ -328,20 +326,22 @@ def differential(engine: str, structure, f: Formula):
         got = sat_positions(structure, f)
         checks = ((i, i in got, v) for i, v in enumerate(_pw_oracle(structure, f)))
         label = int  # a position is its own label
-    elif engine in ("itw", "its"):
-        sat_set, oracle = ((sat_set_itw, _itw_oracle) if engine == "itw"
-                           else (sat_set_its, _its_oracle))
-        got = sat_set(structure, f)
-        checks = ((p, got.member(p.rep), v) for p, v in zip(*oracle(structure, f)))
-        label = lambda p: rat_str(p.rep)
     else:
-        got = sat_set_mx(structure, f)
-        table = list(zip(*_mx_oracle(structure, f)))
-        block = {t: k for k, (_, t) in enumerate(structure.blocks)}
-        grid = ((p, (block[p.lo], p.j) in got.points, v) for p, v in table if p.rep in block)
-        gaps = ((p, got.gap.member(p.rep), v) for p, v in table if p.rep not in block)
-        checks = itertools.chain(grid, gaps)
-        label = lambda p: [rat_str(p.rep), p.j]
+        sat_set, oracle = {"itw": (sat_set_itw, _itw_oracle), "its": (sat_set_its, _its_oracle),
+                           "mx": (sat_set_mx, _mx_oracle)}[engine]
+        got, (pieces, truth, scale) = sat_set(structure, f), oracle(structure, f)
+        at = lambda m: Fraction(m, scale)  # a representative's time, queried and labelled
+        # each piece's representative on the scale, its position and its truth
+        table = [((lo + hi) // 2, j, v) for (lo, hi, j), v in zip(pieces, truth)]
+        if engine == "mx":
+            block = {_scaled(t, scale): k for k, (_, t) in enumerate(structure.blocks)}
+            grid = (((m, j), (block[m], j) in got.points, v) for m, j, v in table if m in block)
+            gaps = (((m, j), got.gap.member(at(m)), v) for m, j, v in table if m not in block)
+            checks = itertools.chain(grid, gaps)
+            label = lambda s: [rat_str(at(s[0])), s[1]]
+        else:
+            checks = ((m, got.member(at(m)), v) for m, _, v in table)
+            label = lambda m: rat_str(at(m))
     for sample, mine, want in checks:
         if mine != want:  # only the divergence is labelled
             return {"at": label(sample), "engine": mine, "oracle": want}

@@ -31,6 +31,7 @@ import math
 from itertools import compress
 
 from .encodings import lasso_instance
+from .errors import PositionError
 from .formulas import And, Atom, Formula, Not, Until, finite_window_bounds, fold, require_beta_free
 from .intervals import INF, interval_keys, time_base
 from .structures import Lasso, TimedWord
@@ -97,7 +98,7 @@ def sat_positions(rho: TimedWord, f: Formula) -> frozenset:
 
 def eval_pw(rho: TimedWord, i: int, f: Formula) -> bool:
     if not (0 <= i < len(rho)):
-        raise IndexError(f"position {i} out of range")
+        raise PositionError(f"position {i} out of range")
     return bool(_root(rho, f) >> (len(rho) - 1 - i) & 1)
 
 

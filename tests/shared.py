@@ -11,7 +11,6 @@ import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from mtlsem import oracle
 from mtlsem.encodings import word_to_tss
 from mtlsem.errors import (AdjacencyError, EmptyWordError, FirstTimestampError, MtlsemError,
                            OutOfDomainError)
@@ -421,6 +420,27 @@ def _reference_parts(D, keys):
 # since they skip repeated Fraction work: the window ends rebuilt for every
 # scanned piece, a linear piece search, and a scan over every step for each piece
 
+# the `Fraction` pieces the scan reads (`_Piece`), pinning the oracle's (lo, hi, j)
+# ints since its tables moved onto its own integer scale
+class _Piece:
+    __slots__ = ("lo", "hi", "is_point", "j", "rep")
+
+    def __init__(self, lo, hi, is_point, j=0):
+        self.lo = lo
+        self.hi = hi
+        self.is_point = is_point
+        self.j = j  # the position within a block (mixed pieces only)
+        self.rep = lo if is_point else (lo + hi) / 2
+
+
+def _pieces(values) -> list:
+    """The points of the sorted `values` and the open intervals between neighbours."""
+    out = [_Piece(values[0], values[0], True)]
+    for a, b in zip(values, values[1:]):
+        out += (_Piece(a, b, False), _Piece(b, b, True))
+    return out
+
+
 def _reference_window_hits(p, base, w):
     """Whether piece p meets the window w shifted to base, rebuilt per piece."""
     if p.is_point:
@@ -486,7 +506,7 @@ def _reference_itw(rho, f, vals):
     stamp_acts = {}
     for a, ts in rho.events:
         stamp_acts.setdefault(ts, set()).add(a)
-    pieces = oracle._pieces(vals)
+    pieces = _pieces(vals)
     return _reference_table(
         pieces, [stamp_acts.get(p.lo, ()) if p.is_point else () for p in pieces], f)
 
@@ -501,7 +521,7 @@ def _reference_step_props(kappa, p):
 
 def _reference_its(kappa, f, vals):
     """The its table over the pieces of vals."""
-    pieces = oracle._pieces(vals)
+    pieces = _pieces(vals)
     return _reference_table(pieces, [_reference_step_props(kappa, p) for p in pieces], f)
 
 
@@ -509,9 +529,9 @@ def _reference_mx(cw, f, vals):
     """The mx table: the pieces of vals from the first block on, one point per block position."""
     blocks = {t: acts for acts, t in cw.blocks}
     pieces = []
-    for p in oracle._pieces(vals):
+    for p in _pieces(vals):
         if p.is_point and p.lo in blocks:
-            pieces.extend(oracle._Piece(p.lo, p.lo, True, j) for j in range(len(blocks[p.lo])))
+            pieces.extend(_Piece(p.lo, p.lo, True, j) for j in range(len(blocks[p.lo])))
         elif p.lo >= cw.times[0]:
             pieces.append(p)
     atoms = [(blocks[p.lo][p.j],) if p.is_point and p.lo in blocks else () for p in pieces]

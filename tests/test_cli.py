@@ -647,6 +647,21 @@ class TestExitCodes:
         assert code == 4
         assert err.strip() == "internal error: ZeroDivisionError: boom"
 
+    def test_an_engine_index_error_is_exit_four_a_bad_position_exit_three(self, rho1, capsys,
+                                                                         monkeypatch):
+        # only a position the input names is an input error: a plain
+        # IndexError from inside an engine is an internal failure
+        import mtlsem.cli as cli
+
+        code = main(["eval", "--semantics", "pw", "--position", "99", "--formula", "a",
+                     "--word", rho1])
+        assert (code, capsys.readouterr().err) == (3, "error: position 99 out of range\n")
+        monkeypatch.setattr(cli, "eval_pw", lambda *_: [][0])
+        code = main(["eval", "--semantics", "pw", "--formula", "a", "--word", rho1])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.splitlines() == ["internal error: IndexError: list index out of range"]
+
     @pytest.mark.parametrize("point", [
         ("its", "--time", "4"),
         ("mx", "--time", "4"),

@@ -48,8 +48,8 @@ from mtlsem.structures import (
     word,
     word_to_json,
 )
-from shared import (RHO1, _reference_its, _reference_itw, _reference_mx, _reference_piece_index,
-                    _reference_pw, scaled_words, seeded_pairs, tss_corpus)
+from shared import (RHO1, _pieces, _reference_its, _reference_itw, _reference_mx,
+                    _reference_piece_index, _reference_pw, scaled_words, seeded_pairs, tss_corpus)
 
 ALPHABET_ABCD = alphabet("a,b,c,d")
 
@@ -118,11 +118,15 @@ class TestCriticalPoints:
 
     def test_matches_hand_recurrence_off_the_half_grid(self):
         # stamps scaled by 1/3, 7/10, 5/6 and 11/4, state sequences with
-        # bases above 2^64, windows with denominators 3, 5 and 7
+        # bases above 2^64, windows with denominators 3, 5 and 7;
+        # critical_points interleaves the values with their Fraction midpoints
         models = [rho for _, rho in scaled_words()] + list(tss_corpus())
         for i, structure in enumerate([ONE_EVENT, *models]):
             f = OFF_GRID[i % len(OFF_GRID)]
-            assert critical_values(structure, f) == _hand_values(structure, f), (str(structure), f)
+            vals = critical_values(structure, f)
+            assert vals == _hand_values(structure, f), (str(structure), f)
+            points = [vals[0], *(v for a, b in zip(vals, vals[1:]) for v in ((a + b) / 2, b))]
+            assert critical_points(structure, f) == points, (str(structure), f)
 
     def test_a_non_model_is_a_type_error(self):
         with pytest.raises(TypeError, match="no critical points for 42"):
@@ -147,27 +151,27 @@ def _outcome(lookup, t, j):
 
 
 def _assert_tables_agree(got, reference, vals, lookups):
-    """The same pieces and the same truth on every piece.  With `lookups`,
-    also `_truth_at` against the linear search, at every piece's
-    representative and a second interior point of every open piece, and off
-    the grid: before the first value, past the last, j < 0, before the
-    table's first piece (a mixed word's first block), j past a block's size
-    and j > 0 inside an open piece."""
-    (pieces, truth), (ref_pieces, ref_truth) = got, reference
-    assert ([(p.lo, p.hi, p.is_point, p.j) for p in pieces]
+    """The same pieces, mapped back from the oracle's scale, and the same truth
+    on every piece.  With `lookups`, also `_truth_at` against the linear
+    search, at every piece's representative and a second interior point of
+    every open piece, and off the grid: before the first value, past the last,
+    j < 0, before the table's first piece (a mixed word's first block), j past
+    a block's size and j > 0 inside an open piece."""
+    (pieces, truth, scale), (ref_pieces, ref_truth) = got, reference
+    assert ([(Fraction(lo, scale), Fraction(hi, scale), lo == hi, j) for lo, hi, j in pieces]
             == [(p.lo, p.hi, p.is_point, p.j) for p in ref_pieces])
     assert truth == ref_truth
     if not lookups:
         return
-    samples = [(p.rep, p.j) for p in pieces]
-    samples += [(p.lo + (p.hi - p.lo) / 3, 0) for p in pieces if not p.is_point]
-    off = [(vals[0] - 1, 0), (vals[-1] + 1, 0), (vals[0], -1), (pieces[-1].rep, -1)]
-    off += [(p.rep, 0) for p in oracle._pieces(vals) if p.lo < pieces[0].lo]
+    samples = [(p.rep, p.j) for p in ref_pieces]
+    samples += [(p.lo + (p.hi - p.lo) / 3, 0) for p in ref_pieces if not p.is_point]
+    off = [(vals[0] - 1, 0), (vals[-1] + 1, 0), (vals[0], -1), (ref_pieces[-1].rep, -1)]
+    off += [(p.rep, 0) for p in _pieces(vals) if p.lo < ref_pieces[0].lo]
     must_raise = len(off)
-    off += [(p.lo, p.j + 1) for p in pieces if p.is_point]
-    off += [(p.rep, 1) for p in pieces if not p.is_point]
+    off += [(p.lo, p.j + 1) for p in ref_pieces if p.is_point]
+    off += [(p.rep, 1) for p in ref_pieces if not p.is_point]
     for t, j in samples + off:
-        mine = _outcome(lambda t, j: oracle._truth_at(pieces, truth, t, j), t, j)
+        mine = _outcome(lambda t, j: oracle._truth_at(pieces, truth, scale, t, j), t, j)
         want = _outcome(lambda t, j: ref_truth[_reference_piece_index(ref_pieces, t, j)], t, j)
         assert mine == want, (t, j)
         assert (t, j) not in off[:must_raise] or mine is OutOfDomainError, (t, j)
@@ -258,6 +262,38 @@ class TestTablesAgainstTheLiteralScan:
                 for i in (-1, len(rho)):
                     with pytest.raises(IndexError):
                         oracle_eval_pw(rho, i, f)
+
+
+class TestTablesOnTheScale:
+    ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                  "__truediv__", "__rtruediv__", "__floordiv__")
+    ORDERING = ("__lt__", "__le__", "__gt__", "__ge__")
+
+    def test_the_tables_do_no_fraction_arithmetic(self, monkeypatch):
+        """The four table builders work on ints at the oracle's scale: with
+        Fraction's arithmetic and ordering raising, they build the tables they
+        build unpatched.  Each model's cached times, events, blocks and steps
+        are read first, as a loaded model holds them."""
+        cases = []
+        for seed, (rho, f) in enumerate(seeded_pairs(300, 7, 3)):
+            cw, kappa = compact(rho), gen_ka(seed) if seed % 2 else word_to_tss(rho)
+            assert rho.times and rho.events and cw.times and cw.blocks and kappa.steps
+            cases.append((rho, cw, kappa, f, gen_formula(seed * 7 + 3, ABC, allow_beta=True)))
+
+        def build():
+            return [(oracle._itw_oracle(rho, f), oracle._its_oracle(kappa, f),
+                     oracle._mx_oracle(cw, g), oracle._pw_oracle(rho, f))
+                    for rho, cw, kappa, f, g in cases]
+
+        def refuse(*_):
+            raise AssertionError("Fraction arithmetic or ordering in an oracle table")
+
+        want = build()
+        for name in self.ARITHMETIC + self.ORDERING:
+            monkeypatch.setattr(Fraction, name, refuse)
+        got = build()
+        monkeypatch.undo()
+        assert got == want
 
 
 class TestGridSoundness:
