@@ -45,7 +45,6 @@ from .intervals import (
     merge_keys,
     normalize_keys,
     rational,
-    rebased,
     scaled_keys,
     tick_text,
     time_base,
@@ -147,11 +146,13 @@ def _holds_at(table: _Table, D: int, t, f: Formula, span: str = "") -> bool:
 def _itw_table(rho: TimedWord, f: Formula):
     """The key table of f over rho, and its time base."""
     require_beta_free(f, "interval-based")
-    D, times = rebased(rho.ticks, finite_window_bounds(f))
-    points = {name: [(k, k) for k in dict.fromkeys([3 * t for a, t in zip(rho.actions, times)
-                                                     if a == name])]
+    D0, ticks = rho.ticks
+    D = math.lcm(D0, time_base(finite_window_bounds(f)))
+    m = 3 * (D // D0)  # a tick's key on D: only the atoms' ticks and the last are read
+    points = {name: [(k, k) for k in dict.fromkeys([m * ticks[i]
+                                                     for i in rho.action_positions(name)])]
               for name in atoms(f)}  # an action repeated at one stamp is one point
-    return _sat_dense(points, (0, 3 * times[-1]), D, f), D
+    return _sat_dense(points, (0, m * ticks[-1]), D, f), D
 
 
 def sat_sets_itw(rho: TimedWord, f: Formula) -> dict:

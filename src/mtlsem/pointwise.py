@@ -1,9 +1,10 @@
 """Pointwise satisfaction: formulas evaluated at event positions only.
 
 The engine supplies an algebra to `formulas.fold`.  A subformula's value is one
-int, position i of n at bit n-1-i: an atom packs the action column once, `!` is
-`full ^ x` with full = (1 << n) - 1, and `&` is `x & y`.  `sat_positions`
-unpacks the root's int; `eval_pw` and `eval_pw_lasso` read the one bit they need.
+int, position i of n at bit n-1-i: an atom is the word's `action_bits`, packed
+once per word and action name, `!` is `full ^ x` with full = (1 << n) - 1, and
+`&` is `x & y`.  `sat_positions` unpacks the root's int; `eval_pw` and
+`eval_pw_lasso` read the one bit they need.
 
 f U_w g holds at i when a later position j in the window satisfies g and f
 holds strictly between i and j.  The window [0,inf) reads positions only, and
@@ -69,16 +70,15 @@ def _until(w, l: int, r: int, times) -> int:
 
 def _root(rho: TimedWord, f: Formula) -> int:
     require_beta_free(f, "pointwise")
-    acts = rho.actions
-    full = (1 << len(acts)) - 1
     D0, ticks = rho.ticks
+    full = (1 << len(ticks)) - 1
     D = math.lcm(D0, time_base(finite_window_bounds(f)))
     m = 3 * D // D0
 
     def visit(node, l=None, r=None) -> int:
         match node:
             case Atom(name):
-                return int("".join(["1" if a == name else "0" for a in acts]), 2)
+                return rho.action_bits(name)
             case Not():
                 return full ^ l
             case And():

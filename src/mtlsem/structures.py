@@ -12,7 +12,9 @@ holds them; a state sequence its step keys (see `TimedStateSequence`); a lasso
 its period's ticks (see `Lasso`).  Equality, hashing, the checks and the text
 and JSON output read the columns, rendering ticks with int arithmetic
 (`tick_text`).  The `Fraction` views (`times`, `events`, `blocks`, `steps`)
-are built on first read.
+are built on first read.  So is a word's per-action index: `action_bits` and
+`action_positions` scan the action column once per action name and keep the
+answer (an int, a tuple) on the word; it holds nothing of a formula.
 
 `TimedWord(events)` and `CompactTimedWord(blocks)` turn their pairs into the
 columns; they check nothing.  Every other constructor gives ticks on some base
@@ -95,7 +97,7 @@ class _OnTicks:
         return hash((self.actions, self.ticks))
 
     def __len__(self):
-        return len(self.actions)
+        return len(self.ticks[1])
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
@@ -109,6 +111,25 @@ class TimedWord(_OnTicks):
     """(action, timestamp) events with non-decreasing timestamps."""
 
     events = cached_property(_pairs)  # (action, Fraction) pairs
+
+    # each index is a dict from action name on the word, made on its first read
+    # (a `cached_property` costs more on a fresh word)
+    def action_bits(self, name: str) -> int:
+        """Where `name` occurs, as one int: position i of n at bit n-1-i."""
+        index = self.__dict__.setdefault("_bits", {})
+        bits = index.get(name)
+        if bits is None:
+            bits = index[name] = int("".join(["1" if a == name else "0"
+                                              for a in self.actions]), 2)
+        return bits
+
+    def action_positions(self, name: str) -> tuple:
+        """The positions where `name` occurs, in increasing order."""
+        index = self.__dict__.setdefault("_positions", {})
+        positions = index.get(name)
+        if positions is None:
+            positions = index[name] = tuple([i for i, a in enumerate(self.actions) if a == name])
+        return positions
 
     def __str__(self):
         return "".join(f"({a},{text})" for a, text in zip(self.actions, self.time_texts()))

@@ -610,6 +610,21 @@ def _reference_positions(rho, f) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
+# frozen copies: the atoms as each evaluation built them before a word indexed
+# its actions (`TimedWord.action_bits`, `action_positions`)
+
+def _parent_atom_bits(rho, name) -> int:
+    """`pointwise._root`'s atom: the action column packed, position i of n at bit n-1-i."""
+    return int("".join(["1" if a == name else "0" for a in rho.actions]), 2)
+
+
+def _parent_atom_points(rho, name, times) -> list:
+    """`interval_based._itw_table`'s atom: one point key per stamp of name on the rebased times."""
+    return [(k, k) for k in dict.fromkeys([3 * t for a, t in zip(rho.actions, times)
+                                           if a == name])]
+
+
+# ---------------------------------------------------------------------------
 # frozen copies: the models (`structures`)
 
 def _adjacent(a, b) -> bool:

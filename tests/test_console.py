@@ -3,7 +3,10 @@ script" step, run through `cli.main` with the same argv and inputs and the same
 byte and exit-code comparisons.  The CI step keeps what needs the installed
 entry point."""
 
+import copy
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +78,11 @@ ITS_FORMULA = "G[0,1] (a -> F(0,2] b) | (a U(1/2,2] c)"
 CHECKED_TSS = '{"action_based": true, "kind": "state-sequence", "length": 7, "valid": true}\n'
 
 
+def test_the_committed_word_is_the_stamps_fixture():
+    # CI runs `satset` on the committed copy under two hash seeds
+    assert (Path(__file__).parent / "data" / "stamps.json").read_text(encoding="utf-8") == STAMPS
+
+
 @pytest.fixture(autouse=True)
 def inputs(tmp_path, monkeypatch):
     (tmp_path / "lasso.json").write_text(LASSO)
@@ -137,3 +145,67 @@ def test_a_step_spelled_otherwise_loads_to_the_same_bytes(capsys, tmp_path, half
     satset = ["satset", "--semantics", "its", "--formula", ITS_FORMULA, "--word"]
     assert run(capsys, [*satset, "spelled.json"]) == run(capsys, [*satset, "stamps.json"])
     assert run(capsys, ["check", "--word", "spelled.json"]) == (0, CHECKED_TSS)
+
+
+# the mutation probe (Miller, Fredriksen & So, CACM 1990; Zeller et al., The
+# Fuzzing Book, "Mutation-Based Fuzzing"): each console fixture with one to three
+# fields dropped, duplicated or retyped, run through every command that loads it
+MUTANT_SEED, MUTANT_CASES = 17, 1200  # about 2 s
+FIXTURES = (STAMPS, LASSO, STAMPS_TSS)
+HUGE = "<a JSON integer past int's digit limit>"  # written into the text raw
+RETYPED = (None, True, 0, -1, 2, 1.5, 1e308, "", "x", "a", "\u00e9", "-1", "1/0", "1e999", "nan",
+           "(0,1", "9" * 5000, HUGE, [], {}, ["a"], [["a", "0"]], {"a": 1})
+PROBES = ([["check"]]
+          + [["eval", "--semantics", s, "--formula", f] for s, f in
+             (("pw", "F[0,1] a"), ("itw", G), ("its", "a U(0,2] b"), ("mx", "!a U b"))]
+          + [["satset", "--semantics", s, "--formula", ITS_FORMULA] for s in ("itw", "its", "mx")]
+          + [["encode", "--to", to] for to in ("word", "compact", "tss")])
+
+
+def _fields(node) -> list:
+    """Every (container, key) pair in a JSON tree, the containers' own first."""
+    items = (node.items() if isinstance(node, dict) else enumerate(node)
+             if isinstance(node, list) else ())
+    return [pair for key, value in items for pair in [(node, key), *_fields(value)]]
+
+
+def _mutant(rng) -> str:
+    """A fixture with one to three fields dropped, duplicated (a list item in
+    place, a dict field onto a sibling key) or retyped, as JSON text."""
+    obj = json.loads(rng.choice(FIXTURES))
+    for _ in range(rng.randint(1, 3)):
+        fields = _fields(obj)
+        if not fields:
+            break
+        parent, key = rng.choice(fields)
+        op = rng.choice(("drop", "duplicate", "retype"))
+        if op == "drop":
+            del parent[key]
+        elif op == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        elif op == "duplicate":
+            parent[rng.choice(list(parent))] = copy.deepcopy(parent[key])
+        else:
+            kind = type(parent[key])
+            parent[key] = copy.deepcopy(rng.choice([v for v in RETYPED if type(v) is not kind]))
+    return json.dumps(obj, ensure_ascii=False).replace(json.dumps(HUGE), "9" * 5000)
+
+
+def test_mutated_inputs_exit_as_input_errors_or_answers(capsys, tmp_path):
+    """Exit 0, or 1 from an `eval` verdict, printing one JSON object; else exit 3
+    with one `error:` line or argparse usage text.  No exception escapes `main`."""
+    rng = random.Random(MUTANT_SEED)
+    for case in range(MUTANT_CASES):
+        text = _mutant(rng)
+        (tmp_path / "mutant.json").write_text(text, encoding="utf-8")
+        for argv in PROBES:
+            code = main([*argv, "--word", "mutant.json"])
+            out, err = capsys.readouterr()
+            where = (case, argv, text, err)
+            assert code in (0, 1, 3), where
+            if code == 3:
+                assert (err.startswith("error: ") and err.count("\n") == 1
+                        or err.startswith("usage: ")), where
+            else:
+                assert code == 0 or argv[0] == "eval", where
+                assert isinstance(json.loads(out), dict) and not err, where

@@ -395,7 +395,9 @@ class TestIndependence:
                     "ticks", "time_base", "tick_column", "rebased", "time_key",
                     "interval_keys", "key_column", "scaled_keys", "on_base",
                     "rational_ticks", "rational_pair", "interval_pair", "tick_text",
-                    "key_texts", "key_intervals", "meets", "columns"}
+                    "key_texts", "key_intervals", "meets", "columns",
+                    # a word's per-action index
+                    "action_bits", "action_positions", "_bits", "_positions"}
 
     def test_no_oracle_function_names_engine_code(self):
         # only `differential`, which compares an engine with its oracle, may
@@ -420,9 +422,10 @@ class TestIndependence:
     def test_oracles_run_no_engine_code(self, monkeypatch):
         """At run time too: with the engines' formula walks and integer key
         helpers made to raise, at every binding of them in the package, and a
-        state sequence's key columns unreadable, every oracle entry point and
-        `critical_values` answer as they did before.  The second word's stamps
-        have coprime denominators, so the oracle's own scale is not 2."""
+        state sequence's key columns and a word's per-action index unreadable,
+        every oracle entry point and `critical_values` answer as they did
+        before.  The second word's stamps have coprime denominators, so the
+        oracle's own scale is not 2."""
         import sys
 
         from mtlsem import structures
@@ -462,6 +465,8 @@ class TestIndependence:
                     monkeypatch.setattr(module, name, refuse)
         monkeypatch.setattr(structures.TimedStateSequence, "columns", property(refuse),
                             raising=False)
+        for name in ("action_bits", "action_positions"):
+            monkeypatch.setattr(structures.TimedWord, name, refuse)
         assert run() == want
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ from mtlsem.errors import (
     OutOfDomainError,
 )
 from mtlsem.encodings import compact, uncompact
+from mtlsem.formulas import Atom, alphabet, finite_window_bounds, parse
+from mtlsem.interval_based import _itw_table, sat_set_itw
 from mtlsem.intervals import (
     INF,
     interval,
@@ -25,9 +28,11 @@ from mtlsem.intervals import (
     key_column,
     parse_interval,
     rat_str,
+    rebased,
     tick_column,
 )
-from mtlsem.oracle import gen_lasso
+from mtlsem.oracle import gen_formula, gen_lasso, gen_word
+from mtlsem.pointwise import sat_positions
 from mtlsem.structures import (
     CompactTimedWord,
     Lasso,
@@ -51,8 +56,8 @@ from mtlsem.structures import (
     word_to_json,
 )
 from shared import (SCALES, _interval_loader_columns, _interval_loader_parse,
-                    _reference_action_based, _reference_unroll, _reference_verdict, mfs_runs,
-                    scaled_words, tss_corpus)
+                    _parent_atom_bits, _parent_atom_points, _reference_action_based,
+                    _reference_unroll, _reference_verdict, mfs_runs, scaled_words, tss_corpus)
 
 RHO1 = [("a", "0"), ("b", "1"), ("a", "1"), ("c", "3.3")]
 RAW_4 = [("a", "1"), ("b", "1.3"), ("c", "3.5"), ("b", "3.5")]
@@ -724,6 +729,66 @@ class TestWordColumns:
                 assert str(compact(w)) == want_compact
                 assert compact(w).time_texts() == [rat_str(t) for _, t in blocks]
                 assert set(vars(w)) == {"actions", "ticks"}  # rendered without a view
+
+
+def _index_inputs():
+    """gen_word seeds 0-299, one-event words, and a 200-event word over 20 symbols
+    in the bench's `wide` style: each with the names to ask for, one of them absent."""
+    rng = random.Random(37)
+    t, wide = Fraction(0), []
+    for _ in range(200):
+        wide.append((f"s{rng.randrange(20)}", t))
+        t += rng.choice((Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2)))
+    words = [gen_word(seed) for seed in range(300)]
+    words += [word([(a, "0")]) for a in "abc"] + [TimedWord([("b", Fraction(7, 2))])]
+    return ([(w, ("a", "b", "c", "d")) for w in words]
+            + [(TimedWord(wide), tuple(f"s{i}" for i in range(21)))])
+
+
+class TestActionIndex:
+    """Each entry of a word's per-action index equals the atom the evaluations
+    built before the index (`shared`), on names present and absent alike."""
+
+    @pytest.mark.parametrize("window", ["", "F[0,1/7] "])
+    def test_entries_equal_the_parent_atoms(self, window):
+        for rho, names in _index_inputs():
+            n = len(rho)
+            f = parse(window + "(" + " | ".join(names) + ")", alphabet(names))
+            table, _ = _itw_table(rho, f)
+            times = rebased(rho.ticks, finite_window_bounds(f))[1]
+            for name in names:
+                bits = _parent_atom_bits(rho, name)
+                assert rho.action_bits(name) == bits
+                assert rho.action_positions(name) == tuple(i for i in range(n)
+                                                           if bits >> (n - 1 - i) & 1)
+                assert table[Atom(name)] == _parent_atom_points(rho, name, times)
+
+    def test_a_filled_index_keeps_equality_hash_and_pickle(self):
+        for rho, names in _index_inputs()[::25]:
+            for name in names:
+                rho.action_bits(name), rho.action_positions(name)
+            fresh = TimedWord(rho.events)
+            back = pickle.loads(pickle.dumps(rho))
+            for w in (rho, back):
+                assert w == fresh and fresh == w and hash(w) == hash(fresh)
+            assert [back.action_bits(a) for a in names] == [fresh.action_bits(a) for a in names]
+            assert pickle.loads(pickle.dumps(fresh)) == rho
+
+    def test_a_second_formula_reads_no_action_column(self):
+        """Once a formula has filled the index, another over the same atoms
+        evaluates on a word whose actions cannot be read."""
+        inputs = _index_inputs()
+        for seed, (rho, names) in enumerate(inputs[:300:3] + inputs[300:]):
+            fresh = TimedWord(rho.events)
+            sigma = alphabet(names)
+            first = parse(" & ".join(names), sigma)
+            sat_positions(rho, first), sat_set_itw(rho, first)
+            del rho.actions
+            for g in (gen_formula(seed, sigma), gen_formula(seed, sigma, bounded_only=True)):
+                assert sat_positions(rho, g) == sat_positions(fresh, g)
+                assert sat_set_itw(rho, g) == sat_set_itw(fresh, g)
+            with pytest.raises(AttributeError):
+                rho.actions
 
 
 class TestUnrollOnTicks:
