@@ -97,7 +97,7 @@ class _OnTicks:
         return hash((self.actions, self.ticks))
 
     def __len__(self):
-        return len(self.ticks[1])
+        return len(self.actions)
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
@@ -107,29 +107,37 @@ def _pairs(model: _OnTicks) -> tuple:
     return tuple(zip(model.actions, model.times))
 
 
+def _bitset(actions: tuple, name: str) -> int:
+    return int("".join(["1" if a == name else "0" for a in actions]), 2)
+
+
+def _occurrences(actions: tuple, name: str) -> tuple:
+    return tuple([i for i, a in enumerate(actions) if a == name])
+
+
 class TimedWord(_OnTicks):
     """(action, timestamp) events with non-decreasing timestamps."""
 
     events = cached_property(_pairs)  # (action, Fraction) pairs
 
-    # each index is a dict from action name on the word, made on its first read
-    # (a `cached_property` costs more on a fresh word)
     def action_bits(self, name: str) -> int:
         """Where `name` occurs, as one int: position i of n at bit n-1-i."""
-        index = self.__dict__.setdefault("_bits", {})
-        bits = index.get(name)
-        if bits is None:
-            bits = index[name] = int("".join(["1" if a == name else "0"
-                                              for a in self.actions]), 2)
-        return bits
+        return self._indexed("_bits", _bitset, name)
 
     def action_positions(self, name: str) -> tuple:
         """The positions where `name` occurs, in increasing order."""
-        index = self.__dict__.setdefault("_positions", {})
-        positions = index.get(name)
-        if positions is None:
-            positions = index[name] = tuple([i for i, a in enumerate(self.actions) if a == name])
-        return positions
+        return self._indexed("_positions", _occurrences, name)
+
+    def _indexed(self, column: str, build, name: str):
+        """`build(actions, name)`, kept under `name` in one column of the index
+        on first read.  Each column is a dict on the word, made on its first
+        read (a `cached_property` costs more on a fresh word); the two are
+        filled apart, since a scan that builds both costs about twice one."""
+        index = self.__dict__.setdefault(column, {})
+        value = index.get(name)
+        if value is None:
+            value = index[name] = build(self.actions, name)
+        return value
 
     def __str__(self):
         return "".join(f"({a},{text})" for a, text in zip(self.actions, self.time_texts()))

@@ -397,7 +397,8 @@ class TestIndependence:
                     "rational_ticks", "rational_pair", "interval_pair", "tick_text",
                     "key_texts", "key_intervals", "meets", "columns",
                     # a word's per-action index
-                    "action_bits", "action_positions", "_bits", "_positions"}
+                    "action_bits", "action_positions", "_indexed", "_bitset",
+                    "_occurrences", "_bits", "_positions"}
 
     def test_no_oracle_function_names_engine_code(self):
         # only `differential`, which compares an engine with its oracle, may
