@@ -94,7 +94,7 @@ def _the_alphabet(args, loaded):
 
 def _formula(args, sigma, allow_beta: bool):
     text = args.formula
-    if text is None and getattr(args, "formula_file", None):
+    if text is None and args.formula_file:
         text = read_text(args.formula_file).strip()
     if text is None:
         raise MtlsemError("no formula given (use --formula or --formula-file)")
@@ -299,11 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "interval-based, and mixed semantics.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, word_input=True):
-        p.add_argument("--alphabet", help="comma-separated action symbols")
+    def common(p, word_input=True, formula=True):
         p.add_argument("--pretty", action="store_true", help="indented output")
-        p.add_argument("--formula", help="formula in concrete syntax")
-        p.add_argument("--formula-file", help="file holding the formula")
+        if formula:
+            p.add_argument("--alphabet", help="comma-separated action symbols")
+            p.add_argument("--formula", help="formula in concrete syntax")
+            p.add_argument("--formula-file", help="file holding the formula")
         if word_input:
             p.add_argument("--word", required=True,
                            help="JSON file: timed word, lasso, or state sequence")
@@ -337,12 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler="cmd_compile")
 
     p = sub.add_parser("encode", help="translate between the timed models")
-    common(p)
+    common(p, formula=False)
     p.add_argument("--to", required=True, choices=["compact", "tss", "word"])
     p.set_defaults(handler="cmd_encode")
 
     p = sub.add_parser("check", help="validate an input and report its classes")
-    common(p)
+    common(p, formula=False)
     p.set_defaults(handler="cmd_check")
 
     p = sub.add_parser("fuzz", help="differential-test the engines against the oracle")

@@ -8,9 +8,9 @@ Until is `intervals._until_bases`.  `_sat_dense` is the one loop of `itw`,
 in its `_Table` until a list is read, which walks it from the domain.
 
 Sets are key lists on an integer time base, and every sweep over them is in
-`intervals`.  Each entry point reads the model's integer columns and takes D
-once, from its base D0 and `finite_window_bounds(f)`; the fold runs on ints
-only.  `sat_set_*` returns the root's key list as an `IntervalSet` on that base,
+`intervals`.  Each entry point builds its atoms on the model's base D0;
+`_sat_dense` takes D once, from D0 and `finite_window_bounds(f)`, and lifts them
+onto D.  `sat_set_*` returns the root's key list as an `IntervalSet` on D,
 `sat_sets_*` every set of the table.  `eval_*` and the lasso verdict, whether 0
 lies in the set of `encodings.lasso_instance`, bisect the root's keys at one key.
 """
@@ -54,12 +54,12 @@ from .structures import Lasso, TimedStateSequence, TimedWord
 
 
 class _Table(dict):
-    """A fold table: each node's key list, or, for the nodes in `co`, the list
-    whose complement in the domain is the node's set, walked (`walk`) when a
-    subscript or `items` first reads it (`get` reads the list as it is)."""
+    """A fold table on base D: each node's key list, or, for the nodes in `co`,
+    the list whose complement in the domain is the node's set, walked (`walk`)
+    when a subscript or `items` first reads it (`get` reads the list as it is)."""
 
-    def __init__(self, domain: tuple):
-        self.domain, self.co = domain, set()
+    def __init__(self, domain: tuple, D: int):
+        self.domain, self.D, self.co = domain, D, set()
 
     def __getitem__(self, node) -> list:
         keys = dict.__getitem__(self, node)
@@ -80,8 +80,10 @@ class _Table(dict):
         return meets(self.get(node), key) != (node in self.co)
 
 
-def _sat_dense(atom_keys: dict, domain: tuple, D: int, f: Formula, J: int = 1, multi=()) -> _Table:
-    """The dense algebra on keys, filling a `_Table` in `subformulas` order.
+def _sat_dense(atom_keys: dict, domain: tuple, D0: int, f: Formula, J: int = 1, multi=()) -> _Table:
+    """The dense algebra on keys, filling a `_Table` in `subformulas` order, on
+    D, the lcm of the model's base D0 and the windows' denominators: atoms,
+    domain and blocks come on D0, and `scaled_keys` lifts them.
 
     Negation is pending: a `!` node's value is its operand's list, read as its
     complement in the domain (!!x is x's own list).  And reads pending operands
@@ -93,9 +95,14 @@ def _sat_dense(atom_keys: dict, domain: tuple, D: int, f: Formula, J: int = 1, m
 
     On the lex line (see `mixed`) each time key owns J slots, and `multi` lists
     the blocks of two or more positions as (start slot, size)."""
-    last = {s // J: n - 1 for s, n in multi}  # the offset of each block's last point
+    D = math.lcm(D0, time_base(finite_window_bounds(f)))
     later = [(s + 1, s + J - 1) for s, _ in multi]  # each block's slots past position 0
-    table = _Table(domain)
+    if D > D0:
+        k = D // D0
+        atom_keys = {name: scaled_keys(keys, k, J) for name, keys in atom_keys.items()}
+        domain, *later = scaled_keys([domain, *later], k, J)
+    last = {lo // J: n - 1 for (lo, _), (_, n) in zip(later, multi)}  # each block's last offset
+    table = _Table(domain, D)
     co, get = table.co, table.get  # get reads a node's list as it is: no walk
     for node in subformulas(f):
         match node:
@@ -128,75 +135,69 @@ def _sat_dense(atom_keys: dict, domain: tuple, D: int, f: Formula, J: int = 1, m
     return table
 
 
-def _sets(table: _Table, D: int) -> dict:
-    return {node: IntervalSet.on_base(D, keys) for node, keys in table.items()}
+def _sets(table: _Table) -> dict:
+    return {node: IntervalSet.on_base(table.D, keys) for node, keys in table.items()}
 
 
-def _holds_at(table: _Table, D: int, t, f: Formula, span: str = "") -> bool:
+def _holds_at(table: _Table, t, f: Formula, span: str = "") -> bool:
     t = t if isinstance(t, Fraction) else rational(t)
-    key, (lo, hi) = time_key(t, D), table.domain
+    key, (lo, hi) = time_key(t, table.D), table.domain
     if not lo <= key <= hi:
-        raise OutOfDomainError(f"time {t} outside {span or f'[0, {tick_text(hi // 3, D)}]'}")
+        raise OutOfDomainError(f"time {t} outside {span or f'[0, {tick_text(hi // 3, table.D)}]'}")
     return table.holds(f, key)
 
 
 # ---------------------------------------------------------------------------
 # timed words
 
-def _itw_table(rho: TimedWord, f: Formula):
-    """The key table of f over rho, and its time base."""
+def _itw_table(rho: TimedWord, f: Formula) -> _Table:
+    """The key table of f over rho: only the atoms' ticks and the last are read."""
     require_beta_free(f, "interval-based")
     D0, ticks = rho.ticks
-    D = math.lcm(D0, time_base(finite_window_bounds(f)))
-    m = 3 * (D // D0)  # a tick's key on D: only the atoms' ticks and the last are read
-    points = {name: [(k, k) for k in dict.fromkeys([m * ticks[i]
+    points = {name: [(k, k) for k in dict.fromkeys([3 * ticks[i]
                                                      for i in rho.action_positions(name)])]
               for name in atoms(f)}  # an action repeated at one stamp is one point
-    return _sat_dense(points, (0, m * ticks[-1]), D, f), D
+    return _sat_dense(points, (0, 3 * ticks[-1]), D0, f)
 
 
 def sat_sets_itw(rho: TimedWord, f: Formula) -> dict:
     """The fold table: Sat(g) per subformula g, in `subformulas` order."""
-    return _sets(*_itw_table(rho, f))
+    return _sets(_itw_table(rho, f))
 
 
 def sat_set_itw(rho: TimedWord, f: Formula) -> IntervalSet:
     """Exactly the times t in [0, duration] where rho, t satisfies f."""
-    table, D = _itw_table(rho, f)
-    return IntervalSet.on_base(D, table[f])
+    table = _itw_table(rho, f)
+    return IntervalSet.on_base(table.D, table[f])
 
 
 def eval_itw(rho: TimedWord, t, f: Formula) -> bool:
-    return _holds_at(*_itw_table(rho, f), t, f)
+    return _holds_at(_itw_table(rho, f), t, f)
 
 
 # ---------------------------------------------------------------------------
 # timed state sequences
 
-def _its_table(kappa: TimedStateSequence, f: Formula):
+def _its_table(kappa: TimedStateSequence, f: Formula) -> _Table:
     require_beta_free(f, "interval-based")
     D0, keys, props = kappa.columns
-    D = math.lcm(D0, time_base(finite_window_bounds(f)))
     parts = {name: merge_keys([k for k, p in zip(keys, props) if name in p]) for name in atoms(f)}
-    m = D // D0  # rescale only what the fold reads: the atoms' lists and the span's ends
-    if m > 1:
-        parts = {name: scaled_keys(keys, m) for name, keys in parts.items()}
     # the span's end values, closed (a left-open first step's start is in it)
-    return _sat_dense(parts, (m * (keys[0][0] - keys[0][0] % 3), m * keys[-1][1]), D, f), D
+    return _sat_dense(parts, (keys[0][0] - keys[0][0] % 3, keys[-1][1]), D0, f)
 
 
 def sat_sets_its(kappa: TimedStateSequence, f: Formula) -> dict:
     """The fold table: Sat(g) per subformula g, in `subformulas` order."""
-    return _sets(*_its_table(kappa, f))
+    return _sets(_its_table(kappa, f))
 
 
 def sat_set_its(kappa: TimedStateSequence, f: Formula) -> IntervalSet:
-    table, D = _its_table(kappa, f)
-    return IntervalSet.on_base(D, table[f])
+    table = _its_table(kappa, f)
+    return IntervalSet.on_base(table.D, table[f])
 
 
 def eval_its(kappa: TimedStateSequence, t, f: Formula) -> bool:
-    return _holds_at(*_its_table(kappa, f), t, f, "the covered span")
+    return _holds_at(_its_table(kappa, f), t, f, "the covered span")
 
 
 # ---------------------------------------------------------------------------

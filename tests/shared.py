@@ -19,8 +19,8 @@ from mtlsem.formulas import (FULL, And, Atom, Beta, Not, Until, alphabet, atoms,
 from mtlsem.gallery import ABC, WORD_SWAP_AB, WORD_SWAP_BA, no_simultaneous
 from mtlsem.intervals import (_INTERVAL, INF, Bound, Interval, IntervalSet, _pair, _until_bases,
                               difference_keys, interval, interval_keys, intersect_keys,
-                              key_column, merge_keys, normalize_keys, punctual, rebased,
-                              scaled_keys, time_base)
+                              key_column, merge_keys, normalize_keys, punctual, scaled_keys,
+                              time_base)
 from mtlsem.mixed import MixedSet, _mx_table
 from mtlsem.oracle import gen_formula, gen_ka, gen_word
 from mtlsem.structures import (CompactTimedWord, TimedWord, mfs_decompose, validate_tss,
@@ -204,23 +204,43 @@ def _reference_until_bases(f, g, w, domain, J=1, last=None):
     return normalize_keys(out)
 
 
+def _rebased(column, values):
+    """Pins `intervals.rebased`, gone since the dense fold lifts what it is
+    handed: a tick column (D0, ticks) on the time base D of D0 and the values,
+    (D, ticks * D // D0)."""
+    D0, ticks = column
+    D = math.lcm(D0, time_base(values))
+    return D, (ticks if D == D0 else [v * (D // D0) for v in ticks])
+
+
+def _lifted_slots(keys, k, J=1):
+    """`scaled_keys(keys, k, J)` slot by slot: each key is slot j of time key T,
+    and T, the key 3v + e of a value v (e = -1, 0, 1), moves to 3kv + e."""
+    def lift(key):
+        if key == INF:
+            return key
+        T, j = divmod(key, J)
+        v = (T + 1) // 3
+        return (3 * k * v + T - 3 * v) * J + j
+    return [(lift(lo), lift(hi)) for lo, hi in keys]
+
+
 def _per_event_atoms(engine, model, f):
     """Pins the atom lists since the fold gets them merged: each atom's key
-    pairs as one append per event, step or position, in model order."""
+    pairs on the model's base as one append per event, step or position, in
+    model order."""
     parts = {}
     if engine == "its":
-        D0, keys, props = model.columns
-        D = math.lcm(D0, time_base(finite_window_bounds(f)))
-        keys = scaled_keys(keys, D // D0) if D > D0 else keys
+        _, keys, props = model.columns
         for k, p in zip(keys, props):
             for name in p:
                 parts.setdefault(name, []).append(k)
     elif engine == "itw":
-        _, times = rebased(model.ticks, finite_window_bounds(f))
+        _, times = model.ticks
         for a, t in zip(model.actions, times):
             parts.setdefault(a, []).append((3 * t, 3 * t))
     else:
-        _, times = rebased(model.ticks, finite_window_bounds(f))
+        _, times = model.ticks
         J = max(len(acts) for acts in model.actions)
         for v, acts in zip(times, model.actions):
             for j, a in enumerate(acts):
@@ -244,9 +264,19 @@ def _reference_same_block_bases(f, g, multi):
     return out
 
 
-def _reference_sat_dense(atom_keys, domain, D, f, J=1, multi=()):
+class _EagerTable(dict):
+    """The eager fold's table, on its base D."""
+
+
+def _reference_sat_dense(atom_keys, domain, D0, f, J=1, multi=()):
     """Pins `_sat_dense` since its complements are pending: the eager fold, where
-    every `!` and `beta` walks its complement as it is met, and every And intersects."""
+    every `!` and `beta` walks its complement as it is met, and every And intersects.
+    Its inputs come on D0 and are lifted slot by slot onto D first."""
+    D = math.lcm(D0, time_base(finite_window_bounds(f)))
+    if D > D0:
+        atom_keys = {name: _lifted_slots(keys, D // D0, J) for name, keys in atom_keys.items()}
+        (domain,) = _lifted_slots([domain], D // D0, J)
+        multi = [(s * (D // D0), n) for s, n in multi]  # slot 0 of a stamp's closed time key
     last = {s // J: n - 1 for s, n in multi}
     negated = {}
 
@@ -269,7 +299,9 @@ def _reference_sat_dense(atom_keys, domain, D, f, J=1, multi=()):
                 if w[0] == 0 and multi:
                     return normalize_keys(bases + _reference_same_block_bases(l, r, multi))
                 return bases
-    return fold(f, visit)
+    table = _EagerTable(fold(f, visit))
+    table.D = D
+    return table
 
 
 def _parent_its_table(kappa, f):
@@ -281,7 +313,7 @@ def _parent_its_table(kappa, f):
         keys = scaled_keys(keys, D // D0)
     parts = {name: merge_keys([k for k, p in zip(keys, props) if name in p]) for name in atoms(f)}
     domain = (3 * ((keys[0][0] + 1) // 3), 3 * ((keys[-1][1] + 1) // 3))
-    return _reference_sat_dense(parts, domain, D, f), D
+    return _reference_sat_dense(parts, domain, D, f), D  # on D already: nothing to lift
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +334,7 @@ def _reference_sets(cw, f):
     """Pins `MixedSet`'s reads since they skip the grid: each lex-key set through the grid,
     the points whose slot a part covers, the gap the time keys k // J less every stamp."""
     table, _ = _mx_table(cw, f)
-    D, times = rebased(cw.ticks, finite_window_bounds(f))
+    D, times = _rebased(cw.ticks, finite_window_bounds(f))
     sizes = [len(acts) for acts, _ in cw.blocks]
     J = max(sizes)
     grid = [(k, j) for k, n in enumerate(sizes) for j in range(n)]
@@ -317,9 +349,11 @@ def _reference_sets(cw, f):
 
 
 def _two_pass_inputs(cw, f):
-    """Pins `_mx_table` since it walks the blocks once: the fold's inputs and grid by
-    a slot loop over the block sizes, then one merge pass per atom."""
-    D, times = rebased(cw.ticks, finite_window_bounds(f))
+    """Pins `_mx_table` since it walks the blocks once: the fold's inputs on the
+    word's base D0 by a slot loop over the block sizes, then one merge pass per
+    atom, and the grid's base D and block starts on D."""
+    D0, times = cw.ticks
+    D, lifted = _rebased(cw.ticks, finite_window_bounds(f))
     sizes = [len(acts) for acts in cw.actions]
     J = max(sizes)
     starts = [3 * J * v for v in times]
@@ -330,7 +364,7 @@ def _two_pass_inputs(cw, f):
                 slots[a].append((s + j, s + J - 1 if j == n - 1 else s + j))
     slots = {name: merge_keys(keys) for name, keys in slots.items()}
     multi = [(s, n) for s, n in zip(starts, sizes) if n > 1]
-    return slots, (starts[0], starts[-1] + J - 1), D, J, multi, starts, sizes
+    return slots, (starts[0], starts[-1] + J - 1), D0, J, multi, D, [3 * J * v for v in lifted], sizes
 
 
 def _two_walk_point_list(keys, grid):
@@ -592,7 +626,7 @@ def _reference_positions(rho, f) -> frozenset:
     """The positions by the list scan on 3tD per event time t, D the time base
     of the word and the windows, with the windows' own keys on D."""
     acts = rho.actions
-    D, ticks = rebased(rho.ticks, finite_window_bounds(f))
+    D, ticks = _rebased(rho.ticks, finite_window_bounds(f))
     times = [3 * t for t in ticks]
 
     def visit(node, l=None, r=None) -> list:

@@ -635,6 +635,19 @@ class TestExitCodes:
         assert done.stderr.startswith("usage: mtlsem eval")
         assert "mtlsem eval: error:" in done.stderr
 
+    @pytest.mark.parametrize("option", [("--alphabet", "x,y"), ("--formula", "(((("),
+                                        ("--formula-file", "f.txt")], ids=lambda o: o[0])
+    @pytest.mark.parametrize("command", [("check",), ("encode", "--to", "tss")],
+                             ids=lambda c: c[0])
+    def test_check_and_encode_take_no_formula_options(self, rho1, capsys, command, option):
+        assert main([*command, "--word", rho1]) == 0
+        capsys.readouterr()
+        assert main([*command, "--word", rho1, *option]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: mtlsem {command[0]} ")
+        assert f"unrecognized arguments: {' '.join(option)}" in err
+
     def test_unexpected_exception_is_exit_four_in_one_line(self, rho1, capsys, monkeypatch):
         import mtlsem.cli as cli
 

@@ -7,15 +7,17 @@ only its results back.  Every case is checked against the oracle with
 `Fraction` again, never a bare int.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from mtlsem.encodings import compact, word_to_tss
-from mtlsem.formulas import alphabet, finite_window_bounds, horizon, parse
+from mtlsem.formulas import Until, alphabet, finite_window_bounds, fold, horizon, parse, to_text
 from mtlsem.interval_based import (
     eval_its,
+    eval_itw,
     eval_itw_lasso,
     sat_set_its,
     sat_set_itw,
@@ -23,7 +25,7 @@ from mtlsem.interval_based import (
     sat_sets_itw,
 )
 from mtlsem.intervals import INF, interval, time_base
-from mtlsem.mixed import eval_mx_lasso, sat_sets_mx
+from mtlsem.mixed import compact_at, eval_mx, eval_mx_lasso, sat_sets_mx
 from mtlsem.oracle import (
     differential,
     gen_formula,
@@ -34,7 +36,7 @@ from mtlsem.oracle import (
     oracle_eval_mx,
     oracle_eval_pw,
 )
-from mtlsem.pointwise import eval_pw_lasso
+from mtlsem.pointwise import eval_pw_lasso, sat_positions
 from mtlsem.structures import duration, is_action_based, lasso, unroll, validate_tss, word
 
 ABC = alphabet("a,b,c")
@@ -201,3 +203,45 @@ def test_fuzz_words_off_the_half_grid_agree_with_the_oracle(engine, m):
         rho = _scaled(gen_word(s), m)
         f = gen_formula(s, ABC, max_depth=3, allow_beta=engine == "mx")
         assert differential(engine, model(rho), f) is None, (s, rho, f)
+
+
+# ---------------------------------------------------------------------------
+# windows off the word's base, against outputs pinned before the dense fold
+# took its base from the windows itself
+
+WINDOW_SCALES = (Fraction(1), Fraction(1, 3), Fraction(2, 7), Fraction(5, 11))
+OFF_BASE_DIGEST = "dd04ec04326cbc99f3d1a5d7b2c26eed5d381dbab48b4a2f1b9a6685dce4d276"
+
+
+def _windows_scaled(f, m: Fraction):
+    """f with each window's ends times m."""
+    def visit(node, *kids):
+        if type(node) is Until:
+            w = node.window
+            hi = w.hi.value if w.hi.value == INF else w.hi.value * m
+            return Until(kids[0], interval(w.lo.value * m, hi, w.lo.closed, w.hi.closed), kids[1])
+        return type(node)(*kids) if kids else node
+    return fold(f, visit)[f]
+
+
+def _off_base_lines():
+    """Per gen_word seed 0-399 and window scale: every dense set, the positions,
+    and eval_itw and eval_mx at each stamp, each midpoint and one time off the base."""
+    for seed in range(400):
+        rho = gen_word(seed)
+        cw, kappa = compact(rho), word_to_tss(rho)
+        stamps = sorted(set(rho.times))
+        times = stamps + [(u + v) / 2 for u, v in zip(stamps, stamps[1:])] + [stamps[-1] * Fraction(5, 7)]
+        for m in WINDOW_SCALES:
+            f = _windows_scaled(gen_formula(seed, ABC), m)
+            yield f"{seed} {m} {to_text(f)} {sorted(sat_positions(rho, f))}"
+            for sets in (sat_sets_itw(rho, f), sat_sets_its(kappa, f), sat_sets_mx(cw, f)):
+                yield " ".join(str(s) for s in sets.values())
+            yield "".join("1" if eval_itw(rho, t, f) else "0" for t in times)
+            yield "".join("1" if eval_mx(cw, t, j, f) else "0"
+                          for t in times for j in range(len(compact_at(cw, t))))
+
+
+def test_windows_off_the_words_base_give_the_pinned_outputs():
+    digest = hashlib.sha256("\n".join(_off_base_lines()).encode()).hexdigest()
+    assert digest == OFF_BASE_DIGEST

@@ -28,7 +28,6 @@ from mtlsem.intervals import (
     key_column,
     parse_interval,
     rat_str,
-    rebased,
     tick_column,
 )
 from mtlsem.oracle import gen_formula, gen_lasso, gen_word
@@ -56,7 +55,7 @@ from mtlsem.structures import (
     word_to_json,
 )
 from shared import (SCALES, _interval_loader_columns, _interval_loader_parse,
-                    _parent_atom_bits, _parent_atom_points, _reference_action_based,
+                    _parent_atom_bits, _parent_atom_points, _rebased, _reference_action_based,
                     _reference_unroll, _reference_verdict, mfs_runs, scaled_words, tss_corpus)
 
 RHO1 = [("a", "0"), ("b", "1"), ("a", "1"), ("c", "3.3")]
@@ -754,8 +753,8 @@ class TestActionIndex:
         for rho, names in _index_inputs():
             n = len(rho)
             f = parse(window + "(" + " | ".join(names) + ")", alphabet(names))
-            table, _ = _itw_table(rho, f)
-            times = rebased(rho.ticks, finite_window_bounds(f))[1]
+            table = _itw_table(rho, f)
+            times = _rebased(rho.ticks, finite_window_bounds(f))[1]
             for name in names:
                 bits = _parent_atom_bits(rho, name)
                 assert rho.action_bits(name) == bits
