@@ -28,13 +28,14 @@ the compilers, the printer, the metrics and `lasso_instance`.  The dense loop
 
 from __future__ import annotations
 
+import math
 import re
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BetaNotAllowedError, FormulaSyntaxError, MtlsemError, UnknownAtomError
-from .intervals import INF, INTERVAL_TEXT, Interval, interval, parse_interval
+from .intervals import INF, INTERVAL_TEXT, Interval, interval, parse_interval, time_base
 
 _RESERVED = {"true", "false", "sigma", "beta", "noact", "U", "F", "G", "X"}
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -260,6 +261,11 @@ def finite_window_bounds(f: Formula) -> tuple:
             v for node in subformulas(f) if type(node) is Until
             for v in (node.window.lo.value, node.window.hi.value) if not isinstance(v, float)})))
         return f._bounds
+
+
+def fold_base(D0: int, f: Formula) -> int:
+    """The time base of a fold of f over a model on base D0: lcm(D0, f's windows')."""
+    return math.lcm(D0, time_base(finite_window_bounds(f)))
 
 
 def atoms(f: Formula):

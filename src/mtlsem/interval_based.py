@@ -8,16 +8,16 @@ Until is `intervals._until_bases`.  `_sat_dense` is the one loop of `itw`,
 in its `_Table` until a list is read, which walks it from the domain.
 
 Sets are key lists on an integer time base, and every sweep over them is in
-`intervals`.  Each entry point builds its atoms on the model's base D0;
-`_sat_dense` takes D once, from D0 and `finite_window_bounds(f)`, and lifts them
-onto D.  `sat_set_*` returns the root's key list as an `IntervalSet` on D,
-`sat_sets_*` every set of the table.  `eval_*` and the lasso verdict, whether 0
-lies in the set of `encodings.lasso_instance`, bisect the root's keys at one key.
+`intervals`.  Each entry point reads the model's integer columns, takes D once,
+`fold_base` of its base D0 and the windows, and scales its atoms onto D as it
+builds them; the fold runs on ints only.  `sat_set_*` returns the root's key
+list as an `IntervalSet` on D, `sat_sets_*` every set of the table.  `eval_*`
+and the lasso verdict, whether 0 lies in the set of `encodings.lasso_instance`,
+bisect the root's keys at one key.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .encodings import lasso_instance
@@ -30,7 +30,7 @@ from .formulas import (
     Not,
     Until,
     atoms,
-    finite_window_bounds,
+    fold_base,
     require_beta_free,
     subformulas,
 )
@@ -47,7 +47,6 @@ from .intervals import (
     rational,
     scaled_keys,
     tick_text,
-    time_base,
     time_key,
 )
 from .structures import Lasso, TimedStateSequence, TimedWord
@@ -80,10 +79,8 @@ class _Table(dict):
         return meets(self.get(node), key) != (node in self.co)
 
 
-def _sat_dense(atom_keys: dict, domain: tuple, D0: int, f: Formula, J: int = 1, multi=()) -> _Table:
-    """The dense algebra on keys, filling a `_Table` in `subformulas` order, on
-    D, the lcm of the model's base D0 and the windows' denominators: atoms,
-    domain and blocks come on D0, and `scaled_keys` lifts them.
+def _sat_dense(atom_keys: dict, domain: tuple, D: int, f: Formula, J: int = 1, multi=()) -> _Table:
+    """The dense algebra on keys on base D, filling a `_Table` in `subformulas` order.
 
     Negation is pending: a `!` node's value is its operand's list, read as its
     complement in the domain (!!x is x's own list).  And reads pending operands
@@ -95,13 +92,8 @@ def _sat_dense(atom_keys: dict, domain: tuple, D0: int, f: Formula, J: int = 1, 
 
     On the lex line (see `mixed`) each time key owns J slots, and `multi` lists
     the blocks of two or more positions as (start slot, size)."""
-    D = math.lcm(D0, time_base(finite_window_bounds(f)))
+    last = {s // J: n - 1 for s, n in multi}  # the offset of each block's last point
     later = [(s + 1, s + J - 1) for s, _ in multi]  # each block's slots past position 0
-    if D > D0:
-        k = D // D0
-        atom_keys = {name: scaled_keys(keys, k, J) for name, keys in atom_keys.items()}
-        domain, *later = scaled_keys([domain, *later], k, J)
-    last = {lo // J: n - 1 for (lo, _), (_, n) in zip(later, multi)}  # each block's last offset
     table = _Table(domain, D)
     co, get = table.co, table.get  # get reads a node's list as it is: no walk
     for node in subformulas(f):
@@ -154,10 +146,12 @@ def _itw_table(rho: TimedWord, f: Formula) -> _Table:
     """The key table of f over rho: only the atoms' ticks and the last are read."""
     require_beta_free(f, "interval-based")
     D0, ticks = rho.ticks
-    points = {name: [(k, k) for k in dict.fromkeys([3 * ticks[i]
+    D = fold_base(D0, f)
+    m = 3 * (D // D0)  # a tick's key on D
+    points = {name: [(k, k) for k in dict.fromkeys([m * ticks[i]
                                                      for i in rho.action_positions(name)])]
               for name in atoms(f)}  # an action repeated at one stamp is one point
-    return _sat_dense(points, (0, 3 * ticks[-1]), D0, f)
+    return _sat_dense(points, (0, m * ticks[-1]), D, f)
 
 
 def sat_sets_itw(rho: TimedWord, f: Formula) -> dict:
@@ -181,9 +175,13 @@ def eval_itw(rho: TimedWord, t, f: Formula) -> bool:
 def _its_table(kappa: TimedStateSequence, f: Formula) -> _Table:
     require_beta_free(f, "interval-based")
     D0, keys, props = kappa.columns
+    D = fold_base(D0, f)
     parts = {name: merge_keys([k for k, p in zip(keys, props) if name in p]) for name in atoms(f)}
+    m = D // D0  # rescale only what the fold reads: the atoms' lists and the span's ends
+    if m > 1:
+        parts = {name: scaled_keys(keys, m) for name, keys in parts.items()}
     # the span's end values, closed (a left-open first step's start is in it)
-    return _sat_dense(parts, (keys[0][0] - keys[0][0] % 3, keys[-1][1]), D0, f)
+    return _sat_dense(parts, (m * (keys[0][0] - keys[0][0] % 3), m * keys[-1][1]), D, f)
 
 
 def sat_sets_its(kappa: TimedStateSequence, f: Formula) -> dict:

@@ -14,12 +14,12 @@ of what follows it is hi + 1 (lower into upper, lo - 1).  The missing upper
 bound keeps the key `INF`.  A key list is a sorted list of such pairs.
 
 Each model carries its values on the base D0 of its timestamps (see
-`structures`).  The dense and mixed engines hand their atoms on D0 to one fold,
-which lifts them (`scaled_keys`) onto D, the lcm of D0 and its windows'
-denominators, and runs every sweep over key lists here: set operations,
-complements (`difference_keys` from the domain) and the Until (`_until_bases`,
-and `_same_block_bases` on the lex line), after Maler & Nickovic, FORMATS 2004.
-Every endpoint is an input time plus or minus window bounds, on D.
+`structures`).  The dense and mixed engines scale them onto D, the lcm of D0 and
+their windows' denominators (`formulas.fold_base`), and run every sweep over key
+lists here: set operations, complements (`difference_keys` from the domain) and
+the Until (`_until_bases`, and `_same_block_bases` on the lex line), after Maler
+& Nickovic, FORMATS 2004.  Every endpoint is an input time plus or minus window
+bounds, on D.
 
 Rationals and intervals have one text grammar, `RATIONAL_TEXT` and
 `INTERVAL_TEXT`, and one reader each, `rational_pair` (`rational_ticks` for a
@@ -267,12 +267,11 @@ def key_texts(D: int, keys) -> list:
             for lo, hi in keys]
 
 
-def scaled_keys(keys, f: int, J: int = 1) -> list:
+def scaled_keys(keys, f: int) -> list:
     """A key list on a time base f times finer: each value times f, each
-    open-end offset kept.  On the lex line (see `mixed`) a key is slot j of
-    time key T, TJ + j, and moves with T: (T + 1) // 3 is (key + J) // 3J."""
-    m, n = 3 * (f - 1) * J, 3 * J
-    return [(lo + m * ((lo + J) // n), hi if hi == INF else hi + m * ((hi + J) // n))
+    open-end offset kept."""
+    m = 3 * (f - 1)
+    return [(lo + m * ((lo + 1) // 3), hi if hi == INF else hi + m * ((hi + 1) // 3))
             for lo, hi in keys]
 
 

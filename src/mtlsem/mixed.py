@@ -17,13 +17,12 @@ every set is a union of whole lex points.  Atoms are the slots of their
 positions, merged as one walk over the blocks appends them: an (a, a) pair
 inside a block takes adjacent slots, and slots of two blocks never touch, since
 a block's lie in its stamp's time key 3v and the open keys 3v +- 1 between
-blocks keep their own J slots each.  The walk runs on the word's base D0, the
-fold lifts the slots onto its D (each moves with its time key), and the grid's
-block starts follow.  A result reads its grid from that walk, and its points and
-gaps in one walk of its own.  `beta` is the complement of the slots 3vJ + 1 to
-3vJ + J - 1 of every block with s >= 2.  When the window holds 0, an Until's
-base (v, j) also holds if a later position of its own block holds g with f at
-every position strictly between them (`intervals._same_block_bases`).
+blocks keep their own J slots each.  A result reads its grid from that walk,
+and its points and gaps in one walk of its own.  `beta` is the complement of
+the slots 3vJ + 1 to 3vJ + J - 1 of every block with s >= 2.  When the window
+holds 0, an Until's base (v, j) also holds if a later position of its own block
+holds g with f at every position strictly between them
+(`intervals._same_block_bases`).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import PositionError
-from .formulas import Formula, atoms
+from .formulas import Formula, atoms, fold_base
 from .intervals import IntervalSet, rational, time_key
 from .structures import CompactTimedWord, Lasso
 from .encodings import block_index_at, compact, lasso_instance
@@ -103,11 +102,12 @@ def _mx_table(cw: CompactTimedWord, f: Formula):
     """The lex-key table of f over cw, and its grid (D, J, block starts, blocks),
     from one walk over the blocks (see the module docstring for the atom slots)."""
     D0, ticks = cw.ticks
-    J = max(map(len, cw.actions))
+    D, J = fold_base(D0, f), max(map(len, cw.actions))
+    n = 3 * J * (D // D0)  # slot 0 of a stamp's closed time key on D, per tick
     starts, multi = [], []  # each block's slot of position 0; (start, size) of size >= 2
     slots = {name: [] for name in atoms(f)}  # the slots of each atom the formula names
     for v, acts in zip(ticks, cw.actions):
-        s = 3 * J * v
+        s = n * v
         starts.append(s)
         if len(acts) == 1:  # one position owns the whole time key
             if acts[0] in slots:
@@ -121,10 +121,8 @@ def _mx_table(cw: CompactTimedWord, f: Formula):
                     keys[-1] = (keys[-1][0], hi)
                 else:
                     keys.append((j, hi))
-    table = _sat_dense(slots, (starts[0], starts[-1] + J - 1), D0, f, J, multi)
-    # a block's start, slot 0 of its closed time key 3v, lifts as 3vJ does
-    starts = starts if table.D == D0 else [s * (table.D // D0) for s in starts]
-    return table, (table.D, J, starts, cw.actions)
+    table = _sat_dense(slots, (starts[0], starts[-1] + J - 1), D, f, J, multi)
+    return table, (D, J, starts, cw.actions)
 
 
 def sat_sets_mx(cw: CompactTimedWord, f: Formula) -> dict:

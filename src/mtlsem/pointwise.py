@@ -21,20 +21,19 @@ Monitoring for STL", CAV 2013).  Times never decrease, so a base's window is
 one run of positions whose ends only move forward.  The first g at or after the
 run's start is the best witness; `str.find` gives it and the next f-failure
 only once the scan has passed the last hit, so the scan stays linear.  With D
-the time base of the ticks' base D0 and `finite_window_bounds(f)`, and
+the time base of the ticks' base D0 and the windows (`formulas.fold_base`), and
 m = 3D / D0, a tick distance k is 3dD = km for a time distance d: a window's
 key pair (lo, hi) on D (see `intervals`) becomes ceil(lo / m) <= k <= floor(hi / m).
 """
 
 from __future__ import annotations
 
-import math
 from itertools import compress
 
 from .encodings import lasso_instance
 from .errors import PositionError
-from .formulas import And, Atom, Formula, Not, Until, finite_window_bounds, fold, require_beta_free
-from .intervals import INF, interval_keys, time_base
+from .formulas import And, Atom, Formula, Not, Until, fold, fold_base, require_beta_free
+from .intervals import INF, interval_keys
 from .structures import Lasso, TimedWord
 
 
@@ -72,7 +71,7 @@ def _root(rho: TimedWord, f: Formula) -> int:
     require_beta_free(f, "pointwise")
     D0, ticks = rho.ticks
     full = (1 << len(ticks)) - 1
-    D = math.lcm(D0, time_base(finite_window_bounds(f)))
+    D = fold_base(D0, f)
     m = 3 * D // D0
 
     def visit(node, l=None, r=None) -> int:

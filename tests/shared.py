@@ -205,42 +205,31 @@ def _reference_until_bases(f, g, w, domain, J=1, last=None):
 
 
 def _rebased(column, values):
-    """Pins `intervals.rebased`, gone since the dense fold lifts what it is
-    handed: a tick column (D0, ticks) on the time base D of D0 and the values,
-    (D, ticks * D // D0)."""
+    """Pins `intervals.rebased`, gone since each dense builder scales its ticks as
+    it walks them: a tick column (D0, ticks) on the time base D of D0 and the
+    values, (D, ticks * D // D0)."""
     D0, ticks = column
     D = math.lcm(D0, time_base(values))
     return D, (ticks if D == D0 else [v * (D // D0) for v in ticks])
 
 
-def _lifted_slots(keys, k, J=1):
-    """`scaled_keys(keys, k, J)` slot by slot: each key is slot j of time key T,
-    and T, the key 3v + e of a value v (e = -1, 0, 1), moves to 3kv + e."""
-    def lift(key):
-        if key == INF:
-            return key
-        T, j = divmod(key, J)
-        v = (T + 1) // 3
-        return (3 * k * v + T - 3 * v) * J + j
-    return [(lift(lo), lift(hi)) for lo, hi in keys]
-
-
 def _per_event_atoms(engine, model, f):
     """Pins the atom lists since the fold gets them merged: each atom's key
-    pairs on the model's base as one append per event, step or position, in
-    model order."""
+    pairs as one append per event, step or position, in model order."""
     parts = {}
     if engine == "its":
-        _, keys, props = model.columns
+        D0, keys, props = model.columns
+        D = math.lcm(D0, time_base(finite_window_bounds(f)))
+        keys = scaled_keys(keys, D // D0) if D > D0 else keys
         for k, p in zip(keys, props):
             for name in p:
                 parts.setdefault(name, []).append(k)
     elif engine == "itw":
-        _, times = model.ticks
+        _, times = _rebased(model.ticks, finite_window_bounds(f))
         for a, t in zip(model.actions, times):
             parts.setdefault(a, []).append((3 * t, 3 * t))
     else:
-        _, times = model.ticks
+        _, times = _rebased(model.ticks, finite_window_bounds(f))
         J = max(len(acts) for acts in model.actions)
         for v, acts in zip(times, model.actions):
             for j, a in enumerate(acts):
@@ -268,15 +257,9 @@ class _EagerTable(dict):
     """The eager fold's table, on its base D."""
 
 
-def _reference_sat_dense(atom_keys, domain, D0, f, J=1, multi=()):
+def _reference_sat_dense(atom_keys, domain, D, f, J=1, multi=()):
     """Pins `_sat_dense` since its complements are pending: the eager fold, where
-    every `!` and `beta` walks its complement as it is met, and every And intersects.
-    Its inputs come on D0 and are lifted slot by slot onto D first."""
-    D = math.lcm(D0, time_base(finite_window_bounds(f)))
-    if D > D0:
-        atom_keys = {name: _lifted_slots(keys, D // D0, J) for name, keys in atom_keys.items()}
-        (domain,) = _lifted_slots([domain], D // D0, J)
-        multi = [(s * (D // D0), n) for s, n in multi]  # slot 0 of a stamp's closed time key
+    every `!` and `beta` walks its complement as it is met, and every And intersects."""
     last = {s // J: n - 1 for s, n in multi}
     negated = {}
 
@@ -313,7 +296,7 @@ def _parent_its_table(kappa, f):
         keys = scaled_keys(keys, D // D0)
     parts = {name: merge_keys([k for k, p in zip(keys, props) if name in p]) for name in atoms(f)}
     domain = (3 * ((keys[0][0] + 1) // 3), 3 * ((keys[-1][1] + 1) // 3))
-    return _reference_sat_dense(parts, domain, D, f), D  # on D already: nothing to lift
+    return _reference_sat_dense(parts, domain, D, f), D
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +332,9 @@ def _reference_sets(cw, f):
 
 
 def _two_pass_inputs(cw, f):
-    """Pins `_mx_table` since it walks the blocks once: the fold's inputs on the
-    word's base D0 by a slot loop over the block sizes, then one merge pass per
-    atom, and the grid's base D and block starts on D."""
-    D0, times = cw.ticks
-    D, lifted = _rebased(cw.ticks, finite_window_bounds(f))
+    """Pins `_mx_table` since it walks the blocks once: the fold's inputs and grid by
+    a slot loop over the block sizes, then one merge pass per atom."""
+    D, times = _rebased(cw.ticks, finite_window_bounds(f))
     sizes = [len(acts) for acts in cw.actions]
     J = max(sizes)
     starts = [3 * J * v for v in times]
@@ -364,7 +345,7 @@ def _two_pass_inputs(cw, f):
                 slots[a].append((s + j, s + J - 1 if j == n - 1 else s + j))
     slots = {name: merge_keys(keys) for name, keys in slots.items()}
     multi = [(s, n) for s, n in zip(starts, sizes) if n > 1]
-    return slots, (starts[0], starts[-1] + J - 1), D0, J, multi, D, [3 * J * v for v in lifted], sizes
+    return slots, (starts[0], starts[-1] + J - 1), D, J, multi, starts, sizes
 
 
 def _two_walk_point_list(keys, grid):

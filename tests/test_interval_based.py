@@ -12,7 +12,6 @@ from mtlsem.gallery import ABC, B_THEN_A, WINDOWED_C
 from mtlsem.interval_based import (
     _its_table,
     _itw_table,
-    _sat_dense,
     eval_its,
     eval_itw,
     eval_itw_lasso,
@@ -44,8 +43,8 @@ from mtlsem.oracle import (
 )
 from mtlsem.pointwise import eval_pw_lasso
 from mtlsem.structures import lasso, validate_compact, validate_tss, word
-from shared import (KAPPA1, RHO1, RHO2, _lifted_slots, _parent_its_table, _per_event_atoms,
-                    _reference_sat_dense, _reference_until_bases, back_shift_keys, seeded_pairs)
+from shared import (KAPPA1, RHO1, RHO2, _parent_its_table, _per_event_atoms, _reference_sat_dense,
+                    _reference_until_bases, back_shift_keys, seeded_pairs)
 
 
 class TestWordSets:
@@ -445,46 +444,20 @@ MODELS = [("itw", REPEATED), ("its", SHARED_STEPS), ("mx", BLOCKS), ("mx", compa
 MODEL_IDS = ["itw-word", "its-shared-steps", "mx-blocks", "mx-word"]
 
 
-def _handed(engine, model, f, monkeypatch):
-    """What the engine's table builder hands `_sat_dense`, and the table it builds."""
-    import mtlsem.interval_based as ib
-    import mtlsem.mixed as mixed
-
-    handed, real = [], ib._sat_dense
-    with monkeypatch.context() as m:
-        for module in (ib, mixed):
-            m.setattr(module, "_sat_dense", lambda *args: handed.append(args) or real(*args))
-        table = TABLES[engine](model, f)
-    (args,) = handed
-    return args, table
-
-
 class TestAtomListsArriveMerged:
     """Each dense entry point hands `_sat_dense` every atom's list already
-    normalized, on the model's own base: the fold's Atom case takes it as is,
-    lifted onto the fold's base."""
+    normalized: the fold's Atom case takes it as is."""
 
     F = parse("F[0,1/2] (a & !b) | (c U(1/2,2] d)", ABCD)
 
     @pytest.mark.parametrize("engine, model", MODELS, ids=MODEL_IDS)
-    def test_atoms_are_the_normalized_per_event_lists(self, engine, model, monkeypatch):
-        (atom_keys, _, D0, _, *lex), table = _handed(engine, model, self.F, monkeypatch)
+    def test_atoms_are_the_normalized_per_event_lists(self, engine, model):
+        table = TABLES[engine](model, self.F)
         raw = _per_event_atoms(engine, model, self.F)
         want = {name: normalize_keys(keys) for name, keys in raw.items()}
-        assert {name: atom_keys[name] for name in want} == want
-        assert {name: table[Atom(name)] for name in want} == \
-            {name: _lifted_slots(keys, table.D // D0, *lex[:1]) for name, keys in want.items()}
+        assert {name: table[Atom(name)] for name in want} == want
         assert want["d"] == []  # an atom the model never holds
         assert raw != want  # each model has keys to merge
-
-
-def test_only_the_fold_takes_the_base():
-    """No dense table builder computes the fold's base D: each hands its model's
-    base to `_sat_dense`, which takes D from it and the windows."""
-    for build in (_itw_table, _its_table, _mx_table):
-        names = set(build.__code__.co_names)
-        assert names.isdisjoint({"time_base", "finite_window_bounds", "lcm"}), build.__name__
-    assert {"time_base", "finite_window_bounds", "lcm"} <= set(_sat_dense.__code__.co_names)
 
 
 class TestEmptyAndOfNegation:
@@ -659,7 +632,7 @@ class TestPointQueriesOnPendingRoots:
 
 
 # ---------------------------------------------------------------------------
-# the fold lifts only what `_its_table` hands it: the atoms' lists and the domain's ends
+# `_its_table` rescales only the atoms' lists and the domain's ends
 
 OFF_BASE_START = validate_tss([({"a"}, "(1/4,1)"), ({"b"}, "[1,1]"), ({"a", "b"}, "(1,7/4)"),
                                ({"c"}, "[7/4,7/4]"), (set(), "(7/4,3]")], allow_nonzero_start=True)

@@ -20,10 +20,9 @@ from mtlsem.intervals import (
     punctual,
     rat_str,
     rational,
-    scaled_keys,
     time_base,
 )
-from shared import _lifted_slots, _reference_parts, complement_keys
+from shared import _reference_parts, complement_keys
 
 
 def iv(text):
@@ -367,33 +366,6 @@ def test_keys_round_trip_through_the_base():
         back = IntervalSet.on_base(D, [(lo, hi)])
         assert back.parts == (x,)
         _assert_fraction_endpoints(back)
-
-
-@pytest.mark.parametrize("k", [2, 3, 7])
-@pytest.mark.parametrize("J", [1, 2, 3, 5])
-def test_scaled_keys_lifts_each_slot_with_its_time_key(J, k):
-    """On a base k times finer, slot j of time key T is slot j of T's lifted key,
-    at closed keys, open ends either side of a value, and an unbounded end."""
-    rng = random.Random(J * 10 + k)
-    hand = [(j, T * J + i) for T in range(7) for j in range(J) for i in range(J)]
-    hand = [(lo, hi) for lo, hi in hand if lo <= hi] + [(0, INF), (4 * J + J - 1, INF)]
-    assert scaled_keys(hand, k, J) == _lifted_slots(hand, k, J)
-    for _ in range(200):
-        ends = sorted(rng.sample(range(40 * J), 2 * rng.randint(1, 6)))
-        keys = list(zip(ends[::2], ends[1::2]))
-        if rng.random() < 0.3:
-            keys[-1] = (keys[-1][0], INF)
-        assert scaled_keys(keys, k, J) == _lifted_slots(keys, k, J), keys
-    if J == 1:  # the one rule on the time line: each value times k, each open offset kept
-        assert scaled_keys([(1, 2), (3, 5), (7, INF)], k) == \
-            [(1, 3 * k - 1), (3 * k, 6 * k - 1), (6 * k + 1, INF)]
-
-
-def test_rebased_is_gone():
-    """Key lists change base only through `scaled_keys`: no tick column is rebased."""
-    import mtlsem.intervals
-
-    assert not hasattr(mtlsem.intervals, "rebased")
 
 
 def test_bounds_share_one_bound_per_key_and_one_per_open_value():

@@ -351,10 +351,10 @@ def _assert_walked_as_the_two_pass_construction(cw, f, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(mixed, "_sat_dense", lambda *args: handed.append(args) or _sat_dense(*args))
         table, (D, J, starts, blocks) = _mx_table(cw, f)
-    slots, domain, D0, wJ, multi, wD, wstarts, sizes = _two_pass_inputs(cw, f)
-    assert handed == [(slots, domain, D0, f, wJ, multi)], (str(cw), f)
+    slots, domain, wD, wJ, multi, wstarts, sizes = _two_pass_inputs(cw, f)
+    assert handed == [(slots, domain, wD, f, wJ, multi)], (str(cw), f)
     assert (D, J, starts) == (wD, wJ, wstarts) and list(map(len, blocks)) == sizes
-    want = _sat_dense(slots, domain, D0, f, wJ, multi)
+    want = _sat_dense(slots, domain, wD, f, wJ, multi)
     assert list(table.items()) == list(want.items())
     got = sat_sets_mx(cw, f)
     assert [(node, s.lex[0]) for node, s in got.items()] == list(want.items()), (str(cw), f)

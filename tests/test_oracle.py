@@ -392,7 +392,7 @@ class TestPwOracleShape:
 class TestIndependence:
     ENGINE_NAMES = {"fold", "IntervalSet", "back_shift", "sat_positions", "lasso_instance",
                     # the engines' integer time base
-                    "ticks", "time_base", "tick_column", "rebased", "time_key",
+                    "ticks", "time_base", "tick_column", "fold_base", "time_key",
                     "interval_keys", "key_column", "scaled_keys", "on_base",
                     "rational_ticks", "rational_pair", "interval_pair", "tick_text",
                     "key_texts", "key_intervals", "meets", "columns",
@@ -457,7 +457,7 @@ class TestIndependence:
         def refuse(*_):
             raise AssertionError("an oracle ran engine code")
         names = ("fold", "subformulas", "time_key", "time_base", "interval_keys", "scaled_keys",
-                 "key_column", "tick_column", "rebased", "_until_bases", "rational_ticks",
+                 "key_column", "tick_column", "fold_base", "_until_bases", "rational_ticks",
                  "rational_pair", "interval_pair", "tick_text", "key_texts", "key_intervals",
                  "meets")
         for module in [m for name, m in sys.modules.items() if name.startswith("mtlsem.")]:
