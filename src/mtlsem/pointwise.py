@@ -16,18 +16,24 @@ covers G, plain U and F, and the nested unbounded windows of a lasso unroll.
 
 Every other window, (0,inf) included (simultaneous events make it depend on
 time), is one forward scan over the operands' bit strings and the word's own
-ticks (the sliding window of Donzé, Ferrère & Maler, "Efficient Robust
-Monitoring for STL", CAV 2013).  Times never decrease, so a base's window is
-one run of positions whose ends only move forward.  The first g at or after the
-run's start is the best witness; `str.find` gives it and the next f-failure
-only once the scan has passed the last hit, so the scan stays linear.  With D
-the time base of the ticks' base D0 and the windows (`formulas.fold_base`), and
-m = 3D / D0, a tick distance k is 3dD = km for a time distance d: a window's
-key pair (lo, hi) on D (see `intervals`) becomes ceil(lo / m) <= k <= floor(hi / m).
+ticks (after the sliding window of Donzé, Ferrère & Maler, "Efficient Robust
+Monitoring for STL", CAV 2013).  Times never decrease, so a base's window
+start, its first g-position j at or after that start and its first f-failure k
+only move forward, and `str.find` gives j and k.  The scan steps only through
+the bases that hold and jumps over every run of bases that fail: past one whose
+witness j lies beyond its window, by a `bisect` to the first base whose window
+reaches j; past one whose f fails at k before j, to k; and it stops when no g
+is left.  So it pays for the bases that hold plus one jump per run of bases
+that fail, not for every event; only the window start walks positions, each
+at most once.  With D the time base of the ticks' base D0 and the windows
+(`formulas.fold_base`), and m = 3D / D0, a tick distance e is 3dD = em for a
+time distance d: a window's key pair (lo, hi) on D (see `intervals`) becomes
+ceil(lo / m) <= e <= floor(hi / m).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import compress
 
 from .encodings import lasso_instance
@@ -39,9 +45,14 @@ from .structures import Lasso, TimedWord
 
 def _until(w, l: int, r: int, times) -> int:
     """f U_w g at every position, from the operand values l, r.  For `w` = (lo, hi),
-    base i's window holds the positions first <= j < last after i, those with
-    lo <= times[j] - times[i] <= hi; it holds when its first g-position j >=
-    first has j < last and the first f-failure k after i is not before j."""
+    let `first` be the first position after base i with lo <= times[first] -
+    times[i], j the first g-position at or after it and k the first f-failure
+    after i: base i holds when times[j] - times[i] <= hi and j <= k.  The scan
+    visits the bases that hold; a base that fails starts a run of failing bases
+    that one jump clears, to the first base whose window reaches j
+    (`bisect_left`) or to k, and with no j left no later base holds.  So it
+    pays for the bases that hold and one jump per run of bases that fail, plus
+    the positions `first` walks over, each once."""
     n = len(times)
     if w == (0, INF):
         F = l & ~r
@@ -49,21 +60,28 @@ def _until(w, l: int, r: int, times) -> int:
     w_lo, w_hi = w
     fs, gs = format(l, f"0{n}b") + "0", format(r, f"0{n}b") + "1"  # a missing j or k is n
     out = bytearray(b"0" * n)
-    first, last = 0, n if w_hi == INF else 0
+    first = i = 0
     j = k = -1
-    for i, t in enumerate(times):
+    while i < n:
+        t = times[i]
         if first <= i:
             first = i + 1
         while first < n and times[first] - t < w_lo:
             first += 1
-        while last < n and times[last] - t <= w_hi:
-            last += 1
         if j < first:
             j = gs.find("1", first)
+            if j == n:
+                break
+            tj = times[j]
         if k <= i:
             k = fs.find("0", i + 1)
-        if j < last and j <= k:
+        if tj - t > w_hi:
+            i = bisect_left(times, tj - w_hi, i + 1, j)
+        elif j > k:
+            i = k
+        else:
             out[i] = 49  # ord("1")
+            i += 1
     return int(out, 2)
 
 

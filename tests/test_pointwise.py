@@ -143,6 +143,40 @@ def _operands(rng, n) -> dict:
     }
 
 
+# shapes that drive each jump of the scan, on key pairs of the ticks: empty
+# after rounding, lower ends above 0 with hi = INF, and ticks in steps of 50
+JUMP_WINDOWS = [(1, 0), (4, 3), (3, INF), (151, INF), (0, 3), (3, 9), (0, 15),
+                (50, 150), (150, 150), (0, 1500)]
+
+
+def _jump_times(rng, n) -> dict:
+    t, steps_of_50 = 0, []
+    for _ in range(n):
+        t += rng.choice((0, 50, 50, 100))
+        steps_of_50.append(t)
+    return {"thirds": _times(rng, n), "steps of 50 ticks": steps_of_50}
+
+
+def _jump_operands(rng, n) -> dict:
+    """Witnesses 1 in 500, under an f that mostly holds, always holds, or
+    fails at most positions ahead of them."""
+    rare = [rng.randrange(500) == 0 for _ in range(n)]
+    return {
+        "sparse-g": ([rng.random() < 0.95 for _ in range(n)], rare),
+        "sparse-g-all-f": ([True] * n, rare),
+        "f-failing-ahead": ([rng.random() < 0.1 for _ in range(n)], rare),
+    }
+
+
+class _CountedTicks(tuple):
+    """Ticks that count their reads through `__getitem__`, as `bisect` makes them."""
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
 class TestBitsets:
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("window", WINDOWS)
@@ -154,6 +188,28 @@ class TestBitsets:
             got = pointwise._until(keys, _pack(lv), _pack(rv), times)
             assert 0 <= got < 1 << n, name
             assert _unpack(got, n) == _reference_until(keys, lv, rv, times), name
+
+    @pytest.mark.parametrize("n", [1, 2, 500, 6000])
+    @pytest.mark.parametrize("w", JUMP_WINDOWS)
+    def test_jumps_match_the_list_scan(self, n, w):
+        rng = random.Random(f"jumps/{n}/{w}")
+        for ticks, times in _jump_times(rng, n).items():
+            for name, (lv, rv) in _jump_operands(rng, n).items():
+                got = pointwise._until(w, _pack(lv), _pack(rv), times)
+                assert _unpack(got, n) == _reference_until(w, lv, rv, times), (ticks, name)
+
+    @pytest.mark.parametrize("w", [(3, 9), (0, 15)])
+    def test_ticks_read_follow_the_bases_that_hold(self, w):
+        # the scan reads ticks near the bases that hold and bisects past the
+        # rest; a scan that visits every base reads about 60,000 here
+        n = 20_000
+        times = _CountedTicks(_times(random.Random(n), n))
+        spread = [i % 500 == 250 for i in range(n)]  # 40 witnesses
+        for rv, most in (([False] * n, 10), (spread, 2_000)):
+            times.reads = 0
+            got = pointwise._until(w, (1 << n) - 1, _pack(rv), times)
+            assert times.reads <= most, times.reads
+            assert _unpack(got, n) == _reference_until(w, [True] * n, rv, times)
 
     def test_positions_match_the_oracle(self):
         for seed, (w, f) in enumerate(seeded_pairs(1000, 31, 7)):
