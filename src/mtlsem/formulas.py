@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BetaNotAllowedError, FormulaSyntaxError, MtlsemError, UnknownAtomError
-from .intervals import INF, INTERVAL_TEXT, Interval, interval, parse_interval, time_base
+from .intervals import INF, INTERVAL_TEXT, Interval, interval, parse_interval
 
 _RESERVED = {"true", "false", "sigma", "beta", "noact", "U", "F", "G", "X"}
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -75,7 +75,7 @@ class Formula:
     formula operands in syntactic order.
     """
 
-    __slots__ = ("children", "_below", "_bounds", "__weakref__")
+    __slots__ = ("children", "_below", "_base", "__weakref__")
     __match_args__ = ()
 
     def __new__(cls, *fields):
@@ -252,20 +252,15 @@ def temporal_depth(f: Formula) -> int:
     return fold(f, lambda node, *kids: (type(node) is Until) + max(kids, default=0))[f]
 
 
-def finite_window_bounds(f: Formula) -> tuple:
-    """The finite endpoint values appearing in Until windows, sorted, cached on f."""
-    try:
-        return f._bounds
-    except AttributeError:
-        object.__setattr__(f, "_bounds", tuple(sorted({
-            v for node in subformulas(f) if type(node) is Until
-            for v in (node.window.lo.value, node.window.hi.value) if not isinstance(v, float)})))
-        return f._bounds
-
-
 def fold_base(D0: int, f: Formula) -> int:
-    """The time base of a fold of f over a model on base D0: lcm(D0, f's windows')."""
-    return math.lcm(D0, time_base(finite_window_bounds(f)))
+    """The time base of a fold of f over a model on base D0: lcm(D0, W), W the
+    lcm of f's windows' own bases (`Interval.keys`), cached on f."""
+    try:
+        W = f._base
+    except AttributeError:
+        W = math.lcm(*{node.window.keys[0] for node in subformulas(f) if type(node) is Until})
+        object.__setattr__(f, "_base", W)
+    return math.lcm(D0, W)
 
 
 def atoms(f: Formula):

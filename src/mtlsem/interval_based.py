@@ -40,7 +40,6 @@ from .intervals import (
     _until_bases,
     difference_keys,
     intersect_keys,
-    interval_keys,
     meets,
     merge_keys,
     normalize_keys,
@@ -119,7 +118,8 @@ def _sat_dense(atom_keys: dict, domain: tuple, D: int, f: Formula, J: int = 1, m
                     keys = l if l is r else intersect_keys(l, r)
             case Until(x, w, y):
                 l, r = table[x], table[y]
-                w = interval_keys(w, D)
+                d, w = w.keys
+                w, = scaled_keys([w], D // d)  # the window lifted onto D
                 keys = _until_bases(l, r, w, J, last)
                 if w[0] == 0 and multi:
                     keys = normalize_keys(keys + _same_block_bases(l, r, later, J, last))

@@ -13,13 +13,15 @@ it exactly when lo <= 3tD <= hi, and flipping an upper end into the lower end
 of what follows it is hi + 1 (lower into upper, lo - 1).  The missing upper
 bound keeps the key `INF`.  A key list is a sorted list of such pairs.
 
-Each model carries its values on the base D0 of its timestamps (see
-`structures`).  The dense and mixed engines scale them onto D, the lcm of D0 and
-their windows' denominators (`formulas.fold_base`), and run every sweep over key
-lists here: set operations, complements (`difference_keys` from the domain) and
-the Until (`_until_bases`, and `_same_block_bases` on the lex line), after Maler
-& Nickovic, FORMATS 2004.  Every endpoint is an input time plus or minus window
-bounds, on D.
+An Interval becomes keys in one place, `Interval.keys`, on the least base of
+its two ends; every other base is a `scaled_keys` lift of those keys.  Each
+model carries its values on the base D0 of its timestamps (see `structures`).
+The dense and mixed engines scale them onto D, the lcm of D0 and their windows'
+own bases (`formulas.fold_base`), lift each window onto D, and run every sweep
+over key lists here: set operations, complements (`difference_keys` from the
+domain) and the Until (`_until_bases`, and `_same_block_bases` on the lex
+line), after Maler & Nickovic, FORMATS 2004.  Every endpoint is an input time
+plus or minus window bounds, on D.
 
 Rationals and intervals have one text grammar, `RATIONAL_TEXT` and
 `INTERVAL_TEXT`, and one reader each, `rational_pair` (`rational_ticks` for a
@@ -156,19 +158,23 @@ class Interval:
         if lo > hi:
             raise MtlsemError(f"empty interval: {self}")
 
-    def __hash__(self) -> int:
-        # computed once: formulas are interned by a key holding their window
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.lo, self.hi))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    @property
+    @cached_property
     def keys(self) -> tuple:
-        """(d, the key pair on d), d the least base of the two ends."""
-        d = time_base((self.lo.value, self.hi.value))
-        return d, interval_keys(self, d)
+        """(d, the key pair on d), d the least base of the two ends: the one place
+        an Interval becomes keys, read on first use and kept."""
+        lo, hi = self.lo.value, self.hi.value
+        if isinstance(hi, float):  # inf, the one float a bound holds
+            return lo.denominator, (3 * lo.numerator + (not self.lo.closed), INF)
+        p, q = lo.denominator, hi.denominator
+        d = math.lcm(p, q)
+        return d, (3 * lo.numerator * (d // p) + (not self.lo.closed),
+                   3 * hi.numerator * (d // q) - (not self.hi.closed))
+
+    def __eq__(self, other) -> bool:
+        return self is other or isinstance(other, Interval) and self.keys == other.keys
+
+    def __hash__(self) -> int:
+        return hash(self.keys)
 
     def contains(self, t: Fraction) -> bool:
         d, (lo, hi) = self.keys
@@ -191,9 +197,8 @@ def punctual(t) -> Interval:
 
 def parse_interval(text: str) -> Interval:
     """The Interval of an `INTERVAL_TEXT`, read by `interval_pair`."""
-    D, (lo, hi) = interval_pair(text)
-    return interval(Fraction((lo + 1) // 3, D), INF if hi == INF else Fraction((hi + 1) // 3, D),
-                    lo % 3 == 0, hi != INF and hi % 3 == 0)
+    D, pair = interval_pair(text)
+    return key_intervals(D, [pair])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +215,12 @@ def tick_column(values) -> tuple:
     return D0, tuple([v.numerator * (D0 // v.denominator) for v in values])
 
 
-def interval_keys(iv: Interval, D: int) -> tuple:
-    """The (lo, hi) key pair of iv on the time base D."""
-    lo, hi = iv.lo, iv.hi
-    lo_key = 3 * (lo.value.numerator * (D // lo.value.denominator)) + (not lo.closed)
-    if isinstance(hi.value, float):  # inf, the one float a bound holds
-        return lo_key, INF
-    return lo_key, 3 * (hi.value.numerator * (D // hi.value.denominator)) - (not hi.closed)
-
-
 def key_column(ivs) -> tuple:
-    """(D, each interval's key pair on D), D the time base of the endpoints."""
-    D = time_base(v for p in ivs for v in (p.lo.value, p.hi.value))
-    return D, [interval_keys(p, D) for p in ivs]
+    """(D, each interval's key pair on D), D the lcm of the intervals' own
+    bases, onto which each one's `keys` are lifted."""
+    keys = [p.keys for p in ivs]
+    D = math.lcm(*[d for d, _ in keys])
+    return D, [pair if d == D else scaled_keys([pair], D // d)[0] for d, pair in keys]
 
 
 def key_intervals(D: int, keys) -> tuple:

@@ -16,19 +16,11 @@ covers G, plain U and F, and the nested unbounded windows of a lasso unroll.
 
 Every other window, (0,inf) included (simultaneous events make it depend on
 time), is one forward scan over the operands' bit strings and the word's own
-ticks (after the sliding window of Donzé, Ferrère & Maler, "Efficient Robust
-Monitoring for STL", CAV 2013).  Times never decrease, so a base's window
-start, its first g-position j at or after that start and its first f-failure k
-only move forward, and `str.find` gives j and k.  The scan steps only through
-the bases that hold and jumps over every run of bases that fail: past one whose
-witness j lies beyond its window, by a `bisect` to the first base whose window
-reaches j; past one whose f fails at k before j, to k; and it stops when no g
-is left.  So it pays for the bases that hold plus one jump per run of bases
-that fail, not for every event; only the window start walks positions, each
-at most once.  With D the time base of the ticks' base D0 and the windows
-(`formulas.fold_base`), and m = 3D / D0, a tick distance e is 3dD = em for a
-time distance d: a window's key pair (lo, hi) on D (see `intervals`) becomes
-ceil(lo / m) <= e <= floor(hi / m).
+ticks that steps through the bases that hold and jumps over the rest (`_until`,
+after the sliding window of Donzé, Ferrère & Maler, CAV 2013).  With D the
+fold's base (`formulas.fold_base`) and m = 3D / D0, a tick distance e is 3dD =
+em for a time distance d, so a window's keys lifted onto D (see `intervals`),
+(lo, hi), become ceil(lo / m) <= e <= floor(hi / m).
 """
 
 from __future__ import annotations
@@ -39,7 +31,7 @@ from itertools import compress
 from .encodings import lasso_instance
 from .errors import PositionError
 from .formulas import And, Atom, Formula, Not, Until, fold, fold_base, require_beta_free
-from .intervals import INF, interval_keys
+from .intervals import INF, scaled_keys
 from .structures import Lasso, TimedWord
 
 
@@ -47,10 +39,11 @@ def _until(w, l: int, r: int, times) -> int:
     """f U_w g at every position, from the operand values l, r.  For `w` = (lo, hi),
     let `first` be the first position after base i with lo <= times[first] -
     times[i], j the first g-position at or after it and k the first f-failure
-    after i: base i holds when times[j] - times[i] <= hi and j <= k.  The scan
-    visits the bases that hold; a base that fails starts a run of failing bases
-    that one jump clears, to the first base whose window reaches j
-    (`bisect_left`) or to k, and with no j left no later base holds.  So it
+    after i: base i holds when times[j] - times[i] <= hi and j <= k.  Times
+    never decrease, so all three only move forward, and `str.find` gives j and
+    k.  The scan visits the bases that hold; a base that fails starts a run of
+    failing bases that one jump clears, to the first base whose window reaches
+    j (`bisect_left`) or to k, and with no j left no later base holds.  So it
     pays for the bases that hold and one jump per run of bases that fail, plus
     the positions `first` walks over, each once."""
     n = len(times)
@@ -101,7 +94,8 @@ def _root(rho: TimedWord, f: Formula) -> int:
             case And():
                 return l & r
             case Until(_, w, _):
-                lo, hi = interval_keys(w, D)
+                d, pair = w.keys
+                (lo, hi), = scaled_keys([pair], D // d)  # the window lifted onto D
                 return _until((-(-lo // m), hi if hi == INF else hi // m), l, r, ticks)
 
     return fold(f, visit)[f]

@@ -15,10 +15,10 @@ from mtlsem.encodings import word_to_tss
 from mtlsem.errors import (AdjacencyError, EmptyWordError, FirstTimestampError, MtlsemError,
                            OutOfDomainError)
 from mtlsem.formulas import (FULL, And, Atom, Beta, Not, Until, alphabet, atoms, f_globally, f_or,
-                             finite_window_bounds, fold, parse, subformulas)
+                             fold, parse, subformulas)
 from mtlsem.gallery import ABC, WORD_SWAP_AB, WORD_SWAP_BA, no_simultaneous
 from mtlsem.intervals import (_INTERVAL, INF, Bound, Interval, IntervalSet, _pair, _until_bases,
-                              difference_keys, interval, interval_keys, intersect_keys,
+                              difference_keys, interval, intersect_keys,
                               key_column, merge_keys, normalize_keys, punctual, scaled_keys,
                               time_base)
 from mtlsem.mixed import MixedSet, _mx_table
@@ -131,6 +131,29 @@ CHAINS = {
 def mfs_runs(ends):
     """(start, end) index pairs, inclusive, one per flat run, from `mfs_decompose`'s run ends."""
     return list(zip((0, *[e + 1 for e in ends[:-1]]), ends))
+
+
+# ---------------------------------------------------------------------------
+# frozen copies: a window read to keys on any base, and a formula's window
+# bounds, pinning `Interval.keys` and `formulas.fold_base` since each window
+# converts once, on its own base, and every other base is a `scaled_keys` lift
+
+def interval_keys(iv, D) -> tuple:
+    """Pins `intervals.interval_keys`: the (lo, hi) key pair of iv on the time
+    base D, read off its Bounds."""
+    lo, hi = iv.lo, iv.hi
+    lo_key = 3 * (lo.value.numerator * (D // lo.value.denominator)) + (not lo.closed)
+    if isinstance(hi.value, float):  # inf, the one float a bound holds
+        return lo_key, INF
+    return lo_key, 3 * (hi.value.numerator * (D // hi.value.denominator)) - (not hi.closed)
+
+
+def finite_window_bounds(f) -> tuple:
+    """Pins `formulas.finite_window_bounds`: the finite endpoint values of f's
+    Until windows, sorted."""
+    return tuple(sorted({v for node in subformulas(f) if type(node) is Until
+                         for v in (node.window.lo.value, node.window.hi.value)
+                         if not isinstance(v, float)}))
 
 
 # ---------------------------------------------------------------------------

@@ -912,20 +912,23 @@ class TestSatsetOutputIsUnchanged:
 class TestStateSequencesBuildNoSteps:
     """The CLI reads a state sequence's key columns: evaluating, printing the
     sets of, encoding into and checking a state sequence build no step
-    Intervals."""
+    Intervals.  Counted: each build of a sequence's `steps` or a set's `parts`."""
 
     @pytest.fixture
     def conversions(self, monkeypatch):
-        import mtlsem.intervals as intervals
+        from functools import cached_property
 
-        calls, real = [], intervals.key_intervals
+        from mtlsem.intervals import IntervalSet
+        from mtlsem.structures import TimedStateSequence
 
-        def counted(D, keys):
-            calls.append(keys)
-            return real(D, keys)
-        for name, module in list(sys.modules.items()):
-            if name.startswith("mtlsem") and hasattr(module, "key_intervals"):
-                monkeypatch.setattr(module, "key_intervals", counted)
+        calls = []
+        for cls, name in ((TimedStateSequence, "steps"), (IntervalSet, "parts")):
+            def counted(obj, real=getattr(cls, name).func):
+                calls.append(obj)
+                return real(obj)
+            prop = cached_property(counted)
+            prop.__set_name__(cls, name)
+            monkeypatch.setattr(cls, name, prop)
         return calls
 
     @pytest.mark.parametrize("argv", [

@@ -24,8 +24,8 @@ from mtlsem.formulas import (
     f_or,
     f_sigma,
     f_true,
-    finite_window_bounds,
     fold,
+    fold_base,
     horizon,
     is_bounded,
     parse,
@@ -143,14 +143,13 @@ class TestCachedOrder:
             assert list(fold(f, lambda *_: None)) == want
             assert list(fold(f, lambda *_: None)) == want  # read from the cache
 
-    def test_finite_window_bounds_is_a_stable_tuple(self):
+    def test_fold_base_is_the_lcm_of_the_window_denominators(self):
         for _, f in ORDER_CASES:
-            got = finite_window_bounds(f)
-            assert isinstance(got, tuple)
-            assert finite_window_bounds(f) == got
-            want = {v for g in _explicit_order(f) if type(g) is Until
-                    for v in (g.window.lo.value, g.window.hi.value) if v != INF}
-            assert got == tuple(sorted(want))
+            want = math.lcm(*{v.denominator for g in _explicit_order(f) if type(g) is Until
+                              for v in (g.window.lo.value, g.window.hi.value) if v != INF})
+            for D0 in (1, 6, 35):
+                assert fold_base(D0, f) == math.lcm(D0, want)
+                assert fold_base(D0, f) == math.lcm(D0, want)  # read from the cache
 
     def test_pickle_round_trip_is_the_same_formula(self):
         for rho, f in ORDER_CASES:
@@ -164,7 +163,7 @@ class TestCachedOrder:
         f = pickle.loads(data)
         assert f is parse("G(a -> F[1/3,3] (b U c))", ABC)
         assert list(fold(f, lambda *_: None)) == _explicit_order(f)
-        assert finite_window_bounds(f) == (0, Fraction(1, 3), 3)
+        assert fold_base(1, f) == 3 and fold_base(10, f) == 30  # windows [1/3,3] and [0,inf)
 
 
 class TestParse:

@@ -8,13 +8,14 @@ only its results back.  Every case is checked against the oracle with
 """
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from mtlsem.encodings import compact, word_to_tss
-from mtlsem.formulas import Until, alphabet, finite_window_bounds, fold, horizon, parse, to_text
+from mtlsem.formulas import Until, alphabet, fold, fold_base, horizon, parse, to_text
 from mtlsem.interval_based import (
     eval_its,
     eval_itw,
@@ -38,6 +39,7 @@ from mtlsem.oracle import (
 )
 from mtlsem.pointwise import eval_pw_lasso, sat_positions
 from mtlsem.structures import duration, is_action_based, lasso, unroll, validate_tss, word
+from shared import finite_window_bounds, scaled_words
 
 ABC = alphabet("a,b,c")
 
@@ -163,6 +165,29 @@ def test_rescaled_columns_agree_with_the_other_engines_and_the_oracles(text):
         assert sat_set_its(word_to_tss(w), f) == sat_set_itw(w, f), seed
         assert differential("pw", w, f) is None, seed
         assert differential("mx", compact(w), f) is None, seed
+
+
+def _fold_base_cases():
+    """(D0, f): criterion 8's corpus, the scaled words with gen_formula of their
+    seed, and every gen_word seed 0-299 under each `RESCALED` formula."""
+    for case in range(2000):
+        yield gen_word(case + 60_000).ticks[0], gen_formula(case * 61 + 37, ABC)
+        yield gen_word(case + 70_000).ticks[0], gen_formula(case * 67 + 41, ABC)
+        kappa = gen_ka(case) if case % 2 else word_to_tss(gen_word(case + 80_000))
+        yield kappa.columns[0], gen_formula(case * 71 + 43, ABC)
+        yield (compact(gen_word(case + 90_000)).ticks[0],
+               gen_formula(case * 73 + 47, ABC, allow_beta=True))
+    for seed, rho in scaled_words():
+        yield rho.ticks[0], gen_formula(seed, ABC)
+    for text in RESCALED:
+        for seed in range(300):
+            yield gen_word(seed).ticks[0], parse(text, ABC)
+
+
+def test_fold_base_is_the_lcm_of_d0_and_the_window_bounds():
+    """Each window's own base, lifted: the base of the frozen bound list."""
+    for D0, f in _fold_base_cases():
+        assert fold_base(D0, f) == math.lcm(D0, time_base(finite_window_bounds(f))), to_text(f)
 
 
 def _thirds_with_open_props(seed):

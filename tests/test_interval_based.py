@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -22,6 +23,7 @@ from mtlsem.interval_based import (
 )
 from mtlsem.intervals import (
     INF,
+    IntervalSet,
     _until_bases,
     back_shift,
     intersect_keys,
@@ -223,20 +225,21 @@ def test_time_with_spaces_around_the_slash_is_accepted(entry):
 
 class TestConvertedOnRead:
     """A result builds its Intervals once per set, and only when a caller reads
-    its parts: printing, membership, equality and the grid points build none."""
+    its parts: printing, membership, equality and the grid points build none.
+    Each build of a set's `parts` is counted by the key list it converts."""
 
     F = "G(a -> F[1/3,3] b) & !((a | b) U(1/2,2] c)"
 
     @pytest.fixture
     def conversions(self, monkeypatch):
-        import mtlsem.intervals as intervals
+        calls, real = [], IntervalSet.parts.func
 
-        calls, real = [], intervals.key_intervals
-
-        def counted(D, keys):
-            calls.append(keys)
-            return real(D, keys)
-        monkeypatch.setattr(intervals, "key_intervals", counted)
+        def counted(s):
+            calls.append(s.keys[1])
+            return real(s)
+        parts = cached_property(counted)
+        parts.__set_name__(IntervalSet, "parts")
+        monkeypatch.setattr(IntervalSet, "parts", parts)
         return calls
 
     @staticmethod

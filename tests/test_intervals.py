@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
+import mtlsem.intervals
 from mtlsem.errors import MtlsemError
 from mtlsem.intervals import (
     INF,
@@ -14,7 +16,6 @@ from mtlsem.intervals import (
     back_shift,
     difference_keys,
     interval,
-    interval_keys,
     normalize_keys,
     parse_interval,
     punctual,
@@ -22,7 +23,7 @@ from mtlsem.intervals import (
     rational,
     time_base,
 )
-from shared import _reference_parts, complement_keys
+from shared import _reference_parts, complement_keys, interval_keys
 
 
 def iv(text):
@@ -79,6 +80,41 @@ class TestInterval:
     def test_str_roundtrip(self):
         for text in ["[0,1]", "(0,1]", "[0,1)", "(1/2,33/10)", "[2,inf)"]:
             assert str(iv(text)) == text
+
+    def test_keys_are_converted_once(self, monkeypatch):
+        """`keys` is the one place an Interval becomes keys: equality, hashing,
+        printing and membership read it, and it is computed once."""
+        calls, real = [], Interval.keys.func
+
+        def counted(x):
+            calls.append(x)
+            return real(x)
+        keys = cached_property(counted)
+        keys.__set_name__(Interval, "keys")
+        monkeypatch.setattr(Interval, "keys", keys)
+        x, other = interval(Fraction(1, 3), Fraction(5, 7), False, True), iv("(1/3,5/7]")
+        for _ in range(2):
+            assert x.keys == (21, (22, 45))
+            assert hash(x) == hash(other)
+            assert str(x) == "(1/3,5/7]"
+            assert x == other and x.contains(Fraction(1, 2)) and not x.contains(Fraction(1, 3))
+        assert sum(c is x for c in calls) == 1
+
+    def test_parse_builds_no_interval_through_the_constructor(self, monkeypatch):
+        texts = ["[0,0]", "(0,1]", "[1/3,5/7)", "(0.25,inf)", "[2/4,6/8]", "[ 10 / 15 , inf)"]
+        want = [interval(Fraction(0), Fraction(0)), interval(0, 1, False, True),
+                interval(Fraction(1, 3), Fraction(5, 7), True, False),
+                interval(Fraction(1, 4), INF, False, False),
+                interval(Fraction(1, 2), Fraction(3, 4)), interval(Fraction(2, 3), INF, True, False)]
+
+        def refuse(*_):
+            raise AssertionError("parse_interval built through the constructor")
+        monkeypatch.setattr(mtlsem.intervals, "interval", refuse)
+        monkeypatch.setattr(Interval, "__post_init__", refuse)
+        got = [parse_interval(text) for text in texts]
+        assert got == want
+        assert [(x.lo, x.hi) for x in got] == [(x.lo, x.hi) for x in want]
+        assert [x.keys for x in got] == [x.keys for x in want]
 
 
 class TestSetOps:
@@ -354,6 +390,18 @@ def test_time_base_is_the_lcm_of_the_denominators():
     assert time_base([Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), INF]) == 231
     assert time_base([Fraction(4), Fraction(0)]) == 1
     assert time_base(_ODD_VALS) > 2**64
+
+
+def test_keys_are_the_least_base_of_the_ends_and_decide_equality():
+    rng = random.Random(40)
+    drawn = [_rand_interval(rng, _ODD_VALS) for _ in range(300)]
+    for x in drawn:
+        d, pair = x.keys
+        assert d == time_base([x.lo.value, x.hi.value])
+        assert pair == interval_keys(x, d)
+    for x, y in zip(drawn, drawn[1:] + drawn[:1]):
+        same = (x.lo, x.hi) == (y.lo, y.hi)
+        assert (x == y) is same and (x == Interval(x.lo, x.hi)) and hash(x) == hash(Interval(x.lo, x.hi))
 
 
 def test_keys_round_trip_through_the_base():

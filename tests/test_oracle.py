@@ -15,7 +15,6 @@ from mtlsem.formulas import (
     And,
     Until,
     alphabet,
-    finite_window_bounds,
     is_bounded,
     parse,
     temporal_depth,
@@ -49,7 +48,8 @@ from mtlsem.structures import (
     word_to_json,
 )
 from shared import (RHO1, _pieces, _reference_its, _reference_itw, _reference_mx,
-                    _reference_piece_index, _reference_pw, scaled_words, seeded_pairs, tss_corpus)
+                    _reference_piece_index, _reference_pw, finite_window_bounds, scaled_words,
+                    seeded_pairs, tss_corpus)
 
 ALPHABET_ABCD = alphabet("a,b,c,d")
 

@@ -13,11 +13,12 @@ from mtlsem.encodings import lasso_instance
 from mtlsem.errors import BetaNotAllowedError
 from mtlsem.formulas import parse
 from mtlsem.gallery import ABC, B_THEN_A, WINDOWED_C
-from mtlsem.intervals import INF, interval, interval_keys
+from mtlsem.intervals import INF, interval
 from mtlsem.oracle import differential, gen_formula, gen_lasso, oracle_eval_pw
 from mtlsem.pointwise import eval_pw, eval_pw_lasso, sat_positions
 from mtlsem.structures import lasso, unroll, word
-from shared import RHO1, RHO2, _reference_positions, _reference_until, seeded_pairs
+from shared import (RHO1, RHO2, _reference_positions, _reference_until, interval_keys,
+                    seeded_pairs)
 
 
 class TestFinite:

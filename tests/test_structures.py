@@ -19,7 +19,7 @@ from mtlsem.errors import (
     OutOfDomainError,
 )
 from mtlsem.encodings import compact, uncompact
-from mtlsem.formulas import Atom, alphabet, finite_window_bounds, parse
+from mtlsem.formulas import Atom, alphabet, parse
 from mtlsem.interval_based import _itw_table, sat_set_itw
 from mtlsem.intervals import (
     INF,
@@ -56,7 +56,8 @@ from mtlsem.structures import (
 )
 from shared import (SCALES, _interval_loader_columns, _interval_loader_parse,
                     _parent_atom_bits, _parent_atom_points, _rebased, _reference_action_based,
-                    _reference_unroll, _reference_verdict, mfs_runs, scaled_words, tss_corpus)
+                    _reference_unroll, _reference_verdict, finite_window_bounds, mfs_runs,
+                    scaled_words, tss_corpus)
 
 RHO1 = [("a", "0"), ("b", "1"), ("a", "1"), ("c", "3.3")]
 RAW_4 = [("a", "1"), ("b", "1.3"), ("c", "3.5"), ("b", "3.5")]
