@@ -148,9 +148,7 @@ def _itw_table(rho: TimedWord, f: Formula) -> _Table:
     D0, ticks = rho.ticks
     D = fold_base(D0, f)
     m = 3 * (D // D0)  # a tick's key on D
-    points = {name: [(k, k) for k in dict.fromkeys([m * ticks[i]
-                                                     for i in rho.action_positions(name)])]
-              for name in atoms(f)}  # an action repeated at one stamp is one point
+    points = {name: [(m * v, m * v) for v in rho.action_ticks(name)] for name in atoms(f)}
     return _sat_dense(points, (0, m * ticks[-1]), D, f)
 
 

@@ -444,12 +444,12 @@ class IntervalSet:
     A set holds `keys`, (D, its key list on the time base D), and builds its
     `parts` on first read, so a set nobody reads as parts makes no Fraction.
     Equality and hashing read the keys on the least base that holds them, so
-    equal sets built on different bases are equal.  `IntervalSet(parts)` must
-    be given normalized parts; use `from_intervals` otherwise."""
+    equal sets built on different bases are equal.  `IntervalSet(parts)` takes
+    any intervals, in any order, overlapping or touching, and normalizes them."""
 
-    def __init__(self, parts: tuple):
-        self.keys = key_column(parts)
-        self.__dict__["parts"] = parts
+    def __init__(self, parts):
+        D, keys = key_column(parts)
+        self.keys = (D, normalize_keys(keys))
 
     @classmethod
     def on_base(cls, D: int, keys) -> "IntervalSet":
@@ -486,12 +486,11 @@ class IntervalSet:
 
     @staticmethod
     def of(*ivs) -> "IntervalSet":
-        return IntervalSet.from_intervals(ivs)
+        return IntervalSet(ivs)
 
     @staticmethod
     def from_intervals(ivs) -> "IntervalSet":
-        D, keys = key_column(tuple(ivs))
-        return IntervalSet.on_base(D, normalize_keys(keys))
+        return IntervalSet(ivs)
 
     @property
     def is_empty(self) -> bool:

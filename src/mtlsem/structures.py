@@ -13,8 +13,8 @@ its period's ticks (see `Lasso`).  Equality, hashing, the checks and the text
 and JSON output read the columns, rendering ticks with int arithmetic
 (`tick_text`).  The `Fraction` views (`times`, `events`, `blocks`, `steps`)
 are built on first read.  So is a word's per-action index: `action_bits` and
-`action_positions` scan the action column once per action name and keep the
-answer (an int, a tuple) on the word; it holds nothing of a formula.
+`action_ticks` scan the word once per action name and keep the answer (an int,
+a tuple of distinct ticks) on the word; it holds nothing of a formula.
 
 `TimedWord(events)` and `CompactTimedWord(blocks)` turn their pairs into the
 columns; they check nothing.  Every other constructor gives ticks on some base
@@ -107,12 +107,12 @@ def _pairs(model: _OnTicks) -> tuple:
     return tuple(zip(model.actions, model.times))
 
 
-def _bitset(actions: tuple, name: str) -> int:
-    return int("".join(["1" if a == name else "0" for a in actions]), 2)
+def _bitset(word: TimedWord, name: str) -> int:
+    return int("".join(["1" if a == name else "0" for a in word.actions]), 2)
 
 
-def _occurrences(actions: tuple, name: str) -> tuple:
-    return tuple([i for i, a in enumerate(actions) if a == name])
+def _distinct_ticks(word: TimedWord, name: str) -> tuple:
+    return tuple(dict.fromkeys([v for a, v in zip(word.actions, word.ticks[1]) if a == name]))
 
 
 class TimedWord(_OnTicks):
@@ -124,19 +124,19 @@ class TimedWord(_OnTicks):
         """Where `name` occurs, as one int: position i of n at bit n-1-i."""
         return self._indexed("_bits", _bitset, name)
 
-    def action_positions(self, name: str) -> tuple:
-        """The positions where `name` occurs, in increasing order."""
-        return self._indexed("_positions", _occurrences, name)
+    def action_ticks(self, name: str) -> tuple:
+        """The distinct ticks where `name` occurs, in increasing order."""
+        return self._indexed("_ticks", _distinct_ticks, name)
 
     def _indexed(self, column: str, build, name: str):
-        """`build(actions, name)`, kept under `name` in one column of the index
+        """`build(self, name)`, kept under `name` in one column of the index
         on first read.  Each column is a dict on the word, made on its first
         read (a `cached_property` costs more on a fresh word); the two are
         filled apart, since a scan that builds both costs about twice one."""
         index = self.__dict__.setdefault(column, {})
         value = index.get(name)
         if value is None:
-            value = index[name] = build(self.actions, name)
+            value = index[name] = build(self, name)
         return value
 
     def __str__(self):

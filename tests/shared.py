@@ -649,7 +649,7 @@ def _reference_positions(rho, f) -> frozenset:
 
 # ---------------------------------------------------------------------------
 # frozen copies: the atoms as each evaluation built them before a word indexed
-# its actions (`TimedWord.action_bits`, `action_positions`)
+# its actions (`TimedWord.action_bits`, `action_ticks`)
 
 def _parent_atom_bits(rho, name) -> int:
     """`pointwise._root`'s atom: the action column packed, position i of n at bit n-1-i."""

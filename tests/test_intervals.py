@@ -152,6 +152,22 @@ class TestSetOps:
         assert iset("(1,2]").member(Fraction(2))
         assert not IntervalSet.empty().member(Fraction(0))
 
+    def test_the_constructor_normalizes_its_parts(self):
+        got = IntervalSet((iv("[1,3]"), iv("[0,2]")))
+        assert got.complement(iv("[0,5]")) == iset("(3,5]")
+        assert str(IntervalSet((iv("[0,2]"), iv("[1,3]")))) == "{[0,3]}"
+        assert str(IntervalSet((iv("(1,2]"), iv("[0,1]"), iv("[3,3]")))) == "{[0,2], [3,3]}"
+        rng = random.Random(6)
+        for _ in range(400):
+            parts = [_rand_interval(rng) for _ in range(rng.randint(0, 5))]
+            rng.shuffle(parts)
+            s = IntervalSet(parts)
+            assert s == IntervalSet.of(*parts) == IntervalSet.from_intervals(parts)
+            assert str(s) == str(IntervalSet(parts[::-1]))
+            assert IntervalSet(s.parts).parts == s.parts
+            for t in _probes(*parts):
+                assert s.member(t) == any(p.contains(t) for p in parts), (parts, t)
+
 
 # ---------------------------------------------------------------------------
 # fuzzed algebra laws

@@ -397,8 +397,8 @@ class TestIndependence:
                     "rational_ticks", "rational_pair", "interval_pair", "tick_text",
                     "key_texts", "key_intervals", "meets", "columns",
                     # a word's per-action index
-                    "action_bits", "action_positions", "_indexed", "_bitset",
-                    "_occurrences", "_bits", "_positions"}
+                    "action_bits", "action_ticks", "_indexed", "_bitset",
+                    "_distinct_ticks", "_bits", "_ticks"}
 
     def test_no_oracle_function_names_engine_code(self):
         # only `differential`, which compares an engine with its oracle, may
@@ -466,7 +466,7 @@ class TestIndependence:
                     monkeypatch.setattr(module, name, refuse)
         monkeypatch.setattr(structures.TimedStateSequence, "columns", property(refuse),
                             raising=False)
-        for name in ("action_bits", "action_positions"):
+        for name in ("action_bits", "action_ticks"):
             monkeypatch.setattr(structures.TimedWord, name, refuse)
         assert run() == want
 

@@ -759,14 +759,29 @@ class TestActionIndex:
             for name in names:
                 bits = _parent_atom_bits(rho, name)
                 assert rho.action_bits(name) == bits
-                assert rho.action_positions(name) == tuple(i for i in range(n)
-                                                           if bits >> (n - 1 - i) & 1)
+                assert rho.action_ticks(name) == tuple(dict.fromkeys(
+                    rho.ticks[1][i] for i in range(n) if bits >> (n - 1 - i) & 1))
                 assert table[Atom(name)] == _parent_atom_points(rho, name, times)
+
+    def test_ticks_equal_a_plain_scan(self):
+        """Each entry holds the distinct ticks of its action in increasing order,
+        on words that repeat an action at one stamp and names that do not occur."""
+        repeats = 0
+        for rho, names in _index_inputs():
+            D0, ticks = rho.ticks
+            pairs = list(zip(rho.actions, ticks))
+            repeats += len(set(pairs)) < len(pairs)
+            for name in names:
+                want = sorted({v for a, v in pairs if a == name})
+                assert list(rho.action_ticks(name)) == want
+                assert [Fraction(v, D0) for v in want] == sorted(
+                    {t for a, t in rho.events if a == name})
+        assert repeats > 50
 
     def test_a_filled_index_keeps_equality_hash_and_pickle(self):
         for rho, names in _index_inputs()[::25]:
             for name in names:
-                rho.action_bits(name), rho.action_positions(name)
+                rho.action_bits(name), rho.action_ticks(name)
             fresh = TimedWord(rho.events)
             back = pickle.loads(pickle.dumps(rho))
             for w in (rho, back):
